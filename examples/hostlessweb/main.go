@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
+	"repro/internal/overload"
 	"repro/internal/simnet"
 	"repro/internal/webapp"
 )
@@ -21,13 +22,13 @@ import (
 func main() {
 	nw := simnet.New(31)
 	rng := rand.New(rand.NewSource(31))
-	tracker := webapp.NewTracker(nw.AddNode())
+	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
 
 	// Everyone — author included — is on a home broadband link.
 	newPeer := func() *webapp.Peer {
 		node := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
-		return webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second)
+		return webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
 	}
 	author := newPeer()
 	visitors := make([]*webapp.Peer, 8)

@@ -22,6 +22,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/cryptoutil"
 	"repro/internal/naming"
+	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
 )
@@ -76,11 +77,11 @@ func main() {
 	fmt.Printf("== 3. alice stores a file with an on-chain contract\n")
 	file := []byte("Re-decentralizing the Internet, one simulated packet at a time.\n")
 	file = append(file, bytes.Repeat([]byte("data"), 512)...)
-	client := storage.NewClient(nw.AddNode(), 30*time.Second)
+	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
 	providers := make([]*storage.Provider, 4)
 	refs := make([]storage.ProviderRef, 4)
 	for i := range providers {
-		providers[i] = storage.NewProvider(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), 1<<30, storage.Honest)
+		providers[i] = storage.NewProvider(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), storage.ProviderConfig{Capacity: 1 << 30})
 		providers[i].SetPrice(2)
 		refs[i] = providers[i].Ref()
 	}

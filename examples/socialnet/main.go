@@ -16,6 +16,7 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/gossip"
 	"repro/internal/groupcomm"
+	"repro/internal/resil"
 	"repro/internal/simnet"
 )
 
@@ -104,8 +105,8 @@ func main() {
 		}
 		s.SetPeers(peers)
 	}
-	mAlice := groupcomm.NewReplClient(nw.AddNode(), rids[0], rids, "alice", 5*time.Second)
-	mBob := groupcomm.NewReplClient(nw.AddNode(), rids[1], rids, "bob", 5*time.Second)
+	mAlice := groupcomm.NewReplClient(nw.AddNode(), rids[0], rids, "alice", 5*time.Second, resil.Config{})
+	mBob := groupcomm.NewReplClient(nw.AddNode(), rids[1], rids, "bob", 5*time.Second, resil.Config{})
 	mAlice.Post("room", []byte("replicated hello"), func(bool) {})
 	nw.Run(nw.Now() + time.Minute)
 	repl[1].Node().Crash() // bob's home server dies

@@ -56,7 +56,7 @@ func main() {
 			cheat = storage.DropAfterAck
 			honest = false
 		}
-		p := storage.NewProvider(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), 1<<30, cheat)
+		p := storage.NewProvider(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), storage.ProviderConfig{Capacity: 1 << 30, Cheat: cheat})
 		price := uint64(2 + rng.Intn(5))
 		p.SetPrice(price)
 		addr := cryptoutil.SumHash([]byte(fmt.Sprintf("seller-%d", i)))
@@ -75,7 +75,7 @@ func main() {
 	// Providers sit on lossy home-broadband links, so the client rides the
 	// adaptive transport: a dropped put is retried at the estimated RTO
 	// instead of failing the whole placement.
-	client := storage.NewClientWith(nw.AddNode(), 30*time.Second, resil.Defaults())
+	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Defaults())
 	var m *storage.Manifest
 	var pl *storage.Placement
 	client.UploadErasure(data, 2, 2, refs, func(mm *storage.Manifest, pp *storage.Placement, err error) {

@@ -13,6 +13,8 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
 	"repro/internal/naming"
+	"repro/internal/overload"
+	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/webapp"
@@ -115,8 +117,8 @@ func TestStorageContractSettlementOverChain(t *testing.T) {
 	for _, m := range miners {
 		m.Start()
 	}
-	client := storage.NewClient(nw.AddNode(), 30*time.Second)
-	provider := storage.NewProvider(nw.AddNode(), 1<<30, storage.Honest)
+	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
+	provider := storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30})
 	payout := cryptoutil.SumHash([]byte("payout"))
 
 	data := bytes.Repeat([]byte("contract data "), 100)
@@ -190,10 +192,10 @@ func TestWebappNamingBridge(t *testing.T) {
 	}
 
 	// Web side.
-	tracker := webapp.NewTracker(nw.AddNode())
+	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
 	mkPeer := func() *webapp.Peer {
 		node := nw.AddNode()
-		return webapp.NewPeer(node, dht.NewPeer(node, dht.Key{}, dht.Config{}), tracker.Node().ID(), 10*time.Second)
+		return webapp.NewPeer(node, dht.NewPeer(node, dht.Key{}, dht.Config{}), tracker.Node().ID(), 10*time.Second, webapp.PeerConfig{})
 	}
 	authorPeer := mkPeer()
 	visitorPeer := mkPeer()

@@ -4,10 +4,40 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/replic"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
 )
+
+// armNamed picks one arm of a battery; the conformance suite swaps its
+// fault scenario.
+func armNamed(t *testing.T, arms []flashArm, name string) flashArm {
+	t.Helper()
+	for _, a := range arms {
+		if a.name == name {
+			return a
+		}
+	}
+	t.Fatalf("battery has no arm %q", name)
+	return flashArm{}
+}
+
+// windowShare is the within-SLA availability (in percent) over the
+// requests scheduled in [from, to), and how many there were.
+func windowShare(outcomes []slaOutcome, from, to time.Duration) (float64, int) {
+	var total, ok float64
+	for _, o := range outcomes {
+		if o.at >= from && o.at < to {
+			total++
+			if o.ok {
+				ok++
+			}
+		}
+	}
+	if total == 0 {
+		return 0, 0
+	}
+	return 100 * ok / total, int(total)
+}
 
 // TestX18P2PWorkloadUnderFaults drives the X18 p2p-webapp arm — under
 // the full flash-crowd workload — through the canonical five-scenario
@@ -29,7 +59,7 @@ import (
 // behaviour change.
 func TestX18P2PWorkloadUnderFaults(t *testing.T) {
 	const seed = 42
-	sp := x18SpecFor(true)
+	sp := flashSpecFor(true)
 	reqs, rs := x18Stream(seed, sp, "flash")
 	midFloor := map[string]float64{
 		"clean":           0, // no fault window; overall gate below covers it
@@ -42,7 +72,8 @@ func TestX18P2PWorkloadUnderFaults(t *testing.T) {
 	for _, sc := range fault.Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			cell, outcomes := x18P2P(seed, sp, reqs, rs, &sc)
+			res := x18P2P(seed, sp, reqs, rs, &sc)
+			outcomes := res.outcomes
 			if len(outcomes) == 0 {
 				t.Fatal("arm setup failed")
 			}
@@ -51,34 +82,19 @@ func TestX18P2PWorkloadUnderFaults(t *testing.T) {
 			// active window as the one applied inside the arm.
 			plan := sc.Build(seed, []simnet.NodeID{1, 2, 3, 4}, sp.horizon)
 			ws, we := plan.Start(), plan.End()
-			share := func(from, to time.Duration) (float64, int) {
-				var total, ok float64
-				for _, o := range outcomes {
-					if o.at >= from && o.at < to {
-						total++
-						if o.ok {
-							ok++
-						}
-					}
-				}
-				if total == 0 {
-					return 0, 0
-				}
-				return 100 * ok / total, int(total)
-			}
 			if we > ws {
-				mid, n := share(ws, we)
+				mid, n := windowShare(outcomes, ws, we)
 				if mid < midFloor[sc.Name] {
 					t.Errorf("mid-fault availability %.1f%% over %d requests, floor %.0f%%",
 						mid, n, midFloor[sc.Name])
 				}
 			}
-			post, n := share(recPoint, sp.horizon)
+			post, n := windowShare(outcomes, recPoint, sp.horizon)
 			if post < 90 {
 				t.Errorf("post-heal availability %.1f%% over %d requests, want ≥ 90%%", post, n)
 			}
-			if sc.Name == "clean" && cell.avail < 0.95 {
-				t.Errorf("clean-scenario availability %.1f%%, want ≥ 95%%", cell.avail*100)
+			if sc.Name == "clean" && res.avail < 0.95 {
+				t.Errorf("clean-scenario availability %.1f%%, want ≥ 95%%", res.avail*100)
 			}
 		})
 	}
@@ -110,8 +126,8 @@ func TestX18P2PWorkloadUnderFaults(t *testing.T) {
 // gate regressions, not noise; the runs are fully deterministic.
 func TestX19AdaptiveUnderFaults(t *testing.T) {
 	const seed = 42
-	sp := x19SpecFor(true)
-	reqs, rs := x18Stream(seed, sp.x18Spec, "flash")
+	sp := flashSpecFor(true)
+	reqs, rs := x18Stream(seed, sp, "flash")
 	floorRepl := sp.objects * sp.k
 	type floors struct{ mid, post float64 }
 	want := map[string]floors{
@@ -126,35 +142,22 @@ func TestX19AdaptiveUnderFaults(t *testing.T) {
 	for _, sc := range append(fault.Scenarios(), fault.SustainedChurn()) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := x19Arm(seed, sp, x19Cfg(sp), reqs, rs, &sc, simnet.NetworkConfig{}, false)
+			arm := armNamed(t, x19Arms(sp), "adaptive-clean")
+			arm.scenario = &sc
+			res := runFlashArm(seed, sp, arm, reqs, rs)
 			if len(res.outcomes) == 0 {
 				t.Fatal("arm setup failed")
 			}
 			plan := sc.Build(seed, []simnet.NodeID{1, 2, 3, 4}, sp.horizon)
 			ws, we := plan.Start(), plan.End()
-			share := func(from, to time.Duration) (float64, int) {
-				var total, ok float64
-				for _, o := range res.outcomes {
-					if o.at >= from && o.at < to {
-						total++
-						if o.ok {
-							ok++
-						}
-					}
-				}
-				if total == 0 {
-					return 0, 0
-				}
-				return 100 * ok / total, int(total)
-			}
 			f := want[sc.Name]
 			if we > ws && f.mid > 0 {
-				mid, n := share(ws, we)
+				mid, n := windowShare(res.outcomes, ws, we)
 				if mid < f.mid {
 					t.Errorf("mid-fault availability %.1f%% over %d requests, floor %.0f%%", mid, n, f.mid)
 				}
 			}
-			post, n := share(recPoint, sp.horizon)
+			post, n := windowShare(res.outcomes, recPoint, sp.horizon)
 			if post < f.post {
 				t.Errorf("post-heal availability %.1f%% over %d requests, floor %.0f%%", post, n, f.post)
 			}
@@ -169,13 +172,13 @@ func TestX19AdaptiveUnderFaults(t *testing.T) {
 			// Pinned origins ride out every scenario: each provider owns
 			// objects/providers origins it must still hold at the end.
 			origins := sp.objects / sp.providers
-			for i, held := range res.provHeld {
-				if held < origins {
+			for i, p := range res.provs {
+				if held := p.NumHeld(); held < origins {
 					t.Errorf("provider %d ends holding %d objects, fewer than its %d pinned origins", i, held, origins)
 				}
 			}
-			if sc.Name == "clean" && res.cell.avail < 0.85 {
-				t.Errorf("clean-scenario availability %.1f%%, want ≥ 85%%", res.cell.avail*100)
+			if sc.Name == "clean" && res.avail < 0.85 {
+				t.Errorf("clean-scenario availability %.1f%%, want ≥ 85%%", res.avail*100)
 			}
 		})
 	}
@@ -193,46 +196,40 @@ func TestX19AdaptiveUnderFaults(t *testing.T) {
 // release a pinned origin, fails here.
 func TestX19AnchorExemptLikeX18Tracker(t *testing.T) {
 	const seed = 42
-	sp := x19SpecFor(true)
-	reqs, rs := x18Stream(seed, sp.x18Spec, "flash")
+	sp := flashSpecFor(true)
+	reqs, rs := x18Stream(seed, sp, "flash")
 	for _, sc := range []fault.Scenario{fault.RollingChurn(), fault.SustainedChurn()} {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			checked := false
-			x19DebugHook = func(nw *simnet.Network, dir *replic.Directory, provs []*replic.Provider) {
-				checked = true
-				anchor := dir.Node()
-				if anchor.Crashes() != 0 || anchor.Downtime() != 0 {
-					t.Errorf("directory anchor crashed %d times (downtime %v); anchors are exempt from fault scenarios",
-						anchor.Crashes(), anchor.Downtime())
-				}
-				others := 0
-				for _, n := range nw.Nodes() {
-					if n.ID() != anchor.ID() {
-						others += n.Crashes()
-					}
-				}
-				if others == 0 {
-					t.Errorf("no non-anchor node crashed under %s; the battery did not run", sc.Name)
-				}
-				// Every pinned origin is still held and still pinned: decay
-				// never touched an anchor registration.
-				for i, p := range provs {
-					pinnedHeld := 0
-					for _, obj := range p.HeldObjects() {
-						if p.Pinned(obj) {
-							pinnedHeld++
-						}
-					}
-					if want := sp.objects / sp.providers; pinnedHeld != want {
-						t.Errorf("provider %d holds %d pinned origins, want %d", i, pinnedHeld, want)
-					}
+			arm := armNamed(t, x19Arms(sp), "adaptive-clean")
+			arm.scenario = &sc
+			res := runFlashArm(seed, sp, arm, reqs, rs)
+			anchor := res.dir.Node()
+			if anchor.Crashes() != 0 || anchor.Downtime() != 0 {
+				t.Errorf("directory anchor crashed %d times (downtime %v); anchors are exempt from fault scenarios",
+					anchor.Crashes(), anchor.Downtime())
+			}
+			others := 0
+			for _, n := range res.nw.Nodes() {
+				if n.ID() != anchor.ID() {
+					others += n.Crashes()
 				}
 			}
-			defer func() { x19DebugHook = nil }()
-			x19Arm(seed, sp, x19Cfg(sp), reqs, rs, &sc, simnet.NetworkConfig{}, false)
-			if !checked {
-				t.Fatal("debug hook never ran")
+			if others == 0 {
+				t.Errorf("no non-anchor node crashed under %s; the battery did not run", sc.Name)
+			}
+			// Every pinned origin is still held and still pinned: decay
+			// never touched an anchor registration.
+			for i, p := range res.provs {
+				pinnedHeld := 0
+				for _, obj := range p.HeldObjects() {
+					if p.Pinned(obj) {
+						pinnedHeld++
+					}
+				}
+				if want := sp.objects / sp.providers; pinnedHeld != want {
+					t.Errorf("provider %d holds %d pinned origins, want %d", i, pinnedHeld, want)
+				}
 			}
 		})
 	}
@@ -258,20 +255,16 @@ func TestX19AnchorExemptLikeX18Tracker(t *testing.T) {
 // gated there.
 func TestX20ProtectedArmsUnderFaults(t *testing.T) {
 	const seed = 42
-	sp := x20SpecFor(true)
-	reqs, rs := x18Stream(seed, sp.x18Spec, "flash")
+	sp := flashSpecFor(true)
+	reqs, rs := x18Stream(seed, sp, "flash")
 	recPoint := fault.RecoveryPoint(sp.horizon)
 	type floors struct{ mid, post float64 }
 	arms := []struct {
 		name string
-		run  func(sc *fault.Scenario) x20Result
 		want map[string]floors
 	}{
 		{
 			name: "feudal-ovld",
-			run: func(sc *fault.Scenario) x20Result {
-				return x20Feudal(seed, sp, true, reqs, rs, sc, simnet.NetworkConfig{}, false)
-			},
 			want: map[string]floors{
 				"clean":           {0, 90},
 				"lossy-edge":      {35, 90},
@@ -283,9 +276,6 @@ func TestX20ProtectedArmsUnderFaults(t *testing.T) {
 		},
 		{
 			name: "replic-ovld",
-			run: func(sc *fault.Scenario) x20Result {
-				return x20Replic(seed, sp, true, reqs, rs, sc, simnet.NetworkConfig{}, false)
-			},
 			want: map[string]floors{
 				"clean":           {0, 90},
 				"lossy-edge":      {70, 90},
@@ -302,42 +292,29 @@ func TestX20ProtectedArmsUnderFaults(t *testing.T) {
 			for _, sc := range append(fault.Scenarios(), fault.SustainedChurn()) {
 				sc := sc
 				t.Run(sc.Name, func(t *testing.T) {
-					res := arm.run(&sc)
+					fa := armNamed(t, x20Arms(sp), arm.name+"-clean")
+					fa.scenario = &sc
+					res := runFlashArm(seed, sp, fa, reqs, rs)
 					if len(res.outcomes) == 0 {
 						t.Fatal("arm setup failed")
 					}
 					plan := sc.Build(seed, []simnet.NodeID{1, 2, 3, 4}, sp.horizon)
 					ws, we := plan.Start(), plan.End()
-					share := func(from, to time.Duration) (float64, int) {
-						var total, ok float64
-						for _, o := range res.outcomes {
-							if o.at >= from && o.at < to {
-								total++
-								if o.ok {
-									ok++
-								}
-							}
-						}
-						if total == 0 {
-							return 0, 0
-						}
-						return 100 * ok / total, int(total)
-					}
 					f := arm.want[sc.Name]
 					if we > ws && f.mid > 0 {
-						mid, n := share(ws, we)
+						mid, n := windowShare(res.outcomes, ws, we)
 						if mid < f.mid {
 							t.Errorf("mid-fault availability %.1f%% over %d requests, floor %.0f%%", mid, n, f.mid)
 						}
 					}
-					post, n := share(recPoint, sp.horizon)
+					post, n := windowShare(res.outcomes, recPoint, sp.horizon)
 					if post < f.post {
 						t.Errorf("post-heal availability %.1f%% over %d requests, floor %.0f%%", post, n, f.post)
 					}
 					// The flash saturates the protected servers in every
 					// scenario that lets flash traffic reach them, so
 					// admission control must actually have engaged.
-					if sc.Name != "flash-partition" && res.cell.shed == 0 {
+					if sc.Name != "flash-partition" && res.shed == 0 {
 						t.Error("no server-side sheds recorded — overload control never engaged under the flash")
 					}
 				})

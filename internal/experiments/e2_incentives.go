@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/naming"
+	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
 )
@@ -83,9 +84,9 @@ func bitswapDemo(seed int64) (string, string) {
 
 func proofDemo(seed int64, cheat storage.CheatMode, proof string) (string, string) {
 	nw := simnet.New(seed)
-	client := storage.NewClient(nw.AddNode(), 30*time.Second)
-	honest := storage.NewProvider(nw.AddNode(), 1<<30, storage.Honest)
-	cheater := storage.NewProvider(nw.AddNode(), 1<<30, cheat)
+	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
+	honest := storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30})
+	cheater := storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30, Cheat: cheat})
 	data := make([]byte, 2048)
 	nw.Rand().Read(data)
 	chunk := storage.NewChunk(data)

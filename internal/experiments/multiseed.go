@@ -74,14 +74,9 @@ func AggregateSeeds(seeds []int64, workers int, run func(seed int64) Matrix) Agg
 
 // Table renders the aggregate: each cell shows "mean [p50 p95]" over the
 // seed batch. colFormats holds one fmt verb per column (e.g. "%.2f",
-// "%.0f%%"); passing a single format applies it to every column.
+// "%.0f%%"); a shorter list repeats, so a single format applies to every
+// column.
 func (a Agg) Table(title, rowHeader string, colFormats ...string) *Table {
-	format := func(c int) string {
-		if len(colFormats) == 1 {
-			return colFormats[0]
-		}
-		return colFormats[c]
-	}
 	t := &Table{
 		Title:   fmt.Sprintf("%s — mean [p50 p95] over %d seeds", title, a.Seeds),
 		Headers: append([]string{rowHeader}, a.Cols...),
@@ -89,7 +84,7 @@ func (a Agg) Table(title, rowHeader string, colFormats ...string) *Table {
 	for r, name := range a.Rows {
 		row := []any{name}
 		for c := range a.Cols {
-			f := format(c)
+			f := colFormats[c%len(colFormats)]
 			row = append(row, fmt.Sprintf(f+" ["+f+" "+f+"]", a.Mean[r][c], a.P50[r][c], a.P95[r][c]))
 		}
 		t.Add(row...)

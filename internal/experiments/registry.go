@@ -22,9 +22,10 @@ type Experiment struct {
 }
 
 // Registry returns every experiment in presentation order. cmd/feudalism
-// drives Run/Multi; the registry tests drive Tiny.
+// drives Run/Multi; the registry tests drive Tiny. X14–X20 share one shape
+// and are generated from their descriptors (matrixExps).
 func Registry() []Experiment {
-	return []Experiment{
+	exps := []Experiment{
 		{
 			ID: "naming-throughput", Desc: "X1: registration latency/throughput, centralized vs blockchain",
 			Run:  func(seed int64) fmt.Stringer { return NamingSchemes(seed, 20) },
@@ -138,63 +139,11 @@ func Registry() []Experiment {
 			Run:  func(seed int64) fmt.Stringer { return FeasibilitySensitivity() },
 			Tiny: func(seed int64) fmt.Stringer { return FeasibilitySensitivity() },
 		},
-		{
-			ID: "x14", Desc: "X14: recovery matrix, subsystem × fault scenario",
-			Run: func(seed int64) fmt.Stringer { return RecoveryMatrix(seed) },
-			Multi: func(seeds []int64, workers int) fmt.Stringer {
-				return RecoveryMatrixMulti(seeds, workers)
-			},
-			Tiny: func(seed int64) fmt.Stringer { return RecoveryMatrixTiny(seed) },
-		},
-		{
-			ID: "x15", Desc: "X15: scale sweep, subsystem × population up to 10k nodes",
-			Run: func(seed int64) fmt.Stringer { return ScaleSweep(seed, false) },
-			Multi: func(seeds []int64, workers int) fmt.Stringer {
-				return ScaleSweepMulti(seeds, workers, false)
-			},
-			Tiny: func(seed int64) fmt.Stringer { return ScaleSweep(seed, true) },
-		},
-		{
-			ID: "x16", Desc: "X16: resilience matrix, subsystem × fault scenario, naive vs adaptive transport",
-			Run: func(seed int64) fmt.Stringer { return ResilienceMatrix(seed) },
-			Multi: func(seeds []int64, workers int) fmt.Stringer {
-				return ResilienceMatrixMulti(seeds, workers)
-			},
-			Tiny: func(seed int64) fmt.Stringer { return ResilienceMatrixTiny(seed) },
-		},
-		{
-			ID: "x17", Desc: "X17: overlapping-upload dedup and storage tiering, fixed vs content-defined chunking",
-			Run: func(seed int64) fmt.Stringer { return DedupTiering(seed) },
-			Multi: func(seeds []int64, workers int) fmt.Stringer {
-				return DedupTieringMulti(seeds, workers)
-			},
-			Tiny: func(seed int64) fmt.Stringer { return DedupTieringTiny(seed) },
-		},
-		{
-			ID: "x18", Desc: "X18: flash-crowd workload, feudal single server vs replicated federation vs p2p webapp",
-			Run: func(seed int64) fmt.Stringer { return WorkloadContention(seed, "flash") },
-			Multi: func(seeds []int64, workers int) fmt.Stringer {
-				return WorkloadContentionMulti(seeds, workers)
-			},
-			Tiny: func(seed int64) fmt.Stringer { return WorkloadContentionTiny(seed) },
-		},
-		{
-			ID: "x19", Desc: "X19: flash-crowd replay, static-K vs adaptive popularity-driven replication with nearest-replica routing",
-			Run: func(seed int64) fmt.Stringer { return AdaptiveReplication(seed) },
-			Multi: func(seeds []int64, workers int) fmt.Stringer {
-				return AdaptiveReplicationMulti(seeds, workers)
-			},
-			Tiny: func(seed int64) fmt.Stringer { return AdaptiveReplicationTiny(seed) },
-		},
-		{
-			ID: "x20", Desc: "X20: flash-crowd saturation, naive vs overload-controlled serving on feudal origin and replic swarm",
-			Run: func(seed int64) fmt.Stringer { return OverloadControl(seed) },
-			Multi: func(seeds []int64, workers int) fmt.Stringer {
-				return OverloadControlMulti(seeds, workers)
-			},
-			Tiny: func(seed int64) fmt.Stringer { return OverloadControlTiny(seed) },
-		},
 	}
+	for _, d := range matrixExps() {
+		exps = append(exps, d.experiment())
+	}
+	return exps
 }
 
 // Find returns the registered experiment with the given id.

@@ -10,6 +10,8 @@ import (
 	"repro/internal/dht"
 	"repro/internal/gossip"
 	"repro/internal/groupcomm"
+	"repro/internal/overload"
+	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
 	"repro/internal/storage"
@@ -24,55 +26,7 @@ import (
 // systems are not the happy path but churn, partitions, and garbage links,
 // and a credible alternative to the feudal clouds has to self-heal from
 // all of them without an operator.
-func RecoveryMatrix(seed int64) *Table {
-	m := recoveryMatrix(seed, false)
-	scs := fault.Scenarios()
-	t := &Table{
-		Title:   "X14: recovery matrix — post-fault success and time-to-recover per subsystem × scenario",
-		Headers: append([]string{"Subsystem"}, scenarioNames(scs)...),
-	}
-	for r, name := range m.Rows {
-		row := []any{name}
-		for c := range scs {
-			row = append(row, fmt.Sprintf("%.0f%% @%.1fm", m.Vals[r][2*c], m.Vals[r][2*c+1]))
-		}
-		t.Add(row...)
-	}
-	return t
-}
-
-// RecoveryMatrixMulti is X14 aggregated over a batch of seeds on `workers`
-// parallel trial runners (0 = GOMAXPROCS).
-func RecoveryMatrixMulti(seeds []int64, workers int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return recoveryMatrix(seed, false)
-	})
-	formats := make([]string, 0, len(agg.Cols))
-	for range fault.Scenarios() {
-		formats = append(formats, "%.0f%%", "%.1fm")
-	}
-	return agg.Table(
-		"X14: recovery matrix — post-fault success and time-to-recover per subsystem × scenario",
-		"Subsystem", formats...)
-}
-
-// RecoveryMatrixTiny is the scaled-down X14 used by the registry tests:
-// same shape, shorter horizon, smaller worlds.
-func RecoveryMatrixTiny(seed int64) *Table {
-	m := recoveryMatrix(seed, true)
-	t := &Table{
-		Title:   "X14 (tiny): recovery matrix",
-		Headers: append([]string{"Subsystem"}, m.Cols...),
-	}
-	for r, name := range m.Rows {
-		row := []any{name}
-		for c := range m.Cols {
-			row = append(row, fmt.Sprintf("%.1f", m.Vals[r][c]))
-		}
-		t.Add(row...)
-	}
-	return t
-}
+func RecoveryMatrix(seed int64) *Table { return matrixExpByID("x14").run(seed) }
 
 func scenarioNames(scs []fault.Scenario) []string {
 	names := make([]string, len(scs))
@@ -391,12 +345,12 @@ func recoverySocial(seed int64, sc fault.Scenario, tiny bool) (float64, time.Dur
 func recoveryStorage(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration) {
 	sp := spec(tiny, 6)
 	nw := simnet.New(seed)
-	client := storage.NewClient(nw.AddNode(), 30*time.Second)
+	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
 	providers := make([]*storage.Provider, sp.nodes)
 	refs := make([]storage.ProviderRef, sp.nodes)
 	eligible := make([]simnet.NodeID, sp.nodes)
 	for i := range providers {
-		providers[i] = storage.NewProvider(nw.AddNode(), 1<<20, storage.Honest)
+		providers[i] = storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 20})
 		refs[i] = providers[i].Ref()
 		eligible[i] = providers[i].Node().ID()
 	}
@@ -445,10 +399,10 @@ func recoveryStorage(seed int64, sc fault.Scenario, tiny bool) (float64, time.Du
 func recoveryWebapp(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration) {
 	sp := spec(tiny, 6)
 	nw := simnet.New(seed)
-	tracker := webapp.NewTracker(nw.AddNode())
+	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
 	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second)
+	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
 	if err != nil {
 		return 0, sp.horizon
@@ -459,7 +413,7 @@ func recoveryWebapp(seed int64, sc fault.Scenario, tiny bool) (float64, time.Dur
 		node := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
 		d.Bootstrap(authorDHT.Contact(), nil)
-		visitors[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second)
+		visitors[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
 		eligible[i] = node.ID()
 	}
 	nw.Run(2 * time.Minute)

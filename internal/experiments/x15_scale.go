@@ -118,19 +118,22 @@ func scaleSimnet(nw *simnet.Network, n int) (float64, int64) {
 			return req, 8
 		})
 	}
-	ok := 0
+	// One tally per caller, summed after the run: on the sharded engine a
+	// callback runs on its caller's shard worker, so a shared counter would
+	// be written from several goroutines at once.
+	okBy := make([]int, n)
 	for i, r := range rpcs {
 		to := rpcs[(i+1)%n].Node().ID()
 		for c := 0; c < callsPerNode; c++ {
 			r.Call(to, "x15.echo", c, 16, 5*time.Second, func(_ any, err error) {
 				if err == nil {
-					ok++
+					okBy[i]++
 				}
 			})
 		}
 	}
 	nw.RunAll()
-	return float64(ok) / float64(n*callsPerNode), delivered(nw)
+	return float64(sum(okBy)) / float64(n*callsPerNode), delivered(nw)
 }
 
 // scaleDHT grows a Kademlia population to N, stores a key set, and probes
@@ -162,7 +165,8 @@ func scaleDHT(nw *simnet.Network, n int) (float64, int64) {
 	}
 	nw.RunAll()
 
-	ok, total := 0, 0
+	total := 0
+	okBy := make([]int, n) // per reader, as in scaleSimnet
 	stride := n / nReaders
 	if stride == 0 {
 		stride = 1
@@ -172,13 +176,13 @@ func scaleDHT(nw *simnet.Network, n int) (float64, int64) {
 			total++
 			peers[r].Get(k, func(_ []byte, found bool) {
 				if found {
-					ok++
+					okBy[r]++
 				}
 			})
 		}
 	}
 	nw.RunAll()
-	return float64(ok) / float64(total), delivered(nw)
+	return float64(sum(okBy)) / float64(total), delivered(nw)
 }
 
 // scaleGossip floods items over a chord-style overlay (ring + power-of-two
@@ -237,6 +241,14 @@ func chordOffsets(n int) []int {
 	return offs
 }
 
+func sum(xs []int) int {
+	t := 0
+	for _, v := range xs {
+		t += v
+	}
+	return t
+}
+
 // delivered reads the substrate's delivered-message total for the run.
 func delivered(nw *simnet.Network) int64 { return nw.Trace().Delivered }
 
@@ -290,21 +302,6 @@ func ScaleSweep(seed int64, tiny bool) *Table {
 		t.Add(row...)
 	}
 	return t
-}
-
-// ScaleSweepMulti is X15 aggregated over a batch of seeds on `workers`
-// parallel trial runners (0 = GOMAXPROCS).
-func ScaleSweepMulti(seeds []int64, workers int, tiny bool) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return scaleMatrix(seed, tiny)
-	})
-	formats := make([]string, 0, len(agg.Cols))
-	for range ScaleTiers(tiny) {
-		formats = append(formats, "%.1f%%", "%.0f")
-	}
-	return agg.Table(
-		"X15: scale sweep — convergence %, messages/node per subsystem × population",
-		"Subsystem", formats...)
 }
 
 // humanCount renders an allocation count compactly (12.3k, 4.5M).

@@ -8,7 +8,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/gossip"
 	"repro/internal/groupcomm"
-	"repro/internal/metrics"
+	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
@@ -76,52 +76,19 @@ func rspec(tiny bool, fullNodes, tinyNodes int) resilSpec {
 
 // resilCell is one (subsystem, mode, scenario) measurement.
 type resilCell struct {
-	avail      float64 // in [0, 1]
-	p95        float64 // seconds
+	slaScore   // availability in [0, 1] and p95 seconds over the probes
 	msgPerNode float64
 	rec        time.Duration
 }
 
-// availMeter launches probe operations at a fixed cadence across the
-// fault window and scores each against the subsystem SLA: a probe is
-// available iff its operation completes successfully within sla of
-// launch. Latencies of every completed probe feed the p95.
-type availMeter struct {
-	nw        *simnet.Network
-	sla       time.Duration
-	total, ok int
-	lat       metrics.Sample
+// meterAvailability launches probe at a fixed cadence through
+// [wStart, wEnd) (offsets relative to start) and scores each launch
+// against the subsystem SLA.
+func meterAvailability(nw *simnet.Network, start, wStart, wEnd, interval, sla time.Duration, probe func(done func(bool))) *slaMeter {
+	m := newSLAMeter(sla, 1)
+	m.every(nw, start, wStart, wEnd, interval, nw.Now, probe)
+	return m
 }
-
-// meterAvailability schedules probes every interval through
-// [wStart, wEnd) (offsets relative to start). Probes still unanswered
-// when the run ends count as unavailable.
-func meterAvailability(nw *simnet.Network, start, wStart, wEnd, interval, sla time.Duration, probe func(done func(bool))) *availMeter {
-	am := &availMeter{nw: nw, sla: sla}
-	for t := wStart; t < wEnd; t += interval {
-		am.total++
-		nw.Schedule(start+t, func() {
-			launched := nw.Now()
-			probe(func(okResp bool) {
-				l := nw.Now() - launched
-				am.lat.Observe(l.Seconds())
-				if okResp && l <= sla {
-					am.ok++
-				}
-			})
-		})
-	}
-	return am
-}
-
-func (am *availMeter) availability() float64 {
-	if am.total == 0 {
-		return 0
-	}
-	return float64(am.ok) / float64(am.total)
-}
-
-func (am *availMeter) p95() float64 { return am.lat.Quantile(0.95) }
 
 // probeWindow returns the span probes are launched over: the plan's
 // active window, or the whole horizon for an empty (clean) plan.
@@ -205,8 +172,7 @@ func resilDHT(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) resil
 	})
 	nw.Run(start + sp.horizon)
 	return resilCell{
-		avail:      am.availability(),
-		p95:        am.p95(),
+		slaScore:   am.score(),
 		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(sp.nodes),
 		rec:        tr.recovery(plan.End(), sp.horizon),
 	}
@@ -220,12 +186,12 @@ func resilStorage(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) r
 	sp := rspec(tiny, 16, 6)
 	sla := 10 * time.Second
 	nw := simnet.New(seed)
-	client := storage.NewClientWith(nw.AddNode(), 30*time.Second, rcfg)
+	client := storage.NewClient(nw.AddNode(), 30*time.Second, rcfg)
 	providers := make([]*storage.Provider, sp.nodes)
 	refs := make([]storage.ProviderRef, sp.nodes)
 	eligible := make([]simnet.NodeID, sp.nodes)
 	for i := range providers {
-		providers[i] = storage.NewProvider(nw.AddNode(), 1<<20, storage.Honest)
+		providers[i] = storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 20})
 		refs[i] = providers[i].Ref()
 		eligible[i] = providers[i].Node().ID()
 	}
@@ -258,8 +224,7 @@ func resilStorage(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) r
 	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(recoverySpec{horizon: sp.horizon}), download)
 	nw.Run(start + sp.horizon)
 	return resilCell{
-		avail:      am.availability(),
-		p95:        am.p95(),
+		slaScore:   am.score(),
 		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(sp.nodes+1),
 		rec:        tr.recovery(plan.End(), sp.horizon),
 	}
@@ -289,7 +254,7 @@ func resilGroupcomm(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool)
 		}
 		s.SetPeers(peers)
 	}
-	client := groupcomm.NewReplClientWith(nw.AddNode(), ids[0], ids[1:], "alice", 10*time.Second, rcfg)
+	client := groupcomm.NewReplClient(nw.AddNode(), ids[0], ids[1:], "alice", 10*time.Second, rcfg)
 	for i := 0; i < 4; i++ {
 		i := i
 		nw.After(time.Duration(i+1)*10*time.Second, func() {
@@ -312,8 +277,7 @@ func resilGroupcomm(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool)
 	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(recoverySpec{horizon: sp.horizon}), fetch)
 	nw.Run(start + sp.horizon)
 	return resilCell{
-		avail:      am.availability(),
-		p95:        am.p95(),
+		slaScore:   am.score(),
 		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(sp.nodes+1),
 		rec:        tr.recovery(plan.End(), sp.horizon),
 	}
@@ -328,11 +292,11 @@ func resilWebapp(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) re
 	sp := rspec(tiny, 12, 5)
 	sla := 15 * time.Second
 	nw := simnet.New(seed)
-	tracker := webapp.NewTracker(nw.AddNode())
+	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
 	authorNode := nw.AddNode()
 	dhtCfg := dht.Config{}
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dhtCfg)
-	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second)
+	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
 	if err != nil {
 		return resilCell{rec: sp.horizon}
@@ -345,7 +309,7 @@ func resilWebapp(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) re
 		node := nw.AddNode()
 		d := dht.NewPeer(node, dht.Key{}, dhtCfg)
 		d.Bootstrap(authorDHT.Contact(), nil)
-		seeders[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second)
+		seeders[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
 		eligible[i] = node.ID()
 	}
 	// One cold visitor per probe (mid-fault and recovery), bootstrapped
@@ -356,7 +320,7 @@ func resilWebapp(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) re
 		node := nw.AddNode()
 		d := dht.NewPeer(node, dht.Key{}, probeDHTCfg)
 		d.Bootstrap(authorDHT.Contact(), nil)
-		visitors[i] = webapp.NewPeerWith(node, d, tracker.Node().ID(), 30*time.Second, rcfg)
+		visitors[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{Resilience: rcfg})
 	}
 	nw.Run(2 * time.Minute)
 	files := map[string][]byte{
@@ -395,8 +359,7 @@ func resilWebapp(seed int64, sc fault.Scenario, rcfg resil.Config, tiny bool) re
 	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(recoverySpec{horizon: sp.horizon}), visit)
 	nw.Run(start + sp.horizon)
 	return resilCell{
-		avail:      am.availability(),
-		p95:        am.p95(),
+		slaScore:   am.score(),
 		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(sp.nodes+2),
 		rec:        tr.recovery(plan.End(), sp.horizon),
 	}
@@ -443,56 +406,4 @@ func resilienceMatrix(seed int64, tiny bool) Matrix {
 		}
 	}
 	return m
-}
-
-// ResilienceMatrix renders the single-seed X16 table.
-func ResilienceMatrix(seed int64) *Table {
-	m := resilienceMatrix(seed, false)
-	scs := resilScenarios()
-	t := &Table{
-		Title:   "X16: resilience matrix — mid-fault availability, p95, traffic, recovery per subsystem×mode × scenario",
-		Headers: append([]string{"Subsystem/mode"}, scenarioNames(scs)...),
-	}
-	for r, name := range m.Rows {
-		row := []any{name}
-		for c := range scs {
-			row = append(row, fmt.Sprintf("%.0f%% p95=%.1fs %.0fm/n @%.1fm",
-				m.Vals[r][4*c], m.Vals[r][4*c+1], m.Vals[r][4*c+2], m.Vals[r][4*c+3]))
-		}
-		t.Add(row...)
-	}
-	return t
-}
-
-// ResilienceMatrixMulti is X16 aggregated over a batch of seeds on
-// `workers` parallel trial runners (0 = GOMAXPROCS).
-func ResilienceMatrixMulti(seeds []int64, workers int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return resilienceMatrix(seed, false)
-	})
-	formats := make([]string, 0, len(agg.Cols))
-	for range resilScenarios() {
-		formats = append(formats, "%.0f%%", "%.2f", "%.0f", "%.1f")
-	}
-	return agg.Table(
-		"X16: resilience matrix — mid-fault availability, p95, traffic, recovery per subsystem×mode × scenario",
-		"Subsystem/mode", formats...)
-}
-
-// ResilienceMatrixTiny is the scaled-down X16 used by the registry tests:
-// same shape, shorter horizon, smaller worlds.
-func ResilienceMatrixTiny(seed int64) *Table {
-	m := resilienceMatrix(seed, true)
-	t := &Table{
-		Title:   "X16 (tiny): resilience matrix",
-		Headers: append([]string{"Subsystem/mode"}, m.Cols...),
-	}
-	for r, name := range m.Rows {
-		row := []any{name}
-		for c := range m.Cols {
-			row = append(row, fmt.Sprintf("%.1f", m.Vals[r][c]))
-		}
-		t.Add(row...)
-	}
-	return t
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/storage/chunker"
@@ -136,18 +137,19 @@ type dedupResult struct {
 // repair, then release and squeeze until GC collects.
 func dedupRun(seed int64, wl dedupWorkload, cdc bool, sp dedupSpec) dedupResult {
 	nw := simnet.New(seed)
-	client := storage.NewClient(nw.AddNode(), 10*time.Second)
+	client := storage.NewClient(nw.AddNode(), 10*time.Second, resil.Config{})
 	client.EnableRepairPinning()
 	capacity := sp.provCapacity()
 	provs := make([]*storage.Provider, sp.providers)
 	pool := make([]storage.ProviderRef, sp.providers)
 	for i := range provs {
-		provs[i] = storage.NewProviderWith(nw.AddNode(), storage.ProviderConfig{
+		provs[i] = storage.NewProvider(nw.AddNode(), storage.ProviderConfig{
 			Capacity:    capacity,
 			MemCapacity: capacity / 8,
 			GC:          true,
 			Metrics:     true,
 		})
+
 		pool[i] = provs[i].Ref()
 	}
 	var ck *chunker.Chunker
@@ -296,44 +298,6 @@ func dedupMatrix(seed int64, tiny bool) Matrix {
 		}
 	}
 	return m
-}
-
-// DedupTiering renders the single-seed X17 table.
-func DedupTiering(seed int64) *Table {
-	m := dedupMatrix(seed, false)
-	return dedupTable("X17: overlapping uploads — dedup ratio, tier hits, repair and GC volume per workload × chunking", m)
-}
-
-// DedupTieringTiny is the scaled-down X17 used by the registry tests.
-func DedupTieringTiny(seed int64) *Table {
-	m := dedupMatrix(seed, true)
-	return dedupTable("X17 (tiny): overlapping-upload dedup", m)
-}
-
-func dedupTable(title string, m Matrix) *Table {
-	t := &Table{
-		Title:   title,
-		Headers: append([]string{"Workload/chunking"}, m.Cols...),
-	}
-	for r, name := range m.Rows {
-		t.Add(name,
-			fmt.Sprintf("%.2f×", m.Vals[r][0]),
-			fmt.Sprintf("%.0f%%", m.Vals[r][1]),
-			fmt.Sprintf("%.0f", m.Vals[r][2]),
-			fmt.Sprintf("%.0f", m.Vals[r][3]))
-	}
-	return t
-}
-
-// DedupTieringMulti is X17 aggregated over a batch of seeds on `workers`
-// parallel trial runners (0 = GOMAXPROCS).
-func DedupTieringMulti(seeds []int64, workers int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return dedupMatrix(seed, false)
-	})
-	return agg.Table(
-		"X17: overlapping uploads — dedup ratio, tier hits, repair and GC volume per workload × chunking",
-		"Workload/chunking", "%.2f", "%.0f", "%.0f", "%.0f")
 }
 
 // DedupSim is the storesim view of one X17 world: both workloads at the

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/metrics"
+	"repro/internal/overload"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
 	"repro/internal/webapp"
@@ -44,53 +44,6 @@ import (
 // schedule, every keypair, and every retry come off deterministic
 // streams, so the table is byte-identical at any trial-worker count.
 
-// x18Spec sizes one X18 world.
-type x18Spec struct {
-	clients  int
-	objects  int
-	objBytes int
-	servers  int // fed-replicated replica count
-	regions  int
-	zipfS    float64
-	meanRate float64 // population-wide req/s, time-averaged
-	amp      float64 // diurnal amplitude
-	floor    float64 // diurnal night floor
-	horizon  time.Duration
-	day      time.Duration // diurnal period (virtual)
-	sla      time.Duration // latency budget per request
-	timeout  time.Duration // client RPC/visit timeout
-	flash    workload.Flash
-}
-
-func x18SpecFor(tiny bool) x18Spec {
-	if tiny {
-		return x18Spec{
-			clients: 12, objects: 8, objBytes: 24 << 10, servers: 3, regions: 2,
-			zipfS: 1.1, meanRate: 0.25, amp: 0.6, floor: 0.5,
-			horizon: 10 * time.Minute, day: 5 * time.Minute,
-			sla: 6 * time.Second, timeout: 30 * time.Second,
-			flash: workload.Flash{
-				Object: 7, Start: 3 * time.Minute, Ramp: time.Minute,
-				Peak: 1000, Decay: 90 * time.Second,
-			},
-		}
-	}
-	return x18Spec{
-		clients: 36, objects: 24, objBytes: 64 << 10, servers: 4, regions: 4,
-		zipfS: 1.1, meanRate: 0.3, amp: 0.6, floor: 0.5,
-		horizon: 30 * time.Minute, day: 15 * time.Minute,
-		sla: 8 * time.Second, timeout: 30 * time.Second,
-		flash: workload.Flash{
-			Object: 23, Start: 10 * time.Minute, Ramp: 2 * time.Minute,
-			Peak: 1000, Decay: 3 * time.Minute,
-		},
-	}
-}
-
-// x18Grace is how long past the horizon an arm runs so in-flight
-// requests either finish or time out before scoring.
-const x18Grace = 90 * time.Second
-
 // WorkloadVariants are the schedule shapes cmd/feudalism's -workload
 // flag selects between. "flash" is the headline (registry) variant.
 func WorkloadVariants() []string { return []string{"zipf", "diurnal", "flash"} }
@@ -98,7 +51,7 @@ func WorkloadVariants() []string { return []string{"zipf", "diurnal", "flash"} }
 // x18Stream builds the shared request schedule for one workload variant:
 // "zipf" is steady-rate pure popularity, "diurnal" adds the day/night
 // cycle, "flash" adds the spike on the least-popular object.
-func x18Stream(seed int64, sp x18Spec, wl string) ([]workload.Request, *workload.RegionSet) {
+func x18Stream(seed int64, sp flashSpec, wl string) ([]workload.Request, *workload.RegionSet) {
 	rs := workload.DefaultRegions(sp.regions, sp.day)
 	cfg := workload.StreamConfig{
 		Seed:    seed,
@@ -122,102 +75,9 @@ func x18Stream(seed int64, sp x18Spec, wl string) ([]workload.Request, *workload
 	return workload.Generate(cfg), &rs
 }
 
-// x18Cell is one arm's scoreboard.
-type x18Cell struct {
-	avail       float64 // fraction of requests answered OK within sla
-	p95         float64 // seconds, over completed requests
-	originShare float64 // busiest single machine's share of served payload bytes
-	msgPerNode  float64
-}
-
-// x18Outcome is one request's fate — the conformance suite asserts
-// availability over time windows from these.
-type x18Outcome struct {
-	at time.Duration // schedule time, relative to measurement start
-	ok bool          // completed successfully within sla
-}
-
-// x18Meter scores requests against the SLA as their callbacks land.
-type x18Meter struct {
-	nw       *simnet.Network
-	sla      time.Duration
-	ok       int
-	lat      metrics.Sample
-	outcomes []x18Outcome
-}
-
-func newX18Meter(nw *simnet.Network, sp x18Spec, n int) *x18Meter {
-	return &x18Meter{nw: nw, sla: sp.sla, outcomes: make([]x18Outcome, 0, n)}
-}
-
-// launch wraps one request: call start() exactly when the request fires;
-// the returned func scores the response. Requests whose callback never
-// arrives stay unanswered and count against availability.
-func (m *x18Meter) done(at, launched time.Duration) func(okResp bool) {
-	return m.doneOn(at, launched, m.nw.Now)
-}
-
-// doneOn is done with an explicit completion clock. The network's global
-// clock is event-exact on the single-heap engine, but on the sharded
-// engine it only advances at window barriers while the response callback
-// runs on the requesting node's shard clock — so cross-engine arms (X19)
-// pass the requesting node's Now to keep measured latency identical on
-// both engines.
-func (m *x18Meter) doneOn(at, launched time.Duration, clock func() time.Duration) func(okResp bool) {
-	return func(okResp bool) {
-		l := clock() - launched
-		m.lat.Observe(l.Seconds())
-		hit := okResp && l <= m.sla
-		if hit {
-			m.ok++
-		}
-		m.outcomes = append(m.outcomes, x18Outcome{at: at, ok: hit})
-	}
-}
-
-func (m *x18Meter) cell(total int, originShare, msgPerNode float64) x18Cell {
-	return x18Cell{
-		avail:       float64(m.ok) / float64(total),
-		p95:         m.lat.Quantile(0.95),
-		originShare: originShare,
-		msgPerNode:  msgPerNode,
-	}
-}
-
-// x18Feudal: the single-home-server OStatus arm. One origin on a home
-// link serves every object; a request is one RPC with no retry.
-func x18Feudal(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.RegionSet) x18Cell {
-	nw := simnet.New(seed)
-	origin := simnet.NewRPCNode(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()))
-	origin.Serve("content.get", func(from simnet.NodeID, req any) (any, int) {
-		return req, 32 + sp.objBytes
-	})
-	clients := make([]*simnet.RPCNode, sp.clients)
-	ids := make([]simnet.NodeID, sp.clients)
-	for i := range clients {
-		clients[i] = simnet.NewRPCNode(nw.AddNode())
-		ids[i] = clients[i].Node().ID()
-	}
-	rs.Apply(nw, ids)
-	base := nw.Now()
-	meter := newX18Meter(nw, sp, len(reqs))
-	sent := sentMeter(nw, base)
-	for _, r := range reqs {
-		r := r
-		nw.Schedule(base+r.At, func() {
-			done := meter.done(r.At, nw.Now())
-			clients[r.Client].Call(origin.Node().ID(), "content.get", r.Object, 200, sp.timeout,
-				func(resp any, err error) { done(err == nil) })
-		})
-	}
-	nw.Run(base + sp.horizon + x18Grace)
-	return meter.cell(len(reqs), 1.0,
-		float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes()))
-}
-
 // x18Federated: K full replicas on home links; clients home round-robin
 // and fail over exactly one hop on error.
-func x18Federated(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.RegionSet) x18Cell {
+func x18Federated(seed int64, sp flashSpec, reqs []workload.Request, rs *workload.RegionSet) flashResult {
 	nw := simnet.New(seed)
 	servers := make([]*simnet.RPCNode, sp.servers)
 	served := make([]float64, sp.servers)
@@ -237,12 +97,12 @@ func x18Federated(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.
 	}
 	rs.Apply(nw, ids)
 	base := nw.Now()
-	meter := newX18Meter(nw, sp, len(reqs))
+	meter := newSLAMeter(sp.sla, sp.clients)
 	sent := sentMeter(nw, base)
 	for _, r := range reqs {
 		r := r
 		nw.Schedule(base+r.At, func() {
-			done := meter.done(r.At, nw.Now())
+			done := meter.launch(r.Client, r.At, nw.Now(), nw.Now)
 			home := r.Client % sp.servers
 			clients[r.Client].Call(servers[home].Node().ID(), "content.get", r.Object, 200, sp.timeout,
 				func(resp any, err error) {
@@ -256,7 +116,7 @@ func x18Federated(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.
 				})
 		})
 	}
-	nw.Run(base + sp.horizon + x18Grace)
+	nw.Run(base + sp.horizon + flashGrace)
 	var total, busiest float64
 	for _, b := range served {
 		total += b
@@ -268,8 +128,11 @@ func x18Federated(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.
 	if total > 0 {
 		share = busiest / total
 	}
-	return meter.cell(len(reqs), share,
-		float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes()))
+	score := meter.score()
+	return flashResult{
+		flashScore: flashScore{avail: score.avail, p95: score.p95, originShare: share},
+		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(nw.NumNodes()),
+	}
 }
 
 // x18P2P: the hostless-webapp arm. One author (home link) publishes each
@@ -279,18 +142,18 @@ func x18Federated(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.
 // client keeps seeding what it last fetched, which is exactly how the
 // flash crowd brings its own capacity. An optional fault scenario (the
 // conformance battery) crashes/degrades client nodes mid-run.
-func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario) (x18Cell, []x18Outcome) {
+func x18P2P(seed int64, sp flashSpec, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario) flashResult {
 	nw := simnet.New(seed)
-	tracker := webapp.NewTracker(nw.AddNode())
+	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
 	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), sp.timeout)
+	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), sp.timeout, webapp.PeerConfig{})
 	clients := make([]*webapp.Peer, sp.clients)
 	ids := make([]simnet.NodeID, sp.clients)
 	for i := range clients {
 		node := nw.AddNode()
 		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
-		clients[i] = webapp.NewPeer(node, d, tracker.Node().ID(), sp.timeout)
+		clients[i] = webapp.NewPeer(node, d, tracker.Node().ID(), sp.timeout, webapp.PeerConfig{})
 		ids[i] = node.ID()
 		i := i
 		nw.After(time.Duration(i+1)*20*time.Millisecond, func() {
@@ -306,7 +169,7 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 		o := o
 		owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
 		if err != nil {
-			return x18Cell{}, nil
+			return flashResult{}
 		}
 		payload := make([]byte, sp.objBytes)
 		for i := range payload {
@@ -318,7 +181,7 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 	nw.Run(nw.Now() + time.Minute)
 	for _, s := range sites {
 		if s.IsZero() {
-			return x18Cell{}, nil
+			return flashResult{}
 		}
 	}
 
@@ -326,7 +189,7 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 	if sc != nil {
 		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
 	}
-	meter := newX18Meter(nw, sp, len(reqs))
+	meter := newSLAMeter(sp.sla, sp.clients)
 	sent := sentMeter(nw, base)
 	flashReqs := 0
 	for _, r := range reqs {
@@ -335,7 +198,7 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 			flashReqs++
 		}
 		nw.Schedule(base+r.At, func() {
-			done := meter.done(r.At, nw.Now())
+			done := meter.launch(r.Client, r.At, nw.Now(), nw.Now)
 			p := clients[r.Client]
 			p.Forget(sites[r.Object])
 			p.Visit(sites[r.Object], func(fs map[string][]byte, err error) {
@@ -343,7 +206,7 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 			})
 		})
 	}
-	nw.Run(base + sp.horizon + x18Grace)
+	nw.Run(base + sp.horizon + flashGrace)
 
 	var swarm float64
 	for _, p := range clients {
@@ -356,30 +219,35 @@ func x18P2P(seed int64, sp x18Spec, reqs []workload.Request, rs *workload.Region
 	}
 	// X18-only observability: these register on this arm's network alone,
 	// after every pre-existing experiment's metrics are already fixed.
+	score := meter.score()
 	reg := nw.Obs()
 	reg.Counter("workload.req.launched").Set(int64(len(reqs)))
-	reg.Counter("workload.req.sla_ok").Set(int64(meter.ok))
+	reg.Counter("workload.req.sla_ok").Set(int64(score.ok))
 	reg.Counter("workload.req.flash").Set(int64(flashReqs))
 	reg.Gauge("workload.flash.peak_x").Set(sp.flash.Peak)
-	return meter.cell(len(reqs), share,
-		float64(nw.Trace().Sent-*sent)/float64(nw.NumNodes())), meter.outcomes
+	return flashResult{
+		flashScore: flashScore{avail: score.avail, p95: score.p95, originShare: share},
+		msgPerNode: float64(nw.Trace().Sent-*sent) / float64(nw.NumNodes()),
+		outcomes:   score.outcomes,
+	}
 }
 
 // workloadMatrix is the numeric core of X18: one shared schedule, three
 // architectures, four measures.
 func workloadMatrix(seed int64, wl string, tiny bool) Matrix {
-	sp := x18SpecFor(tiny)
+	sp := flashSpecFor(tiny)
 	reqs, rs := x18Stream(seed, sp, wl)
 	m := NewMatrix(
 		[]string{"ostatus-1srv", "fed-replicated", "p2p-webapp"},
 		[]string{"avail%", "p95(s)", "origin%", "msg/node"},
 	)
-	cells := []x18Cell{
-		x18Feudal(seed, sp, reqs, rs),
+	// The feudal baseline is the flash world's single origin with nothing
+	// layered on: one RPC per request, no retry.
+	cells := []flashResult{
+		runFlashArm(seed, sp, flashArm{}, reqs, rs),
 		x18Federated(seed, sp, reqs, rs),
+		x18P2P(seed, sp, reqs, rs, nil),
 	}
-	p2p, _ := x18P2P(seed, sp, reqs, rs, nil)
-	cells = append(cells, p2p)
 	for r, c := range cells {
 		m.Vals[r][0] = c.avail * 100
 		m.Vals[r][1] = c.p95
@@ -389,50 +257,24 @@ func workloadMatrix(seed int64, wl string, tiny bool) Matrix {
 	return m
 }
 
+// x18Exp describes X18 for one workload variant; the registry entry is
+// the "flash" one.
+func x18Exp(wl string) matrixExp {
+	sp := flashSpecFor(false)
+	return matrixExp{
+		id: "x18", desc: "X18: flash-crowd workload, feudal single server vs replicated federation vs p2p webapp",
+		rowHeader: "Architecture",
+		title: fmt.Sprintf("X18: %s workload — %d clients, %d objects, SLA %v; feudal vs federated vs p2p on equal home links",
+			wl, sp.clients, sp.objects, sp.sla),
+		multiTitle: "X18: flash-crowd workload — feudal vs federated vs p2p on equal home links",
+		tinyTitle:  "X18 (tiny): flash-crowd workload",
+		cell:       []string{"%.1f%%", "%.2fs", "%.1f%%", "%.0f"},
+		multi:      []string{"%.1f", "%.2f", "%.1f", "%.0f"},
+		tiny:       []string{"%.1f"},
+		matrix:     func(seed int64, tiny bool) Matrix { return workloadMatrix(seed, wl, tiny) },
+	}
+}
+
 // WorkloadContention renders the single-seed X18 table for one workload
 // variant ("zipf", "diurnal" or "flash" — see WorkloadVariants).
-func WorkloadContention(seed int64, wl string) *Table {
-	m := workloadMatrix(seed, wl, false)
-	sp := x18SpecFor(false)
-	t := &Table{
-		Title: fmt.Sprintf("X18: %s workload — %d clients, %d objects, SLA %v; feudal vs federated vs p2p on equal home links",
-			wl, sp.clients, sp.objects, sp.sla),
-		Headers: append([]string{"Architecture"}, m.Cols...),
-	}
-	for r, name := range m.Rows {
-		t.Add(name,
-			fmt.Sprintf("%.1f%%", m.Vals[r][0]),
-			fmt.Sprintf("%.2fs", m.Vals[r][1]),
-			fmt.Sprintf("%.1f%%", m.Vals[r][2]),
-			fmt.Sprintf("%.0f", m.Vals[r][3]))
-	}
-	return t
-}
-
-// WorkloadContentionMulti is the flash-crowd X18 aggregated over a batch
-// of seeds on `workers` parallel trial runners (0 = GOMAXPROCS).
-func WorkloadContentionMulti(seeds []int64, workers int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return workloadMatrix(seed, "flash", false)
-	})
-	return agg.Table(
-		"X18: flash-crowd workload — feudal vs federated vs p2p on equal home links",
-		"Architecture", "%.1f", "%.2f", "%.1f", "%.0f")
-}
-
-// WorkloadContentionTiny is the scaled-down X18 the registry tests run.
-func WorkloadContentionTiny(seed int64) *Table {
-	m := workloadMatrix(seed, "flash", true)
-	t := &Table{
-		Title:   "X18 (tiny): flash-crowd workload",
-		Headers: append([]string{"Architecture"}, m.Cols...),
-	}
-	for r, name := range m.Rows {
-		row := []any{name}
-		for c := range m.Cols {
-			row = append(row, fmt.Sprintf("%.1f", m.Vals[r][c]))
-		}
-		t.Add(row...)
-	}
-	return t
-}
+func WorkloadContention(seed int64, wl string) *Table { return x18Exp(wl).run(seed) }

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/cryptoutil"
 	"repro/internal/replic"
 	"repro/internal/resil"
-	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
-	"repro/internal/workload"
 )
 
 // X19: does demand-chasing replication buy back what X18 showed the
@@ -38,24 +34,10 @@ import (
 // the replic.origin.byte_share gauge), and the replica-count timeline's
 // peak and final values, which show the set inflating under the spike and
 // garbage-collecting back to the floor.
-type x19Spec struct {
-	x18Spec
-	providers int
-	k         int // initial replicas per object; also the GC floor
-}
-
-func x19SpecFor(tiny bool) x19Spec {
-	sp := x19Spec{x18Spec: x18SpecFor(tiny), k: 2, providers: 8}
-	if tiny {
-		sp.providers = 4
-	}
-	return sp
-}
 
 // x19Cfg is the adaptive arm's replication config. The floor is the
-// spec's K and the cap is bounded by the provider population; the
-// resilience layer is on so nearest-replica ranking runs on measured
-// SRTT. The reaction knobs are deliberately faster than the package
+// spec's K and the cap is bounded by the provider population. The
+// reaction knobs are deliberately faster than the package
 // defaults, and the reason is the experiment's central lesson: a
 // saturated origin loses its own control plane — its pushes and
 // directory calls queue behind the very responses that are drowning it —
@@ -65,7 +47,7 @@ func x19SpecFor(tiny bool) x19Spec {
 // and one replica per 0.5 req/s of swarm demand (~¼ of a home uplink's
 // 64KB-object capacity) sizes the set with room for the demand the
 // decayed counter has not seen yet.
-func x19Cfg(sp x19Spec) replic.Config {
+func x19Cfg(sp flashSpec) replic.Config {
 	cfg := replic.Defaults()
 	cfg.FloorK = sp.k
 	if cfg.Cap > sp.providers {
@@ -76,255 +58,45 @@ func x19Cfg(sp x19Spec) replic.Config {
 	cfg.PerReplicaRate = 0.5
 	cfg.HalfLife = 15 * time.Second
 	cfg.TickEvery = 10 * time.Second
-	cfg.Resilience = resil.Defaults()
 	return cfg
 }
 
-// x19Timeline samples the directory's total replica count this many times
-// across the horizon.
-const x19Timeline = 40
-
-// x19DebugHook, when non-nil, observes each finished arm (tests only).
-var x19DebugHook func(nw *simnet.Network, dir *replic.Directory, provs []*replic.Provider)
-
-// x19Result is one arm's full outcome: the table cell, per-request
-// outcomes for the conformance suite's availability windows, and the
-// replica-count timeline.
-type x19Result struct {
-	cell     x19Cell
-	outcomes []x18Outcome
-	timeline []int
-	// provHeld[i] is provider i's final held-object count (the conformance
-	// suite asserts pinned origins survive every scenario).
-	provHeld []int
-}
-
-type x19Cell struct {
-	avail       float64
-	p95         float64
-	originShare float64
-	replPeak    float64
-	replEnd     float64
-}
-
-// x19Arm runs one (replication config, fault scenario) arm over the
-// shared schedule. engine selects the simulation engine layout (the
-// zero value is the classic single-heap engine); det replaces every
-// access link with a fixed-latency deterministic profile — no jitter, no
-// loss, no bandwidth queueing — which is the regime where the legacy and
-// sharded engines are event-for-event identical (see simnet's
-// TestShardedMatchesLegacyWhenDeterministic), so the cross-layout golden
-// test runs with det=true.
-func x19Arm(seed int64, sp x19Spec, cfg replic.Config, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario, engine simnet.NetworkConfig, det bool) x19Result {
-	engine.Seed = seed
-	nw := simnet.NewWithConfig(engine)
-	dirNode := nw.AddNode()
-	dir := replic.NewDirectory(dirNode, sp.k)
-
-	// Clients first in the region assignment so client i keeps the region
-	// the schedule generator gave it; providers follow in the same
-	// round-robin.
-	clientNodes := make([]*simnet.Node, sp.clients)
-	ids := make([]simnet.NodeID, 0, sp.clients+sp.providers)
-	for i := range clientNodes {
-		clientNodes[i] = nw.AddNode()
-		ids = append(ids, clientNodes[i].ID())
-	}
-	provNodes := make([]*simnet.Node, sp.providers)
-	provIDs := make([]simnet.NodeID, sp.providers)
-	for i := range provNodes {
-		provNodes[i] = nw.AddNode()
-		provIDs[i] = provNodes[i].ID()
-		ids = append(ids, provNodes[i].ID())
-	}
-	rs.Apply(nw, ids)
-	regionOf := make(map[simnet.NodeID]int, len(ids))
-	for i, id := range ids {
-		regionOf[id] = rs.Assign(i)
-	}
-	if det {
-		for _, n := range nw.Nodes() {
-			n.SetProfile(simnet.LinkProfile{Latency: 5 * time.Millisecond})
-		}
-	}
-
-	provs := make([]*replic.Provider, sp.providers)
-	for i, n := range provNodes {
-		provs[i] = replic.NewProvider(n, cfg, dirNode.ID(), sp.regions, regionOf)
-		provs[i].SetPeers(provIDs)
-	}
-	clients := make([]*replic.Client, sp.clients)
-	for i, n := range clientNodes {
-		clients[i] = replic.NewClient(n, cfg, dirNode.ID(), regionOf[n.ID()], regionOf, rs.Extra)
-	}
-
-	// Seed the catalog: object o's origin is provider o%P (pinned), plus
-	// k-1 static replicas on the following providers.
-	objs := make([]cryptoutil.Hash, sp.objects)
-	for o := range objs {
-		payload := make([]byte, sp.objBytes)
-		for i := range payload {
-			payload[i] = byte(o*31 + i)
-		}
-		objs[o] = cryptoutil.SumHash(payload)
-		origin := o % sp.providers
-		provs[origin].Put(objs[o], payload, true)
-		for j := 1; j < sp.k; j++ {
-			provs[(origin+j)%sp.providers].Put(objs[o], payload, false)
-		}
-	}
-	for _, p := range provs {
-		p.Start()
-	}
-	nw.Run(nw.Now() + time.Minute) // announces settle
-
-	base := nw.Now()
-	if sc != nil {
-		// Providers and clients are all fault-eligible; only the directory
-		// is an anchor (the tracker convention X18 set).
-		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
-	}
-	meter := newX18Meter(nw, sp.x18Spec, len(reqs))
-	timeline := make([]int, 0, x19Timeline+1)
-	for i := 0; i <= x19Timeline; i++ {
-		at := base + sp.horizon*time.Duration(i)/time.Duration(x19Timeline)
-		nw.Schedule(at, func() { timeline = append(timeline, dir.TotalReplicas()) })
-	}
-	for _, r := range reqs {
-		r := r
-		launch := base + r.At
-		nw.Schedule(launch, func() {
-			// The launch time and the completion clock are both taken from
-			// quantities that are engine-exact: the schedule time itself and
-			// the requesting node's shard clock (== the global clock on the
-			// single-heap engine). Reading nw.Now() here instead would lag at
-			// window granularity on the sharded engine and skew measured
-			// latency across layouts.
-			done := meter.doneOn(r.At, launch, clients[r.Client].Node().Now)
-			clients[r.Client].Get(objs[r.Object], sp.timeout, func(data []byte, err error) {
-				done(err == nil && len(data) == sp.objBytes)
-			})
-		})
-	}
-	nw.Run(base + sp.horizon + x18Grace)
-	// One settle sample after the grace: the flash tail can keep swarm
-	// demand above ColdRate to the very edge of the horizon (tiny scale
-	// especially), so the horizon's final sample may catch the set one or
-	// two releases short of the floor. The post-grace sample is the
-	// garbage-collected steady state — replEnd reports this.
-	timeline = append(timeline, dir.TotalReplicas())
-
-	var total, origin int64
-	held := make([]int, sp.providers)
-	for i, p := range provs {
-		total += p.BytesServed
-		origin += p.OriginBytes
-		held[i] = p.NumHeld()
-	}
-	share := 0.0
-	if total > 0 {
-		share = float64(origin) / float64(total)
-	}
-	peak, end := 0, 0
-	for _, v := range timeline {
-		if v > peak {
-			peak = v
-		}
-		end = v
-	}
-	// X19-only observability: the origin-share gauge registers after every
-	// pre-existing experiment's metrics are already fixed, and the replic.*
-	// counters were filled in by the package as the arm ran.
-	nw.Obs().Gauge("replic.origin.byte_share").Set(share)
-	if x19DebugHook != nil {
-		x19DebugHook(nw, dir, provs)
-	}
-	return x19Result{
-		cell: x19Cell{
-			avail:       float64(meter.ok) / float64(len(reqs)),
-			p95:         meter.lat.Quantile(0.95),
-			originShare: share,
-			replPeak:    float64(peak),
-			replEnd:     float64(end),
-		},
-		outcomes: meter.outcomes,
-		timeline: timeline,
-		provHeld: held,
+// x19Arms is the battery: static-K vs adaptive replication, clean and
+// under the battery's rolling churn. The adaptive arms run the resilience
+// layer so nearest-replica ranking has measured SRTT to rank on.
+func x19Arms(sp flashSpec) []flashArm {
+	static, adaptive := replic.Config{}, x19Cfg(sp)
+	churn := fault.RollingChurn()
+	return []flashArm{
+		{name: "static-clean", replic: &static},
+		{name: "static-churn", replic: &static, scenario: &churn},
+		{name: "adaptive-clean", replic: &adaptive, resil: resil.Defaults()},
+		{name: "adaptive-churn", replic: &adaptive, resil: resil.Defaults(), scenario: &churn},
 	}
 }
 
 // replicationMatrix is the numeric core of X19: one shared flash-crowd
-// schedule, static-K vs adaptive replication, clean vs rolling churn.
-func replicationMatrix(seed int64, tiny bool, engine simnet.NetworkConfig, det bool) Matrix {
-	sp := x19SpecFor(tiny)
-	reqs, rs := x18Stream(seed, sp.x18Spec, "flash")
-	churn := fault.RollingChurn()
-	arms := []struct {
-		name string
-		cfg  replic.Config
-		sc   *fault.Scenario
-	}{
-		{"static-clean", replic.Config{}, nil},
-		{"static-churn", replic.Config{}, &churn},
-		{"adaptive-clean", x19Cfg(sp), nil},
-		{"adaptive-churn", x19Cfg(sp), &churn},
-	}
+// schedule through every arm.
+func replicationMatrix(seed int64, tiny bool) Matrix {
+	sp := flashSpecFor(tiny)
+	reqs, rs := x18Stream(seed, sp, "flash")
+	arms := x19Arms(sp)
 	rows := make([]string, len(arms))
 	for i := range arms {
 		rows[i] = arms[i].name
 	}
 	m := NewMatrix(rows, []string{"avail%", "p95(s)", "origin%", "repl-peak", "repl-end"})
 	for r, arm := range arms {
-		res := x19Arm(seed, sp, arm.cfg, reqs, rs, arm.sc, engine, det)
-		m.Vals[r][0] = res.cell.avail * 100
-		m.Vals[r][1] = res.cell.p95
-		m.Vals[r][2] = res.cell.originShare * 100
-		m.Vals[r][3] = res.cell.replPeak
-		m.Vals[r][4] = res.cell.replEnd
+		res := runFlashArm(seed, sp, arm, reqs, rs)
+		// X19-only observability: the origin-share gauge registers after every
+		// pre-existing experiment's metrics are already fixed, and the replic.*
+		// counters were filled in by the package as the arm ran.
+		res.nw.Obs().Gauge("replic.origin.byte_share").Set(res.originShare)
+		m.Vals[r][0] = res.avail * 100
+		m.Vals[r][1] = res.p95
+		m.Vals[r][2] = res.originShare * 100
+		m.Vals[r][3] = replicaPeak(res.timeline)
+		m.Vals[r][4] = float64(res.timeline[len(res.timeline)-1])
 	}
 	return m
-}
-
-// x19Format renders one matrix into the X19 table.
-func x19Format(m Matrix, sp x19Spec, title string) *Table {
-	t := &Table{
-		Title:   title,
-		Headers: append([]string{"Arm"}, m.Cols...),
-	}
-	for r, name := range m.Rows {
-		t.Add(name,
-			fmt.Sprintf("%.1f%%", m.Vals[r][0]),
-			fmt.Sprintf("%.2fs", m.Vals[r][1]),
-			fmt.Sprintf("%.1f%%", m.Vals[r][2]),
-			fmt.Sprintf("%.0f", m.Vals[r][3]),
-			fmt.Sprintf("%.0f", m.Vals[r][4]))
-	}
-	return t
-}
-
-// AdaptiveReplication renders the single-seed X19 table at full scale.
-func AdaptiveReplication(seed int64) *Table {
-	sp := x19SpecFor(false)
-	m := replicationMatrix(seed, false, simnet.NetworkConfig{}, false)
-	return x19Format(m, sp, fmt.Sprintf(
-		"X19: flash-crowd replay — static K=%d vs adaptive replication (floor %d, cap %d) on %d home-link providers",
-		sp.k, sp.k, x19Cfg(sp).Cap, sp.providers))
-}
-
-// AdaptiveReplicationMulti is X19 aggregated over a batch of seeds on
-// `workers` parallel trial runners (0 = GOMAXPROCS).
-func AdaptiveReplicationMulti(seeds []int64, workers int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return replicationMatrix(seed, false, simnet.NetworkConfig{}, false)
-	})
-	return agg.Table(
-		"X19: flash-crowd replay — static-K vs adaptive replication with nearest-replica routing",
-		"Arm", "%.1f", "%.2f", "%.1f", "%.0f", "%.0f")
-}
-
-// AdaptiveReplicationTiny is the scaled-down X19 the registry tests run.
-func AdaptiveReplicationTiny(seed int64) *Table {
-	sp := x19SpecFor(true)
-	m := replicationMatrix(seed, true, simnet.NetworkConfig{}, false)
-	return x19Format(m, sp, "X19 (tiny): flash-crowd replay, static-K vs adaptive replication")
 }

@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/cryptoutil"
-	"repro/internal/metrics"
 	"repro/internal/overload"
 	"repro/internal/replic"
 	"repro/internal/resil"
-	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
-	"repro/internal/workload"
 )
 
 // X20: what saturation does to a server that refuses to say no. X18
@@ -48,15 +43,10 @@ import (
 // the full timeout — the "does the control plane survive" probe), sheds
 // (server-side rejections incl. CoDel front drops), and the replica-count
 // peak (replic arms; the convergence the control lane is buying).
-type x20Spec struct {
-	x19Spec
-}
-
-func x20SpecFor(tiny bool) x20Spec { return x20Spec{x19SpecFor(tiny)} }
 
 // x20FlashWindow is the schedule slice the gate scores: ramp start to
 // decay end — exactly where demand exceeds a home uplink.
-func x20FlashWindow(sp x18Spec) (time.Duration, time.Duration) {
+func x20FlashWindow(sp flashSpec) (time.Duration, time.Duration) {
 	return sp.flash.Start, sp.flash.Start + sp.flash.Ramp + sp.flash.Decay
 }
 
@@ -87,72 +77,23 @@ func x20Resil() resil.Config {
 	return cfg
 }
 
-// x20ReplicCfg is the replic arms' configuration: package-default
+// x20ReplicCfg is the replic arms' replication policy: package-default
 // cadence (30s half-life, 15s ticks — not X19's deliberately hot tuning)
 // with the spec's floor and cap. The slower control plane is the point:
 // it widens the window in which a saturated origin's adverts must fight
 // its bulk backlog, which is exactly what the ovld arms' priority lane
 // rescues.
-func x20ReplicCfg(sp x20Spec, protected bool) replic.Config {
+func x20ReplicCfg(sp flashSpec) replic.Config {
 	cfg := replic.Defaults()
 	cfg.FloorK = sp.k
 	if cfg.Cap > sp.providers {
 		cfg.Cap = sp.providers
 	}
-	cfg.Resilience = x20Resil()
-	if protected {
-		cfg.Overload = x20OvCfg()
-	}
 	return cfg
 }
 
-const (
-	// x20PingEvery is the control-probe cadence.
-	x20PingEvery = 2 * time.Second
-	// x20PingTimeout caps one probe; a timed-out probe observes this
-	// value, so a starved control plane cannot hide from the percentile.
-	x20PingTimeout = 10 * time.Second
-)
-
-// x20Pinger schedules the ctl.ping probe stream from monitor against
-// target across the horizon and returns the latency sample.
-func x20Pinger(nw *simnet.Network, monitor *simnet.RPCNode, target simnet.NodeID, base time.Duration, sp x18Spec) *metrics.Sample {
-	lat := &metrics.Sample{}
-	for at := x20PingEvery; at < sp.horizon; at += x20PingEvery {
-		launch := base + at
-		nw.Schedule(launch, func() {
-			start := monitor.Node().Now()
-			monitor.Call(target, "ctl.ping", nil, 32, x20PingTimeout, func(resp any, err error) {
-				if err != nil {
-					lat.Observe(x20PingTimeout.Seconds())
-					return
-				}
-				lat.Observe((monitor.Node().Now() - start).Seconds())
-			})
-		})
-	}
-	return lat
-}
-
-// x20Cell is one arm's scoreboard.
-type x20Cell struct {
-	flashAvail float64
-	avail      float64
-	p95        float64
-	ctlP95     float64
-	shed       float64
-	replPeak   float64
-}
-
-// x20Result carries the cell plus the raw outcomes for the conformance
-// suite's availability windows.
-type x20Result struct {
-	cell     x20Cell
-	outcomes []x18Outcome
-}
-
 // x20FlashAvail scores within-SLA availability over the flash window.
-func x20FlashAvail(outcomes []x18Outcome, sp x18Spec) float64 {
+func x20FlashAvail(outcomes []slaOutcome, sp flashSpec) float64 {
 	ws, we := x20FlashWindow(sp)
 	tot, ok := 0, 0
 	for _, o := range outcomes {
@@ -169,288 +110,51 @@ func x20FlashAvail(outcomes []x18Outcome, sp x18Spec) float64 {
 	return float64(ok) / float64(tot)
 }
 
-// x20Sheds totals the server-side rejections an arm's network recorded.
-// Reading the counters creates them at zero on naive arms, which is
-// deterministic and keeps the snapshot schema identical across arms.
-func x20Sheds(nw *simnet.Network) float64 {
-	reg := nw.Obs()
-	return float64(reg.Counter("overload.shed").Value() + reg.Counter("overload.codel.dropped").Value())
+// x20Arms is the battery in presentation order: {feudal origin, replic
+// swarm} × {naive, overload-controlled} × {clean, rolling churn}, every
+// arm on the same client transport and with the control-plane probe on.
+func x20Arms(sp flashSpec) []flashArm {
+	swarm, ovld := x20ReplicCfg(sp), x20OvCfg()
+	churn := fault.RollingChurn()
+	arms := []flashArm{
+		{name: "feudal-naive-clean"},
+		{name: "feudal-naive-churn", scenario: &churn},
+		{name: "feudal-ovld-clean", overload: ovld},
+		{name: "feudal-ovld-churn", overload: ovld, scenario: &churn},
+		{name: "replic-naive-clean", replic: &swarm},
+		{name: "replic-naive-churn", replic: &swarm, scenario: &churn},
+		{name: "replic-ovld-clean", replic: &swarm, overload: ovld},
+		{name: "replic-ovld-churn", replic: &swarm, overload: ovld, scenario: &churn},
+	}
+	for i := range arms {
+		arms[i].resil, arms[i].probe = x20Resil(), true
+	}
+	return arms
 }
 
-// x20Feudal is the single-origin arm: X18's ostatus world with resilient
-// clients, a control pinger, and — when protected — the origin's
-// content.get behind the overload server. engine and det select the
-// simulation engine layout exactly as in x19Arm.
-func x20Feudal(seed int64, sp x20Spec, protected bool, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario, engine simnet.NetworkConfig, det bool) x20Result {
-	engine.Seed = seed
-	nw := simnet.NewWithConfig(engine)
-	nw.EnableQueueMetrics()
-	originNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-	origin := simnet.NewRPCNode(originNode)
-	var ovCfg overload.Config
-	if protected {
-		ovCfg = x20OvCfg()
-	}
-	ov := overload.New(origin, ovCfg)
-	ov.Protect("content.get", func(from simnet.NodeID, req any) (any, int) {
-		return req, 32 + sp.objBytes
-	})
-	ov.Control("ctl.ping", func(from simnet.NodeID, req any) (any, int) { return req, 16 })
-
-	clients := make([]*resil.Client, sp.clients)
-	ids := make([]simnet.NodeID, sp.clients)
-	for i := range clients {
-		n := nw.AddNode()
-		clients[i] = resil.New(simnet.NewRPCNode(n), x20Resil())
-		ids[i] = n.ID()
-	}
-	rs.Apply(nw, ids)
-	monitor := simnet.NewRPCNode(nw.AddNode())
-	if det {
-		for _, n := range nw.Nodes() {
-			n.SetProfile(simnet.LinkProfile{Latency: 5 * time.Millisecond})
-		}
-	}
-
-	base := nw.Now()
-	if sc != nil {
-		// Clients are fault-eligible; the origin and monitor are anchors
-		// (crashing the only server measures the crash, not the queue).
-		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
-	}
-	meter := newX18Meter(nw, sp.x18Spec, len(reqs))
-	ctl := x20Pinger(nw, monitor, origin.Node().ID(), base, sp.x18Spec)
-	for _, r := range reqs {
-		r := r
-		launch := base + r.At
-		nw.Schedule(launch, func() {
-			done := meter.doneOn(r.At, launch, clients[r.Client].RPC().Node().Now)
-			clients[r.Client].Call(origin.Node().ID(), "content.get", r.Object, 200, sp.timeout,
-				func(resp any, err error) { done(err == nil) })
-		})
-	}
-	nw.Run(base + sp.horizon + x18Grace)
-	return x20Result{
-		cell: x20Cell{
-			flashAvail: x20FlashAvail(meter.outcomes, sp.x18Spec),
-			avail:      float64(meter.ok) / float64(len(reqs)),
-			p95:        meter.lat.Quantile(0.95),
-			ctlP95:     ctl.Quantile(0.95),
-			shed:       x20Sheds(nw),
-		},
-		outcomes: meter.outcomes,
-	}
-}
-
-// x20Replic is the replicated arm: X19's world at default replication
-// cadence, the control pinger aimed at the flash object's pinned origin
-// provider, and — when protected — the directory and every provider
-// behind overload control.
-func x20Replic(seed int64, sp x20Spec, protected bool, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario, engine simnet.NetworkConfig, det bool) x20Result {
-	cfg := x20ReplicCfg(sp, protected)
-	engine.Seed = seed
-	nw := simnet.NewWithConfig(engine)
-	nw.EnableQueueMetrics()
-	dirNode := nw.AddNode()
-	dir := replic.NewDirectoryWith(dirNode, sp.k, cfg.Overload)
-
-	clientNodes := make([]*simnet.Node, sp.clients)
-	ids := make([]simnet.NodeID, 0, sp.clients+sp.providers)
-	for i := range clientNodes {
-		clientNodes[i] = nw.AddNode()
-		ids = append(ids, clientNodes[i].ID())
-	}
-	provNodes := make([]*simnet.Node, sp.providers)
-	provIDs := make([]simnet.NodeID, sp.providers)
-	for i := range provNodes {
-		provNodes[i] = nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-		provIDs[i] = provNodes[i].ID()
-		ids = append(ids, provNodes[i].ID())
-	}
-	rs.Apply(nw, ids)
-	regionOf := make(map[simnet.NodeID]int, len(ids))
-	for i, id := range ids {
-		regionOf[id] = rs.Assign(i)
-	}
-	monitor := simnet.NewRPCNode(nw.AddNode())
-	if det {
-		for _, n := range nw.Nodes() {
-			n.SetProfile(simnet.LinkProfile{Latency: 5 * time.Millisecond})
-		}
-	}
-
-	provs := make([]*replic.Provider, sp.providers)
-	for i, n := range provNodes {
-		provs[i] = replic.NewProvider(n, cfg, dirNode.ID(), sp.regions, regionOf)
-		provs[i].SetPeers(provIDs)
-	}
-	clients := make([]*replic.Client, sp.clients)
-	for i, n := range clientNodes {
-		clients[i] = replic.NewClient(n, cfg, dirNode.ID(), regionOf[n.ID()], regionOf, rs.Extra)
-	}
-
-	objs := make([]cryptoutil.Hash, sp.objects)
-	for o := range objs {
-		payload := make([]byte, sp.objBytes)
-		for i := range payload {
-			payload[i] = byte(o*31 + i)
-		}
-		objs[o] = cryptoutil.SumHash(payload)
-		origin := o % sp.providers
-		provs[origin].Put(objs[o], payload, true)
-		for j := 1; j < sp.k; j++ {
-			provs[(origin+j)%sp.providers].Put(objs[o], payload, false)
-		}
-	}
-	for _, p := range provs {
-		p.Start()
-	}
-	// The probe target is the provider the flash spike concentrates on:
-	// the flash object's pinned origin.
-	hot := provs[sp.flash.Object%sp.providers]
-	hot.RPC().Serve("ctl.ping", func(from simnet.NodeID, req any) (any, int) { return req, 16 })
-	if protected {
-		hot.RPC().SetMethodLane("ctl.ping", simnet.LaneCtrl)
-	}
-	nw.Run(nw.Now() + time.Minute) // announces settle
-
-	base := nw.Now()
-	if sc != nil {
-		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
-	}
-	meter := newX18Meter(nw, sp.x18Spec, len(reqs))
-	ctl := x20Pinger(nw, monitor, hot.Node().ID(), base, sp.x18Spec)
-	replPeak := 0
-	for i := 0; i <= x19Timeline; i++ {
-		at := base + sp.horizon*time.Duration(i)/time.Duration(x19Timeline)
-		nw.Schedule(at, func() {
-			if v := dir.TotalReplicas(); v > replPeak {
-				replPeak = v
-			}
-		})
-	}
-	for _, r := range reqs {
-		r := r
-		launch := base + r.At
-		nw.Schedule(launch, func() {
-			done := meter.doneOn(r.At, launch, clients[r.Client].Node().Now)
-			clients[r.Client].Get(objs[r.Object], sp.timeout, func(data []byte, err error) {
-				done(err == nil && len(data) == sp.objBytes)
-			})
-		})
-	}
-	nw.Run(base + sp.horizon + x18Grace)
-	return x20Result{
-		cell: x20Cell{
-			flashAvail: x20FlashAvail(meter.outcomes, sp.x18Spec),
-			avail:      float64(meter.ok) / float64(len(reqs)),
-			p95:        meter.lat.Quantile(0.95),
-			ctlP95:     ctl.Quantile(0.95),
-			shed:       x20Sheds(nw),
-			replPeak:   float64(replPeak),
-		},
-		outcomes: meter.outcomes,
-	}
-}
-
-// x20ArmSpec names one battery cell.
-type x20ArmSpec struct {
-	name      string
-	replic    bool
-	protected bool
-	churn     bool
-}
-
-// x20Arms enumerates the battery in presentation order.
-func x20Arms() []x20ArmSpec {
-	return []x20ArmSpec{
-		{"feudal-naive-clean", false, false, false},
-		{"feudal-naive-churn", false, false, true},
-		{"feudal-ovld-clean", false, true, false},
-		{"feudal-ovld-churn", false, true, true},
-		{"replic-naive-clean", true, false, false},
-		{"replic-naive-churn", true, false, true},
-		{"replic-ovld-clean", true, true, false},
-		{"replic-ovld-churn", true, true, true},
-	}
-}
-
-// x20Run dispatches one arm.
-func x20Run(seed int64, sp x20Spec, arm x20ArmSpec, reqs []workload.Request, rs *workload.RegionSet, engine simnet.NetworkConfig, det bool) x20Result {
-	var sc *fault.Scenario
-	if arm.churn {
-		churn := fault.RollingChurn()
-		sc = &churn
-	}
-	if arm.replic {
-		return x20Replic(seed, sp, arm.protected, reqs, rs, sc, engine, det)
-	}
-	return x20Feudal(seed, sp, arm.protected, reqs, rs, sc, engine, det)
-}
-
-// overloadMatrix is the numeric core of X20: one shared flash schedule,
-// {feudal, replic} × {naive, ovld} × {clean, churn}.
-func overloadMatrix(seed int64, tiny bool, engine simnet.NetworkConfig, det bool) Matrix {
-	sp := x20SpecFor(tiny)
-	reqs, rs := x18Stream(seed, sp.x18Spec, "flash")
-	arms := x20Arms()
+// overloadMatrix is the numeric core of X20: one shared flash schedule
+// through every arm.
+func overloadMatrix(seed int64, tiny bool) Matrix {
+	sp := flashSpecFor(tiny)
+	reqs, rs := x18Stream(seed, sp, "flash")
+	arms := x20Arms(sp)
 	rows := make([]string, len(arms))
 	for i := range arms {
 		rows[i] = arms[i].name
 	}
 	m := NewMatrix(rows, []string{"flash-avail%", "avail%", "p95(s)", "ctl-p95(s)", "shed", "repl-peak"})
 	for r, arm := range arms {
-		res := x20Run(seed, sp, arm, reqs, rs, engine, det)
-		m.Vals[r][0] = res.cell.flashAvail * 100
-		m.Vals[r][1] = res.cell.avail * 100
-		m.Vals[r][2] = res.cell.p95
-		m.Vals[r][3] = res.cell.ctlP95
-		m.Vals[r][4] = res.cell.shed
-		m.Vals[r][5] = res.cell.replPeak
+		res := runFlashArm(seed, sp, arm, reqs, rs)
+		m.Vals[r][0] = x20FlashAvail(res.outcomes, sp) * 100
+		m.Vals[r][1] = res.avail * 100
+		m.Vals[r][2] = res.p95
+		m.Vals[r][3] = res.ctlP95
+		m.Vals[r][4] = res.shed
+		if res.dir != nil {
+			// The peak the control lane is buying: over the horizon's
+			// samples, not the post-grace settle sample.
+			m.Vals[r][5] = replicaPeak(res.timeline[:flashTimeline+1])
+		}
 	}
 	return m
-}
-
-// x20Format renders one matrix into the X20 table.
-func x20Format(m Matrix, title string) *Table {
-	t := &Table{
-		Title:   title,
-		Headers: append([]string{"Arm"}, m.Cols...),
-	}
-	for r, name := range m.Rows {
-		t.Add(name,
-			fmt.Sprintf("%.1f%%", m.Vals[r][0]),
-			fmt.Sprintf("%.1f%%", m.Vals[r][1]),
-			fmt.Sprintf("%.2fs", m.Vals[r][2]),
-			fmt.Sprintf("%.2fs", m.Vals[r][3]),
-			fmt.Sprintf("%.0f", m.Vals[r][4]),
-			fmt.Sprintf("%.0f", m.Vals[r][5]))
-	}
-	return t
-}
-
-// OverloadControl renders the single-seed X20 table at full scale.
-func OverloadControl(seed int64) *Table {
-	sp := x20SpecFor(false)
-	m := overloadMatrix(seed, false, simnet.NetworkConfig{}, false)
-	return x20Format(m, fmt.Sprintf(
-		"X20: flash-crowd saturation — naive vs overload-controlled serving, feudal origin and %d-provider replic swarm",
-		sp.providers))
-}
-
-// OverloadControlMulti is X20 aggregated over a batch of seeds on
-// `workers` parallel trial runners (0 = GOMAXPROCS).
-func OverloadControlMulti(seeds []int64, workers int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return overloadMatrix(seed, false, simnet.NetworkConfig{}, false)
-	})
-	return agg.Table(
-		"X20: flash-crowd saturation — naive vs overload-controlled serving",
-		"Arm", "%.1f", "%.1f", "%.2f", "%.2f", "%.0f", "%.0f")
-}
-
-// OverloadControlTiny is the scaled-down X20 the registry tests run.
-func OverloadControlTiny(seed int64) *Table {
-	m := overloadMatrix(seed, true, simnet.NetworkConfig{}, false)
-	return x20Format(m, "X20 (tiny): flash-crowd saturation, naive vs overload-controlled serving")
 }

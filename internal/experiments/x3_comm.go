@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gossip"
 	"repro/internal/groupcomm"
+	"repro/internal/resil"
 	"repro/internal/simnet"
 )
 
@@ -201,8 +202,8 @@ func fedReplDeliverability(seed int64, servers int, f float64) float64 {
 	}
 	clients := make([]*groupcomm.ReplClient, servers)
 	for i := range clients {
-		clients[i] = groupcomm.NewReplClient(nw.AddNode(), ids[i], ids,
-			groupcomm.UserID(fmt.Sprintf("u%d", i)), 5*time.Second)
+		clients[i] = groupcomm.NewReplClient(nw.AddNode(), ids[i], ids, groupcomm.UserID(fmt.Sprintf("u%d", i)), 5*time.Second, resil.Config{})
+
 	}
 	for k := 0; k < killCount(servers, f); k++ {
 		srvs[k].Node().Crash()

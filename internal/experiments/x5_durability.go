@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
 )
@@ -95,10 +96,10 @@ func StorageDurabilityMulti(seeds []int64, workers, objects, providers int, hori
 
 func durabilityRun(seed int64, scheme durabilityScheme, objects, providers int, horizon time.Duration, deadFraction float64, repairEvery time.Duration) (survival float64, repairBytes float64) {
 	nw := simnet.New(seed)
-	client := storage.NewClient(nw.AddNode(), 10*time.Second)
+	client := storage.NewClient(nw.AddNode(), 10*time.Second, resil.Config{})
 	provs := make([]*storage.Provider, providers)
 	for i := range provs {
-		provs[i] = storage.NewProvider(nw.AddNode(), 1<<30, storage.Honest)
+		provs[i] = storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30})
 	}
 	pool := make([]storage.ProviderRef, providers)
 	for i, p := range provs {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
 )
@@ -53,9 +54,9 @@ func storageAttackRun(seed int64, cheat storage.CheatMode) (posPass, retPass, re
 	nw := simnet.New(seed)
 	// Slow links so the outsourcing round trip is visible to the deadline.
 	nw.SetDefaultProfile(simnet.LinkProfile{Latency: 40 * time.Millisecond, UplinkBps: 20e6, DownlinkBps: 20e6})
-	client := storage.NewClient(nw.AddNode(), 30*time.Second)
-	provider := storage.NewProvider(nw.AddNode(), 1<<30, cheat)
-	accomplice := storage.NewProvider(nw.AddNode(), 1<<30, storage.Honest)
+	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
+	provider := storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30, Cheat: cheat})
+	accomplice := storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30})
 	provider.SetAccomplice(accomplice.Node().ID())
 
 	data := make([]byte, 2048)

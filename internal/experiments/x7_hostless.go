@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
+	"repro/internal/overload"
 	"repro/internal/simnet"
 	"repro/internal/webapp"
 )
@@ -107,11 +108,11 @@ func clientServerRun(seed int64, visitors int) (before, after, originShare float
 // visitor seeding.
 func hostlessRun(seed int64, visitors int) (before, after, authorShare float64) {
 	nw := simnet.New(seed)
-	tracker := webapp.NewTracker(nw.AddNode())
+	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
 	// The author lives on a home-broadband link, like any user.
 	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second)
+	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
 	if err != nil {
 		panic(err)
@@ -125,7 +126,7 @@ func hostlessRun(seed int64, visitors int) (before, after, authorShare float64) 
 		node := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
 		d.Bootstrap(authorDHT.Contact(), nil)
-		peers[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second)
+		peers[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
 	}
 	nw.Run(2 * time.Minute) // settle DHT routing tables
 

@@ -112,7 +112,7 @@ func replMidFaultRun(t testing.TB, seed int64, sc fault.Scenario, rcfg resil.Con
 		}
 		s.SetPeers(peers)
 	}
-	client := NewReplClientWith(nw.AddNode(), ids[0], ids[1:], "alice", 10*time.Second, rcfg)
+	client := NewReplClient(nw.AddNode(), ids[0], ids[1:], "alice", 10*time.Second, rcfg)
 	for i := 0; i < 4; i++ {
 		i := i
 		nw.After(time.Duration(i+1)*10*time.Second, func() {

@@ -103,16 +103,11 @@ type ReplClient struct {
 }
 
 // NewReplClient creates a client homed on home, aware of the full server
-// list for read failover, on the historical fixed-timeout transport.
-func NewReplClient(node *simnet.Node, home simnet.NodeID, servers []simnet.NodeID, user UserID, timeout time.Duration) *ReplClient {
-	return NewReplClientWith(node, home, servers, user, timeout, resil.Config{})
-}
-
-// NewReplClientWith is NewReplClient with an explicit resilience
-// configuration: posts and fetch failover legs ride the adaptive
-// retry/breaker layer, so a crashed homeserver is suspected instead of
-// eating a full timeout on every read.
-func NewReplClientWith(node *simnet.Node, home simnet.NodeID, servers []simnet.NodeID, user UserID, timeout time.Duration, rcfg resil.Config) *ReplClient {
+// list for read failover. With a resilience configuration, posts and fetch
+// failover legs ride the adaptive retry/breaker layer, so a crashed
+// homeserver is suspected instead of eating a full timeout on every read;
+// the zero value is the historical fixed-timeout transport.
+func NewReplClient(node *simnet.Node, home simnet.NodeID, servers []simnet.NodeID, user UserID, timeout time.Duration, rcfg resil.Config) *ReplClient {
 	rpc := simnet.NewRPCNode(node)
 	return &ReplClient{rpc: rpc, res: resil.New(rpc, rcfg), home: home, servers: servers, user: user, timeout: timeout}
 }

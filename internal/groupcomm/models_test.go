@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/gossip"
+	"repro/internal/resil"
 	"repro/internal/simnet"
 )
 
@@ -281,7 +282,7 @@ func replWorld(t testing.TB, seed int64, n int) (*simnet.Network, []*ReplServer,
 	}
 	clients := make([]*ReplClient, n)
 	for i := range clients {
-		clients[i] = NewReplClient(nw.AddNode(), ids[i], ids, userName(i), 5*time.Second)
+		clients[i] = NewReplClient(nw.AddNode(), ids[i], ids, userName(i), 5*time.Second, resil.Config{})
 	}
 	return nw, servers, clients
 }

@@ -33,18 +33,14 @@ type Client struct {
 	obsRepairBytes  *obs.Counter
 }
 
-// NewClient creates a storage client on node with the historical
-// fixed-timeout transport (no retries). timeout bounds individual transfer
-// RPCs (auditing uses its own deadline).
-func NewClient(node *simnet.Node, timeout time.Duration) *Client {
-	return NewClientWith(node, timeout, resil.Config{})
-}
-
-// NewClientWith is NewClient with an explicit resilience configuration
-// for the transfer path. Audits stay on the raw transport either way: the
-// challenge deadline is itself the proof-of-storage timing test, and
-// retrying or hedging it would hand outsourcing providers free extra time.
-func NewClientWith(node *simnet.Node, timeout time.Duration, rcfg resil.Config) *Client {
+// NewClient creates a storage client on node. timeout bounds individual
+// transfer RPCs (auditing uses its own deadline); rcfg is the resilience
+// configuration for the transfer path, the zero value being the historical
+// fixed-timeout transport (no retries). Audits stay on the raw transport
+// either way: the challenge deadline is itself the proof-of-storage timing
+// test, and retrying or hedging it would hand outsourcing providers free
+// extra time.
+func NewClient(node *simnet.Node, timeout time.Duration, rcfg resil.Config) *Client {
 	rpc := simnet.NewRPCNode(node)
 	return &Client{
 		rpc:             rpc,
@@ -192,7 +188,7 @@ func (c *Client) placeChunks(chunks []Chunk, providers []ProviderRef, replicas i
 		}
 	}
 	// A put travels lossy links; transport-level retries are the
-	// resilience layer's job (NewClientWith), which also knows that a
+	// resilience layer's job (NewClient's rcfg), which also knows that a
 	// refusal is the provider's deterministic answer and final.
 	put := func(ch Chunk, target ProviderRef) {
 		c.res.Call(target.Node, methodPut, putReq{Chunk: ch}, len(ch.Data)+48, c.timeout, func(resp any, err error) {

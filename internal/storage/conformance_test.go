@@ -113,12 +113,12 @@ func storageMidFaultRun(t testing.TB, seed int64, sc fault.Scenario, rcfg resil.
 		sla        = 10 * time.Second
 	)
 	nw := simnet.New(seed)
-	client := NewClientWith(nw.AddNode(), 30*time.Second, rcfg)
+	client := NewClient(nw.AddNode(), 30*time.Second, rcfg)
 	providers := make([]*Provider, nProviders)
 	refs := make([]ProviderRef, nProviders)
 	eligible := make([]simnet.NodeID, nProviders)
 	for i := range providers {
-		providers[i] = NewProvider(nw.AddNode(), 1<<20, Honest)
+		providers[i] = NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 20})
 		refs[i] = providers[i].Ref()
 		eligible[i] = providers[i].Node().ID()
 	}
@@ -170,18 +170,19 @@ func storageTieredCDCRun(t testing.TB, seed int64, sc fault.Scenario) (float64, 
 	t.Helper()
 	const horizon = 30 * time.Minute
 	nw := simnet.New(seed)
-	client := NewClient(nw.AddNode(), 30*time.Second)
+	client := NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
 	client.EnableRepairPinning()
 	providers := make([]*Provider, 6)
 	refs := make([]ProviderRef, len(providers))
 	eligible := make([]simnet.NodeID, len(providers))
 	for i := range providers {
-		providers[i] = NewProviderWith(nw.AddNode(), ProviderConfig{
+		providers[i] = NewProvider(nw.AddNode(), ProviderConfig{
 			Capacity:    1 << 20,
-			MemCapacity: 4 << 10, // smaller than the object: downloads cross tiers
+			MemCapacity: 4 << 10,
 			GC:          true,
 			Metrics:     true,
 		})
+
 		refs[i] = providers[i].Ref()
 		eligible[i] = providers[i].Node().ID()
 	}
@@ -265,10 +266,10 @@ func TestStorageTieredCDCConformance(t *testing.T) {
 // finishes.
 func TestGCNeverEvictsRepairSource(t *testing.T) {
 	nw := simnet.New(419)
-	client := NewClient(nw.AddNode(), 30*time.Second)
+	client := NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
 	client.EnableRepairPinning()
 	mk := func() *Provider {
-		return NewProviderWith(nw.AddNode(), ProviderConfig{Capacity: 16 << 10, GC: true})
+		return NewProvider(nw.AddNode(), ProviderConfig{Capacity: 16 << 10, GC: true})
 	}
 	src, dead, fresh := mk(), mk(), mk()
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/cryptoutil"
+	"repro/internal/resil"
 	"repro/internal/simnet"
 )
 
@@ -76,9 +77,9 @@ func TestCustodianPaysOnlyProvers(t *testing.T) {
 		float64(ccfg.InitialDifficulty)/spacing.Seconds())
 	miner.Start()
 
-	client := NewClient(nw.AddNode(), 30*time.Second)
-	honest := NewProvider(nw.AddNode(), 1<<30, Honest)
-	cheat := NewProvider(nw.AddNode(), 1<<30, DropAfterAck)
+	client := NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
+	honest := NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 30})
+	cheat := NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 30, Cheat: DropAfterAck})
 
 	data := mkData(44, 1500)
 	var m *Manifest

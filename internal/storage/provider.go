@@ -140,17 +140,12 @@ type ProviderConfig struct {
 	Overload overload.Config
 }
 
-// NewProvider starts a provider with the given capacity (bytes) and cheat
-// mode on node, in the historical configuration: no memory tier, no GC,
-// no tier metrics — byte-identical behaviour to the flat store, plus
-// content-address dedup (identical behaviour on the wire: a duplicate
-// put is acknowledged either way, it just no longer doubles the bytes).
-func NewProvider(node *simnet.Node, capacity int64, cheat CheatMode) *Provider {
-	return NewProviderWith(node, ProviderConfig{Capacity: capacity, Cheat: cheat})
-}
-
-// NewProviderWith starts a provider with explicit tiering configuration.
-func NewProviderWith(node *simnet.Node, cfg ProviderConfig) *Provider {
+// NewProvider starts a provider on node. A config carrying only Capacity
+// (and Cheat) is the historical provider: no memory tier, no GC, no tier
+// metrics — byte-identical behaviour to the flat store, plus
+// content-address dedup (identical behaviour on the wire: a duplicate put
+// is acknowledged either way, it just no longer doubles the bytes).
+func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 	p := &Provider{
 		rpc:      simnet.NewRPCNode(node),
 		capacity: cfg.Capacity,

@@ -77,14 +77,14 @@ func TestPlacementBookkeeping(t *testing.T) {
 func storageWorld(t testing.TB, seed int64, n int, capacity int64, cheats ...CheatMode) (*simnet.Network, *Client, []*Provider) {
 	t.Helper()
 	nw := simnet.New(seed)
-	client := NewClient(nw.AddNode(), 30*time.Second)
+	client := NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
 	providers := make([]*Provider, n)
 	for i := range providers {
 		cheat := Honest
 		if i < len(cheats) {
 			cheat = cheats[i]
 		}
-		providers[i] = NewProvider(nw.AddNode(), capacity, cheat)
+		providers[i] = NewProvider(nw.AddNode(), ProviderConfig{Capacity: capacity, Cheat: cheat})
 	}
 	return nw, client, providers
 }
@@ -266,10 +266,10 @@ func TestOutsourcingAttackCaughtByDeadline(t *testing.T) {
 	// to its accomplice, blowing a deadline an honest provider meets.
 	nw := simnet.New(11)
 	nw.SetDefaultProfile(simnet.LinkProfile{Latency: 50 * time.Millisecond, UplinkBps: 10e6, DownlinkBps: 10e6})
-	client := NewClient(nw.AddNode(), 30*time.Second)
-	honest := NewProvider(nw.AddNode(), 1<<20, Honest)
-	outsourcer := NewProvider(nw.AddNode(), 1<<20, OutsourceFetch)
-	accomplice := NewProvider(nw.AddNode(), 1<<20, Honest)
+	client := NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
+	honest := NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 20})
+	outsourcer := NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 20, Cheat: OutsourceFetch})
+	accomplice := NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 20})
 	outsourcer.SetAccomplice(accomplice.Node().ID())
 
 	data := mkData(12, 1500)
@@ -631,8 +631,8 @@ func TestProviderAccessors(t *testing.T) {
 func TestPutRetriesAcrossHealedPartition(t *testing.T) {
 	nw := simnet.New(21)
 	clientNode := nw.AddNode()
-	client := NewClientWith(clientNode, 30*time.Second, resil.Defaults())
-	provider := NewProvider(nw.AddNode(), 1<<20, Honest)
+	client := NewClient(clientNode, 30*time.Second, resil.Defaults())
+	provider := NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 20})
 	data := mkData(22, 1000)
 
 	// The put's first transmission launches into a partition separating

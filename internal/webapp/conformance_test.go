@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
+	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
@@ -22,10 +23,10 @@ func webappConformanceRun(t testing.TB, seed int64, sc fault.Scenario) float64 {
 		horizon   = 40 * time.Minute
 	)
 	nw := simnet.New(seed)
-	tracker := NewTracker(nw.AddNode())
+	tracker := NewTracker(nw.AddNode(), overload.Config{})
 	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second)
+	author := NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, PeerConfig{})
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +38,7 @@ func webappConformanceRun(t testing.TB, seed int64, sc fault.Scenario) float64 {
 		node := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
 		d.Bootstrap(authorDHT.Contact(), nil)
-		visitors[i] = NewPeer(node, d, tracker.Node().ID(), 30*time.Second)
+		visitors[i] = NewPeer(node, d, tracker.Node().ID(), 30*time.Second, PeerConfig{})
 		eligible[i] = node.ID()
 	}
 	nw.Run(2 * time.Minute) // settle DHT routing tables
@@ -122,10 +123,10 @@ func webappMidFaultRun(t testing.TB, seed int64, sc fault.Scenario, rcfg resil.C
 		sla      = 15 * time.Second
 	)
 	nw := simnet.New(seed)
-	tracker := NewTracker(nw.AddNode())
+	tracker := NewTracker(nw.AddNode(), overload.Config{})
 	authorNode := nw.AddNode()
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second)
+	author := NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, PeerConfig{})
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +139,7 @@ func webappMidFaultRun(t testing.TB, seed int64, sc fault.Scenario, rcfg resil.C
 		node := nw.AddNode()
 		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
 		d.Bootstrap(authorDHT.Contact(), nil)
-		seeders[i] = NewPeer(node, d, tracker.Node().ID(), 30*time.Second)
+		seeders[i] = NewPeer(node, d, tracker.Node().ID(), 30*time.Second, PeerConfig{})
 		eligible[i] = node.ID()
 	}
 	// One cold visitor per probe, bootstrapped before the faults begin and
@@ -148,7 +149,7 @@ func webappMidFaultRun(t testing.TB, seed int64, sc fault.Scenario, rcfg resil.C
 		node := nw.AddNode()
 		d := dht.NewPeer(node, dht.Key{}, probeDHTCfg)
 		d.Bootstrap(authorDHT.Contact(), nil)
-		visitors[i] = NewPeerWith(node, d, tracker.Node().ID(), 30*time.Second, rcfg)
+		visitors[i] = NewPeer(node, d, tracker.Node().ID(), 30*time.Second, PeerConfig{Resilience: rcfg})
 	}
 	nw.Run(2 * time.Minute)
 

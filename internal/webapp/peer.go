@@ -37,18 +37,12 @@ type peersResp struct {
 	Seeders []simnet.NodeID
 }
 
-// NewTracker starts a tracker on node in the historical configuration
-// (no overload control).
-func NewTracker(node *simnet.Node) *Tracker {
-	return NewTrackerWith(node, overload.Config{})
-}
-
-// NewTrackerWith starts a tracker with explicit overload control. The
-// tracker is pure control plane — announce and peer lookups are the RPCs
-// a flash crowd needs answered to spread load — so both methods register
-// as Control: never queued or shed, and riding the priority lane when
-// enabled. The zero Config is a passthrough identical to NewTracker.
-func NewTrackerWith(node *simnet.Node, ocfg overload.Config) *Tracker {
+// NewTracker starts a tracker on node. The tracker is pure control plane —
+// announce and peer lookups are the RPCs a flash crowd needs answered to
+// spread load — so with overload control enabled both methods register as
+// Control: never queued or shed, and riding the priority lane. The zero
+// Config is a passthrough: the historical tracker.
+func NewTracker(node *simnet.Node, ocfg overload.Config) *Tracker {
 	t := &Tracker{rpc: simnet.NewRPCNode(node), seeders: map[cryptoutil.Hash][]simnet.NodeID{}}
 	ov := overload.New(t.rpc, ocfg)
 	ov.Control(methodAnnounce, t.onAnnounce)
@@ -110,25 +104,13 @@ type Peer struct {
 	obsServes    *obs.Counter
 }
 
-// NewPeer creates a web peer on node, joined to the given DHT (the caller
-// bootstraps the DHT peer) and tracker, on the historical fixed-timeout
-// transport.
-func NewPeer(node *simnet.Node, d *dht.Peer, tracker simnet.NodeID, timeout time.Duration) *Peer {
-	return NewPeerWith(node, d, tracker, timeout, resil.Config{})
-}
-
-// NewPeerWith is NewPeer with an explicit resilience configuration for
-// the peer's own fetches (manifest, blob, and tracker RPCs). The DHT leg
-// of a Visit is tuned separately through dht.Config.Resilience.
-func NewPeerWith(node *simnet.Node, d *dht.Peer, tracker simnet.NodeID, timeout time.Duration, rcfg resil.Config) *Peer {
-	return NewPeerCfg(node, d, tracker, timeout, PeerConfig{Resilience: rcfg})
-}
-
 // PeerConfig bundles a web peer's client- and server-side robustness
 // layers. The zero value is the historical peer: fixed-timeout fetches,
 // unbounded serving.
 type PeerConfig struct {
-	// Resilience tunes the peer's own fetches (see NewPeerWith).
+	// Resilience tunes the peer's own fetches (manifest, blob, and tracker
+	// RPCs). The DHT leg of a Visit is tuned separately through
+	// dht.Config.Resilience.
 	Resilience resil.Config
 	// Overload, when enabled, puts the peer's serving methods behind
 	// server-side overload control: blob serving is the bulk plane
@@ -139,9 +121,9 @@ type PeerConfig struct {
 	Overload overload.Config
 }
 
-// NewPeerCfg is the fully-configured constructor behind NewPeer and
-// NewPeerWith.
-func NewPeerCfg(node *simnet.Node, d *dht.Peer, tracker simnet.NodeID, timeout time.Duration, cfg PeerConfig) *Peer {
+// NewPeer creates a web peer on node, joined to the given DHT (the caller
+// bootstraps the DHT peer) and tracker.
+func NewPeer(node *simnet.Node, d *dht.Peer, tracker simnet.NodeID, timeout time.Duration, cfg PeerConfig) *Peer {
 	rpc := simnet.NewRPCNode(node)
 	p := &Peer{
 		rpc:          rpc,

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
+	"repro/internal/overload"
 	"repro/internal/simnet"
 )
 
@@ -81,13 +82,13 @@ func TestManifestDeterministicFileOrder(t *testing.T) {
 func webWorld(t testing.TB, seed int64, n int) (*simnet.Network, *Tracker, []*Peer) {
 	t.Helper()
 	nw := simnet.New(seed)
-	tracker := NewTracker(nw.AddNode())
+	tracker := NewTracker(nw.AddNode(), overload.Config{})
 	peers := make([]*Peer, n)
 	dhts := make([]*dht.Peer, n)
 	for i := 0; i < n; i++ {
 		node := nw.AddNode()
 		dhts[i] = dht.NewPeer(node, dht.Key{}, dht.Config{})
-		peers[i] = NewPeer(node, dhts[i], tracker.Node().ID(), 10*time.Second)
+		peers[i] = NewPeer(node, dhts[i], tracker.Node().ID(), 10*time.Second, PeerConfig{})
 	}
 	for i := 1; i < n; i++ {
 		i := i
@@ -316,7 +317,7 @@ func TestSeederScalingDistributesLoad(t *testing.T) {
 
 func TestTrackerIdempotentAnnounce(t *testing.T) {
 	nw := simnet.New(16)
-	tracker := NewTracker(nw.AddNode())
+	tracker := NewTracker(nw.AddNode(), overload.Config{})
 	node := nw.AddNode()
 	rpc := simnet.NewRPCNode(node)
 	site := cryptoutil.SumHash([]byte("s"))
@@ -353,16 +354,16 @@ func BenchmarkVisit(b *testing.B) {
 // the seeder manifest path, because manifests are self-verifying.
 func TestVisitFallsBackToSwarmManifest(t *testing.T) {
 	nw := simnet.New(41)
-	tracker := NewTracker(nw.AddNode())
+	tracker := NewTracker(nw.AddNode(), overload.Config{})
 	// Author peer with its own private DHT (not shared with the visitor),
 	// so the visitor's DHT lookup always misses.
 	authorNode := nw.AddNode()
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := NewPeer(authorNode, authorDHT, tracker.Node().ID(), 5*time.Second)
+	author := NewPeer(authorNode, authorDHT, tracker.Node().ID(), 5*time.Second, PeerConfig{})
 
 	visitorNode := nw.AddNode()
 	visitorDHT := dht.NewPeer(visitorNode, dht.Key{}, dht.Config{})
-	visitor := NewPeer(visitorNode, visitorDHT, tracker.Node().ID(), 5*time.Second)
+	visitor := NewPeer(visitorNode, visitorDHT, tracker.Node().ID(), 5*time.Second, PeerConfig{})
 
 	owner := key(t, 42)
 	var site cryptoutil.Hash
@@ -389,10 +390,10 @@ func TestVisitFallsBackToSwarmManifest(t *testing.T) {
 // fail cleanly when no honest seeder exists.
 func TestVisitFallbackRejectsForgedSeederManifest(t *testing.T) {
 	nw := simnet.New(43)
-	tracker := NewTracker(nw.AddNode())
+	tracker := NewTracker(nw.AddNode(), overload.Config{})
 	mk := func() *Peer {
 		node := nw.AddNode()
-		return NewPeer(node, dht.NewPeer(node, dht.Key{}, dht.Config{}), tracker.Node().ID(), 5*time.Second)
+		return NewPeer(node, dht.NewPeer(node, dht.Key{}, dht.Config{}), tracker.Node().ID(), 5*time.Second, PeerConfig{})
 	}
 	mallorySeeder := mk()
 	visitor := mk()

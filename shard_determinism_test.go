@@ -1,7 +1,7 @@
 // Shard-determinism suite: the sharded engine's headline guarantee is that
 // the merged execution is a pure function of the seed — independent of how
 // many shards the nodes are partitioned across and how many workers run
-// them. This suite drives the X15 dht and gossip workloads across
+// them. This suite drives the X15 simnet, dht and gossip workloads across
 // Shards ∈ {1, 4, 16} × Workers ∈ {1, GOMAXPROCS} and requires the full
 // merged metric snapshot (protocol counters, substrate traffic, span
 // histograms) to be byte-identical everywhere. Under -short the population
@@ -50,7 +50,7 @@ func TestShardDeterminism(t *testing.T) {
 	if testing.Short() {
 		n = 600
 	}
-	for _, sub := range []string{"dht", "gossip"} {
+	for _, sub := range experiments.ScaleSubsystems() {
 		sub := sub
 		t.Run(sub, func(t *testing.T) {
 			var want string
