@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -70,7 +70,7 @@ type slaScore struct {
 // score folds the per-node logs in node order. Call it after the run.
 func (m *slaMeter) score() slaScore {
 	var s slaScore
-	var lat metrics.Sample
+	var lat obs.Histogram
 	for _, slot := range m.slots {
 		for _, o := range slot {
 			lat.Observe(o.lat.Seconds())

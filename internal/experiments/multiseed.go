@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -60,7 +60,7 @@ func AggregateSeeds(seeds []int64, workers int, run func(seed int64) Matrix) Agg
 	a.Mean, a.P50, a.P95 = alloc(), alloc(), alloc()
 	for r := range rows {
 		for c := range cols {
-			var s metrics.Sample
+			var s obs.Histogram
 			for _, m := range ms {
 				s.Observe(m.Vals[r][c])
 			}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -158,7 +158,7 @@ func dhtQualityRun(seed int64, peerCount, lookups int, profile simnet.LinkProfil
 		nw.Run(nw.Now() + 90*time.Minute) // let attrition and churn play out
 	}
 
-	var lat metrics.Sample
+	var lat obs.Histogram
 	ok := 0
 	rng := nw.Rand()
 	for i := 0; i < lookups; i++ {

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/cryptoutil"
-	"repro/internal/metrics"
 	"repro/internal/naming"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -51,7 +51,7 @@ func NamingSchemes(seed int64, nNames int) *Table {
 		nw := simnet.New(seed)
 		reg := naming.NewCentralizedRegistrar(nw.AddNode())
 		client := naming.NewRegistrarClient(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), reg.Node().ID(), time.Minute)
-		var lat metrics.Sample
+		var lat obs.Histogram
 		start := nw.Now()
 		var lastDone time.Duration
 		var registerNext func(i int)
@@ -70,11 +70,10 @@ func NamingSchemes(seed int64, nNames int) *Table {
 		}
 		registerNext(0)
 		nw.Run(time.Hour)
-		elapsedMin := float64(lastDone-start) / float64(time.Minute)
 		t.Add("centralized-registrar",
 			fmt.Sprintf("%.2fs", lat.Mean()),
 			fmt.Sprintf("%.2fs", lat.Quantile(1)),
-			fmt.Sprintf("%.0f", metrics.Ratio(float64(lat.Count()), elapsedMin)),
+			fmt.Sprintf("%.0f", perMinute(lat.Count(), lastDone-start)),
 			true)
 	}
 
@@ -169,7 +168,7 @@ func blockchainNamingRun(seed int64, nNames int, spacing time.Duration) (mean, m
 		m.Stop()
 	}
 
-	var lat metrics.Sample
+	var lat obs.Histogram
 	var last time.Duration
 	for nm, at := range resolvedAt {
 		lat.Observe(float64(at-submitAt[nm]) / float64(time.Second))
@@ -181,6 +180,14 @@ func blockchainNamingRun(seed int64, nNames int, spacing time.Duration) (mean, m
 	if confirmed == 0 {
 		return 0, 0, 0, 0
 	}
-	elapsedMin := float64(last-start) / float64(time.Minute)
-	return lat.Mean(), lat.Quantile(1), metrics.Ratio(float64(confirmed), elapsedMin), confirmed
+	return lat.Mean(), lat.Quantile(1), perMinute(confirmed, last-start), confirmed
+}
+
+// perMinute returns count per minute of elapsed virtual time, or 0 when no
+// time elapsed.
+func perMinute(count int, elapsed time.Duration) float64 {
+	if elapsed == 0 {
+		return 0
+	}
+	return float64(count) / (float64(elapsed) / float64(time.Minute))
 }

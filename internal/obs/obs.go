@@ -76,7 +76,7 @@ func (g *Gauge) IsSet() bool { return g.set }
 // Histogram retains every observation so exact quantiles can be computed
 // and so merges across trials are lossless. Intended for protocol-level
 // event volumes (reorg depths, span durations), not per-message traffic —
-// the substrate keeps its bucketed metrics.Histogram for that.
+// the substrate uses BucketHistogram for that.
 type Histogram struct {
 	xs     []float64
 	sorted bool

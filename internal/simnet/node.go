@@ -49,23 +49,32 @@ type Node struct {
 	downtime time.Duration
 	downAt   time.Duration
 
-	// Sharded-mode fields (nil/zero on the default single-heap engine).
-	// sh is the shard that executes this node's events; origin (id+1) and
-	// oseq form the deterministic event key; srng is the node's substrate
-	// randomness stream (loss/jitter/fault draws for messages it sends),
-	// which replaces the shared network stream so draw order tracks the
-	// node's own deterministic event order.
-	sh     *shard
-	origin uint64
-	oseq   uint64
-	srng   *rand.Rand
+	// sh is the shard that executes this node's events and holds its
+	// accounting: the Network's own in single-heap mode. oseq is the node's
+	// private event counter, the last component of the sharded ordering key
+	// (at, id+1, oseq). srng serves the substrate draws (loss, jitter,
+	// faults) for messages the node sends; see AddNodeWithProfile.
+	sh   *shard
+	oseq uint64
+	srng *rand.Rand
 }
 
-// nextOseq returns the node's next event sequence number — the per-origin
-// half of the sharded engine's (at, origin, oseq) ordering key.
+// nextOseq returns the node's next event sequence number.
 func (n *Node) nextOseq() uint64 {
 	n.oseq++
 	return n.oseq
+}
+
+// key draws the ordering key for an event this node schedules — a timer of
+// its own or a message it sends. On a single heap that is the queue's
+// global schedule order; on shards it is the node's own (origin, counter)
+// pair, so the order of the events any node observes is a function of the
+// seed alone, never of which shard or worker produced them.
+func (n *Node) key() (origin, oseq uint64) {
+	if !n.nw.sharded {
+		return 0, n.sh.draw(0)
+	}
+	return uint64(n.id) + 1, n.nextOseq()
 }
 
 // ID returns the node's identifier.
@@ -87,37 +96,23 @@ func (n *Node) Rand() *rand.Rand { return n.rng }
 func (n *Node) Trace() *Trace { return &n.trace }
 
 // Obs returns the observability registry protocol layers on this node
-// should annotate. On the single-heap engine that is the network-wide
-// registry; on the sharded engine it is the node's shard-private registry
+// should annotate: its shard's. On the single-heap engine that is the
+// network-wide registry; on the sharded engine it is private to the shard
 // (safe to update from parallel windows), and exports merge all shard
 // registries order-independently — counters sum, so network-wide totals
 // come out identical either way.
-func (n *Node) Obs() *obs.Registry {
-	if n.sh != nil {
-		return n.sh.obs
-	}
-	return n.nw.obs
-}
+func (n *Node) Obs() *obs.Registry { return n.sh.obs }
 
-// Now returns the node's current virtual time: the shard clock in sharded
-// mode (shards advance independently inside a window), the global clock
-// otherwise. Protocol code on a node should prefer this over Network.Now.
-func (n *Node) Now() time.Duration {
-	if n.sh != nil {
-		return n.sh.now
-	}
-	return n.nw.now
-}
+// Now returns the node's current virtual time: its shard's clock (shards
+// advance independently inside a window). Protocol code on a node should
+// prefer this over Network.Now.
+func (n *Node) Now() time.Duration { return n.sh.now }
 
-// schedule queues an event for this node at absolute time at: on the
-// node's shard under its deterministic key in sharded mode, or on the
-// global heap otherwise (where it is byte-identical to the historical
-// Network.schedule path).
+// schedule queues an event for this node at absolute time at on the node's
+// shard.
 func (n *Node) schedule(at time.Duration, fn func(), h EventFunc, arg any) *event {
-	if n.sh != nil {
-		return n.sh.schedule(at, n.origin, n.nextOseq(), fn, h, arg)
-	}
-	return n.nw.schedule(at, fn, h, arg)
+	origin, oseq := n.key()
+	return n.sh.schedule(at, origin, oseq, fn, h, arg)
 }
 
 // Profile returns the node's link profile.
@@ -210,6 +205,20 @@ func (n *Node) SendLane(to NodeID, kind string, payload any, size int, lane Lane
 // per-lane cursors. With the flag off the ctrl cursor is never consulted
 // and the send path is byte-identical to history.
 func (n *Node) SetPriorityUplink(on bool) { n.prioUplink = on }
+
+// downlink charges a size-byte message reaching the node's link at arrive
+// to the downlink cursor and returns when its last byte lands.
+func (n *Node) downlink(arrive time.Duration, size int) time.Duration {
+	if n.profile.DownlinkBps <= 0 {
+		return arrive
+	}
+	if n.downlinkFree > arrive {
+		arrive = n.downlinkFree
+	}
+	arrive += secondsToDuration(float64(size*8) / n.profile.DownlinkBps)
+	n.downlinkFree = arrive
+	return arrive
+}
 
 // serialize charges ser of uplink serialization to the node at virtual
 // time now and returns the message's departure time. Bulk frames wait for

@@ -6,11 +6,16 @@ import (
 )
 
 // This file is the *engine* half of simnet's engine/substrate split: a
-// discrete-event scheduler that knows nothing about nodes, links, or
-// messages. The substrate (Network, Node) layers network semantics on top.
+// discrete-event scheduler that knows nothing about links or messages, and
+// of nodes only that one may own a sequence counter. The substrate
+// (Network, Node) layers network semantics on top. It is the package's only
+// event queue: a Network embeds one and every shard owns one.
 //
 // Design points:
 //
+//   - Events order by the key (at, origin, oseq), so one heap serves both
+//     "schedule order" (every origin 0) and the sharded mode's
+//     layout-independent per-node order.
 //   - Events live in an indexed binary heap: each event records its heap
 //     position, so cancellation and rescheduling are O(log n) instead of
 //     requiring lazy tombstones that bloat the queue.
@@ -46,34 +51,48 @@ type Scheduler interface {
 // event is one scheduled occurrence. Events are pooled; gen disambiguates
 // successive uses of the same struct so stale Timer handles stay inert.
 //
-// An event lives in exactly one of two queue kinds: the single-heap
-// engine's queue (eng set, ordered by (at, seq)) or a shard's queue
-// (sh set, ordered by the shard-count-independent key (at, origin, oseq);
-// see shard.go). The fields for the unused kind stay zero.
+// Every queue orders by the key (at, origin, oseq): the virtual time, the
+// scheduling entity (0 for the queue's own counter, node id + 1 for a node
+// of a sharded network), and that entity's private monotone sequence
+// number. A single-heap network keys every event (at, 0, seq), which is
+// plain schedule order; a sharded network keys node events by the node, a
+// pair independent of the shard layout and worker count, which is what
+// makes sharded execution reproducible across NetworkConfig{Shards,
+// Workers} settings (see shard.go).
 type event struct {
-	at  time.Duration
-	seq uint64 // single-heap tie-break: equal-time events run in schedule order
-	gen uint64 // bumped every time the event fires or is cancelled
-	pos int    // index in the heap, -1 when not queued
-	eng *engine
-	// origin/oseq are the sharded engine's deterministic tie-break: the
-	// scheduling entity (node id + 1, or 0 for control events) and its
-	// private monotone sequence number. The pair is independent of the
-	// shard layout and worker count, which is what makes sharded execution
-	// reproducible across NetworkConfig{Shards, Workers} settings.
+	at     time.Duration
 	origin uint64
 	oseq   uint64
-	sh     *shard // owning shard queue, nil for single-heap events
-	fn     func() // closure path (convenience API)
+	gen    uint64  // bumped every time the event fires or is cancelled
+	pos    int     // index in the heap, -1 when not queued
+	q      *engine // owning queue
+	fn     func()  // closure path (convenience API)
 	h      EventFunc
 	arg    any
 }
 
+// free recycles a dequeued event into its queue's pool. The generation bump
+// invalidates every outstanding Timer handle pointing at it.
+func (e *event) free() {
+	e.gen++
+	e.fn, e.h, e.arg = nil, nil, nil
+	e.q.pool.Put(e)
+}
+
 // engine is the concrete scheduler: virtual clock plus indexed event heap.
+// The zero value is a usable stand-alone queue.
 type engine struct {
 	now  time.Duration
-	seq  uint64
+	seq  uint64 // origin 0's sequence counter
 	heap []*event
+	// nw is set on a Network's queues, whose events may be keyed by node:
+	// re-keying such an event draws that node's counter.
+	nw *Network
+	// pool recycles this queue's events. An event always returns to the
+	// queue that owned it, so the gen and pos a stale Timer handle inspects
+	// are only ever written by that queue's own goroutine; a pool shared
+	// between queues would let another shard's worker, or another trial's
+	// network, bump gen under the reader.
 	pool sync.Pool
 }
 
@@ -101,41 +120,48 @@ func (t Timer) When() time.Duration {
 // Now implements Scheduler.
 func (en *engine) Now() time.Duration { return en.now }
 
+// draw returns origin's next sequence number: origin 0 counts on the queue
+// itself, origin >= 1 on the node it names.
+func (en *engine) draw(origin uint64) uint64 {
+	if origin == 0 {
+		en.seq++
+		return en.seq
+	}
+	return en.nw.nodes[origin-1].nextOseq()
+}
+
+// alloc returns a pooled event owned by queue en. Safe to call from another
+// queue's goroutine (a sender staging a message).
 func (en *engine) alloc() *event {
 	if e, ok := en.pool.Get().(*event); ok {
 		return e
 	}
-	return &event{eng: en}
+	return &event{q: en}
 }
 
-// free recycles a dequeued event. The generation bump invalidates every
-// outstanding Timer handle pointing at it.
-func (en *engine) free(e *event) {
-	e.gen++
-	e.fn, e.h, e.arg = nil, nil, nil
-	en.pool.Put(e)
-}
-
-func (en *engine) schedule(at time.Duration, fn func(), h EventFunc, arg any) *event {
+// schedule queues an event under the key (at, origin, oseq), with at
+// clamped to Now. Callers must be the queue's own execution context or the
+// single-threaded harness/control context.
+func (en *engine) schedule(at time.Duration, origin, oseq uint64, fn func(), h EventFunc, arg any) *event {
 	if at < en.now {
 		at = en.now
 	}
 	e := en.alloc()
-	en.seq++
-	e.at, e.seq, e.fn, e.h, e.arg = at, en.seq, fn, h, arg
+	e.at, e.origin, e.oseq = at, origin, oseq
+	e.fn, e.h, e.arg = fn, h, arg
 	en.push(e)
 	return e
 }
 
 // Schedule implements Scheduler (fire-and-forget closure form).
-func (en *engine) Schedule(at time.Duration, fn func()) { en.schedule(at, fn, nil, nil) }
+func (en *engine) Schedule(at time.Duration, fn func()) { en.schedule(at, 0, en.draw(0), fn, nil, nil) }
 
 // After implements Scheduler.
-func (en *engine) After(d time.Duration, fn func()) { en.schedule(en.now+d, fn, nil, nil) }
+func (en *engine) After(d time.Duration, fn func()) { en.Schedule(en.now+d, fn) }
 
 // ScheduleCall implements Scheduler.
 func (en *engine) ScheduleCall(at time.Duration, h EventFunc, arg any) Timer {
-	e := en.schedule(at, nil, h, arg)
+	e := en.schedule(at, 0, en.draw(0), nil, h, arg)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -148,7 +174,7 @@ func (en *engine) AfterCall(d time.Duration, h EventFunc, arg any) Timer {
 // Protocol retry/timeout patterns use this to cancel the timeout when the
 // awaited reply arrives instead of leaving a dead event in the queue.
 func (en *engine) AfterTimer(d time.Duration, fn func()) Timer {
-	e := en.schedule(en.now+d, fn, nil, nil)
+	e := en.schedule(en.now+d, 0, en.draw(0), fn, nil, nil)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -159,44 +185,26 @@ func (t Timer) Cancel() bool {
 	if !t.Active() {
 		return false
 	}
-	if sh := t.e.sh; sh != nil {
-		sh.remove(t.e)
-		sh.free(t.e)
-		return true
-	}
-	en := t.e.eng
-	en.remove(t.e)
-	en.free(t.e)
+	t.e.q.remove(t.e)
+	t.e.free()
 	return true
 }
 
 // Reschedule moves a still-pending timer to fire at absolute time at
-// (clamped to Now), as if it had been freshly scheduled there: among
-// equal-time events it runs after those already queued. It reports whether
-// the timer was pending; a fired or cancelled timer cannot be revived.
+// (clamped to Now), as if its origin had freshly scheduled it there: among
+// equal-time events of that origin it runs after those already queued. It
+// reports whether the timer was pending; a fired or cancelled timer cannot
+// be revived.
 func (t Timer) Reschedule(at time.Duration) bool {
 	if !t.Active() {
 		return false
 	}
-	if sh := t.e.sh; sh != nil {
-		// A shard timer's origin is always a node (deliveries never hand
-		// out Timer handles), so re-keying draws the node's next sequence
-		// number — exactly as if the owner had scheduled it afresh.
-		if at < sh.now {
-			at = sh.now
-		}
-		n := sh.nw.nodes[t.e.origin-1]
-		t.e.at, t.e.oseq = at, n.nextOseq()
-		sh.fix(t.e)
-		return true
-	}
-	en := t.e.eng
+	e, en := t.e, t.e.q
 	if at < en.now {
 		at = en.now
 	}
-	en.seq++
-	t.e.at, t.e.seq = at, en.seq
-	en.fix(t.e)
+	e.at, e.oseq = at, en.draw(e.origin)
+	en.fix(e)
 	return true
 }
 
@@ -209,7 +217,7 @@ func (en *engine) step() bool {
 	e := en.pop()
 	en.now = e.at
 	fn, h, arg := e.fn, e.h, e.arg
-	en.free(e) // recycle before invoking: the handler may schedule again
+	e.free() // recycle before invoking: the handler may schedule again
 	if h != nil {
 		h(arg)
 	} else if fn != nil {
@@ -239,7 +247,10 @@ func (en *engine) less(i, j int) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	if a.origin != b.origin {
+		return a.origin < b.origin
+	}
+	return a.oseq < b.oseq
 }
 
 func (en *engine) swap(i, j int) {

@@ -4,31 +4,29 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
-// This file is the sharded half of the event engine: an opt-in execution
-// mode (NetworkConfig{Shards, Workers}) that partitions nodes across
-// per-shard indexed event heaps and runs independent shards on parallel
-// workers inside a conservative virtual-time window, while keeping the
-// merged execution bit-for-bit reproducible across every (Shards, Workers)
-// setting. The single-heap engine (scheduler.go) remains the default and
-// is untouched by anything here.
+// This file is what sharded execution adds to the one event queue
+// (scheduler.go) and the one message path (Network.Send, deliverEvent): an
+// opt-in mode (NetworkConfig{Shards, Workers}) that partitions nodes across
+// per-shard queues and runs independent shards on parallel workers inside a
+// conservative virtual-time window, while keeping the merged execution
+// bit-for-bit reproducible across every (Shards, Workers) setting. The
+// single-heap mode remains the default.
 //
 // # Why the merged execution is deterministic
 //
 // Three disciplines combine, each independent of the shard layout:
 //
-//  1. Ordering keys instead of insertion order. Every sharded event is
-//     keyed (at, origin, oseq): the virtual time, the scheduling entity
-//     (node id + 1; 0 is reserved for barrier-synced control events), and
-//     that entity's private monotone counter. A shard always pops its heap
-//     in key order, so the sequence of events *each node* observes is a
-//     pure function of the seed — the key never encodes which shard or
-//     worker produced it. (The Trials runner proves this merge discipline
-//     at trial granularity; the key is what lets us apply it within one.)
+//  1. Ordering keys instead of insertion order. Every queue orders by
+//     (at, origin, oseq); a sharded network keys each event by the node
+//     that scheduled it (node id + 1; 0 is reserved for barrier-synced
+//     control events) and that node's private monotone counter. A shard
+//     always pops its heap in key order, so the sequence of events *each
+//     node* observes is a pure function of the seed — the key never encodes
+//     which shard or worker produced it. (The Trials runner proves this
+//     merge discipline at trial granularity; the key is what lets us apply
+//     it within one.)
 //
 //  2. A conservative synchronization window. Any message between two nodes
 //     takes at least lookahead = 2·min(profile latency) of virtual time
@@ -45,90 +43,58 @@ import (
 //     randomness (loss, jitter, fault draws) comes from the *sender's*
 //     dedicated substrate stream, not the network stream, so draw order
 //     per node equals that node's deterministic event order. Traffic
-//     counters and latency histograms are per-shard and merge by
+//     counters and latency histograms are per-shard (ledger) and merge by
 //     commutative sums. Global state (partitions, the fault model, link
 //     profiles, clock skew) may only change through control events —
 //     Network.Schedule/After and fault.Plan land there — which execute
 //     with every shard synchronized at the same virtual instant.
 //
-// Two intentional semantic differences from the single-heap engine (both
-// consistent across all sharded configurations): a message to a crashed
-// destination is dropped at delivery time on the destination shard rather
-// than at send time (the sender cannot read remote liveness without a
-// race), and receiver downlink serialization queues messages in arrival
-// order at the destination rather than in global send order.
+// # Where the two modes differ
+//
+// Everything else — the queue, the substrate model in Send, delivery,
+// accounting, timers — is the same code in both modes. The complete list of
+// places that ask which mode they are in, next to the semantic difference
+// each one causes (all consistent across every sharded configuration):
+//
+//	construction (NewWithConfig,    one shard hosting every node and the
+//	AddNodeWithProfile)             shared substrate stream, vs N shards and
+//	                                a substrate stream per node
+//	key draw (Node.key)             (at, 0, global seq) vs (at, id+1, oseq):
+//	                                a timer and a reply due at the same
+//	                                instant run in schedule order on a single
+//	                                heap, in origin order on shards
+//	Send, destination liveness      a message to a crashed destination drops
+//	                                at send time vs at delivery time (a
+//	                                sender cannot read liveness across shards
+//	                                without a race)
+//	Send, downlink                  receiver downlink serialization queues
+//	                                messages in global send order vs in
+//	                                arrival order at the destination
+//	                                (shardArriveEvent, the only hop one mode
+//	                                has and the other lacks)
+//	run loop (Run, RunAll)          pop until done vs runSharded's windows
 
-// shard owns the event heap, clock, traffic counters, latency histograms,
-// and observability registry for the nodes assigned to it (node id mod
-// NumShards). All of a node's events — its timers and the deliveries
-// addressed to it — execute on its shard, single-threaded.
+// shard is one single-threaded execution context: an event queue with its
+// clock, and the accounting home of the nodes whose events run on it. A
+// sharded network assigns node id to shard id mod NumShards and runs all of
+// a node's events — its timers and the messages addressed to it — there;
+// the Network's own embedded shard runs the control events. A single-heap
+// network is that embedded shard alone, hosting every node.
 type shard struct {
+	engine
+	ledger
 	idx int
-	nw  *Network
-	now time.Duration
-	// heap is an indexed binary heap ordered by (at, origin, oseq).
-	heap []*event
 	// outbox[d] holds events this shard scheduled onto shard d during the
 	// current window; the barrier merge (drainInboxes) moves them into d's
 	// heap. Only shard d touches outbox[d] during the merge phase, so the
 	// two phases never race.
-	outbox  [][]*event
-	trace   Trace
-	latency map[string]*metrics.Histogram
-	// lastKind/lastLatency memoize the per-delivery histogram lookup,
-	// mirroring the single-heap engine's optimization.
-	lastKind    string
-	lastLatency *metrics.Histogram
-	// obs is the shard's private registry: protocol layers on this shard's
-	// nodes annotate it without cross-shard contention; MergeRegistries
-	// folds all shard registries together order-independently at export.
-	obs *obs.Registry
+	outbox [][]*event
 }
 
-// shardEventPool recycles sharded events. It is distinct from the
-// single-heap engine's pool: the two event kinds use different key fields
-// and must never intermix. sync.Pool is safe under worker parallelism and
-// pooling affects only allocation, never ordering.
-var shardEventPool = sync.Pool{New: func() any { return new(event) }}
-
-func (sh *shard) alloc() *event {
-	return shardEventPool.Get().(*event)
-}
-
-// free recycles a dequeued shard event. The generation bump invalidates
-// every outstanding Timer handle pointing at it, exactly as in the
-// single-heap engine.
-func (sh *shard) free(e *event) {
-	e.gen++
-	e.fn, e.h, e.arg, e.sh = nil, nil, nil, nil
-	shardEventPool.Put(e)
-}
-
-// schedule queues an event on this shard under the deterministic key
-// (at, origin, oseq). Callers must be the shard's own execution context or
-// the single-threaded harness/control context.
-func (sh *shard) schedule(at time.Duration, origin, oseq uint64, fn func(), h EventFunc, arg any) *event {
-	if at < sh.now {
-		at = sh.now
-	}
-	e := sh.alloc()
-	e.at, e.origin, e.oseq = at, origin, oseq
-	e.fn, e.h, e.arg = fn, h, arg
-	e.sh = sh
-	sh.push(e)
-	return e
-}
-
-// enqueue routes an already-built event to its destination shard. Within a
-// parallel window, cross-shard events are staged in the outbox (and must
-// respect the lookahead, or parallel execution would have needed them
-// mid-window); outside a window — harness code and barrier-synced control
-// events — the destination heap is safe to push into directly.
-func (sh *shard) enqueue(dst *shard, e *event) {
-	if dst == sh || !sh.nw.inWindow {
-		dst.push(e)
-		return
-	}
+// stage holds a cross-shard event built inside a parallel window until the
+// barrier merge. It must respect the lookahead, or parallel execution would
+// have needed it mid-window.
+func (sh *shard) stage(dst *shard, e *event) {
 	if e.at < sh.nw.winEnd {
 		panic(fmt.Sprintf("simnet: lookahead violation: cross-shard event at %v inside window ending %v", e.at, sh.nw.winEnd))
 	}
@@ -139,20 +105,8 @@ func (sh *shard) enqueue(dst *shard, e *event) {
 // advancing the shard clock. New same-shard events landing inside the
 // window (zero-delay timers and the like) are picked up by the same loop.
 func (sh *shard) runWindow(w time.Duration) {
-	for len(sh.heap) > 0 {
-		e := sh.heap[0]
-		if e.at >= w {
-			return
-		}
-		sh.pop()
-		sh.now = e.at
-		fn, h, arg := e.fn, e.h, e.arg
-		sh.free(e) // recycle before invoking: the handler may schedule again
-		if h != nil {
-			h(arg)
-		} else if fn != nil {
-			fn()
-		}
+	for len(sh.heap) > 0 && sh.heap[0].at < w {
+		sh.step()
 	}
 }
 
@@ -174,273 +128,20 @@ func (sh *shard) drainInboxes() {
 	}
 }
 
-// observeLatency records a delivery latency into this shard's histogram
-// set (bounds identical to the single-heap engine's, so shard merges are
-// bucket-aligned).
-func (sh *shard) observeLatency(kind string, lat time.Duration) {
-	if kind == sh.lastKind && sh.lastLatency != nil {
-		sh.lastLatency.Observe(lat.Seconds())
-		return
-	}
-	h, ok := sh.latency[kind]
-	if !ok {
-		h = metrics.NewHistogram(0, 30, 3000)
-		sh.latency[kind] = h
-	}
-	sh.lastKind, sh.lastLatency = kind, h
-	h.Observe(lat.Seconds())
-}
-
-// --- indexed binary heap keyed by (at, origin, oseq) ---------------------
-
-func (sh *shard) less(i, j int) bool {
-	a, b := sh.heap[i], sh.heap[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.origin != b.origin {
-		return a.origin < b.origin
-	}
-	return a.oseq < b.oseq
-}
-
-func (sh *shard) swap(i, j int) {
-	h := sh.heap
-	h[i], h[j] = h[j], h[i]
-	h[i].pos, h[j].pos = i, j
-}
-
-func (sh *shard) push(e *event) {
-	e.pos = len(sh.heap)
-	sh.heap = append(sh.heap, e)
-	sh.up(e.pos)
-}
-
-func (sh *shard) pop() *event {
-	e := sh.heap[0]
-	last := len(sh.heap) - 1
-	sh.swap(0, last)
-	sh.heap[last] = nil
-	sh.heap = sh.heap[:last]
-	if last > 0 {
-		sh.down(0)
-	}
-	e.pos = -1
-	return e
-}
-
-func (sh *shard) remove(e *event) {
-	i := e.pos
-	last := len(sh.heap) - 1
-	if i != last {
-		sh.swap(i, last)
-	}
-	sh.heap[last] = nil
-	sh.heap = sh.heap[:last]
-	if i != last {
-		if !sh.up(i) {
-			sh.down(i)
-		}
-	}
-	e.pos = -1
-}
-
-func (sh *shard) fix(e *event) {
-	if !sh.up(e.pos) {
-		sh.down(e.pos)
-	}
-}
-
-func (sh *shard) up(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !sh.less(i, parent) {
-			break
-		}
-		sh.swap(i, parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-func (sh *shard) down(i int) {
-	n := len(sh.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && sh.less(right, left) {
-			least = right
-		}
-		if !sh.less(least, i) {
-			return
-		}
-		sh.swap(i, least)
-		i = least
-	}
-}
-
-// --- sharded message path ------------------------------------------------
-
-// arrival carries an in-flight sharded message: built on the sender's
-// shard, consumed on the receiver's.
-type arrival struct {
-	nw     *Network
-	msg    Message
-	sentAt time.Duration
-}
-
-var arrivalPool = sync.Pool{New: func() any { return new(arrival) }}
-
-// sendSharded is Send in sharded mode. The sender-side half (uplink
-// serialization, loss, jitter, fault draws) runs here, with randomness
-// from the sender's substrate stream; the receiver-side half (downlink
-// serialization, liveness re-check, delivery) runs on the destination
-// shard via shardArriveEvent.
-func (nw *Network) sendSharded(msg Message) bool {
-	src := nw.Node(msg.From)
-	dst := nw.Node(msg.To)
-	if src == nil || dst == nil {
-		panic(fmt.Sprintf("simnet: send between unknown nodes %d -> %d", msg.From, msg.To))
-	}
-	ssh := src.sh
-	ssh.trace.Sent++
-	ssh.trace.BytesSent += int64(msg.Size)
-	src.trace.Sent++
-	src.trace.BytesSent += int64(msg.Size)
-	// The partition map only changes at barriers, so reading it from a
-	// parallel window is stable; the sender's own liveness is shard-local.
-	// The *destination's* liveness is not readable here — it is re-checked
-	// at delivery time on the destination shard.
-	if !src.up || !nw.samePartition(msg.From, msg.To) {
-		ssh.trace.Dropped++
-		src.trace.Dropped++
-		return false
-	}
-	if pa, pb := src.profile.Loss, dst.profile.Loss; pa > 0 || pb > 0 {
-		if p := 1 - (1-pa)*(1-pb); src.srng.Float64() < p {
-			ssh.trace.Dropped++
-			src.trace.Dropped++
-			return false
-		}
-	}
-
-	// Uplink serialization mirrors the single-heap path exactly: lane-aware
-	// on priority-enabled nodes, plain FIFO otherwise. The cursors and the
-	// queue-metric state are sender-owned, so touching them from the
-	// sender's shard is race-free.
-	now := ssh.now
-	depart := now
-	if src.profile.UplinkBps > 0 {
-		ser := secondsToDuration(float64(msg.Size*8) / src.profile.UplinkBps)
-		depart = src.serialize(msg.Lane, now, ser)
-		if nw.queueMetrics {
-			src.noteQueue(now, depart)
-		}
-	}
-	delay := src.profile.Latency + dst.profile.Latency
-	if nw.regionOf != nil {
-		delay += nw.regionExtra[nw.regionOf[msg.From]][nw.regionOf[msg.To]]
-	}
-	if j := src.profile.Jitter + dst.profile.Jitter; j > 0 {
-		delay += time.Duration(src.srng.Int63n(int64(j)))
-	}
-	arrive := depart + delay
-
-	if f := nw.fault; f.active() {
-		if f.Corrupt > 0 && src.srng.Float64() < f.Corrupt {
-			msg.Payload = Corrupted{Original: msg.Payload}
-		}
-		if f.Reorder > 0 && src.srng.Float64() < f.Reorder {
-			arrive += time.Duration(src.srng.Int63n(int64(f.holdBack())))
-			ssh.trace.Reordered++
-		}
-		if f.Duplicate > 0 && src.srng.Float64() < f.Duplicate {
-			ssh.trace.Duplicated++
-			extra := time.Duration(src.srng.Int63n(int64(f.holdBack())))
-			nw.scheduleArrival(src, dst, msg, now, arrive+extra)
-		}
-	}
-	nw.scheduleArrival(src, dst, msg, now, arrive)
-	return true
-}
-
-// scheduleArrival builds the pooled arrival event, keyed by the sender so
-// equal-time arrivals at the destination order deterministically.
-func (nw *Network) scheduleArrival(src, dst *Node, msg Message, sentAt, at time.Duration) {
-	a := arrivalPool.Get().(*arrival)
-	a.nw, a.msg, a.sentAt = nw, msg, sentAt
-	ssh := src.sh
-	e := ssh.alloc()
-	e.at, e.origin, e.oseq = at, src.origin, src.nextOseq()
-	e.fn, e.h, e.arg = nil, shardArriveEvent, a
-	e.sh = dst.sh
-	ssh.enqueue(dst.sh, e)
-}
-
-// shardArriveEvent runs on the destination shard when a message reaches
-// the receiving host's link. Downlink serialization happens here, in
-// arrival order on the destination's own clock; if the downlink delays the
-// message, the final delivery is rescheduled under the receiver's key.
+// shardArriveEvent is the one hop only the sharded message path has: it
+// runs on the destination shard when a message reaches the receiving
+// host's link. Downlink serialization happens here, in arrival order on the
+// destination's own clock; if the downlink delays the message, the final
+// delivery is rescheduled under the receiver's key.
 func shardArriveEvent(arg any) {
-	a := arg.(*arrival)
-	dst := a.nw.nodes[a.msg.To]
-	sh := dst.sh
-	if dst.profile.DownlinkBps > 0 {
-		start := sh.now
-		if dst.downlinkFree > start {
-			start = dst.downlinkFree
-		}
-		deliverAt := start + secondsToDuration(float64(a.msg.Size*8)/dst.profile.DownlinkBps)
-		dst.downlinkFree = deliverAt
-		if deliverAt > sh.now {
-			sh.schedule(deliverAt, dst.origin, dst.nextOseq(), nil, shardDeliverEvent, a)
-			return
-		}
-	}
-	shardDeliver(a)
-}
-
-// shardDeliverEvent is the post-serialization delivery hop.
-func shardDeliverEvent(arg any) { shardDeliver(arg.(*arrival)) }
-
-func shardDeliver(a *arrival) {
-	nw, msg, sentAt := a.nw, a.msg, a.sentAt
-	*a = arrival{}
-	arrivalPool.Put(a)
-
-	dst := nw.nodes[msg.To]
-	sh := dst.sh
-	// Delivery-time re-check: the receiver may have crashed, or a partition
-	// appeared, while the message was in flight. In sharded mode this is
-	// also where messages to already-down destinations drop — the sender
-	// cannot observe remote liveness without racing the destination shard.
-	if !dst.up || !nw.samePartition(msg.From, msg.To) {
-		sh.trace.Dropped++
-		dst.trace.Dropped++
+	f := arg.(*flight)
+	dst := f.nw.nodes[f.msg.To]
+	now := dst.sh.now
+	if at := dst.downlink(now, f.msg.Size); at > now {
+		dst.schedule(at, nil, deliverEvent, f)
 		return
 	}
-	if _, garbled := msg.Payload.(Corrupted); garbled {
-		sh.trace.Corrupted++
-		dst.trace.Corrupted++
-	}
-	sh.trace.Delivered++
-	sh.trace.BytesDelivered += int64(msg.Size)
-	dst.trace.Delivered++
-	dst.trace.BytesDelivered += int64(msg.Size)
-	sh.observeLatency(msg.Kind, sh.now-sentAt)
-	if h, ok := dst.handlers[msg.Kind]; ok {
-		h(msg)
-	} else if dst.defaultHandler != nil {
-		dst.defaultHandler(msg)
-	} else {
-		sh.trace.Unhandled++
-		dst.trace.Unhandled++
-	}
+	deliverEvent(f)
 }
 
 // --- conservative window runner ------------------------------------------

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // shardSnapshot serializes everything observable about a finished network:
@@ -136,35 +138,91 @@ func TestShardLayoutInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesLegacyWhenDeterministic pins the sharded engine to the
-// single-heap engine on a workload with no randomness (no loss, jitter,
-// faults, or crashes) and no bandwidth queueing: there the two engines'
-// semantics coincide exactly, so snapshots must match byte for byte.
+// TestShardedMatchesLegacyWhenDeterministic pins the sharded mode to the
+// single-heap mode on link set-ups where the two modes' semantics coincide
+// exactly — no RNG draw (loss, jitter, faults), no finite downlink, no
+// crash — so snapshots, every delivery instant and the exported uplink
+// queue metrics must match byte for byte. Each case switches on one more
+// part of the substrate model that both modes run through the same Send.
 func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
-	run := func(cfg NetworkConfig) string {
-		nw := NewWithConfig(cfg)
-		nw.SetDefaultProfile(LinkProfile{Latency: 5 * time.Millisecond})
-		const n = 24
-		nodes := make([]*Node, n)
-		for i := range nodes {
-			nodes[i] = nw.AddNode()
-			nodes[i].HandleDefault(func(m Message) {})
-		}
-		for i := 0; i < 400; i++ {
-			from := nodes[i%n]
-			to := NodeID((i*7 + 3) % n)
-			if from.ID() != to {
-				from.Send(to, "x", i, 1000)
-			}
-		}
-		end := nw.Run(time.Second)
-		return shardSnapshot(nw, end)
+	const n = 24
+	slowUplink := LinkProfile{Latency: 5 * time.Millisecond, UplinkBps: 1e6}
+	cases := []struct {
+		name    string
+		profile LinkProfile
+		setup   func(nw *Network, nodes []*Node)
+	}{
+		{name: "latency only", profile: LinkProfile{Latency: 5 * time.Millisecond}},
+		{name: "priority uplink with mixed lanes", profile: slowUplink,
+			setup: func(nw *Network, nodes []*Node) {
+				for i, node := range nodes {
+					node.SetPriorityUplink(i%3 != 0) // leave some uplinks plain FIFO
+				}
+			}},
+		{name: "region matrix", profile: LinkProfile{Latency: 5 * time.Millisecond},
+			setup: func(nw *Network, nodes []*Node) {
+				region := map[NodeID]int{}
+				for i := range nodes {
+					region[NodeID(i)] = i % 3
+				}
+				ms := time.Millisecond
+				nw.SetRegionMatrix(region, [][]time.Duration{{0, 20 * ms, 45 * ms}, {20 * ms, 0, 30 * ms}, {45 * ms, 30 * ms, 0}})
+			}},
+		{name: "queue metrics", profile: slowUplink,
+			setup: func(nw *Network, nodes []*Node) { nw.EnableQueueMetrics() }},
 	}
-	legacy := run(NetworkConfig{Seed: 11})
-	for _, shards := range []int{1, 4, 16} {
-		if got := run(NetworkConfig{Seed: 11, Shards: shards, Workers: 2}); got != legacy {
-			t.Errorf("sharded (shards=%d) diverged from legacy on deterministic workload:\n%s\nvs\n%s",
-				shards, got, legacy)
+	for _, tc := range cases {
+		run := func(cfg NetworkConfig) string {
+			nw := NewWithConfig(cfg)
+			nw.SetDefaultProfile(tc.profile)
+			nodes := make([]*Node, n)
+			logs := make([][]string, n) // per-node delivery log: written only by the node's own shard
+			for i := range nodes {
+				node := nw.AddNode()
+				nodes[i] = node
+				node.HandleDefault(func(m Message) {
+					logs[m.To] = append(logs[m.To], fmt.Sprintf("%v:%v", node.Now(), m.Payload))
+				})
+			}
+			if tc.setup != nil {
+				tc.setup(nw, nodes)
+			}
+			// 7 is coprime to n, so each destination hears from exactly one
+			// sender and equal-time arrivals never tie across senders (the
+			// one place the modes' orders could differ). Sends leave in
+			// rounds 2 ms apart — faster than the slow uplink drains — from
+			// the senders' own timers, every third round on the ctrl lane.
+			for i := 0; i < 400; i++ {
+				i, from, to := i, nodes[i%n], NodeID((i*7+3)%n)
+				if from.ID() == to {
+					continue
+				}
+				lane := LaneBulk
+				if (i/n)%3 == 0 {
+					lane = LaneCtrl
+				}
+				from.After(time.Duration(i/n)*2*time.Millisecond, func() { from.SendLane(to, "x", i, 1000, lane) })
+			}
+			end := nw.Run(time.Second)
+			var b strings.Builder
+			b.WriteString(shardSnapshot(nw, end))
+			for i, l := range logs {
+				fmt.Fprintf(&b, "log%d=%v\n", i, l)
+			}
+			regs := []*obs.Registry{}
+			for _, sh := range nw.shards {
+				regs = append(regs, sh.obs)
+			}
+			hists := obs.MergeRegistries(regs).Histograms
+			fmt.Fprintf(&b, "queue depth=%+v sojourn=%+v\n", hists["net.queue.depth"], hists["net.queue.sojourn_s"])
+			return b.String()
+		}
+		legacy := run(NetworkConfig{Seed: 11})
+		for _, shards := range []int{1, 4, 16} {
+			if got := run(NetworkConfig{Seed: 11, Shards: shards, Workers: 2}); got != legacy {
+				t.Errorf("%s: sharded (shards=%d) diverged from legacy on deterministic workload:\n%s\nvs\n%s",
+					tc.name, shards, got, legacy)
+			}
 		}
 	}
 }

@@ -3,10 +3,11 @@
 // blockchain miners, the Kademlia DHT, the federated and P2P group
 // communication models, the storage network, and the hostless web layer.
 //
-// The package is split into an engine and a substrate:
+// The package is split into an engine and a substrate, and there is one of
+// each:
 //
-//   - The engine (scheduler.go) is a pure discrete-event scheduler: an
-//     indexed-heap event queue with cancellable, reschedulable Timer
+//   - The engine (scheduler.go) is one event queue type: an indexed heap
+//     ordered by (at, origin, oseq), with cancellable, reschedulable Timer
 //     handles and a pooled, closure-free hot path (events carry an
 //     EventFunc handler plus argument, recycled through a sync.Pool, so
 //     steady-state message traffic allocates nothing). Protocols program
@@ -15,16 +16,26 @@
 //     paper argues about — §4 "quality vs quantity": per-link propagation
 //     latency with seeded jitter, per-node uplink/downlink bandwidth with
 //     serialization queueing, message loss, node crash/restart and
-//     exponential churn, and partitions.
+//     exponential churn, and partitions. It is one message path (Send,
+//     deliverEvent) and one accounting home (ledger) per queue.
 //
-// Determinism and randomness. A simulation runs on one goroutine; given the
-// same seed and workload it is reproducible bit for bit. Randomness is
-// split into per-node streams: node i draws from a SplitMix64 stream seeded
-// with mix64(mix64(seed) + (i+1)·golden64) (see splitmix.go for the exact
-// scheme and why the outer whitening step matters),
-// so one node's stochastic behaviour does not depend on how other nodes'
-// events interleave. The network-level stream (Network.Rand) serves
-// substrate draws — loss, jitter — and harness-level workload generation.
+// A network runs in one of two modes that share all of that code. The
+// default keeps every node on the Network's own queue and keys every event
+// (at, 0, seq) — plain schedule order on a single heap. NetworkConfig{Shards,
+// Workers} spreads nodes over per-shard queues run by parallel workers and
+// keys each event by the node that scheduled it, which makes results
+// byte-identical at every shard and worker count. shard.go holds what only
+// the sharded mode needs (outboxes, the arrival hop, the window runner) and
+// the short table of where the modes differ.
+//
+// Determinism and randomness. Given the same seed and workload a simulation
+// is reproducible bit for bit. Randomness is split into per-node streams:
+// node i draws from a SplitMix64 stream seeded with
+// mix64(mix64(seed) + (i+1)·golden64) (see splitmix.go for the exact scheme
+// and why the outer whitening step matters), so one node's stochastic
+// behaviour does not depend on how other nodes' events interleave. The
+// network-level stream (Network.Rand) serves harness-level workload
+// generation and, on a single heap, the substrate draws — loss, jitter.
 //
 // Scale-out. Independent trials parallelize across cores with Trials
 // (trials.go): each trial owns its whole Network, so parallelism is
@@ -42,7 +53,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -165,10 +175,61 @@ type Corrupted struct {
 	Original any
 }
 
+// ledger is the accounting home of the nodes that share an event queue:
+// their traffic totals, per-kind delivery-latency histograms, and the
+// observability registry their protocol layers annotate. A single-heap
+// network has one (the Network's own); a sharded network has one per shard,
+// each written only by its shard's worker, and the Network's accessors merge
+// them by commutative sums so no result can depend on the shard layout.
+type ledger struct {
+	trace Trace
+	// latency holds per-message-kind delivery latency histograms, created
+	// lazily on first delivery of each kind. lastKind/lastLatency memoize
+	// the most recent lookup: large-population traffic arrives in long runs
+	// of one kind (every DHT RPC shares "simnet.rpc"), so the per-delivery
+	// map lookup collapses to a string compare on the hot path.
+	latency     map[string]*obs.BucketHistogram
+	lastKind    string
+	lastLatency *obs.BucketHistogram
+	// obs is the registry protocol layers annotate live (via Node.Obs);
+	// obs.MergeRegistries folds a sharded network's registries together
+	// order-independently at export.
+	obs *obs.Registry
+}
+
+func newLedger(label string) ledger {
+	l := ledger{latency: map[string]*obs.BucketHistogram{}, obs: obs.NewRegistry()}
+	// The label orders registries during cross-trial and cross-shard merges.
+	l.obs.SetLabel(label)
+	obs.AttachCurrent(l.obs)
+	return l
+}
+
+// newLatencyHistogram returns an empty delivery-latency histogram: 10 ms
+// buckets over [0, 30s) — fine enough for RTT-scale traffic, wide enough
+// that bandwidth-bound transfers rarely overflow. Every ledger uses the same
+// bounds, so merges are bucket-aligned.
+func newLatencyHistogram() *obs.BucketHistogram { return obs.NewBucketHistogram(0, 30, 3000) }
+
+func (l *ledger) observeLatency(kind string, lat time.Duration) {
+	if kind != l.lastKind || l.lastLatency == nil {
+		h, ok := l.latency[kind]
+		if !ok {
+			h = newLatencyHistogram()
+			l.latency[kind] = h
+		}
+		l.lastKind, l.lastLatency = kind, h
+	}
+	l.lastLatency.Observe(lat.Seconds())
+}
+
 // Network is a simulated network of nodes sharing one virtual clock. It
-// embeds the event engine, so it satisfies Scheduler.
+// embeds an event queue (through its own shard), so it satisfies Scheduler.
 type Network struct {
-	engine
+	// The Network's own execution context: control events run on its queue
+	// and its registry is the one Obs returns. In single-heap mode it is
+	// also the only shard — every node's events and accounting live here.
+	shard
 	seed    int64
 	rng     *rand.Rand
 	nodes   []*Node
@@ -187,25 +248,14 @@ type Network struct {
 	// observations create new registry entries, which would perturb the
 	// exported snapshots of historical experiments.
 	queueMetrics bool
-	trace        Trace
-	// latency holds per-message-kind delivery latency histograms, created
-	// lazily on first delivery of each kind. lastKind/lastLatency memoize
-	// the most recent lookup: large-population traffic arrives in long runs
-	// of one kind (every DHT RPC shares "simnet.rpc"), so the per-delivery
-	// map lookup collapses to a string compare on the hot path.
-	latency      map[string]*metrics.Histogram
-	lastKind     string
-	lastLatency  *metrics.Histogram
-	deliveryPool sync.Pool
-	running      bool
-	// obs is the network's observability registry: protocol subsystems
-	// annotate it live (via Node.Obs) and the substrate mirrors its Trace
-	// and latency quantiles into it at snapshot time.
-	obs *obs.Registry
+	// total is the merged traffic Trace the accessor of that name returns.
+	total   Trace
+	running bool
 
-	// Sharded-mode state (see shard.go); all nil/zero in the default
-	// single-heap mode, which keeps that path byte-identical to history.
+	// shards are the contexts nodes run on (node id mod len): the Network's
+	// own in single-heap mode, cfg.Shards separate ones in sharded mode.
 	shards  []*shard
+	sharded bool
 	workers int
 	// minLat tracks the smallest profile Latency ever attached to a node;
 	// it bounds the conservative lookahead (2·minLat) in sharded mode.
@@ -255,61 +305,47 @@ func NewWithConfig(cfg NetworkConfig) *Network {
 		rng:       networkRand(cfg.Seed),
 		defProf:   DatacenterProfile(),
 		partition: map[NodeID]int{},
-		latency:   map[string]*metrics.Histogram{},
-		obs:       obs.NewRegistry(),
+		workers:   1,
 	}
-	// The label orders registries during cross-trial merges; the publish
-	// hook keeps the per-message hot path free of registry work by copying
-	// Trace totals and latency quantiles in only when a snapshot is taken.
-	nw.obs.SetLabel(fmt.Sprintf("seed:%d", cfg.Seed))
+	nw.engine.nw = nw
+	nw.ledger = newLedger(fmt.Sprintf("seed:%d", cfg.Seed))
+	// The publish hook keeps the per-message hot path free of registry work
+	// by copying Trace totals and latency quantiles in only when a snapshot
+	// is taken.
 	nw.obs.OnPublish(nw.publishObs)
-	obs.AttachCurrent(nw.obs)
+	nw.shards = []*shard{&nw.shard}
 	if cfg.Shards >= 1 {
-		w := cfg.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
+		nw.sharded = true
+		nw.workers = cfg.Workers
+		if nw.workers <= 0 {
+			nw.workers = runtime.GOMAXPROCS(0)
 		}
-		if w > cfg.Shards {
-			w = cfg.Shards
+		if nw.workers > cfg.Shards {
+			nw.workers = cfg.Shards
 		}
-		nw.workers = w
 		nw.shards = make([]*shard, cfg.Shards)
 		for i := range nw.shards {
-			sh := &shard{
-				idx:     i,
-				nw:      nw,
-				outbox:  make([][]*event, cfg.Shards),
-				latency: map[string]*metrics.Histogram{},
-				obs:     obs.NewRegistry(),
-			}
 			// Shard labels sort after the root "seed:N" label, keeping
 			// merged exports stable regardless of shard count.
-			sh.obs.SetLabel(fmt.Sprintf("seed:%d/shard:%03d", cfg.Seed, i))
-			obs.AttachCurrent(sh.obs)
-			nw.shards[i] = sh
+			nw.shards[i] = &shard{
+				engine: engine{nw: nw},
+				ledger: newLedger(fmt.Sprintf("seed:%d/shard:%03d", cfg.Seed, i)),
+				idx:    i,
+				outbox: make([][]*event, cfg.Shards),
+			}
 		}
 	}
 	return nw
 }
 
 // Sharded reports whether the network runs on the sharded engine.
-func (nw *Network) Sharded() bool { return nw.shards != nil }
+func (nw *Network) Sharded() bool { return nw.sharded }
 
 // NumShards returns the shard count (1 in single-heap mode).
-func (nw *Network) NumShards() int {
-	if nw.shards == nil {
-		return 1
-	}
-	return len(nw.shards)
-}
+func (nw *Network) NumShards() int { return len(nw.shards) }
 
 // Workers returns the sharded engine's worker count (1 in single-heap mode).
-func (nw *Network) Workers() int {
-	if nw.shards == nil {
-		return 1
-	}
-	return nw.workers
-}
+func (nw *Network) Workers() int { return nw.workers }
 
 // Obs returns the network's observability registry. Protocol layers
 // resolve their named metrics once at construction (see Node.Obs) and
@@ -319,7 +355,7 @@ func (nw *Network) Obs() *obs.Registry { return nw.obs }
 // publishObs mirrors the substrate's accumulated state into the registry.
 // Runs on every Registry.Snapshot, so Set (not Add) keeps it idempotent.
 func (nw *Network) publishObs(r *obs.Registry) {
-	t := nw.Trace() // materializes the shard merge in sharded mode
+	t := nw.Trace()
 	r.Counter("net.msg.sent").Set(t.Sent)
 	r.Counter("net.msg.delivered").Set(t.Delivered)
 	r.Counter("net.msg.dropped").Set(t.Dropped)
@@ -347,19 +383,16 @@ func (nw *Network) publishObs(r *obs.Registry) {
 	}
 }
 
-// latencySnapshot returns the per-kind latency histograms, merging the
-// per-shard sets (bucket-by-bucket sums, so shard layout cannot leak into
-// the result) in sharded mode.
-func (nw *Network) latencySnapshot() map[string]*metrics.Histogram {
-	if nw.shards == nil {
-		return nw.latency
-	}
-	out := map[string]*metrics.Histogram{}
+// latencySnapshot merges every ledger's per-kind latency histograms into
+// fresh ones (bucket-by-bucket sums, so shard layout cannot leak into the
+// result).
+func (nw *Network) latencySnapshot() map[string]*obs.BucketHistogram {
+	out := map[string]*obs.BucketHistogram{}
 	for _, sh := range nw.shards {
 		for kind, h := range sh.latency { //determinism:ok merge is commutative per kind
 			dst, ok := out[kind]
 			if !ok {
-				dst = metrics.NewHistogram(0, 30, 3000)
+				dst = newLatencyHistogram()
 				out[kind] = dst
 			}
 			dst.Merge(h)
@@ -381,61 +414,32 @@ func (nw *Network) Rand() *rand.Rand { return nw.rng }
 // Seed returns the seed this network was created with.
 func (nw *Network) Seed() int64 { return nw.seed }
 
-// Trace returns the accumulated network-wide traffic counters. In sharded
-// mode the per-shard counters are re-summed on every call (field sums are
-// commutative, so the result is independent of shard layout); the returned
-// pointer stays valid and is refreshed by subsequent calls.
+// Trace returns the accumulated network-wide traffic counters, re-summed
+// over the ledgers on every call (field sums are commutative, so the result
+// is independent of shard layout); the returned pointer stays valid and is
+// refreshed by subsequent calls.
 func (nw *Network) Trace() *Trace {
-	if nw.shards != nil {
-		var t Trace
-		for _, sh := range nw.shards {
-			t.add(&sh.trace)
-		}
-		nw.trace = t
+	var t Trace
+	for _, sh := range nw.shards {
+		t.add(&sh.trace)
 	}
-	return &nw.trace
+	nw.total = t
+	return &nw.total
 }
 
 // LatencyHistogram returns the delivery-latency histogram (in seconds) for
 // a message kind, or nil if nothing of that kind has been delivered.
-// Buckets are 10 ms wide over [0, 30s). In sharded mode the per-shard
-// histograms are merged into a fresh histogram on every call.
-func (nw *Network) LatencyHistogram(kind string) *metrics.Histogram {
-	if nw.shards != nil {
-		var merged *metrics.Histogram
-		for _, sh := range nw.shards {
-			if h := sh.latency[kind]; h != nil {
-				if merged == nil {
-					merged = metrics.NewHistogram(0, 30, 3000)
-				}
-				merged.Merge(h)
-			}
-		}
-		return merged
-	}
-	return nw.latency[kind]
+// Buckets are 10 ms wide over [0, 30s). The histogram is a fresh merge of
+// the ledgers' on every call.
+func (nw *Network) LatencyHistogram(kind string) *obs.BucketHistogram {
+	return nw.latencySnapshot()[kind]
 }
 
-// LatencyKinds returns the message kinds with recorded delivery latencies.
-// In sharded mode the union across shards is returned sorted, so the
-// result cannot depend on shard layout.
+// LatencyKinds returns the message kinds with recorded delivery latencies,
+// sorted.
 func (nw *Network) LatencyKinds() []string {
-	if nw.shards != nil {
-		seen := map[string]bool{}
-		kinds := []string{}
-		for _, sh := range nw.shards {
-			for k := range sh.latency { //determinism:ok union is sorted below
-				if !seen[k] {
-					seen[k] = true
-					kinds = append(kinds, k)
-				}
-			}
-		}
-		sort.Strings(kinds)
-		return kinds
-	}
-	kinds := make([]string, 0, len(nw.latency))
-	for k := range nw.latency { //determinism:ok result is sorted below
+	var kinds []string
+	for k := range nw.latencySnapshot() { //determinism:ok result is sorted below
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
@@ -461,9 +465,12 @@ func (nw *Network) AddNodeWithProfile(p LinkProfile) *Node {
 		handlers: map[string]Handler{},
 	}
 	nw.noteLatency(p.Latency)
-	if nw.shards != nil {
-		n.sh = nw.shards[int(id)%len(nw.shards)]
-		n.origin = uint64(id) + 1
+	n.sh = nw.shards[int(id)%len(nw.shards)]
+	// Substrate draws for messages the node sends: the shared network stream
+	// in global send order on a single heap; under parallel shards there is
+	// no global order, so each node gets its own stream (see substrateRand).
+	n.srng = nw.rng
+	if nw.sharded {
 		n.srng = substrateRand(nw.seed, id)
 	}
 	nw.nodes = append(nw.nodes, n)
@@ -497,7 +504,7 @@ func (nw *Network) Nodes() []*Node { return nw.nodes }
 // Run executes events until the queue empties or virtual time reaches
 // until. It returns the virtual time at which it stopped.
 func (nw *Network) Run(until time.Duration) time.Duration {
-	if nw.shards != nil {
+	if nw.sharded {
 		return nw.runSharded(until, false)
 	}
 	if nw.running {
@@ -525,7 +532,7 @@ func (nw *Network) Run(until time.Duration) time.Duration {
 // RunAll executes every queued event regardless of time. Useful for tests;
 // panics if the queue keeps growing beyond a large safety bound.
 func (nw *Network) RunAll() {
-	if nw.shards != nil {
+	if nw.sharded {
 		nw.runSharded(runAllHorizon, true)
 		return
 	}
@@ -605,9 +612,6 @@ func (nw *Network) EnableQueueMetrics() { nw.queueMetrics = true }
 // the zero LinkFault turns injection off.
 func (nw *Network) SetLinkFault(f LinkFault) { nw.fault = f }
 
-// LinkFault returns the current fault model.
-func (nw *Network) LinkFault() LinkFault { return nw.fault }
-
 func (nw *Network) samePartition(a, b NodeID) bool {
 	if len(nw.partition) == 0 {
 		return true
@@ -615,64 +619,52 @@ func (nw *Network) samePartition(a, b NodeID) bool {
 	return nw.partition[a] == nw.partition[b]
 }
 
-// delivery carries an in-flight message through the pooled, closure-free
-// event path.
-type delivery struct {
+// flight carries an in-flight message through the pooled, closure-free
+// event path: built on the sender's shard, consumed on the receiver's.
+type flight struct {
 	nw     *Network
 	msg    Message
 	sentAt time.Duration
 }
 
-// deliverEvent is the EventFunc for message arrival; arg is a pooled
-// *delivery.
+var flightPool = sync.Pool{New: func() any { return new(flight) }}
+
+// deliverEvent is the EventFunc for final message delivery; arg is a pooled
+// *flight. It runs on the receiver's shard.
 func deliverEvent(arg any) {
-	d := arg.(*delivery)
-	nw, msg := d.nw, d.msg
-	sentAt := d.sentAt
-	*d = delivery{}
-	nw.deliveryPool.Put(d)
+	f := arg.(*flight)
+	nw, msg, sentAt := f.nw, f.msg, f.sentAt
+	*f = flight{}
+	flightPool.Put(f)
 
 	dst := nw.nodes[msg.To]
+	sh := dst.sh
 	// Re-check state at delivery time: the receiver may have crashed, or a
-	// partition may have appeared, while the message was in flight.
+	// partition may have appeared, while the message was in flight. In
+	// sharded mode this is also where messages to already-down destinations
+	// drop (see Send).
 	if !dst.up || !nw.samePartition(msg.From, msg.To) {
-		nw.trace.Dropped++
+		sh.trace.Dropped++
 		dst.trace.Dropped++
 		return
 	}
 	if _, garbled := msg.Payload.(Corrupted); garbled {
-		nw.trace.Corrupted++
+		sh.trace.Corrupted++
 		dst.trace.Corrupted++
 	}
-	nw.trace.Delivered++
-	nw.trace.BytesDelivered += int64(msg.Size)
+	sh.trace.Delivered++
+	sh.trace.BytesDelivered += int64(msg.Size)
 	dst.trace.Delivered++
 	dst.trace.BytesDelivered += int64(msg.Size)
-	nw.observeLatency(msg.Kind, nw.now-sentAt)
+	sh.observeLatency(msg.Kind, sh.now-sentAt)
 	if h, ok := dst.handlers[msg.Kind]; ok {
 		h(msg)
 	} else if dst.defaultHandler != nil {
 		dst.defaultHandler(msg)
 	} else {
-		nw.trace.Unhandled++
+		sh.trace.Unhandled++
 		dst.trace.Unhandled++
 	}
-}
-
-func (nw *Network) observeLatency(kind string, lat time.Duration) {
-	if kind == nw.lastKind && nw.lastLatency != nil {
-		nw.lastLatency.Observe(lat.Seconds())
-		return
-	}
-	h, ok := nw.latency[kind]
-	if !ok {
-		// 10 ms buckets over [0, 30s): fine enough for RTT-scale traffic,
-		// wide enough that bandwidth-bound transfers rarely overflow.
-		h = metrics.NewHistogram(0, 30, 3000)
-		nw.latency[kind] = h
-	}
-	nw.lastKind, nw.lastLatency = kind, h
-	h.Observe(lat.Seconds())
 }
 
 // Send transmits a message. Delivery is scheduled according to both
@@ -683,21 +675,28 @@ func (nw *Network) observeLatency(kind string, lat time.Duration) {
 // Accounting: Sent/BytesSent and send-time drops are charged to the
 // sending node's Trace; Delivered/BytesDelivered/Unhandled and in-flight
 // drops to the receiving node's. The network-wide Trace sees everything.
+//
+// Send runs on the sender's shard and touches only sender-owned state
+// (cursors, queue metrics, the sender's substrate stream) plus state that
+// changes only at barriers (profiles, partitions, the fault model), so it
+// is race-free inside a parallel window. The two places it asks which mode
+// it is in are the two things a sender cannot do to a node on another
+// shard: read its liveness, and advance its downlink cursor.
 func (nw *Network) Send(msg Message) bool {
-	if nw.shards != nil {
-		return nw.sendSharded(msg)
-	}
 	src := nw.Node(msg.From)
 	dst := nw.Node(msg.To)
 	if src == nil || dst == nil {
 		panic(fmt.Sprintf("simnet: send between unknown nodes %d -> %d", msg.From, msg.To))
 	}
-	nw.trace.Sent++
-	nw.trace.BytesSent += int64(msg.Size)
+	ssh := src.sh
+	ssh.trace.Sent++
+	ssh.trace.BytesSent += int64(msg.Size)
 	src.trace.Sent++
 	src.trace.BytesSent += int64(msg.Size)
-	if !src.up || !dst.up || !nw.samePartition(msg.From, msg.To) {
-		nw.trace.Dropped++
+	// Mode difference 1: a single heap drops a message to a down
+	// destination here; shards leave it to the delivery-time re-check.
+	if !src.up || (!nw.sharded && !dst.up) || !nw.samePartition(msg.From, msg.To) {
+		ssh.trace.Dropped++
 		src.trace.Dropped++
 		return false
 	}
@@ -707,8 +706,8 @@ func (nw *Network) Send(msg Message) bool {
 	// charged: a lost message never occupies the sender's uplink, so it
 	// cannot delay later traffic.
 	if pa, pb := src.profile.Loss, dst.profile.Loss; pa > 0 || pb > 0 {
-		if p := 1 - (1-pa)*(1-pb); nw.rng.Float64() < p {
-			nw.trace.Dropped++
+		if p := 1 - (1-pa)*(1-pb); src.srng.Float64() < p {
+			ssh.trace.Dropped++
 			src.trace.Dropped++
 			return false
 		}
@@ -717,12 +716,13 @@ func (nw *Network) Send(msg Message) bool {
 	// Serialization on the sender's uplink: the message waits for the
 	// uplink to free, then occupies it for size/rate. Lane-aware on nodes
 	// that enabled the priority uplink; plain FIFO otherwise.
-	depart := nw.now
+	now := ssh.now
+	depart := now
 	if src.profile.UplinkBps > 0 {
 		ser := secondsToDuration(float64(msg.Size*8) / src.profile.UplinkBps)
-		depart = src.serialize(msg.Lane, nw.now, ser)
+		depart = src.serialize(msg.Lane, now, ser)
 		if nw.queueMetrics {
-			src.noteQueue(nw.now, depart)
+			src.noteQueue(now, depart)
 		}
 	}
 	// Propagation + jitter. An installed region matrix (opt-in; see
@@ -732,49 +732,58 @@ func (nw *Network) Send(msg Message) bool {
 		delay += nw.regionExtra[nw.regionOf[msg.From]][nw.regionOf[msg.To]]
 	}
 	if j := src.profile.Jitter + dst.profile.Jitter; j > 0 {
-		delay += time.Duration(nw.rng.Int63n(int64(j)))
+		delay += time.Duration(src.srng.Int63n(int64(j)))
 	}
 	arrive := depart + delay
-	// Serialization on the receiver's downlink.
-	if dst.profile.DownlinkBps > 0 {
-		if dst.downlinkFree > arrive {
-			arrive = dst.downlinkFree
-		}
-		ser := secondsToDuration(float64(msg.Size*8) / dst.profile.DownlinkBps)
-		arrive += ser
-		dst.downlinkFree = arrive
+	// Mode difference 2: a single heap charges the receiver's downlink now,
+	// in global send order, and schedules the final delivery; shards stage
+	// an arrival and charge the downlink there, in arrival order.
+	hop := EventFunc(shardArriveEvent)
+	if !nw.sharded {
+		arrive = dst.downlink(arrive, msg.Size)
+		hop = deliverEvent
 	}
 
 	// In-flight fault injection. All draws are guarded by their probability,
 	// so a zero LinkFault consumes no randomness and perturbs nothing.
 	if f := nw.fault; f.active() {
-		if f.Corrupt > 0 && nw.rng.Float64() < f.Corrupt {
+		if f.Corrupt > 0 && src.srng.Float64() < f.Corrupt {
 			msg.Payload = Corrupted{Original: msg.Payload}
 		}
-		if f.Reorder > 0 && nw.rng.Float64() < f.Reorder {
-			arrive += time.Duration(nw.rng.Int63n(int64(f.holdBack())))
-			nw.trace.Reordered++
+		if f.Reorder > 0 && src.srng.Float64() < f.Reorder {
+			arrive += time.Duration(src.srng.Int63n(int64(f.holdBack())))
+			ssh.trace.Reordered++
 		}
-		if f.Duplicate > 0 && nw.rng.Float64() < f.Duplicate {
+		if f.Duplicate > 0 && src.srng.Float64() < f.Duplicate {
 			// The duplicate is a fault artifact, not a retransmission: it
 			// skips link accounting and lands an extra hold-back later.
-			nw.trace.Duplicated++
-			dup, ok := nw.deliveryPool.Get().(*delivery)
-			if !ok {
-				dup = new(delivery)
-			}
-			dup.nw, dup.msg, dup.sentAt = nw, msg, nw.now
-			nw.ScheduleCall(arrive+time.Duration(nw.rng.Int63n(int64(f.holdBack()))), deliverEvent, dup)
+			ssh.trace.Duplicated++
+			extra := time.Duration(src.srng.Int63n(int64(f.holdBack())))
+			nw.launch(src, dst, msg, arrive+extra, hop)
 		}
 	}
-
-	d, ok := nw.deliveryPool.Get().(*delivery)
-	if !ok {
-		d = new(delivery)
-	}
-	d.nw, d.msg, d.sentAt = nw, msg, nw.now
-	nw.ScheduleCall(arrive, deliverEvent, d)
+	nw.launch(src, dst, msg, arrive, hop)
 	return true
+}
+
+// launch puts msg in flight: a pooled event on the destination's queue
+// that runs hop at time at, keyed by the sender so equal-time arrivals
+// order deterministically.
+func (nw *Network) launch(src, dst *Node, msg Message, at time.Duration, hop EventFunc) {
+	f := flightPool.Get().(*flight)
+	f.nw, f.msg, f.sentAt = nw, msg, src.sh.now
+	ssh, dsh := src.sh, dst.sh
+	e := dsh.alloc()
+	e.at, e.h, e.arg = at, hop, f
+	e.origin, e.oseq = src.key()
+	// Outside a parallel window — harness code, barrier-synced control
+	// events, every single-heap run — the destination heap is safe to push
+	// into directly; inside one, only the sender's own shard's is.
+	if dsh == ssh || !nw.inWindow {
+		dsh.push(e)
+	} else {
+		ssh.stage(dsh, e)
+	}
 }
 
 func secondsToDuration(s float64) time.Duration {
@@ -805,9 +814,6 @@ func (t *Trace) DeliveryRate() float64 {
 	}
 	return float64(t.Delivered) / float64(t.Sent)
 }
-
-// Reset zeroes all counters.
-func (t *Trace) Reset() { *t = Trace{} }
 
 // add accumulates o's counters into t (the shard-merge primitive; field
 // sums are commutative, so merge order never matters).

@@ -45,28 +45,42 @@ done
 #    merge commutative, validation only). Go randomises map order per run,
 #    so an unmarked range over a map in a path feeding event ordering or
 #    exported snapshots silently breaks seed determinism. The check extracts
-#    every identifier declared as a map (field, param, or := literal/make),
-#    then flags `range` statements over any of those names. Names are scoped
-#    per file plus the struct fields of the package's two engine files, so a
-#    slice that happens to share a name with a map in another file does not
-#    false-positive.
+#    every identifier declared as a map (field, param, or := literal/make)
+#    and every function returning one, then flags `range` statements over
+#    any of those names. Names are scoped
+#    per file plus the struct fields declared in simnet.go (Network and the
+#    ledger every shard embeds), so a slice that happens to share a name
+#    with a map in another file does not false-positive.
 simnet_files=$(find internal/simnet -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
 extract_mapnames() {
     (grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]+map\[' "$@" | awk '{print $1}';
      grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:?=[[:space:]]*(make\()?map\[' "$@" |
          sed -E 's/[[:space:]]*:?=.*//') | sort -u
 }
-# Struct fields of the engine types are visible across files (nw.latency,
-# sh.latency), so those names are shared; locals declared with := stay
-# scoped to their own file.
+# Network's and ledger's fields are reachable from every file of the package
+# (sh.latency, nw.partition), so those names are shared; locals declared
+# with := stay scoped to their own file.
 shared_mapnames=$(grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]+map\[' \
-    internal/simnet/simnet.go internal/simnet/shard.go | awk '{print $1}' | sort -u)
+    internal/simnet/simnet.go | awk '{print $1}' | sort -u)
+if ! echo "$shared_mapnames" | grep -qx latency; then
+    echo "determinism lint: ledger's latency map not found in internal/simnet/simnet.go (did the accounting struct move?)" >&2
+    exit 1
+fi
+# Functions and methods that return a map (latencySnapshot, the merged view
+# of every ledger's latency map) are ranged over by call, package-wide.
+mapfuncs=$(grep -hoE '[A-Za-z_][A-Za-z0-9_]*\([^()]*\)[[:space:]]+map\[' $simnet_files | sed -E 's/\(.*//' | sort -u)
 for f in $simnet_files; do
     names=$( (extract_mapnames "$f"; echo "$shared_mapnames") | sort -u)
     for name in $names; do
         [ -n "$name" ] || continue
         if grep -nE "range ([A-Za-z0-9_.]+\.)?${name}($|[^A-Za-z0-9_(])" "$f" | grep -v 'determinism:ok'; then
             echo "determinism lint: $f iterates map '$name' without a //determinism:ok marker (map order is randomised per run)" >&2
+            bad=1
+        fi
+    done
+    for name in $mapfuncs; do
+        if grep -nE "range ([A-Za-z0-9_.]+\.)?${name}\(" "$f" | grep -v 'determinism:ok'; then
+            echo "determinism lint: $f iterates the map returned by '$name' without a //determinism:ok marker (map order is randomised per run)" >&2
             bad=1
         fi
     done
