@@ -12,6 +12,8 @@
 //	feudalism list                                # available experiment ids
 //	feudalism bench [-json out.json] [-seed N] [-trials T] [-workers W]
 //	                [-scale full|tiny] [-timing]  # machine-readable bench
+//	feudalism scale [-n 100000] [-subsystems simnet,dht,gossip] [-workers 1,2]
+//	                [-cpuprofile f] [-memprofile f]  # huge-tier sweep
 //
 // With -trials T > 1 the stochastic experiments run T independent seeds in
 // parallel (simnet.Trials) and report mean [p50 p95] per cell instead of a
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -192,6 +195,8 @@ func runScaleCmd(args []string) {
 	sout := sfs.String("json", "", "write the bench JSON artifact to this file")
 	sspeed := sfs.Float64("check-speedup", 0, "fail unless the max/min-worker msgs/sec ratio reaches this (0 disables)")
 	smincpu := sfs.Int("min-cpus", 4, "enforce -check-speedup only on hosts with at least this many CPUs")
+	scpu := sfs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+	smem := sfs.String("memprofile", "", "write a heap profile, taken when the sweep ends, to this file")
 	_ = sfs.Parse(args)
 
 	opts := experiments.HugeOptions{
@@ -206,7 +211,15 @@ func runScaleCmd(args []string) {
 	if *sworkers != "" {
 		opts.Workers = parseIntList(*sworkers, "workers")
 	}
+	stopProfiles, err := startProfiles(*scpu, *smem)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scale: %v\n", err)
+		os.Exit(1)
+	}
 	cells, file, err := experiments.RunScaleHuge(opts)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scale: %v\n", err)
 		os.Exit(1)
@@ -241,6 +254,43 @@ func runScaleCmd(args []string) {
 	}
 }
 
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that ends it and writes a heap profile to memPath; an empty path skips
+// that profile. Profiles cover the sweep only and never touch its output.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the heap profile reports as of the last collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
+}
+
 func parseIntList(s, flagName string) []int {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -268,5 +318,6 @@ commands:
   list        list experiment ids
   bench       run every experiment and emit machine-readable BENCH JSON
   scale       run the huge-tier (100k-1M node) X15 sweep on the sharded
-              engine; -n 100000,1000000 -workers 1,8 -json out.json`)
+              engine; -n 100000,1000000 -workers 1,8 -json out.json;
+              -cpuprofile f / -memprofile f profile the sweep`)
 }

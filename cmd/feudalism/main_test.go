@@ -46,3 +46,37 @@ func TestRenderTableUnknown(t *testing.T) {
 		t.Error("renderTable accepted a non-table command")
 	}
 }
+
+// TestStartProfiles: both profile files are written when asked for, nothing
+// is when not, and an unwritable path is an error rather than a silent skip.
+func TestStartProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written (%v)", filepath.Base(p), err)
+		}
+	}
+
+	stop, err = startProfiles("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 2 {
+		t.Errorf("profiles off: %d files in the directory, want the 2 from before", len(left))
+	}
+
+	if _, err := startProfiles(filepath.Join(dir, "missing", "cpu.prof"), ""); err == nil {
+		t.Error("an unwritable -cpuprofile path was accepted")
+	}
+}

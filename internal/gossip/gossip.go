@@ -17,7 +17,10 @@ import (
 )
 
 // Item is one gossiped datum. ID must be unique (typically a content
-// hash); Size is the simulated wire size of Data.
+// hash); Size is the simulated wire size of Data. A published Item is
+// allocated once and never written again: every member that holds it, on
+// whatever shard, holds the same *Item, and pushes and repairs carry that
+// pointer rather than a copy.
 type Item struct {
 	ID   cryptoutil.Hash
 	Data any
@@ -43,18 +46,19 @@ func (c Config) withDefaults() Config {
 
 // Wire kinds.
 const (
-	msgPush  = "gossip.push"  // payload Item
+	msgPush  = "gossip.push"  // payload *Item
 	msgSync  = "gossip.sync"  // payload syncDigest
 	msgDelta = "gossip.delta" // payload syncDelta
 )
 
+// syncDigest is everything the sender held when it sent the digest: a
+// capacity-clipped prefix of its log, not a copy (see sendDigest).
 type syncDigest struct {
-	from simnet.NodeID
-	ids  []cryptoutil.Hash
+	held []*Item
 }
 
 type syncDelta struct {
-	items []Item            // items the receiver was missing
+	items []*Item           // items the receiver was missing
 	want  []cryptoutil.Hash // items the sender is missing and requests back
 }
 
@@ -68,8 +72,13 @@ type Member struct {
 	// allocating or shuffling the whole set (rng.Perm is O(peers) work and
 	// one allocation per push — ruinous at 10k-member populations).
 	sample []int32
-	items  map[cryptoutil.Hash]Item
-	order  []cryptoutil.Hash // delivery order, for digesting and inspection
+	// log is every held item in delivery order. It is append-only: a
+	// position, once written, never changes, which is what lets a digest
+	// be a view of it. index maps an item's ID to its log position; with no
+	// pointer in key or value the GC never scans it, and at 100k members
+	// that is most of what it would otherwise mark.
+	log   []*Item
+	index map[cryptoutil.Hash]int32
 	// onDeliver observers fire once per item on first receipt.
 	onDeliver []func(Item)
 
@@ -105,7 +114,7 @@ func NewMember(node *simnet.Node, cfg Config) *Member {
 	m := &Member{
 		node:  node,
 		cfg:   cfg.withDefaults(),
-		items: map[cryptoutil.Hash]Item{},
+		index: map[cryptoutil.Hash]int32{},
 		m:     metricsFor(node.Obs()),
 	}
 	node.Handle(msgPush, m.onPush)
@@ -140,40 +149,48 @@ func (m *Member) Peers() []simnet.NodeID { return m.peers }
 func (m *Member) OnDeliver(f func(Item)) { m.onDeliver = append(m.onDeliver, f) }
 
 // Has reports whether the member holds the item.
-func (m *Member) Has(id cryptoutil.Hash) bool { _, ok := m.items[id]; return ok }
+func (m *Member) Has(id cryptoutil.Hash) bool { _, ok := m.index[id]; return ok }
 
 // Get returns a held item.
-func (m *Member) Get(id cryptoutil.Hash) (Item, bool) { it, ok := m.items[id]; return it, ok }
+func (m *Member) Get(id cryptoutil.Hash) (Item, bool) {
+	pos, ok := m.index[id]
+	if !ok {
+		return Item{}, false
+	}
+	return *m.log[pos], true
+}
 
 // Len returns how many items the member holds.
-func (m *Member) Len() int { return len(m.items) }
+func (m *Member) Len() int { return len(m.log) }
 
 // IDs returns all held item IDs in delivery order.
 func (m *Member) IDs() []cryptoutil.Hash {
-	out := make([]cryptoutil.Hash, len(m.order))
-	copy(out, m.order)
+	out := make([]cryptoutil.Hash, len(m.log))
+	for i, it := range m.log {
+		out[i] = it.ID
+	}
 	return out
 }
 
 // Publish introduces a new item at this member and pushes it to the
-// network.
+// network. Taking the parameter's address is the item's one allocation.
 func (m *Member) Publish(it Item) {
-	if m.accept(it) {
-		m.push(it, -1)
+	if m.accept(&it) {
+		m.push(&it, -1)
 	}
 }
 
 // accept stores a new item and fires delivery observers; returns false for
 // duplicates.
-func (m *Member) accept(it Item) bool {
-	if _, ok := m.items[it.ID]; ok {
+func (m *Member) accept(it *Item) bool {
+	if _, ok := m.index[it.ID]; ok {
 		return false
 	}
-	m.items[it.ID] = it
-	m.order = append(m.order, it.ID)
+	m.index[it.ID] = int32(len(m.log))
+	m.log = append(m.log, it)
 	m.m.delivered.Inc()
 	for _, f := range m.onDeliver {
-		f(it)
+		f(*it)
 	}
 	return true
 }
@@ -183,7 +200,7 @@ func (m *Member) accept(it Item) bool {
 // sample permutation: Fanout draws cost O(Fanout) swaps regardless of how
 // large the peer set is, and selection stays uniform because the buffer is
 // always some permutation of the peer indices.
-func (m *Member) push(it Item, exclude simnet.NodeID) {
+func (m *Member) push(it *Item, exclude simnet.NodeID) {
 	n := len(m.peers)
 	if n == 0 {
 		return
@@ -204,7 +221,7 @@ func (m *Member) push(it Item, exclude simnet.NodeID) {
 }
 
 func (m *Member) onPush(msg simnet.Message) {
-	it, ok := msg.Payload.(Item)
+	it, ok := msg.Payload.(*Item)
 	if !ok {
 		return
 	}
@@ -228,44 +245,67 @@ func (m *Member) scheduleAntiEntropy() {
 // the *Member.
 func antiEntropyEvent(arg any) {
 	m := arg.(*Member)
-	if m.node.Up() && len(m.peers) > 0 {
-		peer := m.peers[m.node.Rand().Intn(len(m.peers))]
-		if peer != m.node.ID() {
-			m.m.rounds.Inc()
-			digest := syncDigest{from: m.node.ID(), ids: m.IDs()}
-			m.node.Send(peer, msgSync, digest, 16+32*len(digest.ids))
-		}
-	}
+	m.sendDigest()
 	m.scheduleAntiEntropy()
 }
 
+// sendDigest opens one anti-entropy round with a random peer.
+//
+// The digest is the view m.log[:n:n], not a copy. The receiver may run on
+// another shard, on another worker, while this member goes on accepting
+// items; that is race-free because the two never touch the same memory:
+// the receiver reads only elements below n, which are never written again,
+// and the capacity clip means it cannot reach further; an append here
+// writes at or above n, or copies the prefix — a read — into a new array
+// and leaves the old one to the digest.
+func (m *Member) sendDigest() {
+	if !m.node.Up() || len(m.peers) == 0 {
+		return
+	}
+	peer := m.peers[m.node.Rand().Intn(len(m.peers))]
+	if peer == m.node.ID() {
+		return
+	}
+	m.m.rounds.Inc()
+	n := len(m.log)
+	m.node.Send(peer, msgSync, syncDigest{held: m.log[:n:n]}, 16+32*n)
+}
+
+// onSync diffs the sender's digest against the log: one index probe per
+// digest entry, a bitset over log positions for the entries found. When both
+// sides agree — nearly every round — it allocates nothing and sends nothing.
 func (m *Member) onSync(msg simnet.Message) {
 	d, ok := msg.Payload.(syncDigest)
 	if !ok {
 		return
 	}
-	theirs := make(map[cryptoutil.Hash]bool, len(d.ids))
-	for _, id := range d.ids {
-		theirs[id] = true
+	// theirs marks the log positions the sender already holds; it lives on
+	// the stack up to 256 held items.
+	var small [4]uint64
+	theirs := small[:]
+	if words := (len(m.log) + 63) / 64; words > len(small) {
+		theirs = make([]uint64, words)
 	}
 	var delta syncDelta
 	size := 16
-	for _, id := range m.order { // delivery order: deterministic
-		if it, ok := m.items[id]; ok && !theirs[id] {
-			delta.items = append(delta.items, it)
-			size += it.Size + 40
+	for _, it := range d.held { // digest order: deterministic
+		if pos, ok := m.index[it.ID]; ok {
+			theirs[pos>>6] |= 1 << (uint(pos) & 63)
+		} else {
+			delta.want = append(delta.want, it.ID)
+			size += 32
 		}
 	}
-	for _, id := range d.ids {
-		if !m.Has(id) {
-			delta.want = append(delta.want, id)
-			size += 32
+	for pos, it := range m.log { // delivery order: deterministic
+		if theirs[pos>>6]&(1<<(uint(pos)&63)) == 0 {
+			delta.items = append(delta.items, it)
+			size += it.Size + 40
 		}
 	}
 	if len(delta.items) == 0 && len(delta.want) == 0 {
 		return // in sync
 	}
-	m.node.Send(d.from, msgDelta, delta, size)
+	m.node.Send(msg.From, msgDelta, delta, size)
 }
 
 func (m *Member) onDelta(msg simnet.Message) {
@@ -282,7 +322,8 @@ func (m *Member) onDelta(msg simnet.Message) {
 		var back syncDelta
 		size := 16
 		for _, id := range d.want {
-			if it, ok := m.items[id]; ok {
+			if pos, ok := m.index[id]; ok {
+				it := m.log[pos]
 				back.items = append(back.items, it)
 				size += it.Size + 40
 			}

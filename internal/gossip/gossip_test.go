@@ -2,7 +2,10 @@ package gossip
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -186,11 +189,228 @@ func TestNoPeersPublishIsLocal(t *testing.T) {
 	}
 }
 
-func BenchmarkFlood50(b *testing.B) {
-	nw, members := buildGroup(b, 10, 50, Config{Fanout: 3})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		members[i%50].Publish(item(fmt.Sprintf("bench-%d", i)))
-		nw.Run(nw.Now() + time.Minute)
+// hold makes m hold the items without pushing them anywhere, as if they had
+// arrived from members outside the test.
+func hold(m *Member, items []Item) {
+	for i := range items {
+		m.accept(&items[i])
+	}
+}
+
+// captureDelta replaces m's delta handler with one that records what
+// arrives, so a test can read the exact reply to one of m's digests.
+func captureDelta(m *Member) *[]simnet.Message {
+	var got []simnet.Message
+	m.node.Handle(msgDelta, func(msg simnet.Message) { got = append(got, msg) })
+	return &got
+}
+
+func numbered(prefix string, n int) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = item(fmt.Sprintf("%s-%d", prefix, i))
+	}
+	return items
+}
+
+// TestDigestIsThePrefixSent pins the zero-copy digest: a member that accepts
+// more items between sending a digest and its delivery is diffed against
+// exactly the prefix it sent. The receiver already holds the late items; a
+// digest that saw the sender's appends would make it keep them back. Both
+// kinds of append are covered: one that regrows the log and one that writes
+// into its spare capacity.
+func TestDigestIsThePrefixSent(t *testing.T) {
+	regrew := map[bool]bool{}
+	for _, tc := range []struct{ prefix, late int }{{16, 20}, {17, 10}, {64, 1}, {65, 30}} {
+		prefix := tc.prefix
+		nw, members := buildGroup(t, 11, 2, Config{})
+		a, b := members[0], members[1]
+		shared, late := numbered("shared", prefix), numbered("late", tc.late)
+		hold(a, shared)
+		hold(b, shared)
+		hold(b, late)
+		reply := captureDelta(a)
+
+		a.sendDigest() // the digest leaves now and arrives a latency later
+		first := &a.log[0]
+		hold(a, late)
+		regrew[first != &a.log[0]] = true
+		nw.Run(time.Second)
+
+		if len(*reply) != 1 {
+			t.Fatalf("prefix %d: %d deltas came back, want 1", prefix, len(*reply))
+		}
+		d := (*reply)[0].Payload.(syncDelta)
+		if len(d.want) != 0 {
+			t.Errorf("prefix %d: receiver asks for %d items it holds", prefix, len(d.want))
+		}
+		if len(d.items) != len(late) {
+			t.Fatalf("prefix %d: delta carries %d items, want the %d outside the prefix sent", prefix, len(d.items), len(late))
+		}
+		for i, it := range d.items {
+			if it.ID != late[i].ID {
+				t.Errorf("prefix %d: delta item %d is not late item %d", prefix, i, i)
+			}
+		}
+	}
+	if !regrew[true] || !regrew[false] {
+		t.Errorf("append kinds covered: regrow=%v in-place=%v, want both", regrew[true], regrew[false])
+	}
+}
+
+// referenceDelta is the anti-entropy reply written the obvious way, with
+// plain maps: what the receiver holds and the digest lacks, in the
+// receiver's delivery order; what the digest lists and the receiver lacks,
+// in digest order; and the modelled size of the two.
+func referenceDelta(digest, receiver []Item) (items, want []cryptoutil.Hash, size int) {
+	theirs := map[cryptoutil.Hash]bool{}
+	for _, it := range digest {
+		theirs[it.ID] = true
+	}
+	mine := map[cryptoutil.Hash]bool{}
+	size = 16
+	for _, it := range receiver {
+		mine[it.ID] = true
+		if !theirs[it.ID] {
+			items = append(items, it.ID)
+			size += it.Size + 40
+		}
+	}
+	for _, it := range digest {
+		if !mine[it.ID] {
+			want = append(want, it.ID)
+			size += 32
+		}
+	}
+	return items, want, size
+}
+
+// TestSyncDeltaMatchesReference checks onSync against referenceDelta on
+// random holdings: 0–600 items a side out of a shared universe, each side in
+// its own delivery order, a quarter of the cases fully in sync. Holdings
+// above 256 items take the heap bitset, smaller ones the stack one.
+func TestSyncDeltaMatchesReference(t *testing.T) {
+	universe := numbered("u", 700)
+	draw := func(rng *rand.Rand) []Item {
+		perm := rng.Perm(len(universe))[:rng.Intn(601)]
+		out := make([]Item, len(perm))
+		for i, p := range perm {
+			out[i] = universe[p]
+		}
+		return out
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nw, members := buildGroup(t, seed, 2, Config{})
+		a, b := members[0], members[1]
+		holdA := draw(rng)
+		holdB := draw(rng)
+		if rng.Intn(4) == 0 {
+			holdB = append([]Item(nil), holdA...)
+			rng.Shuffle(len(holdB), func(i, j int) { holdB[i], holdB[j] = holdB[j], holdB[i] })
+		}
+		hold(a, holdA)
+		hold(b, holdB)
+		reply := captureDelta(a)
+		a.node.Send(b.node.ID(), msgSync, syncDigest{held: a.log}, 16+32*len(a.log))
+		nw.Run(time.Second)
+
+		items, want, size := referenceDelta(holdA, holdB)
+		if len(items) == 0 && len(want) == 0 {
+			return len(*reply) == 0
+		}
+		if len(*reply) != 1 {
+			t.Logf("seed %d: %d deltas, want 1", seed, len(*reply))
+			return false
+		}
+		msg := (*reply)[0]
+		d := msg.Payload.(syncDelta)
+		var gotItems []cryptoutil.Hash // nil when empty, like the reference's
+		for _, it := range d.items {
+			gotItems = append(gotItems, it.ID)
+		}
+		ok := reflect.DeepEqual(gotItems, items) && reflect.DeepEqual(d.want, want) && msg.Size == size
+		if !ok {
+			t.Logf("seed %d: |A|=%d |B|=%d: items %d/%d want %d/%d size %d/%d",
+				seed, len(holdA), len(holdB), len(gotItems), len(items), len(d.want), len(want), msg.Size, size)
+		}
+		return ok
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRepairedItemsReadBack checks the inspection API over the log and index
+// after a repair: what anti-entropy delivered reads back, through Get, IDs
+// and Len, as what was published.
+func TestRepairedItemsReadBack(t *testing.T) {
+	nw, members := buildGroup(t, 12, 2, Config{AntiEntropyInterval: 5 * time.Second})
+	a, b := members[0], members[1]
+	nw.Partition([]simnet.NodeID{a.Node().ID()}, []simnet.NodeID{b.Node().ID()})
+	published := numbered("repaired", 300)
+	for _, it := range published {
+		a.Publish(it)
+	}
+	nw.Run(time.Second)
+	if b.Len() != 0 {
+		t.Fatal("pushes crossed the partition")
+	}
+	nw.Heal()
+	nw.Run(time.Minute)
+
+	if b.Len() != len(published) {
+		t.Fatalf("b holds %d items after repair, want %d", b.Len(), len(published))
+	}
+	ids := b.IDs()
+	for i, it := range published {
+		if ids[i] != it.ID {
+			t.Fatalf("IDs()[%d] is not item %d: repair must keep the sender's delivery order", i, i)
+		}
+		got, ok := b.Get(it.ID)
+		if !ok || got != it {
+			t.Fatalf("Get(item %d) = %+v, %v; want %+v", i, got, ok, it)
+		}
+	}
+	if _, ok := b.Get(cryptoutil.SumHash([]byte("never published"))); ok {
+		t.Error("Get found an item nobody published")
+	}
+}
+
+// TestDigestReadWhileSenderAppends runs members on parallel shard workers
+// with digests constantly in flight while every member keeps accepting
+// items — the case the zero-copy digest must survive: a receiver on one
+// worker reads a log prefix whose owner, on another, appends past it. Under
+// `make race` the detector watches those accesses; in any mode the outcome
+// must equal the one-worker run's.
+func TestDigestReadWhileSenderAppends(t *testing.T) {
+	run := func(workers int) string {
+		nw := simnet.NewWithConfig(simnet.NetworkConfig{Seed: 13, Shards: 4, Workers: workers})
+		const n = 16
+		members := make([]*Member, n)
+		ids := make([]simnet.NodeID, n)
+		for i := range members {
+			members[i] = NewMember(nw.AddNode(), Config{Fanout: 1, AntiEntropyInterval: 20 * time.Millisecond})
+			ids[i] = members[i].node.ID()
+		}
+		for _, m := range members {
+			m.SetPeers(ids)
+		}
+		for k := 0; k < 200; k++ {
+			m, it := members[k%n], item(fmt.Sprintf("stream-%d", k))
+			m.node.After(time.Duration(k)*3*time.Millisecond, func() { m.Publish(it) })
+		}
+		nw.Run(2 * time.Second)
+		out := fmt.Sprintf("%+v", *nw.Trace())
+		for _, m := range members {
+			if m.Len() != 200 {
+				t.Errorf("workers=%d: member %d holds %d/200 items", workers, m.node.ID(), m.Len())
+			}
+			out += fmt.Sprint(m.IDs())
+		}
+		return out
+	}
+	if one, four := run(1), run(4); one != four {
+		t.Error("outcome differs between 1 and 4 workers")
 	}
 }

@@ -36,8 +36,13 @@ import (
 //     during the window can schedule work that another shard should have
 //     run *within* the same window: all arrivals land at ≥ W. Cross-shard
 //     sends are staged in per-(src,dst) outboxes and merged into the
-//     destination heap at the window barrier; because heaps order by key,
-//     merge timing and outbox traversal order are immaterial.
+//     destination heap at the window barrier. A source notes each outbox it
+//     makes non-empty, the coordinator turns those notes into one list of
+//     sources per destination, and a destination drains only the outboxes
+//     on its list — so a window costs what it staged, not Shards². Because
+//     heaps order by key, merge timing and outbox traversal order are
+//     immaterial: whatever order the inbox lists come out in, the same
+//     events reach the same heap before the next window pops it.
 //
 //  3. No shared draws or shared mutable state between barriers. Substrate
 //     randomness (loss, jitter, fault draws) comes from the *sender's*
@@ -89,6 +94,12 @@ type shard struct {
 	// heap. Only shard d touches outbox[d] during the merge phase, so the
 	// two phases never race.
 	outbox [][]*event
+	// dirty lists the destinations whose outbox this shard made non-empty
+	// during the current window. inbox lists the sources holding staged
+	// events for this shard; routeStaged fills it from the dirty lists
+	// between the two phases, and drainInboxes empties it.
+	dirty []*shard
+	inbox []*shard
 }
 
 // stage holds a cross-shard event built inside a parallel window until the
@@ -98,7 +109,11 @@ func (sh *shard) stage(dst *shard, e *event) {
 	if e.at < sh.nw.winEnd {
 		panic(fmt.Sprintf("simnet: lookahead violation: cross-shard event at %v inside window ending %v", e.at, sh.nw.winEnd))
 	}
-	sh.outbox[dst.idx] = append(sh.outbox[dst.idx], e)
+	box := sh.outbox[dst.idx]
+	if len(box) == 0 {
+		sh.dirty = append(sh.dirty, dst)
+	}
+	sh.outbox[dst.idx] = append(box, e)
 }
 
 // runWindow executes every queued event with at < w in key order,
@@ -111,21 +126,35 @@ func (sh *shard) runWindow(w time.Duration) {
 }
 
 // drainInboxes is the window-barrier merge point: it moves every event the
-// other shards staged for this shard into the local heap. Insertion order
-// is immaterial — the heap orders by (at, origin, oseq) — so traversing
-// sources in index order is a convenience, not a correctness requirement.
+// shards on its inbox list staged for this shard into the local heap.
+// Insertion order is immaterial — the heap orders by (at, origin, oseq) —
+// so the list's order is a convenience, not a correctness requirement.
 func (sh *shard) drainInboxes() {
-	for _, src := range sh.nw.shards {
+	for _, src := range sh.inbox {
 		box := src.outbox[sh.idx]
-		if len(box) == 0 {
-			continue
-		}
 		for i, e := range box {
 			sh.push(e)
 			box[i] = nil
 		}
 		src.outbox[sh.idx] = box[:0]
 	}
+	sh.inbox = sh.inbox[:0]
+}
+
+// routeStaged transposes the sources' dirty lists into the destinations'
+// inbox lists and reports whether the window staged anything at all. The
+// coordinator calls it between the window phase and the merge phase, when
+// no worker is running, so it needs no synchronization.
+func (nw *Network) routeStaged() bool {
+	staged := false
+	for _, src := range nw.shards {
+		for _, dst := range src.dirty {
+			dst.inbox = append(dst.inbox, src)
+			staged = true
+		}
+		src.dirty = src.dirty[:0]
+	}
+	return staged
 }
 
 // shardArriveEvent is the one hop only the sharded message path has: it
@@ -210,8 +239,10 @@ func (nw *Network) runSharded(until time.Duration, runAll bool) time.Duration {
 		nw.inWindow = true
 		nw.jobMode = jobWindow
 		nw.dispatch()
-		nw.jobMode = jobMerge
-		nw.dispatch()
+		if nw.routeStaged() {
+			nw.jobMode = jobMerge
+			nw.dispatch()
+		}
 		nw.inWindow = false
 	}
 	if runAll {

@@ -342,3 +342,60 @@ func TestShardedAccessors(t *testing.T) {
 		t.Fatal("sharded node should use its shard registry, not the root registry")
 	}
 }
+
+// TestShardMergesOnlyStagedOutboxes stages events in k of the S² outboxes
+// during one window and stops the run right after it. The barrier must have
+// moved exactly those events onto their destination heaps — an event staged
+// in the last window before Run returns is not left behind — and emptied
+// every outbox, dirty list and inbox list; the next Run then delivers them.
+func TestShardMergesOnlyStagedOutboxes(t *testing.T) {
+	const shards = 8
+	for _, workers := range []int{1, 3} {
+		nw := NewWithConfig(NetworkConfig{Seed: 5, Shards: shards, Workers: workers})
+		nw.SetDefaultProfile(LinkProfile{Latency: 10 * time.Millisecond})
+		nodes := make([]*Node, shards) // node i runs on shard i
+		got := make([][]string, shards)
+		for i := range nodes {
+			nodes[i] = nw.AddNode()
+			nodes[i].HandleDefault(func(m Message) {
+				got[m.To] = append(got[m.To], fmt.Sprintf("%d:%v", m.From, m.Payload))
+			})
+		}
+		// 4 of the 64 (source, destination) pairs, two events on one of them;
+		// shard 3 hears from two sources, shards 1, 2, 4 and 6 from none.
+		sends := []struct{ from, to int }{{0, 3}, {0, 5}, {2, 3}, {7, 0}, {0, 3}}
+		want := make([][]string, shards)
+		perDst := make([]int, shards)
+		for k, s := range sends {
+			k, from, to := k, nodes[s.from], NodeID(s.to)
+			from.After(time.Millisecond, func() { from.Send(to, "staged", k, 100) })
+			perDst[s.to]++
+		}
+		want[3] = []string{"0:0", "0:4", "2:2"} // key order: (at, origin, oseq)
+		want[5] = []string{"0:1"}
+		want[0] = []string{"7:3"}
+
+		nw.Run(2 * time.Millisecond) // the sending window is the run's last
+		for i, sh := range nw.shards {
+			if len(sh.heap) != perDst[i] {
+				t.Errorf("workers=%d: shard %d holds %d events after the barrier, want %d", workers, i, len(sh.heap), perDst[i])
+			}
+			if len(sh.dirty) != 0 || len(sh.inbox) != 0 {
+				t.Errorf("workers=%d: shard %d keeps %d dirty / %d inbox entries past the barrier", workers, i, len(sh.dirty), len(sh.inbox))
+			}
+			for d, box := range sh.outbox {
+				if len(box) != 0 {
+					t.Errorf("workers=%d: outbox %d->%d still holds %d events", workers, i, d, len(box))
+				}
+			}
+		}
+		if tr := nw.Trace(); tr.Delivered != 0 {
+			t.Fatalf("workers=%d: %d messages delivered inside their own lookahead", workers, tr.Delivered)
+		}
+
+		nw.Run(time.Second)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: deliveries %v, want %v", workers, got, want)
+		}
+	}
+}
