@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint test race bench cover fuzz allocs scale
+.PHONY: ci fmt build vet lint test race bench cover fuzz allocs scale parent-diff
 
 # ci is the gate run before merging: formatting, build, vet, the
 # determinism lint, the race detector over every internal package, the
@@ -98,3 +98,10 @@ allocs:
 scale:
 	SCALE=big $(GO) test -run 'TestScaleBig' -count=1 -timeout 300s -v .
 	$(GO) test -race -short -run 'TestScaleMatrix' -count=1 .
+
+# parent-diff proves a refactor moved no published number: every
+# experiment's output and the full bench, byte for byte, against a build of
+# HEAD (run the script with a ref for any other base). Not part of ci,
+# which has no base ref to compare against.
+parent-diff:
+	./scripts/parent_diff.sh

@@ -1,7 +1,7 @@
 // Command feudalism is the umbrella CLI for the reproduction of "The
 // Barriers to Overthrowing Internet Feudalism" (HotNets-XVI, 2017). It
 // regenerates the paper's three tables and runs the quantitative
-// experiments (X1–X18, plus sensitivity sweeps) described in EXPERIMENTS.md.
+// experiments (X1–X20, plus sensitivity sweeps) described in EXPERIMENTS.md.
 //
 // Usage:
 //

@@ -66,32 +66,37 @@ func runBenchEntry(e Experiment, opts BenchOptions) obs.BenchExperiment {
 	restore := obs.SetCollector(col)
 	defer restore()
 
-	var timing *obs.Timing
-	var before runtime.MemStats
-	var startNS int64
-	if opts.WallClock != nil {
-		runtime.ReadMemStats(&before)
-		startNS = opts.WallClock()
-	}
-
-	switch {
-	case opts.Scale == "tiny":
-		_ = e.Tiny(opts.Seed)
-	case opts.Trials > 1 && e.Multi != nil:
-		_ = e.Multi(simnet.Seeds(opts.Seed, opts.Trials), opts.Workers)
-	default:
-		_ = e.Run(opts.Seed)
-	}
-
-	if opts.WallClock != nil {
-		elapsed := opts.WallClock() - startNS
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		timing = &obs.Timing{
-			WallNS:     elapsed,
-			Allocs:     after.Mallocs - before.Mallocs,
-			AllocBytes: after.TotalAlloc - before.TotalAlloc,
+	timing := timed(opts.WallClock, func() {
+		switch {
+		case opts.Scale == "tiny":
+			_ = e.Tiny(opts.Seed)
+		case opts.Trials > 1 && e.Multi != nil:
+			_ = e.Multi(simnet.Seeds(opts.Seed, opts.Trials), opts.Workers)
+		default:
+			_ = e.Run(opts.Seed)
 		}
-	}
+	})
 	return obs.BenchExperiment{ID: e.ID, Metrics: col.Merged(), Timing: timing}
+}
+
+// timed runs fn and, given a wall clock, returns its wall time and heap
+// allocations; with a nil clock fn still runs and the result is nil. It is
+// the one place under internal/experiments that measures the host — the
+// bench entries, the X15 cells and the huge tiers all time through it.
+func timed(clock func() int64, fn func()) *obs.Timing {
+	if clock == nil {
+		fn()
+		return nil
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := clock()
+	fn()
+	elapsed := clock() - start
+	runtime.ReadMemStats(&after)
+	return &obs.Timing{
+		WallNS:     elapsed,
+		Allocs:     after.Mallocs - before.Mallocs,
+		AllocBytes: after.TotalAlloc - before.TotalAlloc,
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cryptoutil"
 	"repro/internal/dht"
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -122,25 +121,12 @@ func dhtQualityRun(seed int64, peerCount, lookups int, profile simnet.LinkProfil
 	if !republish {
 		cfg.RepublishInterval = 0
 	}
-	peers := make([]*dht.Peer, peerCount)
-	for i := range peers {
-		peers[i] = dht.NewPeer(nw.AddNode(), dht.Key{}, cfg)
-	}
-	for i := 1; i < peerCount; i++ {
-		i := i
-		nw.After(time.Duration(i)*200*time.Millisecond, func() {
-			peers[i].Bootstrap(peers[0].Contact(), nil)
-		})
-	}
+	peers := growDHT(nw, peerCount, 200*time.Millisecond, sameDHT(cfg))
 	nw.Run(time.Duration(peerCount) * 400 * time.Millisecond)
 
 	// Publish values from a stable publisher (peer 0 stays up so republish
 	// keeps working; the question is whether *readers* can find data).
-	keys := make([]dht.Key, lookups)
-	for i := range keys {
-		keys[i] = keyOf(fmt.Sprintf("value-%d", i))
-		peers[0].Put(keys[i], []byte{byte(i)}, nil)
-	}
+	keys := putKeys(peers[0], lookups, "value-%d")
 	nw.Run(nw.Now() + 2*time.Minute)
 
 	if churn {
@@ -185,8 +171,4 @@ func dhtQualityRun(seed int64, peerCount, lookups int, profile simnet.LinkProfil
 		}
 	}
 	return float64(ok) / float64(lookups), lat.Mean(), lat.Quantile(0.99)
-}
-
-func keyOf(s string) dht.Key {
-	return cryptoutil.SumHash([]byte(s))
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dht"
 	"repro/internal/gossip"
 	"repro/internal/groupcomm"
-	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
@@ -36,22 +35,28 @@ func scenarioNames(scs []fault.Scenario) []string {
 	return names
 }
 
-// recoverySpec sizes one X14 run. Tiny halves the horizon and shrinks the
+// recoverySpec sizes one X14 world. Tiny halves the horizon and shrinks the
 // worlds so the whole matrix stays test-suite fast.
-type recoverySpec struct {
-	horizon time.Duration
-	nodes   int
+func recoverySpec(tiny bool, fullNodes int) faultSpec {
+	if tiny {
+		return faultSpec{horizon: 10 * time.Minute, nodes: max(fullNodes/2, 3)}
+	}
+	return faultSpec{horizon: 20 * time.Minute, nodes: fullNodes}
 }
 
-func spec(tiny bool, fullNodes int) recoverySpec {
-	if tiny {
-		n := fullNodes / 2
-		if n < 3 {
-			n = 3
-		}
-		return recoverySpec{horizon: 10 * time.Minute, nodes: n}
-	}
-	return recoverySpec{horizon: 20 * time.Minute, nodes: fullNodes}
+// recoveryWorlds is the subsystem axis of X14: each row's world at its
+// full-scale population.
+var recoveryWorlds = []struct {
+	name  string
+	nodes int
+	world func(seed int64, sp faultSpec) faultWorld
+}{
+	{"chain", 5, chainRecoveryWorld},
+	{"dht", 12, dhtRecoveryWorld},
+	{"gossip", 10, gossipRecoveryWorld},
+	{"groupcomm", 8, socialRecoveryWorld},
+	{"storage", 6, storageRecoveryWorld},
+	{"webapp", 6, webappRecoveryWorld},
 }
 
 // recoveryMatrix is the numeric core of X14: rows are subsystems, columns
@@ -63,235 +68,149 @@ func recoveryMatrix(seed int64, tiny bool) Matrix {
 	for _, sc := range scs {
 		cols = append(cols, sc.Name+" ok%", sc.Name+" rec(m)")
 	}
-	runners := []struct {
-		name string
-		run  func(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration)
-	}{
-		{"chain", recoveryChain},
-		{"dht", recoveryDHT},
-		{"gossip", recoveryGossip},
-		{"groupcomm", recoverySocial},
-		{"storage", recoveryStorage},
-		{"webapp", recoveryWebapp},
-	}
-	rows := make([]string, len(runners))
-	for i, r := range runners {
+	rows := make([]string, len(recoveryWorlds))
+	for i, r := range recoveryWorlds {
 		rows[i] = r.name
 	}
 	m := NewMatrix(rows, cols)
-	for r, runner := range runners {
+	for r, row := range recoveryWorlds {
+		sp := recoverySpec(tiny, row.nodes)
 		for c, sc := range scs {
-			ok, rec := runner.run(seed, sc, tiny)
-			m.Vals[r][2*c] = ok * 100
-			m.Vals[r][2*c+1] = rec.Minutes()
+			cell := runFaultCell(seed, sc, sp, row.world(seed, sp))
+			m.Vals[r][2*c] = cell.success * 100
+			m.Vals[r][2*c+1] = cell.rec.Minutes()
 		}
 	}
 	return m
 }
 
-// recTracker samples a recovery invariant at a fixed cadence from the
-// moment the scenario's last fault clears, and remembers the first sample
-// at which it held.
-type recTracker struct {
-	at  time.Duration
-	set bool
-}
-
-// trackRecovery schedules probe every interval from start+faultEnd to
-// start+horizon. probe reports asynchronously through its done callback;
-// the tracker records the (scheduled) offset of the first success.
-func trackRecovery(nw *simnet.Network, start, faultEnd, horizon, interval time.Duration, probe func(done func(bool))) *recTracker {
-	tr := &recTracker{}
-	for t := faultEnd; t < horizon; t += interval {
-		t := t
-		nw.Schedule(start+t, func() {
-			probe(func(ok bool) {
-				if ok && !tr.set {
-					tr.set, tr.at = true, t-faultEnd
-				}
-			})
-		})
-	}
-	return tr
-}
-
-// recovery returns the measured time-to-recover, capped at the fault-free
-// window when the invariant never held.
-func (tr *recTracker) recovery(faultEnd, horizon time.Duration) time.Duration {
-	if tr.set {
-		return tr.at
-	}
-	return horizon - faultEnd
-}
-
-func probeInterval(sp recoverySpec) time.Duration { return sp.horizon / 20 }
-
-// recoveryChain: miners must reconverge on one head. Success is the
-// fraction of miners sharing the majority head after the run; the probe
-// accepts a height spread of one block for in-flight propagation.
-func recoveryChain(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration) {
-	sp := spec(tiny, 5)
+// chainRecoveryWorld: miners must reconverge on one head. Success is the
+// fraction of miners sharing the majority head after the run; the
+// invariant accepts a height spread of one block for in-flight propagation.
+func chainRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 	nw := simnet.New(seed)
 	cfg := chain.Config{InitialDifficulty: 1 << 10, TargetSpacing: 10 * time.Second, Subsidy: 50}
 	miners := newMinerNet(nw, sp.nodes, 100, cfg)
-	eligible := make([]simnet.NodeID, len(miners))
-	for i, m := range miners {
-		eligible[i] = m.Node().ID()
-	}
-	plan := sc.Build(seed, eligible, sp.horizon)
-	plan.Apply(nw)
-	for _, m := range miners {
-		m.Start()
-	}
-	tr := trackRecovery(nw, 0, plan.End(), sp.horizon, probeInterval(sp), func(done func(bool)) {
-		lo, hi := miners[0].Chain().Height(), miners[0].Chain().Height()
-		for _, m := range miners[1:] {
-			if h := m.Chain().Height(); h < lo {
-				lo = h
-			} else if h > hi {
-				hi = h
+	return faultWorld{
+		nw: nw, eligible: nodeIDs(miners),
+		drive: func() {
+			for _, m := range miners {
+				m.Start()
 			}
-		}
-		done(hi-lo <= 1)
-	})
-	nw.Run(sp.horizon)
-	for _, m := range miners {
-		m.Stop()
+		},
+		healthy: func(done func(bool)) {
+			lo, hi := miners[0].Chain().Height(), miners[0].Chain().Height()
+			for _, m := range miners[1:] {
+				if h := m.Chain().Height(); h < lo {
+					lo = h
+				} else if h > hi {
+					hi = h
+				}
+			}
+			done(hi-lo <= 1)
+		},
+		score: func() float64 {
+			for _, m := range miners {
+				m.Stop()
+			}
+			nw.RunAll()
+			counts := map[cryptoutil.Hash]int{}
+			best := 0
+			for _, m := range miners {
+				h := m.Chain().HeadHash()
+				counts[h]++
+				best = max(best, counts[h])
+			}
+			return float64(best) / float64(len(miners))
+		},
 	}
-	nw.RunAll()
-	counts := map[cryptoutil.Hash]int{}
-	best := 0
-	for _, m := range miners {
-		h := m.Chain().HeadHash()
-		counts[h]++
-		if counts[h] > best {
-			best = counts[h]
-		}
-	}
-	return float64(best) / float64(len(miners)), tr.recovery(plan.End(), sp.horizon)
 }
 
-// recoveryDHT: published keys must stay findable. Success is the fraction
-// of (reader, key) lookups that succeed after the run; the probe is one
-// rotating lookup from the first non-anchor reader.
-func recoveryDHT(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration) {
-	sp := spec(tiny, 12)
-	nKeys := 6
+// dhtRecoveryWorld: published keys must stay findable. Success is the
+// fraction of (reader, key) lookups that succeed after the run; the
+// invariant is one rotating lookup from the first non-anchor reader.
+func dhtRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 	nw := simnet.New(seed)
 	cfg := dht.Config{K: 4, RequestTimeout: 3 * time.Second, RepublishInterval: 5 * time.Minute}
-	peers := make([]*dht.Peer, sp.nodes)
-	for i := range peers {
-		peers[i] = dht.NewPeer(nw.AddNode(), dht.Key{}, cfg)
-	}
-	for i := 1; i < len(peers); i++ {
-		i := i
-		nw.After(time.Duration(i)*200*time.Millisecond, func() {
-			peers[i].Bootstrap(peers[0].Contact(), nil)
-		})
-	}
+	peers := growDHT(nw, sp.nodes, 200*time.Millisecond, sameDHT(cfg))
 	nw.Run(time.Duration(len(peers)) * 400 * time.Millisecond)
-	keys := make([]dht.Key, nKeys)
-	for i := range keys {
-		keys[i] = cryptoutil.SumHash([]byte(fmt.Sprintf("x14-%d", i)))
-		peers[0].Put(keys[i], []byte{byte(i)}, nil)
-	}
+	keys := putKeys(peers[0], 6, "x14-%d")
 	nw.Run(nw.Now() + time.Minute)
 
-	eligible := make([]simnet.NodeID, 0, len(peers)-1)
-	for _, p := range peers[1:] {
-		eligible = append(eligible, p.Node().ID())
-	}
-	start := nw.Now()
-	plan := sc.Build(seed, eligible, sp.horizon)
-	plan.ApplyAt(nw, start)
-	probeN := 0
-	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(sp), func(done func(bool)) {
-		probeN++
-		peers[1].Get(keys[probeN%nKeys], func(_ []byte, found bool) { done(found) })
-	})
-	nw.Run(start + sp.horizon)
-
-	ok, total := 0, 0
-	for _, reader := range peers[1:] {
-		for _, k := range keys {
-			total++
-			found := false
-			reader.Get(k, func(_ []byte, f bool) { found = f })
-			nw.Run(nw.Now() + 30*time.Second)
-			if found {
-				ok++
+	sampleN := 0
+	return faultWorld{
+		nw: nw, eligible: nodeIDs(peers[1:]),
+		healthy: func(done func(bool)) {
+			sampleN++
+			peers[1].Get(keys[sampleN%len(keys)], func(_ []byte, found bool) { done(found) })
+		},
+		score: func() float64 {
+			ok, total := 0, 0
+			for _, reader := range peers[1:] {
+				for _, k := range keys {
+					total++
+					found := false
+					reader.Get(k, func(_ []byte, f bool) { found = f })
+					nw.Run(nw.Now() + 30*time.Second)
+					if found {
+						ok++
+					}
+				}
 			}
-		}
+			return float64(ok) / float64(total)
+		},
 	}
-	return float64(ok) / float64(total), tr.recovery(plan.End(), sp.horizon)
 }
 
-// recoveryGossip: every item published during the fault window must reach
-// every member; anti-entropy is the repair path.
-func recoveryGossip(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration) {
-	sp := spec(tiny, 10)
+// gossipRecoveryWorld: every item published during the fault window must
+// reach every member; anti-entropy is the repair path.
+func gossipRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 	nItems := 6
 	nw := simnet.New(seed)
 	members := make([]*gossip.Member, sp.nodes)
-	ids := make([]simnet.NodeID, sp.nodes)
 	for i := range members {
-		node := nw.AddNode()
-		ids[i] = node.ID()
-		members[i] = gossip.NewMember(node, gossip.Config{Fanout: 3, AntiEntropyInterval: 30 * time.Second})
+		members[i] = gossip.NewMember(nw.AddNode(), gossip.Config{Fanout: 3, AntiEntropyInterval: 30 * time.Second})
 	}
+	ids := nodeIDs(members)
 	for i, m := range members {
-		peers := make([]simnet.NodeID, 0, sp.nodes-1)
-		for j, id := range ids {
-			if j != i {
-				peers = append(peers, id)
-			}
-		}
-		m.SetPeers(peers)
+		m.SetPeers(othersOf(ids, i))
 	}
-	plan := sc.Build(seed, ids[1:], sp.horizon)
-	plan.Apply(nw)
 	items := make([]gossip.Item, nItems)
 	published := 0
-	for i := range items {
-		data := fmt.Sprintf("x14-item-%d", i)
-		items[i] = gossip.Item{ID: cryptoutil.SumHash([]byte(data)), Data: data, Size: len(data)}
-		it := items[i]
-		nw.Schedule(time.Duration(i)*sp.horizon/(2*time.Duration(nItems)), func() {
-			members[0].Publish(it)
-			published++
-		})
-	}
-	// The probe only demands items published so far, so workload completion
-	// is not mistaken for slow recovery.
-	allHave := func() bool {
+	// have counts the (member, item) pairs delivered among the first n items.
+	have := func(n int) int {
+		got := 0
 		for _, m := range members {
-			for _, it := range items[:published] {
-				if !m.Has(it.ID) {
-					return false
+			for _, it := range items[:n] {
+				if m.Has(it.ID) {
+					got++
 				}
 			}
 		}
-		return true
+		return got
 	}
-	tr := trackRecovery(nw, 0, plan.End(), sp.horizon, probeInterval(sp), func(done func(bool)) { done(allHave()) })
-	nw.Run(sp.horizon)
-
-	have, total := 0, 0
-	for _, m := range members {
-		for _, it := range items {
-			total++
-			if m.Has(it.ID) {
-				have++
+	return faultWorld{
+		nw: nw, eligible: ids[1:],
+		drive: func() {
+			for i := range items {
+				data := fmt.Sprintf("x14-item-%d", i)
+				items[i] = gossip.Item{ID: cryptoutil.SumHash([]byte(data)), Data: data, Size: len(data)}
+				nw.Schedule(time.Duration(i)*sp.horizon/(2*time.Duration(nItems)), func() {
+					members[0].Publish(items[i])
+					published++
+				})
 			}
-		}
+		},
+		// The invariant only demands items published so far, so workload
+		// completion is not mistaken for slow recovery.
+		healthy: func(done func(bool)) { done(have(published) == published*len(members)) },
+		score:   func() float64 { return float64(have(nItems)) / float64(nItems*len(members)) },
 	}
-	return float64(have) / float64(total), tr.recovery(plan.End(), sp.horizon)
 }
 
-// recoverySocial: posts by the anchor author must eventually reach every
-// friend via periodic sync.
-func recoverySocial(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration) {
-	sp := spec(tiny, 8)
+// socialRecoveryWorld: posts by the anchor author must eventually reach
+// every friend via periodic sync.
+func socialRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 	nPosts := 5
 	nw := simnet.New(seed)
 	peers := make([]*groupcomm.SocialPeer, sp.nodes)
@@ -305,151 +224,114 @@ func recoverySocial(seed int64, sc fault.Scenario, tiny bool) (float64, time.Dur
 			}
 		}
 	}
-	eligible := make([]simnet.NodeID, 0, sp.nodes-1)
-	for _, p := range peers[1:] {
-		eligible = append(eligible, p.Node().ID())
-	}
-	plan := sc.Build(seed, eligible, sp.horizon)
-	plan.Apply(nw)
+	author, friends := peers[0], peers[1:]
 	published := 0
-	for i := 0; i < nPosts; i++ {
-		i := i
-		nw.Schedule(time.Duration(i)*sp.horizon/(2*time.Duration(nPosts)), func() {
-			peers[0].Publish("lobby", []byte(fmt.Sprintf("post %d", i)))
-			published++
-		})
-	}
-	author := peers[0].User()
-	// Only demand posts published so far (see recoveryGossip).
-	allHave := func() bool {
-		for _, p := range peers[1:] {
-			if len(p.PostsBy(author)) < published {
-				return false
+	return faultWorld{
+		nw: nw, eligible: nodeIDs(friends),
+		drive: func() {
+			for i := 0; i < nPosts; i++ {
+				nw.Schedule(time.Duration(i)*sp.horizon/(2*time.Duration(nPosts)), func() {
+					author.Publish("lobby", []byte(fmt.Sprintf("post %d", i)))
+					published++
+				})
 			}
-		}
-		return true
+		},
+		// Only demand posts published so far (see gossipRecoveryWorld).
+		healthy: func(done func(bool)) {
+			for _, p := range friends {
+				if len(p.PostsBy(author.User())) < published {
+					done(false)
+					return
+				}
+			}
+			done(true)
+		},
+		score: func() float64 {
+			have := 0
+			for _, p := range friends {
+				have += len(p.PostsBy(author.User()))
+			}
+			return float64(have) / float64(nPosts*len(friends))
+		},
 	}
-	tr := trackRecovery(nw, 0, plan.End(), sp.horizon, probeInterval(sp), func(done func(bool)) { done(allHave()) })
-	nw.Run(sp.horizon)
-
-	have, total := 0, 0
-	for _, p := range peers[1:] {
-		total += nPosts
-		have += len(p.PostsBy(author))
-	}
-	return float64(have) / float64(total), tr.recovery(plan.End(), sp.horizon)
 }
 
-// recoveryStorage: an object uploaded before the faults must still pass a
-// full audit afterwards, and the bytes must round-trip.
-func recoveryStorage(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration) {
-	sp := spec(tiny, 6)
+// storageRecoveryWorld: an object uploaded before the faults must still
+// pass a full audit afterwards, and the bytes must round-trip.
+func storageRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 	nw := simnet.New(seed)
-	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
-	providers := make([]*storage.Provider, sp.nodes)
-	refs := make([]storage.ProviderRef, sp.nodes)
-	eligible := make([]simnet.NodeID, sp.nodes)
-	for i := range providers {
-		providers[i] = storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 20})
-		refs[i] = providers[i].Ref()
-		eligible[i] = providers[i].Node().ID()
+	fleet := newStorageFleet(nw, sp.nodes, 30*time.Second, resil.Config{}, storage.ProviderConfig{Capacity: 1 << 20})
+	obj := fleet.uploadPattern(nw, 17)
+	if obj.m == nil {
+		return faultWorld{}
 	}
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte(i * 17)
+	return faultWorld{
+		nw: nw, eligible: nodeIDs(fleet.provs),
+		healthy: func(done func(bool)) {
+			fleet.client.Audit(obj.m, obj.pl, 10*time.Second, func(r *storage.AuditReport) {
+				done(r.Failed() == 0 && len(r.Results) > 0)
+			})
+		},
+		score: func() float64 {
+			var report *storage.AuditReport
+			fleet.client.Audit(obj.m, obj.pl, 10*time.Second, func(r *storage.AuditReport) { report = r })
+			var got []byte
+			fleet.client.Download(obj.m, obj.pl, func(b []byte, err error) {
+				if err == nil {
+					got = b
+				}
+			})
+			nw.Run(nw.Now() + time.Minute)
+			if report == nil || len(report.Results) == 0 || !bytes.Equal(got, obj.data) {
+				return 0
+			}
+			return float64(report.Passed()) / float64(len(report.Results))
+		},
 	}
-	var manifest *storage.Manifest
-	var placement *storage.Placement
-	client.Upload(data, 512, refs, 3, func(m *storage.Manifest, pl *storage.Placement, err error) {
-		if err == nil {
-			manifest, placement = m, pl
-		}
-	})
-	nw.Run(nw.Now() + time.Minute)
-	if manifest == nil {
-		return 0, sp.horizon
-	}
-	start := nw.Now()
-	plan := sc.Build(seed, eligible, sp.horizon)
-	plan.ApplyAt(nw, start)
-	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(sp), func(done func(bool)) {
-		client.Audit(manifest, placement, 10*time.Second, func(r *storage.AuditReport) {
-			done(r.Failed() == 0 && len(r.Results) > 0)
-		})
-	})
-	nw.Run(start + sp.horizon)
-
-	var report *storage.AuditReport
-	client.Audit(manifest, placement, 10*time.Second, func(r *storage.AuditReport) { report = r })
-	var got []byte
-	client.Download(manifest, placement, func(b []byte, err error) {
-		if err == nil {
-			got = b
-		}
-	})
-	nw.Run(nw.Now() + time.Minute)
-	if report == nil || len(report.Results) == 0 || !bytes.Equal(got, data) {
-		return 0, tr.recovery(plan.End(), sp.horizon)
-	}
-	return float64(report.Passed()) / float64(len(report.Results)), tr.recovery(plan.End(), sp.horizon)
 }
 
-// recoveryWebapp: a hostless site published before the faults must be
+// webappRecoveryWorld: a hostless site published before the faults must be
 // fully visitable afterwards.
-func recoveryWebapp(seed int64, sc fault.Scenario, tiny bool) (float64, time.Duration) {
-	sp := spec(tiny, 6)
+func webappRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 	nw := simnet.New(seed)
-	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
-	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
+	home := simnet.HomeBroadbandProfile()
+	web := newWebSwarm(nw, home, 30*time.Second)
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
 	if err != nil {
-		return 0, sp.horizon
+		return faultWorld{}
 	}
-	visitors := make([]*webapp.Peer, sp.nodes)
-	eligible := make([]simnet.NodeID, sp.nodes)
-	for i := range visitors {
-		node := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
-		d.Bootstrap(authorDHT.Contact(), nil)
-		visitors[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
-		eligible[i] = node.ID()
-	}
+	visitors := web.join(sp.nodes, home, dht.Config{}, webapp.PeerConfig{}, 0)
 	nw.Run(2 * time.Minute)
 	files := map[string][]byte{
 		"index.html": []byte("<html><body>x14</body></html>"),
 		"app.js":     make([]byte, 2048),
 	}
-	var site cryptoutil.Hash
-	author.Publish(owner, 1, files, cryptoutil.Hash{}, func(m *webapp.Manifest) { site = m.Site })
-	nw.Run(nw.Now() + time.Minute)
+	site := web.publish(owner, files)
 	if site.IsZero() {
-		return 0, sp.horizon
+		return faultWorld{}
 	}
 	for _, p := range visitors[:2] {
 		p.Visit(site, func(map[string][]byte, error) {})
 	}
 	nw.Run(nw.Now() + time.Minute)
 
-	start := nw.Now()
-	plan := sc.Build(seed, eligible, sp.horizon)
-	plan.ApplyAt(nw, start)
-	tr := trackRecovery(nw, start, plan.End(), sp.horizon, probeInterval(sp), func(done func(bool)) {
-		visitors[0].Visit(site, func(fs map[string][]byte, err error) {
-			done(err == nil && len(fs) == len(files))
-		})
-	})
-	nw.Run(start + sp.horizon)
-
-	ok := 0
-	for _, p := range visitors {
-		good := false
-		p.Visit(site, func(fs map[string][]byte, err error) { good = err == nil && len(fs) == len(files) })
-		nw.Run(nw.Now() + time.Minute)
-		if good {
-			ok++
-		}
+	visit := func(p *webapp.Peer, done func(bool)) {
+		p.Visit(site, func(fs map[string][]byte, err error) { done(err == nil && len(fs) == len(files)) })
 	}
-	return float64(ok) / float64(len(visitors)), tr.recovery(plan.End(), sp.horizon)
+	return faultWorld{
+		nw: nw, eligible: nodeIDs(visitors),
+		healthy: func(done func(bool)) { visit(visitors[0], done) },
+		score: func() float64 {
+			ok := 0
+			for _, p := range visitors {
+				good := false
+				visit(p, func(b bool) { good = b })
+				nw.Run(nw.Now() + time.Minute)
+				if good {
+					ok++
+				}
+			}
+			return float64(ok) / float64(len(visitors))
+		},
+	}
 }

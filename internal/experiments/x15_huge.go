@@ -133,26 +133,13 @@ func runHugeCell(sub string, n, workers int, opts HugeOptions) (HugeCell, error)
 	restore := obs.SetCollector(col)
 	defer restore()
 
-	var before runtime.MemStats
-	var startNS int64
-	if opts.WallClock != nil {
-		runtime.ReadMemStats(&before)
-		startNS = opts.WallClock()
-	}
-	cell := ScaleCellRunSharded(sub, opts.Seed, n, opts.Shards, workers)
-	c := HugeCell{Subsystem: sub, N: n, Shards: opts.Shards, Workers: workers, Cell: cell, Snapshot: col.Merged()}
-	if opts.WallClock != nil {
-		elapsed := opts.WallClock() - startNS
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		c.Timing = &obs.Timing{
-			WallNS:     elapsed,
-			Allocs:     after.Mallocs - before.Mallocs,
-			AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		}
-		if elapsed > 0 {
-			c.MsgsPerSec = float64(cell.Messages) / (float64(elapsed) / 1e9)
-		}
+	c := HugeCell{Subsystem: sub, N: n, Shards: opts.Shards, Workers: workers}
+	c.Timing = timed(opts.WallClock, func() {
+		c.Cell = ScaleCellRunSharded(sub, opts.Seed, n, opts.Shards, workers)
+	})
+	c.Snapshot = col.Merged()
+	if c.Timing != nil && c.Timing.WallNS > 0 {
+		c.MsgsPerSec = float64(c.Cell.Messages) / (float64(c.Timing.WallNS) / 1e9)
 	}
 	return c, nil
 }

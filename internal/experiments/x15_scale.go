@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -90,18 +89,8 @@ func scaleCellOn(subsystem string, n int, mk func() *simnet.Network) ScaleCell {
 // timedCell wraps one cell workload with the opt-in wall/alloc measurement.
 func timedCell(n int, run func() (float64, int64)) ScaleCell {
 	cell := ScaleCell{N: n, WallNS: -1}
-	var before runtime.MemStats
-	var start int64
-	if wallClock != nil {
-		runtime.ReadMemStats(&before)
-		start = wallClock()
-	}
-	cell.Converged, cell.Messages = run()
-	if wallClock != nil {
-		cell.WallNS = wallClock() - start
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		cell.Allocs = after.Mallocs - before.Mallocs
+	if t := timed(wallClock, func() { cell.Converged, cell.Messages = run() }); t != nil {
+		cell.WallNS, cell.Allocs = t.WallNS, t.Allocs
 	}
 	return cell
 }
@@ -145,24 +134,11 @@ func scaleDHT(nw *simnet.Network, n int) (float64, int64) {
 		nReaders = 24
 	)
 	cfg := dht.Config{K: 8, Alpha: 3, RequestTimeout: 2 * time.Second}
-	peers := make([]*dht.Peer, n)
-	for i := range peers {
-		peers[i] = dht.NewPeer(nw.AddNode(), dht.Key{}, cfg)
-	}
-	// Staggered joins through the anchor: 20 ms apart keeps concurrent
-	// bootstrap traffic bounded while the virtual clock absorbs the rest.
-	for i := 1; i < len(peers); i++ {
-		p := peers[i]
-		nw.After(time.Duration(i)*20*time.Millisecond, func() {
-			p.Bootstrap(peers[0].Contact(), nil)
-		})
-	}
+	// Joins 20 ms apart keep concurrent bootstrap traffic bounded while the
+	// virtual clock absorbs the rest.
+	peers := growDHT(nw, n, 20*time.Millisecond, sameDHT(cfg))
 	nw.RunAll()
-	keys := make([]dht.Key, nKeys)
-	for i := range keys {
-		keys[i] = cryptoutil.SumHash([]byte(fmt.Sprintf("x15-key-%d", i)))
-		peers[0].Put(keys[i], []byte{byte(i)}, nil)
-	}
+	keys := putKeys(peers[0], nKeys, "x15-key-%d")
 	nw.RunAll()
 
 	total := 0

@@ -137,21 +137,15 @@ type dedupResult struct {
 // repair, then release and squeeze until GC collects.
 func dedupRun(seed int64, wl dedupWorkload, cdc bool, sp dedupSpec) dedupResult {
 	nw := simnet.New(seed)
-	client := storage.NewClient(nw.AddNode(), 10*time.Second, resil.Config{})
-	client.EnableRepairPinning()
 	capacity := sp.provCapacity()
-	provs := make([]*storage.Provider, sp.providers)
-	pool := make([]storage.ProviderRef, sp.providers)
-	for i := range provs {
-		provs[i] = storage.NewProvider(nw.AddNode(), storage.ProviderConfig{
-			Capacity:    capacity,
-			MemCapacity: capacity / 8,
-			GC:          true,
-			Metrics:     true,
-		})
-
-		pool[i] = provs[i].Ref()
-	}
+	fleet := newStorageFleet(nw, sp.providers, 10*time.Second, resil.Config{}, storage.ProviderConfig{
+		Capacity:    capacity,
+		MemCapacity: capacity / 8,
+		GC:          true,
+		Metrics:     true,
+	})
+	client, provs, pool := fleet.client, fleet.provs, fleet.pool
+	client.EnableRepairPinning()
 	var ck *chunker.Chunker
 	if cdc {
 		var err error
@@ -161,15 +155,10 @@ func dedupRun(seed int64, wl dedupWorkload, cdc bool, sp dedupSpec) dedupResult 
 	}
 
 	// Phase 1: the overlapping-upload population.
-	type object struct {
-		data []byte
-		m    *storage.Manifest
-		pl   *storage.Placement
-	}
 	docs := wl.gen(nw.Rand(), sp)
-	objs := make([]*object, len(docs))
+	objs := make([]*storedObject, len(docs))
 	for i, doc := range docs {
-		o := &object{data: doc}
+		o := &storedObject{data: doc}
 		objs[i] = o
 		record := func(m *storage.Manifest, pl *storage.Placement, err error) {
 			if err == nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/overload"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
 	"repro/internal/webapp"
@@ -90,12 +89,10 @@ func x18Federated(seed int64, sp flashSpec, reqs []workload.Request, rs *workloa
 		})
 	}
 	clients := make([]*simnet.RPCNode, sp.clients)
-	ids := make([]simnet.NodeID, sp.clients)
 	for i := range clients {
 		clients[i] = simnet.NewRPCNode(nw.AddNode())
-		ids[i] = clients[i].Node().ID()
 	}
-	rs.Apply(nw, ids)
+	rs.Apply(nw, nodeIDs(clients))
 	base := nw.Now()
 	meter := newSLAMeter(sp.sla, sp.clients)
 	sent := sentMeter(nw, base)
@@ -144,22 +141,10 @@ func x18Federated(seed int64, sp flashSpec, reqs []workload.Request, rs *workloa
 // conformance battery) crashes/degrades client nodes mid-run.
 func x18P2P(seed int64, sp flashSpec, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario) flashResult {
 	nw := simnet.New(seed)
-	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
-	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), sp.timeout, webapp.PeerConfig{})
-	clients := make([]*webapp.Peer, sp.clients)
-	ids := make([]simnet.NodeID, sp.clients)
-	for i := range clients {
-		node := nw.AddNode()
-		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
-		clients[i] = webapp.NewPeer(node, d, tracker.Node().ID(), sp.timeout, webapp.PeerConfig{})
-		ids[i] = node.ID()
-		i := i
-		nw.After(time.Duration(i+1)*20*time.Millisecond, func() {
-			d.Bootstrap(authorDHT.Contact(), nil)
-		})
-	}
+	web := newWebSwarm(nw, simnet.HomeBroadbandProfile(), sp.timeout)
+	author := web.author
+	clients := web.join(sp.clients, simnet.DatacenterProfile(), dht.Config{}, webapp.PeerConfig{}, 20*time.Millisecond)
+	ids := nodeIDs(clients)
 	rs.Apply(nw, ids)
 	nw.Run(nw.Now() + time.Minute)
 

@@ -16,21 +16,13 @@ import (
 // existing network; the shared helper for every chain-backed experiment.
 func newMinerNet(nw *simnet.Network, n int, hashrate float64, cfg chain.Config) []*chain.Miner {
 	miners := make([]*chain.Miner, n)
-	ids := make([]simnet.NodeID, n)
-	for i := 0; i < n; i++ {
-		node := nw.AddNode()
-		ids[i] = node.ID()
+	for i := range miners {
 		addr := cryptoutil.SumHash([]byte{byte(i), 0x4D})
-		miners[i] = chain.NewMiner(node, chain.NewChain(cfg), addr, hashrate)
+		miners[i] = chain.NewMiner(nw.AddNode(), chain.NewChain(cfg), addr, hashrate)
 	}
+	ids := nodeIDs(miners)
 	for i, m := range miners {
-		peers := make([]simnet.NodeID, 0, n-1)
-		for j, id := range ids {
-			if j != i {
-				peers = append(peers, id)
-			}
-		}
-		m.SetPeers(peers)
+		m.SetPeers(othersOf(ids, i))
 	}
 	return miners
 }

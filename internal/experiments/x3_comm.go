@@ -185,20 +185,13 @@ func fedHomeDeliverability(seed int64, servers int, f float64) float64 {
 func fedReplDeliverability(seed int64, servers int, f float64) float64 {
 	nw := simnet.New(seed)
 	srvs := make([]*groupcomm.ReplServer, servers)
-	ids := make([]simnet.NodeID, servers)
 	for i := range srvs {
 		srvs[i] = groupcomm.NewReplServer(nw.AddNode(), fmt.Sprintf("hs%d", i), nil,
 			gossip.Config{Fanout: 3, AntiEntropyInterval: 15 * time.Second})
-		ids[i] = srvs[i].Node().ID()
 	}
+	ids := nodeIDs(srvs)
 	for i, s := range srvs {
-		var peers []simnet.NodeID
-		for j, id := range ids {
-			if j != i {
-				peers = append(peers, id)
-			}
-		}
-		s.SetPeers(peers)
+		s.SetPeers(othersOf(ids, i))
 	}
 	clients := make([]*groupcomm.ReplClient, servers)
 	for i := range clients {

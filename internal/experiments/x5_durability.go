@@ -96,27 +96,15 @@ func StorageDurabilityMulti(seeds []int64, workers, objects, providers int, hori
 
 func durabilityRun(seed int64, scheme durabilityScheme, objects, providers int, horizon time.Duration, deadFraction float64, repairEvery time.Duration) (survival float64, repairBytes float64) {
 	nw := simnet.New(seed)
-	client := storage.NewClient(nw.AddNode(), 10*time.Second, resil.Config{})
-	provs := make([]*storage.Provider, providers)
-	for i := range provs {
-		provs[i] = storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30})
-	}
-	pool := make([]storage.ProviderRef, providers)
-	for i, p := range provs {
-		pool[i] = p.Ref()
-	}
+	fleet := newStorageFleet(nw, providers, 10*time.Second, resil.Config{}, storage.ProviderConfig{Capacity: 1 << 30})
+	client, provs, pool := fleet.client, fleet.provs, fleet.pool
 
 	// Upload all objects.
-	type object struct {
-		data []byte
-		m    *storage.Manifest
-		pl   *storage.Placement
-	}
-	objs := make([]*object, objects)
+	objs := make([]*storedObject, objects)
 	for i := range objs {
 		data := make([]byte, 2048)
 		nw.Rand().Read(data)
-		o := &object{data: data}
+		o := &storedObject{data: data}
 		objs[i] = o
 		scheme.upload(client, data, pool, func(m *storage.Manifest, pl *storage.Placement, err error) {
 			o.m, o.pl = m, pl

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/overload"
 	"repro/internal/simnet"
 	"repro/internal/webapp"
 )
@@ -108,11 +107,10 @@ func clientServerRun(seed int64, visitors int) (before, after, originShare float
 // visitor seeding.
 func hostlessRun(seed int64, visitors int) (before, after, authorShare float64) {
 	nw := simnet.New(seed)
-	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
 	// The author lives on a home-broadband link, like any user.
-	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
-	author := webapp.NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
+	home := simnet.HomeBroadbandProfile()
+	web := newWebSwarm(nw, home, 30*time.Second)
+	author := web.author
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
 	if err != nil {
 		panic(err)
@@ -121,18 +119,10 @@ func hostlessRun(seed int64, visitors int) (before, after, authorShare float64) 
 	// Visitors' DHT peers join first so the manifest replicates beyond the
 	// author's own node at publish time (otherwise the author's death would
 	// take the manifest with it).
-	peers := make([]*webapp.Peer, visitors)
-	for i := 0; i < visitors; i++ {
-		node := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-		d := dht.NewPeer(node, dht.Key{}, dht.Config{})
-		d.Bootstrap(authorDHT.Contact(), nil)
-		peers[i] = webapp.NewPeer(node, d, tracker.Node().ID(), 30*time.Second, webapp.PeerConfig{})
-	}
+	peers := web.join(visitors, home, dht.Config{}, webapp.PeerConfig{}, 0)
 	nw.Run(2 * time.Minute) // settle DHT routing tables
 
-	var siteAddr cryptoutil.Hash
-	author.Publish(owner, 1, siteFiles(), cryptoutil.Hash{}, func(m *webapp.Manifest) { siteAddr = m.Site })
-	nw.Run(nw.Now() + time.Minute)
+	siteAddr := web.publish(owner, siteFiles())
 
 	okBefore, okAfter, nBefore, nAfter := 0, 0, 0, 0
 	start := nw.Now()

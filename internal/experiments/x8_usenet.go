@@ -50,19 +50,12 @@ func byteCount(b int64) string {
 func usenetPerServerBytes(seed int64, servers, posts, postBytes int) int64 {
 	nw := simnet.New(seed)
 	srvs := make([]*groupcomm.UsenetServer, servers)
-	ids := make([]simnet.NodeID, servers)
 	for i := range srvs {
 		srvs[i] = groupcomm.NewUsenetServer(nw.AddNode(), fmt.Sprintf("news%d", i))
-		ids[i] = srvs[i].Node().ID()
 	}
+	ids := nodeIDs(srvs)
 	for i, s := range srvs {
-		var peers []simnet.NodeID
-		for j, id := range ids {
-			if j != i {
-				peers = append(peers, id)
-			}
-		}
-		s.SetPeers(peers)
+		s.SetPeers(othersOf(ids, i))
 	}
 	for i, s := range srvs {
 		for p := 0; p < posts; p++ {

@@ -215,11 +215,15 @@ func NewRPCNode(n *Node) *RPCNode {
 // Node returns the underlying simulated node.
 func (r *RPCNode) Node() *Node { return r.n }
 
-// Serve registers the handler for method.
+// Serve registers the synchronous handler for method. When one method is
+// registered more than one way, a request goes to its ServeAsync handler
+// if there is one, else to its ServeDeferred handler, else here.
 func (r *RPCNode) Serve(method string, h RPCHandler) { r.servers[method] = h }
 
 // ServeAsync registers an asynchronous handler for method; it takes
-// precedence over a synchronous handler of the same name.
+// precedence over both deferred and synchronous handlers of the same name.
+// storage's cheating providers depend on it: their async get must win over
+// the honest one, which overload.Server.Protect registers deferred.
 func (r *RPCNode) ServeAsync(method string, h RPCAsyncHandler) { r.asyncServers[method] = h }
 
 // RPCDeferredHandler serves a method by completing a ReplyToken, possibly
@@ -258,7 +262,8 @@ func (t ReplyToken) Reply(resp any, respSize int) {
 }
 
 // ServeDeferred registers a deferred handler for method; it takes
-// precedence over both async and synchronous handlers of the same name.
+// precedence over a synchronous handler of the same name and yields to an
+// asynchronous one.
 func (r *RPCNode) ServeDeferred(method string, h RPCDeferredHandler) {
 	r.deferredServers[method] = h
 }

@@ -414,6 +414,47 @@ func TestRPCAsyncDoubleReplyPanics(t *testing.T) {
 	nw.RunAll()
 }
 
+// TestRPCHandlerPrecedence pins the dispatch order when one method is
+// registered more than one way: async, then deferred, then synchronous.
+// storage's cheating providers rely on their ServeAsync winning over a
+// handler overload.Server.Protect registered with ServeDeferred.
+func TestRPCHandlerPrecedence(t *testing.T) {
+	nw := New(23)
+	client := NewRPCNode(nw.AddNode())
+	server := NewRPCNode(nw.AddNode())
+	call := func(method string) any {
+		var got any
+		client.Call(server.Node().ID(), method, nil, 8, time.Minute, func(resp any, err error) {
+			if err != nil {
+				t.Errorf("%s: %v", method, err)
+			}
+			got = resp
+		})
+		nw.RunAll()
+		return got
+	}
+	sync := func(NodeID, any) (any, int) { return "sync", 8 }
+	async := func(_ NodeID, _ any, reply func(any, int)) { reply("async", 8) }
+	deferred := func(_ NodeID, _ any, tok ReplyToken) { tok.Reply("deferred", 8) }
+
+	// Registration order must not matter, so the winner goes in first.
+	server.ServeAsync("all", async)
+	server.ServeDeferred("all", deferred)
+	server.Serve("all", sync)
+	server.ServeAsync("async+sync", async)
+	server.Serve("async+sync", sync)
+	server.ServeDeferred("deferred+sync", deferred)
+	server.Serve("deferred+sync", sync)
+	server.Serve("sync", sync)
+	for _, c := range []struct{ method, want string }{
+		{"all", "async"}, {"async+sync", "async"}, {"deferred+sync", "deferred"}, {"sync", "sync"},
+	} {
+		if got := call(c.method); got != c.want {
+			t.Errorf("%s answered by the %v handler, want %s", c.method, got, c.want)
+		}
+	}
+}
+
 func TestSharedRPCNodePerNode(t *testing.T) {
 	nw := New(22)
 	n := nw.AddNode()
