@@ -1,6 +1,7 @@
 // Allocation-budget tests: pin the steady-state allocation cost of the
-// three hot paths the X15 scale sweep leans on — raw message delivery,
-// DHT lookups, and gossip publish rounds. The substrate Send path must be
+// hot paths the X15 scale sweep leans on — raw message delivery, DHT
+// lookups, and gossip publish rounds — and of the ledger's hashing paths,
+// which every chain-backed experiment runs per transaction per replica. The substrate Send path must be
 // exactly allocation-free (events and RPC envelopes recycle through
 // pools); the protocol paths carry small, pinned budgets with headroom.
 // A failure here means a regression re-introduced per-message garbage that
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
 	"repro/internal/gossip"
@@ -433,4 +435,49 @@ func TestAllocAdmitZero(t *testing.T) {
 	if got > base {
 		t.Errorf("admit/complete adds %.2f allocs/op over the plain RPC path (%.2f vs %.2f), want 0", got-base, got, base)
 	}
+}
+
+// TestAllocChainHotPaths pins the ledger's per-transaction and per-nonce
+// paths: identifying and sizing a transaction, hashing a header and
+// re-checking a signature that has already passed allocate nothing, and a
+// whole proof-of-work grind allocates at most its one target — nothing per
+// nonce tried. Every miner runs the first four per transaction per block,
+// and Grind's loop a thousand times per block at the difficulties the
+// experiments use.
+func TestAllocChainHotPaths(t *testing.T) {
+	kp, err := cryptoutil.GenerateKeyPair(workload.Rand(11, 0xC4A1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := chain.NewWallet(kp, 0).Pay(chain.Address{9}, 10, 1)
+	if err := tx.CheckSig(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := chain.Header{Height: 1, Difficulty: 1 << 10}
+	var sink byte
+	zero := map[string]func(){
+		"Tx.ID":       func() { id := tx.ID(); sink ^= id[0] },
+		"Tx.WireSize": func() { sink ^= byte(tx.WireSize()) },
+		"Header.Hash": func() { h := hdr.Hash(); sink ^= h[0] },
+		"Tx.CheckSig on a verified payment": func() {
+			if tx.CheckSig() != nil {
+				sink++
+			}
+		},
+	}
+	for name, f := range zero {
+		if avg := testing.AllocsPerRun(1000, f); avg != 0 {
+			t.Errorf("%s allocates %.2f/op, want 0", name, avg)
+		}
+	}
+	grind := func() {
+		hdr.Height++ // a fresh search each run
+		hdr.Nonce = 0
+		hdr.Grind()
+		sink ^= byte(hdr.Nonce)
+	}
+	if avg := testing.AllocsPerRun(50, grind); avg > 4 {
+		t.Errorf("Header.Grind at difficulty 2^10 allocates %.2f per call, budget 4", avg)
+	}
+	_ = sink
 }

@@ -12,6 +12,7 @@
 //	feudalism list                                # available experiment ids
 //	feudalism bench [-json out.json] [-seed N] [-trials T] [-workers W]
 //	                [-scale full|tiny] [-timing]  # machine-readable bench
+//	                [-cpuprofile f] [-memprofile f]
 //	feudalism scale [-n 100000] [-subsystems simnet,dht,gossip] [-workers 1,2]
 //	                [-cpuprofile f] [-memprofile f]  # huge-tier sweep
 //
@@ -157,6 +158,8 @@ func runBenchCmd(args []string) {
 	bscale := bfs.String("scale", "full", "experiment sizes: full or tiny")
 	btiming := bfs.Bool("timing", false, "record wall time and allocations (machine-dependent; breaks byte-reproducibility)")
 	bout := bfs.String("json", "", "write JSON to this file instead of stdout")
+	bcpu := bfs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	bmem := bfs.String("memprofile", "", "write a heap profile, taken when the run ends, to this file")
 	_ = bfs.Parse(args)
 	if *bscale != "full" && *bscale != "tiny" {
 		fmt.Fprintf(os.Stderr, "bench: -scale must be full or tiny, got %q\n", *bscale)
@@ -166,7 +169,17 @@ func runBenchCmd(args []string) {
 	if *btiming {
 		opts.WallClock = func() int64 { return time.Now().UnixNano() }
 	}
-	b, err := experiments.RunBench(opts).EncodeJSON()
+	stopProfiles, err := startProfiles(*bcpu, *bmem)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		os.Exit(1)
+	}
+	file := experiments.RunBench(opts)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		os.Exit(1)
+	}
+	b, err := file.EncodeJSON()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
@@ -256,7 +269,8 @@ func runScaleCmd(args []string) {
 
 // startProfiles starts a CPU profile into cpuPath and returns the function
 // that ends it and writes a heap profile to memPath; an empty path skips
-// that profile. Profiles cover the sweep only and never touch its output.
+// that profile. Profiles cover the run between the two calls only and never
+// touch its output.
 func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -316,7 +330,8 @@ commands:
               -workload zipf|diurnal|flash to pick the schedule shape
   all         tables + every experiment
   list        list experiment ids
-  bench       run every experiment and emit machine-readable BENCH JSON
+  bench       run every experiment and emit machine-readable BENCH JSON;
+              -cpuprofile f / -memprofile f profile the run
   scale       run the huge-tier (100k-1M node) X15 sweep on the sharded
               engine; -n 100000,1000000 -workers 1,8 -json out.json;
               -cpuprofile f / -memprofile f profile the sweep`)

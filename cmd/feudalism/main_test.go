@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -78,5 +79,32 @@ func TestStartProfiles(t *testing.T) {
 
 	if _, err := startProfiles(filepath.Join(dir, "missing", "cpu.prof"), ""); err == nil {
 		t.Error("an unwritable -cpuprofile path was accepted")
+	}
+}
+
+// TestBenchProfiles: `bench -cpuprofile -memprofile` writes both profiles
+// beside a bench file that is byte for byte the one an unprofiled run
+// writes.
+func TestBenchProfiles(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	common := []string{"-scale", "tiny", "-seed", "9"}
+	runBenchCmd(append(common, "-json", path("plain.json")))
+	runBenchCmd(append(common, "-json", path("profiled.json"), "-cpuprofile", path("cpu.prof"), "-memprofile", path("mem.prof")))
+	for _, name := range []string{"cpu.prof", "mem.prof"} {
+		if fi, err := os.Stat(path(name)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written (%v)", name, err)
+		}
+	}
+	plain, err := os.ReadFile(path("plain.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiled, err := os.ReadFile(path("profiled.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain) == 0 || !bytes.Equal(plain, profiled) {
+		t.Errorf("profiling changed the bench file: %d bytes without, %d with", len(plain), len(profiled))
 	}
 }

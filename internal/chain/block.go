@@ -1,8 +1,10 @@
 package chain
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/big"
+	"math/bits"
 
 	"repro/internal/cryptoutil"
 )
@@ -21,20 +23,25 @@ type Header struct {
 	Nonce      uint64
 }
 
-func (h *Header) encode() []byte {
-	buf := make([]byte, 0, 32+32+8*4)
-	buf = append(buf, h.Prev[:]...)
-	buf = append(buf, h.MerkleRoot[:]...)
-	var scratch [8]byte
-	for _, v := range []uint64{h.Height, uint64(h.Time), h.Difficulty, h.Nonce} {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		buf = append(buf, scratch[:]...)
-	}
+// headerSize is the length of a header's encoding; the nonce is its last
+// eight bytes.
+const headerSize = 32 + 32 + 4*8
+
+func (h *Header) encode() (buf [headerSize]byte) {
+	copy(buf[0:], h.Prev[:])
+	copy(buf[32:], h.MerkleRoot[:])
+	binary.BigEndian.PutUint64(buf[64:], h.Height)
+	binary.BigEndian.PutUint64(buf[72:], uint64(h.Time))
+	binary.BigEndian.PutUint64(buf[80:], h.Difficulty)
+	binary.BigEndian.PutUint64(buf[88:], h.Nonce)
 	return buf
 }
 
 // Hash returns the block identifier: the SHA-256 of the header encoding.
-func (h *Header) Hash() cryptoutil.Hash { return cryptoutil.SumHash(h.encode()) }
+func (h *Header) Hash() cryptoutil.Hash {
+	buf := h.encode()
+	return cryptoutil.SumHash(buf[:])
+}
 
 // Block is a header plus its transactions; the first transaction must be
 // the coinbase.
@@ -50,7 +57,7 @@ func (b *Block) Hash() cryptoutil.Hash { return b.Header.Hash() }
 // all transactions. Chain.TotalBytes sums this to track the paper's
 // "endless ledger" growth.
 func (b *Block) WireSize() int {
-	size := len(b.Header.encode())
+	size := headerSize
 	for _, tx := range b.Txs {
 		size += tx.WireSize()
 	}
@@ -59,37 +66,57 @@ func (b *Block) WireSize() int {
 
 // txMerkleRoot computes the Merkle root over the block's transaction IDs.
 func txMerkleRoot(txs []*Tx) cryptoutil.Hash {
+	ids := make([]cryptoutil.Hash, len(txs))
 	leaves := make([][]byte, len(txs))
 	for i, tx := range txs {
-		id := tx.ID()
-		leaves[i] = id[:]
+		ids[i] = tx.ID()
+		leaves[i] = ids[i][:]
 	}
 	return cryptoutil.MerkleRoot(leaves)
 }
 
-var maxHashValue = new(big.Int).Lsh(big.NewInt(1), 256)
-
-// workTarget returns the highest hash value that satisfies difficulty d.
-func workTarget(d uint64) *big.Int {
-	if d == 0 {
-		d = 1
+// workTarget returns the highest hash value that satisfies difficulty d,
+// ⌊2²⁵⁶/d⌋, as the 32 big-endian bytes a hash is compared against. At
+// difficulty 0 or 1 the quotient is 2²⁵⁶ itself, which every hash is below:
+// the all-ones target says the same.
+func workTarget(d uint64) (target cryptoutil.Hash) {
+	if d <= 1 {
+		for i := range target {
+			target[i] = 0xFF
+		}
+		return target
 	}
-	return new(big.Int).Div(maxHashValue, new(big.Int).SetUint64(d))
+	// Long division of the five-limb 2²⁵⁶ by d: the leading limb, 1, is
+	// below d and becomes the first remainder.
+	rem := uint64(1)
+	for i := 0; i < len(target); i += 8 {
+		var q uint64
+		q, rem = bits.Div64(rem, 0, d)
+		binary.BigEndian.PutUint64(target[i:], q)
+	}
+	return target
 }
 
 // MeetsTarget reports whether the header's hash satisfies its difficulty.
 func (h *Header) MeetsTarget() bool {
-	hash := h.Hash()
-	v := new(big.Int).SetBytes(hash[:])
-	return v.Cmp(workTarget(h.Difficulty)) <= 0
+	hash, target := h.Hash(), workTarget(h.Difficulty)
+	return bytes.Compare(hash[:], target[:]) <= 0
 }
 
 // Grind searches nonces (starting from the current one) until the header
 // meets its target, mutating the header in place. With the modest
-// difficulties simulations use this is a few thousand hash evaluations.
+// difficulties simulations use this is a few thousand hash evaluations; the
+// target and the encoding are computed once and only the nonce bytes change
+// between tries.
 func (h *Header) Grind() {
-	for !h.MeetsTarget() {
+	target, buf := workTarget(h.Difficulty), h.encode()
+	for {
+		hash := cryptoutil.SumHash(buf[:])
+		if bytes.Compare(hash[:], target[:]) <= 0 {
+			return
+		}
 		h.Nonce++
+		binary.BigEndian.PutUint64(buf[headerSize-8:], h.Nonce)
 	}
 }
 

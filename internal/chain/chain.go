@@ -57,9 +57,7 @@ func (c Config) withDefaults() Config {
 // same heaviest-chain rule.
 type Chain struct {
 	cfg     Config
-	blocks  map[cryptoutil.Hash]*Block
-	states  map[cryptoutil.Hash]*State
-	work    map[cryptoutil.Hash]*big.Int // cumulative work including the block itself
+	blocks  map[cryptoutil.Hash]*record
 	head    cryptoutil.Hash
 	genesis cryptoutil.Hash
 	bytes   int64 // total bytes across all stored blocks ("endless ledger")
@@ -75,6 +73,13 @@ type Chain struct {
 	obsHeight     *obs.Gauge
 }
 
+// record is everything the tree keeps per block.
+type record struct {
+	block *Block
+	state *State   // account state after the block; nil once Compact discarded it
+	work  *big.Int // cumulative work including the block itself
+}
+
 // ErrUnknownParent is returned by AddBlock when the parent block has not
 // been seen; the caller should fetch it and retry.
 var ErrUnknownParent = errors.New("chain: unknown parent block")
@@ -86,17 +91,10 @@ var ErrDuplicate = errors.New("chain: duplicate block")
 // the config.
 func NewChain(cfg Config) *Chain {
 	cfg = cfg.withDefaults()
-	c := &Chain{
-		cfg:    cfg,
-		blocks: map[cryptoutil.Hash]*Block{},
-		states: map[cryptoutil.Hash]*State{},
-		work:   map[cryptoutil.Hash]*big.Int{},
-	}
+	c := &Chain{cfg: cfg, blocks: map[cryptoutil.Hash]*record{}}
 	genesis := &Block{Header: Header{Difficulty: 1}}
 	gh := genesis.Hash()
-	c.blocks[gh] = genesis
-	c.states[gh] = NewState(cfg.GenesisAlloc)
-	c.work[gh] = big.NewInt(0)
+	c.blocks[gh] = &record{block: genesis, state: NewState(cfg.GenesisAlloc), work: big.NewInt(0)}
 	c.head = gh
 	c.genesis = gh
 	c.bytes += int64(genesis.WireSize())
@@ -122,25 +120,35 @@ func (c *Chain) Config() Config { return c.cfg }
 func (c *Chain) Genesis() cryptoutil.Hash { return c.genesis }
 
 // Head returns the current best block.
-func (c *Chain) Head() *Block { return c.blocks[c.head] }
+func (c *Chain) Head() *Block { return c.blocks[c.head].block }
 
 // HeadHash returns the current best block's hash.
 func (c *Chain) HeadHash() cryptoutil.Hash { return c.head }
 
 // Height returns the height of the head block.
-func (c *Chain) Height() uint64 { return c.blocks[c.head].Header.Height }
+func (c *Chain) Height() uint64 { return c.Head().Header.Height }
 
 // Block returns a block by hash, or nil.
-func (c *Chain) Block(h cryptoutil.Hash) *Block { return c.blocks[h] }
+func (c *Chain) Block(h cryptoutil.Hash) *Block {
+	if r := c.blocks[h]; r != nil {
+		return r.block
+	}
+	return nil
+}
 
 // HasBlock reports whether the block is known.
 func (c *Chain) HasBlock(h cryptoutil.Hash) bool { _, ok := c.blocks[h]; return ok }
 
 // State returns the account state at the head.
-func (c *Chain) State() *State { return c.states[c.head] }
+func (c *Chain) State() *State { return c.blocks[c.head].state }
 
 // StateAt returns the state at an arbitrary known block, or nil.
-func (c *Chain) StateAt(h cryptoutil.Hash) *State { return c.states[h] }
+func (c *Chain) StateAt(h cryptoutil.Hash) *State {
+	if r := c.blocks[h]; r != nil {
+		return r.state
+	}
+	return nil
+}
 
 // TotalBytes returns the cumulative ledger size in bytes over every block
 // ever stored (including stale branches) — the paper's "endless ledger"
@@ -149,7 +157,7 @@ func (c *Chain) TotalBytes() int64 { return c.bytes }
 
 // WorkExpended returns the cumulative expected hash evaluations along the
 // best chain — the paper's "wasteful mining computation" metric.
-func (c *Chain) WorkExpended() *big.Int { return new(big.Int).Set(c.work[c.head]) }
+func (c *Chain) WorkExpended() *big.Int { return new(big.Int).Set(c.blocks[c.head].work) }
 
 // Reorgs returns how many times the head has switched branches.
 func (c *Chain) Reorgs() int { return c.reorgs }
@@ -163,7 +171,7 @@ func (c *Chain) OnHead(f func(*Block)) { c.onHead = append(c.onHead, f) }
 // NextDifficulty computes the difficulty for a block extending parent,
 // applying Bitcoin-style proportional retargeting clamped to [¼, 4]×.
 func (c *Chain) NextDifficulty(parentHash cryptoutil.Hash) uint64 {
-	parent := c.blocks[parentHash]
+	parent := c.Block(parentHash)
 	if parent == nil {
 		return c.cfg.InitialDifficulty
 	}
@@ -177,7 +185,7 @@ func (c *Chain) NextDifficulty(parentHash cryptoutil.Hash) uint64 {
 	// Walk back interval blocks to find the window start.
 	start := parent
 	for i := 0; i < interval && start.Header.Height > 0; i++ {
-		start = c.blocks[start.Header.Prev]
+		start = c.Block(start.Header.Prev)
 	}
 	actual := time.Duration(parent.Header.Time - start.Header.Time)
 	expected := c.cfg.TargetSpacing * time.Duration(interval)
@@ -200,8 +208,8 @@ func (c *Chain) NextDifficulty(parentHash cryptoutil.Hash) uint64 {
 
 // validate fully checks a block against its (known) parent.
 func (c *Chain) validate(b *Block) error {
-	parent, ok := c.blocks[b.Header.Prev]
-	if !ok {
+	parent := c.Block(b.Header.Prev)
+	if parent == nil {
 		return ErrUnknownParent
 	}
 	if b.Header.Height != parent.Header.Height+1 {
@@ -253,11 +261,11 @@ func (c *Chain) AddBlock(b *Block) error {
 	}
 	// Apply transactions on a copy of the parent state. A missing parent
 	// state means Compact discarded it: the branch forks too deep.
-	parentState, ok := c.states[b.Header.Prev]
-	if !ok {
+	parent := c.blocks[b.Header.Prev]
+	if parent.state == nil {
 		return ErrTooDeepFork
 	}
-	st := parentState.Clone()
+	st := parent.state.Clone()
 	var fees uint64
 	for _, tx := range b.Txs[1:] {
 		if err := st.ApplyTx(tx); err != nil {
@@ -270,16 +278,15 @@ func (c *Chain) AddBlock(b *Block) error {
 	}
 	st.applyCoinbase(b.Txs[0])
 
-	c.blocks[h] = b
-	c.states[h] = st
-	c.work[h] = new(big.Int).Add(c.work[b.Header.Prev], Work(b.Header.Difficulty))
+	work := new(big.Int).Add(parent.work, Work(b.Header.Difficulty))
+	c.blocks[h] = &record{block: b, state: st, work: work}
 	c.bytes += int64(b.WireSize())
 
 	if c.obsAccepted != nil {
 		c.obsAccepted.Inc()
 	}
 	// Heaviest chain wins; ties break toward the incumbent (first seen).
-	if c.work[h].Cmp(c.work[c.head]) > 0 {
+	if work.Cmp(c.blocks[c.head].work) > 0 {
 		oldHead := c.head
 		c.head = h
 		if b.Header.Prev != oldHead {
@@ -304,36 +311,31 @@ func (c *Chain) AddBlock(b *Block) error {
 // replica's point of view. Walks stop early (best-effort) if Compact has
 // discarded part of either branch.
 func (c *Chain) forkDepth(oldHead, newHead cryptoutil.Hash) uint64 {
-	a, okA := c.blocks[oldHead]
-	b, okB := c.blocks[newHead]
-	if !okA || !okB {
+	a, b := c.Block(oldHead), c.Block(newHead)
+	if a == nil || b == nil {
 		return 0
 	}
 	for b.Header.Height > a.Header.Height {
-		nb, ok := c.blocks[b.Header.Prev]
-		if !ok {
+		if b = c.Block(b.Header.Prev); b == nil {
 			return 0
 		}
-		b = nb
 	}
 	for a.Header.Height > b.Header.Height {
-		na, ok := c.blocks[a.Header.Prev]
-		if !ok {
+		na := c.Block(a.Header.Prev)
+		if na == nil {
 			return a.Header.Height - b.Header.Height
 		}
 		a = na
 	}
 	// Blocks are stored once, so pointer equality identifies the ancestor.
 	for a != b {
-		na, okA := c.blocks[a.Header.Prev]
-		nb, okB := c.blocks[b.Header.Prev]
-		if !okA || !okB {
+		na, nb := c.Block(a.Header.Prev), c.Block(b.Header.Prev)
+		if na == nil || nb == nil {
 			break
 		}
 		a, b = na, nb
 	}
-	oldHeight := c.blocks[oldHead].Header.Height
-	return oldHeight - a.Header.Height
+	return c.Block(oldHead).Header.Height - a.Header.Height
 }
 
 // Ancestors returns up to max block hashes walking back from h (inclusive),
@@ -341,8 +343,8 @@ func (c *Chain) forkDepth(oldHead, newHead cryptoutil.Hash) uint64 {
 func (c *Chain) Ancestors(h cryptoutil.Hash, max int) []cryptoutil.Hash {
 	var out []cryptoutil.Hash
 	for max > 0 {
-		b, ok := c.blocks[h]
-		if !ok {
+		b := c.Block(h)
+		if b == nil {
 			break
 		}
 		out = append(out, h)
@@ -358,13 +360,13 @@ func (c *Chain) Ancestors(h cryptoutil.Hash, max int) []cryptoutil.Hash {
 // IsOnBestChain reports whether block h lies on the path from genesis to
 // the current head.
 func (c *Chain) IsOnBestChain(h cryptoutil.Hash) bool {
-	b, ok := c.blocks[h]
-	if !ok {
+	b := c.Block(h)
+	if b == nil {
 		return false
 	}
-	cur := c.blocks[c.head]
+	cur := c.Head()
 	for cur.Header.Height > b.Header.Height {
-		cur = c.blocks[cur.Header.Prev]
+		cur = c.Block(cur.Header.Prev)
 	}
 	return cur.Hash() == h
 }
@@ -375,14 +377,14 @@ func (c *Chain) Confirmations(h cryptoutil.Hash) uint64 {
 	if !c.IsOnBestChain(h) {
 		return 0
 	}
-	return c.Height() - c.blocks[h].Header.Height + 1
+	return c.Height() - c.Block(h).Header.Height + 1
 }
 
 // BestBlocks returns the best chain from genesis to head, oldest first.
 func (c *Chain) BestBlocks() []*Block {
 	var out []*Block
 	for h := c.head; ; {
-		b := c.blocks[h]
+		b := c.Block(h)
 		out = append(out, b)
 		if b.Header.Height == 0 {
 			break
@@ -398,14 +400,16 @@ func (c *Chain) BestBlocks() []*Block {
 // FindTx searches the best chain for a transaction by ID and returns it
 // with the containing block, or nils.
 func (c *Chain) FindTx(id cryptoutil.Hash) (*Tx, *Block) {
-	for _, b := range c.BestBlocks() {
+	for b := c.Head(); ; b = c.Block(b.Header.Prev) {
 		for _, tx := range b.Txs {
 			if tx.ID() == id {
 				return tx, b
 			}
 		}
+		if b.Header.Height == 0 {
+			return nil, nil
+		}
 	}
-	return nil, nil
 }
 
 // NewBlock assembles and grinds a block extending parent with the given
@@ -413,8 +417,8 @@ func (c *Chain) FindTx(id cryptoutil.Hash) (*Tx, *Block) {
 // responsible for having validated the transactions against the parent
 // state.
 func (c *Chain) NewBlock(parentHash cryptoutil.Hash, txs []*Tx, timestamp time.Duration, miner Address) (*Block, error) {
-	parent, ok := c.blocks[parentHash]
-	if !ok {
+	parent := c.Block(parentHash)
+	if parent == nil {
 		return nil, ErrUnknownParent
 	}
 	var fees uint64
@@ -451,22 +455,28 @@ var ErrTooDeepFork = errors.New("chain: fork below compaction checkpoint")
 // branches rooted below the checkpoint. It returns how many states were
 // freed.
 func (c *Chain) Compact(keepStates uint64) int {
-	head := c.blocks[c.head].Header.Height
+	head := c.Height()
 	if head <= keepStates {
 		return 0
 	}
 	cutoff := head - keepStates
 	freed := 0
-	for h, b := range c.blocks {
-		if b.Header.Height < cutoff {
-			if _, ok := c.states[h]; ok {
-				delete(c.states, h)
-				freed++
-			}
+	for _, r := range c.blocks {
+		if r.block.Header.Height < cutoff && r.state != nil {
+			r.state = nil
+			freed++
 		}
 	}
 	return freed
 }
 
 // StatesHeld returns how many per-block states are currently retained.
-func (c *Chain) StatesHeld() int { return len(c.states) }
+func (c *Chain) StatesHeld() int {
+	held := 0
+	for _, r := range c.blocks {
+		if r.state != nil {
+			held++
+		}
+	}
+	return held
+}

@@ -131,7 +131,7 @@ func TestStateApplyAndErrors(t *testing.T) {
 func TestStateCloneIsolated(t *testing.T) {
 	st := NewState(map[Address]uint64{{1}: 5})
 	cl := st.Clone()
-	cl.Balances[Address{1}] = 99
+	cl.touch(Address{1}).balance = 99
 	if st.Balance(Address{1}) != 5 {
 		t.Error("clone shares storage with original")
 	}
@@ -544,12 +544,8 @@ func TestSupplyConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		var total uint64
-		for _, bal := range c.State().Balances {
-			total += bal
-		}
 		want := uint64(4*1000) + uint64(blocks)*50
-		return total == want
+		return c.State().Supply() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

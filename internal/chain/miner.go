@@ -59,6 +59,7 @@ func NewMiner(node *simnet.Node, c *Chain, address Address, hashrate float64) *M
 		address:  address,
 		orphans:  map[cryptoutil.Hash][]*Block{},
 	}
+	m.pool.tip = c.State
 	c.SetObs(node.Obs())
 	node.Handle(MsgBlock, m.onBlock)
 	node.Handle(MsgTx, m.onTx)
@@ -69,13 +70,34 @@ func NewMiner(node *simnet.Node, c *Chain, address Address, hashrate float64) *M
 		}
 	})
 	node.OnDown(func() { m.mineTimer.Cancel() })
+	prev := c.Head()
 	c.OnHead(func(b *Block) {
-		m.pool.RemoveMined(b)
+		m.repool(prev, b)
+		prev = b
 		if m.started && m.pinned.IsZero() {
 			m.scheduleMine() // head moved: restart on the new tip
 		}
 	})
 	return m
+}
+
+// repool brings the pool in line with a head change from old to head: both
+// branches are walked down to the fork point, every block that joined the
+// best chain takes its transactions out of the pool, and every block that
+// left gives its own back — Add refuses the ones the new branch mined too.
+func (m *Miner) repool(old, head *Block) {
+	// Blocks are stored once, so pointer equality identifies the fork point.
+	for old != head {
+		if old.Header.Height >= head.Header.Height {
+			for _, tx := range old.Txs[1:] {
+				m.pool.Add(tx)
+			}
+			old = m.chain.Block(old.Header.Prev)
+		} else {
+			m.pool.RemoveMined(head)
+			head = m.chain.Block(head.Header.Prev)
+		}
+	}
 }
 
 // Chain returns the miner's chain replica.

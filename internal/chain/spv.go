@@ -184,6 +184,5 @@ func (hc *HeaderChain) VerifyTx(p *TxProof) (uint64, error) {
 
 // HeaderBytes returns the light client's storage footprint in bytes.
 func (hc *HeaderChain) HeaderBytes() int64 {
-	var h Header
-	return int64(len(h.encode()) * len(hc.headers))
+	return int64(headerSize * len(hc.headers))
 }
