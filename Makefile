@@ -43,17 +43,19 @@ test:
 
 # cover emits per-package coverage and enforces the floor on the simulation
 # substrate, the resilience layer, the storage engine, the workload engine,
-# the replication layer and the overload layer: every package in
+# the replication layer, the overload layer and the DHT: every package in
 # COVER_TRACKED must stay at >= 80% statement coverage — everything else in
 # the repo leans on their fidelity; resil's retry/hedge/breaker decisions
 # feed the X16 golden, storage's tiering/GC decisions feed the X17 golden,
-# workload's draws feed the X18 golden, and overload's admission decisions
-# feed the X20 golden. The gate fails loudly if a tracked package is
-# missing from the report or its line carries no parseable percentage
-# (e.g. the go tool's output format changed), rather than silently passing.
+# workload's draws feed the X18 golden, overload's admission decisions
+# feed the X20 golden, and the DHT's routing table, lookups and pooled
+# replies feed X11, X14, X15 and the dht_mixed benchmark. The gate fails
+# loudly if a tracked package is missing from the report or its line
+# carries no parseable percentage (e.g. the go tool's output format
+# changed), rather than silently passing.
 COVER_TRACKED := repro/internal/simnet repro/internal/simnet/fault \
 	repro/internal/resil repro/internal/storage repro/internal/workload \
-	repro/internal/replic repro/internal/overload
+	repro/internal/replic repro/internal/overload repro/internal/dht
 cover:
 	@$(GO) test -cover ./internal/... | tee /tmp/feudalism-cover.txt
 	@awk -v tracked='$(COVER_TRACKED)' 'BEGIN { want = split(tracked, names, " "); for (i in names) track[names[i]] = 1 } \
@@ -87,10 +89,11 @@ bench:
 	$(GO) test -bench . -benchmem -benchtime 1x ./...
 
 # allocs enforces the allocation budgets on the hot paths the X15 scale
-# sweep depends on: substrate Send must stay at 0 allocs/op, RPC round
-# trips, DHT lookups and gossip rounds inside their pinned budgets.
+# sweep depends on: substrate Send and a DHT peer serving a find_value miss
+# must stay at 0 allocs/op, RPC round trips, DHT lookups and gossip rounds
+# inside their pinned budgets.
 allocs:
-	$(GO) test -run 'TestAlloc' -count=1 .
+	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht
 
 # scale is the nightly-style 10k-node tier: the big scale matrix at full
 # population, plus the race detector over the small tier. scripts/ci.sh

@@ -108,15 +108,18 @@ func TestRoutingTableEvictKeep(t *testing.T) {
 		return Contact{ID: k, Addr: simnet.NodeID(b)}
 	}
 	c1, c2, c3 := mk(1), mk(2), mk(3)
-	if rt.observe(c1) != nil || rt.observe(c2) != nil {
+	if _, full := rt.observe(c1); full {
 		t.Fatal("inserts into non-full bucket should not return candidates")
 	}
-	cand := rt.observe(c3)
-	if cand == nil || cand.ID != c1.ID {
+	if _, full := rt.observe(c2); full {
+		t.Fatal("inserts into non-full bucket should not return candidates")
+	}
+	cand, full := rt.observe(c3)
+	if !full || cand.ID != c1.ID {
 		t.Fatal("full bucket should nominate the least-recently-seen occupant")
 	}
 	// Liveness check failed: evict and insert newcomer.
-	rt.evict(*cand, c3)
+	rt.evict(cand, c3)
 	if got := rt.closest(self, 10); len(got) != 2 {
 		t.Fatalf("table size %d after evict, want 2", len(got))
 	}
@@ -127,8 +130,8 @@ func TestRoutingTableEvictKeep(t *testing.T) {
 	}
 	// refresh moves to tail: observe c2 then check candidate rotation.
 	rt.refresh(c2.ID)
-	cand = rt.observe(mk(4))
-	if cand == nil || cand.ID != c3.ID {
+	cand, full = rt.observe(mk(4))
+	if !full || cand.ID != c3.ID {
 		t.Errorf("after refresh, LRS should be c3")
 	}
 	rt.remove(c3.ID)

@@ -7,13 +7,29 @@ package dht
 
 import "repro/internal/obs"
 
+// Shortlist entry state bits.
+const (
+	queried uint8 = 1 << iota // a query to the contact was sent
+	failed                    // that query failed: the contact is no result
+)
+
+// candidate is one shortlist entry.
+type candidate struct {
+	Contact
+	state uint8
+}
+
 type lookupState struct {
-	p         *Peer
-	target    Key
-	wantValue bool
-	shortlist []Contact
-	queried   map[Key]bool
-	failed    map[Key]bool
+	p *Peer
+	// req is built once and sent by pointer with every query; servers only
+	// read it.
+	req    findNodeReq
+	method string
+	// shortlist holds the 2K closest contacts seen so far, sorted by
+	// distance to the target. Contacts are inserted in place; one pushed
+	// off the end can never come back, because the 2K-th distance only
+	// falls.
+	shortlist []candidate
 	inflight  int
 	finished  bool
 	span      obs.Span
@@ -25,38 +41,55 @@ func (p *Peer) lookup(target Key, wantValue bool, done func([]Contact, []byte, b
 	p.m.lookups.Inc()
 	ls := &lookupState{
 		p:         p,
-		target:    target,
-		wantValue: wantValue,
-		queried:   map[Key]bool{},
-		failed:    map[Key]bool{},
+		req:       findNodeReq{From: p.Contact(), Target: target},
+		method:    methodFindNode,
+		shortlist: make([]candidate, 0, 2*p.cfg.K),
 		span:      p.Node().Obs().StartSpan("dht.lookup.duration_s", p.Node().Now()),
 		done:      done,
 	}
-	ls.merge(p.rt.closest(target, p.cfg.K))
+	if wantValue {
+		ls.method = methodFindValue
+	}
+	// Start from the answer this peer would give itself.
+	seed := p.closestReply(target)
+	ls.merge(seed.Contacts)
+	seed.release()
 	ls.step()
 }
 
-// merge folds contacts into the shortlist, keeping it sorted by distance
-// and trimmed to K entries plus already-queried stragglers.
+// search returns the shortlist position of the first entry not closer to
+// the target than id: id's own entry if it is listed, else where it would
+// be inserted.
+func (ls *lookupState) search(id Key) int {
+	lo, hi := 0, len(ls.shortlist)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if DistanceLess(ls.req.Target, ls.shortlist[m].ID, id) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// merge inserts the contacts it has not seen into the shortlist, keeping it
+// sorted and at most 2K long.
 func (ls *lookupState) merge(cs []Contact) {
+	limit := 2 * ls.p.cfg.K
 	for _, c := range cs {
 		if c.ID == ls.p.id {
 			continue
 		}
-		dup := false
-		for _, have := range ls.shortlist {
-			if have.ID == c.ID {
-				dup = true
-				break
-			}
+		i := ls.search(c.ID)
+		if i == limit || (i < len(ls.shortlist) && ls.shortlist[i].ID == c.ID) {
+			continue
 		}
-		if !dup {
-			ls.shortlist = append(ls.shortlist, c)
+		if len(ls.shortlist) < limit {
+			ls.shortlist = append(ls.shortlist, candidate{})
 		}
-	}
-	sortByDistance(ls.target, ls.shortlist)
-	if len(ls.shortlist) > ls.p.cfg.K*2 {
-		ls.shortlist = ls.shortlist[:ls.p.cfg.K*2]
+		copy(ls.shortlist[i+1:], ls.shortlist[i:])
+		ls.shortlist[i] = candidate{Contact: c}
 	}
 }
 
@@ -68,17 +101,18 @@ func (ls *lookupState) step() {
 	ls.p.stats.LookupHops++
 	ls.p.m.hops.Inc()
 	launched := 0
-	for _, c := range ls.shortlist {
+	for i := range ls.shortlist {
 		if ls.inflight >= ls.p.cfg.Alpha {
 			break
 		}
-		if ls.queried[c.ID] || ls.failed[c.ID] {
+		e := &ls.shortlist[i]
+		if e.state != 0 {
 			continue
 		}
-		ls.queried[c.ID] = true
+		e.state = queried
 		ls.inflight++
 		launched++
-		ls.query(c)
+		ls.query(e.Contact)
 	}
 	if launched == 0 && ls.inflight == 0 {
 		ls.finish(nil, false)
@@ -86,32 +120,31 @@ func (ls *lookupState) step() {
 }
 
 func (ls *lookupState) query(c Contact) {
-	method := methodFindNode
-	if ls.wantValue {
-		method = methodFindValue
-	}
-	req := findNodeReq{From: ls.p.Contact(), Target: ls.target}
-	ls.p.res.Call(c.Addr, method, req, 80, ls.p.cfg.RequestTimeout, func(resp any, err error) {
+	ls.p.res.Call(c.Addr, ls.method, &ls.req, 80, ls.p.cfg.RequestTimeout, func(resp any, err error) {
 		ls.inflight--
+		r, _ := resp.(*findResp)
 		if ls.finished {
+			r.release()
 			return
 		}
 		if err != nil {
-			ls.failed[c.ID] = true
+			if i := ls.search(c.ID); i < len(ls.shortlist) && ls.shortlist[i].ID == c.ID {
+				ls.shortlist[i].state |= failed
+			}
 			ls.p.rt.remove(c.ID)
 			ls.step()
 			return
 		}
 		ls.p.observe(c)
-		switch r := resp.(type) {
-		case findValueResp:
+		if r != nil {
 			if r.Found {
-				ls.finish(r.Value, true)
+				value := r.Value
+				r.release()
+				ls.finish(value, true)
 				return
 			}
 			ls.merge(r.Contacts)
-		case findNodeResp:
-			ls.merge(r.Contacts)
+			r.release()
 		}
 		if ls.converged() {
 			ls.finish(nil, false)
@@ -127,15 +160,13 @@ func (ls *lookupState) converged() bool {
 	if ls.inflight > 0 {
 		return false
 	}
-	checked := 0
-	for _, c := range ls.shortlist {
-		if checked >= ls.p.cfg.K {
+	for i, e := range ls.shortlist {
+		if i == ls.p.cfg.K {
 			break
 		}
-		if !ls.queried[c.ID] && !ls.failed[c.ID] {
+		if e.state == 0 {
 			return false
 		}
-		checked++
 	}
 	return true
 }
@@ -148,11 +179,14 @@ func (ls *lookupState) finish(value []byte, found bool) {
 	ls.span.End(ls.p.Node().Now())
 	// Result: the K closest live contacts.
 	var out []Contact
-	for _, c := range ls.shortlist {
-		if ls.failed[c.ID] {
+	for _, e := range ls.shortlist {
+		if e.state&failed != 0 {
 			continue
 		}
-		out = append(out, c)
+		if out == nil {
+			out = make([]Contact, 0, min(ls.p.cfg.K, len(ls.shortlist)))
+		}
+		out = append(out, e.Contact)
 		if len(out) == ls.p.cfg.K {
 			break
 		}

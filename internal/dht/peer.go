@@ -1,7 +1,9 @@
 package dht
 
 import (
+	"encoding/binary"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -57,14 +59,41 @@ type findNodeReq struct {
 	Target Key
 }
 
-type findNodeResp struct {
+// findResp is the reply to find_node and find_value. Replies are pooled:
+// the serving peer takes one and fills it, and the lookup that receives it
+// releases it once merged. A reply the RPC layer drops as late — after a
+// timeout, a cancelled hedge or a duplicate delivery — is left to the GC.
+type findResp struct {
+	Value    []byte // find_value hit; nil otherwise
+	Found    bool
 	Contacts []Contact
 }
 
-type findValueResp struct {
-	Value    []byte // nil if not found
-	Found    bool
-	Contacts []Contact
+var replyPool = sync.Pool{New: func() any { return new(findResp) }}
+
+// replyHook, when non-nil, observes every reply taken from the pool
+// (taken) and every reply released to it (!taken). Tests use it to pin
+// the exactly-once release; it is nil in production.
+var replyHook func(r *findResp, taken bool)
+
+func takeReply() *findResp {
+	r := replyPool.Get().(*findResp)
+	if replyHook != nil {
+		replyHook(r, true)
+	}
+	return r
+}
+
+// release returns r to the pool; a nil reply is a no-op.
+func (r *findResp) release() {
+	if r == nil {
+		return
+	}
+	if replyHook != nil {
+		replyHook(r, false)
+	}
+	r.Value, r.Found, r.Contacts = nil, false, r.Contacts[:0]
+	replyPool.Put(r)
 }
 
 type storeReq struct {
@@ -80,11 +109,14 @@ type storedValue struct {
 
 // Peer is one DHT participant bound to a simnet node.
 type Peer struct {
-	cfg   Config
-	rpc   *simnet.RPCNode
-	res   *resil.Client // client-path RPCs go through the resilience layer
-	id    Key
-	rt    *routingTable
+	cfg Config
+	rpc *simnet.RPCNode
+	res *resil.Client // client-path RPCs go through the resilience layer
+	id  Key
+	rt  *routingTable
+	// ping is this peer's Contact, boxed once: the payload of every
+	// liveness ping it sends.
+	ping  any
 	store map[Key]storedValue
 	// published tracks keys this peer originated, for republishing.
 	published map[Key][]byte
@@ -124,11 +156,25 @@ type Stats struct {
 	ValuesServed   int
 }
 
+// derivedID is the DHT ID of a peer created without one: a hash of its
+// node ID. Node IDs below 2^16 hash their two low bytes, the preimage every
+// world of up to 65,536 nodes has always used; larger ones hash all eight
+// bytes, so no two nodes of any population share an ID.
+func derivedID(id simnet.NodeID) Key {
+	if id < 1<<16 {
+		return cryptoutil.SumHash([]byte{byte(id), byte(id >> 8), 0xD7})
+	}
+	var b [9]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(id))
+	b[8] = 0xD7
+	return cryptoutil.SumHash(b[:])
+}
+
 // NewPeer creates a DHT peer on the given simnet node. The peer's DHT ID is
 // derived from the node ID unless a nonzero id is supplied.
 func NewPeer(node *simnet.Node, id Key, cfg Config) *Peer {
 	if id.IsZero() {
-		id = cryptoutil.SumHash([]byte{byte(node.ID()), byte(node.ID() >> 8), 0xD7})
+		id = derivedID(node.ID())
 	}
 	p := &Peer{
 		cfg:       cfg.withDefaults(),
@@ -140,6 +186,7 @@ func NewPeer(node *simnet.Node, id Key, cfg Config) *Peer {
 	}
 	p.res = resil.New(p.rpc, p.cfg.Resilience)
 	p.rt = newRoutingTable(id, p.cfg.K)
+	p.ping = p.Contact()
 	// Pings are pure liveness control — they must keep answering while the
 	// lookup paths queue, or a merely-busy peer gets evicted as dead.
 	ov := overload.New(p.rpc, p.cfg.Overload)
@@ -174,12 +221,11 @@ func (p *Peer) observe(c Contact) {
 	if c.ID == p.id {
 		return
 	}
-	candidate := p.rt.observe(c)
-	if candidate == nil {
+	old, full := p.rt.observe(c)
+	if !full {
 		return
 	}
-	old := *candidate
-	p.res.Call(old.Addr, methodPing, p.Contact(), 40, p.cfg.RequestTimeout, func(_ any, err error) {
+	p.res.Call(old.Addr, methodPing, p.ping, 40, p.cfg.RequestTimeout, func(_ any, err error) {
 		if err != nil {
 			p.rt.evict(old, c) // stale occupant: newcomer takes the slot
 		} else {
@@ -195,29 +241,38 @@ func (p *Peer) onPing(from simnet.NodeID, req any) (any, int) {
 	return true, 8
 }
 
+// closestReply returns a pooled reply holding the K contacts nearest target.
+func (p *Peer) closestReply(target Key) *findResp {
+	r := takeReply()
+	r.Contacts = p.rt.appendClosest(r.Contacts, target, p.cfg.K)
+	return r
+}
+
 func (p *Peer) onFindNode(from simnet.NodeID, req any) (any, int) {
-	r, ok := req.(findNodeReq)
+	r, ok := req.(*findNodeReq)
 	if !ok {
-		return findNodeResp{}, 8
+		return nil, 8
 	}
 	p.observe(r.From)
-	cs := p.rt.closest(r.Target, p.cfg.K)
-	return findNodeResp{Contacts: cs}, 8 + len(cs)*40
+	resp := p.closestReply(r.Target)
+	return resp, 8 + len(resp.Contacts)*40
 }
 
 func (p *Peer) onFindValue(from simnet.NodeID, req any) (any, int) {
-	r, ok := req.(findNodeReq)
+	r, ok := req.(*findNodeReq)
 	if !ok {
-		return findValueResp{}, 8
+		return nil, 8
 	}
 	p.observe(r.From)
 	if sv, ok := p.store[r.Target]; ok && p.fresh(sv) {
 		p.stats.ValuesServed++
 		p.m.served.Inc()
-		return findValueResp{Value: sv.data, Found: true}, 8 + len(sv.data)
+		resp := takeReply()
+		resp.Value, resp.Found = sv.data, true
+		return resp, 8 + len(sv.data)
 	}
-	cs := p.rt.closest(r.Target, p.cfg.K)
-	return findValueResp{Contacts: cs}, 8 + len(cs)*40
+	resp := p.closestReply(r.Target)
+	return resp, 8 + len(resp.Contacts)*40
 }
 
 func (p *Peer) onStore(from simnet.NodeID, req any) (any, int) {
