@@ -43,19 +43,21 @@ test:
 
 # cover emits per-package coverage and enforces the floor on the simulation
 # substrate, the resilience layer, the storage engine, the workload engine,
-# the replication layer, the overload layer and the DHT: every package in
+# the replication layer, the overload layer, the DHT and obs: every package in
 # COVER_TRACKED must stay at >= 80% statement coverage — everything else in
 # the repo leans on their fidelity; resil's retry/hedge/breaker decisions
 # feed the X16 golden, storage's tiering/GC decisions feed the X17 golden,
 # workload's draws feed the X18 golden, overload's admission decisions
-# feed the X20 golden, and the DHT's routing table, lookups and pooled
-# replies feed X11, X14, X15 and the dht_mixed benchmark. The gate fails
+# feed the X20 golden, the DHT's routing table, lookups and pooled
+# replies feed X11, X14, X15 and the dht_mixed benchmark, and every golden
+# and BENCH_baseline.json is an obs snapshot. The gate fails
 # loudly if a tracked package is missing from the report or its line
 # carries no parseable percentage (e.g. the go tool's output format
 # changed), rather than silently passing.
 COVER_TRACKED := repro/internal/simnet repro/internal/simnet/fault \
 	repro/internal/resil repro/internal/storage repro/internal/workload \
-	repro/internal/replic repro/internal/overload repro/internal/dht
+	repro/internal/replic repro/internal/overload repro/internal/dht \
+	repro/internal/obs
 cover:
 	@$(GO) test -cover ./internal/... | tee /tmp/feudalism-cover.txt
 	@awk -v tracked='$(COVER_TRACKED)' 'BEGIN { want = split(tracked, names, " "); for (i in names) track[names[i]] = 1 } \

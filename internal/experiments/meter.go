@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -70,10 +69,10 @@ type slaScore struct {
 // score folds the per-node logs in node order. Call it after the run.
 func (m *slaMeter) score() slaScore {
 	var s slaScore
-	var lat obs.Histogram
+	var lat samples
 	for _, slot := range m.slots {
 		for _, o := range slot {
-			lat.Observe(o.lat.Seconds())
+			lat.add(o.lat.Seconds())
 			if o.ok {
 				s.ok++
 			}
@@ -83,6 +82,6 @@ func (m *slaMeter) score() slaScore {
 	if m.launched > 0 {
 		s.avail = float64(s.ok) / float64(m.launched)
 	}
-	s.p95 = lat.Quantile(0.95)
+	s.p95 = lat.quantile(0.95)
 	return s
 }

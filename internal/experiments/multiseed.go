@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -60,13 +59,13 @@ func AggregateSeeds(seeds []int64, workers int, run func(seed int64) Matrix) Agg
 	a.Mean, a.P50, a.P95 = alloc(), alloc(), alloc()
 	for r := range rows {
 		for c := range cols {
-			var s obs.Histogram
+			var s samples
 			for _, m := range ms {
-				s.Observe(m.Vals[r][c])
+				s.add(m.Vals[r][c])
 			}
-			a.Mean[r][c] = s.Mean()
-			a.P50[r][c] = s.Quantile(0.5)
-			a.P95[r][c] = s.Quantile(0.95)
+			a.Mean[r][c] = s.mean()
+			a.P50[r][c] = s.quantile(0.5)
+			a.P95[r][c] = s.quantile(0.95)
 		}
 	}
 	return a

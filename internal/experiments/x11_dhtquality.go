@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/dht"
-	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -144,7 +143,7 @@ func dhtQualityRun(seed int64, peerCount, lookups int, profile simnet.LinkProfil
 		nw.Run(nw.Now() + 90*time.Minute) // let attrition and churn play out
 	}
 
-	var lat obs.Histogram
+	var lat samples
 	ok := 0
 	rng := nw.Rand()
 	for i := 0; i < lookups; i++ {
@@ -167,8 +166,8 @@ func dhtQualityRun(seed int64, peerCount, lookups int, profile simnet.LinkProfil
 		nw.Run(nw.Now() + time.Minute)
 		if found {
 			ok++
-			lat.Observe(float64(doneAt-t0) / float64(time.Second))
+			lat.add(float64(doneAt-t0) / float64(time.Second))
 		}
 	}
-	return float64(ok) / float64(lookups), lat.Mean(), lat.Quantile(0.99)
+	return float64(ok) / float64(lookups), lat.mean(), lat.quantile(0.99)
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/chain"
 	"repro/internal/cryptoutil"
 	"repro/internal/naming"
-	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -43,7 +42,7 @@ func NamingSchemes(seed int64, nNames int) *Table {
 		nw := simnet.New(seed)
 		reg := naming.NewCentralizedRegistrar(nw.AddNode())
 		client := naming.NewRegistrarClient(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), reg.Node().ID(), time.Minute)
-		var lat obs.Histogram
+		var lat samples
 		start := nw.Now()
 		var lastDone time.Duration
 		var registerNext func(i int)
@@ -54,7 +53,7 @@ func NamingSchemes(seed int64, nNames int) *Table {
 			t0 := nw.Now()
 			client.Register(fmt.Sprintf("name-%04d", i), chain.Address{byte(i)}, nil, func(ok bool) {
 				if ok {
-					lat.Observe(float64(nw.Now()-t0) / float64(time.Second))
+					lat.add(float64(nw.Now()-t0) / float64(time.Second))
 					lastDone = nw.Now()
 				}
 				registerNext(i + 1)
@@ -63,9 +62,9 @@ func NamingSchemes(seed int64, nNames int) *Table {
 		registerNext(0)
 		nw.Run(time.Hour)
 		t.Add("centralized-registrar",
-			fmt.Sprintf("%.2fs", lat.Mean()),
-			fmt.Sprintf("%.2fs", lat.Quantile(1)),
-			fmt.Sprintf("%.0f", perMinute(lat.Count(), lastDone-start)),
+			fmt.Sprintf("%.2fs", lat.mean()),
+			fmt.Sprintf("%.2fs", lat.quantile(1)),
+			fmt.Sprintf("%.0f", perMinute(len(lat), lastDone-start)),
 			true)
 	}
 
@@ -160,19 +159,19 @@ func blockchainNamingRun(seed int64, nNames int, spacing time.Duration) (mean, m
 		m.Stop()
 	}
 
-	var lat obs.Histogram
+	var lat samples
 	var last time.Duration
 	for nm, at := range resolvedAt {
-		lat.Observe(float64(at-submitAt[nm]) / float64(time.Second))
+		lat.add(float64(at-submitAt[nm]) / float64(time.Second))
 		if at > last {
 			last = at
 		}
 	}
-	confirmed = lat.Count()
+	confirmed = len(lat)
 	if confirmed == 0 {
 		return 0, 0, 0, 0
 	}
-	return lat.Mean(), lat.Quantile(1), perMinute(confirmed, last-start), confirmed
+	return lat.mean(), lat.quantile(1), perMinute(confirmed, last-start), confirmed
 }
 
 // perMinute returns count per minute of elapsed virtual time, or 0 when no

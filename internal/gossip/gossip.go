@@ -163,15 +163,6 @@ func (m *Member) Get(id cryptoutil.Hash) (Item, bool) {
 // Len returns how many items the member holds.
 func (m *Member) Len() int { return len(m.log) }
 
-// IDs returns all held item IDs in delivery order.
-func (m *Member) IDs() []cryptoutil.Hash {
-	out := make([]cryptoutil.Hash, len(m.log))
-	for i, it := range m.log {
-		out[i] = it.ID
-	}
-	return out
-}
-
 // Publish introduces a new item at this member and pushes it to the
 // network. Taking the parameter's address is the item's one allocation.
 func (m *Member) Publish(it Item) {

@@ -159,14 +159,22 @@ func TestLossyNetworkStillConverges(t *testing.T) {
 	}
 }
 
+// deliveries records the IDs m delivers, in delivery order.
+func deliveries(m *Member) *[]cryptoutil.Hash {
+	var ids []cryptoutil.Hash
+	m.OnDeliver(func(it Item) { ids = append(ids, it.ID) })
+	return &ids
+}
+
 func TestIDsPreserveDeliveryOrder(t *testing.T) {
 	nw, members := buildGroup(t, 8, 2, Config{})
 	a := members[0]
+	delivered := deliveries(a)
 	i1, i2 := item("first"), item("second")
 	a.Publish(i1)
 	a.Publish(i2)
 	nw.Run(time.Second)
-	ids := a.IDs()
+	ids := *delivered
 	if len(ids) != 2 || ids[0] != i1.ID || ids[1] != i2.ID {
 		t.Error("IDs not in delivery order")
 	}
@@ -342,11 +350,12 @@ func TestSyncDeltaMatchesReference(t *testing.T) {
 }
 
 // TestRepairedItemsReadBack checks the inspection API over the log and index
-// after a repair: what anti-entropy delivered reads back, through Get, IDs
-// and Len, as what was published.
+// after a repair: what anti-entropy delivered reads back, through Get,
+// OnDeliver and Len, as what was published.
 func TestRepairedItemsReadBack(t *testing.T) {
 	nw, members := buildGroup(t, 12, 2, Config{AntiEntropyInterval: 5 * time.Second})
 	a, b := members[0], members[1]
+	delivered := deliveries(b)
 	nw.Partition([]simnet.NodeID{a.Node().ID()}, []simnet.NodeID{b.Node().ID()})
 	published := numbered("repaired", 300)
 	for _, it := range published {
@@ -362,10 +371,10 @@ func TestRepairedItemsReadBack(t *testing.T) {
 	if b.Len() != len(published) {
 		t.Fatalf("b holds %d items after repair, want %d", b.Len(), len(published))
 	}
-	ids := b.IDs()
+	ids := *delivered
 	for i, it := range published {
 		if ids[i] != it.ID {
-			t.Fatalf("IDs()[%d] is not item %d: repair must keep the sender's delivery order", i, i)
+			t.Fatalf("delivery %d is not item %d: repair must keep the sender's delivery order", i, i)
 		}
 		got, ok := b.Get(it.ID)
 		if !ok || got != it {
@@ -393,8 +402,10 @@ func TestDigestReadWhileSenderAppends(t *testing.T) {
 			members[i] = NewMember(nw.AddNode(), Config{Fanout: 1, AntiEntropyInterval: 20 * time.Millisecond})
 			ids[i] = members[i].node.ID()
 		}
-		for _, m := range members {
+		logs := make([]*[]cryptoutil.Hash, n)
+		for i, m := range members {
 			m.SetPeers(ids)
+			logs[i] = deliveries(m)
 		}
 		for k := 0; k < 200; k++ {
 			m, it := members[k%n], item(fmt.Sprintf("stream-%d", k))
@@ -402,11 +413,11 @@ func TestDigestReadWhileSenderAppends(t *testing.T) {
 		}
 		nw.Run(2 * time.Second)
 		out := fmt.Sprintf("%+v", *nw.Trace())
-		for _, m := range members {
+		for i, m := range members {
 			if m.Len() != 200 {
 				t.Errorf("workers=%d: member %d holds %d/200 items", workers, m.node.ID(), m.Len())
 			}
-			out += fmt.Sprint(m.IDs())
+			out += fmt.Sprint(*logs[i])
 		}
 		return out
 	}

@@ -8,9 +8,10 @@ import (
 	"strconv"
 )
 
-// HistStat is the exported summary of a Histogram: exact quantiles over
-// the retained samples. All fields are computed from the sorted sample
-// list, so they are independent of observation order.
+// HistStat is the exported summary of a Histogram: Count, Min and Max are
+// exact, Sum is exact to 1e-9 per sample, and the quantiles are within the
+// histogram's 2⁻⁷ relative error. Every field is a function of the bucket
+// counts, so none depends on observation or merge order.
 type HistStat struct {
 	Count int     `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -81,13 +82,13 @@ func (r *Registry) Snapshot() *Snapshot {
 // commutative, order-independent semantics:
 //
 //   - counters sum;
-//   - histogram samples pool (quantiles are computed over the union);
+//   - histograms merge bucket by bucket (integer addition);
 //   - gauges average across the registries that set them;
 //   - span events are dropped (they only make sense within one timeline).
 //
-// Registries are first stable-sorted by label, so float accumulation
-// order — and therefore the exported bytes — do not depend on which trial
-// worker attached first.
+// Registries are first stable-sorted by label, so the gauge averages'
+// float accumulation order — and therefore the exported bytes — do not
+// depend on which trial worker attached first.
 func MergeRegistries(regs []*Registry) *Snapshot {
 	ordered := append([]*Registry(nil), regs...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].label < ordered[j].label })
@@ -113,8 +114,7 @@ func MergeRegistries(regs []*Registry) *Snapshot {
 				dst = &Histogram{}
 				pooled[name] = dst
 			}
-			dst.xs = append(dst.xs, h.xs...)
-			dst.sorted = false
+			dst.Merge(h)
 		}
 	}
 	s := &Snapshot{

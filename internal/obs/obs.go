@@ -7,7 +7,7 @@
 //
 //  1. Determinism. Given the same seed and workload, everything exported
 //     is bit-for-bit identical — across repeated runs and across trial
-//     worker counts. Counters and histogram samples merge commutatively,
+//     worker counts. Counters and histogram counts merge by integer addition,
 //     exports iterate names in sorted order, and nothing here reads the
 //     wall clock or global randomness. Spans are stamped with *virtual*
 //     time supplied by the caller.
@@ -27,11 +27,7 @@
 // deterministic order.
 package obs
 
-import (
-	"math"
-	"sort"
-	"time"
-)
+import "time"
 
 // Counter is a monotonically increasing (or absolutely set) integer
 // metric. The zero value is ready to use; Registry.Counter hands out
@@ -72,73 +68,6 @@ func (g *Gauge) Value() float64 { return g.v }
 
 // IsSet reports whether the gauge was ever set.
 func (g *Gauge) IsSet() bool { return g.set }
-
-// Histogram retains every observation so exact quantiles can be computed
-// and so merges across trials are lossless. Intended for protocol-level
-// event volumes (reorg depths, span durations), not per-message traffic —
-// the substrate uses BucketHistogram for that.
-type Histogram struct {
-	xs     []float64
-	sorted bool
-}
-
-// Observe appends one sample.
-func (h *Histogram) Observe(v float64) {
-	h.xs = append(h.xs, v)
-	h.sorted = false
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.xs) }
-
-// Sum returns the total over all samples, accumulated in sorted order so
-// the float result is independent of observation order.
-func (h *Histogram) Sum() float64 {
-	h.sort()
-	var s float64
-	for _, v := range h.xs {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if len(h.xs) == 0 {
-		return 0
-	}
-	return h.Sum() / float64(len(h.xs))
-}
-
-// Quantile returns the exact q-quantile (0 ≤ q ≤ 1) with linear
-// interpolation between closest ranks; 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.xs) == 0 {
-		return 0
-	}
-	h.sort()
-	if q <= 0 {
-		return h.xs[0]
-	}
-	if q >= 1 {
-		return h.xs[len(h.xs)-1]
-	}
-	pos := q * float64(len(h.xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return h.xs[lo]
-	}
-	frac := pos - float64(lo)
-	return h.xs[lo]*(1-frac) + h.xs[hi]*frac
-}
-
-func (h *Histogram) sort() {
-	if !h.sorted {
-		sort.Float64s(h.xs)
-		h.sorted = true
-	}
-}
 
 // Event is one completed span on the virtual-time axis.
 type Event struct {

@@ -87,18 +87,13 @@ type Directory struct {
 	released map[cryptoutil.Hash]map[simnet.NodeID]uint64
 }
 
-// NewDirectory starts a directory on node, enforcing the given replica
-// floor on releases.
-func NewDirectory(node *simnet.Node, floorK int) *Directory {
-	return NewDirectoryWith(node, floorK, overload.Config{})
-}
-
-// NewDirectoryWith is NewDirectory plus server-side overload control.
-// Every directory endpoint is control-plane — announce/release/holders
-// keep the replica map honest — so all three ride the priority lane and
+// NewDirectoryWith starts a directory on node, enforcing the given replica
+// floor on releases, with server-side overload control. Every directory
+// endpoint is control-plane — announce/release/holders keep the replica
+// map honest — so all three ride the priority lane and
 // none sit behind the bulk queue; the overload layer's contribution here
 // is admission bounding and the control-lane uplink stamp. A zero ocfg
-// is a pure passthrough (byte-identical to NewDirectory).
+// is a pure passthrough.
 func NewDirectoryWith(node *simnet.Node, floorK int, ocfg overload.Config) *Directory {
 	if floorK < 1 {
 		floorK = 1

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/overload"
 	"repro/internal/simnet"
 )
 
@@ -57,7 +58,7 @@ func TestTargetReplicasClamps(t *testing.T) {
 // origin is unreleasable and the holder count never drops below the floor.
 func TestDirectoryFloorAndOrigin(t *testing.T) {
 	nw := simnet.New(1)
-	d := NewDirectory(nw.AddNode(), 2)
+	d := NewDirectoryWith(nw.AddNode(), 2, overload.Config{})
 	obj := h(1)
 	d.onAnnounce(0, announceReq{Object: obj, Holder: 10, Origin: false})
 	d.onAnnounce(0, announceReq{Object: obj, Holder: 11, Origin: true})
@@ -147,7 +148,7 @@ func newWorld(t *testing.T, cfg Config, nProv, nClient int) *world {
 	if floor == 0 {
 		floor = 1
 	}
-	w := &world{t: t, nw: nw, dir: NewDirectory(dirNode, floor)}
+	w := &world{t: t, nw: nw, dir: NewDirectoryWith(dirNode, floor, overload.Config{})}
 
 	regionOf := map[simnet.NodeID]int{dirNode.ID(): 0}
 	extra := [][]time.Duration{

@@ -282,25 +282,22 @@ func (n *Node) noteQueue(now, depart time.Duration) {
 	n.qDeparts = append(n.qDeparts, depart)
 	depth := float64(len(n.qDeparts) - n.qHead)
 	m := queueMetricsFor(n.Obs())
-	m.depthGauge.Set(depth)
 	m.depth.Observe(depth)
 	m.sojourn.Observe((depart - now).Seconds())
 }
 
 // netQueueMetrics is the per-registry bundle behind EnableQueueMetrics,
 // resolved once per registry via Memo (shard registries each get their
-// own; histogram merges and gauge averaging keep exports layout-stable).
+// own; histogram merges keep exports layout-stable).
 type netQueueMetrics struct {
-	depthGauge     *obs.Gauge
 	depth, sojourn *obs.Histogram
 }
 
 func queueMetricsFor(r *obs.Registry) *netQueueMetrics {
 	return r.Memo("netqueue", func() any {
 		return &netQueueMetrics{
-			depthGauge: r.Gauge("net.queue.depth"),
-			depth:      r.Histogram("net.queue.depth"),
-			sojourn:    r.Histogram("net.queue.sojourn_s"),
+			depth:   r.Histogram("net.queue.depth"),
+			sojourn: r.Histogram("net.queue.sojourn_s"),
 		}
 	}).(*netQueueMetrics)
 }

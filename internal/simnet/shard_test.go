@@ -151,6 +151,7 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 		name    string
 		profile LinkProfile
 		setup   func(nw *Network, nodes []*Node)
+		traffic func(nodes []*Node) // nil: the default rounds below
 	}{
 		{name: "latency only", profile: LinkProfile{Latency: 5 * time.Millisecond}},
 		{name: "priority uplink with mixed lanes", profile: slowUplink,
@@ -170,6 +171,22 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 			}},
 		{name: "queue metrics", profile: slowUplink,
 			setup: func(nw *Network, nodes []*Node) { nw.EnableQueueMetrics() }},
+		// One sender's queue grows far deeper than everyone else's: any
+		// per-shard last-value metric would read differently per layout.
+		{name: "queue metrics, asymmetric senders", profile: LinkProfile{Latency: 5 * time.Millisecond, UplinkBps: 1e5},
+			setup: func(nw *Network, nodes []*Node) { nw.EnableQueueMetrics() },
+			traffic: func(nodes []*Node) {
+				for i, from := range nodes {
+					from, to := from, NodeID((i+1)%len(nodes))
+					from.After(time.Millisecond, func() { from.Send(to, "x", i, 125) })
+				}
+				from := nodes[0]
+				from.After(10*time.Millisecond, func() {
+					for i := 0; i < 40; i++ {
+						from.Send(1, "x", i, 125)
+					}
+				})
+			}},
 	}
 	for _, tc := range cases {
 		run := func(cfg NetworkConfig) string {
@@ -187,12 +204,15 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(nw, nodes)
 			}
+			if tc.traffic != nil {
+				tc.traffic(nodes)
+			}
 			// 7 is coprime to n, so each destination hears from exactly one
 			// sender and equal-time arrivals never tie across senders (the
 			// one place the modes' orders could differ). Sends leave in
 			// rounds 2 ms apart — faster than the slow uplink drains — from
 			// the senders' own timers, every third round on the ctrl lane.
-			for i := 0; i < 400; i++ {
+			for i := 0; i < 400 && tc.traffic == nil; i++ {
 				i, from, to := i, nodes[i%n], NodeID((i*7+3)%n)
 				if from.ID() == to {
 					continue
@@ -209,12 +229,15 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 			for i, l := range logs {
 				fmt.Fprintf(&b, "log%d=%v\n", i, l)
 			}
-			regs := []*obs.Registry{}
+			regs := []*obs.Registry{nw.obs}
 			for _, sh := range nw.shards {
-				regs = append(regs, sh.obs)
+				if sh.obs != nw.obs {
+					regs = append(regs, sh.obs)
+				}
 			}
-			hists := obs.MergeRegistries(regs).Histograms
-			fmt.Fprintf(&b, "queue depth=%+v sojourn=%+v\n", hists["net.queue.depth"], hists["net.queue.sojourn_s"])
+			if err := obs.MergeRegistries(regs).EncodeJSON(&b); err != nil {
+				t.Fatal(err)
+			}
 			return b.String()
 		}
 		legacy := run(NetworkConfig{Seed: 11})

@@ -188,9 +188,9 @@ type ledger struct {
 	// the most recent lookup: large-population traffic arrives in long runs
 	// of one kind (every DHT RPC shares "simnet.rpc"), so the per-delivery
 	// map lookup collapses to a string compare on the hot path.
-	latency     map[string]*obs.BucketHistogram
+	latency     map[string]*obs.Histogram
 	lastKind    string
-	lastLatency *obs.BucketHistogram
+	lastLatency *obs.Histogram
 	// obs is the registry protocol layers annotate live (via Node.Obs);
 	// obs.MergeRegistries folds a sharded network's registries together
 	// order-independently at export.
@@ -198,24 +198,18 @@ type ledger struct {
 }
 
 func newLedger(label string) ledger {
-	l := ledger{latency: map[string]*obs.BucketHistogram{}, obs: obs.NewRegistry()}
+	l := ledger{latency: map[string]*obs.Histogram{}, obs: obs.NewRegistry()}
 	// The label orders registries during cross-trial and cross-shard merges.
 	l.obs.SetLabel(label)
 	obs.AttachCurrent(l.obs)
 	return l
 }
 
-// newLatencyHistogram returns an empty delivery-latency histogram: 10 ms
-// buckets over [0, 30s) — fine enough for RTT-scale traffic, wide enough
-// that bandwidth-bound transfers rarely overflow. Every ledger uses the same
-// bounds, so merges are bucket-aligned.
-func newLatencyHistogram() *obs.BucketHistogram { return obs.NewBucketHistogram(0, 30, 3000) }
-
 func (l *ledger) observeLatency(kind string, lat time.Duration) {
 	if kind != l.lastKind || l.lastLatency == nil {
 		h, ok := l.latency[kind]
 		if !ok {
-			h = newLatencyHistogram()
+			h = &obs.Histogram{}
 			l.latency[kind] = h
 		}
 		l.lastKind, l.lastLatency = kind, h
@@ -377,22 +371,21 @@ func (nw *Network) publishObs(r *obs.Registry) {
 	// Map-iteration order is harmless here: each kind Sets independently
 	// named values, and the registry export sorts by name.
 	for kind, h := range nw.latencySnapshot() { //determinism:ok snapshot export, keys independent
-		r.Counter("net.latency." + kind + ".count").Set(h.Count())
+		r.Counter("net.latency." + kind + ".count").Set(int64(h.Count()))
 		r.Gauge("net.latency." + kind + ".p50_s").Set(h.Quantile(0.5))
 		r.Gauge("net.latency." + kind + ".p95_s").Set(h.Quantile(0.95))
 	}
 }
 
 // latencySnapshot merges every ledger's per-kind latency histograms into
-// fresh ones (bucket-by-bucket sums, so shard layout cannot leak into the
-// result).
-func (nw *Network) latencySnapshot() map[string]*obs.BucketHistogram {
-	out := map[string]*obs.BucketHistogram{}
+// fresh ones (integer sums, so shard layout cannot leak into the result).
+func (nw *Network) latencySnapshot() map[string]*obs.Histogram {
+	out := map[string]*obs.Histogram{}
 	for _, sh := range nw.shards {
 		for kind, h := range sh.latency { //determinism:ok merge is commutative per kind
 			dst, ok := out[kind]
 			if !ok {
-				dst = newLatencyHistogram()
+				dst = &obs.Histogram{}
 				out[kind] = dst
 			}
 			dst.Merge(h)
@@ -428,10 +421,10 @@ func (nw *Network) Trace() *Trace {
 }
 
 // LatencyHistogram returns the delivery-latency histogram (in seconds) for
-// a message kind, or nil if nothing of that kind has been delivered.
-// Buckets are 10 ms wide over [0, 30s). The histogram is a fresh merge of
-// the ledgers' on every call.
-func (nw *Network) LatencyHistogram(kind string) *obs.BucketHistogram {
+// a message kind, or nil if nothing of that kind has been delivered. Its
+// quantiles are within obs.Histogram's 2⁻⁷ relative error. The histogram is
+// a fresh merge of the ledgers' on every call.
+func (nw *Network) LatencyHistogram(kind string) *obs.Histogram {
 	return nw.latencySnapshot()[kind]
 }
 
@@ -599,7 +592,7 @@ func (nw *Network) SetRegionMatrix(region map[NodeID]int, extra [][]time.Duratio
 }
 
 // EnableQueueMetrics starts recording per-send uplink queue observations
-// into each sender's registry: a net.queue.depth gauge+histogram (messages
+// into each sender's registry: a net.queue.depth histogram (messages
 // queued on the uplink, including the one being recorded) and a
 // net.queue.sojourn_s histogram (queueing plus serialization delay until
 // the message departs). Like SetRegionMatrix, the hook is default-off and
