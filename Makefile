@@ -91,11 +91,15 @@ bench:
 	$(GO) test -bench . -benchmem -benchtime 1x ./...
 
 # allocs enforces the allocation budgets on the hot paths the X15 scale
-# sweep depends on: substrate Send and a DHT peer serving a find_value miss
-# must stay at 0 allocs/op, RPC round trips, DHT lookups and gossip rounds
-# inside their pinned budgets.
+# sweep depends on. At 0 allocs/op: substrate Send (TestAllocSendZero), an
+# RPC round trip (TestAllocRPCCall), a DHT peer serving a find_value miss
+# (TestAllocDHTServeMiss) and a ping-before-evict round trip into a full
+# bucket (TestAllocDHTPingEvict). At 1, the op: a resilient call with a
+# hedge armed (TestAllocResilCall). Inside pinned budgets: DHT lookups
+# (TestAllocDHTLookup) and gossip rounds. The gates that lean on sync.Pool
+# build only without -race.
 allocs:
-	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht
+	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht ./internal/resil
 
 # scale is the nightly-style 10k-node tier: the big scale matrix at full
 # population, plus the race detector over the small tier. scripts/ci.sh

@@ -1,3 +1,5 @@
+//go:build !race
+
 // Allocation-budget tests: pin the steady-state allocation cost of the
 // hot paths the X15 scale sweep leans on — raw message delivery, DHT
 // lookups, and gossip publish rounds — and of the ledger's hashing paths,
@@ -6,7 +8,9 @@
 // pools); the protocol paths carry small, pinned budgets with headroom.
 // A failure here means a regression re-introduced per-message garbage that
 // 10k-node populations cannot afford. `make allocs` (part of `make ci`)
-// runs exactly these tests.
+// runs exactly these tests. The race detector makes sync.Pool drop a share
+// of what it is given, and the pooled paths then allocate afresh, so these
+// gates build only without it.
 package repro
 
 import (
@@ -89,10 +93,12 @@ func TestAllocSendZero(t *testing.T) {
 }
 
 // TestAllocRPCCall pins the full RPC round trip (call, request, reply,
-// timeout timer). The envelope and pending-call pools keep it to the one
-// unavoidable allocation: boxing the caller's done closure.
+// timeout timer) at zero allocations: envelopes and pending-call records
+// come from pools, the timeout is a closure-free event, and the caller's
+// done closure is adapted to a Completion without boxing — a func value is
+// pointer-shaped.
 func TestAllocRPCCall(t *testing.T) {
-	const budget = 4.0
+	const budget = 0.0
 	nw := simnet.New(8)
 	a, b := simnet.NewRPCNode(nw.AddNode()), simnet.NewRPCNode(nw.AddNode())
 	b.Serve("alloc.echo", func(from simnet.NodeID, req any) (any, int) { return req, 8 })
@@ -105,21 +111,21 @@ func TestAllocRPCCall(t *testing.T) {
 		call()
 	}
 	if avg := testing.AllocsPerRun(200, call); avg > budget {
-		t.Errorf("RPC round trip allocates %.2f/op, budget %.0f", avg, budget)
+		t.Errorf("RPC round trip allocates %.2f/op, want %.0f", avg, budget)
 	}
 }
 
 // TestAllocDHTLookup pins a full iterative Get (α-parallel lookup with
 // per-step routing-table selection) on a settled 40-peer network. The
-// budget covers the lookup state and its fixed-capacity shortlist, the
-// span histogram's amortized growth, one completion closure per query and
-// the caller's callbacks. The
-// table walk allocates nothing, the request is one value shared by every
-// query, and responders fill pooled reply buffers that the lookup releases
-// once merged (measured 8; 32 before the distance-ordered walk and pooled
-// replies).
+// budget covers the lookup state, its fixed-capacity shortlist and its α
+// query records, the span histogram's amortized growth and the caller's
+// callbacks. The table walk allocates nothing, the request is one value
+// shared by every query, each query completes through a record the lookup
+// owns, and responders fill pooled reply buffers that the lookup releases
+// once merged (measured 5; 8 with a completion closure per query, 32
+// before the distance-ordered walk and pooled replies).
 func TestAllocDHTLookup(t *testing.T) {
-	const budget = 24.0
+	const budget = 7.0
 	nw := simnet.New(9)
 	const n = 40
 	peers := make([]*dht.Peer, n)

@@ -5,7 +5,11 @@ package dht
 // when the K best contacts have all been queried (or a value is found in
 // FIND_VALUE mode). Runs entirely on simnet callbacks — no goroutines.
 
-import "repro/internal/obs"
+import (
+	"time"
+
+	"repro/internal/obs"
+)
 
 // Shortlist entry state bits.
 const (
@@ -30,10 +34,20 @@ type lookupState struct {
 	// off the end can never come back, because the 2K-th distance only
 	// falls.
 	shortlist []candidate
-	inflight  int
-	finished  bool
-	span      obs.Span
-	done      func(closest []Contact, value []byte, found bool)
+	// queries are the Completions of the queries in flight, at most α;
+	// a query takes a free one and frees it as it completes.
+	queries  []lookupQuery
+	inflight int
+	finished bool
+	span     obs.Span
+	done     func(closest []Contact, value []byte, found bool)
+}
+
+// lookupQuery is one query of a lookup: the contact asked.
+type lookupQuery struct {
+	ls   *lookupState
+	c    Contact
+	busy bool
 }
 
 func (p *Peer) lookup(target Key, wantValue bool, done func([]Contact, []byte, bool)) {
@@ -44,6 +58,7 @@ func (p *Peer) lookup(target Key, wantValue bool, done func([]Contact, []byte, b
 		req:       findNodeReq{From: p.Contact(), Target: target},
 		method:    methodFindNode,
 		shortlist: make([]candidate, 0, 2*p.cfg.K),
+		queries:   make([]lookupQuery, p.cfg.Alpha),
 		span:      p.Node().Obs().StartSpan("dht.lookup.duration_s", p.Node().Now()),
 		done:      done,
 	}
@@ -120,38 +135,49 @@ func (ls *lookupState) step() {
 }
 
 func (ls *lookupState) query(c Contact) {
-	ls.p.res.Call(c.Addr, ls.method, &ls.req, 80, ls.p.cfg.RequestTimeout, func(resp any, err error) {
-		ls.inflight--
-		r, _ := resp.(*findResp)
-		if ls.finished {
-			r.release()
-			return
+	i := 0
+	for ls.queries[i].busy { // step keeps fewer than α in flight
+		i++
+	}
+	q := &ls.queries[i]
+	q.ls, q.c, q.busy = ls, c, true
+	ls.p.res.CallTo(c.Addr, ls.method, &ls.req, 80, ls.p.cfg.RequestTimeout, q)
+}
+
+// CallDone folds one query's reply into the lookup.
+func (q *lookupQuery) CallDone(resp any, _ time.Duration, err error) {
+	ls, c := q.ls, q.c
+	q.busy = false
+	ls.inflight--
+	r, _ := resp.(*findResp)
+	if ls.finished {
+		r.release()
+		return
+	}
+	if err != nil {
+		if i := ls.search(c.ID); i < len(ls.shortlist) && ls.shortlist[i].ID == c.ID {
+			ls.shortlist[i].state |= failed
 		}
-		if err != nil {
-			if i := ls.search(c.ID); i < len(ls.shortlist) && ls.shortlist[i].ID == c.ID {
-				ls.shortlist[i].state |= failed
-			}
-			ls.p.rt.remove(c.ID)
-			ls.step()
-			return
-		}
-		ls.p.observe(c)
-		if r != nil {
-			if r.Found {
-				value := r.Value
-				r.release()
-				ls.finish(value, true)
-				return
-			}
-			ls.merge(r.Contacts)
-			r.release()
-		}
-		if ls.converged() {
-			ls.finish(nil, false)
-			return
-		}
+		ls.p.rt.remove(c.ID)
 		ls.step()
-	})
+		return
+	}
+	ls.p.observe(c)
+	if r != nil {
+		if r.Found {
+			value := r.Value
+			r.release()
+			ls.finish(value, true)
+			return
+		}
+		ls.merge(r.Contacts)
+		r.release()
+	}
+	if ls.converged() {
+		ls.finish(nil, false)
+		return
+	}
+	ls.step()
 }
 
 // converged reports whether the K closest shortlist entries have all been

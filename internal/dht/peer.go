@@ -225,13 +225,31 @@ func (p *Peer) observe(c Contact) {
 	if !full {
 		return
 	}
-	p.res.Call(old.Addr, methodPing, p.ping, 40, p.cfg.RequestTimeout, func(_ any, err error) {
-		if err != nil {
-			p.rt.evict(old, c) // stale occupant: newcomer takes the slot
-		} else {
-			p.rt.refresh(old.ID) // occupant alive: newcomer is dropped
-		}
-	})
+	pe := pingPool.Get().(*pingEvict)
+	pe.p, pe.old, pe.new = p, old, c
+	p.res.CallTo(old.Addr, methodPing, p.ping, 40, p.cfg.RequestTimeout, pe)
+}
+
+// pingEvict is the Completion of one ping-before-evict: the bucket's
+// least-recently-seen occupant old was pinged because new wants its slot.
+// Records come from a pool and go back to it as the ping completes, so a
+// ping allocates nothing in steady state.
+type pingEvict struct {
+	p        *Peer
+	old, new Contact
+}
+
+var pingPool = sync.Pool{New: func() any { return new(pingEvict) }}
+
+func (pe *pingEvict) CallDone(_ any, _ time.Duration, err error) {
+	p, old, c := pe.p, pe.old, pe.new
+	*pe = pingEvict{}
+	pingPool.Put(pe)
+	if err != nil {
+		p.rt.evict(old, c) // stale occupant: newcomer takes the slot
+	} else {
+		p.rt.refresh(old.ID) // occupant alive: newcomer is dropped
+	}
 }
 
 func (p *Peer) onPing(from simnet.NodeID, req any) (any, int) {

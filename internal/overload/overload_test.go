@@ -213,16 +213,12 @@ func TestControlLaneStaysFast(t *testing.T) {
 			})
 		}
 	}
-	var ctlRTTs []time.Duration
+	var ctlRTTs rttLog
 	pinger := clients[0]
 	for i := 1; i <= 20; i++ {
 		at := time.Duration(i) * 500 * time.Millisecond
 		nw.Schedule(at, func() {
-			pinger.CallEx(srv.Node().ID(), "ctl.ping", nil, 16, time.Minute, func(resp any, rtt time.Duration, err error) {
-				if err == nil {
-					ctlRTTs = append(ctlRTTs, rtt)
-				}
-			})
+			pinger.CallTo(srv.Node().ID(), "ctl.ping", nil, 16, time.Minute, &ctlRTTs)
 		})
 	}
 	nw.Run(10 * time.Minute)
@@ -240,6 +236,16 @@ func TestControlLaneStaysFast(t *testing.T) {
 	// staying under 1s means the lane, not luck, carried it.
 	if worst > time.Second {
 		t.Fatalf("control-plane RTT reached %v under bulk saturation; lane not isolating", worst)
+	}
+}
+
+// rttLog is a Completion recording the round trip of every call that
+// succeeds.
+type rttLog []time.Duration
+
+func (l *rttLog) CallDone(_ any, rtt time.Duration, err error) {
+	if err == nil {
+		*l = append(*l, rtt)
 	}
 }
 

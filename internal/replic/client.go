@@ -58,49 +58,36 @@ func (c *Client) Router() *Router { return c.router }
 // the whole budget per attempt, not for the operation — failover makes
 // more attempts). done receives the payload or a terminal error.
 func (c *Client) Get(obj cryptoutil.Hash, timeout time.Duration, done func(data []byte, err error)) {
-	c.call(c.dir, methodHolders, obj, 40, timeout, func(resp any, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		hr, ok := resp.(holdersResp)
-		if !ok || len(hr.Holders) == 0 {
-			done(nil, ErrNoReplica)
-			return
-		}
-		// The directory builds a fresh holder slice per request, so ranking
-		// can permute it in place without copying.
-		holders := hr.Holders
-		if c.cfg.Enabled {
-			holders = c.router.Rank(holders)
-		}
-		f := &fetch{c: c, obj: obj, holders: holders, timeout: timeout, done: done}
-		f.launch(0)
-		if c.cfg.Enabled && len(holders) > 1 {
-			f.hedgeTimer = c.Node().AfterTimer(c.cfg.HedgeAfter, f.fireHedge)
-		}
-	})
+	f := &fetch{c: c, req: obj, timeout: timeout, done: done}
+	c.call(c.dir, methodHolders, f.req, 40, timeout, f)
 }
 
 // call routes through the resilience layer when attached.
-func (c *Client) call(to simnet.NodeID, method string, req any, size int, timeout time.Duration, done func(any, error)) {
+func (c *Client) call(to simnet.NodeID, method string, req any, size int, timeout time.Duration, done simnet.Completion) {
 	if c.res != nil {
-		c.res.Call(to, method, req, size, timeout, done)
+		c.res.CallTo(to, method, req, size, timeout, done)
 		return
 	}
-	c.rpc.Call(to, method, req, size, timeout, done)
+	c.rpc.CallTo(to, method, req, size, timeout, done)
 }
 
 // fetch is one replica-fetch operation: sequential failover down the
 // ranked holder list, plus (enabled only) one hedge to the second-ranked
 // holder if the nearest has not answered within HedgeAfter. First
-// successful response wins; late losers are ignored.
+// successful response wins; late losers are ignored. The fetch is the
+// Completion of its directory call, and each holder attempt completes
+// through one of its two legs.
 type fetch struct {
 	c       *Client
-	obj     cryptoutil.Hash
+	req     any // the object's hash, boxed once for every call
 	holders []simnet.NodeID
 	timeout time.Duration
 	done    func([]byte, error)
+	// legs hold the attempts in flight: at most two, the primary's line of
+	// failover and the hedge's. A failed attempt's successor may take
+	// either free leg, since a hedge can fail while the primary is still
+	// out.
+	legs [2]fetchLeg
 
 	next       int // index of the next holder to try
 	inflight   int
@@ -110,15 +97,58 @@ type fetch struct {
 	lastErr    error
 }
 
+// fetchLeg is the Completion of one holder attempt.
+type fetchLeg struct {
+	f    *fetch
+	i    int // the holder's rank
+	busy bool
+}
+
+// CallDone completes the directory call: rank the holders and start
+// fetching.
+func (f *fetch) CallDone(resp any, _ time.Duration, err error) {
+	if err != nil {
+		f.done(nil, err)
+		return
+	}
+	hr, ok := resp.(holdersResp)
+	if !ok || len(hr.Holders) == 0 {
+		f.done(nil, ErrNoReplica)
+		return
+	}
+	// The directory builds a fresh holder slice per request, so ranking
+	// can permute it in place without copying.
+	c := f.c
+	f.holders = hr.Holders
+	if c.cfg.Enabled {
+		f.holders = c.router.Rank(f.holders)
+	}
+	f.launch(0)
+	if c.cfg.Enabled && len(f.holders) > 1 {
+		f.hedgeTimer = c.Node().AfterCall(c.cfg.HedgeAfter, fetchHedgeEvent, f)
+	}
+}
+
+// CallDone completes the leg's holder attempt and frees the leg.
+func (l *fetchLeg) CallDone(resp any, _ time.Duration, err error) {
+	l.busy = false
+	l.f.complete(l.i, resp, err)
+}
+
+func fetchHedgeEvent(arg any) { arg.(*fetch).fireHedge() }
+
 func (f *fetch) launch(i int) {
 	if i >= len(f.holders) {
 		return
 	}
 	f.next = i + 1
 	f.inflight++
-	f.c.call(f.holders[i], methodGet, f.obj, 40, f.timeout, func(resp any, err error) {
-		f.complete(i, resp, err)
-	})
+	l := &f.legs[0]
+	if l.busy {
+		l = &f.legs[1]
+	}
+	l.f, l.i, l.busy = f, i, true
+	f.c.call(f.holders[i], methodGet, f.req, 40, f.timeout, l)
 }
 
 // fireHedge launches the fetch to the next-ranked holder if the earlier

@@ -485,3 +485,52 @@ func TestReplicRestartReannounces(t *testing.T) {
 		t.Fatal("replica lost across restart")
 	}
 }
+
+// TestReplicHedgeFailsBeforePrimary: the hedge leg fails while the primary
+// is still out, so the hedge's successor runs beside the primary. The
+// legs in flight are then holders 0 and 2, not two consecutive ranks, and
+// the primary's late win must still be credited to rank 0 — a leg keyed by
+// rank parity would hand it to rank 2 and miss the nearest hit.
+func TestReplicHedgeFailsBeforePrimary(t *testing.T) {
+	nw := simnet.New(5)
+	dirNode := nw.AddNode()
+	holders := []*simnet.Node{nw.AddNode(), nw.AddNode(), nw.AddNode()}
+	client := NewClient(nw.AddNode(), testCfg(), dirNode.ID(), 0, nil, nil)
+	simnet.NewRPCNode(dirNode).Serve(methodHolders, func(simnet.NodeID, any) (any, int) {
+		ids := make([]simnet.NodeID, len(holders))
+		for i, n := range holders {
+			ids[i] = n.ID()
+		}
+		return holdersResp{Holders: ids}, 40
+	})
+	// Rank 0 answers after the hedge point, rank 1 (the hedge) misses at
+	// once, and rank 2 (the hedge's failover) answers long after rank 0.
+	delays := []time.Duration{800 * time.Millisecond, 0, 3 * time.Second}
+	for i, n := range holders {
+		n, d, data := n, delays[i], []byte{byte('a' + i)}
+		simnet.NewRPCNode(n).ServeAsync(methodGet, func(_ simnet.NodeID, _ any, reply func(any, int)) {
+			n.After(d, func() { reply(getResp{Data: data, OK: d != 0}, 8) })
+		})
+	}
+
+	var got []byte
+	done := 0
+	client.Get(h(10), 5*time.Second, func(data []byte, err error) {
+		done++
+		if err != nil {
+			t.Errorf("Get: %v", err)
+		}
+		got = data
+	})
+	nw.RunAll()
+	if done != 1 || string(got) != "a" {
+		t.Fatalf("done ran %d times with %q, want once with rank 0's %q", done, got, "a")
+	}
+	m := metricsFor(nw.Obs())
+	if m.hedgeFired.Value() != 1 {
+		t.Fatalf("replic.route.hedge_fired = %d, want 1", m.hedgeFired.Value())
+	}
+	if got := m.nearestHit.Value(); got != 1 {
+		t.Fatalf("replic.route.nearest_hit = %d, want 1: rank 0's win was credited to another rank", got)
+	}
+}

@@ -64,23 +64,23 @@ func (r *Router) Estimate(id simnet.NodeID) time.Duration {
 
 // Rank sorts holders in place by (Estimate, node id) ascending and
 // returns the slice. The node-id tiebreak makes the order total, so the
-// same candidate set always ranks identically. Insertion sort: candidate
-// sets are replica lists (a handful of entries) and the routing hot path
-// must not allocate.
+// same candidate set always ranks identically. Each holder's estimate is
+// computed once, before the sort. Insertion sort: candidate sets are
+// replica lists (a handful of entries) and the routing hot path must not
+// allocate, so the estimates live on the stack for lists up to 16 long.
 func (r *Router) Rank(holders []simnet.NodeID) []simnet.NodeID {
+	var buf [16]time.Duration
+	est := buf[:0]
+	for _, h := range holders {
+		est = append(est, r.Estimate(h))
+	}
 	for i := 1; i < len(holders); i++ {
-		h := holders[i]
-		e := r.Estimate(h)
+		h, e := holders[i], est[i]
 		j := i - 1
-		for j >= 0 {
-			ej := r.Estimate(holders[j])
-			if ej < e || (ej == e && holders[j] < h) {
-				break
-			}
-			holders[j+1] = holders[j]
-			j--
+		for ; j >= 0 && (est[j] > e || (est[j] == e && holders[j] > h)); j-- {
+			holders[j+1], est[j+1] = holders[j], est[j]
 		}
-		holders[j+1] = h
+		holders[j+1], est[j+1] = h, e
 	}
 	return holders
 }

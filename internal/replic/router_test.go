@@ -1,6 +1,7 @@
 package replic
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -82,5 +83,48 @@ func TestRouterRankTotalOrder(t *testing.T) {
 	}
 	if out := r.Rank([]simnet.NodeID{2}); len(out) != 1 || out[0] != 2 {
 		t.Fatalf("Rank single = %v", out)
+	}
+}
+
+// TestRouterRankOneEstimatePerHolder: Rank asks for each holder's
+// estimate exactly once, allocates nothing, and orders exactly as sorting
+// by (Estimate, node id) does — on lists with measured and unmeasured
+// peers, tied estimates, and more holders than the stack buffer.
+func TestRouterRankOneEstimatePerHolder(t *testing.T) {
+	probes := map[simnet.NodeID]int{}
+	srtt := func(id simnet.NodeID) (time.Duration, bool) {
+		probes[id]++
+		if id%3 == 0 {
+			return time.Duration(id%5) * 20 * time.Millisecond, true
+		}
+		return 0, false
+	}
+	r := twoRegionRouter(srtt)
+	for _, n := range []int{2, 6, 16, 40} {
+		in := make([]simnet.NodeID, n)
+		for i := range in {
+			in[i] = simnet.NodeID((i*7 + 3) % n) // a permutation: 7 is prime to every n
+		}
+		want := append([]simnet.NodeID(nil), in...)
+		sort.SliceStable(want, func(i, j int) bool {
+			ei, ej := r.Estimate(want[i]), r.Estimate(want[j])
+			return ei < ej || (ei == ej && want[i] < want[j])
+		})
+		clear(probes)
+		got := r.Rank(in)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: Rank = %v, want %v", n, got, want)
+			}
+		}
+		for id, k := range probes {
+			if k != 1 {
+				t.Fatalf("n=%d: holder %d estimated %d times, want once", n, id, k)
+			}
+		}
+	}
+	hs := []simnet.NodeID{4, 3, 2, 1, 9, 6}
+	if avg := testing.AllocsPerRun(100, func() { r.Rank(hs) }); avg != 0 {
+		t.Errorf("Rank allocates %.2f/op, want 0", avg)
 	}
 }

@@ -17,13 +17,13 @@ var ErrSuspected = errors.New("resil: peer suspected down")
 // Client wraps a simnet RPC endpoint with the resilience layer: adaptive
 // per-peer RTO, bounded retries with deterministic backoff, per-peer
 // circuit breaking, and hedged requests. One Client serves one caller
-// node; peer state (estimator, breaker) is keyed by target node id.
+// node; peer state (estimator and breaker together) is keyed by target
+// node id, so a call probes the map once.
 type Client struct {
-	rpc *simnet.RPCNode
-	cfg Config
-	bo  Backoff
-	est map[simnet.NodeID]*Estimator
-	brk map[simnet.NodeID]*Breaker
+	rpc   *simnet.RPCNode
+	cfg   Config
+	bo    Backoff
+	peers map[simnet.NodeID]*peerState
 	// global aggregates every sample across peers; it seeds fresh per-peer
 	// estimators so a never-contacted peer starts from the client's measured
 	// reality instead of the cold-start Initial.
@@ -69,8 +69,7 @@ func New(rpc *simnet.RPCNode, cfg Config) *Client {
 	if c.cfg.Enabled {
 		node := rpc.Node()
 		c.bo = NewBackoff(c.cfg.Backoff, node.Network().Seed(), node.ID())
-		c.est = map[simnet.NodeID]*Estimator{}
-		c.brk = map[simnet.NodeID]*Breaker{}
+		c.peers = map[simnet.NodeID]*peerState{}
 		c.global = NewEstimator(c.cfg.RTO)
 		c.m = metricsFor(node.Obs())
 	}
@@ -84,25 +83,26 @@ func (c *Client) Enabled() bool { return c.cfg.Enabled }
 // RPC returns the wrapped endpoint.
 func (c *Client) RPC() *simnet.RPCNode { return c.rpc }
 
-func (c *Client) estimator(id simnet.NodeID) *Estimator {
-	e, ok := c.est[id]
-	if !ok {
-		e = NewEstimator(c.cfg.RTO)
-		if c.global.Samples() > 0 {
-			e.SeedPrior(c.global.RTO())
-		}
-		c.est[id] = e
-	}
-	return e
+// peerState is what the Client knows about one peer.
+type peerState struct {
+	est Estimator
+	brk Breaker
 }
 
-func (c *Client) breaker(id simnet.NodeID) *Breaker {
-	b, ok := c.brk[id]
+// peer returns id's state, creating it on the peer's first call. The
+// estimator takes its prior from global here, which is the peer's first
+// launch: a fresh breaker is closed, so a first call always launches, and
+// a breaker fast-fail can only refuse a peer that already has state.
+func (c *Client) peer(id simnet.NodeID) *peerState {
+	ps, ok := c.peers[id]
 	if !ok {
-		b = NewBreaker(c.cfg.Breaker)
-		c.brk[id] = b
+		ps = &peerState{est: *NewEstimator(c.cfg.RTO), brk: *NewBreaker(c.cfg.Breaker)}
+		if c.global.Samples() > 0 {
+			ps.est.SeedPrior(c.global.RTO())
+		}
+		c.peers[id] = ps
 	}
-	return b
+	return ps
 }
 
 // PeerSRTT returns the smoothed round-trip estimate for a peer, and
@@ -114,18 +114,24 @@ func (c *Client) PeerSRTT(id simnet.NodeID) (time.Duration, bool) {
 	if !c.cfg.Enabled {
 		return 0, false
 	}
-	e, ok := c.est[id]
-	if !ok || e.Samples() == 0 {
+	ps, ok := c.peers[id]
+	if !ok || ps.est.Samples() == 0 {
 		return 0, false
 	}
-	return e.SRTT(), true
+	return ps.est.SRTT(), true
 }
 
-// Call issues a resilient request to the target's method; the signature
-// mirrors RPCNode.Call so subsystems swap it in without restructuring.
-// done is invoked exactly once. fallback is the caller's legacy fixed
-// timeout: it is the per-attempt timeout when the layer is disabled, and
-// is ignored when enabled (the adaptive RTO takes over entirely).
+// Call is CallTo with a plain callback; the signature mirrors
+// RPCNode.Call so subsystems swap it in without restructuring.
+func (c *Client) Call(to simnet.NodeID, method string, req any, reqSize int, fallback time.Duration, done func(resp any, err error)) {
+	c.CallTo(to, method, req, reqSize, fallback, simnet.CallFunc(done))
+}
+
+// CallTo issues a resilient request to the target's method. done receives
+// the outcome exactly once, with the winning attempt's round trip on
+// success. fallback is the caller's legacy fixed timeout: it is the
+// per-attempt timeout when the layer is disabled, and is ignored when
+// enabled (the adaptive RTO takes over entirely).
 //
 // Enabled behaviour per operation: an open breaker fails fast (still
 // asynchronously, preserving callback ordering); otherwise attempts are
@@ -133,33 +139,37 @@ func (c *Client) PeerSRTT(id simnet.NodeID) (time.Duration, bool) {
 // next attempt after a jittered backoff up to MaxAttempts, and on the
 // first attempt a single hedge may be launched at the estimated p95 —
 // first response wins and the loser is cancelled through its CallRef so
-// its callback never runs.
-func (c *Client) Call(to simnet.NodeID, method string, req any, reqSize int, fallback time.Duration, done func(resp any, err error)) {
+// its Completion never fires.
+func (c *Client) CallTo(to simnet.NodeID, method string, req any, reqSize int, fallback time.Duration, done simnet.Completion) {
 	if !c.cfg.Enabled {
-		c.rpc.Call(to, method, req, reqSize, fallback, done)
+		c.rpc.CallTo(to, method, req, reqSize, fallback, done)
 		return
 	}
+	ps := c.peer(to)
 	node := c.rpc.Node()
-	if !c.cfg.Breaker.Disabled && !c.breaker(to).Allow(node.Now()) {
+	if !c.cfg.Breaker.Disabled && !ps.brk.Allow(node.Now()) {
 		c.m.fastfail.Inc()
 		err := fmt.Errorf("resil: call %s to node %d refused: %w", method, to, ErrSuspected)
-		node.After(0, func() { done(nil, err) })
+		node.After(0, func() { done.CallDone(nil, 0, err) })
 		return
 	}
 	c.seq++
-	o := &op{c: c, to: to, method: method, req: req, reqSize: reqSize, done: done, id: c.seq}
+	o := &op{c: c, ps: ps, to: to, method: method, req: req, reqSize: reqSize, done: done, id: c.seq}
 	o.launch(false)
 }
 
 // op is one resilient operation: up to MaxAttempts timeout-driven
-// attempts plus at most one hedge, sharing a single done callback.
+// attempts plus at most one hedge, sharing a single Completion. The op is
+// itself the Completion of its timeout-driven attempts, and
+// (*hedgeLeg)(op) that of its hedge, so no attempt allocates a callback.
 type op struct {
 	c       *Client
+	ps      *peerState
 	to      simnet.NodeID
 	method  string
 	req     any
 	reqSize int
-	done    func(resp any, err error)
+	done    simnet.Completion
 	id      uint64
 
 	attempts     int  // timeout-driven attempts launched (1 = primary)
@@ -175,23 +185,33 @@ type op struct {
 	lastErr      error
 }
 
+// hedgeLeg is an op seen as the Completion of its hedge attempt.
+type hedgeLeg op
+
+// CallDone completes a timeout-driven attempt.
+func (o *op) CallDone(resp any, rtt time.Duration, err error) { o.complete(false, resp, rtt, err) }
+
+// CallDone completes the hedge attempt.
+func (h *hedgeLeg) CallDone(resp any, rtt time.Duration, err error) {
+	(*op)(h).complete(true, resp, rtt, err)
+}
+
+// hedgeEvent and retryEvent are the timer callbacks; arg is the *op, so
+// arming a timer allocates nothing.
+func hedgeEvent(arg any) { arg.(*op).fireHedge() }
+func retryEvent(arg any) { arg.(*op).fireRetry() }
+
 func (o *op) launch(isHedge bool) {
-	c := o.c
-	est := c.estimator(o.to)
+	c, est := o.c, &o.ps.est
 	rto := est.RTO()
 	c.m.rto.Observe(rto.Seconds())
 	o.inflight++
-	if !isHedge {
-		o.attempts++
-	}
-	ref := c.rpc.CallEx(o.to, o.method, o.req, o.reqSize, rto, func(resp any, rtt time.Duration, err error) {
-		o.complete(isHedge, resp, rtt, err)
-	})
 	if isHedge {
-		o.hedge = ref
+		o.hedge = c.rpc.CallTo(o.to, o.method, o.req, o.reqSize, rto, (*hedgeLeg)(o))
 		return
 	}
-	o.primary = ref
+	o.attempts++
+	o.primary = c.rpc.CallTo(o.to, o.method, o.req, o.reqSize, rto, o)
 	if o.attempts == 1 && !c.cfg.Hedge.Disabled && est.Samples() >= c.cfg.Hedge.MinSamples {
 		delay := est.P95()
 		if delay < c.cfg.Hedge.MinDelay {
@@ -200,7 +220,7 @@ func (o *op) launch(isHedge bool) {
 		// A hedge at or past the RTO is pointless: the retransmit path
 		// already covers that region.
 		if delay < rto {
-			o.hedgeTimer = c.rpc.Node().AfterTimer(delay, o.fireHedge)
+			o.hedgeTimer = c.rpc.Node().AfterCall(delay, hedgeEvent, o)
 		}
 	}
 }
@@ -236,7 +256,7 @@ func (o *op) complete(isHedge bool, resp any, rtt time.Duration, err error) {
 			}
 		}
 		if !c.cfg.Breaker.Disabled {
-			c.breaker(o.to).Success()
+			o.ps.brk.Success()
 		}
 		// Karn's rule: an operation that retransmitted feeds no sample —
 		// with a doubled RTO in force, locking in samples measured under
@@ -245,18 +265,18 @@ func (o *op) complete(isHedge bool, resp any, rtt time.Duration, err error) {
 		// mapping unambiguous, and the p95 estimate needs exactly these
 		// tail data points.
 		if !o.retrans {
-			c.estimator(o.to).Sample(rtt)
+			o.ps.est.Sample(rtt)
 			c.global.Sample(rtt)
 		}
 		if isHedge {
 			c.m.hedgeWon.Inc()
 		}
-		o.finish(resp, nil)
+		o.finish(resp, rtt, nil)
 		return
 	}
 	o.lastErr = err
 	now := c.rpc.Node().Now()
-	if !c.cfg.Breaker.Disabled && c.breaker(o.to).Failure(now) {
+	if !c.cfg.Breaker.Disabled && o.ps.brk.Failure(now) {
 		c.m.breakerOpen.Inc()
 	}
 	if !errors.Is(err, simnet.ErrRPCTimeout) {
@@ -265,20 +285,20 @@ func (o *op) complete(isHedge bool, resp any, rtt time.Duration, err error) {
 		// neither is worth retrying. Any sibling attempt still in flight
 		// gets to finish first.
 		if o.inflight == 0 && !o.retryPending {
-			o.finish(nil, err)
+			o.finish(nil, 0, err)
 		}
 		return
 	}
-	c.estimator(o.to).OnTimeout()
+	o.ps.est.OnTimeout()
 	if o.attempts < c.cfg.MaxAttempts && !o.retryPending {
 		o.retryPending = true
 		o.retrans = true
 		c.m.retries.Inc()
-		o.retryTimer = c.rpc.Node().AfterTimer(c.bo.Delay(o.id, o.attempts), o.fireRetry)
+		o.retryTimer = c.rpc.Node().AfterCall(c.bo.Delay(o.id, o.attempts), retryEvent, o)
 		return
 	}
 	if o.inflight == 0 && !o.retryPending {
-		o.finish(nil, o.lastErr)
+		o.finish(nil, 0, o.lastErr)
 	}
 }
 
@@ -299,7 +319,7 @@ type retryAfterHinter interface {
 func (o *op) completeShed(cerr error) {
 	c := o.c
 	if !c.cfg.Breaker.Disabled {
-		c.breaker(o.to).Success()
+		o.ps.brk.Success()
 	}
 	if c.mShed == nil {
 		c.mShed = c.rpc.Node().Obs().Counter("resil.shed.count")
@@ -315,23 +335,23 @@ func (o *op) completeShed(cerr error) {
 		}
 		o.retryPending = true
 		c.m.retries.Inc()
-		o.retryTimer = c.rpc.Node().AfterTimer(delay, o.fireRetry)
+		o.retryTimer = c.rpc.Node().AfterCall(delay, retryEvent, o)
 		return
 	}
 	if o.inflight == 0 && !o.retryPending {
-		o.finish(nil, o.lastErr)
+		o.finish(nil, 0, o.lastErr)
 	}
 }
 
 // finish completes the operation exactly once: pending timers are
 // cancelled, the losing attempt (if any) is cancelled through its CallRef
-// so its callback never fires, and only then does the caller's done run —
+// so its Completion never fires, and only then does the caller's done run —
 // it may re-enter the Client immediately.
-func (o *op) finish(resp any, err error) {
+func (o *op) finish(resp any, rtt time.Duration, err error) {
 	o.finished = true
 	o.hedgeTimer.Cancel()
 	o.retryTimer.Cancel()
 	o.primary.Cancel()
 	o.hedge.Cancel()
-	o.done(resp, err)
+	o.done.CallDone(resp, rtt, err)
 }

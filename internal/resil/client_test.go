@@ -85,7 +85,7 @@ func TestClientSuccessFeedsEstimator(t *testing.T) {
 	if resp, err := w.call(t, "echo", time.Second); err != nil || resp != "ping" {
 		t.Fatalf("echo: resp=%v err=%v", resp, err)
 	}
-	e := w.res.estimator(w.server.ID())
+	e := &w.res.peer(w.server.ID()).est
 	if e.Samples() != 1 {
 		t.Fatalf("peer estimator samples = %d, want 1", e.Samples())
 	}
@@ -94,7 +94,7 @@ func TestClientSuccessFeedsEstimator(t *testing.T) {
 	}
 	// A fresh peer now inherits the measured global prior, not the 1s
 	// cold-start Initial.
-	fresh := w.res.estimator(w.server.ID() + 100)
+	fresh := &w.res.peer(w.server.ID() + 100).est
 	if fresh.RTO() != w.res.global.RTO() {
 		t.Fatalf("fresh peer RTO %v, want seeded global %v", fresh.RTO(), w.res.global.RTO())
 	}
@@ -113,7 +113,7 @@ func TestClientRetryAfterTimeout(t *testing.T) {
 		t.Fatalf("resil.retry.count = %d, want 1", got)
 	}
 	// Karn's rule: the retried operation's completion fed no RTT sample.
-	if got := w.res.estimator(w.server.ID()).Samples(); got != 0 {
+	if got := w.res.peer(w.server.ID()).est.Samples(); got != 0 {
 		t.Fatalf("retransmitted op fed %d samples, want 0", got)
 	}
 }
@@ -154,7 +154,7 @@ func TestClientHedgeWins(t *testing.T) {
 			t.Fatalf("warm-up %d: %v", i, err)
 		}
 	}
-	if got := w.res.estimator(w.server.ID()).Samples(); got < w.res.cfg.Hedge.MinSamples {
+	if got := w.res.peer(w.server.ID()).est.Samples(); got < w.res.cfg.Hedge.MinSamples {
 		t.Fatalf("warm-up left %d samples, need %d", got, w.res.cfg.Hedge.MinSamples)
 	}
 	// Fifth op: the primary's reply is held for 150ms — past the ~50ms
@@ -172,6 +172,30 @@ func TestClientHedgeWins(t *testing.T) {
 	}
 	if got := w.res.m.retries.Value(); got != 0 {
 		t.Fatalf("hedged op also retried: retries = %d", got)
+	}
+}
+
+// TestClientHedgeLossNotCounted: a hedge that fires but loses to the
+// primary counts in resil.hedge.fired and not in resil.hedge.won — a win is
+// counted on the hedge leg's Completion only.
+func TestClientHedgeLossNotCounted(t *testing.T) {
+	w := newClientWorld(t, Defaults())
+	for i := 0; i < 4; i++ {
+		if _, err := w.call(t, "slow", time.Second); err != nil {
+			t.Fatalf("warm-up %d: %v", i, err)
+		}
+	}
+	// The primary answers at 100ms, after the ~50ms hedge point; the
+	// hedge's reply is held far longer, so the primary wins and cancels it.
+	w.delays = []time.Duration{100 * time.Millisecond, 500 * time.Millisecond}
+	if resp, err := w.call(t, "slow", time.Second); err != nil || resp != "ping" {
+		t.Fatalf("hedged call: resp=%v err=%v", resp, err)
+	}
+	if got := w.res.m.hedgeFired.Value(); got != 1 {
+		t.Fatalf("resil.hedge.fired = %d, want 1", got)
+	}
+	if got := w.res.m.hedgeWon.Value(); got != 0 {
+		t.Fatalf("resil.hedge.won = %d after the primary won, want 0", got)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestShedStormKeepsBreakerClosed(t *testing.T) {
 			t.Fatalf("shed %d classified as %v", i, err)
 		}
 	}
-	b := w.res.breaker(w.server.ID())
+	b := &w.res.peer(w.server.ID()).brk
 	if !b.Allow(w.nw.Now()) {
 		t.Fatal("breaker opened under a 50-shed storm")
 	}
@@ -98,7 +98,7 @@ func TestShedDoesNotFeedEstimator(t *testing.T) {
 	}
 	// Two round trips completed (shed + served) but only the served one
 	// may contribute a sample.
-	if got := w.res.estimator(w.server.ID()).Samples(); got != 1 {
+	if got := w.res.peer(w.server.ID()).est.Samples(); got != 1 {
 		t.Fatalf("estimator samples = %d, want 1 (shed must not sample)", got)
 	}
 }

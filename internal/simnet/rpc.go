@@ -16,11 +16,13 @@ import (
 //
 // The hot path is allocation-free in steady state: envelopes and pending
 // call records recycle through sync.Pools (alongside the engine's event
-// pool), and the per-call timeout is scheduled through the closure-free
-// AfterCall path with the pending record itself as the argument. At
-// 10k-node populations the RPC layer carries millions of messages per
-// simulated minute, so a single capture or wrapper allocation per call
-// shows up directly in the scale sweep (X15).
+// pool), the per-call timeout is scheduled through the closure-free
+// AfterCall path with the pending record itself as the argument, and the
+// completion is a value the caller already owns — a Completion, usually a
+// pointer to the caller's own operation record — not a closure allocated
+// per call. At 10k-node populations the RPC layer carries millions of
+// messages per simulated minute, so a single capture or wrapper
+// allocation per call shows up directly in the scale sweep (X15).
 
 // rpcEnvelope wraps a request or response on the wire. Envelopes are
 // pooled: the consuming side releases them back after extracting the
@@ -56,6 +58,53 @@ var (
 	ErrNotServed     = errors.New("method not served")
 	ErrCallerCrashed = errors.New("caller crashed")
 )
+
+// CallError is the error every failed call completes with. Its cause is
+// one of the sentinels above, which Unwrap returns, so errors.Is matches
+// as before; the message is formatted only when someone reads it.
+type CallError struct {
+	Method string
+	From   NodeID // the calling node
+	To     NodeID // the called node
+	Wait   time.Duration
+	cause  error
+}
+
+func (e *CallError) Error() string {
+	switch e.cause {
+	case ErrRPCTimeout:
+		return fmt.Sprintf("simnet: call %s to node %d timed out after %v: %v", e.Method, e.To, e.Wait, e.cause)
+	case ErrNotServed:
+		return fmt.Sprintf("simnet: node %d does not serve %s: %v", e.To, e.Method, e.cause)
+	default:
+		return fmt.Sprintf("simnet: node %d crashed with call in flight: %v", e.From, e.cause)
+	}
+}
+
+// Unwrap returns the sentinel cause.
+func (e *CallError) Unwrap() error { return e.cause }
+
+// callError builds the error pc completes with.
+func (pc *pendingCall) callError(cause error) *CallError {
+	return &CallError{Method: pc.method, From: pc.r.n.ID(), To: pc.to, Wait: pc.wait, cause: cause}
+}
+
+// Completion receives the outcome of one call, exactly once: the response
+// payload on success, or a non-nil error on timeout, crash, or if the
+// callee does not serve the method. rtt is the round trip on the global
+// virtual clock, meaningful only when err is nil. Callers pass a value they
+// already own — typically a pointer to their operation record — so issuing
+// a call allocates no closure.
+type Completion interface {
+	CallDone(resp any, rtt time.Duration, err error)
+}
+
+// CallFunc adapts a plain callback to a Completion. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type CallFunc func(resp any, err error)
+
+// CallDone implements Completion.
+func (f CallFunc) CallDone(resp any, _ time.Duration, err error) { f(resp, err) }
 
 // newEnvelope returns a pooled envelope stamped with its recycling
 // eligibility under the network's current fault model. Duplication is
@@ -106,11 +155,9 @@ type pendingCall struct {
 	to     NodeID
 	wait   time.Duration
 	sentAt time.Duration // global virtual time at issue, for RTT reporting
-	done   func(resp any, err error)
-	// doneEx, when non-nil, is the RTT-reporting completion callback issued
-	// through CallEx; exactly one of done/doneEx is set per call.
-	doneEx  func(resp any, rtt time.Duration, err error)
-	timeout Timer // cancelled when the reply lands, so no dead event lingers
+	done   Completion
+	// timeout is cancelled when the reply lands, so no dead event lingers.
+	timeout Timer
 	// finished guards against double completion (reply after timeout, crash
 	// after reply); it is reset when the record is reused.
 	finished bool
@@ -126,8 +173,8 @@ func (pc *pendingCall) finish() {
 }
 
 // releasePending recycles a finished call record. Callers must have
-// extracted the done callback first: release happens before the callback
-// runs so a re-entrant Call can reuse the record immediately.
+// extracted the completion first: release happens before it runs so a
+// re-entrant Call can reuse the record immediately.
 func releasePending(pc *pendingCall) {
 	*pc = pendingCall{}
 	pendingPool.Put(pc)
@@ -142,14 +189,9 @@ func rpcTimeoutEvent(arg any) {
 	}
 	pc.finished = true
 	delete(pc.r.pending, pc.id)
-	done, doneEx := pc.done, pc.doneEx
-	err := fmt.Errorf("simnet: call %s to node %d timed out after %v: %w", pc.method, pc.to, pc.wait, ErrRPCTimeout)
+	done, err := pc.done, pc.callError(ErrRPCTimeout)
 	releasePending(pc)
-	if doneEx != nil {
-		doneEx(nil, 0, err)
-		return
-	}
-	done(nil, err)
+	done.CallDone(nil, 0, err)
 }
 
 // RPCHandler serves one method: it receives the caller's node ID and request
@@ -199,14 +241,9 @@ func NewRPCNode(n *Node) *RPCNode {
 				continue
 			}
 			pc.finish()
-			done, doneEx := pc.done, pc.doneEx
+			done, err := pc.done, pc.callError(ErrCallerCrashed)
 			releasePending(pc)
-			err := fmt.Errorf("simnet: node %d crashed with call in flight: %w", n.ID(), ErrCallerCrashed)
-			if doneEx != nil {
-				doneEx(nil, 0, err)
-				continue
-			}
-			done(nil, err)
+			done.CallDone(nil, 0, err)
 		}
 	})
 	return r
@@ -294,17 +331,14 @@ func (r *RPCNode) sendEnvelope(to NodeID, env *rpcEnvelope, size int) {
 	r.n.SendLane(to, rpcKind, env, size, lane)
 }
 
-// Call issues an asynchronous request to the target's method. done is
-// invoked exactly once: with the response payload on success, or with a
-// non-nil error on timeout, crash, or if the callee does not serve the
-// method. The timeout is a cancellable timer: a reply (or caller crash)
-// removes it from the event queue instead of leaving it to fire dead.
+// Call is CallTo with a plain callback: done is invoked exactly once, with
+// the response payload or a non-nil error.
 func (r *RPCNode) Call(to NodeID, method string, req any, reqSize int, timeout time.Duration, done func(resp any, err error)) {
-	r.start(to, method, req, reqSize, timeout, done, nil)
+	r.CallTo(to, method, req, reqSize, timeout, CallFunc(done))
 }
 
-// CallRef is a cancellable handle on an outstanding call issued through
-// CallEx. The zero value is inert.
+// CallRef is a cancellable handle on an outstanding call. The zero value
+// is inert.
 type CallRef struct {
 	r  *RPCNode
 	id uint64
@@ -312,7 +346,7 @@ type CallRef struct {
 
 // Cancel abandons the referenced call if it is still outstanding: the
 // timeout timer is removed, the pending record is recycled, and the
-// completion callback is never invoked. A reply arriving later for the
+// Completion is never invoked. A reply arriving later for the
 // cancelled id is dropped by the usual late-reply path, which still
 // releases its envelope exactly once. Call ids are never reused, so a
 // stale ref (the call completed, its record repooled) is a no-op. Reports
@@ -331,22 +365,18 @@ func (cr CallRef) Cancel() bool {
 	return true
 }
 
-// CallEx is Call with per-call RTT reporting and a cancellable handle:
-// done additionally receives the measured round-trip time on the global
-// virtual clock (meaningful only when err is nil), and the returned
-// CallRef can abandon the call — the hook the resilience layer's hedged
-// requests use to cancel the losing attempt.
-func (r *RPCNode) CallEx(to NodeID, method string, req any, reqSize int, timeout time.Duration, done func(resp any, rtt time.Duration, err error)) CallRef {
-	return r.start(to, method, req, reqSize, timeout, nil, done)
-}
-
-// start is the shared issue path behind Call and CallEx.
-func (r *RPCNode) start(to NodeID, method string, req any, reqSize int, timeout time.Duration, done func(resp any, err error), doneEx func(resp any, rtt time.Duration, err error)) CallRef {
+// CallTo issues an asynchronous request to the target's method; done
+// receives the outcome exactly once (see Completion). The timeout is a
+// cancellable timer: a reply (or caller crash) removes it from the event
+// queue instead of leaving it to fire dead. The returned CallRef can
+// abandon the call — the hook the resilience layer's hedged requests use
+// to cancel the losing attempt.
+func (r *RPCNode) CallTo(to NodeID, method string, req any, reqSize int, timeout time.Duration, done Completion) CallRef {
 	r.nextID++
 	id := r.nextID
 	pc := pendingPool.Get().(*pendingCall)
 	pc.r, pc.id, pc.method, pc.to, pc.wait = r, id, method, to, timeout
-	pc.done, pc.doneEx = done, doneEx
+	pc.done = done
 	pc.sentAt = r.n.Now()
 	pc.finished = false
 	r.pending[id] = pc
@@ -365,7 +395,7 @@ func (r *RPCNode) onMessage(msg Message) {
 		return
 	}
 	if env.isReply {
-		id, method, payload, served := env.id, env.method, env.payload, env.ok
+		id, payload, served := env.id, env.payload, env.ok
 		releaseEnvelope(env)
 		pc, ok := r.pending[id]
 		if !ok || pc.finished {
@@ -373,23 +403,14 @@ func (r *RPCNode) onMessage(msg Message) {
 		}
 		pc.finish()
 		delete(r.pending, id)
-		done, doneEx := pc.done, pc.doneEx
-		rtt := r.n.Now() - pc.sentAt
-		releasePending(pc)
+		done, rtt := pc.done, r.n.Now()-pc.sentAt
+		var err error
 		if !served {
-			err := fmt.Errorf("simnet: node %d does not serve %s: %w", msg.From, method, ErrNotServed)
-			if doneEx != nil {
-				doneEx(nil, rtt, err)
-				return
-			}
-			done(nil, err)
-			return
+			err = pc.callError(ErrNotServed)
+			payload = nil
 		}
-		if doneEx != nil {
-			doneEx(payload, rtt, nil)
-			return
-		}
-		done(payload, nil)
+		releasePending(pc)
+		done.CallDone(payload, rtt, err)
 		return
 	}
 	// Incoming request. Extract the fields before dispatch: a recyclable
