@@ -28,11 +28,13 @@ vet:
 lint:
 	./scripts/determinism_lint.sh
 
-# race also runs the shard-determinism suite (small tier, every X15 cell)
-# and the flash-crowd batteries' layout-agreement test with the race
-# detector watching the sharded engine's worker pool — the only place in
-# the repo where simulation state, and the harness callbacks experiments
-# hand to it, cross goroutines mid-run.
+# race covers internal/chain's TestCheckSigConcurrent (a Tx shared between
+# miners is only read once Sign has returned), and also runs the
+# shard-determinism suite (small tier, every X15 cell) and the flash-crowd
+# batteries' layout-agreement test with the race detector watching the
+# sharded engine's worker pool — the only place in the repo where
+# simulation state, and the harness callbacks experiments hand to it, cross
+# goroutines mid-run.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -short -run 'TestShardDeterminism' -count=1 .
@@ -94,10 +96,13 @@ bench:
 # sweep depends on. At 0 allocs/op: substrate Send (TestAllocSendZero), an
 # RPC round trip (TestAllocRPCCall), a DHT peer serving a find_value miss
 # (TestAllocDHTServeMiss) and a ping-before-evict round trip into a full
-# bucket (TestAllocDHTPingEvict). At 1, the op: a resilient call with a
-# hedge armed (TestAllocResilCall). Inside pinned budgets: DHT lookups
-# (TestAllocDHTLookup) and gossip rounds. The gates that lean on sync.Pool
-# build only without -race.
+# bucket (TestAllocDHTPingEvict), and the ledger's hashing paths
+# (TestAllocChainHotPaths: a transaction's ID, CheckSig on a payment Sign
+# memoised, a Merkle root over 200 hashes). At 1, the op: a resilient call
+# with a hedge armed (TestAllocResilCall), and a whole proof-of-work grind,
+# its saved midstate (TestAllocChainHotPaths). Inside pinned budgets: DHT
+# lookups (TestAllocDHTLookup) and gossip rounds. The gates that lean on
+# sync.Pool build only without -race.
 allocs:
 	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht ./internal/resil
 

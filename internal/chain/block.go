@@ -2,9 +2,13 @@ package chain
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
+	"hash"
 	"math/big"
 	"math/bits"
+	"sync"
 
 	"repro/internal/cryptoutil"
 )
@@ -64,15 +68,36 @@ func (b *Block) WireSize() int {
 	return size
 }
 
+// stackTxs is how many transaction IDs a Merkle root is computed over on
+// the stack; a larger block makes one heap allocation.
+const stackTxs = 64
+
+// hashRoom returns n hashes of space: scratch's when it holds n, else a
+// fresh heap slice.
+func hashRoom(scratch []cryptoutil.Hash, n int) []cryptoutil.Hash {
+	if n > len(scratch) {
+		return make([]cryptoutil.Hash, n)
+	}
+	return scratch[:n]
+}
+
 // txMerkleRoot computes the Merkle root over the block's transaction IDs.
 func txMerkleRoot(txs []*Tx) cryptoutil.Hash {
-	ids := make([]cryptoutil.Hash, len(txs))
-	leaves := make([][]byte, len(txs))
+	var scratch [stackTxs]cryptoutil.Hash
+	ids := hashRoom(scratch[:], len(txs))
 	for i, tx := range txs {
 		ids[i] = tx.ID()
-		leaves[i] = ids[i][:]
 	}
-	return cryptoutil.MerkleRoot(leaves)
+	return cryptoutil.MerkleRootOf(ids)
+}
+
+// idsMerkleRoot is txMerkleRoot over IDs already computed, which it leaves
+// intact.
+func idsMerkleRoot(ids []cryptoutil.Hash) cryptoutil.Hash {
+	var scratch [stackTxs]cryptoutil.Hash
+	level := hashRoom(scratch[:], len(ids))
+	copy(level, ids)
+	return cryptoutil.MerkleRootOf(level)
 }
 
 // workTarget returns the highest hash value that satisfies difficulty d,
@@ -103,20 +128,50 @@ func (h *Header) MeetsTarget() bool {
 	return bytes.Compare(hash[:], target[:]) <= 0
 }
 
+// grinder is the part of a Grind's working set that can be reused: a
+// SHA-256 digest, the header's encoding, and the sum. Pooled, a grind
+// allocates only its saved midstate. (encoding.BinaryAppender would save it
+// into reused room too, but needs go1.24 and go.mod says 1.22.)
+type grinder struct {
+	d   hash.Hash
+	buf [headerSize]byte
+	sum []byte
+}
+
+var grinders = sync.Pool{New: func() any {
+	return &grinder{d: sha256.New(), sum: make([]byte, 0, sha256.Size)}
+}}
+
 // Grind searches nonces (starting from the current one) until the header
 // meets its target, mutating the header in place. With the modest
-// difficulties simulations use this is a few thousand hash evaluations; the
-// target and the encoding are computed once and only the nonce bytes change
-// between tries.
+// difficulties simulations use this is a few thousand hash evaluations.
+//
+// The first 64 bytes of the encoding, Prev and MerkleRoot, are one SHA-256
+// block no try changes. Grind compresses it once, saves the digest's state
+// (its midstate) and restores it for each try, so a try compresses one
+// block: the 32 bytes of Height, Time, Difficulty and Nonce, with the
+// padding. Only the nonce's eight bytes change between tries, and the
+// nonces are tried in the order Hash would be, so the search ends where
+// hashing each whole encoding would end it.
 func (h *Header) Grind() {
-	target, buf := workTarget(h.Difficulty), h.encode()
+	target := workTarget(h.Difficulty)
+	g := grinders.Get().(*grinder)
+	defer grinders.Put(g)
+	g.buf = h.encode()
+	g.d.Reset()
+	g.d.Write(g.buf[:sha256.BlockSize])
+	// The saved state is the digest's own, so neither call can fail.
+	mid, _ := g.d.(encoding.BinaryMarshaler).MarshalBinary()
+	restore := g.d.(encoding.BinaryUnmarshaler)
 	for {
-		hash := cryptoutil.SumHash(buf[:])
-		if bytes.Compare(hash[:], target[:]) <= 0 {
+		_ = restore.UnmarshalBinary(mid)
+		g.d.Write(g.buf[sha256.BlockSize:])
+		g.sum = g.d.Sum(g.sum[:0])
+		if bytes.Compare(g.sum, target[:]) <= 0 {
 			return
 		}
 		h.Nonce++
-		binary.BigEndian.PutUint64(buf[headerSize-8:], h.Nonce)
+		binary.BigEndian.PutUint64(g.buf[headerSize-8:], h.Nonce)
 	}
 }
 

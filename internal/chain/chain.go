@@ -206,8 +206,9 @@ func (c *Chain) NextDifficulty(parentHash cryptoutil.Hash) uint64 {
 	return next
 }
 
-// validate fully checks a block against its (known) parent.
-func (c *Chain) validate(b *Block) error {
+// validate fully checks a block against its (known) parent; ids are its
+// transactions' IDs.
+func (c *Chain) validate(b *Block, ids []cryptoutil.Hash) error {
 	parent := c.Block(b.Header.Prev)
 	if parent == nil {
 		return ErrUnknownParent
@@ -224,7 +225,7 @@ func (c *Chain) validate(b *Block) error {
 	if !b.Header.MeetsTarget() {
 		return fmt.Errorf("chain: block %s: proof of work below target", b.Hash().Short())
 	}
-	if b.Header.MerkleRoot != txMerkleRoot(b.Txs) {
+	if b.Header.MerkleRoot != idsMerkleRoot(ids) {
 		return fmt.Errorf("chain: block %s: merkle root mismatch", b.Hash().Short())
 	}
 	if len(b.Txs) == 0 {
@@ -256,7 +257,14 @@ func (c *Chain) AddBlock(b *Block) error {
 	if _, ok := c.blocks[h]; ok {
 		return ErrDuplicate
 	}
-	if err := c.validate(b); err != nil {
+	// Each transaction is hashed once, for its Merkle leaf and its
+	// signature check both.
+	var scratch [stackTxs]cryptoutil.Hash
+	ids := hashRoom(scratch[:], len(b.Txs))
+	for i, tx := range b.Txs {
+		ids[i] = tx.ID()
+	}
+	if err := c.validate(b, ids); err != nil {
 		return err
 	}
 	// Apply transactions on a copy of the parent state. A missing parent
@@ -267,8 +275,8 @@ func (c *Chain) AddBlock(b *Block) error {
 	}
 	st := parent.state.Clone()
 	var fees uint64
-	for _, tx := range b.Txs[1:] {
-		if err := st.ApplyTx(tx); err != nil {
+	for i, tx := range b.Txs[1:] {
+		if err := st.applyTx(tx, ids[1+i]); err != nil {
 			return fmt.Errorf("chain: block %s: %w", h.Short(), err)
 		}
 		fees += tx.Fee

@@ -2,9 +2,13 @@ package chain
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"encoding/binary"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/cryptoutil"
@@ -62,6 +66,86 @@ func TestCheckSigMemoIsContentKeyed(t *testing.T) {
 	fail("sender address swapped", tx)
 	tx.From = kp.Fingerprint()
 	pass("sender restored", tx)
+}
+
+// Sign trusts only a key pair GenerateKeyPair checked and nobody has
+// touched since. With any other pair it leaves the memo unset (clearing one
+// an earlier Sign set), and CheckSig returns what ed25519 says.
+func TestSignMemoNeedsSoundKey(t *testing.T) {
+	kp, other := testKey(t, 1), testKey(t, 2)
+	sign := func(kp *cryptoutil.KeyPair) *Tx {
+		tx := &Tx{To: Address{7}, Amount: 10, Fee: 1, Kind: KindPayment}
+		tx.Sign(kp)
+		return tx
+	}
+	if tx := sign(kp); tx.verified != tx.ID() {
+		t.Fatal("a generated key pair's signature is not memoised")
+	}
+
+	swapped := testKey(t, 3)
+	swapped.Public = other.Public
+	edited := testKey(t, 4)
+	copy(edited.Private[ed25519.SeedSize:], other.Public)
+	literal := &cryptoutil.KeyPair{Public: kp.Public, Private: kp.Private}
+	for _, tc := range []struct {
+		name string
+		kp   *cryptoutil.KeyPair
+		want string // the CheckSig error after ": tx <id>: ", or "" for a pass
+	}{
+		{"Public swapped for another key's", swapped, "invalid signature"},
+		{"Private's public half edited", edited, "invalid signature"},
+		{"a KeyPair literal", literal, ""},
+	} {
+		tx := sign(kp)
+		tx.Sign(tc.kp)
+		if !tx.verified.IsZero() {
+			t.Errorf("%s: Sign set the memo", tc.name)
+		}
+		var want error
+		if tc.want != "" {
+			want = fmt.Errorf("chain: tx %s: %s", tx.ID().Short(), tc.want)
+		}
+		if got := tx.CheckSig(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: CheckSig: %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
+// CheckSig only reads its Tx: eight goroutines check the same two
+// transactions at once, one memoised by Sign and one rebuilt field by field
+// (no memo, so ed25519 runs on every call), and -race sees no write.
+func TestCheckSigConcurrent(t *testing.T) {
+	signed := NewWallet(testKey(t, 1), 0).Pay(Address{7}, 10, 1)
+	rebuilt := &Tx{From: signed.From, FromPub: signed.FromPub, To: signed.To, Amount: signed.Amount,
+		Fee: signed.Fee, Nonce: signed.Nonce, Kind: signed.Kind, Payload: signed.Payload, Sig: signed.Sig}
+	if rebuilt.ID() != signed.ID() || signed.verified.IsZero() || !rebuilt.verified.IsZero() {
+		t.Fatal("want one memoised and one unmemoised copy of the same transaction")
+	}
+	const workers = 8
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				for _, tx := range []*Tx{signed, rebuilt} {
+					if err := tx.CheckSig(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if !rebuilt.verified.IsZero() {
+		t.Error("CheckSig memoised the rebuilt transaction")
+	}
 }
 
 // WireSize is arithmetic; it must stay the length of what ID hashes.
@@ -135,6 +219,47 @@ func TestWorkTargetMatchesBigInt(t *testing.T) {
 		if probe := (Header{Difficulty: 1 << 10, Height: 3, Nonce: n}); bigIntMeetsTarget(probe.Hash(), probe.Difficulty) {
 			t.Fatalf("Grind stopped at nonce %d, but nonce %d already met the target", h.Nonce, n)
 		}
+	}
+}
+
+// referenceGrind is Grind as it was: SHA-256 over the whole encoding, two
+// blocks, for every nonce tried.
+func referenceGrind(h *Header) {
+	target, buf := workTarget(h.Difficulty), h.encode()
+	for {
+		hash := cryptoutil.SumHash(buf[:])
+		if bytes.Compare(hash[:], target[:]) <= 0 {
+			return
+		}
+		h.Nonce++
+		binary.BigEndian.PutUint64(buf[headerSize-8:], h.Nonce)
+	}
+}
+
+func TestGrindMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	wrapped := 0
+	for _, d := range []uint64{0, 1, 2, 3, 1 << 10, 1 << 12} {
+		for i := 0; i < 12; i++ {
+			h := Header{Height: rng.Uint64(), Time: rng.Int63(), Difficulty: d, Nonce: rng.Uint64()}
+			rng.Read(h.Prev[:])
+			rng.Read(h.MerkleRoot[:])
+			if i%3 == 0 {
+				h.Nonce = ^uint64(0) - uint64(rng.Intn(8)) // the search may wrap past 2⁶⁴−1
+			}
+			got, want := h, h
+			got.Grind()
+			referenceGrind(&want)
+			if got != want {
+				t.Fatalf("difficulty %d, start nonce %d: Grind stopped at %d, reference at %d", d, h.Nonce, got.Nonce, want.Nonce)
+			}
+			if got.Nonce < h.Nonce {
+				wrapped++
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Error("no search wrapped past 2⁶⁴−1")
 	}
 }
 

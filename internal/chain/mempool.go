@@ -13,7 +13,9 @@ import (
 // Each sender has one queue kept sorted by (nonce, fee descending, ID), so
 // the head of a queue is the sender's next candidate and same-nonce
 // conflicts sit next to each other, best first. Select merges the queue
-// heads; nothing on its result path iterates a Go map.
+// heads; nothing on its result path iterates a Go map. A transaction is
+// filed, ordered and signature-checked under the ID it had when added, so
+// it must not be modified after Add.
 type Mempool struct {
 	ids      map[cryptoutil.Hash]struct{}
 	bySender map[Address]*senderQueue
@@ -171,7 +173,7 @@ func (m *Mempool) Select(st *State, max int) []*Tx {
 			break
 		}
 		tx := best.txs[best.cur].tx
-		if err := work.ApplyTx(tx); err != nil {
+		if err := work.applyTx(tx, best.txs[best.cur].id); err != nil {
 			break // should not happen: settle found it ready
 		}
 		out = append(out, tx)
@@ -196,7 +198,7 @@ func (m *Mempool) settle(q *senderQueue, work *State) {
 		switch {
 		case tx.Nonce < acct.nonce:
 			q.cur++
-		case tx.IsCoinbase() || tx.CheckSig() != nil:
+		case tx.IsCoinbase() || tx.checkSig(q.txs[q.cur].id) != nil:
 			m.evict(q, q.cur, q.cur+1)
 		default:
 			q.ready = acct.canSpend(tx)

@@ -271,10 +271,14 @@ func BenchmarkChainValidate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ids := make([]cryptoutil.Hash, len(blk.Txs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.validate(blk); err != nil {
+		for j, tx := range blk.Txs {
+			ids[j] = tx.ID()
+		}
+		if err := c.validate(blk, ids); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -168,10 +168,10 @@ func (hc *HeaderChain) VerifyTx(p *TxProof) (uint64, error) {
 	if stored.Hash() != p.Header.Hash() {
 		return 0, errors.New("chain: proof header mismatch")
 	}
-	if err := p.Tx.CheckSig(); err != nil {
+	id := p.Tx.ID()
+	if err := p.Tx.checkSig(id); err != nil {
 		return 0, err
 	}
-	id := p.Tx.ID()
 	if !cryptoutil.VerifyProof(stored.MerkleRoot, id[:], p.Merkle) {
 		return 0, errors.New("chain: merkle proof invalid")
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+
+	"repro/internal/cryptoutil"
 )
 
 // account is one address's balance and next expected transaction nonce.
@@ -91,12 +93,15 @@ func (s *State) Supply() uint64 {
 
 // CheckTx validates a non-coinbase transaction against the state without
 // mutating it.
-func (s *State) CheckTx(tx *Tx) error {
-	if err := tx.CheckSig(); err != nil {
+func (s *State) CheckTx(tx *Tx) error { return s.checkTx(tx, tx.ID()) }
+
+// checkTx is CheckTx for a caller that already holds the transaction's ID.
+func (s *State) checkTx(tx *Tx, id cryptoutil.Hash) error {
+	if err := tx.checkSig(id); err != nil {
 		return err
 	}
 	if tx.IsCoinbase() {
-		return fmt.Errorf("chain: coinbase tx %s outside block position 0", tx.ID().Short())
+		return fmt.Errorf("chain: coinbase tx %s outside block position 0", id.Short())
 	}
 	from := s.get(tx.From)
 	if from.canSpend(tx) {
@@ -104,11 +109,11 @@ func (s *State) CheckTx(tx *Tx) error {
 	}
 	switch need := tx.Amount + tx.Fee; {
 	case tx.Nonce != from.nonce:
-		return fmt.Errorf("chain: tx %s: nonce %d, want %d", tx.ID().Short(), tx.Nonce, from.nonce)
+		return fmt.Errorf("chain: tx %s: nonce %d, want %d", id.Short(), tx.Nonce, from.nonce)
 	case need < tx.Amount:
-		return fmt.Errorf("chain: tx %s: amount+fee overflows", tx.ID().Short())
+		return fmt.Errorf("chain: tx %s: amount+fee overflows", id.Short())
 	default:
-		return fmt.Errorf("chain: tx %s: balance %d < %d", tx.ID().Short(), from.balance, need)
+		return fmt.Errorf("chain: tx %s: balance %d < %d", id.Short(), from.balance, need)
 	}
 }
 
@@ -120,8 +125,11 @@ func (a account) canSpend(tx *Tx) bool {
 }
 
 // ApplyTx validates and applies one non-coinbase transaction.
-func (s *State) ApplyTx(tx *Tx) error {
-	if err := s.CheckTx(tx); err != nil {
+func (s *State) ApplyTx(tx *Tx) error { return s.applyTx(tx, tx.ID()) }
+
+// applyTx is ApplyTx for a caller that already holds the transaction's ID.
+func (s *State) applyTx(tx *Tx, id cryptoutil.Hash) error {
+	if err := s.checkTx(tx, id); err != nil {
 		return err
 	}
 	from := s.touch(tx.From)

@@ -15,10 +15,12 @@
 // Proof-of-work here is literal — blocks carry a nonce whose header hash
 // meets the difficulty target — but block *timing* is simulated: a miner
 // with hashrate R at difficulty D finds blocks after Exp(D/R) of virtual
-// time. Experiments should therefore use modest difficulties (2^10–2^20
-// expected hashes) so that the literal grind stays cheap in wall-clock time
-// while fork choice, retargeting, and attacks behave exactly as they would
-// at production difficulty.
+// time. The literal grind still costs the host one SHA-256 compression per
+// nonce tried (~100 ns; the header's first block is compressed once per
+// block), so about 0.4 ms per block at 2^12. Experiments should therefore
+// use modest difficulties (2^10–2^20 expected hashes) so that it stays
+// cheap in wall-clock time while fork choice, retargeting, and attacks
+// behave exactly as they would at production difficulty.
 package chain
 
 import (
@@ -56,7 +58,11 @@ type Tx struct {
 	Payload []byte
 	Sig     []byte
 
-	// verified is the ID under which CheckSig last passed; see CheckSig.
+	// verified is the ID of the content Sign produced with a sound key
+	// pair, whose signature therefore verifies; see CheckSig. Sign is the
+	// only writer, and it runs before the transaction is handed to anyone,
+	// so a Tx shared by reference between miners, on any number of engine
+	// workers, is only ever read.
 	verified cryptoutil.Hash
 }
 
@@ -116,29 +122,39 @@ func (tx *Tx) IsCoinbase() bool { return tx.From.IsZero() }
 
 // Sign signs the transaction with the key pair, filling From, FromPub, and
 // Sig. The pair's fingerprint becomes the sender address.
+//
+// When the pair is sound (cryptoutil.KeyPair.Sound) the signature is known
+// to verify: From is the fingerprint of FromPub, and ed25519 signatures
+// made with a key derived from its seed verify under its public half. Sign
+// then records the transaction's ID as verified. With any other pair the
+// record is cleared and the first CheckSig verifies for real.
 func (tx *Tx) Sign(kp *cryptoutil.KeyPair) {
 	tx.From = kp.Fingerprint()
 	tx.FromPub = kp.Public
 	h := tx.SigHash()
 	tx.Sig = kp.Sign(h[:])
+	tx.verified = cryptoutil.Hash{}
+	if kp.Sound() {
+		tx.verified = tx.ID()
+	}
 }
 
 // CheckSig validates the signature and that FromPub matches From. Coinbase
 // transactions have no signature and always pass.
 //
-// A pass is remembered by content: verified holds the ID of the bytes that
-// passed, and the ID covers every field, Sig and FromPub included. A
-// transaction modified in place, or copied and then modified, has another
-// ID and is verified afresh, so the ~50 µs ed25519 check runs once per
-// distinct transaction instead of once per pool pass and per replica. Like
-// a Block, a Tx is shared by reference between the miners of one network,
-// which the default engine drives from one goroutine.
-func (tx *Tx) CheckSig() error {
-	if tx.IsCoinbase() {
-		return nil
-	}
-	id := tx.ID()
-	if id == tx.verified {
+// A transaction Sign made with a sound key pair passes on one SHA-256, its
+// ID: the record is keyed by content, and the ID covers every field, Sig
+// and FromPub included, so a transaction modified in place, or copied and
+// then modified, has another ID and is verified afresh. Any other
+// transaction — built field by field, received, or altered — runs the
+// ~50 µs ed25519 check on every call. CheckSig writes nothing, so
+// concurrent calls on one shared Tx are safe.
+func (tx *Tx) CheckSig() error { return tx.checkSig(tx.ID()) }
+
+// checkSig is CheckSig for a caller that already holds the transaction's
+// ID.
+func (tx *Tx) checkSig(id cryptoutil.Hash) error {
+	if id == tx.verified || tx.IsCoinbase() {
 		return nil
 	}
 	if cryptoutil.PublicFingerprint(tx.FromPub) != tx.From {
@@ -148,7 +164,6 @@ func (tx *Tx) CheckSig() error {
 	if !cryptoutil.Verify(tx.FromPub, h[:], tx.Sig) {
 		return fmt.Errorf("chain: tx %s: invalid signature", id.Short())
 	}
-	tx.verified = id
 	return nil
 }
 

@@ -2,6 +2,7 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
 	"math/big"
@@ -76,6 +77,44 @@ func TestFingerprintStable(t *testing.T) {
 	kp, _ := GenerateKeyPair(rand.Reader)
 	if kp.Fingerprint() != PublicFingerprint(kp.Public) {
 		t.Error("fingerprint mismatch between pair and bare public key")
+	}
+}
+
+func TestKeyPairSound(t *testing.T) {
+	gen := func(seed int64) *KeyPair {
+		kp, err := GenerateKeyPair(mrand.New(mrand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kp
+	}
+	if !gen(1).Sound() {
+		t.Fatal("a generated pair is not sound")
+	}
+	other := gen(2)
+	for _, tc := range []struct {
+		name  string
+		spoil func(kp *KeyPair)
+	}{
+		{"Public reassigned", func(kp *KeyPair) { kp.Public = other.Public }},
+		{"Public edited", func(kp *KeyPair) { kp.Public[0] ^= 1 }},
+		{"Private reassigned", func(kp *KeyPair) { kp.Private = other.Private }},
+		{"Private's seed edited", func(kp *KeyPair) { kp.Private[0] ^= 1 }},
+		{"Private's public half edited", func(kp *KeyPair) { kp.Private[ed25519.SeedSize] ^= 1 }},
+		{"Private truncated", func(kp *KeyPair) { kp.Private = kp.Private[:ed25519.SeedSize] }},
+	} {
+		kp := gen(1)
+		tc.spoil(kp)
+		if kp.Sound() {
+			t.Errorf("%s: still sound", tc.name)
+		}
+	}
+	kp := gen(1)
+	if lit := (&KeyPair{Public: kp.Public, Private: kp.Private}); lit.Sound() {
+		t.Error("a literal pair is sound")
+	}
+	if cp := *kp; !cp.Sound() {
+		t.Error("an untouched copy of a generated pair is not sound")
 	}
 }
 
@@ -317,6 +356,54 @@ func TestMerkleProofProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The stack encodings hash what the prefixed concatenations hashed, for
+// leaves on either side of the stack scratch's size.
+func TestMerkleHashEncodings(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(4))
+	for n := 0; n <= 100; n++ {
+		data := make([]byte, n)
+		rng.Read(data)
+		if LeafHash(data) != SumHashes([]byte{0x00}, data) {
+			t.Fatalf("LeafHash of %d bytes differs from SHA-256(0x00‖data)", n)
+		}
+	}
+	var l, r Hash
+	rng.Read(l[:])
+	rng.Read(r[:])
+	if interiorHash(l, r) != SumHashes([]byte{0x01}, l[:], r[:]) {
+		t.Error("interiorHash differs from SHA-256(0x01‖l‖r)")
+	}
+}
+
+func TestMerkleRootOfMatchesTree(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(9))
+	for n := 0; n <= 300; n++ {
+		hashes := make([]Hash, n)
+		leaves := make([][]byte, n)
+		for i := range hashes {
+			rng.Read(hashes[i][:])
+			leaves[i] = append([]byte(nil), hashes[i][:]...)
+		}
+		got, want := MerkleRootOf(hashes), MerkleRoot(leaves)
+		if got != want {
+			t.Fatalf("n=%d: MerkleRootOf %s, MerkleRoot %s", n, got.Short(), want.Short())
+		}
+		if n == 0 {
+			if !got.IsZero() {
+				t.Fatal("MerkleRootOf of no hashes is not the zero hash")
+			}
+			continue
+		}
+		tree, err := NewMerkleTree(leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tree.Root() {
+			t.Fatalf("n=%d: MerkleRootOf %s, tree root %s", n, got.Short(), tree.Root().Short())
+		}
 	}
 }
 

@@ -10,6 +10,7 @@
 package cryptoutil
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/sha256"
@@ -65,6 +66,11 @@ func ParseHash(s string) (Hash, error) {
 type KeyPair struct {
 	Public  ed25519.PublicKey
 	Private ed25519.PrivateKey
+
+	// checked is the private key (seed, then public half) GenerateKeyPair
+	// examined, and sound its verdict; see Sound.
+	checked [ed25519.PrivateKeySize]byte
+	sound   bool
 }
 
 // GenerateKeyPair creates a new ed25519 key pair from the given entropy
@@ -75,7 +81,19 @@ func GenerateKeyPair(rand io.Reader) (*KeyPair, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cryptoutil: generate key: %w", err)
 	}
-	return &KeyPair{Public: pub, Private: priv}, nil
+	kp := &KeyPair{Public: pub, Private: priv}
+	kp.sound = bytes.Equal(ed25519.NewKeyFromSeed(priv.Seed()), priv) && bytes.Equal(pub, priv[ed25519.SeedSize:])
+	copy(kp.checked[:], priv)
+	return kp, nil
+}
+
+// Sound reports whether the pair is one GenerateKeyPair checked and that
+// still holds the bytes it checked: Private is the key derived from its own
+// seed, and Public is its public half. A signature made with a sound pair
+// verifies under Public. A pair built as a literal, or whose fields were
+// reassigned or edited after generation, is not sound.
+func (kp *KeyPair) Sound() bool {
+	return kp.sound && bytes.Equal(kp.Private, kp.checked[:]) && bytes.Equal(kp.Public, kp.checked[ed25519.SeedSize:])
 }
 
 // Sign signs msg with the private key.

@@ -1,15 +1,16 @@
 package cryptoutil
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 )
 
 // Domain-separation prefixes prevent a leaf hash from being replayed as an
 // interior node (the classic CVE-2012-2459-style Merkle ambiguity).
-var (
-	leafPrefix = []byte{0x00}
-	nodePrefix = []byte{0x01}
+const (
+	leafPrefix = 0x00
+	nodePrefix = 0x01
 )
 
 // MerkleTree is a binary hash tree over an ordered list of leaves. Odd
@@ -19,10 +20,36 @@ type MerkleTree struct {
 	levels [][]Hash // levels[0] = leaf hashes, last level has one root
 }
 
-// LeafHash computes the domain-separated hash of a leaf's content.
-func LeafHash(data []byte) Hash { return SumHashes(leafPrefix, data) }
+// LeafHash computes the domain-separated hash of a leaf's content. A leaf
+// up to a hash long is encoded on the stack; a longer one spills to the
+// heap through append.
+func LeafHash(data []byte) Hash {
+	var scratch [1 + sha256.Size]byte
+	return SumHash(append(append(scratch[:0], leafPrefix), data...))
+}
 
-func interiorHash(l, r Hash) Hash { return SumHashes(nodePrefix, l[:], r[:]) }
+func interiorHash(l, r Hash) Hash {
+	var buf [1 + 2*sha256.Size]byte
+	buf[0] = nodePrefix
+	copy(buf[1:], l[:])
+	copy(buf[1+sha256.Size:], r[:])
+	return SumHash(buf[:])
+}
+
+// reduce folds a level of node hashes into the root in place, pairing
+// neighbours and promoting an odd last node unchanged, level by level as
+// NewMerkleTree builds them. The level must not be empty.
+func reduce(level []Hash) Hash {
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		for i := 0; i+1 < n; i += 2 {
+			level[i/2] = interiorHash(level[i], level[i+1])
+		}
+		if n%2 == 1 {
+			level[n/2] = level[n-1]
+		}
+	}
+	return level[0]
+}
 
 // NewMerkleTree builds a tree over the given leaf contents. It returns an
 // error for an empty leaf set, which has no defined root.
@@ -111,15 +138,28 @@ func VerifyProof(root Hash, leafData []byte, proof *MerkleProof) bool {
 	return h == root
 }
 
-// MerkleRoot is a convenience that builds a tree and returns only its root.
-// An empty input returns the zero hash.
+// MerkleRoot returns the root of the tree NewMerkleTree would build over
+// leaves, without keeping its levels. An empty input returns the zero hash.
 func MerkleRoot(leaves [][]byte) Hash {
 	if len(leaves) == 0 {
 		return Hash{}
 	}
-	t, err := NewMerkleTree(leaves)
-	if err != nil {
+	level := make([]Hash, len(leaves))
+	for i, leaf := range leaves {
+		level[i] = LeafHash(leaf)
+	}
+	return reduce(level)
+}
+
+// MerkleRootOf is MerkleRoot over leaves that are hashes: each element's
+// 32 bytes are one leaf's content. It works in place and allocates nothing,
+// so it overwrites the slice it is given.
+func MerkleRootOf(leaves []Hash) Hash {
+	if len(leaves) == 0 {
 		return Hash{}
 	}
-	return t.Root()
+	for i := range leaves {
+		leaves[i] = LeafHash(leaves[i][:])
+	}
+	return reduce(leaves)
 }
