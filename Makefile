@@ -24,7 +24,8 @@ vet:
 
 # lint rejects wall-clock reads and global math/rand use outside
 # internal/simnet — the two easiest ways to silently break seed
-# determinism (and with it the bench gate's exact-match comparison).
+# determinism (and with it the bench gate's exact-match comparison) — and
+# unmarked map ranges in internal/simnet and internal/webapp.
 lint:
 	./scripts/determinism_lint.sh
 

@@ -141,7 +141,7 @@ func (ls *lookupState) query(c Contact) {
 	}
 	q := &ls.queries[i]
 	q.ls, q.c, q.busy = ls, c, true
-	ls.p.res.CallTo(c.Addr, ls.method, &ls.req, 80, ls.p.cfg.RequestTimeout, q)
+	ls.p.rpc.CallTo(c.Addr, ls.method, &ls.req, 80, ls.p.cfg.RequestTimeout, q)
 }
 
 // CallDone folds one query's reply into the lookup.

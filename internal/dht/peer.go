@@ -110,8 +110,7 @@ type storedValue struct {
 // Peer is one DHT participant bound to a simnet node.
 type Peer struct {
 	cfg Config
-	rpc *simnet.RPCNode
-	res *resil.Client // client-path RPCs go through the resilience layer
+	rpc simnet.Caller // resil.Wrap'd: client-path RPCs go through the resilience layer
 	id  Key
 	rt  *routingTable
 	// ping is this peer's Contact, boxed once: the payload of every
@@ -176,20 +175,21 @@ func NewPeer(node *simnet.Node, id Key, cfg Config) *Peer {
 	if id.IsZero() {
 		id = derivedID(node.ID())
 	}
+	cfg = cfg.withDefaults()
+	rpc := simnet.NewRPCNode(node)
 	p := &Peer{
-		cfg:       cfg.withDefaults(),
-		rpc:       simnet.NewRPCNode(node),
+		cfg:       cfg,
+		rpc:       resil.Wrap(rpc, cfg.Resilience),
 		id:        id,
 		store:     map[Key]storedValue{},
 		published: map[Key][]byte{},
 		m:         metricsFor(node.Obs()),
 	}
-	p.res = resil.New(p.rpc, p.cfg.Resilience)
 	p.rt = newRoutingTable(id, p.cfg.K)
 	p.ping = p.Contact()
 	// Pings are pure liveness control — they must keep answering while the
 	// lookup paths queue, or a merely-busy peer gets evicted as dead.
-	ov := overload.New(p.rpc, p.cfg.Overload)
+	ov := overload.New(rpc, cfg.Overload)
 	ov.Control(methodPing, p.onPing)
 	ov.Protect(methodFindNode, p.onFindNode)
 	ov.Protect(methodFindValue, p.onFindValue)
@@ -227,7 +227,7 @@ func (p *Peer) observe(c Contact) {
 	}
 	pe := pingPool.Get().(*pingEvict)
 	pe.p, pe.old, pe.new = p, old, c
-	p.res.CallTo(old.Addr, methodPing, p.ping, 40, p.cfg.RequestTimeout, pe)
+	p.rpc.CallTo(old.Addr, methodPing, p.ping, 40, p.cfg.RequestTimeout, pe)
 }
 
 // pingEvict is the Completion of one ping-before-evict: the bucket's
@@ -346,7 +346,7 @@ func (p *Peer) putOnce(key Key, value []byte, done func(stored int)) {
 			req := storeReq{From: p.Contact(), Key: key, Value: value}
 			p.stats.StoresSent++
 			p.m.stores.Inc()
-			p.res.Call(c.Addr, methodStore, req, 48+len(value), p.cfg.RequestTimeout, func(resp any, err error) {
+			p.rpc.Call(c.Addr, methodStore, req, 48+len(value), p.cfg.RequestTimeout, func(resp any, err error) {
 				pending--
 				if err == nil {
 					if okResp, ok := resp.(bool); ok && okResp {

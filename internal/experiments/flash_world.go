@@ -210,9 +210,9 @@ func runFlashArm(seed int64, sp flashSpec, arm flashArm, reqs []workload.Request
 		overload.New(hot, arm.overload).Protect("content.get", func(from simnet.NodeID, req any) (any, int) {
 			return req, 32 + sp.objBytes
 		})
-		clients := make([]*resil.Client, sp.clients)
+		clients := make([]simnet.Caller, sp.clients)
 		for i, n := range clientNodes {
-			clients[i] = resil.New(simnet.NewRPCNode(n), arm.resil)
+			clients[i] = resil.Wrap(simnet.NewRPCNode(n), arm.resil)
 		}
 		get = func(r workload.Request, done func(bool)) {
 			clients[r.Client].Call(anchor.ID(), "content.get", r.Object, 200, sp.timeout,

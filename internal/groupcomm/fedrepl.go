@@ -94,8 +94,7 @@ func (s *ReplServer) onFetch(from simnet.NodeID, req any) (any, int) {
 // server; reads try the home server first and fail over through the known
 // server list.
 type ReplClient struct {
-	rpc     *simnet.RPCNode
-	res     *resil.Client
+	rpc     simnet.Caller // resil.Wrap'd
 	home    simnet.NodeID
 	servers []simnet.NodeID // failover order for reads
 	user    UserID
@@ -108,8 +107,7 @@ type ReplClient struct {
 // homeserver is suspected instead of eating a full timeout on every read;
 // the zero value is the historical fixed-timeout transport.
 func NewReplClient(node *simnet.Node, home simnet.NodeID, servers []simnet.NodeID, user UserID, timeout time.Duration, rcfg resil.Config) *ReplClient {
-	rpc := simnet.NewRPCNode(node)
-	return &ReplClient{rpc: rpc, res: resil.New(rpc, rcfg), home: home, servers: servers, user: user, timeout: timeout}
+	return &ReplClient{rpc: resil.Wrap(simnet.NewRPCNode(node), rcfg), home: home, servers: servers, user: user, timeout: timeout}
 }
 
 // Post publishes through the user's home server; it fails if the home
@@ -117,7 +115,7 @@ func NewReplClient(node *simnet.Node, home simnet.NodeID, servers []simnet.NodeI
 // residual centralization in Matrix).
 func (c *ReplClient) Post(room string, body []byte, done func(ok bool)) {
 	p := NewPost(room, c.user, body, c.rpc.Node().Now())
-	c.res.Call(c.home, methodReplPost, p, p.WireSize(), c.timeout, func(resp any, err error) {
+	c.rpc.Call(c.home, methodReplPost, p, p.WireSize(), c.timeout, func(resp any, err error) {
 		ok, _ := resp.(bool)
 		done(err == nil && ok)
 	})
@@ -134,7 +132,7 @@ func (c *ReplClient) tryFetch(room string, order []simnet.NodeID, i int, done fu
 		done(nil, false)
 		return
 	}
-	c.res.Call(order[i], methodReplFetch, room, 32, c.timeout, func(resp any, err error) {
+	c.rpc.Call(order[i], methodReplFetch, room, 32, c.timeout, func(resp any, err error) {
 		if err != nil {
 			c.tryFetch(room, order, i+1, done)
 			return

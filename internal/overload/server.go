@@ -135,7 +135,7 @@ func (s *Server) admit(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 	// served within the objective — tell the caller now, while the hint is
 	// cheap, instead of after a doomed queue wait.
 	if s.q.full() || s.estWait(s.q.depth()+1) > s.cfg.SLO {
-		s.shed(tok)
+		s.shedItem(tok)
 		return
 	}
 	s.q.push(qItem{tok: tok, req: req, enq: now})
@@ -232,11 +232,6 @@ func (s *Server) observeWait(wait time.Duration, now time.Duration) {
 		}
 	}
 	s.m.limit.Set(s.limit)
-}
-
-// shed rejects an arriving request with a pressure-scaled hint.
-func (s *Server) shed(tok simnet.ReplyToken) {
-	s.shedItem(tok)
 }
 
 // shedItem sends the pre-boxed Shed reply whose RetryAfter level tracks

@@ -22,8 +22,7 @@ var ErrNoReplica = errors.New("replic: no holder produced the object")
 // down the ranking until a holder answers.
 type Client struct {
 	cfg    Config
-	rpc    *simnet.RPCNode
-	res    *resil.Client
+	rpc    simnet.Caller // resil.Wrap'd when the layer is enabled
 	dir    simnet.NodeID
 	router *Router
 	m      *replicMetrics
@@ -34,12 +33,13 @@ type Client struct {
 // nil for a flat geography).
 func NewClient(node *simnet.Node, cfg Config, dir simnet.NodeID, self int, regionOf map[simnet.NodeID]int, extra [][]time.Duration) *Client {
 	cfg = cfg.withDefaults()
-	c := &Client{cfg: cfg, rpc: simnet.NewRPCNode(node), dir: dir}
+	rpc := simnet.NewRPCNode(node)
+	c := &Client{cfg: cfg, rpc: rpc, dir: dir}
 	if cfg.Enabled {
-		c.res = resil.New(c.rpc, cfg.Resilience)
+		c.rpc = resil.Wrap(rpc, cfg.Resilience)
 		var srtt func(simnet.NodeID) (time.Duration, bool)
-		if c.res.Enabled() {
-			srtt = c.res.PeerSRTT
+		if rc, ok := c.rpc.(*resil.Client); ok {
+			srtt = rc.PeerSRTT
 		}
 		c.router = NewRouter(self, regionOf, extra, srtt)
 		c.m = metricsFor(node.Obs())
@@ -59,16 +59,7 @@ func (c *Client) Router() *Router { return c.router }
 // more attempts). done receives the payload or a terminal error.
 func (c *Client) Get(obj cryptoutil.Hash, timeout time.Duration, done func(data []byte, err error)) {
 	f := &fetch{c: c, req: obj, timeout: timeout, done: done}
-	c.call(c.dir, methodHolders, f.req, 40, timeout, f)
-}
-
-// call routes through the resilience layer when attached.
-func (c *Client) call(to simnet.NodeID, method string, req any, size int, timeout time.Duration, done simnet.Completion) {
-	if c.res != nil {
-		c.res.CallTo(to, method, req, size, timeout, done)
-		return
-	}
-	c.rpc.CallTo(to, method, req, size, timeout, done)
+	c.rpc.CallTo(c.dir, methodHolders, f.req, 40, timeout, f)
 }
 
 // fetch is one replica-fetch operation: sequential failover down the
@@ -148,7 +139,7 @@ func (f *fetch) launch(i int) {
 		l = &f.legs[1]
 	}
 	l.f, l.i, l.busy = f, i, true
-	f.c.call(f.holders[i], methodGet, f.req, 40, f.timeout, l)
+	f.c.rpc.CallTo(f.holders[i], methodGet, f.req, 40, f.timeout, l)
 }
 
 // fireHedge launches the fetch to the next-ranked holder if the earlier

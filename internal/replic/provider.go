@@ -31,8 +31,7 @@ const ctrlTimeout = 10 * time.Second
 // unreleasable). TestReplicPinnedNeverReleased pins the exemption.
 type Provider struct {
 	cfg Config
-	rpc *simnet.RPCNode
-	res *resil.Client
+	rpc simnet.Caller // resil.Wrap'd when the layer is enabled
 	dir simnet.NodeID
 
 	demand *Demand
@@ -82,9 +81,10 @@ type Provider struct {
 // Put, then call Start once the peer set is known.
 func NewProvider(node *simnet.Node, cfg Config, dir simnet.NodeID, regions int, regionOf map[simnet.NodeID]int) *Provider {
 	cfg = cfg.withDefaults()
+	rpc := simnet.NewRPCNode(node)
 	p := &Provider{
 		cfg:       cfg,
-		rpc:       simnet.NewRPCNode(node),
+		rpc:       rpc,
 		dir:       dir,
 		demand:    NewDemand(cfg.HalfLife, regions),
 		store:     map[cryptoutil.Hash][]byte{},
@@ -96,7 +96,7 @@ func NewProvider(node *simnet.Node, cfg Config, dir simnet.NodeID, regions int, 
 		advBuf:    make([]float64, regions),
 	}
 	if cfg.Enabled {
-		p.res = resil.New(p.rpc, cfg.Resilience)
+		p.rpc = resil.Wrap(rpc, cfg.Resilience)
 		p.m = metricsFor(node.Obs())
 	}
 	// Overload control guards the blob-serving path; adverts are control
@@ -105,10 +105,10 @@ func NewProvider(node *simnet.Node, cfg Config, dir simnet.NodeID, regions int, 
 	// provider-to-provider transfers already gated by the pushing map.
 	// Outbound control calls get the lane stamp so a saturated provider's
 	// own announces/releases overtake its queued get replies.
-	ov := overload.New(p.rpc, cfg.Overload)
+	ov := overload.New(rpc, cfg.Overload)
 	ov.Protect(methodGet, p.onGet)
 	ov.Control(methodAdvert, p.onAdvert)
-	p.rpc.Serve(methodPush, p.onPush)
+	rpc.Serve(methodPush, p.onPush)
 	ov.MarkControl(methodAnnounce)
 	ov.MarkControl(methodRelease)
 	ov.MarkControl(methodHolders)
@@ -123,13 +123,9 @@ func NewProvider(node *simnet.Node, cfg Config, dir simnet.NodeID, regions int, 
 // Node returns the provider's simnet node.
 func (p *Provider) Node() *simnet.Node { return p.rpc.Node() }
 
-// Resil returns the provider's resilience client (nil when the layer is
-// disabled).
-func (p *Provider) Resil() *resil.Client { return p.res }
-
 // RPC returns the provider's RPC endpoint. Experiments use it to attach
 // probe endpoints (X20's control-plane pinger) on the provider's node.
-func (p *Provider) RPC() *simnet.RPCNode { return p.rpc }
+func (p *Provider) RPC() *simnet.RPCNode { return simnet.NewRPCNode(p.Node()) }
 
 // Holds reports whether the provider currently stores obj.
 func (p *Provider) Holds(obj cryptoutil.Hash) bool { _, ok := p.store[obj]; return ok }
@@ -197,22 +193,13 @@ func hashLess(a, b cryptoutil.Hash) bool {
 func (p *Provider) announce(obj cryptoutil.Hash) {
 	p.ctrlSeq++
 	req := announceReq{Object: obj, Holder: p.Node().ID(), Origin: p.pinned[obj], Seq: p.ctrlSeq}
-	p.call(p.dir, methodAnnounce, req, 72, func(any, error) {})
+	p.rpc.Call(p.dir, methodAnnounce, req, 72, ctrlTimeout, func(any, error) {})
 }
 
 func (p *Provider) announceAll() {
 	for _, obj := range p.held {
 		p.announce(obj)
 	}
-}
-
-// call routes control traffic through the resilience layer when attached.
-func (p *Provider) call(to simnet.NodeID, method string, req any, size int, done func(any, error)) {
-	if p.res != nil {
-		p.res.Call(to, method, req, size, ctrlTimeout, done)
-		return
-	}
-	p.rpc.Call(to, method, req, size, ctrlTimeout, done)
 }
 
 // SetPeers installs the candidate replica-target set (sorted copy taken).
@@ -275,7 +262,7 @@ func (p *Provider) tickObject(obj cryptoutil.Hash, now time.Duration) {
 // withHolders fetches the directory's current holder list for obj and
 // runs fn with it (minus nothing — self is included where registered).
 func (p *Provider) withHolders(obj cryptoutil.Hash, fn func([]simnet.NodeID)) {
-	p.call(p.dir, methodHolders, obj, 40, func(resp any, err error) {
+	p.rpc.Call(p.dir, methodHolders, obj, 40, ctrlTimeout, func(resp any, err error) {
 		if err != nil || !p.Node().Up() {
 			return
 		}
@@ -303,7 +290,7 @@ func (p *Provider) advertise(obj cryptoutil.Hash, holders []simnet.NodeID) {
 			Rate:   p.demand.LocalRate(obj, now),
 			Region: append([]float64(nil), p.advBuf...),
 		}
-		p.call(h, methodAdvert, req, 48+8*len(req.Region), func(any, error) {})
+		p.rpc.Call(h, methodAdvert, req, 48+8*len(req.Region), ctrlTimeout, func(any, error) {})
 		p.m.advertSent.Inc()
 	}
 }
@@ -329,7 +316,7 @@ func (p *Provider) maybePush(obj cryptoutil.Hash, holders []simnet.NodeID) {
 	}
 	data := p.store[obj]
 	p.pushing[obj] = true
-	p.call(to, methodPush, pushReq{Object: obj, Data: data}, len(data)+40, func(resp any, err error) {
+	p.rpc.Call(to, methodPush, pushReq{Object: obj, Data: data}, len(data)+40, ctrlTimeout, func(resp any, err error) {
 		delete(p.pushing, obj)
 		if err != nil || resp != true || !p.Node().Up() {
 			return
@@ -398,7 +385,7 @@ func (p *Provider) maybeRelease(obj cryptoutil.Hash) {
 	p.releasing[obj] = true
 	p.ctrlSeq++
 	req := releaseReq{Object: obj, Holder: p.Node().ID(), Seq: p.ctrlSeq}
-	p.call(p.dir, methodRelease, req, 72, func(resp any, err error) {
+	p.rpc.Call(p.dir, methodRelease, req, 72, ctrlTimeout, func(resp any, err error) {
 		delete(p.releasing, obj)
 		if err != nil || resp != true || !p.Node().Up() {
 			return

@@ -3,6 +3,7 @@ package replic
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -405,8 +406,14 @@ func TestReplicDisabledIsStatic(t *testing.T) {
 			t.Fatal("disabled layer pushed a replica")
 		}
 	}
-	if w.provs[0].Resil() != nil {
-		t.Fatal("disabled provider allocated a resilience client")
+	snap := w.nw.Obs().Snapshot()
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "resil.") {
+			t.Fatalf("disabled layer registered %s: a resilience client was built", name)
+		}
+	}
+	if _, ok := snap.Histograms["resil.rto_s"]; ok {
+		t.Fatal("disabled layer registered resil.rto_s: a resilience client was built")
 	}
 	oks := 0
 	for _, p := range okPtrs {

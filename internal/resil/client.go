@@ -60,28 +60,34 @@ func metricsFor(r *obs.Registry) *resilMetrics {
 	}).(*resilMetrics)
 }
 
-// New wraps rpc with the layer configured by cfg. A disabled config makes
-// the Client a pure passthrough: no metrics are registered, no state is
-// allocated, and Call forwards verbatim — so construction alone cannot
-// perturb an existing golden run.
-func New(rpc *simnet.RPCNode, cfg Config) *Client {
-	c := &Client{rpc: rpc, cfg: cfg.withDefaults()}
-	if c.cfg.Enabled {
-		node := rpc.Node()
-		c.bo = NewBackoff(c.cfg.Backoff, node.Network().Seed(), node.ID())
-		c.peers = map[simnet.NodeID]*peerState{}
-		c.global = NewEstimator(c.cfg.RTO)
-		c.m = metricsFor(node.Obs())
+var _ simnet.Caller = (*Client)(nil)
+
+// Wrap returns the Caller a layer should hold for cfg: rpc itself when
+// cfg.Enabled is false, so the layer's calls are raw RPCs with the caller's
+// fixed timeout and construction registers no metric and allocates
+// nothing; otherwise New(rpc, cfg).
+func Wrap(rpc *simnet.RPCNode, cfg Config) simnet.Caller {
+	if !cfg.Enabled {
+		return rpc
 	}
+	return New(rpc, cfg)
+}
+
+// New wraps rpc with the resilience layer tuned by cfg, whose zero fields
+// take their defaults. It builds the layer whatever cfg.Enabled says; a
+// config that may be off goes through Wrap.
+func New(rpc *simnet.RPCNode, cfg Config) *Client {
+	node := rpc.Node()
+	c := &Client{rpc: rpc, cfg: cfg.withDefaults()}
+	c.bo = NewBackoff(c.cfg.Backoff, node.Network().Seed(), node.ID())
+	c.peers = map[simnet.NodeID]*peerState{}
+	c.global = NewEstimator(c.cfg.RTO)
+	c.m = metricsFor(node.Obs())
 	return c
 }
 
-// Enabled reports whether the layer is active (false means fixed-timeout
-// passthrough).
-func (c *Client) Enabled() bool { return c.cfg.Enabled }
-
-// RPC returns the wrapped endpoint.
-func (c *Client) RPC() *simnet.RPCNode { return c.rpc }
+// Node returns the caller's simulated node.
+func (c *Client) Node() *simnet.Node { return c.rpc.Node() }
 
 // peerState is what the Client knows about one peer.
 type peerState struct {
@@ -106,14 +112,11 @@ func (c *Client) peer(id simnet.NodeID) *peerState {
 }
 
 // PeerSRTT returns the smoothed round-trip estimate for a peer, and
-// whether one exists: false when the layer is disabled or the peer has
-// never contributed a sample (the cold-start Initial is a guess, not a
-// measurement, so it is not reported). Nearest-replica routing in
-// internal/replic ranks holders on exactly this.
+// whether one exists: false when the peer has never contributed a sample
+// (the cold-start Initial is a guess, not a measurement, so it is not
+// reported). Nearest-replica routing in internal/replic ranks holders on
+// exactly this.
 func (c *Client) PeerSRTT(id simnet.NodeID) (time.Duration, bool) {
-	if !c.cfg.Enabled {
-		return 0, false
-	}
 	ps, ok := c.peers[id]
 	if !ok || ps.est.Samples() == 0 {
 		return 0, false
@@ -129,33 +132,30 @@ func (c *Client) Call(to simnet.NodeID, method string, req any, reqSize int, fal
 
 // CallTo issues a resilient request to the target's method. done receives
 // the outcome exactly once, with the winning attempt's round trip on
-// success. fallback is the caller's legacy fixed timeout: it is the
-// per-attempt timeout when the layer is disabled, and is ignored when
-// enabled (the adaptive RTO takes over entirely).
+// success. fallback, the timeout a raw RPCNode would use, is ignored: the
+// adaptive RTO takes over entirely.
 //
-// Enabled behaviour per operation: an open breaker fails fast (still
-// asynchronously, preserving callback ordering); otherwise attempts are
-// issued with the peer's current RTO as timeout, a timeout schedules the
-// next attempt after a jittered backoff up to MaxAttempts, and on the
-// first attempt a single hedge may be launched at the estimated p95 —
-// first response wins and the loser is cancelled through its CallRef so
-// its Completion never fires.
-func (c *Client) CallTo(to simnet.NodeID, method string, req any, reqSize int, fallback time.Duration, done simnet.Completion) {
-	if !c.cfg.Enabled {
-		c.rpc.CallTo(to, method, req, reqSize, fallback, done)
-		return
-	}
+// Per operation: an open breaker fails fast (still asynchronously,
+// preserving callback ordering); otherwise attempts are issued with the
+// peer's current RTO as timeout, a timeout schedules the next attempt
+// after a jittered backoff up to MaxAttempts, and on the first attempt a
+// single hedge may be launched at the estimated p95 — first response wins
+// and the loser is cancelled through its CallRef so its Completion never
+// fires. The operation cancels its own attempts, so the returned CallRef
+// is the inert zero value.
+func (c *Client) CallTo(to simnet.NodeID, method string, req any, reqSize int, fallback time.Duration, done simnet.Completion) simnet.CallRef {
 	ps := c.peer(to)
 	node := c.rpc.Node()
 	if !c.cfg.Breaker.Disabled && !ps.brk.Allow(node.Now()) {
 		c.m.fastfail.Inc()
 		err := fmt.Errorf("resil: call %s to node %d refused: %w", method, to, ErrSuspected)
 		node.After(0, func() { done.CallDone(nil, 0, err) })
-		return
+		return simnet.CallRef{}
 	}
 	c.seq++
 	o := &op{c: c, ps: ps, to: to, method: method, req: req, reqSize: reqSize, done: done, id: c.seq}
 	o.launch(false)
+	return simnet.CallRef{}
 }
 
 // op is one resilient operation: up to MaxAttempts timeout-driven

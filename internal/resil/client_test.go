@@ -2,6 +2,7 @@ package resil
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,11 +16,25 @@ type clientWorld struct {
 	nw     *simnet.Network
 	caller *simnet.Node
 	server *simnet.Node
+	rpc    *simnet.RPCNode // the caller's raw endpoint
 	res    *Client
+	via    simnet.Caller   // what call issues through
 	delays []time.Duration // consumed per "slow" request, in arrival order
 }
 
+// newClientWorld builds the harness with a Client from New(rpc, cfg) as
+// the caller.
 func newClientWorld(t *testing.T, cfg Config) *clientWorld {
+	t.Helper()
+	w := newEchoWorld(t)
+	w.res = New(w.rpc, cfg)
+	w.via = w.res
+	return w
+}
+
+// newEchoWorld builds the two nodes and the server's methods; the caller
+// has its RPC endpoint and nothing on top of it.
+func newEchoWorld(t *testing.T) *clientWorld {
 	t.Helper()
 	w := &clientWorld{nw: simnet.New(7)}
 	w.caller = w.nw.AddNode()
@@ -35,17 +50,18 @@ func newClientWorld(t *testing.T, cfg Config) *clientWorld {
 		}
 		w.server.After(d, func() { reply(req, 16) })
 	})
-	w.res = New(simnet.NewRPCNode(w.caller), cfg)
+	w.rpc = simnet.NewRPCNode(w.caller)
 	return w
 }
 
-// call issues one resilient call and runs the network until it completes.
+// call issues one call through w.via and runs the network until it
+// completes.
 func (w *clientWorld) call(t *testing.T, method string, fallback time.Duration) (any, error) {
 	t.Helper()
 	var gotResp any
 	var gotErr error
 	calls := 0
-	w.res.Call(w.server.ID(), method, "ping", 16, fallback, func(resp any, err error) {
+	w.via.Call(w.server.ID(), method, "ping", 16, fallback, func(resp any, err error) {
 		calls++
 		gotResp, gotErr = resp, err
 	})
@@ -60,10 +76,14 @@ func (w *clientWorld) call(t *testing.T, method string, fallback time.Duration) 
 	return gotResp, gotErr
 }
 
-func TestClientDisabledPassthrough(t *testing.T) {
-	w := newClientWorld(t, Config{})
-	if w.res.Enabled() {
-		t.Fatal("zero Config reported enabled")
+// TestWrapDisabledIsRPCNode: a zero Config wraps to the RPC node itself,
+// registers no resil metric, and calls through it are raw RPCs with the
+// caller's fixed timeout.
+func TestWrapDisabledIsRPCNode(t *testing.T) {
+	w := newEchoWorld(t)
+	w.via = Wrap(w.rpc, Config{})
+	if w.via != simnet.Caller(w.rpc) {
+		t.Fatalf("Wrap(rpc, Config{}) = %T, want the RPC node itself", w.via)
 	}
 	if resp, err := w.call(t, "echo", time.Second); err != nil || resp != "ping" {
 		t.Fatalf("passthrough echo: resp=%v err=%v", resp, err)
@@ -78,6 +98,30 @@ func TestClientDisabledPassthrough(t *testing.T) {
 	if got := w.nw.Now() - start; got != 700*time.Millisecond {
 		t.Fatalf("passthrough gave up after %v, want the 700ms fallback", got)
 	}
+	if names := resilMetricNames(w.nw); len(names) != 0 {
+		t.Fatalf("disabled Wrap registered %v", names)
+	}
+	if _, ok := Wrap(w.rpc, Defaults()).(*Client); !ok {
+		t.Fatal("Wrap with the layer enabled did not return a *Client")
+	}
+}
+
+// resilMetricNames lists the resil.* counters and histograms registered on
+// nw.
+func resilMetricNames(nw *simnet.Network) []string {
+	snap := nw.Obs().Snapshot()
+	var names []string
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "resil.") {
+			names = append(names, name)
+		}
+	}
+	for name := range snap.Histograms {
+		if strings.HasPrefix(name, "resil.") {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 func TestClientSuccessFeedsEstimator(t *testing.T) {

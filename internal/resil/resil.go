@@ -13,11 +13,13 @@
 // breaker runs on virtual time. Two trials with the same seed — at any
 // worker count — make identical retry, hedge, and fast-fail decisions.
 //
-// A zero Config is the off switch: Client.Call degrades to exactly one
-// simnet RPC with the caller's legacy fixed timeout, issuing no extra
-// events and consuming no randomness, so wiring the layer through a
-// subsystem behind a disabled-by-default config field leaves existing
-// goldens byte-identical.
+// A layer holds the simnet.Caller that Wrap(rpc, cfg) returns. A zero
+// Config is the off switch: Wrap then returns the *simnet.RPCNode itself,
+// so every call is exactly one simnet RPC with the caller's fixed timeout,
+// issuing no extra events, consuming no randomness and registering no
+// metric. Wiring the layer through a subsystem behind a
+// disabled-by-default config field therefore leaves existing goldens
+// byte-identical.
 //
 // Metric names (network-scoped, see DESIGN.md §6):
 //
@@ -32,12 +34,12 @@ package resil
 import "time"
 
 // Config tunes a resilient RPC client. The zero value disables the layer
-// entirely (fixed-timeout passthrough); Defaults() returns the enabled
+// entirely (Wrap returns the raw RPC node); Defaults() returns the enabled
 // configuration the X16 resilient mode runs with.
 type Config struct {
-	// Enabled turns the layer on. When false every other field is ignored
-	// and Call passes straight through to the raw RPC with its fallback
-	// timeout.
+	// Enabled turns the layer on. When false Wrap ignores every other
+	// field and returns the raw RPC node, whose calls use the caller's
+	// fixed timeout.
 	Enabled bool
 	// MaxAttempts bounds the total timeout-driven tries per operation,
 	// including the first (hedges are not counted). Default 3.
@@ -113,9 +115,6 @@ func Defaults() Config {
 }
 
 func (c Config) withDefaults() Config {
-	if !c.Enabled {
-		return c
-	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 3
 	}

@@ -106,6 +106,22 @@ type CallFunc func(resp any, err error)
 // CallDone implements Completion.
 func (f CallFunc) CallDone(resp any, _ time.Duration, err error) { f(resp, err) }
 
+// Caller is the client side of RPC as every protocol layer sees it. An
+// *RPCNode is one; internal/resil's Client, which adds retries, hedging and
+// circuit breaking around an RPCNode, is the other. A layer holds one
+// Caller and never asks which it got: resil.Wrap returns the RPCNode itself
+// when resilience is off, so "off" is the raw transport by identity.
+//
+// CallTo's CallRef may be the inert zero value when the Caller manages its
+// own attempts (resil cancels its losing attempts itself).
+type Caller interface {
+	Node() *Node
+	Call(to NodeID, method string, req any, reqSize int, timeout time.Duration, done func(resp any, err error))
+	CallTo(to NodeID, method string, req any, reqSize int, timeout time.Duration, done Completion) CallRef
+}
+
+var _ Caller = (*RPCNode)(nil)
+
 // newEnvelope returns a pooled envelope stamped with its recycling
 // eligibility under the network's current fault model. Duplication is
 // decided per message at send time, so an envelope sent while Duplicate is

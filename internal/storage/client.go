@@ -17,8 +17,8 @@ import (
 // scheme, downloads with failover, audits holders with proof-of-storage
 // challenges, and repairs lost redundancy.
 type Client struct {
-	rpc     *simnet.RPCNode
-	res     *resil.Client // transfer RPCs (puts, fetches) ride the resilience layer
+	rpc     *simnet.RPCNode // audits call it raw, on purpose (see NewClient)
+	xfer    simnet.Caller   // resil.Wrap'd: transfers (puts, fetches, pins)
 	timeout time.Duration
 	// pinRepairs makes Repair pin its restore sources at the holders for
 	// the duration of the repair (see EnableRepairPinning). Off by
@@ -44,7 +44,7 @@ func NewClient(node *simnet.Node, timeout time.Duration, rcfg resil.Config) *Cli
 	rpc := simnet.NewRPCNode(node)
 	return &Client{
 		rpc:             rpc,
-		res:             resil.New(rpc, rcfg),
+		xfer:            resil.Wrap(rpc, rcfg),
 		timeout:         timeout,
 		obsRepairChunks: node.Obs().Counter("storage.repair.chunks"),
 		obsRepairBytes:  node.Obs().Counter("storage.repair.bytes"),
@@ -191,7 +191,7 @@ func (c *Client) placeChunks(chunks []Chunk, providers []ProviderRef, replicas i
 	// resilience layer's job (NewClient's rcfg), which also knows that a
 	// refusal is the provider's deterministic answer and final.
 	put := func(ch Chunk, target ProviderRef) {
-		c.res.Call(target.Node, methodPut, putReq{Chunk: ch}, len(ch.Data)+48, c.timeout, func(resp any, err error) {
+		c.xfer.Call(target.Node, methodPut, putReq{Chunk: ch}, len(ch.Data)+48, c.timeout, func(resp any, err error) {
 			pending--
 			ok, _ := resp.(bool)
 			if err != nil || !ok {
@@ -298,7 +298,7 @@ func (c *Client) fetchChunk(id cryptoutil.Hash, holders []ProviderRef, i int, do
 		done(nil, false)
 		return
 	}
-	c.res.Call(holders[i].Node, methodGet, id, 40, c.timeout, func(resp any, err error) {
+	c.xfer.Call(holders[i].Node, methodGet, id, 40, c.timeout, func(resp any, err error) {
 		if err == nil {
 			if gr, ok := resp.(getResp); ok && gr.OK && cryptoutil.SumHash(gr.Data) == id {
 				done(gr.Data, true)
@@ -448,7 +448,7 @@ func (c *Client) forEachChunkHolder(m *Manifest, pl *Placement, method string, d
 		for _, h := range pl.Holders[id] {
 			pending++
 			id, h := id, h
-			c.res.Call(h.Node, method, id, 40, c.timeout, func(resp any, err error) {
+			c.xfer.Call(h.Node, method, id, 40, c.timeout, func(resp any, err error) {
 				pending--
 				if ok, _ := resp.(bool); err == nil && ok {
 					acked++
@@ -491,7 +491,7 @@ func (c *Client) pinHolders(id cryptoutil.Hash, holders []ProviderRef, done func
 	}
 	pending := len(holders)
 	for _, h := range holders {
-		c.res.Call(h.Node, methodPin, id, 40, c.timeout, func(any, error) {
+		c.xfer.Call(h.Node, methodPin, id, 40, c.timeout, func(any, error) {
 			pending--
 			if pending == 0 {
 				done()
@@ -506,7 +506,7 @@ func (c *Client) unpinHolders(id cryptoutil.Hash, holders []ProviderRef) {
 		return
 	}
 	for _, h := range holders {
-		c.res.Call(h.Node, methodUnpin, id, 40, c.timeout, func(any, error) {})
+		c.xfer.Call(h.Node, methodUnpin, id, 40, c.timeout, func(any, error) {})
 	}
 }
 
@@ -728,7 +728,7 @@ func (c *Client) placeOnFresh(ch Chunk, pl *Placement, pool []ProviderRef, exclu
 			return
 		}
 		target := candidates[i]
-		c.res.Call(target.Node, methodPut, putReq{Chunk: ch}, len(ch.Data)+48, c.timeout, func(resp any, err error) {
+		c.xfer.Call(target.Node, methodPut, putReq{Chunk: ch}, len(ch.Data)+48, c.timeout, func(resp any, err error) {
 			if ok, _ := resp.(bool); err == nil && ok {
 				pl.Add(ch.ID, target)
 				placed++

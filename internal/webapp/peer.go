@@ -1,7 +1,9 @@
 package webapp
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -61,7 +63,7 @@ func (t *Tracker) onAnnounce(from simnet.NodeID, req any) (any, int) {
 	if !ok {
 		return false, 8
 	}
-	for _, s := range t.seeders[r.Site] {
+	for _, s := range t.seeders[r.Site] { //determinism:ok ranges one site's seeder slice
 		if s == r.Seeder {
 			return true, 8
 		}
@@ -83,8 +85,7 @@ func (t *Tracker) onPeers(from simnet.NodeID, req any) (any, int) {
 // owns, visit (fetch + verify) other sites, and seed everything it has
 // fetched. It keeps a DHT peer for manifest resolution.
 type Peer struct {
-	rpc     *simnet.RPCNode
-	res     *resil.Client // manifest/blob/tracker fetches ride the resilience layer
+	rpc     simnet.Caller // resil.Wrap'd: manifest/blob/tracker fetches ride the resilience layer
 	dht     *dht.Peer
 	tracker simnet.NodeID
 	timeout time.Duration
@@ -126,8 +127,7 @@ type PeerConfig struct {
 func NewPeer(node *simnet.Node, d *dht.Peer, tracker simnet.NodeID, timeout time.Duration, cfg PeerConfig) *Peer {
 	rpc := simnet.NewRPCNode(node)
 	p := &Peer{
-		rpc:          rpc,
-		res:          resil.New(rpc, cfg.Resilience),
+		rpc:          resil.Wrap(rpc, cfg.Resilience),
 		dht:          d,
 		tracker:      tracker,
 		timeout:      timeout,
@@ -141,9 +141,16 @@ func NewPeer(node *simnet.Node, d *dht.Peer, tracker simnet.NodeID, timeout time
 	ov.Protect(methodBlob, p.onBlob)
 	ov.Control(methodManifest, p.onManifest)
 	ov.MarkControl(methodAnnounce)
-	// Re-announce everything after a restart so the swarm finds us again.
+	// Re-announce everything after a restart so the swarm finds us again,
+	// in site order: each send draws its call id and link loss/jitter, so
+	// map order would bind those draws to a different site on every run.
 	node.OnUp(func() {
-		for site := range p.sites {
+		order := make([]cryptoutil.Hash, 0, len(p.sites))
+		for site := range p.sites { //determinism:ok sorted below
+			order = append(order, site)
+		}
+		sort.Slice(order, func(i, j int) bool { return bytes.Compare(order[i][:], order[j][:]) < 0 })
+		for _, site := range order {
 			p.announce(site)
 		}
 	})
@@ -226,14 +233,14 @@ func (p *Peer) Publish(owner *cryptoutil.KeyPair, version uint64, files map[stri
 // adopt installs a verified manifest + blobs locally.
 func (p *Peer) adopt(m *Manifest, blobs map[cryptoutil.Hash][]byte) {
 	p.sites[m.Site] = m
-	for id, data := range blobs {
+	for id, data := range blobs { //determinism:ok copies into a map
 		p.blobs[id] = data
 	}
 }
 
 func (p *Peer) announce(site cryptoutil.Hash) {
 	req := announceReq{Site: site, Seeder: p.rpc.Node().ID()}
-	p.res.Call(p.tracker, methodAnnounce, req, 72, p.timeout, func(any, error) {})
+	p.rpc.Call(p.tracker, methodAnnounce, req, 72, p.timeout, func(any, error) {})
 }
 
 // Visit resolves a site: manifest from the DHT (falling back to asking the
@@ -266,7 +273,7 @@ func (p *Peer) Visit(site cryptoutil.Hash, done func(files map[string][]byte, er
 		}
 		// DHT miss (churned-out record, partition): the swarm itself is an
 		// alternative manifest source.
-		p.res.Call(p.tracker, methodPeers, site, 40, p.timeout, func(resp any, err error) {
+		p.rpc.Call(p.tracker, methodPeers, site, 40, p.timeout, func(resp any, err error) {
 			pr, ok := resp.(peersResp)
 			if err != nil || !ok || len(pr.Seeders) == 0 {
 				done(nil, fmt.Errorf("webapp: site %s not found in DHT or swarm", site.Short()))
@@ -288,7 +295,7 @@ func (p *Peer) fetchManifestFrom(site cryptoutil.Hash, seeders []simnet.NodeID, 
 		p.fetchManifestFrom(site, seeders, i+1, done)
 		return
 	}
-	p.res.Call(seeders[i], methodManifest, site, 40, p.timeout, func(resp any, err error) {
+	p.rpc.Call(seeders[i], methodManifest, site, 40, p.timeout, func(resp any, err error) {
 		if err == nil {
 			if r, ok := resp.(getBlobResp); ok && r.OK {
 				if m, derr := DecodeManifest(r.Data); derr == nil && m.Site == site && m.Verify() {
@@ -311,7 +318,7 @@ func (p *Peer) fetchBundle(m *Manifest, site cryptoutil.Hash, done func(map[stri
 		m = cur // already have an equal or newer version
 	}
 	req := m
-	p.res.Call(p.tracker, methodPeers, site, 40, p.timeout, func(resp any, err error) {
+	p.rpc.Call(p.tracker, methodPeers, site, 40, p.timeout, func(resp any, err error) {
 		if err != nil {
 			done(nil, fmt.Errorf("webapp: tracker unreachable: %w", err))
 			return
@@ -387,7 +394,7 @@ func (p *Peer) fetchBlobFrom(id cryptoutil.Hash, seeders []simnet.NodeID, i int,
 		p.fetchBlobFrom(id, seeders, i+1, done)
 		return
 	}
-	p.res.Call(seeders[i], methodBlob, id, 40, p.timeout, func(resp any, err error) {
+	p.rpc.Call(seeders[i], methodBlob, id, 40, p.timeout, func(resp any, err error) {
 		if err == nil {
 			if r, ok := resp.(getBlobResp); ok && r.OK && cryptoutil.SumHash(r.Data) == id {
 				done(r.Data, true)
@@ -421,7 +428,7 @@ func (p *Peer) Forget(site cryptoutil.Hash) {
 
 // blobReferenced reports whether any followed site still references a blob.
 func (p *Peer) blobReferenced(id cryptoutil.Hash) bool {
-	for _, m := range p.sites {
+	for _, m := range p.sites { //determinism:ok an existence test
 		for _, fe := range m.Files {
 			if fe.ID == id {
 				return true
@@ -454,7 +461,7 @@ func (p *Peer) Refresh(site cryptoutil.Hash, done func(updated bool, err error))
 			done(false, nil)
 			return
 		}
-		p.res.Call(p.tracker, methodPeers, site, 40, p.timeout, func(resp any, err error) {
+		p.rpc.Call(p.tracker, methodPeers, site, 40, p.timeout, func(resp any, err error) {
 			pr, ok := resp.(peersResp)
 			if err != nil || !ok {
 				done(false, fmt.Errorf("webapp: tracker unreachable"))

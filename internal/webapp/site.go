@@ -101,7 +101,7 @@ func (m *Manifest) TotalSize() int {
 // it together with the content-addressed blob map.
 func SignManifest(owner *cryptoutil.KeyPair, version uint64, files map[string][]byte, forkOf cryptoutil.Hash) (*Manifest, map[cryptoutil.Hash][]byte) {
 	paths := make([]string, 0, len(files))
-	for p := range files {
+	for p := range files { //determinism:ok sorted below
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)

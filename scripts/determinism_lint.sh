@@ -57,6 +57,19 @@ extract_mapnames() {
      grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:?=[[:space:]]*(make\()?map\[' "$@" |
          sed -E 's/[[:space:]]*:?=.*//') | sort -u
 }
+# check_map_ranges FILE NAMES... flags every unmarked range over a map
+# named in NAMES in FILE.
+check_map_ranges() {
+    mf=$1
+    shift
+    for name in "$@"; do
+        [ -n "$name" ] || continue
+        if grep -nE "range ([A-Za-z0-9_.]+\.)?${name}($|[^A-Za-z0-9_(])" "$mf" | grep -v 'determinism:ok'; then
+            echo "determinism lint: $mf iterates map '$name' without a //determinism:ok marker (map order is randomised per run)" >&2
+            bad=1
+        fi
+    done
+}
 # Network's and ledger's fields are reachable from every file of the package
 # (sh.latency, nw.partition), so those names are shared; locals declared
 # with := stay scoped to their own file.
@@ -70,20 +83,21 @@ fi
 # of every ledger's latency map) are ranged over by call, package-wide.
 mapfuncs=$(grep -hoE '[A-Za-z_][A-Za-z0-9_]*\([^()]*\)[[:space:]]+map\[' $simnet_files | sed -E 's/\(.*//' | sort -u)
 for f in $simnet_files; do
-    names=$( (extract_mapnames "$f"; echo "$shared_mapnames") | sort -u)
-    for name in $names; do
-        [ -n "$name" ] || continue
-        if grep -nE "range ([A-Za-z0-9_.]+\.)?${name}($|[^A-Za-z0-9_(])" "$f" | grep -v 'determinism:ok'; then
-            echo "determinism lint: $f iterates map '$name' without a //determinism:ok marker (map order is randomised per run)" >&2
-            bad=1
-        fi
-    done
+    check_map_ranges "$f" $( (extract_mapnames "$f"; echo "$shared_mapnames") | sort -u)
     for name in $mapfuncs; do
         if grep -nE "range ([A-Za-z0-9_.]+\.)?${name}\(" "$f" | grep -v 'determinism:ok'; then
             echo "determinism lint: $f iterates the map returned by '$name' without a //determinism:ok marker (map order is randomised per run)" >&2
             bad=1
         fi
     done
+done
+
+# The same map-range rule covers internal/webapp, whose peers send one RPC
+# per followed site in places: each send draws a call id and the link's
+# loss and jitter, so map order there would bind those draws to a
+# different site on every run. Names are scoped per file.
+for f in $(find internal/webapp -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort); do
+    check_map_ranges "$f" $(extract_mapnames "$f")
 done
 
 # The workload engine must stay inside the sweep: every generator draw has
