@@ -392,7 +392,7 @@ func (p *Peer) scheduleRepublish() {
 	p.Node().After(p.cfg.RepublishInterval, func() {
 		if p.Node().Up() {
 			keys := make([]Key, 0, len(p.published))
-			for key := range p.published {
+			for key := range p.published { //determinism:ok sorted below
 				keys = append(keys, key)
 			}
 			sort.Slice(keys, func(i, j int) bool {

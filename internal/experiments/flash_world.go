@@ -272,9 +272,7 @@ func runFlashArm(seed int64, sp flashSpec, arm flashArm, reqs []workload.Request
 	var ctl *slaMeter
 	if arm.probe {
 		hot.Serve("ctl.ping", func(from simnet.NodeID, req any) (any, int) { return req, 16 })
-		if arm.overload.Enabled {
-			hot.SetMethodLane("ctl.ping", simnet.LaneCtrl)
-		}
+		hot.SetMethodLane("ctl.ping", simnet.LaneCtrl)
 		ctl = newSLAMeter(ctlPingTimeout, 1)
 		ctl.every(nw, base, ctlPingEvery, sp.horizon, ctlPingEvery, monitor.Node().Now, func(done func(bool)) {
 			monitor.Call(hot.Node().ID(), "ctl.ping", nil, 32, ctlPingTimeout,

@@ -57,9 +57,10 @@ import (
 
 // Config tunes one server's overload control. The zero value (Enabled
 // false) is a strict passthrough: Protect and Control degrade to plain
-// RPC registration, no lanes are enabled, no metrics are registered, and
-// the node's behaviour is byte-identical to a server without the package —
-// the guarantee the pre-X20 experiment goldens rely on.
+// RPC registration, the priority uplink stays off (so stamped lanes are
+// inert), no metrics are registered, and the node's behaviour is
+// byte-identical to a server without the package — the guarantee the
+// pre-X20 experiment goldens rely on.
 type Config struct {
 	// Enabled switches overload control on. All other fields are ignored
 	// (and need not be set) when false.

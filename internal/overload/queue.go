@@ -6,11 +6,13 @@ import (
 	"repro/internal/simnet"
 )
 
-// qItem is one parked request: the deferred-reply token, the request
-// payload, and the enqueue time the CoDel discipline judges sojourn by.
-// Items are plain values living in the ring's preallocated buffer, so
-// parking and unparking a request allocates nothing.
+// qItem is one parked request: the protected method's handler, the
+// deferred-reply token, the request payload, and the enqueue time the
+// CoDel discipline judges sojourn by. Items are plain values living in the
+// ring's preallocated buffer, so parking and unparking a request allocates
+// nothing.
 type qItem struct {
+	h   simnet.RPCHandler
 	tok simnet.ReplyToken
 	req any
 	enq time.Duration

@@ -9,8 +9,9 @@ import (
 // Server wraps one node's RPC layer with overload control. Bulk methods go
 // through Protect (bounded queue + admission); control-plane methods go
 // through Control (always admitted, control lane). A Server built from a
-// zero Config is a passthrough: both registrations degrade to plain
-// RPCNode.Serve and nothing else changes on the node.
+// zero Config is a passthrough: Protect degrades to plain RPCNode.Serve,
+// and the lanes Control and MarkControl stamp are inert because only an
+// enabled Server turns on the node's priority uplink.
 //
 // The admission hot path is allocation-free in steady state: requests park
 // in a preallocated ring as plain values, service-completion timers run
@@ -22,8 +23,7 @@ type Server struct {
 	n   *simnet.Node
 	m   *metricsBundle
 
-	handlers map[string]simnet.RPCHandler
-	q        ring
+	q ring
 
 	// AIMD state. limit is the concurrency limit as a float so additive
 	// increase can accumulate sub-integer credit (+1/limit per in-SLO
@@ -53,7 +53,6 @@ func New(r *simnet.RPCNode, cfg Config) *Server {
 	}
 	s.cfg = cfg.withDefaults()
 	s.m = metricsFor(s.n.Obs())
-	s.handlers = map[string]simnet.RPCHandler{}
 	s.q = newRing(s.cfg.QueueLen)
 	s.limit = float64(s.cfg.MinLimit)
 	s.lastCut = -s.cfg.SLO
@@ -86,48 +85,41 @@ func (s *Server) InService() int { return s.inService }
 // inner handler h runs when the request is admitted — immediately when a
 // service slot is free, after a queue wait otherwise — and its reply is
 // sent through the usual RPC path. On a passthrough Server this is
-// exactly RPCNode.Serve.
+// exactly RPCNode.Serve. h is bound into the admission handler here, once,
+// and travels with a queued request, so admission looks nothing up.
 func (s *Server) Protect(method string, h simnet.RPCHandler) {
 	if s.m == nil {
 		s.rpc.Serve(method, h)
 		return
 	}
-	s.handlers[method] = h
-	s.rpc.ServeDeferred(method, s.admit)
+	s.rpc.ServeDeferred(method, func(_ simnet.NodeID, req any, tok simnet.ReplyToken) {
+		s.admit(h, req, tok)
+	})
 }
 
 // Control registers a control-plane method: always admitted (never queued
 // or shed) and stamped onto the uplink's strict-priority control lane, so
-// its replies overtake queued bulk replies. On a passthrough Server this
-// is exactly RPCNode.Serve.
+// its replies overtake queued bulk replies.
 func (s *Server) Control(method string, h simnet.RPCHandler) {
 	s.rpc.Serve(method, h)
-	if s.m == nil {
-		return
-	}
 	s.rpc.SetMethodLane(method, simnet.LaneCtrl)
 }
 
 // MarkControl stamps an outbound method (one this node *calls*, e.g. a
 // provider's adverts to the directory) onto the control lane without
 // registering a handler, so a saturated server's own control requests
-// overtake its queued bulk replies. No-op on a passthrough Server.
-func (s *Server) MarkControl(method string) {
-	if s.m == nil {
-		return
-	}
-	s.rpc.SetMethodLane(method, simnet.LaneCtrl)
-}
+// overtake its queued bulk replies.
+func (s *Server) MarkControl(method string) { s.rpc.SetMethodLane(method, simnet.LaneCtrl) }
 
-// admit is the shared deferred handler behind every protected method: the
-// admission decision for one arriving request.
-func (s *Server) admit(from simnet.NodeID, req any, tok simnet.ReplyToken) {
+// admit is the admission decision for one request arriving at a protected
+// method served by h.
+func (s *Server) admit(h simnet.RPCHandler, req any, tok simnet.ReplyToken) {
 	s.m.offered.Inc()
 	now := s.n.Now()
 	if s.inService < s.limitInt() && s.q.empty() {
 		s.m.wait.Observe(0)
 		s.observeWait(0, now)
-		s.startService(tok, req)
+		s.startService(h, tok, req)
 		return
 	}
 	// Early rejection: a full queue, or an estimated wait (depth × smoothed
@@ -138,7 +130,7 @@ func (s *Server) admit(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 		s.shedItem(tok)
 		return
 	}
-	s.q.push(qItem{tok: tok, req: req, enq: now})
+	s.q.push(qItem{h: h, tok: tok, req: req, enq: now})
 	s.m.queued.Inc()
 }
 
@@ -165,9 +157,8 @@ func (s *Server) estWait(d int) time.Duration {
 // admitting, queue sojourns grow past the target, and shedding engages —
 // whereas a fixed own-size slot would let admission race arbitrarily far
 // ahead of the link and never feel the congestion it is creating.
-func (s *Server) startService(tok simnet.ReplyToken, req any) {
+func (s *Server) startService(h simnet.RPCHandler, tok simnet.ReplyToken, req any) {
 	s.m.admitted.Inc()
-	h := s.handlers[tok.Method()]
 	resp, respSize := h(tok.From(), req)
 	tok.Reply(resp, respSize)
 	s.inService++
@@ -211,7 +202,7 @@ func (s *Server) drain() {
 			continue
 		}
 		s.m.wait.Observe(wait.Seconds())
-		s.startService(it.tok, it.req)
+		s.startService(it.h, it.tok, it.req)
 	}
 }
 

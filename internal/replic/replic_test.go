@@ -515,8 +515,8 @@ func TestReplicHedgeFailsBeforePrimary(t *testing.T) {
 	delays := []time.Duration{800 * time.Millisecond, 0, 3 * time.Second}
 	for i, n := range holders {
 		n, d, data := n, delays[i], []byte{byte('a' + i)}
-		simnet.NewRPCNode(n).ServeAsync(methodGet, func(_ simnet.NodeID, _ any, reply func(any, int)) {
-			n.After(d, func() { reply(getResp{Data: data, OK: d != 0}, 8) })
+		simnet.NewRPCNode(n).ServeDeferred(methodGet, func(_ simnet.NodeID, _ any, tok simnet.ReplyToken) {
+			n.After(d, func() { tok.Reply(getResp{Data: data, OK: d != 0}, 8) })
 		})
 	}
 

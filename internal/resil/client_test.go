@@ -43,12 +43,12 @@ func newEchoWorld(t *testing.T) *clientWorld {
 	srv.Serve("echo", func(from simnet.NodeID, req any) (any, int) {
 		return req, 16
 	})
-	srv.ServeAsync("slow", func(from simnet.NodeID, req any, reply func(resp any, respSize int)) {
+	srv.ServeDeferred("slow", func(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 		d := time.Duration(0)
 		if len(w.delays) > 0 {
 			d, w.delays = w.delays[0], w.delays[1:]
 		}
-		w.server.After(d, func() { reply(req, 16) })
+		w.server.After(d, func() { tok.Reply(req, 16) })
 	})
 	w.rpc = simnet.NewRPCNode(w.caller)
 	return w

@@ -9,7 +9,11 @@ import (
 )
 
 // RPC layers a request/response discipline over raw messages. A node that
-// serves RPCs registers a Server handler per method; a caller uses Call and
+// serves RPCs keeps one method table: each entry holds the method's handler
+// and the uplink lane its traffic rides, and a later registration of a
+// method replaces the earlier one. A request is dispatched with one table
+// lookup, and every reply — a handler's answer or the refusal of an
+// unserved method — is built by ReplyToken. A caller uses Call and
 // receives either the response payload or a timeout. Request and response
 // each traverse the network as ordinary messages, so they inherit latency,
 // bandwidth, loss, crash, and partition behaviour.
@@ -149,16 +153,18 @@ const rpcKind = "simnet.rpc"
 // RPCNode augments a Node with request/response plumbing. Create one per
 // node that participates in RPC traffic.
 type RPCNode struct {
-	n               *Node
-	nextID          uint64
-	pending         map[uint64]*pendingCall
-	servers         map[string]RPCHandler
-	asyncServers    map[string]RPCAsyncHandler
-	deferredServers map[string]RPCDeferredHandler
-	// laneOf assigns uplink lanes per method: both the request and the
-	// reply of a lane-stamped method travel on that lane. nil (the default)
-	// means every method rides the bulk lane, with no per-message lookup.
-	laneOf map[string]Lane
+	n       *Node
+	nextID  uint64
+	pending map[uint64]*pendingCall
+	methods map[string]method
+}
+
+// method is one entry of an RPCNode's method table. handler is nil for a
+// method that only has a lane (one this node calls but does not serve).
+// Both the requests and the replies of a method travel on its lane.
+type method struct {
+	handler RPCDeferredHandler
+	lane    Lane
 }
 
 // pendingCall is one outstanding request on the caller. It doubles as the
@@ -214,12 +220,6 @@ func rpcTimeoutEvent(arg any) {
 // payload and returns the response payload and its simulated size in bytes.
 type RPCHandler func(from NodeID, req any) (resp any, respSize int)
 
-// RPCAsyncHandler serves one method whose reply depends on further network
-// activity (e.g. a nested RPC to another node). The handler must invoke
-// reply exactly once, possibly from a later event; the reply then travels
-// back to the caller as usual, inheriting all accrued virtual time.
-type RPCAsyncHandler func(from NodeID, req any, reply func(resp any, respSize int))
-
 // NewRPCNode wires RPC handling onto n. Multiple protocol layers on the
 // same node share one RPCNode: repeated calls return the existing
 // instance, so each layer can register its own methods without clobbering
@@ -229,11 +229,9 @@ func NewRPCNode(n *Node) *RPCNode {
 		return n.rpc
 	}
 	r := &RPCNode{
-		n:               n,
-		pending:         map[uint64]*pendingCall{},
-		servers:         map[string]RPCHandler{},
-		asyncServers:    map[string]RPCAsyncHandler{},
-		deferredServers: map[string]RPCDeferredHandler{},
+		n:       n,
+		pending: map[uint64]*pendingCall{},
+		methods: map[string]method{},
 	}
 	n.rpc = r
 	n.Handle(rpcKind, r.onMessage)
@@ -268,27 +266,23 @@ func NewRPCNode(n *Node) *RPCNode {
 // Node returns the underlying simulated node.
 func (r *RPCNode) Node() *Node { return r.n }
 
-// Serve registers the synchronous handler for method. When one method is
-// registered more than one way, a request goes to its ServeAsync handler
-// if there is one, else to its ServeDeferred handler, else here.
-func (r *RPCNode) Serve(method string, h RPCHandler) { r.servers[method] = h }
-
-// ServeAsync registers an asynchronous handler for method; it takes
-// precedence over both deferred and synchronous handlers of the same name.
-// storage's cheating providers depend on it: their async get must win over
-// the honest one, which overload.Server.Protect registers deferred.
-func (r *RPCNode) ServeAsync(method string, h RPCAsyncHandler) { r.asyncServers[method] = h }
+// Serve registers the synchronous handler for method, replacing whatever
+// handler the method had. h is adapted to a deferred handler once, here,
+// so serving a request allocates nothing per call.
+func (r *RPCNode) Serve(method string, h RPCHandler) {
+	r.ServeDeferred(method, func(from NodeID, req any, tok ReplyToken) { tok.Reply(h(from, req)) })
+}
 
 // RPCDeferredHandler serves a method by completing a ReplyToken, possibly
-// from a later event. Unlike RPCAsyncHandler the token is a plain value —
-// no closure is allocated per request — which is what lets a server queue
-// thousands of requests (internal/overload) without touching the heap in
-// steady state. The handler (or whatever it hands the token to) must call
-// Reply exactly once per token.
+// from a later event (after a nested RPC, or a wait in internal/overload's
+// queue). The token is a plain value — no closure is allocated per request
+// — which is what lets a server queue thousands of requests without
+// touching the heap in steady state. The handler (or whatever it hands the
+// token to) calls Reply once per token.
 type RPCDeferredHandler func(from NodeID, req any, tok ReplyToken)
 
-// ReplyToken identifies one outstanding deferred request. The zero value
-// is inert; tokens are plain values and may be copied freely.
+// ReplyToken identifies one outstanding request. The zero value is inert;
+// tokens are plain values and may be copied freely.
 type ReplyToken struct {
 	r      *RPCNode
 	id     uint64
@@ -299,50 +293,52 @@ type ReplyToken struct {
 // From returns the calling node's ID.
 func (t ReplyToken) From() NodeID { return t.from }
 
-// Method returns the requested method name.
-func (t ReplyToken) Method() string { return t.method }
-
-// Reply sends the response back to the caller. It must be called exactly
-// once per token; calling it on a zero token is a no-op.
+// Reply sends the response back to the caller, inheriting all virtual time
+// the handler accrued. A token is answered once: a second Reply reaches the
+// caller after the call completed and is dropped there as a late reply.
+// Reply on a zero token is a no-op.
 func (t ReplyToken) Reply(resp any, respSize int) {
 	if t.r == nil {
 		return
 	}
+	t.send(resp, respSize, true)
+}
+
+// send builds and transmits the reply envelope; served is false only for
+// the refusal of a method without a handler. Every reply leaves through
+// here.
+func (t ReplyToken) send(resp any, respSize int, served bool) {
 	reply := newEnvelope(t.r.n.nw)
 	reply.id, reply.method, reply.isReply = t.id, t.method, true
-	reply.payload, reply.ok = resp, true
+	reply.payload, reply.ok = resp, served
 	t.r.sendEnvelope(t.from, reply, respSize+64)
 }
 
-// ServeDeferred registers a deferred handler for method; it takes
-// precedence over a synchronous handler of the same name and yields to an
-// asynchronous one.
+// ServeDeferred registers the deferred handler for method, replacing
+// whatever handler the method had.
 func (r *RPCNode) ServeDeferred(method string, h RPCDeferredHandler) {
-	r.deferredServers[method] = h
+	m := r.methods[method]
+	m.handler = h
+	r.methods[method] = m
 }
 
-// SetMethodLane assigns an uplink lane to a method: requests and replies
-// of that method are sent with the lane stamped, so on priority-enabled
-// uplinks (Node.SetPriorityUplink) they serialize on the control cursor.
-// Methods default to LaneBulk; stamping LaneBulk removes an assignment.
+// SetMethodLane assigns an uplink lane to a method, with or without a
+// handler: requests and replies of that method are sent with the lane
+// stamped, so on priority-enabled uplinks (Node.SetPriorityUplink) they
+// serialize on the control cursor. Methods default to LaneBulk.
 func (r *RPCNode) SetMethodLane(method string, lane Lane) {
-	if lane == LaneBulk {
-		if r.laneOf != nil {
-			delete(r.laneOf, method)
-		}
-		return
-	}
-	if r.laneOf == nil {
-		r.laneOf = map[string]Lane{}
-	}
-	r.laneOf[method] = lane
+	m := r.methods[method]
+	m.lane = lane
+	r.methods[method] = m
 }
 
-// sendEnvelope transmits an RPC envelope on its method's assigned lane.
+// sendEnvelope transmits an RPC envelope on its method's lane. Lanes only
+// change anything on a priority uplink, so only there is the lane looked
+// up.
 func (r *RPCNode) sendEnvelope(to NodeID, env *rpcEnvelope, size int) {
-	var lane Lane
-	if r.laneOf != nil {
-		lane = r.laneOf[env.method]
+	lane := LaneBulk
+	if r.n.prioUplink {
+		lane = r.methods[env.method].lane
 	}
 	r.n.SendLane(to, rpcKind, env, size, lane)
 }
@@ -429,48 +425,15 @@ func (r *RPCNode) onMessage(msg Message) {
 		done.CallDone(payload, rtt, err)
 		return
 	}
-	// Incoming request. Extract the fields before dispatch: a recyclable
-	// envelope is reused in place for the synchronous reply, and the async
-	// path must not alias an envelope whose struct may be repooled.
-	id, method, payload := env.id, env.method, env.payload
-	if ah, served := r.asyncServers[method]; served {
-		releaseEnvelope(env)
-		from := msg.From
-		replied := false
-		ah(from, payload, func(resp any, respSize int) {
-			if replied {
-				panic("simnet: async RPC handler replied twice")
-			}
-			replied = true
-			reply := newEnvelope(r.n.nw)
-			reply.id, reply.method, reply.isReply = id, method, true
-			reply.payload, reply.ok = resp, true
-			r.sendEnvelope(from, reply, respSize+64)
-		})
+	// Incoming request: copy out what the reply needs and release the
+	// envelope before dispatch, so a handler that replies later holds no
+	// envelope.
+	tok := ReplyToken{r: r, id: env.id, from: msg.From, method: env.method}
+	req := env.payload
+	releaseEnvelope(env)
+	if h := r.methods[tok.method].handler; h != nil {
+		h(tok.from, req, tok)
 		return
 	}
-	if dh, served := r.deferredServers[method]; served {
-		releaseEnvelope(env)
-		dh(msg.From, payload, ReplyToken{r: r, id: id, from: msg.From, method: method})
-		return
-	}
-	h, served := r.servers[method]
-	respSize := 0
-	var resp any
-	if served {
-		resp, respSize = h(msg.From, payload)
-	}
-	reply := env
-	if !env.recycle {
-		// The request envelope may still be delivered again by a duplicate
-		// fault; leave it untouched and build the reply on a fresh one.
-		reply = newEnvelope(r.n.nw)
-		reply.id, reply.method = id, method
-	} else {
-		// Reusing the request envelope for the reply: re-evaluate recycling
-		// under the fault model in force for the reply's own send.
-		reply.recycle = r.n.nw.fault.Duplicate <= 0
-	}
-	reply.isReply, reply.payload, reply.ok = true, resp, served
-	r.sendEnvelope(msg.From, reply, respSize+64)
+	tok.send(nil, 0, false)
 }

@@ -43,12 +43,12 @@ func TestRPCCancelledLoserReleasesOnce(t *testing.T) {
 	nw := New(11)
 	caller, server := nw.AddNode(), nw.AddNode()
 	srv := NewRPCNode(server)
-	srv.ServeAsync("get", func(from NodeID, req any, reply func(resp any, respSize int)) {
+	srv.ServeDeferred("get", func(from NodeID, req any, tok ReplyToken) {
 		d := time.Duration(0)
 		if req == "slow" {
 			d = 100 * time.Millisecond
 		}
-		server.After(d, func() { reply(req, 16) })
+		server.After(d, func() { tok.Reply(req, 16) })
 	})
 	releases := hookReleases(t)
 	rpc := NewRPCNode(caller)
@@ -73,7 +73,7 @@ func TestRPCCancelledLoserReleasesOnce(t *testing.T) {
 		t.Fatalf("winner fired %d, loser %d: want exactly one winner and a silent loser", winner.fired, loser.fired)
 	}
 	// Four envelopes recycle, each exactly once: both request envelopes on
-	// receipt at the async server, the winner's reply consumed normally,
+	// receipt at the server, the winner's reply consumed normally,
 	// and the loser's reply dropped by the late-reply path — cancellation
 	// must not leak that last one, nor release it twice.
 	if *releases != 4 {
@@ -91,8 +91,8 @@ func TestRPCCompletionLedger(t *testing.T) {
 	caller, server := nw.AddNode(), nw.AddNode()
 	srv := NewRPCNode(server)
 	srv.Serve("echo", func(from NodeID, req any) (any, int) { return req, 16 })
-	srv.ServeAsync("slow", func(from NodeID, req any, reply func(resp any, respSize int)) {
-		server.After(200*time.Millisecond, func() { reply(req, 16) })
+	srv.ServeDeferred("slow", func(from NodeID, req any, tok ReplyToken) {
+		server.After(200*time.Millisecond, func() { tok.Reply(req, 16) })
 	})
 	rpc := NewRPCNode(caller)
 

@@ -31,23 +31,6 @@ import (
 // over closures to avoid a capture allocation per event.
 type EventFunc func(arg any)
 
-// Scheduler is the engine interface protocols program against: virtual
-// time, fire-and-forget scheduling, and cancellable timers. *Network
-// implements it.
-type Scheduler interface {
-	// Now returns the current virtual time.
-	Now() time.Duration
-	// Schedule runs fn at absolute virtual time at (clamped to Now).
-	Schedule(at time.Duration, fn func())
-	// After runs fn after d of virtual time.
-	After(d time.Duration, fn func())
-	// ScheduleCall is the closure-free variant of Schedule; it returns a
-	// Timer that can cancel or reschedule the event before it fires.
-	ScheduleCall(at time.Duration, h EventFunc, arg any) Timer
-	// AfterCall is the closure-free variant of After.
-	AfterCall(d time.Duration, h EventFunc, arg any) Timer
-}
-
 // event is one scheduled occurrence. Events are pooled; gen disambiguates
 // successive uses of the same struct so stale Timer handles stay inert.
 //
@@ -117,7 +100,7 @@ func (t Timer) When() time.Duration {
 	return t.e.at
 }
 
-// Now implements Scheduler.
+// Now returns the current virtual time.
 func (en *engine) Now() time.Duration { return en.now }
 
 // draw returns origin's next sequence number: origin 0 counts on the queue
@@ -153,19 +136,20 @@ func (en *engine) schedule(at time.Duration, origin, oseq uint64, fn func(), h E
 	return e
 }
 
-// Schedule implements Scheduler (fire-and-forget closure form).
+// Schedule runs fn at absolute virtual time at (clamped to Now).
 func (en *engine) Schedule(at time.Duration, fn func()) { en.schedule(at, 0, en.draw(0), fn, nil, nil) }
 
-// After implements Scheduler.
+// After runs fn after d of virtual time.
 func (en *engine) After(d time.Duration, fn func()) { en.Schedule(en.now+d, fn) }
 
-// ScheduleCall implements Scheduler.
+// ScheduleCall is the closure-free variant of Schedule; it returns a
+// Timer that can cancel or reschedule the event before it fires.
 func (en *engine) ScheduleCall(at time.Duration, h EventFunc, arg any) Timer {
 	e := en.schedule(at, 0, en.draw(0), nil, h, arg)
 	return Timer{e: e, gen: e.gen}
 }
 
-// AfterCall implements Scheduler.
+// AfterCall is the closure-free variant of After.
 func (en *engine) AfterCall(d time.Duration, h EventFunc, arg any) Timer {
 	return en.ScheduleCall(en.now+d, h, arg)
 }

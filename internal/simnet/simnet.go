@@ -10,8 +10,8 @@
 //     ordered by (at, origin, oseq), with cancellable, reschedulable Timer
 //     handles and a pooled, closure-free hot path (events carry an
 //     EventFunc handler plus argument, recycled through a sync.Pool, so
-//     steady-state message traffic allocates nothing). Protocols program
-//     against the Scheduler interface.
+//     steady-state message traffic allocates nothing). Protocols schedule
+//     through their own Node (Now, After, AfterCall).
 //   - The substrate (this file, node.go, rpc.go) models the network the
 //     paper argues about — §4 "quality vs quantity": per-link propagation
 //     latency with seeded jitter, per-node uplink/downlink bandwidth with
@@ -218,7 +218,8 @@ func (l *ledger) observeLatency(kind string, lat time.Duration) {
 }
 
 // Network is a simulated network of nodes sharing one virtual clock. It
-// embeds an event queue (through its own shard), so it satisfies Scheduler.
+// embeds an event queue (through its own shard), whose Now, Schedule,
+// After, ScheduleCall and AfterCall it exposes for harness-level events.
 type Network struct {
 	// The Network's own execution context: control events run on its queue
 	// and its registry is the one Obs returns. In single-heap mode it is
@@ -263,8 +264,6 @@ type Network struct {
 	jobs     chan int
 	jobsWG   sync.WaitGroup
 }
-
-var _ Scheduler = (*Network)(nil)
 
 // New creates a network whose randomness derives entirely from seed.
 // Nodes added later default to DatacenterProfile.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -374,14 +375,14 @@ func TestRPCAsyncHandler(t *testing.T) {
 		return req.(int) * 2, 8
 	})
 	// The front node proxies to the backend before replying — a nested RPC
-	// inside an async handler.
-	front.ServeAsync("front.work", func(from NodeID, req any, reply func(any, int)) {
+	// inside a deferred handler, answered from the nested call's completion.
+	front.ServeDeferred("front.work", func(from NodeID, req any, tok ReplyToken) {
 		front.Call(backend.Node().ID(), "backend.work", req, 8, time.Minute, func(resp any, err error) {
 			if err != nil {
-				reply(-1, 8)
+				tok.Reply(-1, 8)
 				return
 			}
-			reply(resp.(int)+1, 8)
+			tok.Reply(resp.(int)+1, 8)
 		})
 	})
 	var got any
@@ -397,61 +398,140 @@ func TestRPCAsyncHandler(t *testing.T) {
 	}
 }
 
-func TestRPCAsyncDoubleReplyPanics(t *testing.T) {
+// TestRPCSecondReplyDroppedAsLate: a token answered twice sends two
+// replies, and the second reaches a caller whose call already completed,
+// so the late-reply path drops it. The Completion runs once, with the
+// first answer, and each of the three envelopes — the request and both
+// replies — goes back to the pool exactly once.
+func TestRPCSecondReplyDroppedAsLate(t *testing.T) {
 	nw := New(21)
 	client := NewRPCNode(nw.AddNode())
 	server := NewRPCNode(nw.AddNode())
-	server.ServeAsync("bad", func(from NodeID, req any, reply func(any, int)) {
-		reply(1, 8)
-		defer func() {
-			if recover() == nil {
-				t.Error("second reply should panic")
-			}
-		}()
-		reply(2, 8)
+	server.ServeDeferred("twice", func(_ NodeID, _ any, tok ReplyToken) {
+		tok.Reply(1, 8)
+		tok.Reply(2, 8)
 	})
-	client.Call(server.Node().ID(), "bad", nil, 8, time.Minute, func(any, error) {})
+	type release struct {
+		isReply bool
+		payload any
+	}
+	released := map[release]int{}
+	envReleaseHook = func(env *rpcEnvelope) { released[release{env.isReply, env.payload}]++ }
+	t.Cleanup(func() { envReleaseHook = nil })
+
+	var got []any
+	client.Call(server.Node().ID(), "twice", "req", 8, time.Minute, func(resp any, err error) {
+		if err != nil {
+			t.Errorf("call failed: %v", err)
+		}
+		got = append(got, resp)
+	})
 	nw.RunAll()
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("completion saw %v, want exactly the first reply", got)
+	}
+	want := map[release]int{{false, "req"}: 1, {true, 1}: 1, {true, 2}: 1}
+	if len(released) != len(want) {
+		t.Fatalf("released envelopes %v, want %v", released, want)
+	}
+	for k, n := range want {
+		if released[k] != n {
+			t.Errorf("envelope %+v released %d times, want %d", k, released[k], n)
+		}
+	}
 }
 
-// TestRPCHandlerPrecedence pins the dispatch order when one method is
-// registered more than one way: async, then deferred, then synchronous.
-// storage's cheating providers rely on their ServeAsync winning over a
-// handler overload.Server.Protect registered with ServeDeferred.
-func TestRPCHandlerPrecedence(t *testing.T) {
+// TestRPCLastRegistrationWins pins the method table's one rule: a later
+// registration of a method replaces the earlier handler, whichever way
+// either was registered; a lane set before or after a handler keeps both;
+// and a method with a lane but no handler is not served.
+func TestRPCLastRegistrationWins(t *testing.T) {
 	nw := New(23)
 	client := NewRPCNode(nw.AddNode())
 	server := NewRPCNode(nw.AddNode())
-	call := func(method string) any {
+	call := func(method string) (any, error) {
 		var got any
+		var gotErr error
 		client.Call(server.Node().ID(), method, nil, 8, time.Minute, func(resp any, err error) {
-			if err != nil {
-				t.Errorf("%s: %v", method, err)
-			}
-			got = resp
+			got, gotErr = resp, err
 		})
 		nw.RunAll()
-		return got
+		return got, gotErr
 	}
 	sync := func(NodeID, any) (any, int) { return "sync", 8 }
-	async := func(_ NodeID, _ any, reply func(any, int)) { reply("async", 8) }
 	deferred := func(_ NodeID, _ any, tok ReplyToken) { tok.Reply("deferred", 8) }
 
-	// Registration order must not matter, so the winner goes in first.
-	server.ServeAsync("all", async)
-	server.ServeDeferred("all", deferred)
-	server.Serve("all", sync)
-	server.ServeAsync("async+sync", async)
-	server.Serve("async+sync", sync)
-	server.ServeDeferred("deferred+sync", deferred)
-	server.Serve("deferred+sync", sync)
-	server.Serve("sync", sync)
+	server.ServeDeferred("deferred,sync", deferred)
+	server.Serve("deferred,sync", sync)
+	server.Serve("sync,deferred", sync)
+	server.ServeDeferred("sync,deferred", deferred)
+	server.SetMethodLane("lane,sync", LaneCtrl)
+	server.Serve("lane,sync", sync)
+	server.Serve("sync,lane", sync)
+	server.SetMethodLane("sync,lane", LaneCtrl)
+	server.SetMethodLane("lane", LaneCtrl)
 	for _, c := range []struct{ method, want string }{
-		{"all", "async"}, {"async+sync", "async"}, {"deferred+sync", "deferred"}, {"sync", "sync"},
+		{"deferred,sync", "sync"}, {"sync,deferred", "deferred"},
+		{"lane,sync", "sync"}, {"sync,lane", "sync"},
 	} {
-		if got := call(c.method); got != c.want {
-			t.Errorf("%s answered by the %v handler, want %s", c.method, got, c.want)
+		if got, err := call(c.method); err != nil || got != c.want {
+			t.Errorf("%s answered %v (err %v), want the %s handler", c.method, got, err, c.want)
 		}
+	}
+	for _, m := range []string{"lane,sync", "sync,lane", "lane"} {
+		if got := server.methods[m].lane; got != LaneCtrl {
+			t.Errorf("%s: lane %d after registration, want LaneCtrl", m, got)
+		}
+	}
+	if _, err := call("lane"); !errors.Is(err, ErrNotServed) {
+		t.Errorf("lane-only method: err %v, want ErrNotServed", err)
+	}
+}
+
+// TestRPCLaneInertWithoutPriorityUplink: a lane changes nothing unless the
+// sender's uplink is in priority mode, which is why overload stamps lanes
+// on every node, enabled or not. A burst of bulk and "ctl" calls over a
+// slow server uplink completes at the same instants whether or not "ctl"
+// carries LaneCtrl — and, as a control, at different ones once the
+// priority uplink is on.
+func TestRPCLaneInertWithoutPriorityUplink(t *testing.T) {
+	run := func(stamp, prio bool) []time.Duration {
+		nw := New(31)
+		caller, server := nw.AddNode(), nw.AddNode()
+		server.SetProfile(LinkProfile{Latency: 5 * time.Millisecond, UplinkBps: 1e6})
+		server.SetPriorityUplink(prio)
+		rpc, srv := NewRPCNode(caller), NewRPCNode(server)
+		srv.Serve("bulk", func(NodeID, any) (any, int) { return nil, 4096 })
+		srv.Serve("ctl", func(NodeID, any) (any, int) { return nil, 64 })
+		if stamp {
+			srv.SetMethodLane("ctl", LaneCtrl)
+			rpc.SetMethodLane("ctl", LaneCtrl)
+		}
+		at := make([]time.Duration, 20)
+		for i := range at {
+			method := "bulk"
+			if i%4 == 3 {
+				method = "ctl"
+			}
+			rpc.Call(server.ID(), method, i, 16, time.Minute, func(_ any, err error) {
+				if err != nil {
+					t.Errorf("call %d: %v", i, err)
+				}
+				at[i] = nw.Now()
+			})
+		}
+		nw.RunAll()
+		return at
+	}
+	plain, stamped := run(false, false), run(true, false)
+	for i := range plain {
+		if plain[i] != stamped[i] {
+			t.Fatalf("call %d completed at %v stamped, %v unstamped: a lane moved traffic on a plain uplink", i, stamped[i], plain[i])
+		}
+	}
+	prioPlain, prioStamped := run(false, true), run(true, true)
+	if prioStamped[3] >= prioPlain[3] {
+		t.Errorf("on a priority uplink the stamped ctl call completed at %v, unstamped %v: want earlier", prioStamped[3], prioPlain[3])
 	}
 }
 

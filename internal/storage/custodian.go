@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/chain"
@@ -108,13 +109,19 @@ func (cu *Custodian) runEpoch() {
 					cu.obsFailures.Inc()
 				}
 			}
-			// Pay every contracted holder that proved possession.
+			// Pay every contracted holder that proved possession, in node
+			// order: each payment draws the wallet's next nonce, so the
+			// order decides every transaction's content.
 			if cu.wallet != nil && cu.submit != nil {
-				for ref, ct := range o.contracts {
-					if failed[ref] {
-						continue
+				paid := make([]ProviderRef, 0, len(o.contracts))
+				for ref := range o.contracts { //determinism:ok sorted below
+					if !failed[ref] {
+						paid = append(paid, ref)
 					}
-					tx := ct.PaymentTx(cu.wallet.Key(), cu.wallet.NextNonce())
+				}
+				sort.Slice(paid, func(i, j int) bool { return paid[i].Node < paid[j].Node })
+				for _, ref := range paid {
+					tx := o.contracts[ref].PaymentTx(cu.wallet.Key(), cu.wallet.NextNonce())
 					cu.submit(tx)
 					cu.PaymentsSent++
 				}

@@ -115,6 +115,65 @@ func TestCustodianPaysOnlyProvers(t *testing.T) {
 	}
 }
 
+// TestCustodianPaymentsDeterministic: every epoch the custodian pays each
+// proving holder from one wallet, drawing a nonce per payment, so the
+// order it visits its contracts decides which provider gets which nonce
+// and thereby every transaction and block hash. The same seed must give
+// the same chain head on every run.
+func TestCustodianPaymentsDeterministic(t *testing.T) {
+	run := func() cryptoutil.Hash {
+		nw := simnet.New(47)
+		ownerKey, err := cryptoutil.GenerateKeyPair(nw.Rand())
+		if err != nil {
+			t.Fatal(err)
+		}
+		spacing := 10 * time.Second
+		ccfg := chain.Config{
+			InitialDifficulty: 1 << 10,
+			TargetSpacing:     spacing,
+			Subsidy:           50,
+			GenesisAlloc:      map[chain.Address]uint64{ownerKey.Fingerprint(): 10_000},
+		}
+		miner := chain.NewMiner(nw.AddNode(), chain.NewChain(ccfg), cryptoutil.SumHash([]byte("m")),
+			float64(ccfg.InitialDifficulty)/spacing.Seconds())
+		miner.Start()
+		client := NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
+		providers := make([]*Provider, 4)
+		contracts := map[ProviderRef]*Contract{}
+		for i := range providers {
+			providers[i] = NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 30})
+			contracts[providers[i].Ref()] = &Contract{
+				Client: ownerKey.Fingerprint(), Provider: cryptoutil.SumHash([]byte{byte(i)}),
+				PricePerEpoch: 3, Epochs: 10,
+			}
+		}
+		var m *Manifest
+		var pl *Placement
+		client.Upload(mkData(48, 1500), 0, refs(providers), len(providers),
+			func(mm *Manifest, pp *Placement, err error) { m, pl = mm, pp })
+		nw.Run(nw.Now() + time.Minute)
+
+		cu := NewCustodian(client, refs(providers), 30*time.Minute, 10*time.Second)
+		cu.AttachWallet(chain.NewWallet(ownerKey, 0), miner.SubmitTx)
+		cu.Manage(m, pl, contracts)
+		cu.Start()
+		nw.Run(2 * time.Hour)
+		cu.Stop()
+		miner.Stop()
+		nw.RunAll()
+		if cu.PaymentsSent < 3 {
+			t.Fatalf("%d payments sent, want at least 3", cu.PaymentsSent)
+		}
+		return miner.Chain().HeadHash()
+	}
+	want := run()
+	for i := 1; i < 8; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d ended on head %x, run 0 on %x: payment order depends on map iteration", i, got[:8], want[:8])
+		}
+	}
+}
+
 func TestCustodianStartStopIdempotent(t *testing.T) {
 	nw, client, providers := storageWorld(t, 45, 2, 1<<30)
 	cu := NewCustodian(client, refs(providers), time.Hour, time.Second)

@@ -178,50 +178,51 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 		// The outsourcing attacker answers data requests and proofs by
 		// first fetching the chunk from an accomplice — correct answers,
 		// but one network round-trip late. Verifiers with a tight deadline
-		// catch the added latency (§3.3 "Outsourcing Attacks").
-		p.rpc.ServeAsync(methodGet, func(from simnet.NodeID, req any, reply func(any, int)) {
+		// catch the added latency (§3.3 "Outsourcing Attacks"). Registered
+		// last, these replace the honest handlers above.
+		p.rpc.ServeDeferred(methodGet, func(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 			id, ok := req.(cryptoutil.Hash)
 			if !ok {
-				reply(getResp{}, 8)
+				tok.Reply(getResp{}, 8)
 				return
 			}
 			p.fetchFromAccomplice(id, func(data []byte, ok bool) {
 				if !ok {
-					reply(getResp{}, 8)
+					tok.Reply(getResp{}, 8)
 					return
 				}
 				p.Serves++
-				reply(getResp{Data: data, OK: true}, 16+len(data))
+				tok.Reply(getResp{Data: data, OK: true}, 16+len(data))
 			})
 		})
-		p.rpc.ServeAsync(methodChallenge, func(from simnet.NodeID, req any, reply func(any, int)) {
+		p.rpc.ServeDeferred(methodChallenge, func(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 			r, ok := req.(challengeReq)
 			if !ok {
-				reply(challengeResp{}, 8)
+				tok.Reply(challengeResp{}, 8)
 				return
 			}
 			p.Challenges++
 			p.fetchFromAccomplice(r.ChunkID, func(data []byte, ok bool) {
 				if !ok {
-					reply(challengeResp{}, 8)
+					tok.Reply(challengeResp{}, 8)
 					return
 				}
-				reply(buildStorageProof(data, r.Leaf))
+				tok.Reply(buildStorageProof(data, r.Leaf))
 			})
 		})
-		p.rpc.ServeAsync(methodRetChallenge, func(from simnet.NodeID, req any, reply func(any, int)) {
+		p.rpc.ServeDeferred(methodRetChallenge, func(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 			r, ok := req.(retChallengeReq)
 			if !ok {
-				reply(retChallengeResp{}, 8)
+				tok.Reply(retChallengeResp{}, 8)
 				return
 			}
 			p.Challenges++
 			p.fetchFromAccomplice(r.ChunkID, func(data []byte, ok bool) {
 				if !ok {
-					reply(retChallengeResp{}, 8)
+					tok.Reply(retChallengeResp{}, 8)
 					return
 				}
-				reply(retChallengeResp{MAC: cryptoutil.HMAC256(r.Salt, data), OK: true}, 48)
+				tok.Reply(retChallengeResp{MAC: cryptoutil.HMAC256(r.Salt, data), OK: true}, 48)
 			})
 		})
 	}

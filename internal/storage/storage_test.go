@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 )
@@ -304,6 +305,52 @@ func TestOutsourcingAttackCaughtByDeadline(t *testing.T) {
 	}
 	if !failedBy[outsourcer.Node().ID()] {
 		t.Error("outsourcing provider passed tight deadline")
+	}
+}
+
+// TestOutsourcerWithOverloadAnswersViaAccomplice: with overload on,
+// Protect registers the honest get before the OutsourceFetch cheater
+// registers its own, and the later registration replaces the earlier one.
+// get still answers with data fetched from the accomplice, not from the
+// cheater's own store, which holds nothing.
+func TestOutsourcerWithOverloadAnswersViaAccomplice(t *testing.T) {
+	nw := simnet.New(17)
+	client := NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
+	outsourcer := NewProvider(nw.AddNode(), ProviderConfig{
+		Capacity: 1 << 20, Cheat: OutsourceFetch, Overload: overload.Config{Enabled: true},
+	})
+	accomplice := NewProvider(nw.AddNode(), ProviderConfig{Capacity: 1 << 20})
+	outsourcer.SetAccomplice(accomplice.Node().ID())
+
+	data := mkData(18, 1500)
+	var m *Manifest
+	client.Upload(data, 0, []ProviderRef{outsourcer.Ref(), accomplice.Ref()}, 2,
+		func(mm *Manifest, _ *Placement, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = mm
+		})
+	nw.RunAll()
+	id := m.Chunks[0]
+	if outsourcer.HasChunk(id) {
+		t.Fatal("the outsourcer stored the chunk it should only pretend to hold")
+	}
+
+	var got getResp
+	simnet.NewRPCNode(client.Node()).Call(outsourcer.Node().ID(), methodGet, id, 40, 10*time.Second,
+		func(resp any, err error) {
+			if err != nil {
+				t.Fatalf("get: %v", err)
+			}
+			got = resp.(getResp)
+		})
+	nw.RunAll()
+	if !got.OK || !bytes.Equal(got.Data, data) {
+		t.Fatalf("get answered ok=%v with %d bytes, want the chunk fetched from the accomplice", got.OK, len(got.Data))
+	}
+	if accomplice.Serves == 0 {
+		t.Error("the accomplice served nothing")
 	}
 }
 

@@ -41,9 +41,10 @@ type peersResp struct {
 
 // NewTracker starts a tracker on node. The tracker is pure control plane —
 // announce and peer lookups are the RPCs a flash crowd needs answered to
-// spread load — so with overload control enabled both methods register as
-// Control: never queued or shed, and riding the priority lane. The zero
-// Config is a passthrough: the historical tracker.
+// spread load — so both methods register as Control: never queued or
+// shed, and on the control lane, which moves them ahead of bulk replies
+// once overload control turns the priority uplink on. The zero Config is a
+// passthrough: the historical tracker.
 func NewTracker(node *simnet.Node, ocfg overload.Config) *Tracker {
 	t := &Tracker{rpc: simnet.NewRPCNode(node), seeders: map[cryptoutil.Hash][]simnet.NodeID{}}
 	ov := overload.New(t.rpc, ocfg)

@@ -45,34 +45,66 @@ done
 #    merge commutative, validation only). Go randomises map order per run,
 #    so an unmarked range over a map in a path feeding event ordering or
 #    exported snapshots silently breaks seed determinism. The check extracts
-#    every identifier declared as a map (field, param, or := literal/make)
-#    and every function returning one, then flags `range` statements over
-#    any of those names. Names are scoped
-#    per file plus the struct fields declared in simnet.go (Network and the
-#    ledger every shard embeds), so a slice that happens to share a name
-#    with a map in another file does not false-positive.
+#    every identifier declared as a map (field, param, var, assignment, or
+#    := literal/make) and every function returning one, then flags `range`
+#    statements over any of those names. Names are scoped per file plus the
+#    struct fields declared in simnet.go (Network and the ledger every shard
+#    embeds), and a map declared with := only within its own function, so a
+#    slice that happens to share a name with a map elsewhere does not
+#    false-positive. A range over one element of a map (range m[k]) walks
+#    that element, not the map, and is flagged only where some linted file
+#    declares a map of that name whose values are maps.
 simnet_files=$(find internal/simnet -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
+mapranged_files=$(find internal/simnet internal/webapp internal/storage internal/dht -maxdepth 1 \
+    -name '*.go' ! -name '*_test.go' | sort)
+# extract_mapnames FILES... names the maps declared file-wide: fields,
+# parameters, vars and plain assignments (:= locals are scoped per function
+# by check_map_ranges itself).
 extract_mapnames() {
     (grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]+map\[' "$@" | awk '{print $1}';
-     grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:?=[[:space:]]*(make\()?map\[' "$@" |
-         sed -E 's/[[:space:]]*:?=.*//') | sort -u
+     grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]*=[[:space:]]*(make\()?map\[' "$@" |
+         sed -E 's/[[:space:]]*=.*//') | sort -u
 }
-# check_map_ranges FILE NAMES... flags every unmarked range over a map
-# named in NAMES in FILE.
+nested_mapnames=$(grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:?=?[[:space:]]*(make\()?map\[[^]]*\]map\[' \
+    $mapranged_files | sed -E 's/[[:space:]:=].*//' | sort -u)
+# check_map_ranges FILE NAMES... flags every unmarked range in FILE over a
+# map named in NAMES or over a map declared with := earlier in the same
+# function.
 check_map_ranges() {
     mf=$1
     shift
-    for name in "$@"; do
-        [ -n "$name" ] || continue
-        if grep -nE "range ([A-Za-z0-9_.]+\.)?${name}($|[^A-Za-z0-9_(])" "$mf" | grep -v 'determinism:ok'; then
-            echo "determinism lint: $mf iterates map '$name' without a //determinism:ok marker (map order is randomised per run)" >&2
-            bad=1
-        fi
-    done
+    if ! awk -v names="$*" -v nested="$nested_mapnames" '
+        BEGIN {
+            n = split(names, a, " "); for (i = 1; i <= n; i++) mapname[a[i]] = 1
+            n = split(nested, a, " "); for (i = 1; i <= n; i++) deep[a[i]] = 1
+        }
+        /^func / { split("", local) }
+        {
+            rest = $0
+            while (match(rest, /[A-Za-z_][A-Za-z0-9_]*[ \t]*:=[ \t]*(make\()?map\[/)) {
+                name = substr(rest, RSTART, RLENGTH); sub(/[ \t]*:=.*/, "", name)
+                local[name] = 1
+                rest = substr(rest, RSTART + RLENGTH)
+            }
+        }
+        /range / && !/determinism:ok/ && match($0, /range [A-Za-z0-9_.]+/) {
+            name = substr($0, RSTART + 6, RLENGTH - 6); sub(/.*\./, "", name)
+            after = substr($0, RSTART + RLENGTH, 1)
+            if (after == "(" || (after == "[" && !(name in deep))) next
+            if ((name in mapname) || (name in local)) {
+                printf "%s:%d:%s\n", FILENAME, FNR, $0
+                printf "determinism lint: %s iterates map %s without a //determinism:ok marker (map order is randomised per run)\n", FILENAME, name > "/dev/stderr"
+                bad = 1
+            }
+        }
+        END { exit bad }
+    ' "$mf"; then
+        bad=1
+    fi
 }
 # Network's and ledger's fields are reachable from every file of the package
-# (sh.latency, nw.partition), so those names are shared; locals declared
-# with := stay scoped to their own file.
+# (sh.latency, nw.partition), so those names are shared; other names stay
+# scoped to their own file, and := locals to their own function.
 shared_mapnames=$(grep -hoE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]+map\[' \
     internal/simnet/simnet.go | awk '{print $1}' | sort -u)
 if ! echo "$shared_mapnames" | grep -qx latency; then
@@ -92,11 +124,14 @@ for f in $simnet_files; do
     done
 done
 
-# The same map-range rule covers internal/webapp, whose peers send one RPC
-# per followed site in places: each send draws a call id and the link's
-# loss and jitter, so map order there would bind those draws to a
-# different site on every run. Names are scoped per file.
-for f in $(find internal/webapp -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort); do
+# The same map-range rule covers the packages that fan out one draw per
+# map entry: internal/webapp and internal/dht send one RPC per followed site
+# or key, and each send draws a call id and the link's loss and jitter;
+# internal/storage's custodian pays one contract per entry, and each
+# payment draws the wallet's next nonce. Map order there would bind those
+# draws to a different entry on every run. Names are scoped per file.
+for f in $mapranged_files; do
+    case "$f" in internal/simnet/*) continue ;; esac
     check_map_ranges "$f" $(extract_mapnames "$f")
 done
 
