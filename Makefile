@@ -25,7 +25,7 @@ vet:
 # lint rejects wall-clock reads and global math/rand use outside
 # internal/simnet — the two easiest ways to silently break seed
 # determinism (and with it the bench gate's exact-match comparison) — and
-# unmarked map ranges in internal/simnet, webapp, storage and dht.
+# unmarked map ranges in internal/simnet, webapp, storage, dht and chain.
 lint:
 	./scripts/determinism_lint.sh
 

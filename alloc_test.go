@@ -448,13 +448,12 @@ func TestAllocAdmitZero(t *testing.T) {
 }
 
 // TestAllocChainHotPaths pins the ledger's per-transaction, per-block and
-// per-nonce paths: identifying and sizing a transaction, hashing a header,
-// checking a payment Sign memoised and a Merkle root over 200 hashes
-// allocate nothing, and a whole proof-of-work grind allocates only its
-// saved midstate — its digest is pooled, and nothing is allocated per
-// nonce tried. Every miner runs the first four per transaction per block,
-// the root once per block, and Grind's loop a thousand times per block at
-// the difficulties the experiments use.
+// per-discovery paths: identifying and sizing a transaction, hashing a
+// header, checking a payment Sign memoised, a Merkle root over 200 hashes,
+// a whole seal grind and a miner's rescheduling of its next discovery
+// allocate nothing. Every miner runs the first four per transaction per
+// block, the root and the grind once per block, and a reschedule on every
+// head change.
 func TestAllocChainHotPaths(t *testing.T) {
 	kp, err := cryptoutil.GenerateKeyPair(workload.Rand(11, 0xC4A1))
 	if err != nil {
@@ -482,19 +481,20 @@ func TestAllocChainHotPaths(t *testing.T) {
 			sink ^= r[0]
 		},
 	}
-	for name, f := range zero {
-		if avg := testing.AllocsPerRun(1000, f); avg != 0 {
-			t.Errorf("%s allocates %.2f/op, want 0", name, avg)
-		}
-	}
-	grind := func() {
+	zero["Header.Grind at difficulty 2^10"] = func() {
 		hdr.Height++ // a fresh search each run
 		hdr.Nonce = 0
 		hdr.Grind()
 		sink ^= byte(hdr.Nonce)
 	}
-	if avg := testing.AllocsPerRun(50, grind); avg > 1 {
-		t.Errorf("Header.Grind at difficulty 2^10 allocates %.2f per call, budget 1", avg)
+	nw := simnet.New(11)
+	m := chain.NewMiner(nw.AddNode(), chain.NewChain(chain.Config{}), chain.Address{3}, 1000)
+	m.Start()
+	zero["Miner reschedule"] = func() { m.SetHashrate(1000) }
+	for name, f := range zero {
+		if avg := testing.AllocsPerRun(1000, f); avg != 0 {
+			t.Errorf("%s allocates %.2f/op, want 0", name, avg)
+		}
 	}
 	_ = sink
 }

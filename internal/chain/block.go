@@ -2,13 +2,9 @@ package chain
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
-	"hash"
 	"math/big"
 	"math/bits"
-	"sync"
 
 	"repro/internal/cryptoutil"
 )
@@ -21,8 +17,9 @@ type Header struct {
 	// Time is the block's virtual timestamp in nanoseconds of simulation
 	// time (simnet durations cast to int64).
 	Time int64
-	// Difficulty is the expected number of hash evaluations to find a
-	// valid nonce; the target is 2²⁵⁶ / Difficulty.
+	// Difficulty is the block's work in expected hash evaluations, charged
+	// in virtual time; the host seals it against a target of at most
+	// sealWork expected hashes (see MeetsTarget).
 	Difficulty uint64
 	Nonce      uint64
 }
@@ -122,56 +119,36 @@ func workTarget(d uint64) (target cryptoutil.Hash) {
 	return target
 }
 
-// MeetsTarget reports whether the header's hash satisfies its difficulty.
+// sealWork is the most expected hashes a header's seal costs the host.
+// Difficulty is the block's work in virtual time: it sets the discovery
+// delay, retargeting and fork choice, while the seal is checked against
+// the target of min(Difficulty, sealWork), so a header with an arbitrary
+// nonce still fails about fifteen times in sixteen.
+const sealWork = 16
+
+// sealTarget returns the target the header's hash is sealed against.
+func (h *Header) sealTarget() cryptoutil.Hash {
+	return workTarget(min(h.Difficulty, sealWork))
+}
+
+// MeetsTarget reports whether the header's hash satisfies its seal target.
 func (h *Header) MeetsTarget() bool {
-	hash, target := h.Hash(), workTarget(h.Difficulty)
+	hash, target := h.Hash(), h.sealTarget()
 	return bytes.Compare(hash[:], target[:]) <= 0
 }
 
-// grinder is the part of a Grind's working set that can be reused: a
-// SHA-256 digest, the header's encoding, and the sum. Pooled, a grind
-// allocates only its saved midstate. (encoding.BinaryAppender would save it
-// into reused room too, but needs go1.24 and go.mod says 1.22.)
-type grinder struct {
-	d   hash.Hash
-	buf [headerSize]byte
-	sum []byte
-}
-
-var grinders = sync.Pool{New: func() any {
-	return &grinder{d: sha256.New(), sum: make([]byte, 0, sha256.Size)}
-}}
-
-// Grind searches nonces (starting from the current one) until the header
-// meets its target, mutating the header in place. With the modest
-// difficulties simulations use this is a few thousand hash evaluations.
-//
-// The first 64 bytes of the encoding, Prev and MerkleRoot, are one SHA-256
-// block no try changes. Grind compresses it once, saves the digest's state
-// (its midstate) and restores it for each try, so a try compresses one
-// block: the 32 bytes of Height, Time, Difficulty and Nonce, with the
-// padding. Only the nonce's eight bytes change between tries, and the
-// nonces are tried in the order Hash would be, so the search ends where
-// hashing each whole encoding would end it.
+// Grind searches nonces (starting from the current one, wrapping past
+// 2⁶⁴−1) until the header meets its seal target, mutating the header in
+// place: about min(Difficulty, sealWork) hash evaluations.
 func (h *Header) Grind() {
-	target := workTarget(h.Difficulty)
-	g := grinders.Get().(*grinder)
-	defer grinders.Put(g)
-	g.buf = h.encode()
-	g.d.Reset()
-	g.d.Write(g.buf[:sha256.BlockSize])
-	// The saved state is the digest's own, so neither call can fail.
-	mid, _ := g.d.(encoding.BinaryMarshaler).MarshalBinary()
-	restore := g.d.(encoding.BinaryUnmarshaler)
+	target, buf := h.sealTarget(), h.encode()
 	for {
-		_ = restore.UnmarshalBinary(mid)
-		g.d.Write(g.buf[sha256.BlockSize:])
-		g.sum = g.d.Sum(g.sum[:0])
-		if bytes.Compare(g.sum, target[:]) <= 0 {
+		hash := cryptoutil.SumHash(buf[:])
+		if bytes.Compare(hash[:], target[:]) <= 0 {
 			return
 		}
 		h.Nonce++
-		binary.BigEndian.PutUint64(g.buf[headerSize-8:], h.Nonce)
+		binary.BigEndian.PutUint64(buf[headerSize-8:], h.Nonce)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 
 // Config sets the consensus parameters of a chain.
 type Config struct {
-	// InitialDifficulty is the genesis difficulty in expected hashes.
-	// Simulations should keep difficulties modest (2^10–2^20): timing is
-	// simulated, but nonce grinding is literal.
+	// InitialDifficulty is the genesis difficulty in expected hashes. It
+	// costs virtual time only: a block's seal takes at most 16 expected
+	// hashes on the host whatever the difficulty.
 	InitialDifficulty uint64
 	// TargetSpacing is the desired inter-block time; retargeting steers the
 	// difficulty toward it.
@@ -469,7 +469,7 @@ func (c *Chain) Compact(keepStates uint64) int {
 	}
 	cutoff := head - keepStates
 	freed := 0
-	for _, r := range c.blocks {
+	for _, r := range c.blocks { //determinism:ok only sets and counts
 		if r.block.Header.Height < cutoff && r.state != nil {
 			r.state = nil
 			freed++
@@ -481,7 +481,7 @@ func (c *Chain) Compact(keepStates uint64) int {
 // StatesHeld returns how many per-block states are currently retained.
 func (c *Chain) StatesHeld() int {
 	held := 0
-	for _, r := range c.blocks {
+	for _, r := range c.blocks { //determinism:ok only counts
 		if r.state != nil {
 			held++
 		}

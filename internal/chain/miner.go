@@ -37,8 +37,10 @@ type Miner struct {
 	pinned cryptoutil.Hash
 
 	// mineTimer is the pending block-discovery event; rescheduling mining
-	// cancels it outright instead of leaving a dead event in the queue.
+	// cancels it outright instead of leaving a dead event in the queue, so
+	// at most one is pending, and mineParent is the block it extends.
 	mineTimer   simnet.Timer
+	mineParent  cryptoutil.Hash
 	blocksFound int
 	orphans     map[cryptoutil.Hash][]*Block // parent hash -> waiting blocks
 	started     bool
@@ -196,12 +198,18 @@ func (m *Miner) scheduleMine() {
 	if delay <= 0 {
 		delay = time.Nanosecond
 	}
-	m.mineTimer = m.node.Network().AfterTimer(delay, func() {
-		if !m.node.Up() || !m.started {
-			return
-		}
-		m.mineOne(parent)
-	})
+	m.mineParent = parent
+	m.mineTimer = m.node.Network().AfterCall(delay, minerMineEvent, m)
+}
+
+// minerMineEvent is the EventFunc behind every block discovery; arg is the
+// *Miner, which holds the parent the discovery extends.
+func minerMineEvent(arg any) {
+	m := arg.(*Miner)
+	if !m.node.Up() || !m.started {
+		return
+	}
+	m.mineOne(m.mineParent)
 }
 
 func (m *Miner) mineOne(parent cryptoutil.Hash) {

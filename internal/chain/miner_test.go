@@ -1,6 +1,8 @@
 package chain
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -245,15 +247,20 @@ func TestWorkExpendedGrows(t *testing.T) {
 	}
 }
 
+// BenchmarkBlockGrind builds and seals a block at two difficulties 2²⁰
+// apart; the host cost is flat in difficulty, which is charged in virtual
+// time.
 func BenchmarkBlockGrind(b *testing.B) {
-	c := NewChain(Config{InitialDifficulty: 1 << 12})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		blk, err := c.NewBlock(c.HeadHash(), nil, time.Duration(i), Address{1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = blk
+	for _, d := range []uint64{1 << 10, 1 << 30} {
+		b.Run(fmt.Sprintf("d=2^%d", bits.Len64(d)-1), func(b *testing.B) {
+			c := NewChain(Config{InitialDifficulty: d})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.NewBlock(c.HeadHash(), nil, time.Duration(i), Address{1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

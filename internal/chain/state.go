@@ -27,7 +27,7 @@ type State struct {
 // allocation.
 func NewState(alloc map[Address]uint64) *State {
 	s := &State{accounts: make([]account, 0, len(alloc))}
-	for addr, amt := range alloc {
+	for addr, amt := range alloc { //determinism:ok sorted straight after
 		s.accounts = append(s.accounts, account{addr: addr, balance: amt})
 	}
 	sort.Slice(s.accounts, func(i, j int) bool {

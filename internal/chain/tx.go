@@ -12,15 +12,13 @@
 // (Miner.Withhold + experiment X2), wasteful mining (WorkExpended), and the
 // endless-ledger problem (Chain.TotalBytes).
 //
-// Proof-of-work here is literal — blocks carry a nonce whose header hash
-// meets the difficulty target — but block *timing* is simulated: a miner
-// with hashrate R at difficulty D finds blocks after Exp(D/R) of virtual
-// time. The literal grind still costs the host one SHA-256 compression per
-// nonce tried (~100 ns; the header's first block is compressed once per
-// block), so about 0.4 ms per block at 2^12. Experiments should therefore
-// use modest difficulties (2^10–2^20 expected hashes) so that it stays
-// cheap in wall-clock time while fork choice, retargeting, and attacks
-// behave exactly as they would at production difficulty.
+// Proof-of-work is charged in virtual time: a miner with hashrate R at
+// difficulty D finds blocks after Exp(D/R) of virtual time, and D is the
+// block's weight in fork choice and retargeting. Blocks still carry a
+// nonce whose header hash validators check, but against a seal target of
+// min(D, 16) expected hashes, so sealing a block costs the host about 16
+// SHA-256 evaluations at any difficulty while fork choice, retargeting,
+// and attacks behave as they would at that difficulty.
 package chain
 
 import (

@@ -55,7 +55,7 @@ done
 #    that element, not the map, and is flagged only where some linted file
 #    declares a map of that name whose values are maps.
 simnet_files=$(find internal/simnet -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
-mapranged_files=$(find internal/simnet internal/webapp internal/storage internal/dht -maxdepth 1 \
+mapranged_files=$(find internal/simnet internal/webapp internal/storage internal/dht internal/chain -maxdepth 1 \
     -name '*.go' ! -name '*_test.go' | sort)
 # extract_mapnames FILES... names the maps declared file-wide: fields,
 # parameters, vars and plain assignments (:= locals are scoped per function
@@ -129,7 +129,10 @@ done
 # or key, and each send draws a call id and the link's loss and jitter;
 # internal/storage's custodian pays one contract per entry, and each
 # payment draws the wallet's next nonce. Map order there would bind those
-# draws to a different entry on every run. Names are scoped per file.
+# draws to a different entry on every run. internal/chain keeps its block
+# tree, its light client's headers and its orphans in maps keyed by block
+# hash; a walk over one that fed a send, a pool or a state would replay in
+# a different order on every run. Names are scoped per file.
 for f in $mapranged_files; do
     case "$f" in internal/simnet/*) continue ;; esac
     check_map_ranges "$f" $(extract_mapnames "$f")
