@@ -34,12 +34,13 @@ import (
 // TestAllocBytesPerNode pins the per-node memory cost of constructing a
 // 10k-node network with the RPC layer attached — the footprint that
 // decides whether the huge tiers (100k and 1M nodes, see TestScaleHuge and
-// `feudalism scale`) fit in memory. Measured ≈0.9 kB/node on both engines;
-// the ceiling leaves ~60% headroom. At the ceiling, 1M nodes cost ≈1.5 GB
-// before any traffic, which is the budget EXPERIMENTS.md quotes.
+// `feudalism scale`) fit in memory. Measured ≈0.6 kB/node on both engines
+// (551 B single-heap, 623 B on 64 shards); the ceiling leaves ~60%
+// headroom. At the ceiling, 1M nodes cost ≈1 GB before any traffic, which
+// is the budget EXPERIMENTS.md quotes.
 func TestAllocBytesPerNode(t *testing.T) {
 	const n = 10_000
-	const ceiling = 1536.0 // bytes per node, network + node + RPC layer
+	const ceiling = 1024.0 // bytes per node, network + node + RPC layer
 	measure := func(build func() any) float64 {
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -93,10 +94,10 @@ func TestAllocSendZero(t *testing.T) {
 }
 
 // TestAllocRPCCall pins the full RPC round trip (call, request, reply,
-// timeout timer) at zero allocations: envelopes and pending-call records
-// come from pools, the timeout is a closure-free event, and the caller's
-// done closure is adapted to a Completion without boxing — a func value is
-// pointer-shaped.
+// timeout timer) at zero allocations: envelopes come from a pool and
+// pending-call records from their shard's free list, the timeout is a
+// closure-free event, and the caller's done closure is adapted to a
+// Completion without boxing — a func value is pointer-shaped.
 func TestAllocRPCCall(t *testing.T) {
 	const budget = 0.0
 	nw := simnet.New(8)

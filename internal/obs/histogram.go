@@ -150,7 +150,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	lo := math.Floor(pos)
 	v := h.at(int64(lo))
 	if frac := pos - lo; frac > 0 {
-		v = v*(1-frac) + h.at(int64(lo)+1)*frac
+		// Rounding can carry the interpolation past either rank near
+		// ±MaxFloat64; the clamp keeps the quantile monotone in q.
+		hi := h.at(int64(lo) + 1)
+		v = min(max(v*(1-frac)+hi*frac, v), hi)
 	}
 	return v
 }

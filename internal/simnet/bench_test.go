@@ -37,3 +37,52 @@ func BenchmarkSimnetTimer(b *testing.B) {
 	}
 	nw.RunAll()
 }
+
+// BenchmarkRPCRoundTrip measures the RPC layer's round trip at population
+// scale: 10k RPCNodes each keep one call outstanding to a rotating
+// neighbour, so an op is one call — request, dispatch, reply, completion
+// and timeout timer — on a heap of 10k pending timeouts.
+func BenchmarkRPCRoundTrip(b *testing.B) {
+	const nodes = 10_000
+	nw := New(1)
+	loop := &benchLoop{left: b.N}
+	for i := 0; i < nodes; i++ {
+		r := NewRPCNode(nw.AddNode())
+		r.Serve("bench.echo", func(_ NodeID, req any) (any, int) { return req, 8 })
+		loop.callers = append(loop.callers, &benchCaller{loop: loop, rpc: r, idx: i})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, c := range loop.callers {
+		c.next()
+	}
+	nw.RunAll()
+}
+
+// benchLoop is BenchmarkRPCRoundTrip's closed loop: left counts the calls
+// still to issue across all callers.
+type benchLoop struct {
+	callers []*benchCaller
+	left    int
+}
+
+// benchCaller is one node of the loop; it is its own Completion, so
+// issuing a call allocates nothing in the benchmark.
+type benchCaller struct {
+	loop      *benchLoop
+	rpc       *RPCNode
+	idx, made int
+}
+
+func (c *benchCaller) next() {
+	l := c.loop
+	if l.left == 0 {
+		return
+	}
+	l.left--
+	c.made++
+	to := l.callers[(c.idx+1+c.made%16)%len(l.callers)] // 16 rotating neighbours
+	c.rpc.CallTo(to.rpc.Node().ID(), "bench.echo", nil, 16, 5*time.Second, c)
+}
+
+func (c *benchCaller) CallDone(any, time.Duration, error) { c.next() }

@@ -33,7 +33,10 @@ type Node struct {
 	qDeparts []time.Duration
 	qHead    int
 
-	handlers       map[string]Handler
+	// handlers holds one entry per registered message kind, in
+	// registration order. A node registers one to four kinds, so a scan
+	// beats a map probe on every delivery.
+	handlers       []kindHandler
 	defaultHandler Handler
 	// rpc is the node's shared request/response layer, created lazily by
 	// NewRPCNode.
@@ -177,9 +180,31 @@ func (n *Node) AfterCall(d time.Duration, h EventFunc, arg any) Timer {
 	return Timer{e: e, gen: e.gen}
 }
 
+// kindHandler is one entry of a node's handler table.
+type kindHandler struct {
+	kind string
+	h    Handler
+}
+
 // Handle registers a handler for messages of the given kind, replacing any
 // existing one.
-func (n *Node) Handle(kind string, h Handler) { n.handlers[kind] = h }
+func (n *Node) Handle(kind string, h Handler) {
+	if e := n.lookup(kind); e != nil {
+		e.h = h
+		return
+	}
+	n.handlers = append(n.handlers, kindHandler{kind: kind, h: h})
+}
+
+// lookup returns kind's entry in the handler table, or nil.
+func (n *Node) lookup(kind string) *kindHandler {
+	for i := range n.handlers {
+		if n.handlers[i].kind == kind {
+			return &n.handlers[i]
+		}
+	}
+	return nil
+}
 
 // HandleDefault registers a catch-all handler for kinds with no specific
 // handler.

@@ -3,36 +3,45 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
 // RPC layers a request/response discipline over raw messages. A node that
-// serves RPCs keeps one method table: each entry holds the method's handler
-// and the uplink lane its traffic rides, and a later registration of a
-// method replaces the earlier one. A request is dispatched with one table
-// lookup, and every reply — a handler's answer or the refusal of an
-// unserved method — is built by ReplyToken. A caller uses Call and
+// serves RPCs keeps one method table: each entry holds the method's name,
+// handler and the uplink lane its traffic rides, and a later registration
+// of a method replaces the earlier one. A request is dispatched with one
+// scan of that table, and every reply — a handler's answer or the refusal
+// of an unserved method — is built by ReplyToken. A caller uses Call and
 // receives either the response payload or a timeout. Request and response
 // each traverse the network as ordinary messages, so they inherit latency,
 // bandwidth, loss, crash, and partition behaviour.
 //
-// The hot path is allocation-free in steady state: envelopes and pending
-// call records recycle through sync.Pools (alongside the engine's event
-// pool), the per-call timeout is scheduled through the closure-free
-// AfterCall path with the pending record itself as the argument, and the
-// completion is a value the caller already owns — a Completion, usually a
-// pointer to the caller's own operation record — not a closure allocated
-// per call. At 10k-node populations the RPC layer carries millions of
-// messages per simulated minute, so a single capture or wrapper
-// allocation per call shows up directly in the scale sweep (X15).
+// The hot path reads and writes no map and is allocation-free in steady
+// state. The request envelope carries the caller's pending-call record and
+// call id, the server echoes both in the reply, and the caller accepts the
+// reply only if the record still holds that id: a (record, id) pair is a
+// generation check, as a Timer's (event, gen) is. Call ids come from a
+// per-shard counter and finished records go on a per-shard free list, so a
+// record is only ever written by its own shard's worker. Envelopes recycle
+// through a sync.Pool (alongside the engine's event pool), since they are
+// built on one shard and consumed on another. The per-call timeout is
+// scheduled through the closure-free AfterCall path with the pending record
+// itself as the argument, and the completion is a value the caller already
+// owns — a Completion, usually a pointer to the caller's own operation
+// record — not a closure allocated per call. At 10k-node populations the
+// RPC layer carries millions of messages per simulated minute, so a single
+// capture or wrapper allocation per call shows up directly in the scale
+// sweep (X15).
 
 // rpcEnvelope wraps a request or response on the wire. Envelopes are
 // pooled: the consuming side releases them back after extracting the
 // payload, except when the network's duplicate-fault model may deliver the
 // same envelope again (see newEnvelope).
 type rpcEnvelope struct {
+	// pc and id name the caller's pending call. The server never
+	// dereferences pc; it only copies both into the reply.
+	pc      *pendingCall
 	id      uint64
 	method  string
 	payload any
@@ -154,22 +163,47 @@ const rpcKind = "simnet.rpc"
 // node that participates in RPC traffic.
 type RPCNode struct {
 	n       *Node
-	nextID  uint64
-	pending map[uint64]*pendingCall
-	methods map[string]method
+	methods []method
+	// head and tail bound the node's outstanding calls, linked through
+	// pendingCall.prev/next in issue order.
+	head, tail *pendingCall
 }
 
 // method is one entry of an RPCNode's method table. handler is nil for a
 // method that only has a lane (one this node calls but does not serve).
 // Both the requests and the replies of a method travel on its lane.
 type method struct {
+	name    string
 	handler RPCDeferredHandler
 	lane    Lane
 }
 
+// lookup returns the table entry for name, or nil. A node serves a handful
+// of methods, so a scan beats a map probe.
+func (r *RPCNode) lookup(name string) *method {
+	for i := range r.methods {
+		if r.methods[i].name == name {
+			return &r.methods[i]
+		}
+	}
+	return nil
+}
+
+// entry returns the table entry for name, appending an empty one if the
+// method has none yet.
+func (r *RPCNode) entry(name string) *method {
+	if m := r.lookup(name); m != nil {
+		return m
+	}
+	r.methods = append(r.methods, method{name: name})
+	return &r.methods[len(r.methods)-1]
+}
+
 // pendingCall is one outstanding request on the caller. It doubles as the
 // argument of the closure-free timeout event, so it carries everything the
-// timeout handler needs; records recycle through a pool once finished.
+// timeout handler needs. A record is live while it holds a non-zero id;
+// once the call ends it goes back to its shard's free list with id zero,
+// and its next use draws a fresh id.
 type pendingCall struct {
 	r      *RPCNode
 	id     uint64
@@ -178,41 +212,88 @@ type pendingCall struct {
 	wait   time.Duration
 	sentAt time.Duration // global virtual time at issue, for RTT reporting
 	done   Completion
-	// timeout is cancelled when the reply lands, so no dead event lingers.
+	// timeout is cancelled when the call ends otherwise, so no dead event
+	// lingers.
 	timeout Timer
-	// finished guards against double completion (reply after timeout, crash
-	// after reply); it is reset when the record is reused.
-	finished bool
+	// prev and next link the record into its node's outstanding list while
+	// live, and next links it into its shard's free list after.
+	prev, next *pendingCall
 }
 
-var pendingPool = sync.Pool{New: func() any { return new(pendingCall) }}
+// live reports whether pc is still the outstanding call id. A reply or
+// CallRef naming an ended call, or one whose record has since been reused,
+// fails the check.
+func (pc *pendingCall) live(id uint64) bool { return pc.id == id }
 
-// finish marks the call complete and cancels its timeout. The caller is
-// responsible for removing it from the pending map and releasing it.
-func (pc *pendingCall) finish() {
-	pc.finished = true
+// callPool is a shard's supply of call ids and pending-call records.
+type callPool struct {
+	seq  uint64
+	free *pendingCall
+}
+
+// get returns a record stamped with the shard's next call id.
+func (p *callPool) get() *pendingCall {
+	pc := p.free
+	if pc != nil {
+		p.free = pc.next
+		pc.next = nil
+	} else {
+		pc = new(pendingCall)
+	}
+	p.seq++
+	pc.id = p.seq
+	return pc
+}
+
+// put recycles an ended record.
+func (p *callPool) put(pc *pendingCall) {
+	*pc = pendingCall{next: p.free}
+	p.free = pc
+}
+
+// issue links pc at the tail of r's outstanding list.
+func (r *RPCNode) issue(pc *pendingCall) {
+	pc.prev = r.tail
+	if r.tail != nil {
+		r.tail.next = pc
+	} else {
+		r.head = pc
+	}
+	r.tail = pc
+}
+
+// end ends the live call pc: it leaves its node's outstanding list, its
+// timeout is cancelled and the record returns to its shard's free list. It
+// returns the call's completion and, for a non-nil cause, the error to
+// complete with. The caller runs the completion afterwards, so a
+// re-entrant CallTo can already reuse the record.
+func (pc *pendingCall) end(cause error) (Completion, error) {
+	r := pc.r
+	if pc.prev != nil {
+		pc.prev.next = pc.next
+	} else {
+		r.head = pc.next
+	}
+	if pc.next != nil {
+		pc.next.prev = pc.prev
+	} else {
+		r.tail = pc.prev
+	}
 	pc.timeout.Cancel()
-}
-
-// releasePending recycles a finished call record. Callers must have
-// extracted the completion first: release happens before it runs so a
-// re-entrant Call can reuse the record immediately.
-func releasePending(pc *pendingCall) {
-	*pc = pendingCall{}
-	pendingPool.Put(pc)
+	done := pc.done
+	var err error
+	if cause != nil {
+		err = pc.callError(cause)
+	}
+	r.n.sh.calls.put(pc)
+	return done, err
 }
 
 // rpcTimeoutEvent is the EventFunc behind every call timeout; arg is the
-// *pendingCall itself, so scheduling it allocates nothing.
+// *pendingCall itself, so scheduling it allocates nothing. Every other way
+// a call ends cancels this event, so the record is live when it runs.
 func rpcTimeoutEvent(arg any) {
-	pc := arg.(*pendingCall)
-	if pc.finished {
-		return
-	}
-	pc.finished = true
-	delete(pc.r.pending, pc.id)
-	done, err := pc.done, pc.callError(ErrRPCTimeout)
-	releasePending(pc)
+	done, err := arg.(*pendingCall).end(ErrRPCTimeout)
 	done.CallDone(nil, 0, err)
 }
 
@@ -228,35 +309,21 @@ func NewRPCNode(n *Node) *RPCNode {
 	if n.rpc != nil {
 		return n.rpc
 	}
-	r := &RPCNode{
-		n:       n,
-		pending: map[uint64]*pendingCall{},
-		methods: map[string]method{},
-	}
+	r := &RPCNode{n: n}
 	n.rpc = r
 	n.Handle(rpcKind, r.onMessage)
-	// A crash fails all outstanding calls: the caller's state is lost. The
-	// drain runs in ascending call id order — map iteration order is not
-	// deterministic, and the failure callbacks can schedule follow-up
-	// traffic whose event ordering must be a function of the seed alone.
+	// A crash fails the calls outstanding when it began, in issue order:
+	// the caller's state is lost. Ids grow in issue order, so the drain
+	// stops at the last one issued before the crash; a call a failure
+	// callback issues stays pending until its own timeout, and a call a
+	// failure callback cancels has already left the list.
 	n.OnDown(func() {
-		if len(r.pending) == 0 {
+		if r.tail == nil {
 			return
 		}
-		ids := make([]uint64, 0, len(r.pending))
-		for id := range r.pending { //determinism:ok drained in sorted call-id order below
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			pc := r.pending[id]
-			delete(r.pending, id)
-			if pc.finished {
-				continue
-			}
-			pc.finish()
-			done, err := pc.done, pc.callError(ErrCallerCrashed)
-			releasePending(pc)
+		last := r.tail.id
+		for pc := r.head; pc != nil && pc.id <= last; pc = r.head {
+			done, err := pc.end(ErrCallerCrashed)
 			done.CallDone(nil, 0, err)
 		}
 	})
@@ -285,6 +352,7 @@ type RPCDeferredHandler func(from NodeID, req any, tok ReplyToken)
 // tokens are plain values and may be copied freely.
 type ReplyToken struct {
 	r      *RPCNode
+	pc     *pendingCall // the caller's, echoed back untouched
 	id     uint64
 	from   NodeID
 	method string
@@ -309,7 +377,7 @@ func (t ReplyToken) Reply(resp any, respSize int) {
 // here.
 func (t ReplyToken) send(resp any, respSize int, served bool) {
 	reply := newEnvelope(t.r.n.nw)
-	reply.id, reply.method, reply.isReply = t.id, t.method, true
+	reply.pc, reply.id, reply.method, reply.isReply = t.pc, t.id, t.method, true
 	reply.payload, reply.ok = resp, served
 	t.r.sendEnvelope(t.from, reply, respSize+64)
 }
@@ -317,9 +385,7 @@ func (t ReplyToken) send(resp any, respSize int, served bool) {
 // ServeDeferred registers the deferred handler for method, replacing
 // whatever handler the method had.
 func (r *RPCNode) ServeDeferred(method string, h RPCDeferredHandler) {
-	m := r.methods[method]
-	m.handler = h
-	r.methods[method] = m
+	r.entry(method).handler = h
 }
 
 // SetMethodLane assigns an uplink lane to a method, with or without a
@@ -327,9 +393,7 @@ func (r *RPCNode) ServeDeferred(method string, h RPCDeferredHandler) {
 // stamped, so on priority-enabled uplinks (Node.SetPriorityUplink) they
 // serialize on the control cursor. Methods default to LaneBulk.
 func (r *RPCNode) SetMethodLane(method string, lane Lane) {
-	m := r.methods[method]
-	m.lane = lane
-	r.methods[method] = m
+	r.entry(method).lane = lane
 }
 
 // sendEnvelope transmits an RPC envelope on its method's lane. Lanes only
@@ -338,7 +402,9 @@ func (r *RPCNode) SetMethodLane(method string, lane Lane) {
 func (r *RPCNode) sendEnvelope(to NodeID, env *rpcEnvelope, size int) {
 	lane := LaneBulk
 	if r.n.prioUplink {
-		lane = r.methods[env.method].lane
+		if m := r.lookup(env.method); m != nil {
+			lane = m.lane
+		}
 	}
 	r.n.SendLane(to, rpcKind, env, size, lane)
 }
@@ -352,28 +418,22 @@ func (r *RPCNode) Call(to NodeID, method string, req any, reqSize int, timeout t
 // CallRef is a cancellable handle on an outstanding call. The zero value
 // is inert.
 type CallRef struct {
-	r  *RPCNode
+	pc *pendingCall
 	id uint64
 }
 
 // Cancel abandons the referenced call if it is still outstanding: the
 // timeout timer is removed, the pending record is recycled, and the
 // Completion is never invoked. A reply arriving later for the
-// cancelled id is dropped by the usual late-reply path, which still
-// releases its envelope exactly once. Call ids are never reused, so a
-// stale ref (the call completed, its record repooled) is a no-op. Reports
-// whether an outstanding call was actually cancelled.
+// cancelled call is dropped by the usual late-reply path, which still
+// releases its envelope exactly once. A record never carries the same id
+// twice, so a stale ref (the call ended, its record possibly reused) is a
+// no-op. Reports whether an outstanding call was actually cancelled.
 func (cr CallRef) Cancel() bool {
-	if cr.r == nil {
+	if cr.pc == nil || !cr.pc.live(cr.id) {
 		return false
 	}
-	pc, ok := cr.r.pending[cr.id]
-	if !ok || pc.finished {
-		return false
-	}
-	pc.finish()
-	delete(cr.r.pending, cr.id)
-	releasePending(pc)
+	cr.pc.end(nil)
 	return true
 }
 
@@ -384,21 +444,18 @@ func (cr CallRef) Cancel() bool {
 // abandon the call — the hook the resilience layer's hedged requests use
 // to cancel the losing attempt.
 func (r *RPCNode) CallTo(to NodeID, method string, req any, reqSize int, timeout time.Duration, done Completion) CallRef {
-	r.nextID++
-	id := r.nextID
-	pc := pendingPool.Get().(*pendingCall)
-	pc.r, pc.id, pc.method, pc.to, pc.wait = r, id, method, to, timeout
+	pc := r.n.sh.calls.get()
+	pc.r, pc.method, pc.to, pc.wait = r, method, to, timeout
 	pc.done = done
 	pc.sentAt = r.n.Now()
-	pc.finished = false
-	r.pending[id] = pc
+	r.issue(pc)
 	env := newEnvelope(r.n.nw)
-	env.id, env.method, env.payload = id, method, req
+	env.pc, env.id, env.method, env.payload = pc, pc.id, method, req
 	r.sendEnvelope(to, env, reqSize+64)
 	// The timeout runs on the caller's local clock: a fast-skewed node
 	// gives up on its peers early, a slow one hangs on.
 	pc.timeout = r.n.AfterCall(timeout, rpcTimeoutEvent, pc)
-	return CallRef{r: r, id: id}
+	return CallRef{pc: pc, id: pc.id}
 }
 
 func (r *RPCNode) onMessage(msg Message) {
@@ -407,32 +464,28 @@ func (r *RPCNode) onMessage(msg Message) {
 		return
 	}
 	if env.isReply {
-		id, payload, served := env.id, env.payload, env.ok
+		pc, id, payload, served := env.pc, env.id, env.payload, env.ok
 		releaseEnvelope(env)
-		pc, ok := r.pending[id]
-		if !ok || pc.finished {
+		if !pc.live(id) {
 			return // late reply after timeout or cancellation; drop
 		}
-		pc.finish()
-		delete(r.pending, id)
-		done, rtt := pc.done, r.n.Now()-pc.sentAt
-		var err error
+		rtt := r.n.Now() - pc.sentAt
+		var cause error
 		if !served {
-			err = pc.callError(ErrNotServed)
-			payload = nil
+			cause, payload = ErrNotServed, nil
 		}
-		releasePending(pc)
+		done, err := pc.end(cause)
 		done.CallDone(payload, rtt, err)
 		return
 	}
 	// Incoming request: copy out what the reply needs and release the
 	// envelope before dispatch, so a handler that replies later holds no
 	// envelope.
-	tok := ReplyToken{r: r, id: env.id, from: msg.From, method: env.method}
+	tok := ReplyToken{r: r, pc: env.pc, id: env.id, from: msg.From, method: env.method}
 	req := env.payload
 	releaseEnvelope(env)
-	if h := r.methods[tok.method].handler; h != nil {
-		h(tok.from, req, tok)
+	if m := r.lookup(tok.method); m != nil && m.handler != nil {
+		m.handler(tok.from, req, tok)
 		return
 	}
 	tok.send(nil, 0, false)

@@ -184,3 +184,166 @@ func TestRPCDuplicateFaultSkipsRecycling(t *testing.T) {
 		t.Fatalf("envelope releases = %d under duplicate fault, want 0", *releases)
 	}
 }
+
+// TestRPCCrashDrainCancelsSibling: a crash-failure Completion that cancels
+// a sibling call on the same node takes that sibling out of the drain, so
+// the sibling never fires and the drain does not trip over its record.
+func TestRPCCrashDrainCancelsSibling(t *testing.T) {
+	nw := New(14)
+	caller, server := nw.AddNode(), nw.AddNode()
+	NewRPCNode(server).ServeDeferred("hang", func(NodeID, any, ReplyToken) {})
+	rpc := NewRPCNode(caller)
+
+	first, sibling := &leg{}, &leg{}
+	rpc.CallTo(server.ID(), "hang", nil, 16, time.Second, first)
+	siblingRef := rpc.CallTo(server.ID(), "hang", nil, 16, time.Second, sibling)
+	first.then = func() { sibling.cancelled = siblingRef.Cancel() }
+	nw.After(100*time.Millisecond, caller.Crash)
+	nw.RunAll()
+
+	if first.fired != 1 || !errors.Is(first.err, ErrCallerCrashed) {
+		t.Fatalf("first call fired %d times with %v, want once with ErrCallerCrashed", first.fired, first.err)
+	}
+	if !sibling.cancelled {
+		t.Error("the sibling was not outstanding when the first failure cancelled it")
+	}
+	if sibling.fired != 0 {
+		t.Errorf("the cancelled sibling fired %d times", sibling.fired)
+	}
+}
+
+// TestRPCCrashSparesCallsIssuedInDrain: the crash drain fails only the
+// calls outstanding when the crash began. A call a failure callback issues
+// is not drained: it stays pending until its own timeout.
+func TestRPCCrashSparesCallsIssuedInDrain(t *testing.T) {
+	nw := New(15)
+	caller, server := nw.AddNode(), nw.AddNode()
+	NewRPCNode(server).ServeDeferred("hang", func(NodeID, any, ReplyToken) {})
+	rpc := NewRPCNode(caller)
+
+	const crashAt, retryWait = 100 * time.Millisecond, 300 * time.Millisecond
+	first, retry := &leg{}, &leg{}
+	var retryDone time.Duration
+	retry.then = func() { retryDone = caller.Now() }
+	first.then = func() { rpc.CallTo(server.ID(), "hang", nil, 16, retryWait, retry) }
+	rpc.CallTo(server.ID(), "hang", nil, 16, time.Second, first)
+	nw.After(crashAt, caller.Crash)
+	nw.RunAll()
+
+	if first.fired != 1 || !errors.Is(first.err, ErrCallerCrashed) {
+		t.Fatalf("first call fired %d times with %v, want once with ErrCallerCrashed", first.fired, first.err)
+	}
+	if retry.fired != 1 || !errors.Is(retry.err, ErrRPCTimeout) {
+		t.Fatalf("call issued in the drain fired %d times with %v, want once with ErrRPCTimeout", retry.fired, retry.err)
+	}
+	if retryDone != crashAt+retryWait {
+		t.Errorf("call issued in the drain ended at %v, want its timeout at %v", retryDone, crashAt+retryWait)
+	}
+}
+
+// TestRPCLateReplyAfterRecordReuse: a call's record goes back to its
+// shard's free list when the call ends, and the next call on that shard
+// takes it. The reply for call k, landing after k timed out and its record
+// was reused by k′, is dropped, and k′ completes exactly once with its own
+// reply. k′ is answered later still, so k's reply lands while k′ is
+// outstanding. Every message is duplicated, so each reply arrives twice.
+func TestRPCLateReplyAfterRecordReuse(t *testing.T) {
+	nw := New(16)
+	nw.SetLinkFault(LinkFault{Duplicate: 1})
+	caller, server := nw.AddNode(), nw.AddNode()
+	delay := map[any]time.Duration{"late": 200 * time.Millisecond, "fresh": 400 * time.Millisecond}
+	NewRPCNode(server).ServeDeferred("echo", func(_ NodeID, req any, tok ReplyToken) {
+		server.After(delay[req], func() { tok.Reply(req, 16) })
+	})
+	rpc := NewRPCNode(caller)
+
+	k, k2 := &leg{}, &leg{}
+	var k2Resp any
+	var refK, refK2 CallRef
+	k.then = func() {
+		refK2 = rpc.CallTo(server.ID(), "echo", "fresh", 16, time.Second, CallFunc(func(resp any, err error) {
+			k2Resp = resp
+			k2.CallDone(resp, 0, err)
+		}))
+	}
+	refK = rpc.CallTo(server.ID(), "echo", "late", 16, 50*time.Millisecond, k)
+	nw.RunAll()
+
+	if refK2.pc != refK.pc || refK2.id == refK.id {
+		t.Fatalf("k′ did not reuse k's record under a new id: k %p/%d, k′ %p/%d", refK.pc, refK.id, refK2.pc, refK2.id)
+	}
+	if k.fired != 1 || !errors.Is(k.err, ErrRPCTimeout) {
+		t.Fatalf("k fired %d times with %v, want once with ErrRPCTimeout", k.fired, k.err)
+	}
+	if k2.fired != 1 || k2.err != nil || k2Resp != "fresh" {
+		t.Fatalf("k′ fired %d times with %v (%v), want once with its own reply", k2.fired, k2Resp, k2.err)
+	}
+}
+
+// TestRPCShardedRecordReuse is the sharded counterpart: on 4 shards and 2
+// workers every caller alternates calls that are answered in time and
+// calls that time out, each issued from the previous call's completion, so
+// late replies keep landing on reused records. Under the race detector it
+// also checks that a record is only written by its own shard's worker.
+func TestRPCShardedRecordReuse(t *testing.T) {
+	nw := NewWithConfig(NetworkConfig{Seed: 17, Shards: 4, Workers: 2})
+	nw.SetDefaultProfile(LinkProfile{Latency: 2 * time.Millisecond})
+	nw.SetLinkFault(LinkFault{Duplicate: 1})
+	const nodes, calls = 8, 20
+	rpcs := make([]*RPCNode, nodes)
+	for i := range rpcs {
+		n := nw.AddNode()
+		rpcs[i] = NewRPCNode(n)
+		rpcs[i].ServeDeferred("echo", func(_ NodeID, req any, tok ReplyToken) {
+			d := time.Duration(0)
+			if req.(int)%2 == 1 {
+				d = 150 * time.Millisecond
+			}
+			n.After(d, func() { tok.Reply(req, 16) })
+		})
+	}
+	type result struct {
+		fired int
+		resp  any
+		err   error
+	}
+	results := make([][calls]result, nodes)
+	records := make([]map[*pendingCall]bool, nodes)
+	for i, rpc := range rpcs {
+		records[i] = map[*pendingCall]bool{}
+		to := rpcs[(i+1)%nodes].Node().ID()
+		var issue func(c int)
+		issue = func(c int) {
+			ref := rpc.CallTo(to, "echo", c, 16, 50*time.Millisecond, CallFunc(func(resp any, err error) {
+				r := &results[i][c]
+				r.fired++
+				r.resp, r.err = resp, err
+				if c+1 < calls {
+					issue(c + 1)
+				}
+			}))
+			records[i][ref.pc] = true
+		}
+		issue(0)
+	}
+	nw.RunAll()
+
+	for i := range rpcs {
+		if len(records[i]) >= calls {
+			t.Errorf("node %d: %d records for %d calls, want reuse", i, len(records[i]), calls)
+		}
+		for c, r := range results[i] {
+			if r.fired != 1 {
+				t.Errorf("node %d call %d fired %d times, want once", i, c, r.fired)
+				continue
+			}
+			if c%2 == 1 {
+				if !errors.Is(r.err, ErrRPCTimeout) {
+					t.Errorf("node %d call %d: err %v, want ErrRPCTimeout", i, c, r.err)
+				}
+			} else if r.err != nil || r.resp != c {
+				t.Errorf("node %d call %d: %v (err %v), want its own reply", i, c, r.resp, r.err)
+			}
+		}
+	}
+}

@@ -100,6 +100,9 @@ type shard struct {
 	// between the two phases, and drainInboxes empties it.
 	dirty []*shard
 	inbox []*shard
+	// calls numbers the RPC calls this shard's nodes issue and recycles
+	// their records (rpc.go). Only this shard's worker touches it.
+	calls callPool
 }
 
 // stage holds a cross-shard event built inside a parallel window until the

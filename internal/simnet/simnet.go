@@ -449,12 +449,11 @@ func (nw *Network) AddNode() *Node {
 func (nw *Network) AddNodeWithProfile(p LinkProfile) *Node {
 	id := NodeID(len(nw.nodes))
 	n := &Node{
-		id:       id,
-		nw:       nw,
-		profile:  p,
-		rng:      nodeRand(nw.seed, id),
-		up:       true,
-		handlers: map[string]Handler{},
+		id:      id,
+		nw:      nw,
+		profile: p,
+		rng:     nodeRand(nw.seed, id),
+		up:      true,
 	}
 	nw.noteLatency(p.Latency)
 	n.sh = nw.shards[int(id)%len(nw.shards)]
@@ -649,8 +648,8 @@ func deliverEvent(arg any) {
 	dst.trace.Delivered++
 	dst.trace.BytesDelivered += int64(msg.Size)
 	sh.observeLatency(msg.Kind, sh.now-sentAt)
-	if h, ok := dst.handlers[msg.Kind]; ok {
-		h(msg)
+	if e := dst.lookup(msg.Kind); e != nil {
+		e.h(msg)
 	} else if dst.defaultHandler != nil {
 		dst.defaultHandler(msg)
 	} else {

@@ -479,7 +479,7 @@ func TestRPCLastRegistrationWins(t *testing.T) {
 		}
 	}
 	for _, m := range []string{"lane,sync", "sync,lane", "lane"} {
-		if got := server.methods[m].lane; got != LaneCtrl {
+		if got := server.lookup(m).lane; got != LaneCtrl {
 			t.Errorf("%s: lane %d after registration, want LaneCtrl", m, got)
 		}
 	}
