@@ -25,7 +25,8 @@ vet:
 # lint rejects wall-clock reads and global math/rand use outside
 # internal/simnet — the two easiest ways to silently break seed
 # determinism (and with it the bench gate's exact-match comparison) — and
-# unmarked map ranges in internal/simnet, webapp, storage, dht and chain.
+# unmarked map ranges in internal/simnet, webapp, storage, dht, chain,
+# replic, resil and overload.
 lint:
 	./scripts/determinism_lint.sh
 
@@ -95,17 +96,19 @@ bench:
 
 # allocs enforces the allocation budgets on the hot paths the X15 scale
 # sweep depends on. At 0 allocs/op: substrate Send (TestAllocSendZero), an
-# RPC round trip (TestAllocRPCCall), a DHT peer serving a find_value miss
+# RPC round trip (TestAllocRPCCall), a resilient call with a hedge armed
+# (TestAllocResilCall), a DHT peer serving a find_value miss
 # (TestAllocDHTServeMiss) and a ping-before-evict round trip into a full
 # bucket (TestAllocDHTPingEvict), and the ledger's hashing paths
 # (TestAllocChainHotPaths: a transaction's ID, CheckSig on a payment Sign
-# memoised, a Merkle root over 200 hashes). At 1, the op: a resilient call
-# with a hedge armed (TestAllocResilCall), and a whole proof-of-work grind,
-# its saved midstate (TestAllocChainHotPaths). Inside pinned budgets: DHT
-# lookups (TestAllocDHTLookup) and gossip rounds. The gates that lean on
-# sync.Pool build only without -race.
+# memoised, a Merkle root over 200 hashes). At 1: a replicated Get with
+# resil, overload and replic enabled, its boxed object key
+# (TestAllocReplicGet), and a whole proof-of-work grind, its saved midstate
+# (TestAllocChainHotPaths). Inside pinned budgets: DHT lookups
+# (TestAllocDHTLookup) and gossip rounds. The gates that lean on sync.Pool
+# build only without -race.
 allocs:
-	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht ./internal/resil
+	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht ./internal/resil ./internal/replic
 
 # scale is the nightly-style 10k-node tier: the big scale matrix at full
 # population, plus the race detector over the small tier. scripts/ci.sh

@@ -151,6 +151,31 @@ func TestDHSharedSecretAgreement(t *testing.T) {
 	}
 }
 
+// TestGenerateDHKeyPairSeeded: equal seeds give equal pairs and leave the
+// reader at equal offsets, pair after pair.
+func TestGenerateDHKeyPairSeeded(t *testing.T) {
+	a, b := mrand.New(mrand.NewSource(5)), mrand.New(mrand.NewSource(5))
+	for i := 0; i < 16; i++ {
+		ka, err := GenerateDHKeyPair(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb, err := GenerateDHKeyPair(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ka.Private.Bytes(), kb.Private.Bytes()) || !ka.Public.Equal(kb.Public) {
+			t.Fatalf("pair %d differs between equal seeds", i)
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("after pair %d the readers are at different offsets", i)
+		}
+	}
+	if _, err := GenerateDHKeyPair(bytes.NewReader(make([]byte, 31))); err == nil {
+		t.Error("want error from a reader with fewer than 32 bytes")
+	}
+}
+
 func TestParseDHPublicError(t *testing.T) {
 	if _, err := ParseDHPublic([]byte{1, 2, 3}); err == nil {
 		t.Error("want error for malformed X25519 public key")

@@ -121,9 +121,15 @@ type DHKeyPair struct {
 	Private *ecdh.PrivateKey
 }
 
-// GenerateDHKeyPair creates a new X25519 pair from rand.
+// GenerateDHKeyPair creates a new X25519 pair from exactly 32 bytes of
+// rand, so a seeded reader gives the same pair on every run and is left at
+// the same offset. (ecdh's GenerateKey may read one extra byte at random.)
 func GenerateDHKeyPair(rand io.Reader) (*DHKeyPair, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand)
+	var seed [32]byte
+	if _, err := io.ReadFull(rand, seed[:]); err != nil {
+		return nil, fmt.Errorf("cryptoutil: generate dh key: %w", err)
+	}
+	priv, err := ecdh.X25519().NewPrivateKey(seed[:])
 	if err != nil {
 		return nil, fmt.Errorf("cryptoutil: generate dh key: %w", err)
 	}

@@ -50,6 +50,7 @@ package overload
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -156,12 +157,23 @@ func (e *ErrOverloaded) RetryAfterHint() time.Duration { return e.RetryAfter }
 
 // Classify is a ready-made resil.Config.Classify hook: it maps a Shed
 // response to *ErrOverloaded and leaves every other payload untouched.
+// The error is shared by every shed with the same hint (servers shed from
+// a six-step ladder), so it must not be modified.
 func Classify(resp any) error {
-	if s, ok := resp.(Shed); ok {
-		return &ErrOverloaded{RetryAfter: s.RetryAfter}
+	s, ok := resp.(Shed)
+	if !ok {
+		return nil
 	}
-	return nil
+	if e, ok := overloaded.Load(s.RetryAfter); ok {
+		return e.(*ErrOverloaded)
+	}
+	e, _ := overloaded.LoadOrStore(s.RetryAfter, &ErrOverloaded{RetryAfter: s.RetryAfter})
+	return e.(*ErrOverloaded)
 }
+
+// overloaded maps a shed hint to the one *ErrOverloaded Classify returns
+// for it.
+var overloaded sync.Map
 
 // IsShed reports whether an RPC response payload is a shed marker.
 func IsShed(resp any) bool {

@@ -96,6 +96,12 @@ func TestClassifyAndHint(t *testing.T) {
 	if oerr.Error() == "" {
 		t.Fatal("empty error string")
 	}
+	if again := Classify(Shed{RetryAfter: 2 * time.Second}); again != err {
+		t.Fatal("a second shed with the same hint built a new error")
+	}
+	if other := Classify(Shed{RetryAfter: time.Second}); other.(*ErrOverloaded).RetryAfter != time.Second {
+		t.Fatalf("hint 1s classified as %v", other)
+	}
 	if !IsShed(Shed{}) || IsShed(42) {
 		t.Fatal("IsShed misclassifies")
 	}

@@ -2,6 +2,7 @@ package replic
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -58,7 +59,11 @@ func (c *Client) Router() *Router { return c.router }
 // the whole budget per attempt, not for the operation — failover makes
 // more attempts). done receives the payload or a terminal error.
 func (c *Client) Get(obj cryptoutil.Hash, timeout time.Duration, done func(data []byte, err error)) {
-	f := &fetch{c: c, req: obj, timeout: timeout, done: done}
+	f := fetchPool.Get().(*fetch)
+	if poolHook != nil {
+		poolHook(f, true)
+	}
+	*f = fetch{c: c, req: obj, timeout: timeout, done: done, inflight: 1} // in flight: the directory call
 	c.rpc.CallTo(c.dir, methodHolders, f.req, 40, timeout, f)
 }
 
@@ -67,10 +72,15 @@ func (c *Client) Get(obj cryptoutil.Hash, timeout time.Duration, done func(data 
 // holder if the nearest has not answered within HedgeAfter. First
 // successful response wins; late losers are ignored. The fetch is the
 // Completion of its directory call, and each holder attempt completes
-// through one of its two legs.
+// through one of its two legs. Fetches come from fetchPool.
 type fetch struct {
-	c       *Client
-	req     any // the object's hash, boxed once for every call
+	c *Client
+	// req is the object's hash, boxed once for every call. It is a request,
+	// so it is never pooled: an attempt that timed out may still reach its
+	// holder after the fetch has been recycled.
+	req any
+	// hr is the directory's answer; holders is its list, ranked in place.
+	hr      *holdersResp
 	holders []simnet.NodeID
 	timeout time.Duration
 	done    func([]byte, error)
@@ -81,11 +91,29 @@ type fetch struct {
 	legs [2]fetchLeg
 
 	next       int // index of the next holder to try
-	inflight   int
+	inflight   int // the directory call and holder attempts yet to return
 	finished   bool
 	hedged     bool
 	hedgeTimer simnet.Timer
 	lastErr    error
+}
+
+// fetchPool recycles fetches. A fetch goes back once it is finished and
+// its directory call and every leg have returned (inflight == 0): a leg
+// that loses to the winner still lands on the fetch when it answers.
+var fetchPool = sync.Pool{New: func() any { return new(fetch) }}
+
+// release returns a spent fetch, and the directory's answer it holds, to
+// their pools.
+func (f *fetch) release() {
+	if poolHook != nil {
+		poolHook(f, false)
+	}
+	if f.hr != nil {
+		f.hr.release()
+	}
+	*f = fetch{}
+	fetchPool.Put(f)
 }
 
 // fetchLeg is the Completion of one holder attempt.
@@ -98,19 +126,24 @@ type fetchLeg struct {
 // CallDone completes the directory call: rank the holders and start
 // fetching.
 func (f *fetch) CallDone(resp any, _ time.Duration, err error) {
+	f.inflight--
 	if err != nil {
-		f.done(nil, err)
+		f.finish(0, nil, err)
 		return
 	}
-	hr, ok := resp.(holdersResp)
-	if !ok || len(hr.Holders) == 0 {
-		f.done(nil, ErrNoReplica)
+	hr, _ := resp.(*holdersResp)
+	if hr == nil {
+		f.finish(0, nil, ErrNoReplica)
 		return
 	}
-	// The directory builds a fresh holder slice per request, so ranking
-	// can permute it in place without copying.
+	// The directory's answer is this fetch's until it is recycled, so
+	// ranking permutes the list in place.
 	c := f.c
-	f.holders = hr.Holders
+	f.hr, f.holders = hr, hr.Holders
+	if len(f.holders) == 0 {
+		f.finish(0, nil, ErrNoReplica)
+		return
+	}
 	if c.cfg.Enabled {
 		f.holders = c.router.Rank(f.holders)
 	}
@@ -158,10 +191,14 @@ func (f *fetch) fireHedge() {
 func (f *fetch) complete(i int, resp any, err error) {
 	f.inflight--
 	if f.finished {
+		// A losing leg; the last to return frees the fetch.
+		if f.inflight == 0 {
+			f.release()
+		}
 		return
 	}
 	if err == nil {
-		if r, ok := resp.(getResp); ok && r.OK {
+		if r, ok := resp.(*getResp); ok && r.OK {
 			f.finish(i, r.Data, nil)
 			return
 		}
@@ -179,12 +216,17 @@ func (f *fetch) complete(i int, resp any, err error) {
 
 // finish completes exactly once. A win by the top-ranked holder counts as
 // a nearest-routing hit (only meaningful — and only counted — when the
-// layer is enabled and did the ranking).
+// layer is enabled and did the ranking). With nothing left in flight the
+// fetch is back in the pool before done runs.
 func (f *fetch) finish(winner int, data []byte, err error) {
 	f.finished = true
 	f.hedgeTimer.Cancel()
 	if err == nil && f.c.cfg.Enabled && winner == 0 {
 		f.c.m.nearestHit.Inc()
 	}
-	f.done(data, err)
+	done := f.done
+	if f.inflight == 0 {
+		f.release()
+	}
+	done(data, err)
 }

@@ -1,6 +1,8 @@
 package replic
 
 import (
+	"sync"
+
 	"repro/internal/cryptoutil"
 	"repro/internal/overload"
 	"repro/internal/simnet"
@@ -38,8 +40,24 @@ type releaseReq struct {
 	Seq    uint64
 }
 
+// holdersResp is the directory's answer to a holders query. Answers are
+// pooled: the receiver owns one until it releases it — a fetch when it is
+// recycled, a provider's holders lookup once it has acted on the list. An
+// answer that arrives after its call ended is dropped unread and left to
+// the GC.
 type holdersResp struct {
 	Holders []simnet.NodeID
+}
+
+var holdersPool = sync.Pool{New: func() any { return new(holdersResp) }}
+
+// release returns a holders answer to its pool.
+func (r *holdersResp) release() {
+	if poolHook != nil {
+		poolHook(r, false)
+	}
+	r.Holders = r.Holders[:0]
+	holdersPool.Put(r)
 }
 
 type advertReq struct {
@@ -53,10 +71,22 @@ type pushReq struct {
 	Data   []byte
 }
 
+// getResp is a provider's answer to a get. It is never pooled: a provider
+// builds one per stored object when it installs the object and serves that
+// same immutable box to every requester, and every miss is answered with
+// notFound.
 type getResp struct {
 	Data []byte
 	OK   bool
 }
+
+var notFound = &getResp{}
+
+// poolHook, when non-nil, observes every pooled record (a *fetch, a
+// *holdersResp or a *ctrlCall) as it is taken from its pool (taken) and as
+// it is returned (before the zeroing). Tests use it to pin that each record
+// returns exactly once; it is nil in production.
+var poolHook func(rec any, taken bool)
 
 // holderEntry is one replica registration. seq is the holder's own
 // announce stamp — the fence against stale control messages.
@@ -192,16 +222,18 @@ func (d *Directory) tombstone(obj cryptoutil.Hash, holder simnet.NodeID, seq uin
 }
 
 func (d *Directory) onHolders(from simnet.NodeID, req any) (any, int) {
+	hr := holdersPool.Get().(*holdersResp)
+	if poolHook != nil {
+		poolHook(hr, true)
+	}
 	obj, ok := req.(cryptoutil.Hash)
 	if !ok {
-		return holdersResp{}, 8
+		return hr, 8
 	}
-	hs := d.holders[obj]
-	out := make([]simnet.NodeID, len(hs))
-	for i := range hs {
-		out[i] = hs[i].id
+	for _, h := range d.holders[obj] {
+		hr.Holders = append(hr.Holders, h.id)
 	}
-	return holdersResp{Holders: out}, 16 + 8*len(out)
+	return hr, 16 + 8*len(hr.Holders)
 }
 
 // NumHolders returns the registered holder count for an object

@@ -2,6 +2,7 @@ package replic
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -35,7 +36,8 @@ type Provider struct {
 	dir simnet.NodeID
 
 	demand *Demand
-	store  map[cryptoutil.Hash][]byte
+	// store holds each object's get answer, built once at install.
+	store  map[cryptoutil.Hash]*getResp
 	pinned map[cryptoutil.Hash]bool
 	held   []cryptoutil.Hash // sorted; the deterministic iteration order
 
@@ -87,7 +89,7 @@ func NewProvider(node *simnet.Node, cfg Config, dir simnet.NodeID, regions int, 
 		rpc:       rpc,
 		dir:       dir,
 		demand:    NewDemand(cfg.HalfLife, regions),
-		store:     map[cryptoutil.Hash][]byte{},
+		store:     map[cryptoutil.Hash]*getResp{},
 		pinned:    map[cryptoutil.Hash]bool{},
 		regionOf:  regionOf,
 		pushing:   map[cryptoutil.Hash]bool{},
@@ -156,7 +158,8 @@ func (p *Provider) Put(obj cryptoutil.Hash, data []byte, pinned bool) {
 	p.announce(obj)
 }
 
-// install stores the bytes and keeps held sorted.
+// install stores the bytes, boxed once as the object's get answer, and
+// keeps held sorted.
 func (p *Provider) install(obj cryptoutil.Hash, data []byte) {
 	if _, ok := p.store[obj]; !ok {
 		i := sort.Search(len(p.held), func(i int) bool { return !hashLess(p.held[i], obj) })
@@ -164,7 +167,7 @@ func (p *Provider) install(obj cryptoutil.Hash, data []byte) {
 		copy(p.held[i+1:], p.held[i:])
 		p.held[i] = obj
 	}
-	p.store[obj] = data
+	p.store[obj] = &getResp{Data: data, OK: true}
 }
 
 // drop removes a released replica.
@@ -216,15 +219,19 @@ func (p *Provider) Start() {
 		return
 	}
 	stagger := time.Duration(int64(p.Node().ID())%16) * p.cfg.TickEvery / 16
-	p.Node().After(p.cfg.TickEvery+stagger, p.tick)
+	p.Node().AfterCall(p.cfg.TickEvery+stagger, tickEvent, p)
 }
+
+// tickEvent is the maintenance timer's callback; arg is the *Provider, so
+// arming the next round allocates nothing.
+func tickEvent(arg any) { arg.(*Provider).tick() }
 
 // tick is one maintenance round. While the node is down the round is a
 // pure reschedule: timers keep firing across outages, but a crashed node
 // must neither send nor mutate protocol state.
 func (p *Provider) tick() {
 	node := p.Node()
-	node.After(p.cfg.TickEvery, p.tick)
+	node.AfterCall(p.cfg.TickEvery, tickEvent, p)
 	if !node.Up() {
 		return
 	}
@@ -244,34 +251,81 @@ func (p *Provider) tickObject(obj cryptoutil.Hash, now time.Duration) {
 	case local >= p.cfg.HotRate:
 		// Hot here: share the view with co-holders, and (origin only)
 		// consider growing the replica set.
-		p.withHolders(obj, func(holders []simnet.NodeID) {
-			p.advertise(obj, holders)
-			if p.pinned[obj] {
-				p.maybePush(obj, holders)
-			}
-		})
+		p.ctrl(methodHolders, obj, obj, 40, ctrlAdvert)
 	case p.pinned[obj] && swarm >= p.cfg.HotRate:
 		// Origin of a swarm hot elsewhere: demand may be landing on the
 		// replicas, but sizing the set is still the origin's job.
-		p.withHolders(obj, func(holders []simnet.NodeID) { p.maybePush(obj, holders) })
+		p.ctrl(methodHolders, obj, obj, 40, ctrlPush)
 	case !p.pinned[obj] && swarm < p.cfg.ColdRate:
 		p.maybeRelease(obj)
 	}
 }
 
-// withHolders fetches the directory's current holder list for obj and
-// runs fn with it (minus nothing — self is included where registered).
-func (p *Provider) withHolders(obj cryptoutil.Hash, fn func([]simnet.NodeID)) {
-	p.rpc.Call(p.dir, methodHolders, obj, 40, ctrlTimeout, func(resp any, err error) {
-		if err != nil || !p.Node().Up() {
+// ctrlStep is what a provider does when one of its control calls returns.
+type ctrlStep uint8
+
+const (
+	// ctrlAdvert: with obj's holder list, advertise to the co-holders and,
+	// on the origin, consider a push.
+	ctrlAdvert ctrlStep = iota
+	// ctrlPush: with obj's holder list, consider a push.
+	ctrlPush
+	// ctrlRelease: the directory's verdict on a release offer.
+	ctrlRelease
+)
+
+// ctrlCall is the Completion of one provider control call: a holders
+// lookup (self is included where registered) or a release offer. A call
+// completes exactly once, so the record goes back to ctrlPool as soon as
+// its fields are read.
+type ctrlCall struct {
+	p    *Provider
+	obj  cryptoutil.Hash
+	step ctrlStep
+}
+
+var ctrlPool = sync.Pool{New: func() any { return new(ctrlCall) }}
+
+// ctrl issues one control call to the directory, completing with step.
+func (p *Provider) ctrl(method string, obj cryptoutil.Hash, req any, reqSize int, step ctrlStep) {
+	c := ctrlPool.Get().(*ctrlCall)
+	if poolHook != nil {
+		poolHook(c, true)
+	}
+	c.p, c.obj, c.step = p, obj, step
+	p.rpc.CallTo(p.dir, method, req, reqSize, ctrlTimeout, c)
+}
+
+// CallDone acts on the call's answer.
+func (c *ctrlCall) CallDone(resp any, _ time.Duration, err error) {
+	p, obj, step := c.p, c.obj, c.step
+	if poolHook != nil {
+		poolHook(c, false)
+	}
+	*c = ctrlCall{}
+	ctrlPool.Put(c)
+	if step == ctrlRelease {
+		delete(p.releasing, obj)
+		if err != nil || resp != true || !p.Node().Up() {
 			return
 		}
-		hr, ok := resp.(holdersResp)
-		if !ok {
-			return
+		p.drop(obj)
+		p.m.decayed.Inc()
+		return
+	}
+	hr, _ := resp.(*holdersResp) // nil when the call failed
+	if hr == nil {
+		return
+	}
+	if p.Node().Up() {
+		if step == ctrlAdvert {
+			p.advertise(obj, hr.Holders)
 		}
-		fn(hr.Holders)
-	})
+		if step == ctrlPush || p.pinned[obj] {
+			p.maybePush(obj, hr.Holders)
+		}
+	}
+	hr.release()
 }
 
 // advertise sends this provider's local demand snapshot for obj to every
@@ -281,16 +335,22 @@ func (p *Provider) advertise(obj cryptoutil.Hash, holders []simnet.NodeID) {
 	now := p.Node().Now()
 	p.demand.LocalRegionRates(obj, now, p.advBuf)
 	self := p.Node().ID()
+	// One immutable advert, boxed on first use, goes to every co-holder:
+	// the receiver copies what it keeps (Demand.Advert).
+	var req any
+	size := 48 + 8*len(p.advBuf)
 	for _, h := range holders {
 		if h == self {
 			continue
 		}
-		req := advertReq{
-			Object: obj,
-			Rate:   p.demand.LocalRate(obj, now),
-			Region: append([]float64(nil), p.advBuf...),
+		if req == nil {
+			req = advertReq{
+				Object: obj,
+				Rate:   p.demand.LocalRate(obj, now),
+				Region: append([]float64(nil), p.advBuf...),
+			}
 		}
-		p.rpc.Call(h, methodAdvert, req, 48+8*len(req.Region), ctrlTimeout, func(any, error) {})
+		p.rpc.Call(h, methodAdvert, req, size, ctrlTimeout, func(any, error) {})
 		p.m.advertSent.Inc()
 	}
 }
@@ -314,7 +374,7 @@ func (p *Provider) maybePush(obj cryptoutil.Hash, holders []simnet.NodeID) {
 	if !ok {
 		return
 	}
-	data := p.store[obj]
+	data := p.store[obj].Data // only an origin pushes, and it never drops its object
 	p.pushing[obj] = true
 	p.rpc.Call(to, methodPush, pushReq{Object: obj, Data: data}, len(data)+40, ctrlTimeout, func(resp any, err error) {
 		delete(p.pushing, obj)
@@ -384,15 +444,9 @@ func (p *Provider) maybeRelease(obj cryptoutil.Hash) {
 	}
 	p.releasing[obj] = true
 	p.ctrlSeq++
-	req := releaseReq{Object: obj, Holder: p.Node().ID(), Seq: p.ctrlSeq}
-	p.rpc.Call(p.dir, methodRelease, req, 72, ctrlTimeout, func(resp any, err error) {
-		delete(p.releasing, obj)
-		if err != nil || resp != true || !p.Node().Up() {
-			return
-		}
-		p.drop(obj)
-		p.m.decayed.Inc()
-	})
+	// The offer stays boxed per call: it is a request, and a retried
+	// attempt's copy may reach the directory long after this call ended.
+	p.ctrl(methodRelease, obj, releaseReq{Object: obj, Holder: p.Node().ID(), Seq: p.ctrlSeq}, 72, ctrlRelease)
 }
 
 // onGet serves a replica fetch and feeds the demand tracker with the
@@ -400,21 +454,22 @@ func (p *Provider) maybeRelease(obj cryptoutil.Hash) {
 func (p *Provider) onGet(from simnet.NodeID, req any) (any, int) {
 	obj, ok := req.(cryptoutil.Hash)
 	if !ok {
-		return getResp{}, 16
+		return notFound, 16
 	}
-	data, ok := p.store[obj]
+	r, ok := p.store[obj]
 	if !ok {
-		return getResp{}, 16
+		return notFound, 16
 	}
 	if p.cfg.Enabled {
 		p.demand.Observe(obj, p.regionOf[from], p.Node().Now())
 	}
-	p.BytesServed += int64(len(data))
+	n := len(r.Data)
+	p.BytesServed += int64(n)
 	if p.pinned[obj] {
-		p.OriginBytes += int64(len(data))
+		p.OriginBytes += int64(n)
 	}
 	p.ServedOK++
-	return getResp{Data: data, OK: true}, len(data) + 16
+	return r, n + 16
 }
 
 // onAdvert folds a co-holder's demand snapshot into the local swarm view.

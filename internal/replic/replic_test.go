@@ -122,7 +122,7 @@ func TestDirectoryFloorAndOrigin(t *testing.T) {
 	if ok, _ := d.onRelease(0, 42); ok != false {
 		t.Fatal("bad release accepted")
 	}
-	if resp, _ := d.onHolders(0, "junk"); len(resp.(holdersResp).Holders) != 0 {
+	if resp, _ := d.onHolders(0, "junk"); len(resp.(*holdersResp).Holders) != 0 {
 		t.Fatal("bad holders query returned holders")
 	}
 	if d.TotalReplicas() != 3 {
@@ -508,7 +508,7 @@ func TestReplicHedgeFailsBeforePrimary(t *testing.T) {
 		for i, n := range holders {
 			ids[i] = n.ID()
 		}
-		return holdersResp{Holders: ids}, 40
+		return &holdersResp{Holders: ids}, 40
 	})
 	// Rank 0 answers after the hedge point, rank 1 (the hedge) misses at
 	// once, and rank 2 (the hedge's failover) answers long after rank 0.
@@ -516,7 +516,7 @@ func TestReplicHedgeFailsBeforePrimary(t *testing.T) {
 	for i, n := range holders {
 		n, d, data := n, delays[i], []byte{byte('a' + i)}
 		simnet.NewRPCNode(n).ServeDeferred(methodGet, func(_ simnet.NodeID, _ any, tok simnet.ReplyToken) {
-			n.After(d, func() { tok.Reply(getResp{Data: data, OK: d != 0}, 8) })
+			n.After(d, func() { tok.Reply(&getResp{Data: data, OK: d != 0}, 8) })
 		})
 	}
 

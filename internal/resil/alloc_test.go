@@ -13,11 +13,11 @@ import (
 
 // TestAllocResilCall pins one resilient call with the layer enabled and a
 // hedge armed (the peer has enough samples; the reply beats the hedge
-// point) at one allocation: the op. Its attempts complete through the op
-// itself and its timers carry the op as their argument, so nothing else
-// is allocated per call.
+// point) at zero allocations: the op comes from its pool, its attempts
+// complete through the op itself and its timers carry the op as their
+// argument.
 func TestAllocResilCall(t *testing.T) {
-	const budget = 1.0
+	const budget = 0.0
 	w := newClientWorld(t, Defaults())
 	done := func(any, error) {}
 	call := func() {

@@ -3,6 +3,7 @@ package resil
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -153,15 +154,42 @@ func (c *Client) CallTo(to simnet.NodeID, method string, req any, reqSize int, f
 		return simnet.CallRef{}
 	}
 	c.seq++
-	o := &op{c: c, ps: ps, to: to, method: method, req: req, reqSize: reqSize, done: done, id: c.seq}
+	o := opPool.Get().(*op)
+	if opHook != nil {
+		opHook(o, true)
+	}
+	*o = op{c: c, ps: ps, to: to, method: method, req: req, reqSize: reqSize, done: done, id: c.seq}
 	o.launch(false)
 	return simnet.CallRef{}
+}
+
+// opPool recycles ops. An op goes back only once it is finished and no
+// attempt can still complete through it: inflight counts the attempts whose
+// Completion has yet to fire, and a successful CallRef.Cancel in finish
+// takes an attempt out of flight. An attempt finish cannot cancel — an old
+// primary whose CallRef a retry overwrote — keeps the op out of the pool
+// until it completes.
+var opPool = sync.Pool{New: func() any { return new(op) }}
+
+// opHook, when non-nil, observes every op taken from the pool (taken) and
+// every op returned to it (before the zeroing). Tests use it to pin that an
+// op returns exactly once, after its last attempt; it is nil in production.
+var opHook func(o *op, taken bool)
+
+// release returns a finished op with no attempt in flight to the pool.
+func (o *op) release() {
+	if opHook != nil {
+		opHook(o, false)
+	}
+	*o = op{}
+	opPool.Put(o)
 }
 
 // op is one resilient operation: up to MaxAttempts timeout-driven
 // attempts plus at most one hedge, sharing a single Completion. The op is
 // itself the Completion of its timeout-driven attempts, and
-// (*hedgeLeg)(op) that of its hedge, so no attempt allocates a callback.
+// (*hedgeLeg)(op) that of its hedge, so no attempt allocates a callback;
+// ops themselves come from opPool.
 type op struct {
 	c       *Client
 	ps      *peerState
@@ -177,7 +205,7 @@ type op struct {
 	retrans      bool // Karn: some attempt was retransmitted
 	retryPending bool // a backoff timer is armed
 	finished     bool
-	inflight     int
+	inflight     int            // attempts whose Completion has yet to fire
 	primary      simnet.CallRef // newest timeout-driven attempt
 	hedge        simnet.CallRef
 	hedgeTimer   simnet.Timer
@@ -245,6 +273,10 @@ func (o *op) fireRetry() {
 func (o *op) complete(isHedge bool, resp any, rtt time.Duration, err error) {
 	o.inflight--
 	if o.finished {
+		// A straggler the finish could not cancel; the last one frees the op.
+		if o.inflight == 0 {
+			o.release()
+		}
 		return
 	}
 	c := o.c
@@ -346,12 +378,22 @@ func (o *op) completeShed(cerr error) {
 // finish completes the operation exactly once: pending timers are
 // cancelled, the losing attempt (if any) is cancelled through its CallRef
 // so its Completion never fires, and only then does the caller's done run —
-// it may re-enter the Client immediately.
+// it may re-enter the Client immediately. With no attempt left in flight
+// the op is back in the pool before done runs, so a re-entrant call can
+// reuse it.
 func (o *op) finish(resp any, rtt time.Duration, err error) {
 	o.finished = true
 	o.hedgeTimer.Cancel()
 	o.retryTimer.Cancel()
-	o.primary.Cancel()
-	o.hedge.Cancel()
-	o.done.CallDone(resp, rtt, err)
+	if o.primary.Cancel() {
+		o.inflight--
+	}
+	if o.hedge.Cancel() {
+		o.inflight--
+	}
+	done := o.done
+	if o.inflight == 0 {
+		o.release()
+	}
+	done.CallDone(resp, rtt, err)
 }

@@ -55,7 +55,8 @@ done
 #    that element, not the map, and is flagged only where some linted file
 #    declares a map of that name whose values are maps.
 simnet_files=$(find internal/simnet -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
-mapranged_files=$(find internal/simnet internal/webapp internal/storage internal/dht internal/chain -maxdepth 1 \
+mapranged_files=$(find internal/simnet internal/webapp internal/storage internal/dht internal/chain \
+    internal/replic internal/resil internal/overload -maxdepth 1 \
     -name '*.go' ! -name '*_test.go' | sort)
 # extract_mapnames FILES... names the maps declared file-wide: fields,
 # parameters, vars and plain assignments (:= locals are scoped per function
@@ -132,7 +133,11 @@ done
 # draws to a different entry on every run. internal/chain keeps its block
 # tree, its light client's headers and its orphans in maps keyed by block
 # hash; a walk over one that fed a send, a pool or a state would replay in
-# a different order on every run. Names are scoped per file.
+# a different order on every run. internal/replic, internal/resil and
+# internal/overload are what X16, X19 and X20 replay from: a provider's
+# adverts, pushes and releases, a client's retries and hedges, a server's
+# admissions and sheds each send a message, so a walk over a map that fed
+# one would reorder sends. Names are scoped per file.
 for f in $mapranged_files; do
     case "$f" in internal/simnet/*) continue ;; esac
     check_map_ranges "$f" $(extract_mapnames "$f")
