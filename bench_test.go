@@ -1,8 +1,10 @@
 // Root benchmark harness: one testing.B benchmark per paper table (E1–E3)
-// and per quantitative experiment (X1–X7), as indexed in DESIGN.md and
-// EXPERIMENTS.md. Each benchmark prints its regenerated table once (so
-// `go test -bench . -benchtime 1x` reproduces every artifact) and then
-// times repeated runs under fresh seeds.
+// and per experiment X1–X15 (X16–X20 have none), as indexed in DESIGN.md
+// and EXPERIMENTS.md. Each times a reduced run under its own seeds and
+// sizes — FiftyOnePercent(i*100+7, 8, 15) where the registry runs
+// (seed, 20, 18), for example — and logs that run's table once. The logged
+// tables are not the published artifacts: `feudalism experiment <id>` (or
+// `feudalism table1|2|3`) regenerates those.
 //
 // Run everything with:
 //

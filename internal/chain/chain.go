@@ -27,11 +27,14 @@ type Config struct {
 	// MaxTxsPerBlock caps non-coinbase transactions per block (the paper's
 	// "limits on data storage" weakness). Zero means 1000.
 	MaxTxsPerBlock int
-	// MaxPayloadBytes caps a single transaction payload. Zero means 4096.
-	MaxPayloadBytes int
 	// GenesisAlloc pre-funds accounts at genesis.
 	GenesisAlloc map[Address]uint64
 }
+
+// maxPayloadBytes caps a transaction payload (the paper's "limits on data
+// storage"): 4 KiB holds a naming operation, a storage contract or an
+// anchored hash, and keeps a full 1000-transaction block near 4 MB.
+const maxPayloadBytes = 4096
 
 func (c Config) withDefaults() Config {
 	if c.InitialDifficulty == 0 {
@@ -42,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTxsPerBlock == 0 {
 		c.MaxTxsPerBlock = 1000
-	}
-	if c.MaxPayloadBytes == 0 {
-		c.MaxPayloadBytes = 4096
 	}
 	if c.Subsidy == 0 {
 		c.Subsidy = 50
@@ -241,8 +241,8 @@ func (c *Chain) validate(b *Block, ids []cryptoutil.Hash) error {
 		if tx.IsCoinbase() {
 			return fmt.Errorf("chain: block %s: extra coinbase", b.Hash().Short())
 		}
-		if len(tx.Payload) > c.cfg.MaxPayloadBytes {
-			return fmt.Errorf("chain: block %s: tx payload %d exceeds cap %d", b.Hash().Short(), len(tx.Payload), c.cfg.MaxPayloadBytes)
+		if len(tx.Payload) > maxPayloadBytes {
+			return fmt.Errorf("chain: block %s: tx payload %d exceeds cap %d", b.Hash().Short(), len(tx.Payload), maxPayloadBytes)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -242,17 +243,25 @@ func TestPayloadCap(t *testing.T) {
 	kp := testKey(t, 1)
 	c := NewChain(Config{
 		InitialDifficulty: 4,
-		MaxPayloadBytes:   8,
 		GenesisAlloc:      map[Address]uint64{kp.Fingerprint(): 100},
 	})
-	tx := &Tx{Kind: KindAnchor, Payload: make([]byte, 100), Nonce: 0}
-	tx.Sign(kp)
-	if _, err := c.NewBlock(c.HeadHash(), []*Tx{tx}, time.Second, Address{1}); err != nil {
+	atCap := &Tx{Kind: KindAnchor, Payload: make([]byte, maxPayloadBytes), Nonce: 0}
+	atCap.Sign(kp)
+	b, err := c.NewBlock(c.HeadHash(), []*Tx{atCap}, time.Second, Address{1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := c.NewBlock(c.HeadHash(), []*Tx{tx}, time.Second, Address{1})
-	if err := c.AddBlock(b); err == nil {
-		t.Error("oversized payload accepted")
+	if err := c.AddBlock(b); err != nil {
+		t.Errorf("payload at the cap refused: %v", err)
+	}
+	over := &Tx{Kind: KindAnchor, Payload: make([]byte, maxPayloadBytes+1), Nonce: 1}
+	over.Sign(kp)
+	b, err = c.NewBlock(c.HeadHash(), []*Tx{over}, 2*time.Second, Address{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddBlock(b); err == nil || !strings.Contains(err.Error(), "exceeds cap") {
+		t.Errorf("oversized payload: err = %v, want the payload cap", err)
 	}
 }
 

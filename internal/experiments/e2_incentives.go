@@ -49,10 +49,9 @@ func runIncentive(seed int64, id core.IncentiveID) (honest, cheater string) {
 
 func bitswapDemo(seed int64) (string, string) {
 	nw := simnet.New(seed)
-	cfg := storage.BitswapConfig{DebtRatioLimit: 2, GraceBytes: 1024}
-	server := storage.NewBitswapNode(nw.AddNode(), cfg)
-	freerider := storage.NewBitswapNode(nw.AddNode(), cfg)
-	good := storage.NewBitswapNode(nw.AddNode(), cfg)
+	server := storage.NewBitswapNode(nw.AddNode())
+	freerider := storage.NewBitswapNode(nw.AddNode())
+	good := storage.NewBitswapNode(nw.AddNode())
 	var serverBlocks, goodBlocks []cryptoutil.Hash
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 16; i++ {

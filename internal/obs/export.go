@@ -30,9 +30,6 @@ type Snapshot struct {
 	Counters   map[string]int64    `json:"counters,omitempty"`
 	Gauges     map[string]float64  `json:"gauges,omitempty"`
 	Histograms map[string]HistStat `json:"histograms,omitempty"`
-	Events     []Event             `json:"events,omitempty"`
-	// EventsDropped counts spans lost to the tracing cap.
-	EventsDropped int64 `json:"events_dropped,omitempty"`
 }
 
 func histStat(h *Histogram) HistStat {
@@ -56,10 +53,9 @@ func histStat(h *Histogram) HistStat {
 func (r *Registry) Snapshot() *Snapshot {
 	r.runPublish()
 	s := &Snapshot{
-		Counters:      make(map[string]int64, len(r.counters)),
-		Gauges:        make(map[string]float64, len(r.gauges)),
-		Histograms:    make(map[string]HistStat, len(r.hists)),
-		EventsDropped: r.eventsDropped,
+		Counters:   make(map[string]int64, len(r.counters)),
+		Gauges:     make(map[string]float64, len(r.gauges)),
+		Histograms: make(map[string]HistStat, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -72,9 +68,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for name, h := range r.hists {
 		s.Histograms[name] = histStat(h)
 	}
-	if len(r.events) > 0 {
-		s.Events = append([]Event(nil), r.events...)
-	}
 	return s
 }
 
@@ -83,8 +76,7 @@ func (r *Registry) Snapshot() *Snapshot {
 //
 //   - counters sum;
 //   - histograms merge bucket by bucket (integer addition);
-//   - gauges average across the registries that set them;
-//   - span events are dropped (they only make sense within one timeline).
+//   - gauges average across the registries that set them.
 //
 // Registries are first stable-sorted by label, so the gauge averages'
 // float accumulation order — and therefore the exported bytes — do not

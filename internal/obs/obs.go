@@ -69,16 +69,9 @@ func (g *Gauge) Value() float64 { return g.v }
 // IsSet reports whether the gauge was ever set.
 func (g *Gauge) IsSet() bool { return g.set }
 
-// Event is one completed span on the virtual-time axis.
-type Event struct {
-	Name  string        `json:"name"`
-	Start time.Duration `json:"start"`
-	End   time.Duration `json:"end"`
-}
-
 // Span is an in-progress timed operation. End records the duration (in
-// seconds of virtual time) into the histogram named at StartSpan and, when
-// tracing is enabled, appends an Event. The zero Span is inert.
+// seconds of virtual time) into the histogram named at StartSpan. The zero
+// Span is inert.
 type Span struct {
 	r     *Registry
 	name  string
@@ -96,13 +89,6 @@ func (s Span) End(now time.Duration) {
 		d = 0
 	}
 	s.r.Histogram(s.name).Observe(d.Seconds())
-	if s.r.traceCap > 0 {
-		if len(s.r.events) < s.r.traceCap {
-			s.r.events = append(s.r.events, Event{Name: s.name, Start: s.start, End: now})
-		} else {
-			s.r.eventsDropped++
-		}
-	}
 }
 
 // Registry is one simulation's metric namespace. It is not safe for
@@ -114,10 +100,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	memo     map[string]any
-
-	events        []Event
-	eventsDropped int64
-	traceCap      int
 
 	publish []func(*Registry)
 }
@@ -193,14 +175,6 @@ func (r *Registry) Memo(key string, build func() any) any {
 func (r *Registry) StartSpan(name string, now time.Duration) Span {
 	return Span{r: r, name: name, start: now}
 }
-
-// EnableTracing starts retaining completed span events, up to cap entries
-// (further events are counted in the snapshot's events_dropped). Tracing
-// is off by default so steady-state runs retain nothing.
-func (r *Registry) EnableTracing(cap int) { r.traceCap = cap }
-
-// Events returns the retained span events in completion order.
-func (r *Registry) Events() []Event { return r.events }
 
 // OnPublish registers a hook run at snapshot time, before values are
 // exported. The substrate uses this to mirror its Trace counters and

@@ -14,12 +14,18 @@ import (
 // tried and none produced the object.
 var ErrNoReplica = errors.New("replic: no holder produced the object")
 
+// hedgeAfter is how long a client waits on the nearest holder before
+// hedging to the second-nearest (across holders, composing with per-peer
+// resilience below). One second, resil's initial RTO, is far above a
+// healthy round trip and no later than a cold first attempt times out.
+const hedgeAfter = time.Second
+
 // Client fetches objects by nearest-replica routing. Disabled it is the
 // static baseline: ask the directory for holders, then try them in
 // directory order (origin first) with the caller's fixed timeout — the
 // X18-style single-path fetch. Enabled it ranks the holder list with the
 // Router (measured SRTT first, region matrix as prior), fetches from the
-// nearest, hedges to the second-nearest after HedgeAfter, and fails over
+// nearest, hedges to the second-nearest after hedgeAfter, and fails over
 // down the ranking until a holder answers.
 type Client struct {
 	cfg    Config
@@ -69,7 +75,7 @@ func (c *Client) Get(obj cryptoutil.Hash, timeout time.Duration, done func(data 
 
 // fetch is one replica-fetch operation: sequential failover down the
 // ranked holder list, plus (enabled only) one hedge to the second-ranked
-// holder if the nearest has not answered within HedgeAfter. First
+// holder if the nearest has not answered within hedgeAfter. First
 // successful response wins; late losers are ignored. The fetch is the
 // Completion of its directory call, and each holder attempt completes
 // through one of its two legs. Fetches come from fetchPool.
@@ -149,7 +155,7 @@ func (f *fetch) CallDone(resp any, _ time.Duration, err error) {
 	}
 	f.launch(0)
 	if c.cfg.Enabled && len(f.holders) > 1 {
-		f.hedgeTimer = c.Node().AfterCall(c.cfg.HedgeAfter, fetchHedgeEvent, f)
+		f.hedgeTimer = c.Node().AfterCall(hedgeAfter, fetchHedgeEvent, f)
 	}
 }
 

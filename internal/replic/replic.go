@@ -79,10 +79,6 @@ type Config struct {
 	// TickEvery is the provider maintenance cadence: decay, advert, push,
 	// and release decisions all happen on this period (default 15s).
 	TickEvery time.Duration
-	// HedgeAfter is how long a client waits on the nearest holder before
-	// hedging to the second-nearest (default 1s). Hedging is replic-level
-	// — across holders — and composes with any per-peer resilience below.
-	HedgeAfter time.Duration
 	// Resilience, when enabled, carries client fetches and provider
 	// control traffic on the adaptive transport; its per-peer SRTT
 	// estimates then drive nearest-replica ranking.
@@ -123,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TickEvery == 0 {
 		c.TickEvery = 15 * time.Second
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = time.Second
 	}
 	if c.FloorK < 1 || c.Cap < c.FloorK {
 		panic(fmt.Sprintf("replic: need 1 <= FloorK <= Cap, got FloorK=%d Cap=%d", c.FloorK, c.Cap))

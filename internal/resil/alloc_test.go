@@ -32,7 +32,7 @@ func TestAllocResilCall(t *testing.T) {
 	if fired := w.res.m.hedgeFired.Value(); fired != 0 || w.nw.Trace().Sent-armed != 2 {
 		t.Fatalf("the hedge fired (%d) or a call sent %d messages: the gate would measure more than one call", fired, w.nw.Trace().Sent-armed)
 	}
-	if n := w.res.peer(w.server.ID()).est.Samples(); n < w.res.cfg.Hedge.MinSamples {
+	if n := w.res.peer(w.server.ID()).est.Samples(); n < hedgeMinSamples {
 		t.Fatalf("peer has %d samples, the hedge is not armed", n)
 	}
 	avg := testing.AllocsPerRun(200, call)

@@ -13,40 +13,49 @@ import (
 // delay hashes (network seed, node id, call sequence, attempt) through the
 // same SplitMix64 finalizer that whitens the per-node streams, so the
 // sequence is a pure function of those four values: bit-identical across
-// trials, worker counts, and replays, which the repo-root property test
+// trials, worker counts, and replays, which TestQuickBackoffDeterministic
 // pins.
 type Backoff struct {
-	cfg BackoffConfig
 	key uint64 // seed and node id, pre-mixed
 }
 
+const (
+	// backoffBase, the first retry delay before jitter, is half the RTO
+	// floor: a retry goes out well before a second timeout could fire.
+	backoffBase = 100 * time.Millisecond
+	// backoffCap bounds the doubling. maxAttempts stops a Client's ladder
+	// at 200ms first, so the cap binds only on longer ladders.
+	backoffCap = 5 * time.Second
+	// backoffJitter (±25%) spreads out clients that timed out together.
+	backoffJitter = 0.25
+)
+
 // NewBackoff derives the delay generator for one (network seed, node)
 // pair.
-func NewBackoff(cfg BackoffConfig, seed int64, node simnet.NodeID) Backoff {
+func NewBackoff(seed int64, node simnet.NodeID) Backoff {
 	return Backoff{
-		cfg: cfg,
 		key: simnet.Mix64(simnet.Mix64(uint64(seed)) ^ (uint64(node)+1)*0x9E3779B97F4A7C15),
 	}
 }
 
 // Delay returns the pause before retry `attempt` (1 = first retry) of the
-// call-th operation issued by this client: Base·2^(attempt−1) capped at
-// Cap, jittered by ±Jitter.
+// call-th operation issued by this client: backoffBase·2^(attempt−1)
+// capped at backoffCap, jittered by ±backoffJitter.
 func (b Backoff) Delay(call uint64, attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	base := b.cfg.Base
-	for i := 1; i < attempt && base < b.cfg.Cap; i++ {
+	base := backoffBase
+	for i := 1; i < attempt && base < backoffCap; i++ {
 		base *= 2
 	}
-	if base > b.cfg.Cap {
-		base = b.cfg.Cap
+	if base > backoffCap {
+		base = backoffCap
 	}
 	h := simnet.Mix64(b.key ^ call*0x9E3779B97F4A7C15 ^ uint64(attempt))
 	// Map the top 53 bits to a uniform [0,1), then to [−Jitter, +Jitter].
 	u := float64(h>>11) / (1 << 53)
-	d := time.Duration(float64(base) * (1 + b.cfg.Jitter*(2*u-1)))
+	d := time.Duration(float64(base) * (1 + backoffJitter*(2*u-1)))
 	if d < 0 {
 		d = 0
 	}

@@ -5,13 +5,9 @@ import (
 	"time"
 )
 
-func boCfg() BackoffConfig {
-	return Config{Enabled: true}.withDefaults().Backoff
-}
-
 func TestBackoffDeterministic(t *testing.T) {
-	a := NewBackoff(boCfg(), 42, 7)
-	b := NewBackoff(boCfg(), 42, 7)
+	a := NewBackoff(42, 7)
+	b := NewBackoff(42, 7)
 	for call := uint64(1); call <= 5; call++ {
 		for attempt := 1; attempt <= 4; attempt++ {
 			if a.Delay(call, attempt) != b.Delay(call, attempt) {
@@ -20,8 +16,8 @@ func TestBackoffDeterministic(t *testing.T) {
 		}
 	}
 	// Different node or seed must decorrelate the jitter.
-	c := NewBackoff(boCfg(), 42, 8)
-	d := NewBackoff(boCfg(), 43, 7)
+	c := NewBackoff(42, 8)
+	d := NewBackoff(43, 7)
 	same := 0
 	for call := uint64(1); call <= 8; call++ {
 		if a.Delay(call, 1) == c.Delay(call, 1) {
@@ -37,14 +33,13 @@ func TestBackoffDeterministic(t *testing.T) {
 }
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	cfg := boCfg()
-	bo := NewBackoff(cfg, 1, 1)
+	bo := NewBackoff(1, 1)
 	for call := uint64(1); call <= 3; call++ {
 		prev := time.Duration(0)
 		for attempt := 1; attempt <= 10; attempt++ {
 			d := bo.Delay(call, attempt)
-			lo := time.Duration(float64(cfg.Base) * (1 - cfg.Jitter))
-			hi := time.Duration(float64(cfg.Cap) * (1 + cfg.Jitter))
+			lo := time.Duration(float64(backoffBase) * (1 - backoffJitter))
+			hi := time.Duration(float64(backoffCap) * (1 + backoffJitter))
 			if d < lo || d > hi {
 				t.Fatalf("delay %v outside jittered envelope [%v, %v]", d, lo, hi)
 			}

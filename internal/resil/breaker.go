@@ -23,7 +23,6 @@ const (
 // catches it). Time is the caller's virtual clock, passed in explicitly,
 // so the breaker itself holds no clock and stays deterministic.
 type Breaker struct {
-	cfg      BreakerConfig
 	state    BreakerState
 	consec   int     // consecutive failures
 	rate     float64 // decayed success rate, starts optimistic at 1
@@ -33,14 +32,34 @@ type Breaker struct {
 	opens    int
 }
 
-// rateDecay is the EWMA factor for the success rate: each outcome carries
-// 20% weight, so ~8 outcomes dominate the estimate — matched to the
-// default MinSamples gate.
-const rateDecay = 0.8
+const (
+	// breakerTrip consecutive failures open the breaker. It equals
+	// maxAttempts: one operation timing out on every attempt suspects the
+	// peer.
+	breakerTrip = 3
+	// rateDecay is the EWMA factor for the success rate: each outcome
+	// carries 20% weight, so ~8 outcomes dominate the estimate.
+	rateDecay = 0.8
+	// breakerMinSamples, the window rateDecay weighs, gates the rate trip
+	// path so a young history cannot trip it.
+	breakerMinSamples = 8
+	// breakerSuccessFloor is the decayed success rate below which the
+	// breaker opens. From a clean start a peer that never fails breakerTrip
+	// times in a row stays above 0.26, so the floor catches a peer that
+	// fails again soon after a probe closed its breaker.
+	breakerSuccessFloor = 0.2
+	// breakerCooldown, the first open period, is five initial RTOs: long
+	// enough to save real timeouts, short enough to re-probe a restarted
+	// peer soon.
+	breakerCooldown = 5 * time.Second
+	// breakerMaxCooldown caps the doubling: a peer failing every probe is
+	// still probed once a minute.
+	breakerMaxCooldown = 60 * time.Second
+)
 
 // NewBreaker returns a closed breaker with an optimistic history.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg, rate: 1, cooldown: cfg.Cooldown}
+func NewBreaker() *Breaker {
+	return &Breaker{rate: 1, cooldown: breakerCooldown}
 }
 
 // Allow reports whether a new call to the peer may be issued at virtual
@@ -69,30 +88,30 @@ func (b *Breaker) Success() {
 	b.observe(1)
 	if b.state == BreakerHalfOpen {
 		b.state = BreakerClosed
-		b.cooldown = b.cfg.Cooldown
+		b.cooldown = breakerCooldown
 	}
 }
 
 // Failure records a failed call at virtual time now, opening the breaker
 // when a trip condition holds. A half-open probe failure re-opens with a
-// doubled cooldown (capped at MaxCooldown). Reports whether this failure
-// transitioned the breaker into the open state.
+// doubled cooldown (capped at breakerMaxCooldown). Reports whether this
+// failure transitioned the breaker into the open state.
 func (b *Breaker) Failure(now time.Duration) bool {
 	b.consec++
 	b.observe(0)
 	switch b.state {
 	case BreakerHalfOpen:
 		b.cooldown *= 2
-		if b.cooldown > b.cfg.MaxCooldown {
-			b.cooldown = b.cfg.MaxCooldown
+		if b.cooldown > breakerMaxCooldown {
+			b.cooldown = breakerMaxCooldown
 		}
 		b.state = BreakerOpen
 		b.openedAt = now
 		b.opens++
 		return true
 	case BreakerClosed:
-		if b.consec >= b.cfg.Trip ||
-			(b.samples >= b.cfg.MinSamples && b.rate < b.cfg.SuccessFloor) {
+		if b.consec >= breakerTrip ||
+			(b.samples >= breakerMinSamples && b.rate < breakerSuccessFloor) {
 			b.state = BreakerOpen
 			b.openedAt = now
 			b.opens++

@@ -5,19 +5,15 @@ import (
 	"time"
 )
 
-func brkCfg() BreakerConfig {
-	return Config{Enabled: true}.withDefaults().Breaker
-}
-
 func TestBreakerConsecutiveTrip(t *testing.T) {
-	b := NewBreaker(brkCfg())
+	b := NewBreaker()
 	now := time.Duration(0)
 	if !b.Allow(now) {
 		t.Fatal("fresh breaker refused a call")
 	}
-	for i := 0; i < brkCfg().Trip-1; i++ {
+	for i := 0; i < breakerTrip-1; i++ {
 		if b.Failure(now) {
-			t.Fatalf("breaker opened after %d failures, trip is %d", i+1, brkCfg().Trip)
+			t.Fatalf("breaker opened after %d failures, trip is %d", i+1, breakerTrip)
 		}
 	}
 	if !b.Failure(now) {
@@ -26,19 +22,18 @@ func TestBreakerConsecutiveTrip(t *testing.T) {
 	if b.State() != BreakerOpen || b.Opens() != 1 {
 		t.Fatalf("state=%v opens=%d after trip", b.State(), b.Opens())
 	}
-	if b.Allow(now + brkCfg().Cooldown/2) {
+	if b.Allow(now + breakerCooldown/2) {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
 }
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
-	cfg := brkCfg()
-	b := NewBreaker(cfg)
+	b := NewBreaker()
 	now := time.Duration(0)
-	for i := 0; i < cfg.Trip; i++ {
+	for i := 0; i < breakerTrip; i++ {
 		b.Failure(now)
 	}
-	probeAt := now + cfg.Cooldown
+	probeAt := now + breakerCooldown
 	if !b.Allow(probeAt) {
 		t.Fatal("cooldown elapsed but no probe admitted")
 	}
@@ -52,10 +47,10 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if !b.Failure(probeAt) {
 		t.Fatal("half-open probe failure did not re-open")
 	}
-	if b.Allow(probeAt + cfg.Cooldown) {
+	if b.Allow(probeAt + breakerCooldown) {
 		t.Fatal("re-opened breaker ignored the doubled cooldown")
 	}
-	if !b.Allow(probeAt + 2*cfg.Cooldown) {
+	if !b.Allow(probeAt + 2*breakerCooldown) {
 		t.Fatal("doubled cooldown elapsed but no probe admitted")
 	}
 	// Probe success: closed, ladder reset.
@@ -63,16 +58,15 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after probe success = %v, want closed", b.State())
 	}
-	if b.cooldown != cfg.Cooldown {
+	if b.cooldown != breakerCooldown {
 		t.Fatalf("cooldown ladder not reset: %v", b.cooldown)
 	}
 }
 
 func TestBreakerCooldownCap(t *testing.T) {
-	cfg := brkCfg()
-	b := NewBreaker(cfg)
+	b := NewBreaker()
 	now := time.Duration(0)
-	for i := 0; i < cfg.Trip; i++ {
+	for i := 0; i < breakerTrip; i++ {
 		b.Failure(now)
 	}
 	// Fail every probe; the cooldown must stop doubling at MaxCooldown.
@@ -83,54 +77,69 @@ func TestBreakerCooldownCap(t *testing.T) {
 		}
 		b.Failure(now)
 	}
-	if b.cooldown != cfg.MaxCooldown {
-		t.Fatalf("cooldown = %v, want capped at %v", b.cooldown, cfg.MaxCooldown)
+	if b.cooldown != breakerMaxCooldown {
+		t.Fatalf("cooldown = %v, want capped at %v", b.cooldown, breakerMaxCooldown)
 	}
 }
 
 func TestBreakerRateTrip(t *testing.T) {
-	// Isolate the decayed-rate path: a huge Trip keeps the consecutive
-	// counter out of play, so only the EWMA success rate can open.
-	cfg := brkCfg()
-	cfg.Trip = 100
-	b := NewBreaker(cfg)
+	b := NewBreaker()
 	now := time.Duration(0)
-	// A 2:1 failure ratio decays the rate toward ~1/3, above the 0.2
-	// floor: the breaker must stay closed however long it runs.
+	// A 2:1 failure ratio holds the decayed rate between 0.26 and 0.41,
+	// above the 0.2 floor, and never strings breakerTrip failures
+	// together: the breaker must stay closed however long it runs.
 	for i := 0; i < 40; i++ {
 		b.Success()
 		b.Failure(now)
 		b.Failure(now)
 	}
 	if b.State() != BreakerClosed {
-		t.Fatal("rate path tripped at a ~33% success rate, floor is 20%")
+		t.Fatalf("breaker opened at a 1-in-3 success rate (rate %.3f), floor is %v", b.rate, breakerSuccessFloor)
 	}
-	// An 8:1 ratio sinks the rate well under the floor; the rate path must
-	// open the breaker long before 100 consecutive failures.
+	// A run of breakerTrip failures opens it; a probe success closes it
+	// again on top of a history the rate still remembers. From there the
+	// rate path must re-open the breaker before the consecutive counter
+	// reaches breakerTrip.
+	for i := 0; i < breakerTrip; i++ {
+		b.Failure(now)
+	}
+	now += breakerCooldown
+	if !b.Allow(now) {
+		t.Fatal("cooldown elapsed but no probe admitted")
+	}
+	b.Success()
 	opened := false
-	for i := 0; i < 10 && !opened; i++ {
-		b.Success()
-		for j := 0; j < 8; j++ {
-			if b.Failure(now) {
-				opened = true
-				break
-			}
-		}
+	for i := 0; i < breakerTrip-1 && !opened; i++ {
+		opened = b.Failure(now)
 	}
-	if !opened || b.consec >= cfg.Trip {
-		t.Fatalf("decayed-rate trip: opened=%v consec=%d", opened, b.consec)
+	if !opened || b.consec >= breakerTrip {
+		t.Fatalf("decayed-rate trip: opened=%v consec=%d rate=%.3f", opened, b.consec, b.rate)
 	}
 }
 
+// TestBreakerMinSamplesGate: with fewer than breakerMinSamples outcomes
+// the rate path holds fire even with the decayed rate under the floor; the
+// outcome that completes the window opens the breaker on the rate alone.
 func TestBreakerMinSamplesGate(t *testing.T) {
-	cfg := brkCfg()
-	cfg.Trip = 100
-	b := NewBreaker(cfg)
-	// Fewer outcomes than MinSamples: the rate path must hold fire even at
-	// a 0% success rate.
-	for i := 0; i < cfg.MinSamples-1; i++ {
-		if b.Failure(0) {
-			t.Fatalf("rate path tripped on outcome %d, MinSamples is %d", i+1, cfg.MinSamples)
+	b := NewBreaker()
+	b.rate = 0 // a pessimistic history the sample count does not back yet
+	gated := 0
+	for i := 1; i < breakerMinSamples; i++ {
+		if i%3 == 0 { // never breakerTrip failures in a row
+			b.Success()
+			continue
 		}
+		if b.Failure(0) {
+			t.Fatalf("rate path tripped on outcome %d (rate %.3f), breakerMinSamples is %d", i, b.rate, breakerMinSamples)
+		}
+		if b.rate < breakerSuccessFloor {
+			gated++
+		}
+	}
+	if gated == 0 {
+		t.Fatal("the rate never sank under the floor: the gate was not tested")
+	}
+	if !b.Failure(0) || b.consec >= breakerTrip {
+		t.Fatalf("outcome %d did not open on the rate: state=%v consec=%d", breakerMinSamples, b.State(), b.consec)
 	}
 }

@@ -27,7 +27,7 @@ type Client struct {
 	peers map[simnet.NodeID]*peerState
 	// global aggregates every sample across peers; it seeds fresh per-peer
 	// estimators so a never-contacted peer starts from the client's measured
-	// reality instead of the cold-start Initial.
+	// reality instead of the cold-start rtoInitial.
 	global *Estimator
 	m      *resilMetrics
 	// mShed counts classified sheds. Created lazily on the first shed —
@@ -63,6 +63,20 @@ func metricsFor(r *obs.Registry) *resilMetrics {
 
 var _ simnet.Caller = (*Client)(nil)
 
+const (
+	// maxAttempts bounds the timeout-driven tries per operation, the first
+	// included and a hedge not counted: two retransmits ride out a lost
+	// request and then a lost retry.
+	maxAttempts = 3
+	// hedgeMinSamples is how many RTT samples a peer's estimator needs
+	// before the client hedges against it: hedging blind would double
+	// traffic for nothing.
+	hedgeMinSamples = 4
+	// hedgeMinDelay floors the hedge launch delay so a microsecond-scale
+	// p95 estimate cannot degenerate into always-hedge.
+	hedgeMinDelay = 50 * time.Millisecond
+)
+
 // Wrap returns the Caller a layer should hold for cfg: rpc itself when
 // cfg.Enabled is false, so the layer's calls are raw RPCs with the caller's
 // fixed timeout and construction registers no metric and allocates
@@ -74,15 +88,15 @@ func Wrap(rpc *simnet.RPCNode, cfg Config) simnet.Caller {
 	return New(rpc, cfg)
 }
 
-// New wraps rpc with the resilience layer tuned by cfg, whose zero fields
-// take their defaults. It builds the layer whatever cfg.Enabled says; a
-// config that may be off goes through Wrap.
+// New wraps rpc with the resilience layer, classifying replies with
+// cfg.Classify. It builds the layer whatever cfg.Enabled says; a config
+// that may be off goes through Wrap.
 func New(rpc *simnet.RPCNode, cfg Config) *Client {
 	node := rpc.Node()
-	c := &Client{rpc: rpc, cfg: cfg.withDefaults()}
-	c.bo = NewBackoff(c.cfg.Backoff, node.Network().Seed(), node.ID())
+	c := &Client{rpc: rpc, cfg: cfg}
+	c.bo = NewBackoff(node.Network().Seed(), node.ID())
 	c.peers = map[simnet.NodeID]*peerState{}
-	c.global = NewEstimator(c.cfg.RTO)
+	c.global = NewEstimator()
 	c.m = metricsFor(node.Obs())
 	return c
 }
@@ -103,7 +117,7 @@ type peerState struct {
 func (c *Client) peer(id simnet.NodeID) *peerState {
 	ps, ok := c.peers[id]
 	if !ok {
-		ps = &peerState{est: *NewEstimator(c.cfg.RTO), brk: *NewBreaker(c.cfg.Breaker)}
+		ps = &peerState{est: *NewEstimator(), brk: *NewBreaker()}
 		if c.global.Samples() > 0 {
 			ps.est.SeedPrior(c.global.RTO())
 		}
@@ -114,7 +128,7 @@ func (c *Client) peer(id simnet.NodeID) *peerState {
 
 // PeerSRTT returns the smoothed round-trip estimate for a peer, and
 // whether one exists: false when the peer has never contributed a sample
-// (the cold-start Initial is a guess, not a measurement, so it is not
+// (the cold-start rtoInitial is a guess, not a measurement, so it is not
 // reported). Nearest-replica routing in internal/replic ranks holders on
 // exactly this.
 func (c *Client) PeerSRTT(id simnet.NodeID) (time.Duration, bool) {
@@ -139,7 +153,7 @@ func (c *Client) Call(to simnet.NodeID, method string, req any, reqSize int, fal
 // Per operation: an open breaker fails fast (still asynchronously,
 // preserving callback ordering); otherwise attempts are issued with the
 // peer's current RTO as timeout, a timeout schedules the next attempt
-// after a jittered backoff up to MaxAttempts, and on the first attempt a
+// after a jittered backoff up to maxAttempts, and on the first attempt a
 // single hedge may be launched at the estimated p95 — first response wins
 // and the loser is cancelled through its CallRef so its Completion never
 // fires. The operation cancels its own attempts, so the returned CallRef
@@ -147,7 +161,7 @@ func (c *Client) Call(to simnet.NodeID, method string, req any, reqSize int, fal
 func (c *Client) CallTo(to simnet.NodeID, method string, req any, reqSize int, fallback time.Duration, done simnet.Completion) simnet.CallRef {
 	ps := c.peer(to)
 	node := c.rpc.Node()
-	if !c.cfg.Breaker.Disabled && !ps.brk.Allow(node.Now()) {
+	if !ps.brk.Allow(node.Now()) {
 		c.m.fastfail.Inc()
 		err := fmt.Errorf("resil: call %s to node %d refused: %w", method, to, ErrSuspected)
 		node.After(0, func() { done.CallDone(nil, 0, err) })
@@ -185,7 +199,7 @@ func (o *op) release() {
 	opPool.Put(o)
 }
 
-// op is one resilient operation: up to MaxAttempts timeout-driven
+// op is one resilient operation: up to maxAttempts timeout-driven
 // attempts plus at most one hedge, sharing a single Completion. The op is
 // itself the Completion of its timeout-driven attempts, and
 // (*hedgeLeg)(op) that of its hedge, so no attempt allocates a callback;
@@ -240,10 +254,10 @@ func (o *op) launch(isHedge bool) {
 	}
 	o.attempts++
 	o.primary = c.rpc.CallTo(o.to, o.method, o.req, o.reqSize, rto, o)
-	if o.attempts == 1 && !c.cfg.Hedge.Disabled && est.Samples() >= c.cfg.Hedge.MinSamples {
+	if o.attempts == 1 && est.Samples() >= hedgeMinSamples {
 		delay := est.P95()
-		if delay < c.cfg.Hedge.MinDelay {
-			delay = c.cfg.Hedge.MinDelay
+		if delay < hedgeMinDelay {
+			delay = hedgeMinDelay
 		}
 		// A hedge at or past the RTO is pointless: the retransmit path
 		// already covers that region.
@@ -287,9 +301,7 @@ func (o *op) complete(isHedge bool, resp any, rtt time.Duration, err error) {
 				return
 			}
 		}
-		if !c.cfg.Breaker.Disabled {
-			o.ps.brk.Success()
-		}
+		o.ps.brk.Success()
 		// Karn's rule: an operation that retransmitted feeds no sample —
 		// with a doubled RTO in force, locking in samples measured under
 		// backoff would keep the estimator self-confirming. A hedge
@@ -308,7 +320,7 @@ func (o *op) complete(isHedge bool, resp any, rtt time.Duration, err error) {
 	}
 	o.lastErr = err
 	now := c.rpc.Node().Now()
-	if !c.cfg.Breaker.Disabled && o.ps.brk.Failure(now) {
+	if o.ps.brk.Failure(now) {
 		c.m.breakerOpen.Inc()
 	}
 	if !errors.Is(err, simnet.ErrRPCTimeout) {
@@ -322,7 +334,7 @@ func (o *op) complete(isHedge bool, resp any, rtt time.Duration, err error) {
 		return
 	}
 	o.ps.est.OnTimeout()
-	if o.attempts < c.cfg.MaxAttempts && !o.retryPending {
+	if o.attempts < maxAttempts && !o.retryPending {
 		o.retryPending = true
 		o.retrans = true
 		c.m.retries.Inc()
@@ -350,15 +362,13 @@ type retryAfterHinter interface {
 // the operation with the classified error so callers can fail over.
 func (o *op) completeShed(cerr error) {
 	c := o.c
-	if !c.cfg.Breaker.Disabled {
-		o.ps.brk.Success()
-	}
+	o.ps.brk.Success()
 	if c.mShed == nil {
 		c.mShed = c.rpc.Node().Obs().Counter("resil.shed.count")
 	}
 	c.mShed.Inc()
 	o.lastErr = cerr
-	if o.attempts < c.cfg.MaxAttempts && !o.retryPending {
+	if o.attempts < maxAttempts && !o.retryPending {
 		delay := c.bo.Delay(o.id, o.attempts)
 		if h, ok := cerr.(retryAfterHinter); ok {
 			if hint := h.RetryAfterHint(); hint > delay {

@@ -169,8 +169,8 @@ func TestClientExhaustionOpensBreaker(t *testing.T) {
 	if !errors.Is(err, simnet.ErrRPCTimeout) {
 		t.Fatalf("exhausted op err = %v, want timeout", err)
 	}
-	if got := w.res.m.retries.Value(); got != int64(w.res.cfg.MaxAttempts-1) {
-		t.Fatalf("retries = %d, want %d", got, w.res.cfg.MaxAttempts-1)
+	if got := w.res.m.retries.Value(); got != maxAttempts-1 {
+		t.Fatalf("retries = %d, want %d", got, maxAttempts-1)
 	}
 	// Three timeouts tripped the per-peer breaker; the next call is
 	// refused locally without touching the network.
@@ -191,15 +191,15 @@ func TestClientExhaustionOpensBreaker(t *testing.T) {
 
 func TestClientHedgeWins(t *testing.T) {
 	w := newClientWorld(t, Defaults())
-	// Four fast completions warm the peer estimator past Hedge.MinSamples
-	// and shrink the RTO toward the 200ms Min clamp.
+	// Four fast completions warm the peer estimator past hedgeMinSamples
+	// and shrink the RTO toward the 200ms rtoMin clamp.
 	for i := 0; i < 4; i++ {
 		if _, err := w.call(t, "slow", time.Second); err != nil {
 			t.Fatalf("warm-up %d: %v", i, err)
 		}
 	}
-	if got := w.res.peer(w.server.ID()).est.Samples(); got < w.res.cfg.Hedge.MinSamples {
-		t.Fatalf("warm-up left %d samples, need %d", got, w.res.cfg.Hedge.MinSamples)
+	if got := w.res.peer(w.server.ID()).est.Samples(); got < hedgeMinSamples {
+		t.Fatalf("warm-up left %d samples, need %d", got, hedgeMinSamples)
 	}
 	// Fifth op: the primary's reply is held for 150ms — past the ~50ms
 	// hedge point but inside the RTO — while the hedge's reply is

@@ -7,37 +7,44 @@ import "time"
 //
 //	RTTVAR ← (1−β)·RTTVAR + β·|SRTT − R|   (β = 1/4)
 //	SRTT   ← (1−α)·SRTT + α·R              (α = 1/8)
-//	RTO    ← clamp(SRTT + max(G, 4·RTTVAR), Min, Max)
+//	RTO    ← clamp(SRTT + max(G, 4·RTTVAR), rtoMin, rtoMax)
 //
 // with the first sample initializing SRTT = R, RTTVAR = R/2, and a
 // granularity floor G of 10ms on the variance term. A timeout doubles the
-// RTO (Karn's backoff), clamped at Max; the next valid sample recomputes
+// RTO (Karn's backoff), clamped at rtoMax; the next valid sample recomputes
 // it from SRTT/RTTVAR, dropping the boost. Karn's rule on sampling is the
 // caller's side of the contract: Client feeds no samples from operations
 // that retransmitted (see client.go for why hedged completions still
 // sample).
 //
 // The estimator state is a pure function of the call sequence made on it —
-// no clock, no randomness — which the repo-root property test pins.
+// no clock, no randomness — which TestQuickRTOEstimatorBounded pins.
 type Estimator struct {
-	cfg     RTOConfig
 	srtt    float64 // seconds
 	rttvar  float64 // seconds
 	samples int
 	rto     time.Duration
 }
 
-// rtoGranularity is the variance floor G: below it the 4·RTTVAR term of a
-// nearly jitter-free link would collapse the RTO onto SRTT and every
-// on-time reply would race its own timeout.
-const rtoGranularity = 10 * time.Millisecond
+const (
+	// rtoGranularity is the variance floor G: below it the 4·RTTVAR term
+	// of a nearly jitter-free link would collapse the RTO onto SRTT and
+	// every on-time reply would race its own timeout.
+	rtoGranularity = 10 * time.Millisecond
+	// rtoInitial is RFC 6298's one-second RTO before any sample, paid
+	// until the peer is measured or the Client seeds a prior.
+	rtoInitial = time.Second
+	// rtoMin is the lower clamp: Linux TCP's 200ms, since RFC 6298's 1s
+	// would make every timeout on a fast simulated link a full second.
+	rtoMin = 200 * time.Millisecond
+	// rtoMax is the upper clamp, which also caps Karn's doubling: RFC
+	// 6298's 60s would stall a request for a minute on one dead peer.
+	rtoMax = 10 * time.Second
+)
 
-// NewEstimator returns an estimator clamped by cfg, starting at the
-// clamped initial RTO.
-func NewEstimator(cfg RTOConfig) *Estimator {
-	e := &Estimator{cfg: cfg}
-	e.rto = e.clamp(cfg.Initial)
-	return e
+// NewEstimator returns an estimator at the initial RTO.
+func NewEstimator() *Estimator {
+	return &Estimator{rto: rtoInitial}
 }
 
 // Sample feeds one measured round trip and recomputes the RTO, clearing
@@ -63,28 +70,28 @@ func (e *Estimator) Sample(rtt time.Duration) {
 	if g := rtoGranularity.Seconds(); v < g {
 		v = g
 	}
-	e.rto = e.clamp(time.Duration((e.srtt + v) * float64(time.Second)))
+	e.rto = clampRTO(time.Duration((e.srtt + v) * float64(time.Second)))
 }
 
 // SeedPrior warms a fresh estimator with a prior RTO — the Client passes
 // its cross-peer estimate so a never-contacted peer does not pay the
-// cold-start Initial (and then Karn-double it) on its first attempts.
+// cold-start rtoInitial (and then Karn-double it) on its first attempts.
 // Only effective before the first sample; the first real sample replaces
 // it entirely per the first-sample rule.
 func (e *Estimator) SeedPrior(rto time.Duration) {
 	if e.samples == 0 {
-		e.rto = e.clamp(rto)
+		e.rto = clampRTO(rto)
 	}
 }
 
 // OnTimeout doubles the RTO (Karn's exponential timeout backoff), clamped
-// at Max. The boost persists until the next valid sample.
+// at rtoMax. The boost persists until the next valid sample.
 func (e *Estimator) OnTimeout() {
-	e.rto = e.clamp(e.rto * 2)
+	e.rto = clampRTO(e.rto * 2)
 }
 
 // RTO returns the current retransmission timeout, always within
-// [Min, Max].
+// [rtoMin, rtoMax].
 func (e *Estimator) RTO() time.Duration { return e.rto }
 
 // Samples returns how many round trips have been fed in.
@@ -114,12 +121,12 @@ func (e *Estimator) P95() time.Duration {
 	return p
 }
 
-func (e *Estimator) clamp(d time.Duration) time.Duration {
-	if d < e.cfg.Min {
-		return e.cfg.Min
+func clampRTO(d time.Duration) time.Duration {
+	if d < rtoMin {
+		return rtoMin
 	}
-	if d > e.cfg.Max {
-		return e.cfg.Max
+	if d > rtoMax {
+		return rtoMax
 	}
 	return d
 }

@@ -5,12 +5,8 @@ import (
 	"time"
 )
 
-func rtoCfg() RTOConfig {
-	return Config{Enabled: true}.withDefaults().RTO
-}
-
 func TestEstimatorFirstSample(t *testing.T) {
-	e := NewEstimator(rtoCfg())
+	e := NewEstimator()
 	if got := e.RTO(); got != time.Second {
 		t.Fatalf("initial RTO = %v, want the 1s default", got)
 	}
@@ -28,7 +24,7 @@ func TestEstimatorFirstSample(t *testing.T) {
 }
 
 func TestEstimatorSmoothing(t *testing.T) {
-	e := NewEstimator(rtoCfg())
+	e := NewEstimator()
 	e.Sample(100 * time.Millisecond)
 	e.Sample(100 * time.Millisecond)
 	// Identical samples shrink the variance; the RTO must decrease toward
@@ -40,26 +36,26 @@ func TestEstimatorSmoothing(t *testing.T) {
 	if got := e.RTO(); got >= first {
 		t.Fatalf("RTO did not shrink on a steady link: %v -> %v", first, got)
 	}
-	if got := e.RTO(); got < rtoCfg().Min {
-		t.Fatalf("RTO %v below Min %v", got, rtoCfg().Min)
+	if got := e.RTO(); got < rtoMin {
+		t.Fatalf("RTO %v below Min %v", got, rtoMin)
 	}
 }
 
 func TestEstimatorClampAndNegative(t *testing.T) {
-	e := NewEstimator(rtoCfg())
+	e := NewEstimator()
 	e.Sample(time.Hour) // absurd sample clamps at Max
-	if got := e.RTO(); got != rtoCfg().Max {
-		t.Fatalf("RTO = %v, want clamp at Max %v", got, rtoCfg().Max)
+	if got := e.RTO(); got != rtoMax {
+		t.Fatalf("RTO = %v, want clamp at Max %v", got, rtoMax)
 	}
-	e2 := NewEstimator(rtoCfg())
+	e2 := NewEstimator()
 	e2.Sample(-time.Second) // negative RTT treated as zero
-	if got := e2.RTO(); got != rtoCfg().Min {
-		t.Fatalf("RTO after negative sample = %v, want Min %v", got, rtoCfg().Min)
+	if got := e2.RTO(); got != rtoMin {
+		t.Fatalf("RTO after negative sample = %v, want Min %v", got, rtoMin)
 	}
 }
 
 func TestEstimatorKarnBackoff(t *testing.T) {
-	e := NewEstimator(rtoCfg())
+	e := NewEstimator()
 	e.Sample(100 * time.Millisecond) // RTO = 300ms
 	r0 := e.RTO()
 	e.OnTimeout()
@@ -69,18 +65,18 @@ func TestEstimatorKarnBackoff(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.OnTimeout()
 	}
-	if got := e.RTO(); got != rtoCfg().Max {
-		t.Fatalf("RTO after repeated timeouts = %v, want Max %v", got, rtoCfg().Max)
+	if got := e.RTO(); got != rtoMax {
+		t.Fatalf("RTO after repeated timeouts = %v, want Max %v", got, rtoMax)
 	}
 	// The next valid sample drops the boost entirely.
 	e.Sample(100 * time.Millisecond)
-	if got := e.RTO(); got >= rtoCfg().Max {
+	if got := e.RTO(); got >= rtoMax {
 		t.Fatalf("sample did not clear the timeout boost: RTO = %v", got)
 	}
 }
 
 func TestEstimatorP95(t *testing.T) {
-	e := NewEstimator(rtoCfg())
+	e := NewEstimator()
 	if got := e.P95(); got != e.RTO() {
 		t.Fatalf("pre-sample P95 = %v, want RTO fallback %v", got, e.RTO())
 	}
@@ -94,13 +90,13 @@ func TestEstimatorP95(t *testing.T) {
 }
 
 func TestEstimatorSeedPrior(t *testing.T) {
-	e := NewEstimator(rtoCfg())
+	e := NewEstimator()
 	e.SeedPrior(300 * time.Millisecond)
 	if got := e.RTO(); got != 300*time.Millisecond {
 		t.Fatalf("seeded RTO = %v, want 300ms", got)
 	}
 	e.SeedPrior(time.Hour) // prior is clamped like everything else
-	if got := e.RTO(); got != rtoCfg().Max {
+	if got := e.RTO(); got != rtoMax {
 		t.Fatalf("seeded RTO = %v, want clamp at Max", got)
 	}
 	e.Sample(100 * time.Millisecond)

@@ -51,7 +51,6 @@ func TestOpRecycledAfterStrayPrimary(t *testing.T) {
 	for _, dup := range []bool{false, true} {
 		ledger := trackOps(t)
 		cfg := Defaults()
-		cfg.RTO.Min = time.Second // the first primary times out long after the retry wins
 		cfg.Classify = classifyShed
 		w := newClientWorld(t, cfg)
 		for i := 0; i < 4; i++ { // enough samples to arm the hedge
@@ -59,6 +58,9 @@ func TestOpRecycledAfterStrayPrimary(t *testing.T) {
 				t.Fatalf("warm-up %d: %v", i, err)
 			}
 		}
+		// Lift the peer's RTO to 1s, so the first primary times out long
+		// after the retry wins.
+		w.res.peer(w.server.ID()).est.rto = time.Second
 		if dup {
 			w.nw.SetLinkFault(simnet.LinkFault{Duplicate: 1, HoldBack: time.Millisecond})
 		}

@@ -45,11 +45,10 @@ func shedWorld(t *testing.T, cfg Config, shedFirst int, hint time.Duration) (*cl
 // TestShedStormKeepsBreakerClosed is the satellite regression: a storm of
 // deliberate server sheds must never trip the caller's circuit breaker —
 // a shedding server is alive, and breaking on sheds would turn graceful
-// degradation into a self-inflicted outage.
+// degradation into a self-inflicted outage. Every attempt of every
+// operation is shed, so 50 operations meet 50·maxAttempts sheds in a row.
 func TestShedStormKeepsBreakerClosed(t *testing.T) {
-	cfg := Defaults()
-	cfg.MaxAttempts = 1 // every shed fails its operation immediately
-	w, _ := shedWorld(t, cfg, 1<<30, 10*time.Millisecond)
+	w, _ := shedWorld(t, Defaults(), 1<<30, 10*time.Millisecond)
 	for i := 0; i < 50; i++ {
 		_, err := w.call(t, "load", time.Second)
 		var se *shedErr
@@ -61,8 +60,8 @@ func TestShedStormKeepsBreakerClosed(t *testing.T) {
 	if !b.Allow(w.nw.Now()) {
 		t.Fatal("breaker opened under a 50-shed storm")
 	}
-	if got := w.caller.Obs().Counter("resil.shed.count").Value(); got != 50 {
-		t.Fatalf("resil.shed.count = %d, want 50", got)
+	if got := w.caller.Obs().Counter("resil.shed.count").Value(); got != 50*maxAttempts {
+		t.Fatalf("resil.shed.count = %d, want %d", got, 50*maxAttempts)
 	}
 	if open := w.caller.Obs().Counter("resil.breaker.open").Value(); open != 0 {
 		t.Fatalf("resil.breaker.open = %d, want 0", open)
@@ -107,15 +106,13 @@ func TestShedDoesNotFeedEstimator(t *testing.T) {
 // the operation fails with the classified error so callers can fail over
 // to another replica.
 func TestShedExhaustionFailsWithClassifiedError(t *testing.T) {
-	cfg := Defaults()
-	cfg.MaxAttempts = 3
-	w, seen := shedWorld(t, cfg, 1<<30, 5*time.Millisecond)
+	w, seen := shedWorld(t, Defaults(), 1<<30, 5*time.Millisecond)
 	_, err := w.call(t, "load", time.Second)
 	var se *shedErr
 	if !errors.As(err, &se) {
 		t.Fatalf("exhausted shed err = %v, want classified", err)
 	}
-	if *seen != 3 {
-		t.Fatalf("server saw %d attempts, want MaxAttempts=3", *seen)
+	if *seen != maxAttempts {
+		t.Fatalf("server saw %d attempts, want maxAttempts=%d", *seen, maxAttempts)
 	}
 }

@@ -14,25 +14,18 @@ import (
 // therefore, as the paper's table implies, no incentive for strangers to
 // store your data long-term; it only polices active exchange.
 
-// BitswapConfig tunes the reciprocity policy.
-type BitswapConfig struct {
-	// DebtRatioLimit is the maximum (sent+grace)/(received+grace) ratio a
-	// partner may reach before being refused. Values ≤ 0 select 3.
-	DebtRatioLimit float64
-	// GraceBytes lets new partners bootstrap before the ratio binds.
-	// Values ≤ 0 select 64 KiB.
-	GraceBytes int64
-}
-
-func (c BitswapConfig) withDefaults() BitswapConfig {
-	if c.DebtRatioLimit <= 0 {
-		c.DebtRatioLimit = 3
-	}
-	if c.GraceBytes <= 0 {
-		c.GraceBytes = 64 << 10
-	}
-	return c
-}
+// The reciprocity policy: a partner is refused once the bytes we sent it
+// exceed debtRatioLimit times what it sent us plus graceBytes.
+const (
+	// debtRatioLimit lets a reciprocating peer run up to twice its
+	// contribution, slack for exchanges that do not alternate block for
+	// block, while a pure taker is cut off after 2·graceBytes.
+	debtRatioLimit = 2
+	// graceBytes lets a new partner bootstrap before the ratio binds. At
+	// 1 KiB a stranger gets a handful of small blocks free — four of the
+	// 512-byte blocks E2 trades — and must then give back.
+	graceBytes = 1 << 10
+)
 
 // bitswap wire methods.
 const methodBitswapWant = "bitswap.want"
@@ -46,7 +39,6 @@ type bitswapWantResp struct {
 // BitswapNode is one content-exchanging peer with pairwise ledgers.
 type BitswapNode struct {
 	rpc    *simnet.RPCNode
-	cfg    BitswapConfig
 	blocks map[cryptoutil.Hash][]byte
 	// sentTo / receivedFrom account bytes exchanged with each partner.
 	sentTo       map[simnet.NodeID]int64
@@ -56,10 +48,9 @@ type BitswapNode struct {
 }
 
 // NewBitswapNode creates a bitswap peer on node.
-func NewBitswapNode(node *simnet.Node, cfg BitswapConfig) *BitswapNode {
+func NewBitswapNode(node *simnet.Node) *BitswapNode {
 	b := &BitswapNode{
 		rpc:          simnet.NewRPCNode(node),
-		cfg:          cfg.withDefaults(),
 		blocks:       map[cryptoutil.Hash][]byte{},
 		sentTo:       map[simnet.NodeID]int64{},
 		receivedFrom: map[simnet.NodeID]int64{},
@@ -85,7 +76,7 @@ func (b *BitswapNode) Has(id cryptoutil.Hash) bool { _, ok := b.blocks[id]; retu
 // bytes they sent us, after the bootstrap grace.
 func (b *BitswapNode) DebtRatio(peer simnet.NodeID) float64 {
 	sent := float64(b.sentTo[peer])
-	recv := float64(b.receivedFrom[peer] + b.cfg.GraceBytes)
+	recv := float64(b.receivedFrom[peer] + graceBytes)
 	return sent / recv
 }
 
@@ -98,7 +89,7 @@ func (b *BitswapNode) onWant(from simnet.NodeID, req any) (any, int) {
 	if !have {
 		return bitswapWantResp{}, 8
 	}
-	if b.DebtRatio(from) > b.cfg.DebtRatioLimit {
+	if b.DebtRatio(from) > debtRatioLimit {
 		b.Refusals++
 		return bitswapWantResp{Refused: true}, 8
 	}

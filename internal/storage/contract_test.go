@@ -145,10 +145,9 @@ func TestSelectAsks(t *testing.T) {
 
 func TestBitswapReciprocity(t *testing.T) {
 	nw := simnet.New(1)
-	cfg := BitswapConfig{DebtRatioLimit: 2, GraceBytes: 1000}
-	server := NewBitswapNode(nw.AddNode(), cfg)
-	freerider := NewBitswapNode(nw.AddNode(), cfg)
-	good := NewBitswapNode(nw.AddNode(), cfg)
+	server := NewBitswapNode(nw.AddNode())
+	freerider := NewBitswapNode(nw.AddNode())
+	good := NewBitswapNode(nw.AddNode())
 
 	// Server holds blocks everyone wants; good peer also has blocks to give
 	// back.
@@ -205,8 +204,8 @@ func TestBitswapReciprocity(t *testing.T) {
 
 func TestBitswapNotFoundAndBadData(t *testing.T) {
 	nw := simnet.New(2)
-	a := NewBitswapNode(nw.AddNode(), BitswapConfig{})
-	b := NewBitswapNode(nw.AddNode(), BitswapConfig{})
+	a := NewBitswapNode(nw.AddNode())
+	b := NewBitswapNode(nw.AddNode())
 	var ok, refused bool
 	a.Want(b.Node().ID(), cryptoutil.SumHash([]byte("missing")), time.Minute, func(o, r bool) { ok, refused = o, r })
 	nw.RunAll()

@@ -57,11 +57,13 @@ type LocalStoreConfig struct {
 	// false, a Put that would exceed Capacity is refused outright — the
 	// historical provider behaviour.
 	GC bool
-	// GCLowWater is the occupancy fraction GC reclaims down to once
-	// triggered (default 0.8). Collecting past the trigger point keeps
-	// one oversized Put from re-triggering GC on every subsequent write.
-	GCLowWater float64
 }
+
+// gcLowWater is the occupancy fraction GC reclaims down to once
+// triggered. Collecting past the trigger point keeps one oversized Put
+// from re-triggering GC on every subsequent write; a fifth of the disk
+// buys headroom for many writes without evicting what is still hot.
+const gcLowWater = 0.8
 
 // lsEntry is one stored chunk with its tier and lifecycle state.
 type lsEntry struct {
@@ -76,9 +78,6 @@ type lsEntry struct {
 
 // NewLocalStore builds a tiered store.
 func NewLocalStore(cfg LocalStoreConfig) *LocalStore {
-	if cfg.GCLowWater <= 0 || cfg.GCLowWater > 1 {
-		cfg.GCLowWater = 0.8
-	}
 	return &LocalStore{
 		cfg:     cfg,
 		entries: map[cryptoutil.Hash]*lsEntry{},
@@ -232,7 +231,7 @@ func (ls *LocalStore) admitMem(e *lsEntry) {
 }
 
 // gc reclaims disk-tier space for an incoming chunk of `need` bytes,
-// targeting GCLowWater occupancy so one collection buys headroom for many
+// targeting gcLowWater occupancy so one collection buys headroom for many
 // writes. Two LRU passes: released chunks (refs == 0) first, then
 // still-referenced ones — evicting those sacrifices redundancy the
 // owner's repair loop must restore, which is the measured cost of running
@@ -242,7 +241,7 @@ func (ls *LocalStore) gc(need int64) bool {
 	if need > ls.cfg.Capacity {
 		return false // no amount of eviction fits it; don't wipe the store
 	}
-	target := int64(ls.cfg.GCLowWater * float64(ls.cfg.Capacity))
+	target := int64(gcLowWater * float64(ls.cfg.Capacity))
 	if target > ls.cfg.Capacity-need {
 		target = ls.cfg.Capacity - need
 	}

@@ -145,7 +145,7 @@ func TestLocalStorePeek(t *testing.T) {
 func TestLocalStoreGCReleasedFirst(t *testing.T) {
 	// Disk holds 10 × 100B. GC must evict released chunks before
 	// still-referenced ones, LRU order within each pass.
-	ls := NewLocalStore(LocalStoreConfig{Capacity: 1000, GC: true, GCLowWater: 0.8})
+	ls := NewLocalStore(LocalStoreConfig{Capacity: 1000, GC: true})
 	ids := make([]cryptoutil.Hash, 10)
 	for i := range ids {
 		id, data := lsChunk(i, 100)

@@ -123,8 +123,6 @@ type ProviderConfig struct {
 	MemCapacity int64
 	// GC enables capacity-triggered disk GC (see LocalStoreConfig.GC).
 	GC bool
-	// GCLowWater overrides the GC low-water fraction (0 = default).
-	GCLowWater float64
 	// Cheat selects the provider's honesty model.
 	Cheat CheatMode
 	// Metrics wires storage.tier.*, storage.dedup.ratio and
@@ -154,7 +152,6 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 			Capacity:    cfg.Capacity,
 			MemCapacity: cfg.MemCapacity,
 			GC:          cfg.GC,
-			GCLowWater:  cfg.GCLowWater,
 		}),
 		sealed:           map[cryptoutil.Hash]map[int][]byte{},
 		sealDelayPerByte: 10 * time.Microsecond,
