@@ -6,9 +6,10 @@ GO ?= go
 # determinism lint, the race detector over every internal package, the
 # full test suite, the allocation-budget gate on the scale-critical hot
 # paths, the per-package coverage report with its simnet floor, and a
-# short burst over every discovered fuzz target. scripts/ci.sh runs this
-# and then adds the seeded bench regression gate on top.
-ci: fmt build vet lint race test allocs cover fuzz
+# short burst over every discovered fuzz target, and one iteration of every
+# per-package benchmark. scripts/ci.sh runs this and then adds the seeded
+# bench regression gate on top.
+ci: fmt build vet lint race test allocs cover fuzz bench
 
 fmt:
 	@files="$$(gofmt -l .)"; \
@@ -91,8 +92,13 @@ fuzz:
 		done; \
 	done
 
+# bench runs every per-package Benchmark* once and no test (-run '^$$'): a
+# smoke run that keeps each layer micro-benchmark and its setup working, not
+# a measurement. Experiments are timed by `feudalism bench -timing`, the
+# repository benchmark is bench/run.sh. About 2.5-3 s on two cores with a
+# warm build cache (-count=1 re-runs the benchmarks every time).
 bench:
-	$(GO) test -bench . -benchmem -benchtime 1x ./...
+	$(GO) test -count=1 -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
 # allocs enforces the allocation budgets on the hot paths the X15 scale
 # sweep depends on. At 0 allocs/op: substrate Send (TestAllocSendZero), an

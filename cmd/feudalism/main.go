@@ -8,6 +8,9 @@
 //	feudalism table1|table2|table3|zooko          # paper tables + naming triangle
 //	feudalism experiment <id> [-seed N] [-trials T] [-workers W]
 //	                [-workload zipf|diurnal|flash]  # X18 schedule shape
+//	                [-timing]                     # X15 wall time per cell
+//	feudalism names [-seed N] [-name NAME]        # a name's lifecycle on a chain
+//	feudalism dedup [-seed N] [-cdc] [-stats]     # one X17 dedup world
 //	feudalism all [-seed N]                       # everything, in order
 //	feudalism list                                # available experiment ids
 //	feudalism bench [-json out.json] [-seed N] [-trials T] [-workers W]
@@ -32,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -41,6 +45,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/feasibility"
+	"repro/internal/naming"
 	"repro/internal/simnet"
 )
 
@@ -60,136 +65,207 @@ func renderTable(cmd string) (string, bool) {
 	return "", false
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd := os.Args[1]
-	if cmd == "bench" {
-		runBenchCmd(os.Args[2:])
-		return
-	}
-	if cmd == "scale" {
-		runScaleCmd(os.Args[2:])
-		return
-	}
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	seed := fs.Int64("seed", 42, "simulation seed (runs are deterministic per seed)")
-	_ = fs.Parse(os.Args[2:])
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run executes one command line and returns the process exit code: 0 on
+// success, 1 when a run fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
+	}
+	cmd, args := args[0], args[1:]
 	switch cmd {
+	case "names":
+		return runNamesCmd(args, stdout, stderr)
+	case "dedup":
+		return runDedupCmd(args, stdout, stderr)
+	case "bench":
+		return runBenchCmd(args, stdout, stderr)
+	case "scale":
+		return runScaleCmd(args, stdout, stderr)
+	}
+	fs := newFlagSet(cmd, stderr)
+	seed := fs.Int64("seed", 42, "simulation seed (runs are deterministic per seed)")
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
+	switch cmd {
+	case "experiment":
+		return runExperimentCmd(*seed, fs.Args(), stdout, stderr)
 	case "table1", "table2", "table3":
 		out, _ := renderTable(cmd)
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 	case "zooko":
-		fmt.Print(experiments.ZookoTable())
+		fmt.Fprint(stdout, experiments.ZookoTable())
 	case "list":
 		for _, e := range experiments.Registry() {
-			fmt.Printf("  %-20s %s\n", e.ID, e.Desc)
-		}
-	case "experiment":
-		if fs.NArg() < 1 {
-			fmt.Fprintln(os.Stderr, "experiment id required; see `feudalism list`")
-			os.Exit(2)
-		}
-		// Flags may follow the experiment id; parse the remainder too.
-		id := fs.Arg(0)
-		rest := flag.NewFlagSet("experiment "+id, flag.ExitOnError)
-		seed2 := rest.Int64("seed", *seed, "simulation seed")
-		trials := rest.Int("trials", 1, "number of independent seeds to aggregate over")
-		workers := rest.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
-		timing := rest.Bool("timing", false, "show wall time and allocations where the experiment supports it (X15)")
-		wl := rest.String("workload", "flash", "X18 schedule shape: zipf (steady popularity), diurnal (day/night cycle), or flash (crowd spike)")
-		_ = rest.Parse(fs.Args()[1:])
-		if *timing {
-			experiments.SetWallClock(func() int64 { return time.Now().UnixNano() })
-		}
-		e, ok := experiments.Find(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; see `feudalism list`\n", id)
-			os.Exit(2)
-		}
-		if id == "x18" && *trials <= 1 {
-			valid := false
-			for _, v := range experiments.WorkloadVariants() {
-				if v == *wl {
-					valid = true
-				}
-			}
-			if !valid {
-				fmt.Fprintf(os.Stderr, "unknown workload %q; want one of %v\n", *wl, experiments.WorkloadVariants())
-				os.Exit(2)
-			}
-			fmt.Print(experiments.WorkloadContention(*seed2, *wl))
-			return
-		}
-		if *trials > 1 && e.Multi != nil {
-			fmt.Print(e.Multi(simnet.Seeds(*seed2, *trials), *workers))
-		} else {
-			fmt.Print(e.Run(*seed2))
+			fmt.Fprintf(stdout, "  %-20s %s\n", e.ID, e.Desc)
 		}
 	case "all":
-		fmt.Print(experiments.Table1())
-		fmt.Println()
-		fmt.Print(experiments.Table2())
-		fmt.Println()
-		fmt.Print(experiments.Table3())
-		fmt.Println()
-		fmt.Print(experiments.ZookoTable())
+		fmt.Fprint(stdout, experiments.Table1())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiments.Table2())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiments.Table3())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiments.ZookoTable())
 		for _, e := range experiments.Registry() {
-			fmt.Println()
-			fmt.Print(e.Run(*seed))
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, e.Run(*seed))
 		}
 	default:
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
+	return 0
 }
 
-// runBenchCmd implements `feudalism bench`. It has its own flag set (the
-// generic -seed parser would reject -scale etc.), so it is dispatched
-// before the main switch.
-func runBenchCmd(args []string) {
-	bfs := flag.NewFlagSet("bench", flag.ExitOnError)
+// newFlagSet returns a flag set that reports errors to stderr and leaves
+// the exit to run.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseFlags parses args into fs; when it returns false the command stops
+// with the returned exit code (0 after -h, 2 on a bad flag).
+func parseFlags(fs *flag.FlagSet, args []string) (int, bool) {
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		return 0, false
+	case err != nil:
+		return 2, false
+	}
+	return 0, true
+}
+
+// wallClock is the host clock behind every -timing flag; internal/ never
+// reads it itself, so its outputs stay a function of the seed.
+func wallClock() int64 { return time.Now().UnixNano() }
+
+// runExperimentCmd implements `feudalism experiment <id> [flags]`; seed is
+// the -seed given before the id, if any.
+func runExperimentCmd(seed int64, args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		fmt.Fprintln(stderr, "experiment id required; see `feudalism list`")
+		return 2
+	}
+	id := args[0]
+	rest := newFlagSet("experiment "+id, stderr)
+	seed2 := rest.Int64("seed", seed, "simulation seed")
+	trials := rest.Int("trials", 1, "number of independent seeds to aggregate over")
+	workers := rest.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
+	timing := rest.Bool("timing", false, "show wall time and allocations per cell (X15's single-seed table)")
+	wl := rest.String("workload", "flash", "X18 schedule shape: zipf (steady popularity), diurnal (day/night cycle), or flash (crowd spike)")
+	if code, ok := parseFlags(rest, args[1:]); !ok {
+		return code
+	}
+	e, ok := experiments.Find(id)
+	if !ok {
+		fmt.Fprintf(stderr, "unknown experiment %q; see `feudalism list`\n", id)
+		return 2
+	}
+	x18, ok := experiments.WorkloadExperiment(*wl)
+	if !ok {
+		fmt.Fprintf(stderr, "unknown workload %q; want one of %v\n", *wl, experiments.WorkloadVariants())
+		return 2
+	}
+	if id == "x18" {
+		e = x18
+	}
+	switch {
+	case *trials > 1 && e.Multi != nil:
+		fmt.Fprint(stdout, e.Multi(simnet.Seeds(*seed2, *trials), *workers))
+	case id == "x15" && *timing:
+		fmt.Fprint(stdout, experiments.ScaleSweep(*seed2, false, wallClock))
+	default:
+		fmt.Fprint(stdout, e.Run(*seed2))
+	}
+	return 0
+}
+
+// runNamesCmd implements `feudalism names`: one name's lifecycle on a live
+// simulated chain.
+func runNamesCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("names", stderr)
+	seed := fs.Int64("seed", 42, "simulation seed")
+	name := fs.String("name", "alice.id", "name to register")
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
+	if !naming.ValidName(*name) {
+		fmt.Fprintf(stderr, "invalid name %q\n", *name)
+		return 2
+	}
+	namesDemo(stdout, *seed, *name)
+	return 0
+}
+
+// runDedupCmd implements `feudalism dedup`: one X17 world at one chunking
+// mode.
+func runDedupCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("dedup", stderr)
+	seed := fs.Int64("seed", 42, "simulation seed")
+	cdc := fs.Bool("cdc", false, "use content-defined chunking instead of fixed-size")
+	stats := fs.Bool("stats", false, "append per-provider tier occupancy")
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
+	fmt.Fprint(stdout, experiments.DedupSim(*seed, *cdc, *stats))
+	return 0
+}
+
+// runBenchCmd implements `feudalism bench`.
+func runBenchCmd(args []string, stdout, stderr io.Writer) int {
+	bfs := newFlagSet("bench", stderr)
 	bseed := bfs.Int64("seed", 42, "base simulation seed")
-	btrials := bfs.Int("trials", 1, "independent seeds for experiments with a Multi variant")
+	btrials := bfs.Int("trials", 1, "independent seeds for experiments with a Multi variant (full scale only)")
 	bworkers := bfs.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS); output is identical at any count")
 	bscale := bfs.String("scale", "full", "experiment sizes: full or tiny")
 	btiming := bfs.Bool("timing", false, "record wall time and allocations (machine-dependent; breaks byte-reproducibility)")
 	bout := bfs.String("json", "", "write JSON to this file instead of stdout")
 	bcpu := bfs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	bmem := bfs.String("memprofile", "", "write a heap profile, taken when the run ends, to this file")
-	_ = bfs.Parse(args)
+	if code, ok := parseFlags(bfs, args); !ok {
+		return code
+	}
 	if *bscale != "full" && *bscale != "tiny" {
-		fmt.Fprintf(os.Stderr, "bench: -scale must be full or tiny, got %q\n", *bscale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "bench: -scale must be full or tiny, got %q\n", *bscale)
+		return 2
+	}
+	if *bscale == "tiny" && *btrials > 1 {
+		fmt.Fprintln(stderr, "bench: -scale tiny runs one trial; -trials needs -scale full")
+		return 2
 	}
 	opts := experiments.BenchOptions{Seed: *bseed, Trials: *btrials, Workers: *bworkers, Scale: *bscale}
 	if *btiming {
-		opts.WallClock = func() int64 { return time.Now().UnixNano() }
+		opts.WallClock = wallClock
 	}
 	stopProfiles, err := startProfiles(*bcpu, *bmem)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bench: %v\n", err)
+		return 1
 	}
 	file := experiments.RunBench(opts)
 	if err := stopProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bench: %v\n", err)
+		return 1
 	}
 	b, err := file.EncodeJSON()
+	if err == nil {
+		if *bout == "" {
+			_, err = stdout.Write(b)
+		} else {
+			err = os.WriteFile(*bout, b, 0o644)
+		}
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bench: %v\n", err)
+		return 1
 	}
-	if *bout == "" {
-		os.Stdout.Write(b)
-	} else if err := os.WriteFile(*bout, b, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
 // runScaleCmd implements `feudalism scale`: the huge-tier (100k–1M node)
@@ -198,8 +274,8 @@ func runBenchCmd(args []string) {
 // metric snapshots (the command fails otherwise), and the emitted bench
 // JSON records wall time and msgs/sec per worker count so CI can track the
 // throughput trajectory and the parallel speedup.
-func runScaleCmd(args []string) {
-	sfs := flag.NewFlagSet("scale", flag.ExitOnError)
+func runScaleCmd(args []string, stdout, stderr io.Writer) int {
+	sfs := newFlagSet("scale", stderr)
 	sseed := sfs.Int64("seed", 42, "base simulation seed")
 	stiers := sfs.String("n", "100000", "comma-separated node populations (e.g. 100000,1000000)")
 	ssubs := sfs.String("subsystems", "simnet,dht,gossip", "comma-separated subsystems to sweep")
@@ -210,61 +286,66 @@ func runScaleCmd(args []string) {
 	smincpu := sfs.Int("min-cpus", 4, "enforce -check-speedup only on hosts with at least this many CPUs")
 	scpu := sfs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	smem := sfs.String("memprofile", "", "write a heap profile, taken when the sweep ends, to this file")
-	_ = sfs.Parse(args)
+	if code, ok := parseFlags(sfs, args); !ok {
+		return code
+	}
 
-	opts := experiments.HugeOptions{
-		Seed:      *sseed,
-		Tiers:     parseIntList(*stiers, "n"),
-		Shards:    *sshards,
-		WallClock: func() int64 { return time.Now().UnixNano() },
+	opts := experiments.HugeOptions{Seed: *sseed, Shards: *sshards, WallClock: wallClock}
+	var err error
+	if opts.Tiers, err = parseIntList(*stiers, "n"); err != nil {
+		fmt.Fprintf(stderr, "scale: %v\n", err)
+		return 2
 	}
 	if subs := strings.Split(*ssubs, ","); *ssubs != "" {
 		opts.Subsystems = subs
 	}
 	if *sworkers != "" {
-		opts.Workers = parseIntList(*sworkers, "workers")
+		if opts.Workers, err = parseIntList(*sworkers, "workers"); err != nil {
+			fmt.Fprintf(stderr, "scale: %v\n", err)
+			return 2
+		}
 	}
 	stopProfiles, err := startProfiles(*scpu, *smem)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "scale: %v\n", err)
+		return 1
 	}
 	cells, file, err := experiments.RunScaleHuge(opts)
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "scale: %v\n", err)
+		return 1
 	}
 	for _, c := range cells {
-		fmt.Printf("%-28s shards=%-3d workers=%-3d conv=%.1f%% msgs=%d wall=%.2fs msgs/sec=%.0f\n",
+		fmt.Fprintf(stdout, "%-28s shards=%-3d workers=%-3d conv=%.1f%% msgs=%d wall=%.2fs msgs/sec=%.0f\n",
 			c.ID(), c.Shards, c.Workers, c.Cell.Converged*100, c.Cell.Messages,
 			float64(c.Timing.WallNS)/1e9, c.MsgsPerSec)
 	}
 	for _, sub := range opts.Subsystems {
 		for _, n := range opts.Tiers {
 			if sp, ok := experiments.HugeSpeedup(cells, sub, n); ok {
-				fmt.Printf("%-28s speedup=%.2fx (byte-identical across worker counts)\n",
+				fmt.Fprintf(stdout, "%-28s speedup=%.2fx (byte-identical across worker counts)\n",
 					fmt.Sprintf("x15.huge.%s.n%d", sub, n), sp)
 				if *sspeed > 0 && runtime.NumCPU() >= *smincpu && sp < *sspeed {
-					fmt.Fprintf(os.Stderr, "scale: %s.n%d speedup %.2fx below required %.2fx\n", sub, n, sp, *sspeed)
-					os.Exit(1)
+					fmt.Fprintf(stderr, "scale: %s.n%d speedup %.2fx below required %.2fx\n", sub, n, sp, *sspeed)
+					return 1
 				}
 			}
 		}
 	}
 	if *sout != "" {
 		b, err := file.EncodeJSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			err = os.WriteFile(*sout, b, 0o644)
 		}
-		if err := os.WriteFile(*sout, b, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-			os.Exit(1)
+		if err != nil {
+			fmt.Fprintf(stderr, "scale: %v\n", err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // startProfiles starts a CPU profile into cpuPath and returns the function
@@ -305,21 +386,20 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-func parseIntList(s, flagName string) []int {
+func parseIntList(s, flagName string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "scale: -%s wants positive comma-separated integers, got %q\n", flagName, s)
-			os.Exit(2)
+			return nil, fmt.Errorf("-%s wants positive comma-separated integers, got %q", flagName, s)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: feudalism <command> [-seed N]
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: feudalism <command> [-seed N]
 
 commands:
   table1      regenerate the paper's Table 1 (problems × projects)
@@ -327,10 +407,16 @@ commands:
   table3      regenerate the paper's Table 3 (cloud vs device capacity)
   zooko       Zooko-triangle scores for all implemented naming schemes
   experiment  run one experiment by id (see list); x18 takes
-              -workload zipf|diurnal|flash to pick the schedule shape
+              -workload zipf|diurnal|flash to pick the schedule shape,
+              x15 takes -timing to show wall time per cell
+  names       one name's lifecycle on a live simulated chain;
+              -name NAME picks the name
+  dedup       one X17 overlapping-upload world; -cdc for content-defined
+              chunking, -stats for per-provider tier occupancy
   all         tables + every experiment
   list        list experiment ids
   bench       run every experiment and emit machine-readable BENCH JSON;
+              -timing adds wall time and allocations per experiment;
               -cpuprofile f / -memprofile f profile the run
   scale       run the huge-tier (100k-1M node) X15 sweep on the sharded
               engine; -n 100000,1000000 -workers 1,8 -json out.json;

@@ -8,8 +8,8 @@
 // qualitative claims.
 //
 // The root package holds the cross-subsystem integration tests, the scale
-// smoke tests, and the benchmark harness (one benchmark per paper table
-// and experiment; see EXPERIMENTS.md). The implementation lives under
-// internal/ — see DESIGN.md for the system inventory — and runnable
-// entry points under cmd/ and examples/.
+// and shard-determinism tests, and the allocation gates. The
+// implementation lives under internal/ — see DESIGN.md for the system
+// inventory — and runnable entry points under cmd/ (cmd/feudalism runs
+// every experiment; see EXPERIMENTS.md) and examples/.
 package repro

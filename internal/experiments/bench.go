@@ -12,7 +12,8 @@ type BenchOptions struct {
 	// Seed is the base seed; multi-trial experiments derive their trial
 	// seeds from it with simnet.Seeds, exactly like `feudalism experiment`.
 	Seed int64
-	// Trials > 1 runs the Multi variant of experiments that have one.
+	// Trials > 1 runs the Multi variant of experiments that have one. The
+	// tiny scale has no multi-seed runs, so there it is always 1.
 	Trials int
 	// Workers bounds trial parallelism (0 = GOMAXPROCS). The exported
 	// metrics are identical at any worker count.
@@ -31,7 +32,7 @@ type BenchOptions struct {
 }
 
 func (o BenchOptions) withDefaults() BenchOptions {
-	if o.Trials <= 0 {
+	if o.Trials <= 0 || o.Scale == "tiny" {
 		o.Trials = 1
 	}
 	if o.Scale == "" {

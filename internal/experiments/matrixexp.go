@@ -29,7 +29,8 @@ type matrixExp struct {
 	// matrix is the numeric core: one seed in, one labelled grid out.
 	matrix func(seed int64, tiny bool) Matrix
 	// table, when non-nil, replaces the generated single-seed renderings
-	// (X15 shows opt-in wall time per cell, which no Matrix carries).
+	// (X15's table, which can also show wall time per cell; the registry
+	// never passes it a clock).
 	table func(seed int64, tiny bool) *Table
 }
 
@@ -127,7 +128,7 @@ func matrixExps() []matrixExp {
 			multiTitle: "X15: scale sweep — convergence %, messages/node per subsystem × population",
 			multi:      []string{"%.1f%%", "%.0f"},
 			matrix:     scaleMatrix,
-			table:      ScaleSweep,
+			table:      func(seed int64, tiny bool) *Table { return ScaleSweep(seed, tiny, nil) },
 		},
 		{
 			id: "x16", desc: "X16: resilience matrix, subsystem × fault scenario, naive vs adaptive transport",

@@ -17,16 +17,6 @@ import (
 	"repro/internal/webapp"
 )
 
-// RecoveryMatrix is experiment X14: every subsystem is driven through the
-// canonical fault battery (internal/simnet/fault) and measured on two
-// axes — how completely it recovers once faults clear (success %) and how
-// long after the last fault the recovery invariant first holds again
-// (recovery time). It quantifies §5.3: the hard problems of decentralized
-// systems are not the happy path but churn, partitions, and garbage links,
-// and a credible alternative to the feudal clouds has to self-heal from
-// all of them without an operator.
-func RecoveryMatrix(seed int64) *Table { return matrixExpByID("x14").run(seed) }
-
 func scenarioNames(scs []fault.Scenario) []string {
 	names := make([]string, len(scs))
 	for i, sc := range scs {
@@ -59,9 +49,16 @@ var recoveryWorlds = []struct {
 	{"webapp", 6, webappRecoveryWorld},
 }
 
-// recoveryMatrix is the numeric core of X14: rows are subsystems, columns
-// alternate "<scenario> ok%" and "<scenario> rec(m)" so one Matrix carries
-// both measures through AggregateSeeds.
+// recoveryMatrix is experiment X14: every subsystem is driven through the
+// canonical fault battery (internal/simnet/fault) and measured on two
+// axes — how completely it recovers once faults clear (success %) and how
+// long after the last fault the recovery invariant first holds again
+// (recovery time). It quantifies §5.3: the hard problems of decentralized
+// systems are not the happy path but churn, partitions, and garbage links,
+// and a credible alternative to the feudal clouds has to self-heal from
+// all of them without an operator. Rows are subsystems, columns alternate
+// "<scenario> ok%" and "<scenario> rec(m)" so one Matrix carries both
+// measures through AggregateSeeds.
 func recoveryMatrix(seed int64, tiny bool) Matrix {
 	scs := fault.Scenarios()
 	cols := make([]string, 0, 2*len(scs))

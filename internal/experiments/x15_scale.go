@@ -19,19 +19,9 @@ import (
 // population?) and the delivered message volume, plus wall time and
 // allocations when timing is enabled. The convergence and traffic numbers
 // are seed-deterministic and flow into the bench gate; the timing columns
-// are machine-dependent and therefore opt-in (cmd/feudalism -timing).
-
-// wallClock supplies monotonic wall-clock nanoseconds for X15's timing
-// columns. It is nil by default so everything under internal/ stays free of
-// time.Now (the determinism lint enforces this); cmd/feudalism injects the
-// real clock behind its -timing flag.
-var wallClock func() int64
-
-// SetWallClock installs the wall-clock source used by the X15 table's
-// timing columns (nil disables them). The injected clock affects only the
-// rendered text, never the exported metrics, so bench output stays
-// byte-reproducible regardless.
-func SetWallClock(f func() int64) { wallClock = f }
+// are machine-dependent and therefore opt-in (cmd/feudalism -timing). The
+// clock is passed in rather than read here so that everything under
+// internal/ stays free of time.Now (the determinism lint enforces this).
 
 // ScaleTiers returns the sweep's population axis: the full experiment runs
 // 100 → 10,000 nodes, the tiny variant keeps the same shape at test scale.
@@ -52,8 +42,6 @@ type ScaleCell struct {
 	N         int
 	Converged float64 // fraction of probes satisfied, in [0, 1]
 	Messages  int64   // substrate messages delivered during the run
-	WallNS    int64   // wall time; -1 when timing is disabled
-	Allocs    uint64  // heap allocations; meaningful only with timing
 }
 
 // ScaleCellRun executes one cell of the sweep. Exported so the scale-test
@@ -75,23 +63,19 @@ func ScaleCellRunSharded(subsystem string, seed int64, n, shards, workers int) S
 }
 
 func scaleCellOn(subsystem string, n int, mk func() *simnet.Network) ScaleCell {
+	var run func(*simnet.Network, int) (float64, int64)
 	switch subsystem {
 	case "simnet":
-		return timedCell(n, func() (float64, int64) { return scaleSimnet(mk(), n) })
+		run = scaleSimnet
 	case "dht":
-		return timedCell(n, func() (float64, int64) { return scaleDHT(mk(), n) })
+		run = scaleDHT
 	case "gossip":
-		return timedCell(n, func() (float64, int64) { return scaleGossip(mk(), n) })
+		run = scaleGossip
+	default:
+		panic("x15: unknown subsystem " + subsystem)
 	}
-	panic("x15: unknown subsystem " + subsystem)
-}
-
-// timedCell wraps one cell workload with the opt-in wall/alloc measurement.
-func timedCell(n int, run func() (float64, int64)) ScaleCell {
-	cell := ScaleCell{N: n, WallNS: -1}
-	if t := timed(wallClock, func() { cell.Converged, cell.Messages = run() }); t != nil {
-		cell.WallNS, cell.Allocs = t.WallNS, t.Allocs
-	}
+	cell := ScaleCell{N: n}
+	cell.Converged, cell.Messages = run(mk(), n)
 	return cell
 }
 
@@ -250,10 +234,11 @@ func scaleMatrix(seed int64, tiny bool) Matrix {
 	return m
 }
 
-// ScaleSweep renders the single-seed X15 table. With a wall clock installed
-// (cmd/feudalism -timing) each cell also shows wall seconds and heap
-// allocations; without one the output is a pure function of the seed.
-func ScaleSweep(seed int64, tiny bool) *Table {
+// ScaleSweep renders the single-seed X15 table. Given a wall clock
+// (`feudalism experiment x15 -timing`) each cell also shows wall seconds
+// and heap allocations; with a nil clock the output is a pure function of
+// the seed.
+func ScaleSweep(seed int64, tiny bool, clock func() int64) *Table {
 	tiers := ScaleTiers(tiny)
 	subs := ScaleSubsystems()
 	headers := []string{"Subsystem"}
@@ -268,10 +253,11 @@ func ScaleSweep(seed int64, tiny bool) *Table {
 	for _, sub := range subs {
 		row := []any{sub}
 		for _, n := range tiers {
-			cell := ScaleCellRun(sub, seed, n)
+			var cell ScaleCell
+			timing := timed(clock, func() { cell = ScaleCellRun(sub, seed, n) })
 			text := fmt.Sprintf("%.1f%% %.0fm/n", cell.Converged*100, float64(cell.Messages)/float64(n))
-			if cell.WallNS >= 0 {
-				text += fmt.Sprintf(" %.2fs %s", float64(cell.WallNS)/1e9, humanCount(cell.Allocs))
+			if timing != nil {
+				text += fmt.Sprintf(" %.2fs %s", float64(timing.WallNS)/1e9, humanCount(timing.Allocs))
 			}
 			row = append(row, text)
 		}

@@ -124,7 +124,7 @@ type dedupCell struct {
 }
 
 // dedupResult carries the cell plus per-provider tier occupancy for the
-// storesim -stats view.
+// `feudalism dedup -stats` view.
 type dedupResult struct {
 	cell     dedupCell
 	physB    []int64
@@ -289,26 +289,17 @@ func dedupMatrix(seed int64, tiny bool) Matrix {
 	return m
 }
 
-// DedupSim is the storesim view of one X17 world: both workloads at the
-// chosen chunking mode and average chunk size. stats appends per-provider
-// tier occupancy rows, the operator's view of where the bytes sit.
-func DedupSim(seed int64, users, providers int, cdc bool, avgChunk int, stats bool) *Table {
+// DedupSim is the operator's view of one X17 world (`feudalism dedup`):
+// both workloads at the full-scale spec and one chunking mode. stats
+// appends per-provider tier occupancy rows, where the bytes sit after GC.
+func DedupSim(seed int64, cdc, stats bool) *Table {
 	sp := dedupSpecFor(false)
-	if users > 0 {
-		sp.users = users
-	}
-	if providers > 0 {
-		sp.providers = providers
-	}
-	if avgChunk > 0 {
-		sp.avgChunk = avgChunk
-	}
 	mode := "fixed"
 	if cdc {
 		mode = "cdc"
 	}
 	t := &Table{
-		Title:   fmt.Sprintf("storesim dedup: %d users × %d providers, %s chunking @ %d B", sp.users, sp.providers, mode, sp.avgChunk),
+		Title:   fmt.Sprintf("X17 dedup: %d users × %d providers, %s chunking @ %d B", sp.users, sp.providers, mode, sp.avgChunk),
 		Headers: []string{"Workload", "dedup ratio", "mem hit%", "repair KB", "gc KB"},
 	}
 	var results []dedupResult

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -246,13 +247,17 @@ func workloadMatrix(seed int64, wl string, tiny bool) Matrix {
 // the "flash" one.
 func x18Exp(wl string) matrixExp {
 	sp := flashSpecFor(false)
+	shape := wl
+	if wl == "flash" {
+		shape = "flash-crowd"
+	}
 	return matrixExp{
 		id: "x18", desc: "X18: flash-crowd workload, feudal single server vs replicated federation vs p2p webapp",
 		rowHeader: "Architecture",
 		title: fmt.Sprintf("X18: %s workload — %d clients, %d objects, SLA %v; feudal vs federated vs p2p on equal home links",
 			wl, sp.clients, sp.objects, sp.sla),
-		multiTitle: "X18: flash-crowd workload — feudal vs federated vs p2p on equal home links",
-		tinyTitle:  "X18 (tiny): flash-crowd workload",
+		multiTitle: fmt.Sprintf("X18: %s workload — feudal vs federated vs p2p on equal home links", shape),
+		tinyTitle:  fmt.Sprintf("X18 (tiny): %s workload", shape),
 		cell:       []string{"%.1f%%", "%.2fs", "%.1f%%", "%.0f"},
 		multi:      []string{"%.1f", "%.2f", "%.1f", "%.0f"},
 		tiny:       []string{"%.1f"},
@@ -260,6 +265,12 @@ func x18Exp(wl string) matrixExp {
 	}
 }
 
-// WorkloadContention renders the single-seed X18 table for one workload
-// variant ("zipf", "diurnal" or "flash" — see WorkloadVariants).
-func WorkloadContention(seed int64, wl string) *Table { return x18Exp(wl).run(seed) }
+// WorkloadExperiment returns X18 run on one workload variant (see
+// WorkloadVariants), with Run, Multi and Tiny all on that schedule; false
+// for an unknown variant. The registry's x18 is the "flash" variant.
+func WorkloadExperiment(wl string) (Experiment, bool) {
+	if !slices.Contains(WorkloadVariants(), wl) {
+		return Experiment{}, false
+	}
+	return x18Exp(wl).experiment(), true
+}
