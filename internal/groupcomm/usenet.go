@@ -67,13 +67,17 @@ func (s *UsenetServer) accept(p Post, from simnet.NodeID) bool {
 		return false
 	}
 	s.articles[p.ID] = p
-	s.BytesStored += int64(p.WireSize())
+	size := p.WireSize()
+	s.BytesStored += int64(size)
+	// One boxed copy serves every peer: receivers copy the Post out of
+	// the interface, so nothing downstream writes to it.
+	var article any = p
 	for _, peer := range s.peers {
 		if peer == from || peer == s.node.ID() {
 			continue
 		}
-		if s.node.Send(peer, msgUsenetArticle, p, p.WireSize()) {
-			s.BytesRelayed += int64(p.WireSize())
+		if s.node.Send(peer, msgUsenetArticle, article, size) {
+			s.BytesRelayed += int64(size)
 		}
 	}
 	return true
