@@ -55,29 +55,31 @@ func RunBench(opts BenchOptions) *obs.BenchFile {
 		Trials: opts.Trials,
 		Scale:  opts.Scale,
 	}
-	for _, e := range Registry() {
-		file.Experiments = append(file.Experiments, runBenchEntry(e, opts))
+	for _, d := range descriptors() {
+		file.Experiments = append(file.Experiments, benchEntry(d.id, opts.WallClock, func() {
+			switch {
+			case opts.Scale == "tiny":
+				d.run(opts.Seed, true)
+			case opts.Trials > 1 && d.matrix != nil:
+				d.runMulti(simnet.Seeds(opts.Seed, opts.Trials), opts.Workers, false)
+			default:
+				d.run(opts.Seed, false)
+			}
+		}))
 	}
 	file.Sort()
 	return file
 }
 
-func runBenchEntry(e Experiment, opts BenchOptions) obs.BenchExperiment {
+// benchEntry runs one experiment under a fresh obs collector and returns
+// its bench entry: the merge of every metric registry the run created,
+// plus timing given a clock.
+func benchEntry(id string, clock func() int64, run func()) obs.BenchExperiment {
 	col := obs.NewCollector()
 	restore := obs.SetCollector(col)
 	defer restore()
-
-	timing := timed(opts.WallClock, func() {
-		switch {
-		case opts.Scale == "tiny":
-			_ = e.Tiny(opts.Seed)
-		case opts.Trials > 1 && e.Multi != nil:
-			_ = e.Multi(simnet.Seeds(opts.Seed, opts.Trials), opts.Workers)
-		default:
-			_ = e.Run(opts.Seed)
-		}
-	})
-	return obs.BenchExperiment{ID: e.ID, Metrics: col.Merged(), Timing: timing}
+	timing := timed(clock, run)
+	return obs.BenchExperiment{ID: id, Metrics: col.Merged(), Timing: timing}
 }
 
 // timed runs fn and, given a wall clock, returns its wall time and heap

@@ -3,11 +3,11 @@ package experiments
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -22,11 +22,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // ordering, not population size, so only X14 — the experiment touching the
 // most subsystems — pays for full scale). The answers themselves are
 // testdata/<id>_bench_golden.json.
-var benchGoldens = []struct {
+type benchGolden struct {
 	id   string
 	seed int64
 	tiny bool
-}{
+}
+
+var benchGoldens = []benchGolden{
 	{"x14", 4242, false},
 	{"x15", 1515, true},
 	{"x16", 1616, true}, // resil.* retry/hedge/breaker counters: every adaptive decision the layer made
@@ -38,12 +40,9 @@ var benchGoldens = []struct {
 
 // benchSnapshot runs one matrix experiment as a three-trial bench entry on
 // `workers` trial runners and returns the snapshot JSON.
-func benchSnapshot(t *testing.T, d matrixExp, seed int64, tiny bool, workers int) []byte {
+func benchSnapshot(t *testing.T, d descriptor, seed int64, tiny bool, workers int) []byte {
 	t.Helper()
-	e := Experiment{ID: d.id, Multi: func(seeds []int64, workers int) fmt.Stringer {
-		return d.runMulti(seeds, workers, tiny)
-	}}
-	entry := runBenchEntry(e, BenchOptions{Seed: seed, Trials: 3, Workers: workers, Scale: "full"}.withDefaults())
+	entry := benchEntry(d.id, nil, func() { d.runMulti(simnet.Seeds(seed, 3), workers, tiny) })
 	var buf bytes.Buffer
 	if err := entry.Metrics.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -57,12 +56,15 @@ func benchSnapshot(t *testing.T, d matrixExp, seed int64, tiny bool, workers int
 // `go test ./internal/experiments -run TestBenchGoldens -update` after an
 // intentional behaviour change (add `/x17` to the pattern for just one).
 func TestBenchGoldens(t *testing.T) {
-	if len(benchGoldens) != len(matrixExps()) {
-		t.Errorf("%d golden rows for %d matrix experiments; every descriptor needs a row", len(benchGoldens), len(matrixExps()))
+	// The matrix experiments are the ids named by their X number (x14–x20).
+	for _, d := range descriptors() {
+		if strings.HasPrefix(d.id, "x") && !slices.ContainsFunc(benchGoldens, func(g benchGolden) bool { return g.id == d.id }) {
+			t.Errorf("matrix experiment %s has no benchGoldens row", d.id)
+		}
 	}
 	for _, g := range benchGoldens {
 		t.Run(g.id, func(t *testing.T) {
-			d := matrixExpByID(g.id)
+			d := descriptorByID(g.id)
 			serial := benchSnapshot(t, d, g.seed, g.tiny, 1)
 			if parallel := benchSnapshot(t, d, g.seed, g.tiny, 4); !bytes.Equal(serial, parallel) {
 				t.Fatal("snapshot differs between 1 and 4 trial workers")

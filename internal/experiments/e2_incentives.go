@@ -14,16 +14,13 @@ import (
 	"repro/internal/storage"
 )
 
-// RunIncentiveDemos executes the incentive mechanism of every Table 2 row
-// against live providers: one honest, one adversarial per mechanism. The
-// resulting table shows that each implemented scheme rewards honest
+// incentiveDemos is demo E2: it executes the incentive mechanism of every
+// Table 2 row against live providers, one honest and one adversarial per
+// mechanism. The resulting table shows that each implemented scheme rewards honest
 // behaviour and catches (or starves) the cheater — the property §3.3 says
 // these mechanisms exist to provide.
-func RunIncentiveDemos(seed int64) *Table {
-	t := &Table{
-		Title:   "E2 demo: each surveyed incentive scheme executed against honest and cheating providers",
-		Headers: []string{"System", "Mechanism", "Honest Provider", "Cheating Provider"},
-	}
+func incentiveDemos(seed int64) *Table {
+	t := &Table{Headers: []string{"System", "Mechanism", "Honest Provider", "Cheating Provider"}}
 	for _, row := range core.Table2() {
 		honest, cheater := runIncentive(seed, row.Incentive)
 		t.Add(row.System, row.Incentive, honest, cheater)

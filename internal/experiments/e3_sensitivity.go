@@ -6,17 +6,14 @@ import (
 	"repro/internal/feasibility"
 )
 
-// FeasibilitySensitivity probes how robust Table 3's "there appears to be
-// sufficient capacity" conclusion is: each row perturbs one constant of
-// the §4 model and reports the device-side estimate and whether it still
-// covers the cloud side per resource. The paper acknowledges its numbers
-// are rough extrapolations; this table shows which ones the conclusion
-// actually hinges on.
-func FeasibilitySensitivity() *Table {
-	t := &Table{
-		Title:   "E3 sensitivity: perturbing one §4 constant at a time",
-		Headers: []string{"Variant", "Device Capacity", "BW ok", "Cores ok", "Storage ok"},
-	}
+// feasibilitySensitivity is E3's sensitivity table. It probes how robust
+// Table 3's "there appears to be sufficient capacity" conclusion is: each
+// row perturbs one constant of the §4 model and reports the device-side
+// estimate and whether it still covers the cloud side per resource. The
+// paper acknowledges its numbers are rough extrapolations; this table
+// shows which ones the conclusion actually hinges on.
+func feasibilitySensitivity() *Table {
+	t := &Table{Headers: []string{"Variant", "Device Capacity", "BW ok", "Cores ok", "Storage ok"}}
 	cloud := feasibility.PaperCloud().Estimate()
 	add := func(name string, d feasibility.DeviceParams) {
 		c := d.Estimate()

@@ -1,9 +1,10 @@
 // Package experiments contains the runnable harnesses behind every table
 // and claim-backed experiment in EXPERIMENTS.md: the paper's three tables
-// (E1–E3) and the quantitative extensions X1–X7 that measure the §3
-// qualitative claims on this repository's implementations. Each experiment
-// is deterministic given its seed and returns printable row structures;
-// cmd/feudalism and the root benchmark suite drive them.
+// (E1–E3) and the quantitative extensions X1–X20 that measure the §3
+// qualitative claims on this repository's implementations. Each
+// experiment is one descriptor (descriptor.go) and is deterministic given
+// its seed; cmd/feudalism drives them, and `feudalism bench` runs them
+// all into one machine-readable file.
 package experiments
 
 import (

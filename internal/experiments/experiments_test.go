@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,10 +15,8 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("render:\n%s", s)
 	}
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 4+0 { // title, header, separator, 2 rows -> 5
-		if len(lines) != 5 {
-			t.Errorf("lines = %d", len(lines))
-		}
+	if len(lines) != 5 { // title, header, separator, 2 rows
+		t.Errorf("lines = %d:\n%s", len(lines), s)
 	}
 }
 
@@ -50,62 +46,45 @@ func TestTable1Table2Table3(t *testing.T) {
 }
 
 func TestNamingSchemesShape(t *testing.T) {
-	tab := NamingSchemes(1, 8)
-	if len(tab.Rows) < 3 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
+	m := namingMatrix(1, 8)
+	if len(m.Rows) < 3 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
 	// Centralized latency must be far below blockchain latency.
-	centLat := parseSeconds(t, tab.Rows[0][1])
-	bcLat := parseSeconds(t, tab.Rows[1][1])
+	centLat, bcLat := m.Vals[0][0], m.Vals[1][0]
 	if centLat <= 0 || bcLat <= 0 {
-		t.Fatalf("latencies %v %v:\n%s", centLat, bcLat, tab)
+		t.Fatalf("latencies %v %v: %v", centLat, bcLat, m.Vals)
 	}
 	if bcLat < 10*centLat {
 		t.Errorf("blockchain (%vs) should be ≫ centralized (%vs)", bcLat, centLat)
 	}
 	// And the slower block spacing must be slower still.
-	bcSlow := parseSeconds(t, tab.Rows[2][1])
+	bcSlow := m.Vals[2][0]
 	if bcSlow <= bcLat {
 		t.Errorf("30s spacing (%v) should beat 5s spacing (%v) in latency? no — it should be larger", bcSlow, bcLat)
 	}
 }
 
-func parseSeconds(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
-	if err != nil {
-		t.Fatalf("parse %q: %v", s, err)
-	}
-	return v
-}
-
 func TestFiftyOnePercentMonotone(t *testing.T) {
-	tab := FiftyOnePercent(7, 6, 12)
-	if len(tab.Rows) != 8 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	m := fiftyOneMatrix(7, raceSize{trials: 6, horizon: 12})
+	if len(m.Rows) != 8 {
+		t.Fatalf("rows = %d", len(m.Rows))
 	}
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		return v
-	}
-	lowShare := parse(tab.Rows[0][1])  // 10%
-	highShare := parse(tab.Rows[7][1]) // 75%
+	lowShare := m.Vals[0][0]  // 10%
+	highShare := m.Vals[7][0] // 75%
 	if lowShare > 40 {
-		t.Errorf("10%% attacker succeeded %v%% of the time:\n%s", lowShare, tab)
+		t.Errorf("10%% attacker succeeded %v%% of the time: %v", lowShare, m.Vals)
 	}
 	if highShare < 60 {
-		t.Errorf("75%% attacker succeeded only %v%%:\n%s", highShare, tab)
+		t.Errorf("75%% attacker succeeded only %v%%: %v", highShare, m.Vals)
 	}
 	if highShare <= lowShare {
-		t.Errorf("success rate should grow with hash share:\n%s", tab)
+		t.Errorf("success rate should grow with hash share: %v", m.Vals)
 	}
 }
 
 func TestDoubleSpend(t *testing.T) {
-	before, after := DoubleSpend(3)
+	before, after := doubleSpend(3)
 	if before != 500 {
 		t.Fatalf("victim balance before attack = %d, want 500", before)
 	}
@@ -115,88 +94,67 @@ func TestDoubleSpend(t *testing.T) {
 }
 
 func TestCommAvailabilityShape(t *testing.T) {
-	tab := CommAvailability(11, 10, []float64{0, 0.3})
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
-	}
-	get := func(r, c int) float64 {
-		v, err := strconv.ParseFloat(tab.Rows[r][c], 64)
-		if err != nil {
-			t.Fatalf("parse [%d][%d]=%q", r, c, tab.Rows[r][c])
-		}
-		return v
+	m := commAvailabilityMatrix(11, commSize{servers: 10, fails: []float64{0, 0.3}})
+	if len(m.Rows) != 4 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
 	// f=0: everything should deliver.
 	for r := 0; r < 4; r++ {
-		if got := get(r, 1); got < 0.95 {
-			t.Errorf("%s at f=0: %.2f, want ≈1:\n%s", tab.Rows[r][0], got, tab)
+		if got := m.Vals[r][0]; got < 0.95 {
+			t.Errorf("%s at f=0: %.2f, want ≈1: %v", m.Rows[r], got, m.Vals)
 		}
 	}
 	// f=0.3: centralized collapses to 0; replicated beats home-federated.
-	if got := get(0, 2); got != 0 {
+	if got := m.Vals[0][1]; got != 0 {
 		t.Errorf("centralized at f=0.3 = %v, want 0", got)
 	}
-	fedHome, fedRepl := get(1, 2), get(2, 2)
+	fedHome, fedRepl := m.Vals[1][1], m.Vals[2][1]
 	if fedRepl <= fedHome {
-		t.Errorf("replicated federation (%.2f) should beat home federation (%.2f):\n%s", fedRepl, fedHome, tab)
+		t.Errorf("replicated federation (%.2f) should beat home federation (%.2f): %v", fedRepl, fedHome, m.Vals)
 	}
 }
 
 func TestSocialP2PShape(t *testing.T) {
-	tab := SocialP2P(13, 20, []int{2, 8}, []float64{0.5, 1.0})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	get := func(r, c int) float64 {
-		v, err := strconv.ParseFloat(tab.Rows[r][c], 64)
-		if err != nil {
-			t.Fatalf("parse %q", tab.Rows[r][c])
-		}
-		return v
+	m := socialP2PMatrix(13, socialSize{users: 20, degree: []int{2, 8}, uptime: []float64{0.5, 1.0}}, socialTrials)
+	if len(m.Rows) != 2 {
+		t.Fatalf("rows = %d", len(m.Rows))
 	}
 	// Full uptime should deliver everything regardless of degree.
-	if get(0, 2) < 0.95 || get(1, 2) < 0.95 {
-		t.Errorf("full-uptime delivery below 1:\n%s", tab)
+	if m.Vals[0][1] < 0.95 || m.Vals[1][1] < 0.95 {
+		t.Errorf("full-uptime delivery below 1: %v", m.Vals)
 	}
 	// At 50%% uptime, higher degree should not hurt.
-	if get(1, 1)+0.15 < get(0, 1) {
-		t.Errorf("higher degree materially hurt delivery:\n%s", tab)
+	if m.Vals[1][0]+0.15 < m.Vals[0][0] {
+		t.Errorf("higher degree materially hurt delivery: %v", m.Vals)
 	}
 
-	exp := MetadataExposureTable(10)
+	exp := metadataExposure(0, 10)
 	if len(exp.Rows) != 4 {
 		t.Errorf("exposure rows = %d", len(exp.Rows))
 	}
 }
 
 func TestStorageDurabilityShape(t *testing.T) {
-	tab := StorageDurability(17, 12, 24, 4*time.Hour, 0.5)
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
+	m := durabilityMatrix(17, durabilitySize{objects: 12, providers: 24, horizon: 4 * time.Hour, dead: 0.5})
+	if len(m.Rows) != 5 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-		if err != nil {
-			t.Fatalf("parse %q", s)
-		}
-		return v
-	}
-	r1NoRepair := parse(tab.Rows[0][2])
-	r3NoRepair := parse(tab.Rows[2][2])
+	r1NoRepair := m.Vals[0][0]
+	r3NoRepair := m.Vals[2][0]
 	if r3NoRepair < r1NoRepair {
-		t.Errorf("r=3 (%v%%) should survive at least as well as r=1 (%v%%):\n%s", r3NoRepair, r1NoRepair, tab)
+		t.Errorf("r=3 (%v%%) should survive at least as well as r=1 (%v%%): %v", r3NoRepair, r1NoRepair, m.Vals)
 	}
-	r3Repair := parse(tab.Rows[2][3])
+	r3Repair := m.Vals[2][1]
 	if r3Repair < r3NoRepair {
-		t.Errorf("repair (%v%%) should not reduce survival (%v%%):\n%s", r3Repair, r3NoRepair, tab)
+		t.Errorf("repair (%v%%) should not reduce survival (%v%%): %v", r3Repair, r3NoRepair, m.Vals)
 	}
 	if r3Repair < 90 {
-		t.Errorf("r=3 with repair should survive ≈100%%, got %v%%:\n%s", r3Repair, tab)
+		t.Errorf("r=3 with repair should survive ≈100%%, got %v%%: %v", r3Repair, m.Vals)
 	}
 }
 
 func TestStorageAttacksMatrix(t *testing.T) {
-	tab := StorageAttacks(19)
+	tab := storageAttacks(19)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
 	}
@@ -234,36 +192,29 @@ func TestStorageAttacksMatrix(t *testing.T) {
 }
 
 func TestHostlessWebShape(t *testing.T) {
-	tab := HostlessWeb(23, 24)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
-	}
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-		if err != nil {
-			t.Fatalf("parse %q", s)
-		}
-		return v
+	m := hostlessMatrix(23, 24)
+	if len(m.Rows) != 2 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
 	// Both architectures serve fine while the publisher is alive.
-	if parse(tab.Rows[0][1]) < 90 || parse(tab.Rows[1][1]) < 90 {
-		t.Errorf("pre-death availability too low:\n%s", tab)
+	if m.Vals[0][0] < 90 || m.Vals[1][0] < 90 {
+		t.Errorf("pre-death availability too low: %v", m.Vals)
 	}
 	// After the publisher dies: client-server collapses, hostless survives.
-	if got := parse(tab.Rows[0][2]); got > 10 {
-		t.Errorf("client-server after origin death = %v%%, want ≈0:\n%s", got, tab)
+	if got := m.Vals[0][1]; got > 10 {
+		t.Errorf("client-server after origin death = %v%%, want ≈0: %v", got, m.Vals)
 	}
-	if got := parse(tab.Rows[1][2]); got < 80 {
-		t.Errorf("hostless after author death = %v%%, want high:\n%s", got, tab)
+	if got := m.Vals[1][1]; got < 80 {
+		t.Errorf("hostless after author death = %v%%, want high: %v", got, m.Vals)
 	}
 	// Hostless spreads load: the author should serve well under 100% of bytes.
-	if got := parse(tab.Rows[1][3]); got >= 99 {
-		t.Errorf("author share = %v%%, seeding not spreading load:\n%s", got, tab)
+	if got := m.Vals[1][2]; got >= 99 {
+		t.Errorf("author share = %v%%, seeding not spreading load: %v", got, m.Vals)
 	}
 }
 
 func TestIncentiveDemos(t *testing.T) {
-	tab := RunIncentiveDemos(29)
+	tab := incentiveDemos(29)
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
 	}
@@ -289,45 +240,28 @@ func TestIncentiveDemos(t *testing.T) {
 }
 
 func TestUsenetLoadShape(t *testing.T) {
-	tab := UsenetLoad(5, []int{4, 16}, 10, 256)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
+	m := usenetMatrix(5, usenetSize{servers: []int{4, 16}, posts: 10, bytes: 256})
+	if len(m.Rows) != 2 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
-	parseKB := func(s string) float64 {
-		var v float64
-		var unit string
-		if _, err := fmt.Sscanf(s, "%f %s", &v, &unit); err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		switch unit {
-		case "MB":
-			return v * 1024
-		case "KB":
-			return v
-		case "B":
-			return v / 1024
-		}
-		t.Fatalf("unit %q", unit)
-		return 0
-	}
-	usenetSmall, usenetLarge := parseKB(tab.Rows[0][1]), parseKB(tab.Rows[1][1])
-	fedSmall, fedLarge := parseKB(tab.Rows[0][2]), parseKB(tab.Rows[1][2])
+	usenetSmall, usenetLarge := m.Vals[0][0], m.Vals[1][0]
+	fedSmall, fedLarge := m.Vals[0][1], m.Vals[1][1]
 	// Usenet per-server cost grows ~linearly with network size.
 	if usenetLarge < 3*usenetSmall {
-		t.Errorf("usenet cost did not scale with network size:\n%s", tab)
+		t.Errorf("usenet cost did not scale with network size: %v", m.Vals)
 	}
 	// Federated-home per-server cost stays ~flat.
 	if fedLarge > 1.5*fedSmall {
-		t.Errorf("federated-home cost should stay flat:\n%s", tab)
+		t.Errorf("federated-home cost should stay flat: %v", m.Vals)
 	}
 	// At scale, flooding costs more per server than follower-scoped sync.
 	if usenetLarge <= fedLarge {
-		t.Errorf("usenet at 16 servers should out-cost federated-home:\n%s", tab)
+		t.Errorf("usenet at 16 servers should out-cost federated-home: %v", m.Vals)
 	}
 }
 
 func TestFeasibilitySensitivityShape(t *testing.T) {
-	tab := FeasibilitySensitivity()
+	tab := feasibilitySensitivity()
 	if len(tab.Rows) < 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -359,138 +293,107 @@ func TestFeasibilitySensitivityShape(t *testing.T) {
 }
 
 func TestAbuseContainmentShape(t *testing.T) {
-	tab := AbuseContainment(7, 12, []float64{0, 0.5, 1})
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
+	m := abuseMatrix(7, abuseSize{users: 12, coverages: []float64{0, 0.5, 1}})
+	if len(m.Rows) != 3 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
-	get := func(r, c int) float64 {
-		v, err := strconv.ParseFloat(tab.Rows[r][c], 64)
-		if err != nil {
-			t.Fatalf("parse %q", tab.Rows[r][c])
-		}
-		return v
-	}
+	v := m.Vals
 	// Centralized: step function — full exposure off, zero on.
-	if get(0, 1) != 1 || get(0, 3) != 0 {
-		t.Errorf("centralized should be all-or-nothing:\n%s", tab)
+	if v[0][0] != 1 || v[0][2] != 0 {
+		t.Errorf("centralized should be all-or-nothing: %v", v)
 	}
 	// Federated: monotone decreasing in coverage, partial at 50%%.
-	if !(get(1, 1) > get(1, 2) && get(1, 2) > get(1, 3)) {
-		t.Errorf("federated exposure should fall with coverage:\n%s", tab)
+	if !(v[1][0] > v[1][1] && v[1][1] > v[1][2]) {
+		t.Errorf("federated exposure should fall with coverage: %v", v)
 	}
-	if get(1, 3) != 0 {
-		t.Errorf("full federated coverage should stop all spam:\n%s", tab)
+	if v[1][2] != 0 {
+		t.Errorf("full federated coverage should stop all spam: %v", v)
 	}
 	// Social P2P: zero exposure from strangers; grows with befriending.
-	if get(2, 1) != 0 {
-		t.Errorf("stranger spam should be refused by the trust graph:\n%s", tab)
+	if v[2][0] != 0 {
+		t.Errorf("stranger spam should be refused by the trust graph: %v", v)
 	}
-	if get(2, 3) != 1 {
-		t.Errorf("fully-befriended spammer reaches everyone:\n%s", tab)
+	if v[2][2] != 1 {
+		t.Errorf("fully-befriended spammer reaches everyone: %v", v)
 	}
 }
 
 func TestSelfishMiningCrossover(t *testing.T) {
-	tab := SelfishMining(11, 8, 120)
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
+	m := selfishMatrix(11, raceSize{trials: 8, horizon: 120})
+	if len(m.Rows) != 5 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("parse %q", s)
-		}
-		return v
-	}
+	v := m.Vals // per share: honest, selfish revenue
 	// At 20% hashrate with γ=0 selfish mining must lose.
-	if parse(tab.Rows[0][2]) >= parse(tab.Rows[0][1]) {
-		t.Errorf("selfish should lose at 20%%:\n%s", tab)
+	if v[0][1] >= v[0][0] {
+		t.Errorf("selfish should lose at 20%%: %v", v)
 	}
 	// At 45% it must win, and clearly exceed the fair share.
-	if parse(tab.Rows[4][2]) <= parse(tab.Rows[4][1]) {
-		t.Errorf("selfish should win at 45%%:\n%s", tab)
+	if v[4][1] <= v[4][0] {
+		t.Errorf("selfish should win at 45%%: %v", v)
 	}
-	if parse(tab.Rows[4][2]) < 0.5 {
-		t.Errorf("selfish at 45%% should exceed half the rewards:\n%s", tab)
+	if v[4][1] < 0.5 {
+		t.Errorf("selfish at 45%% should exceed half the rewards: %v", v)
 	}
 }
 
 func TestDHTQualityShape(t *testing.T) {
-	tab := DHTQuality(5, 30, 25)
-	if len(tab.Rows) != 9 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
+	m := dhtQualityMatrix(5, dhtSize{peers: 30, lookups: 25}, dhtTrials)
+	if len(m.Rows) != 9 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
-	parsePct := func(s string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-		if err != nil {
-			t.Fatalf("parse %q", s)
-		}
-		return v
-	}
-	parseMs := func(s string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "ms"), 64)
-		if err != nil {
-			t.Fatalf("parse %q", s)
-		}
-		return v
-	}
+	v := m.Vals // per row: success %, mean ms, p99 ms
 	// Stable networks succeed nearly always on every profile.
 	for _, r := range []int{0, 3, 6} {
-		if parsePct(tab.Rows[r][2]) < 85 {
-			t.Errorf("%s stable success too low:\n%s", tab.Rows[r][0], tab)
+		if v[r][0] < 85 {
+			t.Errorf("%s stable success too low: %v", m.Rows[r], v)
 		}
 	}
 	// Device-grade latency must dominate datacenter latency (stable rows).
-	dc, bb, mob := parseMs(tab.Rows[0][3]), parseMs(tab.Rows[3][3]), parseMs(tab.Rows[6][3])
+	dc, bb, mob := v[0][1], v[3][1], v[6][1]
 	if !(dc < bb && bb < mob) {
-		t.Errorf("latency ordering dc(%v) < broadband(%v) < mobile(%v) violated:\n%s", dc, bb, mob, tab)
+		t.Errorf("latency ordering dc(%v) < broadband(%v) < mobile(%v) violated: %v", dc, bb, mob, v)
 	}
 	// Republish should not hurt success under churn (average over profiles).
 	withR, withoutR := 0.0, 0.0
 	for _, r := range []int{1, 4, 7} {
-		withR += parsePct(tab.Rows[r][2])
+		withR += v[r][0]
 	}
 	for _, r := range []int{2, 5, 8} {
-		withoutR += parsePct(tab.Rows[r][2])
+		withoutR += v[r][0]
 	}
 	if withR < withoutR {
-		t.Errorf("republish should improve churn survival on average:\n%s", tab)
+		t.Errorf("republish should improve churn survival on average: %v", v)
 	}
 }
 
 func TestWoTSybilShape(t *testing.T) {
-	tab := WoTSybil(3, 12, []int{10, 100})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
+	m := wotSybilMatrix(3, wotSize{honest: 12, rings: []int{10, 100}})
+	if len(m.Rows) != 2 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
 	for i, ring := range []int{10, 100} {
-		before, err1 := strconv.Atoi(tab.Rows[i][1])
-		after, err2 := strconv.Atoi(tab.Rows[i][2])
-		if err1 != nil || err2 != nil {
-			t.Fatalf("parse row %d: %v", i, tab.Rows[i])
-		}
+		before, after := int(m.Vals[i][0]), int(m.Vals[i][1])
 		if before != 0 {
-			t.Errorf("ring %d: %d sybils trusted before any bridge:\n%s", ring, before, tab)
+			t.Errorf("ring %d: %d sybils trusted before any bridge: %v", ring, before, m.Vals)
 		}
 		if after != ring {
-			t.Errorf("ring %d: %d trusted after bridge, want the whole ring:\n%s", ring, after, tab)
+			t.Errorf("ring %d: %d trusted after bridge, want the whole ring: %v", ring, after, m.Vals)
 		}
 	}
 }
 
 func TestLedgerGrowthShape(t *testing.T) {
-	tab := LedgerGrowth(9, 2, 10)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
+	m := ledgerMatrix(9, ledgerSize{hours: 2, txPerBlock: 10})
+	if len(m.Rows) != 2 {
+		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
-	blocks1, _ := strconv.Atoi(tab.Rows[0][1])
-	blocks2, _ := strconv.Atoi(tab.Rows[1][1])
+	blocks1, blocks2 := int(m.Vals[0][0]), int(m.Vals[1][0])
 	if blocks2 <= blocks1 || blocks1 < 100 {
-		t.Errorf("chain not growing: %d then %d:\n%s", blocks1, blocks2, tab)
+		t.Errorf("chain not growing: %d then %d: %v", blocks1, blocks2, m.Vals)
 	}
-	states1, _ := strconv.Atoi(tab.Rows[0][4])
-	states2, _ := strconv.Atoi(tab.Rows[1][4])
+	states1, states2 := int(m.Vals[0][3]), int(m.Vals[1][3])
 	if states1 != 101 || states2 != 101 {
-		t.Errorf("compaction not holding states constant: %d, %d:\n%s", states1, states2, tab)
+		t.Errorf("compaction not holding states constant: %d, %d: %v", states1, states2, m.Vals)
 	}
 }

@@ -8,12 +8,12 @@ import (
 
 // Multi-seed aggregation. Every stochastic experiment in this package has a
 // numeric core — a function from one seed to a Matrix of float64 cells —
-// and a single-seed Table renderer built on it. AggregateSeeds fans a batch
-// of seeds over simnet.Trials workers and reduces the resulting matrices
-// cell-wise, so any experiment can also report mean/p50/p95 across seeds
-// instead of a single draw. Deterministic experiments (the paper tables,
-// X6, X12, X13, the metadata-exposure and sensitivity tables) have no
-// randomness to average over and stay single-run.
+// and its descriptor renders the single-seed table from it. AggregateSeeds
+// fans a batch of seeds over simnet.Trials workers and reduces the
+// resulting matrices cell-wise, so any experiment can also report
+// mean/p50/p95 across seeds instead of a single draw. Deterministic
+// experiments (the paper tables, X1, X4b, X6, X8, X9, X12, X13 and E2, E3)
+// have no randomness to average over and stay single-run.
 
 // Matrix is the numeric result of one experiment run under one seed: a
 // labelled grid of float64 cells, row-major.
@@ -21,6 +21,12 @@ type Matrix struct {
 	Rows []string
 	Cols []string
 	Vals [][]float64
+}
+
+// add appends one labelled row.
+func (m *Matrix) add(row string, vals ...float64) {
+	m.Rows = append(m.Rows, row)
+	m.Vals = append(m.Vals, vals)
 }
 
 // NewMatrix allocates a zeroed matrix with the given labels.
@@ -49,14 +55,8 @@ func AggregateSeeds(seeds []int64, workers int, run func(seed int64) Matrix) Agg
 	}
 	rows, cols := ms[0].Rows, ms[0].Cols
 	a := Agg{Rows: rows, Cols: cols, Seeds: len(ms)}
-	alloc := func() [][]float64 {
-		g := make([][]float64, len(rows))
-		for i := range g {
-			g[i] = make([]float64, len(cols))
-		}
-		return g
-	}
-	a.Mean, a.P50, a.P95 = alloc(), alloc(), alloc()
+	zero := func() [][]float64 { return NewMatrix(rows, cols).Vals }
+	a.Mean, a.P50, a.P95 = zero(), zero(), zero()
 	for r := range rows {
 		for c := range cols {
 			var s samples

@@ -75,7 +75,7 @@ func TestStrideSeedsMatchesSerialDerivation(t *testing.T) {
 func TestMultiSeedDeterministicAcrossWorkers(t *testing.T) {
 	seeds := simnet.Seeds(42, 6)
 	run := func(seed int64) Matrix {
-		return commAvailabilityMatrix(seed, 5, []float64{0, 0.4})
+		return commAvailabilityMatrix(seed, commSize{servers: 5, fails: []float64{0, 0.4}})
 	}
 	serial := simnet.Trials(seeds, 1, run)
 	parallel := simnet.Trials(seeds, 0, run)
@@ -100,9 +100,14 @@ func TestMultiSeedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCommAvailabilityMultiShape pins the rendered multi-seed table format.
+// TestCommAvailabilityMultiShape pins the rendered multi-seed table
+// format: X3's descriptor aggregating its core at custom sizes.
 func TestCommAvailabilityMultiShape(t *testing.T) {
-	tab := CommAvailabilityMulti(simnet.Seeds(11, 3), 0, 5, []float64{0, 0.4})
+	d := descriptorByID("comm-availability")
+	d.matrix = func(seed int64, _ bool) Matrix {
+		return commAvailabilityMatrix(seed, commSize{servers: 5, fails: []float64{0, 0.4}})
+	}
+	tab := d.runMulti(simnet.Seeds(11, 3), 0, false)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
 	}

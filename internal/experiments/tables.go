@@ -24,7 +24,7 @@ func Table1() *Table {
 
 // Table2 regenerates the paper's Table 2 (surveyed storage systems) from
 // the core registry (experiment E2). The incentive mechanism of every row
-// is executed against live providers by RunIncentiveDemos.
+// is executed against live providers by incentiveDemos.
 func Table2() *Table {
 	t := &Table{
 		Title:   "Table 2: Comparison of Surveyed Storage Systems",

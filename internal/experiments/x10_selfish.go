@@ -8,73 +8,52 @@ import (
 	"repro/internal/simnet"
 )
 
-// SelfishMining is experiment X10: beyond the outright 51 % takeover (X2),
+// selfishSizes is X10's race sizes: full scale, then tiny.
+var selfishSizes = [2]raceSize{{12, 150}, {2, 20}}
+
+var selfishShares = []float64{0.2, 0.3, 0.35, 0.4, 0.45}
+
+// selfishMatrix is experiment X10: beyond the outright 51 % takeover (X2),
 // a withholding miner with a *minority* of the hashrate can earn more than
 // its fair share of block rewards by strategically revealing a private
 // branch (Eyal & Sirer). This sharpens the paper's §3.1 note that the 51 %
 // attack is only one of blockchains' "well-known problems": the incentive
 // mechanism itself is not incentive-compatible below 50 %.
 //
-// The table reports the attacker's share of best-chain block rewards when
-// mining honestly (≈ its hashrate share) versus selfishly, across hashrate
-// shares. With no sybil network advantage (γ=0, ties go to the honest
-// incumbent), selfish mining should lose below α≈1/3 and win above.
-func SelfishMining(seed int64, trials, horizonBlocks int) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("X10: attacker revenue share, honest vs selfish strategy (γ=0, %d blocks × %d trials)",
-			horizonBlocks, trials),
-		Headers: []string{"Hashrate Share", "Honest Revenue", "Selfish Revenue", "Selfish Pays Off"},
-	}
+// One seed gives the attacker's share of best-chain block rewards when
+// mining honestly (≈ its hashrate share) and selfishly, per hashrate share,
+// each averaging s.trials races. With no sybil network advantage (γ=0,
+// ties go to the honest incumbent), selfish mining should lose below
+// α≈1/3 and win above.
+func selfishMatrix(seed int64, s raceSize) Matrix {
+	mx := Matrix{Cols: []string{"Honest Revenue", "Selfish Revenue"}}
 	for _, share := range selfishShares {
-		honest := averageRevenue(seed, share, trials, horizonBlocks, false)
-		selfish := averageRevenue(seed, share, trials, horizonBlocks, true)
-		t.Add(fmt.Sprintf("%.0f%%", share*100),
-			fmt.Sprintf("%.2f", honest),
-			fmt.Sprintf("%.2f", selfish),
-			selfish > honest)
-	}
-	return t
-}
-
-var selfishShares = []float64{0.2, 0.3, 0.35, 0.4, 0.45}
-
-// averageRevenue fans the revenue trials over simnet.Trials; per-trial
-// seeds reproduce the original serial derivation base + i·104729.
-func averageRevenue(seed int64, share float64, trials, horizon int, selfish bool) float64 {
-	sum := 0.0
-	for _, v := range simnet.Trials(strideSeeds(seed, 104729, trials), 0, func(s int64) float64 {
-		return selfishTrial(s, share, horizon, selfish)
-	}) {
-		sum += v
-	}
-	return sum / float64(trials)
-}
-
-// selfishMatrix is the numeric core of X10: one seed, honest and selfish
-// revenue shares per hashrate share (each still averaging `trials` races).
-func selfishMatrix(seed int64, trials, horizonBlocks int) Matrix {
-	rows := make([]string, len(selfishShares))
-	for i, s := range selfishShares {
-		rows[i] = fmt.Sprintf("%.0f%%", s*100)
-	}
-	mx := NewMatrix(rows, []string{"Honest Revenue", "Selfish Revenue"})
-	for r, share := range selfishShares {
-		mx.Vals[r][0] = averageRevenue(seed, share, trials, horizonBlocks, false)
-		mx.Vals[r][1] = averageRevenue(seed, share, trials, horizonBlocks, true)
+		honest := averageRevenue(seed, share, s, false)
+		mx.add(fmt.Sprintf("%.0f%%", share*100), honest, averageRevenue(seed, share, s, true))
 	}
 	return mx
 }
 
-// SelfishMiningMulti is X10 aggregated over a batch of seeds on `workers`
-// parallel trial runners (0 = GOMAXPROCS).
-func SelfishMiningMulti(seeds []int64, workers, trials, horizonBlocks int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return selfishMatrix(seed, trials, horizonBlocks)
-	})
-	return agg.Table(
-		fmt.Sprintf("X10: attacker revenue share, honest vs selfish strategy (γ=0, %d blocks × %d trials)",
-			horizonBlocks, trials),
-		"Hashrate Share", "%.2f")
+// selfishTable renders X10 with a verdict column: does withholding pay?
+func selfishTable(seed int64, s raceSize) *Table {
+	m := selfishMatrix(seed, s)
+	t := &Table{Headers: []string{"Hashrate Share", "Honest Revenue", "Selfish Revenue", "Selfish Pays Off"}}
+	for r, v := range m.Vals {
+		t.Add(m.Rows[r], fmt.Sprintf("%.2f", v[0]), fmt.Sprintf("%.2f", v[1]), v[1] > v[0])
+	}
+	return t
+}
+
+// averageRevenue fans the revenue trials over simnet.Trials; per-trial
+// seeds reproduce the original serial derivation base + i·104729.
+func averageRevenue(seed int64, share float64, s raceSize, selfish bool) float64 {
+	sum := 0.0
+	for _, v := range simnet.Trials(strideSeeds(seed, 104729, s.trials), 0, func(seed int64) float64 {
+		return selfishTrial(seed, share, s.horizon, selfish)
+	}) {
+		sum += v
+	}
+	return sum / float64(s.trials)
 }
 
 // selfishTrial runs one race and returns the attacker's fraction of

@@ -8,55 +8,19 @@ import (
 	"repro/internal/simnet"
 )
 
-// DHTQuality is experiment X11: the same Kademlia network is run on
-// datacenter-grade, home-broadband, and mobile attachments, with and
-// without churn, and we measure lookup success and latency. This makes
-// §5.2's "Grappling with infrastructure quality vs quantity" concrete:
-// "the quality of this infrastructure is much poorer than what a typical
-// datacenter provides. As such, systems must be designed to cope with the
-// intermittency, higher failure rates, and variable performance of
-// user-device-based infrastructure."
-func DHTQuality(seed int64, peers, lookups int) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("X11: DHT lookups on device-grade vs datacenter infrastructure (%d peers, %d lookups)", peers, lookups),
-		Headers: []string{"Attachment", "Churn", "Lookup Success", "Mean Latency", "P99 Latency"},
-	}
-	profiles, variants := dhtGrid()
-	const trials = 3
-	for _, prof := range profiles {
-		for _, v := range variants {
-			prof, v := prof, v
-			var success, mean, p99 float64
-			for _, o := range simnet.Trials(strideSeeds(seed, 6151, trials), 0, func(s int64) dhtOutcome {
-				su, m, p := dhtQualityRun(s, peers, lookups, prof.p, v.churn, v.republish)
-				return dhtOutcome{su, m, p}
-			}) {
-				success += o.success
-				mean += o.mean
-				p99 += o.p99
-			}
-			t.Add(prof.name, v.label,
-				fmt.Sprintf("%.0f%%", success/trials*100),
-				fmt.Sprintf("%.0fms", mean/trials*1000),
-				fmt.Sprintf("%.0fms", p99/trials*1000))
-		}
-	}
-	return t
-}
+// dhtSize sizes X11: network size and lookups measured per run.
+// dhtSizes is full scale, then tiny.
+type dhtSize struct{ peers, lookups int }
 
-type dhtOutcome struct{ success, mean, p99 float64 }
+var dhtSizes = [2]dhtSize{{40, 40}, {8, 6}}
 
-// dhtProfiles and dhtVariants define the X11 grid shared by the single-seed
-// and multi-seed renderers.
-func dhtGrid() (profiles []struct {
-	name string
-	p    simnet.LinkProfile
-}, variants []struct {
-	label     string
-	churn     bool
-	republish bool
-}) {
-	profiles = []struct {
+// dhtTrials is how many runs each row of the single-seed X11 table
+// averages; the multi-seed core runs one per seed.
+const dhtTrials = 3
+
+// dhtProfiles and dhtVariants are the two axes of X11's rows.
+var (
+	dhtProfiles = []struct {
 		name string
 		p    simnet.LinkProfile
 	}{
@@ -64,51 +28,58 @@ func dhtGrid() (profiles []struct {
 		{"home broadband", simnet.HomeBroadbandProfile()},
 		{"mobile 3G", simnet.MobileProfile()},
 	}
-	variants = []struct {
-		label     string
-		churn     bool
-		republish bool
+	dhtVariants = []struct {
+		label            string
+		churn, republish bool
 	}{
 		{"none", false, true},
 		{"churn + republish", true, true},
 		{"churn, no republish", true, false},
 	}
-	return
-}
+)
 
-// dhtQualityMatrix is the numeric core of X11: one seed, one (success %,
-// mean ms, p99 ms) triple per (attachment, churn-variant) row.
-func dhtQualityMatrix(seed int64, peers, lookups int) Matrix {
-	profiles, variants := dhtGrid()
-	var rows []string
-	for _, prof := range profiles {
-		for _, v := range variants {
-			rows = append(rows, prof.name+" / "+v.label)
-		}
-	}
-	mx := NewMatrix(rows, []string{"Lookup Success", "Mean Latency", "P99 Latency"})
-	r := 0
-	for _, prof := range profiles {
-		for _, v := range variants {
-			s, m, p := dhtQualityRun(seed, peers, lookups, prof.p, v.churn, v.republish)
-			mx.Vals[r][0] = s * 100
-			mx.Vals[r][1] = m * 1000
-			mx.Vals[r][2] = p * 1000
-			r++
+// dhtQualityMatrix is experiment X11: the same Kademlia network is run on
+// datacenter-grade, home-broadband, and mobile attachments, with and
+// without churn, and we measure lookup success and latency. This makes
+// §5.2's "Grappling with infrastructure quality vs quantity" concrete:
+// "the quality of this infrastructure is much poorer than what a typical
+// datacenter provides. As such, systems must be designed to cope with the
+// intermittency, higher failure rates, and variable performance of
+// user-device-based infrastructure." One seed gives a (success %, mean ms,
+// p99 ms) triple per (attachment, churn-variant) row, each averaging
+// `trials` runs at seeds seed + i·6151.
+func dhtQualityMatrix(seed int64, s dhtSize, trials int) Matrix {
+	mx := Matrix{Cols: []string{"Lookup Success", "Mean Latency", "P99 Latency"}}
+	for _, prof := range dhtProfiles {
+		for _, v := range dhtVariants {
+			var success, mean, p99 float64
+			for _, o := range simnet.Trials(strideSeeds(seed, 6151, trials), 0, func(seed int64) [3]float64 {
+				su, m, p := dhtQualityRun(seed, s.peers, s.lookups, prof.p, v.churn, v.republish)
+				return [3]float64{su, m, p}
+			}) {
+				success += o[0]
+				mean += o[1]
+				p99 += o[2]
+			}
+			n := float64(trials)
+			mx.add(prof.name+" / "+v.label, success/n*100, mean/n*1000, p99/n*1000)
 		}
 	}
 	return mx
 }
 
-// DHTQualityMulti is X11 aggregated over a batch of seeds (one run per
-// seed) on `workers` parallel trial runners (0 = GOMAXPROCS).
-func DHTQualityMulti(seeds []int64, workers, peers, lookups int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return dhtQualityMatrix(seed, peers, lookups)
-	})
-	return agg.Table(
-		fmt.Sprintf("X11: DHT lookups on device-grade vs datacenter infrastructure (%d peers, %d lookups)", peers, lookups),
-		"Attachment / Churn", "%.0f%%", "%.0fms", "%.0fms")
+// dhtQualityTable renders X11 with attachment and churn in two label
+// columns.
+func dhtQualityTable(seed int64, s dhtSize) *Table {
+	m := dhtQualityMatrix(seed, s, dhtTrials)
+	t := &Table{Headers: []string{"Attachment", "Churn", "Lookup Success", "Mean Latency", "P99 Latency"}}
+	for i, prof := range dhtProfiles {
+		for j, v := range dhtVariants {
+			c := m.Vals[i*len(dhtVariants)+j]
+			t.Add(prof.name, v.label, fmt.Sprintf("%.0f%%", c[0]), fmt.Sprintf("%.0fms", c[1]), fmt.Sprintf("%.0fms", c[2]))
+		}
+	}
+	return t
 }
 
 func dhtQualityRun(seed int64, peerCount, lookups int, profile simnet.LinkProfile, churn, republish bool) (success, meanSec, p99Sec float64) {

@@ -7,25 +7,42 @@ import (
 	"repro/internal/identity"
 )
 
-// WoTSybil is experiment X12: in an honest web of trust (a small community
-// where everyone is ≤3 endorsement hops from everyone), an attacker
-// manufactures Sybil rings of growing size. Before any honest member
-// endorses a ring identity, the verifier trusts none of them; after a
-// single careless endorsement, the verifier transitively trusts the entire
-// ring. §3.1: PKIs relying on a WoT suffer "WoT Sybil attacks" — this
-// measures the amplification factor directly.
-func WoTSybil(seed int64, honest int, ringSizes []int) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("X12: WoT Sybil amplification (%d honest members, verify depth 6)", honest),
-		Headers: []string{"Sybil Ring Size", "Trusted Before Bridge", "Trusted After 1 Careless Endorsement", "Amplification"},
+// wotSize sizes X12: the honest community, and the Sybil ring sizes
+// swept. wotSizes is full scale, then tiny.
+type wotSize struct {
+	honest int
+	rings  []int
+}
+
+var wotSizes = [2]wotSize{{12, []int{10, 50, 200, 1000}}, {4, []int{10}}}
+
+// wotSybilMatrix is experiment X12: in an honest web of trust (a small
+// community where everyone is ≤3 endorsement hops from everyone), an
+// attacker manufactures Sybil rings of growing size. Before any honest
+// member endorses a ring identity, the verifier trusts none of them; after
+// a single careless endorsement, the verifier transitively trusts the
+// entire ring. §3.1: PKIs relying on a WoT suffer "WoT Sybil attacks" —
+// this measures the amplification factor directly. One row per ring size:
+// Sybils trusted before and after the bridge.
+func wotSybilMatrix(seed int64, s wotSize) Matrix {
+	m := Matrix{Cols: []string{"Trusted Before Bridge", "Trusted After 1 Careless Endorsement"}}
+	for _, ring := range s.rings {
+		before, after := wotSybilRun(seed, s.honest, ring)
+		m.add(fmt.Sprint(ring), float64(before), float64(after))
 	}
-	for _, ring := range ringSizes {
-		before, after := wotSybilRun(seed, honest, ring)
+	return m
+}
+
+// wotSybilTable renders X12 with the amplification each bridge buys.
+func wotSybilTable(seed int64, s wotSize) *Table {
+	m := wotSybilMatrix(seed, s)
+	t := &Table{Headers: []string{"Sybil Ring Size", "Trusted Before Bridge", "Trusted After 1 Careless Endorsement", "Amplification"}}
+	for r, v := range m.Vals {
 		amp := "∞"
-		if before > 0 {
-			amp = fmt.Sprintf("%.0fx", float64(after-before))
+		if v[0] > 0 {
+			amp = fmt.Sprintf("%.0fx", v[1]-v[0])
 		}
-		t.Add(ring, before, after, amp)
+		t.Add(m.Rows[r], fmt.Sprintf("%.0f", v[0]), fmt.Sprintf("%.0f", v[1]), amp)
 	}
 	return t
 }

@@ -65,18 +65,15 @@ func recoveryMatrix(seed int64, tiny bool) Matrix {
 	for _, sc := range scs {
 		cols = append(cols, sc.Name+" ok%", sc.Name+" rec(m)")
 	}
-	rows := make([]string, len(recoveryWorlds))
-	for i, r := range recoveryWorlds {
-		rows[i] = r.name
-	}
-	m := NewMatrix(rows, cols)
-	for r, row := range recoveryWorlds {
-		sp := recoverySpec(tiny, row.nodes)
-		for c, sc := range scs {
-			cell := runFaultCell(seed, sc, sp, row.world(seed, sp))
-			m.Vals[r][2*c] = cell.success * 100
-			m.Vals[r][2*c+1] = cell.rec.Minutes()
+	m := Matrix{Cols: cols}
+	for _, w := range recoveryWorlds {
+		sp := recoverySpec(tiny, w.nodes)
+		var row []float64
+		for _, sc := range scs {
+			cell := runFaultCell(seed, sc, sp, w.world(seed, sp))
+			row = append(row, cell.success*100, cell.rec.Minutes())
 		}
+		m.add(w.name, row...)
 	}
 	return m
 }

@@ -218,18 +218,17 @@ func delivered(nw *simnet.Network) int64 { return nw.Trace().Delivered }
 // it is machine-dependent and would poison the multi-seed aggregates.
 func scaleMatrix(seed int64, tiny bool) Matrix {
 	tiers := ScaleTiers(tiny)
-	subs := ScaleSubsystems()
-	cols := make([]string, 0, 2*len(tiers))
+	var m Matrix
 	for _, n := range tiers {
-		cols = append(cols, fmt.Sprintf("N=%d conv%%", n), fmt.Sprintf("N=%d msg/node", n))
+		m.Cols = append(m.Cols, fmt.Sprintf("N=%d conv%%", n), fmt.Sprintf("N=%d msg/node", n))
 	}
-	m := NewMatrix(subs, cols)
-	for r, sub := range subs {
-		for c, n := range tiers {
+	for _, sub := range ScaleSubsystems() {
+		var row []float64
+		for _, n := range tiers {
 			cell := ScaleCellRun(sub, seed, n)
-			m.Vals[r][2*c] = cell.Converged * 100
-			m.Vals[r][2*c+1] = float64(cell.Messages) / float64(n)
+			row = append(row, cell.Converged*100, float64(cell.Messages)/float64(n))
 		}
+		m.add(sub, row...)
 	}
 	return m
 }

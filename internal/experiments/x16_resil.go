@@ -242,25 +242,16 @@ func resilienceMatrix(seed int64, tiny bool) Matrix {
 		cols = append(cols,
 			sc.Name+" avail%", sc.Name+" p95(s)", sc.Name+" msg/node", sc.Name+" rec(m)")
 	}
-	rows := make([]string, 0, len(resilWorlds)*len(modes))
-	for _, r := range resilWorlds {
-		for _, m := range modes {
-			rows = append(rows, r.name+" "+m.name)
-		}
-	}
-	m := NewMatrix(rows, cols)
-	ri := 0
-	for _, row := range resilWorlds {
-		sp := resilSpec(tiny, row.nodes, row.tiny)
+	m := Matrix{Cols: cols}
+	for _, w := range resilWorlds {
+		sp := resilSpec(tiny, w.nodes, w.tiny)
 		for _, mode := range modes {
-			for c, sc := range scs {
-				cell := runFaultCell(seed, sc, sp, row.world(seed, sp, mode.cfg))
-				m.Vals[ri][4*c] = cell.avail * 100
-				m.Vals[ri][4*c+1] = cell.p95
-				m.Vals[ri][4*c+2] = cell.msgPerNode
-				m.Vals[ri][4*c+3] = cell.rec.Minutes()
+			var row []float64
+			for _, sc := range scs {
+				cell := runFaultCell(seed, sc, sp, w.world(seed, sp, mode.cfg))
+				row = append(row, cell.avail*100, cell.p95, cell.msgPerNode, cell.rec.Minutes())
 			}
-			ri++
+			m.add(w.name+" "+mode.name, row...)
 		}
 	}
 	return m

@@ -270,20 +270,11 @@ func dedupRun(seed int64, wl dedupWorkload, cdc bool, sp dedupSpec) dedupResult 
 func dedupMatrix(seed int64, tiny bool) Matrix {
 	sp := dedupSpecFor(tiny)
 	wls := dedupWorkloads()
-	rows := make([]string, 0, 2*len(wls))
+	m := Matrix{Cols: []string{"dedup ratio", "mem hit%", "repair KB", "gc KB"}}
 	for _, wl := range wls {
-		rows = append(rows, wl.name+" fixed", wl.name+" cdc")
-	}
-	m := NewMatrix(rows, []string{"dedup ratio", "mem hit%", "repair KB", "gc KB"})
-	ri := 0
-	for _, wl := range wls {
-		for _, cdc := range []bool{false, true} {
-			r := dedupRun(seed, wl, cdc, sp)
-			m.Vals[ri][0] = r.cell.ratio
-			m.Vals[ri][1] = r.cell.memHit * 100
-			m.Vals[ri][2] = r.cell.repairKB
-			m.Vals[ri][3] = r.cell.gcKB
-			ri++
+		for _, mode := range []string{"fixed", "cdc"} {
+			r := dedupRun(seed, wl, mode == "cdc", sp)
+			m.add(wl.name+" "+mode, r.cell.ratio, r.cell.memHit*100, r.cell.repairKB, r.cell.gcKB)
 		}
 	}
 	return m

@@ -245,19 +245,19 @@ func workloadMatrix(seed int64, wl string, tiny bool) Matrix {
 
 // x18Exp describes X18 for one workload variant; the registry entry is
 // the "flash" one.
-func x18Exp(wl string) matrixExp {
+func x18Exp(wl string) descriptor {
 	sp := flashSpecFor(false)
 	shape := wl
 	if wl == "flash" {
 		shape = "flash-crowd"
 	}
-	return matrixExp{
+	return descriptor{
 		id: "x18", desc: "X18: flash-crowd workload, feudal single server vs replicated federation vs p2p webapp",
-		rowHeader: "Architecture",
-		title: fmt.Sprintf("X18: %s workload — %d clients, %d objects, SLA %v; feudal vs federated vs p2p on equal home links",
+		title: titles(fmt.Sprintf("X18: %s workload — %d clients, %d objects, SLA %v; feudal vs federated vs p2p on equal home links",
 			wl, sp.clients, sp.objects, sp.sla),
+			fmt.Sprintf("X18 (tiny): %s workload", shape)),
 		multiTitle: fmt.Sprintf("X18: %s workload — feudal vs federated vs p2p on equal home links", shape),
-		tinyTitle:  fmt.Sprintf("X18 (tiny): %s workload", shape),
+		rowHeader:  "Architecture",
 		cell:       []string{"%.1f%%", "%.2fs", "%.1f%%", "%.0f"},
 		multi:      []string{"%.1f", "%.2f", "%.1f", "%.0f"},
 		tiny:       []string{"%.1f"},
@@ -266,7 +266,7 @@ func x18Exp(wl string) matrixExp {
 }
 
 // WorkloadExperiment returns X18 run on one workload variant (see
-// WorkloadVariants), with Run, Multi and Tiny all on that schedule; false
+// WorkloadVariants), with Run and Multi both on that schedule; false
 // for an unknown variant. The registry's x18 is the "flash" variant.
 func WorkloadExperiment(wl string) (Experiment, bool) {
 	if !slices.Contains(WorkloadVariants(), wl) {

@@ -81,22 +81,15 @@ func replicationMatrix(seed int64, tiny bool) Matrix {
 	sp := flashSpecFor(tiny)
 	reqs, rs := x18Stream(seed, sp, "flash")
 	arms := x19Arms(sp)
-	rows := make([]string, len(arms))
-	for i := range arms {
-		rows[i] = arms[i].name
-	}
-	m := NewMatrix(rows, []string{"avail%", "p95(s)", "origin%", "repl-peak", "repl-end"})
-	for r, arm := range arms {
+	m := Matrix{Cols: []string{"avail%", "p95(s)", "origin%", "repl-peak", "repl-end"}}
+	for _, arm := range arms {
 		res := runFlashArm(seed, sp, arm, reqs, rs)
 		// X19-only observability: the origin-share gauge registers after every
 		// pre-existing experiment's metrics are already fixed, and the replic.*
 		// counters were filled in by the package as the arm ran.
 		res.nw.Obs().Gauge("replic.origin.byte_share").Set(res.originShare)
-		m.Vals[r][0] = res.avail * 100
-		m.Vals[r][1] = res.p95
-		m.Vals[r][2] = res.originShare * 100
-		m.Vals[r][3] = replicaPeak(res.timeline)
-		m.Vals[r][4] = float64(res.timeline[len(res.timeline)-1])
+		m.add(arm.name, res.avail*100, res.p95, res.originShare*100,
+			replicaPeak(res.timeline), float64(res.timeline[len(res.timeline)-1]))
 	}
 	return m
 }

@@ -26,67 +26,74 @@ func newMinerNet(nw *simnet.Network, n int, hashrate float64, cfg chain.Config) 
 	return miners
 }
 
-// NamingSchemes is experiment X1: it registers nNames names under the
+// namingSizes is X1's names registered per scheme: full scale, then tiny.
+var namingSizes = [2]int{20, 3}
+
+// namingMatrix is experiment X1: it registers nNames names under the
 // centralized registrar and under the blockchain scheme at two block
-// spacings, and reports latency and throughput. It quantifies §3.1:
-// "blockchains essentially trade scalability and performance for global
-// consensus and security."
-func NamingSchemes(seed int64, nNames int) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("X1: name registration, %d names per scheme (latency = submit→resolvable)", nNames),
-		Headers: []string{"Scheme", "Mean Latency", "Max Latency", "Throughput (names/min)", "Censorable by One Party"},
-	}
-
-	// Centralized registrar baseline.
-	{
-		nw := simnet.New(seed)
-		reg := naming.NewCentralizedRegistrar(nw.AddNode())
-		client := naming.NewRegistrarClient(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), reg.Node().ID(), time.Minute)
-		var lat samples
-		start := nw.Now()
-		var lastDone time.Duration
-		var registerNext func(i int)
-		registerNext = func(i int) {
-			if i >= nNames {
-				return
-			}
-			t0 := nw.Now()
-			client.Register(fmt.Sprintf("name-%04d", i), chain.Address{byte(i)}, nil, func(ok bool) {
-				if ok {
-					lat.add(float64(nw.Now()-t0) / float64(time.Second))
-					lastDone = nw.Now()
-				}
-				registerNext(i + 1)
-			})
-		}
-		registerNext(0)
-		nw.Run(time.Hour)
-		t.Add("centralized-registrar",
-			fmt.Sprintf("%.2fs", lat.mean()),
-			fmt.Sprintf("%.2fs", lat.quantile(1)),
-			fmt.Sprintf("%.0f", perMinute(len(lat), lastDone-start)),
-			true)
-	}
-
-	// Blockchain naming at two block spacings.
+// spacings, and reports per scheme the mean and max submit→resolvable
+// latency (seconds), the throughput (names/min) and how many names
+// confirmed. It quantifies §3.1: "blockchains essentially trade
+// scalability and performance for global consensus and security."
+func namingMatrix(seed int64, nNames int) Matrix {
+	m := Matrix{Cols: []string{"Mean Latency", "Max Latency", "Throughput (names/min)", "Confirmed"}}
+	m.add("centralized-registrar", registrarNamingRun(seed, nNames)...)
 	for _, spacing := range []time.Duration{5 * time.Second, 30 * time.Second} {
-		mean, max, tput, n := blockchainNamingRun(seed+int64(spacing), nNames, spacing)
-		t.Add(fmt.Sprintf("blockchain (block every %v)", spacing),
-			fmt.Sprintf("%.0fs", mean),
-			fmt.Sprintf("%.0fs", max),
-			fmt.Sprintf("%.1f", tput),
-			false)
-		if n < nNames {
+		m.add(fmt.Sprintf("blockchain (block every %v)", spacing), blockchainNamingRun(seed+int64(spacing), nNames, spacing)...)
+	}
+	return m
+}
+
+// namingTable renders X1: the registrar's sub-second latencies to two
+// decimals, the chains' to whole seconds, and a note under a chain that
+// confirmed fewer than all names before its deadline.
+func namingTable(seed int64, nNames int) *Table {
+	m := namingMatrix(seed, nNames)
+	t := &Table{Headers: []string{"Scheme", "Mean Latency", "Max Latency", "Throughput (names/min)", "Censorable by One Party"}}
+	for r, v := range m.Vals {
+		if r == 0 {
+			t.Add(m.Rows[r], fmt.Sprintf("%.2fs", v[0]), fmt.Sprintf("%.2fs", v[1]), fmt.Sprintf("%.0f", v[2]), true)
+			continue
+		}
+		t.Add(m.Rows[r], fmt.Sprintf("%.0fs", v[0]), fmt.Sprintf("%.0fs", v[1]), fmt.Sprintf("%.1f", v[2]), false)
+		if n := int(v[3]); n < nNames {
 			t.Add(fmt.Sprintf("  (only %d/%d confirmed before deadline)", n, nNames), "", "", "", "")
 		}
 	}
 	return t
 }
 
-// blockchainNamingRun registers names on a 3-miner chain and returns mean
-// and max submit→resolvable latency (seconds), throughput (names/min), and
-// how many names confirmed.
-func blockchainNamingRun(seed int64, nNames int, spacing time.Duration) (mean, max, throughput float64, confirmed int) {
+// registrarNamingRun registers names one after another with a
+// centralized registrar and returns namingMatrix's row.
+func registrarNamingRun(seed int64, nNames int) []float64 {
+	nw := simnet.New(seed)
+	reg := naming.NewCentralizedRegistrar(nw.AddNode())
+	client := naming.NewRegistrarClient(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), reg.Node().ID(), time.Minute)
+	var lat samples
+	start := nw.Now()
+	var lastDone time.Duration
+	var registerNext func(i int)
+	registerNext = func(i int) {
+		if i >= nNames {
+			return
+		}
+		t0 := nw.Now()
+		client.Register(fmt.Sprintf("name-%04d", i), chain.Address{byte(i)}, nil, func(ok bool) {
+			if ok {
+				lat.add(float64(nw.Now()-t0) / float64(time.Second))
+				lastDone = nw.Now()
+			}
+			registerNext(i + 1)
+		})
+	}
+	registerNext(0)
+	nw.Run(time.Hour)
+	return []float64{lat.mean(), lat.quantile(1), perMinute(len(lat), lastDone-start), float64(len(lat))}
+}
+
+// blockchainNamingRun registers names on a 3-miner chain and returns
+// namingMatrix's row.
+func blockchainNamingRun(seed int64, nNames int, spacing time.Duration) []float64 {
 	nw := simnet.New(seed)
 	key, err := cryptoutil.GenerateKeyPair(rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -167,11 +174,10 @@ func blockchainNamingRun(seed int64, nNames int, spacing time.Duration) (mean, m
 			last = at
 		}
 	}
-	confirmed = len(lat)
-	if confirmed == 0 {
-		return 0, 0, 0, 0
+	if len(lat) == 0 {
+		return []float64{0, 0, 0, 0}
 	}
-	return lat.mean(), lat.quantile(1), perMinute(confirmed, last-start), confirmed
+	return []float64{lat.mean(), lat.quantile(1), perMinute(len(lat), last-start), float64(len(lat))}
 }
 
 // perMinute returns count per minute of elapsed virtual time, or 0 when no

@@ -138,23 +138,16 @@ func overloadMatrix(seed int64, tiny bool) Matrix {
 	sp := flashSpecFor(tiny)
 	reqs, rs := x18Stream(seed, sp, "flash")
 	arms := x20Arms(sp)
-	rows := make([]string, len(arms))
-	for i := range arms {
-		rows[i] = arms[i].name
-	}
-	m := NewMatrix(rows, []string{"flash-avail%", "avail%", "p95(s)", "ctl-p95(s)", "shed", "repl-peak"})
-	for r, arm := range arms {
+	m := Matrix{Cols: []string{"flash-avail%", "avail%", "p95(s)", "ctl-p95(s)", "shed", "repl-peak"}}
+	for _, arm := range arms {
 		res := runFlashArm(seed, sp, arm, reqs, rs)
-		m.Vals[r][0] = x20FlashAvail(res.outcomes, sp) * 100
-		m.Vals[r][1] = res.avail * 100
-		m.Vals[r][2] = res.p95
-		m.Vals[r][3] = res.ctlP95
-		m.Vals[r][4] = res.shed
+		peak := 0.0
 		if res.dir != nil {
 			// The peak the control lane is buying: over the horizon's
 			// samples, not the post-grace settle sample.
-			m.Vals[r][5] = replicaPeak(res.timeline[:flashTimeline+1])
+			peak = replicaPeak(res.timeline[:flashTimeline+1])
 		}
+		m.add(arm.name, x20FlashAvail(res.outcomes, sp)*100, res.avail*100, res.p95, res.ctlP95, res.shed, peak)
 	}
 	return m
 }

@@ -9,39 +9,42 @@ import (
 	"repro/internal/simnet"
 )
 
-// FiftyOnePercent is experiment X2: an attacker with a fraction q of the
+// raceSize sizes a mining-race experiment (X2, X10): races averaged per
+// cell, and the race length in expected blocks. fiftyOneSizes is X2's,
+// full scale then tiny.
+type raceSize struct{ trials, horizon int }
+
+var fiftyOneSizes = [2]raceSize{{20, 18}, {2, 6}}
+
+var fiftyOneShares = []float64{0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.75}
+
+// fiftyOneMatrix is experiment X2: an attacker with a fraction q of the
 // network hashrate mines a private branch from genesis while honest miners
 // extend the public chain; after a fixed horizon the attacker publishes.
 // Success means the honest replica reorgs onto the attacker branch. The
 // paper (§3.1) lists the 51 % attack among blockchains' "well-known
 // problems": success probability should collapse for q < 0.5 and approach
-// certainty above it.
-func FiftyOnePercent(seed int64, trials int, horizonBlocks int) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("X2: private-branch (51%%) attack, horizon ≈%d blocks, %d trials/share", horizonBlocks, trials),
-		Headers: []string{"Attacker Hashrate Share", "Reorg Success Rate", "Mean Attacker Lead (blocks)"},
-	}
+// certainty above it. One seed gives one (win rate %, mean lead) pair per
+// attacker share, each averaging s.trials races.
+func fiftyOneMatrix(seed int64, s raceSize) Matrix {
+	mx := Matrix{Cols: []string{"Reorg Success Rate", "Mean Attacker Lead (blocks)"}}
 	for _, share := range fiftyOneShares {
-		wins, meanLead := fiftyOneRow(seed, share, trials, horizonBlocks)
-		t.Add(fmt.Sprintf("%.0f%%", share*100),
-			fmt.Sprintf("%.0f%%", 100*wins),
-			fmt.Sprintf("%+.1f", meanLead))
+		win, lead := fiftyOneRow(seed, share, s)
+		mx.add(fmt.Sprintf("%.0f%%", share*100), win*100, lead)
 	}
-	return t
+	return mx
 }
-
-var fiftyOneShares = []float64{0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.75}
 
 // fiftyOneRow fans the per-share trials over simnet.Trials and reduces to
 // (win rate, mean attacker lead). The per-trial seeds reproduce the
 // original serial derivation base + trial·1000.
-func fiftyOneRow(seed int64, share float64, trials, horizonBlocks int) (winRate, meanLead float64) {
+func fiftyOneRow(seed int64, share float64, s raceSize) (winRate, meanLead float64) {
 	type outcome struct {
 		won  bool
 		lead int
 	}
-	outs := simnet.Trials(strideSeeds(seed+int64(share*100), 1000, trials), 0, func(s int64) outcome {
-		won, lead := fiftyOneTrial(s, share, horizonBlocks)
+	outs := simnet.Trials(strideSeeds(seed+int64(share*100), 1000, s.trials), 0, func(seed int64) outcome {
+		won, lead := fiftyOneTrial(seed, share, s.horizon)
 		return outcome{won, lead}
 	})
 	wins := 0
@@ -52,34 +55,7 @@ func fiftyOneRow(seed int64, share float64, trials, horizonBlocks int) (winRate,
 		}
 		leadSum += float64(o.lead)
 	}
-	return float64(wins) / float64(trials), leadSum / float64(trials)
-}
-
-// fiftyOneMatrix is the numeric core of X2: one seed, one (win rate, mean
-// lead) pair per attacker share, each share still averaging `trials` races.
-func fiftyOneMatrix(seed int64, trials, horizonBlocks int) Matrix {
-	rows := make([]string, len(fiftyOneShares))
-	for i, s := range fiftyOneShares {
-		rows[i] = fmt.Sprintf("%.0f%%", s*100)
-	}
-	mx := NewMatrix(rows, []string{"Reorg Success Rate", "Mean Attacker Lead (blocks)"})
-	for r, share := range fiftyOneShares {
-		win, lead := fiftyOneRow(seed, share, trials, horizonBlocks)
-		mx.Vals[r][0] = win * 100
-		mx.Vals[r][1] = lead
-	}
-	return mx
-}
-
-// FiftyOnePercentMulti is X2 aggregated over a batch of seeds on `workers`
-// parallel trial runners (0 = GOMAXPROCS).
-func FiftyOnePercentMulti(seeds []int64, workers, trials, horizonBlocks int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return fiftyOneMatrix(seed, trials, horizonBlocks)
-	})
-	return agg.Table(
-		fmt.Sprintf("X2: private-branch (51%%) attack, horizon ≈%d blocks, %d trials/share", horizonBlocks, trials),
-		"Attacker Hashrate Share", "%.0f%%", "%+.1f")
+	return float64(wins) / float64(s.trials), leadSum / float64(s.trials)
 }
 
 // fiftyOneTrial runs one race and reports whether the honest node reorged
@@ -110,11 +86,11 @@ func fiftyOneTrial(seed int64, share float64, horizonBlocks int) (bool, int) {
 	return honest.Chain().Reorgs() > 0, lead
 }
 
-// DoubleSpend demonstrates the canonical consequence of a successful
+// doubleSpend demonstrates the canonical consequence of a successful
 // private-branch attack: a payment confirmed on the public chain vanishes
 // after the reorg. It returns the victim's observed balance before and
 // after the attack branch is published.
-func DoubleSpend(seed int64) (before, after uint64) {
+func doubleSpend(seed int64) (before, after uint64) {
 	nw := simnet.New(seed)
 	spacing := 10 * time.Second
 	kp, err := cryptoutil.GenerateKeyPair(nw.Rand())

@@ -11,10 +11,20 @@ import (
 	"repro/internal/simnet"
 )
 
-// CommAvailability is experiment X3: with U users spread over S servers,
-// kill a fraction f of the servers and measure deliverability — the share
-// of ordered (author, reader) pairs where the reader obtains the author's
-// fresh post. It quantifies §3.2's availability claims:
+// commSize sizes X3: servers (one user each) and the failed fractions
+// swept. commSizes is full scale, then tiny.
+type commSize struct {
+	servers int
+	fails   []float64
+}
+
+var commSizes = [2]commSize{{10, []float64{0, 0.1, 0.2, 0.3, 0.5}}, {3, []float64{0, 0.5}}}
+
+// commAvailabilityMatrix is experiment X3: with U users spread over S
+// servers, kill a fraction f of the servers and measure deliverability —
+// the share of ordered (author, reader) pairs where the reader obtains the
+// author's fresh post. One seed gives one figure per (model, fraction)
+// cell. It quantifies §3.2's availability claims:
 //
 //   - centralized: one platform, all-or-nothing;
 //   - federated-home (OStatus): "bottlenecked by single servers that can
@@ -24,25 +34,7 @@ import (
 //     deliverability ≈ (1-f) (posting still needs the author's home);
 //   - social-p2p: no servers; the peers are the users, so the same f is
 //     applied to them directly → surviving pairs still deliver.
-func CommAvailability(seed int64, servers int, failFractions []float64) *Table {
-	m := commAvailabilityMatrix(seed, servers, failFractions)
-	t := &Table{
-		Title:   fmt.Sprintf("X3: deliverability vs fraction of failed servers (S=%d, 1 user/server)", servers),
-		Headers: append([]string{"Model"}, m.Cols...),
-	}
-	for r, name := range m.Rows {
-		row := []any{name}
-		for c := range m.Cols {
-			row = append(row, fmt.Sprintf("%.2f", m.Vals[r][c]))
-		}
-		t.Add(row...)
-	}
-	return t
-}
-
-// commAvailabilityMatrix is the numeric core of X3: one seed, one
-// deliverability figure per (model, fail-fraction) cell.
-func commAvailabilityMatrix(seed int64, servers int, failFractions []float64) Matrix {
+func commAvailabilityMatrix(seed int64, s commSize) Matrix {
 	models := []struct {
 		name string
 		run  func(seed int64, servers int, f float64) float64
@@ -52,32 +44,15 @@ func commAvailabilityMatrix(seed int64, servers int, failFractions []float64) Ma
 		{"federated-replicated", fedReplDeliverability},
 		{"social-p2p", socialP2PDeliverability},
 	}
-	cols := make([]string, len(failFractions))
-	for i, f := range failFractions {
-		cols[i] = fmt.Sprintf("f=%.0f%%", f*100)
-	}
-	rows := make([]string, len(models))
-	for i, m := range models {
-		rows[i] = m.name
-	}
-	mx := NewMatrix(rows, cols)
-	for r, m := range models {
-		for c, f := range failFractions {
-			mx.Vals[r][c] = m.run(seed, servers, f)
+	mx := Matrix{Cols: labels("f=%.0f%%", 100, s.fails)}
+	for _, m := range models {
+		row := make([]float64, len(s.fails))
+		for c, f := range s.fails {
+			row[c] = m.run(seed, s.servers, f)
 		}
+		mx.add(m.name, row...)
 	}
 	return mx
-}
-
-// CommAvailabilityMulti is X3 aggregated over a batch of seeds on `workers`
-// parallel trial runners (0 = GOMAXPROCS).
-func CommAvailabilityMulti(seeds []int64, workers, servers int, failFractions []float64) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return commAvailabilityMatrix(seed, servers, failFractions)
-	})
-	return agg.Table(
-		fmt.Sprintf("X3: deliverability vs fraction of failed servers (S=%d, 1 user/server)", servers),
-		"Model", "%.2f")
 }
 
 func killCount(servers int, f float64) int {
@@ -100,29 +75,9 @@ func centralizedDeliverability(seed int64, users int, f float64) float64 {
 		c.Post("room", []byte("post by "+string(c.User())), func(bool) {})
 	}
 	nw.Run(nw.Now() + time.Minute)
-	delivered, pairs := 0, 0
-	for ri, reader := range clients {
-		var got []groupcomm.Post
-		reader.Fetch("room", func(ps []groupcomm.Post, ok bool) { got = ps })
-		nw.Run(nw.Now() + time.Minute)
-		seen := map[groupcomm.UserID]bool{}
-		for _, p := range got {
-			seen[p.Author] = true
-		}
-		for ai := range clients {
-			if ai == ri {
-				continue
-			}
-			pairs++
-			if seen[clients[ai].User()] {
-				delivered++
-			}
-		}
-	}
-	if pairs == 0 {
-		return 0
-	}
-	return float64(delivered) / float64(pairs)
+	return readDeliverability(nw, users, time.Minute, func(i int, done func([]groupcomm.Post, bool)) {
+		clients[i].Fetch("room", done)
+	})
 }
 
 func fedHomeDeliverability(seed int64, servers int, f float64) float64 {
@@ -160,26 +115,9 @@ func fedHomeDeliverability(seed int64, servers int, f float64) float64 {
 	}
 	nw.Run(nw.Now() + time.Minute)
 
-	delivered, pairs := 0, 0
-	for ri, reader := range clients {
-		var got []groupcomm.Post
-		reader.Read(func(ps []groupcomm.Post, ok bool) { got = ps })
-		nw.Run(nw.Now() + time.Minute)
-		seen := map[groupcomm.UserID]bool{}
-		for _, p := range got {
-			seen[p.Author] = true
-		}
-		for ai := range clients {
-			if ai == ri {
-				continue
-			}
-			pairs++
-			if seen[users[ai]] {
-				delivered++
-			}
-		}
-	}
-	return float64(delivered) / float64(pairs)
+	return readDeliverability(nw, servers, time.Minute, func(i int, done func([]groupcomm.Post, bool)) {
+		clients[i].Read(done)
+	})
 }
 
 func fedReplDeliverability(seed int64, servers int, f float64) float64 {
@@ -196,7 +134,6 @@ func fedReplDeliverability(seed int64, servers int, f float64) float64 {
 	clients := make([]*groupcomm.ReplClient, servers)
 	for i := range clients {
 		clients[i] = groupcomm.NewReplClient(nw.AddNode(), ids[i], ids, groupcomm.UserID(fmt.Sprintf("u%d", i)), 5*time.Second, resil.Config{})
-
 	}
 	for k := 0; k < killCount(servers, f); k++ {
 		srvs[k].Node().Crash()
@@ -206,16 +143,26 @@ func fedReplDeliverability(seed int64, servers int, f float64) float64 {
 	}
 	nw.Run(nw.Now() + 2*time.Minute) // replicate
 
+	return readDeliverability(nw, servers, 2*time.Minute, func(i int, done func([]groupcomm.Post, bool)) {
+		clients[i].Fetch("room", done)
+	})
+}
+
+// readDeliverability has each of n readers fetch in turn, running the
+// network for settle after each fetch, and returns the share of ordered
+// (author, reader) pairs, author ≠ reader, in which the reader got the
+// post of user u<author>.
+func readDeliverability(nw *simnet.Network, n int, settle time.Duration, fetch func(reader int, done func([]groupcomm.Post, bool))) float64 {
 	delivered, pairs := 0, 0
-	for ri, reader := range clients {
+	for ri := 0; ri < n; ri++ {
 		var got []groupcomm.Post
-		reader.Fetch("room", func(ps []groupcomm.Post, ok bool) { got = ps })
-		nw.Run(nw.Now() + 2*time.Minute)
+		fetch(ri, func(ps []groupcomm.Post, _ bool) { got = ps })
+		nw.Run(nw.Now() + settle)
 		seen := map[groupcomm.UserID]bool{}
 		for _, p := range got {
 			seen[p.Author] = true
 		}
-		for ai := range clients {
+		for ai := 0; ai < n; ai++ {
 			if ai == ri {
 				continue
 			}
@@ -224,6 +171,9 @@ func fedReplDeliverability(seed int64, servers int, f float64) float64 {
 				delivered++
 			}
 		}
+	}
+	if pairs == 0 {
+		return 0
 	}
 	return float64(delivered) / float64(pairs)
 }

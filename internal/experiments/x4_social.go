@@ -8,69 +8,42 @@ import (
 	"repro/internal/simnet"
 )
 
-// SocialP2P is experiment X4: in a random friend graph of N users with
-// mean degree d, under churn with long-run availability a, an author
+// socialSize sizes X4: users, and the mean degrees and availabilities
+// swept. socialSizes is full scale, then tiny.
+type socialSize struct {
+	users  int
+	degree []int
+	uptime []float64
+}
+
+var socialSizes = [2]socialSize{{30, []int{2, 4, 8}, []float64{0.5, 0.75, 0.95}}, {6, []int{2}, []float64{0.75}}}
+
+// socialTrials is how many runs each cell of the single-seed X4 table
+// averages; the multi-seed core runs one per seed.
+const socialTrials = 5
+
+// socialP2PMatrix is experiment X4: in a random friend graph of N users
+// with mean degree d, under churn with long-run availability a, an author
 // publishes a post; after a fixed horizon we measure what fraction of the
 // author's friends hold the post. §3.2: socially-aware P2P "comes at a
 // price of reduced availability since nodes accept connections only from
 // socially-trusted peers" — availability rises with degree (more sync
-// paths) and with per-node uptime.
-func SocialP2P(seed int64, users int, degrees []int, availabilities []float64) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("X4: social-P2P delivery to friends within 15min (N=%d, anti-entropy 60s)", users),
-		Headers: []string{"Mean Degree"},
-	}
-	for _, a := range availabilities {
-		t.Headers = append(t.Headers, fmt.Sprintf("uptime=%.0f%%", a*100))
-	}
-	const trials = 5
-	for _, d := range degrees {
-		d := d
-		row := []any{fmt.Sprintf("%d", d)}
-		for _, a := range availabilities {
-			a := a
+// paths) and with per-node uptime. Each (degree, availability) cell
+// averages `trials` runs at seeds seed + i·7919.
+func socialP2PMatrix(seed int64, s socialSize, trials int) Matrix {
+	mx := NewMatrix(labels("%d", 1, s.degree), labels("uptime=%.0f%%", 100, s.uptime))
+	for r, d := range s.degree {
+		for c, a := range s.uptime {
 			sum := 0.0
-			for _, v := range simnet.Trials(strideSeeds(seed, 7919, trials), 0, func(s int64) float64 {
-				return socialP2PRun(s, users, d, a)
+			for _, v := range simnet.Trials(strideSeeds(seed, 7919, trials), 0, func(seed int64) float64 {
+				return socialP2PRun(seed, s.users, d, a)
 			}) {
 				sum += v
 			}
-			row = append(row, fmt.Sprintf("%.2f", sum/trials))
-		}
-		t.Add(row...)
-	}
-	return t
-}
-
-// socialP2PMatrix is the numeric core of X4: one seed, one delivery ratio
-// per (degree, availability) cell.
-func socialP2PMatrix(seed int64, users int, degrees []int, availabilities []float64) Matrix {
-	rows := make([]string, len(degrees))
-	for i, d := range degrees {
-		rows[i] = fmt.Sprintf("%d", d)
-	}
-	cols := make([]string, len(availabilities))
-	for i, a := range availabilities {
-		cols[i] = fmt.Sprintf("uptime=%.0f%%", a*100)
-	}
-	mx := NewMatrix(rows, cols)
-	for r, d := range degrees {
-		for c, a := range availabilities {
-			mx.Vals[r][c] = socialP2PRun(seed, users, d, a)
+			mx.Vals[r][c] = sum / float64(trials)
 		}
 	}
 	return mx
-}
-
-// SocialP2PMulti is X4 aggregated over a batch of seeds (one trial per
-// seed) on `workers` parallel trial runners (0 = GOMAXPROCS).
-func SocialP2PMulti(seeds []int64, workers, users int, degrees []int, availabilities []float64) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return socialP2PMatrix(seed, users, degrees, availabilities)
-	})
-	return agg.Table(
-		fmt.Sprintf("X4: social-P2P delivery to friends within 15min (N=%d, anti-entropy 60s)", users),
-		"Mean Degree", "%.2f")
 }
 
 func socialP2PRun(seed int64, users, degree int, availability float64) float64 {
@@ -131,13 +104,13 @@ func socialP2PRun(seed int64, users, degree int, availability float64) float64 {
 	return float64(holding) / float64(friends)
 }
 
-// MetadataExposureTable renders the §3.2 metadata-exposure comparison for
-// a federation of the given size.
-func MetadataExposureTable(servers int) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("X4b: metadata exposure per message (federation of %d servers)", servers),
-		Headers: []string{"Model", "Operator Observers", "Body Visible To Operators", "Note"},
-	}
+// metadataSizes is X4b's federation size: full scale, then tiny.
+var metadataSizes = [2]int{10, 3}
+
+// metadataExposure renders the §3.2 metadata-exposure comparison for a
+// federation of the given size (X4b); it draws nothing from the seed.
+func metadataExposure(_ int64, servers int) *Table {
+	t := &Table{Headers: []string{"Model", "Operator Observers", "Body Visible To Operators", "Note"}}
 	for _, e := range groupcomm.Exposures() {
 		t.Add(e.Model, e.ObserverCount(servers), e.BodyVisible, e.Note)
 	}

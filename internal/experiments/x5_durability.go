@@ -9,53 +9,49 @@ import (
 	"repro/internal/storage"
 )
 
-// StorageDurability is experiment X5: objects are stored under several
-// redundancy schemes on a provider fleet whose members die permanently at
-// random times; with and without a periodic audit-and-repair loop, we
-// measure how many objects remain recoverable after the horizon, and the
-// repair traffic paid. §3.3: "These design decisions involve inherent
-// trade-offs among durability, availability, consistency, and performance
-// of decentralized storage."
+// durabilitySize sizes X5: objects stored, fleet size, the horizon over
+// which providers die, and the share of the fleet that dies.
+// durabilitySizes is full scale, then tiny.
+type durabilitySize struct {
+	objects, providers int
+	horizon            time.Duration
+	dead               float64
+}
+
+var durabilitySizes = [2]durabilitySize{{20, 30, 6 * time.Hour, 0.5}, {3, 8, time.Hour, 0.5}}
+
+// durabilityScheme is one redundancy scheme of X5: r full replicas, or
+// with k > 0 Reed–Solomon coding into k data and m parity shards.
 type durabilityScheme struct {
-	name     string
-	overhead float64
-	upload   func(c *storage.Client, data []byte, pool []storage.ProviderRef, done func(*storage.Manifest, *storage.Placement, error))
+	name    string
+	r, k, m int
 }
 
 // durabilitySchemes is the fixed scheme axis of the X5 matrix.
-func durabilitySchemes() []durabilityScheme {
-	return []durabilityScheme{
-		{"replicate r=1", 1, func(c *storage.Client, d []byte, p []storage.ProviderRef, done func(*storage.Manifest, *storage.Placement, error)) {
-			c.Upload(d, 0, p, 1, done)
-		}},
-		{"replicate r=2", 2, func(c *storage.Client, d []byte, p []storage.ProviderRef, done func(*storage.Manifest, *storage.Placement, error)) {
-			c.Upload(d, 0, p, 2, done)
-		}},
-		{"replicate r=3", 3, func(c *storage.Client, d []byte, p []storage.ProviderRef, done func(*storage.Manifest, *storage.Placement, error)) {
-			c.Upload(d, 0, p, 3, done)
-		}},
-		{"erasure RS(4,6)", 1.5, func(c *storage.Client, d []byte, p []storage.ProviderRef, done func(*storage.Manifest, *storage.Placement, error)) {
-			c.UploadErasure(d, 4, 2, p, done)
-		}},
-		{"erasure RS(4,8)", 2, func(c *storage.Client, d []byte, p []storage.ProviderRef, done func(*storage.Manifest, *storage.Placement, error)) {
-			c.UploadErasure(d, 4, 4, p, done)
-		}},
-	}
+var durabilitySchemes = []durabilityScheme{
+	{"replicate r=1", 1, 0, 0},
+	{"replicate r=2", 2, 0, 0},
+	{"replicate r=3", 3, 0, 0},
+	{"erasure RS(4,6)", 0, 4, 2},
+	{"erasure RS(4,8)", 0, 4, 4},
 }
 
-// StorageDurability runs the durability × repair matrix and returns the
-// result table.
-func StorageDurability(seed int64, objects, providers int, horizon time.Duration, deadFraction float64) *Table {
-	schemes := durabilitySchemes()
-	m := durabilityMatrix(seed, objects, providers, horizon, deadFraction)
-	t := &Table{
-		Title: fmt.Sprintf("X5: object survival after %v with %.0f%% of %d providers dying permanently (%d objects)",
-			horizon, deadFraction*100, providers, objects),
-		Headers: []string{"Scheme", "Overhead", "Survival (no repair)", "Survival (repair/30m)", "Repair Traffic (KB)"},
+// overhead is the bytes the scheme stores per object byte.
+func (sc durabilityScheme) overhead() float64 {
+	if sc.k > 0 {
+		return float64(sc.k+sc.m) / float64(sc.k)
 	}
-	for r, s := range schemes {
-		t.Add(s.name,
-			fmt.Sprintf("%.1fx", s.overhead),
+	return float64(sc.r)
+}
+
+// durabilityTable renders X5 with each scheme's storage overhead beside
+// its survival figures.
+func durabilityTable(seed int64, s durabilitySize) *Table {
+	m := durabilityMatrix(seed, s)
+	t := &Table{Headers: []string{"Scheme", "Overhead", "Survival (no repair)", "Survival (repair/30m)", "Repair Traffic (KB)"}}
+	for r, sc := range durabilitySchemes {
+		t.Add(sc.name,
+			fmt.Sprintf("%.1fx", sc.overhead()),
 			fmt.Sprintf("%.0f%%", m.Vals[r][0]),
 			fmt.Sprintf("%.0f%%", m.Vals[r][1]),
 			fmt.Sprintf("%.0f", m.Vals[r][2]))
@@ -63,38 +59,26 @@ func StorageDurability(seed int64, objects, providers int, horizon time.Duration
 	return t
 }
 
-// durabilityMatrix is the numeric core of X5: one seed, per scheme the
-// survival percentages without and with repair plus the repair traffic.
-func durabilityMatrix(seed int64, objects, providers int, horizon time.Duration, deadFraction float64) Matrix {
-	schemes := durabilitySchemes()
-	rows := make([]string, len(schemes))
-	for i, s := range schemes {
-		rows[i] = s.name
-	}
-	mx := NewMatrix(rows, []string{"Survival (no repair)", "Survival (repair/30m)", "Repair Traffic (KB)"})
-	for r, s := range schemes {
-		noRepair, _ := durabilityRun(seed, s, objects, providers, horizon, deadFraction, 0)
-		withRepair, traffic := durabilityRun(seed, s, objects, providers, horizon, deadFraction, 30*time.Minute)
-		mx.Vals[r][0] = noRepair * 100
-		mx.Vals[r][1] = withRepair * 100
-		mx.Vals[r][2] = traffic / 1024
+// durabilityMatrix is experiment X5: objects are stored under several
+// redundancy schemes on a provider fleet whose members die permanently at
+// random times; with and without a periodic audit-and-repair loop, we
+// measure how many objects remain recoverable after the horizon, and the
+// repair traffic paid. §3.3: "These design decisions involve inherent
+// trade-offs among durability, availability, consistency, and performance
+// of decentralized storage." One seed gives, per scheme, the survival
+// percentages without and with repair plus the repair traffic (KB).
+func durabilityMatrix(seed int64, s durabilitySize) Matrix {
+	mx := Matrix{Cols: []string{"Survival (no repair)", "Survival (repair/30m)", "Repair Traffic (KB)"}}
+	for _, sc := range durabilitySchemes {
+		noRepair, _ := durabilityRun(seed, sc, s, 0)
+		withRepair, traffic := durabilityRun(seed, sc, s, 30*time.Minute)
+		mx.add(sc.name, noRepair*100, withRepair*100, traffic/1024)
 	}
 	return mx
 }
 
-// StorageDurabilityMulti is X5 aggregated over a batch of seeds on
-// `workers` parallel trial runners (0 = GOMAXPROCS).
-func StorageDurabilityMulti(seeds []int64, workers, objects, providers int, horizon time.Duration, deadFraction float64) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return durabilityMatrix(seed, objects, providers, horizon, deadFraction)
-	})
-	return agg.Table(
-		fmt.Sprintf("X5: object survival after %v with %.0f%% of %d providers dying permanently (%d objects)",
-			horizon, deadFraction*100, providers, objects),
-		"Scheme", "%.0f%%", "%.0f%%", "%.0f")
-}
-
-func durabilityRun(seed int64, scheme durabilityScheme, objects, providers int, horizon time.Duration, deadFraction float64, repairEvery time.Duration) (survival float64, repairBytes float64) {
+func durabilityRun(seed int64, scheme durabilityScheme, s durabilitySize, repairEvery time.Duration) (survival float64, repairBytes float64) {
+	objects, providers, horizon := s.objects, s.providers, s.horizon
 	nw := simnet.New(seed)
 	fleet := newStorageFleet(nw, providers, 10*time.Second, resil.Config{}, storage.ProviderConfig{Capacity: 1 << 30})
 	client, provs, pool := fleet.client, fleet.provs, fleet.pool
@@ -106,14 +90,17 @@ func durabilityRun(seed int64, scheme durabilityScheme, objects, providers int, 
 		nw.Rand().Read(data)
 		o := &storedObject{data: data}
 		objs[i] = o
-		scheme.upload(client, data, pool, func(m *storage.Manifest, pl *storage.Placement, err error) {
-			o.m, o.pl = m, pl
-		})
+		done := func(m *storage.Manifest, pl *storage.Placement, err error) { o.m, o.pl = m, pl }
+		if scheme.k > 0 {
+			client.UploadErasure(data, scheme.k, scheme.m, pool, done)
+		} else {
+			client.Upload(data, 0, pool, scheme.r, done)
+		}
 	}
 	nw.Run(nw.Now() + time.Minute)
 
 	// Schedule permanent deaths uniformly over the horizon.
-	dead := int(deadFraction * float64(providers))
+	dead := int(s.dead * float64(providers))
 	perm := nw.Rand().Perm(providers)
 	start := nw.Now()
 	for k := 0; k < dead; k++ {

@@ -8,15 +8,12 @@ import (
 	"repro/internal/storage"
 )
 
-// StorageAttacks is experiment X6: one provider per cheating strategy
+// storageAttacks is experiment X6: one provider per cheating strategy
 // faces each implemented proof mechanism; the table reports which proofs
 // catch which attacks. §3.3: proof-of-replication and friends exist to
 // defeat "Sybil Attacks … Outsourcing Attacks … Generation Attacks".
-func StorageAttacks(seed int64) *Table {
-	t := &Table{
-		Title:   "X6: which proof mechanism catches which provider attack",
-		Headers: []string{"Provider Behaviour", "Proof-of-Storage", "Proof-of-Retrievability", "Proof-of-Replication (3 replicas)"},
-	}
+func storageAttacks(seed int64) *Table {
+	t := &Table{Headers: []string{"Provider Behaviour", "Proof-of-Storage", "Proof-of-Retrievability", "Proof-of-Replication (3 replicas)"}}
 	behaviours := []struct {
 		name  string
 		cheat storage.CheatMode

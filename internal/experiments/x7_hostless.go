@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -10,51 +9,25 @@ import (
 	"repro/internal/webapp"
 )
 
-// HostlessWeb is experiment X7: the same website is served (a) by a
+// hostlessSizes is X7's visitor count: full scale, then tiny.
+var hostlessSizes = [2]int{40, 5}
+
+// hostlessMatrix is experiment X7: the same website is served (a) by a
 // single origin server (client-server baseline) and (b) as a hostless
 // signed bundle seeded by its visitors (§3.4). Visitors arrive throughout
 // the run; halfway through, the publisher (origin server / site author)
 // dies. We measure visit success before and after the death and how the
 // serving load distributes. Visitors sit on home-broadband links, making
 // this also a §5.2 "quality vs quantity" test: device-grade uplinks can
-// still carry the site because the load spreads.
-func HostlessWeb(seed int64, visitors int) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("X7: website availability with publisher death at T/2 (%d visitors over 2h)", visitors),
-		Headers: []string{"Architecture", "Visits OK (publisher alive)", "Visits OK (publisher dead)", "Publisher Share of Bytes Served"},
-	}
-	m := hostlessMatrix(seed, visitors)
-	for r, name := range m.Rows {
-		t.Add(name,
-			fmt.Sprintf("%.0f%%", m.Vals[r][0]),
-			fmt.Sprintf("%.0f%%", m.Vals[r][1]),
-			fmt.Sprintf("%.0f%%", m.Vals[r][2]))
-	}
-	return t
-}
-
-// hostlessMatrix is the numeric core of X7: one seed, visit-success and
-// load-share percentages for both architectures.
+// still carry the site because the load spreads. One seed gives the
+// visit-success and load-share percentages of both architectures.
 func hostlessMatrix(seed int64, visitors int) Matrix {
-	mx := NewMatrix(
-		[]string{"client-server (single origin)", "hostless (visitor-seeded)"},
-		[]string{"Visits OK (publisher alive)", "Visits OK (publisher dead)", "Publisher Share of Bytes Served"})
-	beforeCS, afterCS, shareCS := clientServerRun(seed, visitors)
-	mx.Vals[0][0], mx.Vals[0][1], mx.Vals[0][2] = beforeCS*100, afterCS*100, shareCS*100
-	beforeHL, afterHL, shareHL := hostlessRun(seed, visitors)
-	mx.Vals[1][0], mx.Vals[1][1], mx.Vals[1][2] = beforeHL*100, afterHL*100, shareHL*100
+	mx := Matrix{Cols: []string{"Visits OK (publisher alive)", "Visits OK (publisher dead)", "Publisher Share of Bytes Served"}}
+	before, after, share := clientServerRun(seed, visitors)
+	mx.add("client-server (single origin)", before*100, after*100, share*100)
+	before, after, share = hostlessRun(seed, visitors)
+	mx.add("hostless (visitor-seeded)", before*100, after*100, share*100)
 	return mx
-}
-
-// HostlessWebMulti is X7 aggregated over a batch of seeds on `workers`
-// parallel trial runners (0 = GOMAXPROCS).
-func HostlessWebMulti(seeds []int64, workers, visitors int) *Table {
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix {
-		return hostlessMatrix(seed, visitors)
-	})
-	return agg.Table(
-		fmt.Sprintf("X7: website availability with publisher death at T/2 (%d visitors over 2h)", visitors),
-		"Architecture", "%.0f%%")
 }
 
 const originMethod = "origin.get"
@@ -74,33 +47,23 @@ func clientServerRun(seed int64, visitors int) (before, after, originShare float
 		return site, siteBytes
 	})
 
-	okBefore, okAfter, nBefore, nAfter := 0, 0, 0, 0
+	var tally visitTally
 	half := time.Hour
 	horizon := 2 * time.Hour
 	for i := 0; i < visitors; i++ {
 		at := time.Duration(nw.Rand().Int63n(int64(horizon)))
 		visitor := simnet.NewRPCNode(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()))
 		nw.Schedule(at, func() {
-			early := nw.Now() < half
+			done := tally.done(nw.Now() >= half)
 			visitor.Call(origin.Node().ID(), originMethod, nil, 64, 30*time.Second, func(resp any, err error) {
-				ok := err == nil && resp != nil
-				if early {
-					nBefore++
-					if ok {
-						okBefore++
-					}
-				} else {
-					nAfter++
-					if ok {
-						okAfter++
-					}
-				}
+				done(err == nil && resp != nil)
 			})
 		})
 	}
 	nw.Schedule(half, func() { origin.Node().Crash() })
 	nw.Run(horizon + time.Minute)
-	return ratio(okBefore, nBefore), ratio(okAfter, nAfter), 1.0 // origin serves 100% of bytes
+	before, after = tally.shares()
+	return before, after, 1.0 // origin serves 100% of bytes
 }
 
 // hostlessRun serves the site as a webapp bundle over DHT + tracker with
@@ -124,7 +87,7 @@ func hostlessRun(seed int64, visitors int) (before, after, authorShare float64) 
 
 	siteAddr := web.publish(owner, siteFiles())
 
-	okBefore, okAfter, nBefore, nAfter := 0, 0, 0, 0
+	var tally visitTally
 	start := nw.Now()
 	half := start + time.Hour
 	horizon := start + 2*time.Hour
@@ -132,21 +95,8 @@ func hostlessRun(seed int64, visitors int) (before, after, authorShare float64) 
 		at := start + time.Duration(nw.Rand().Int63n(int64(2*time.Hour)))
 		p := peers[i]
 		nw.Schedule(at, func() {
-			early := nw.Now() < half
-			p.Visit(siteAddr, func(files map[string][]byte, err error) {
-				ok := err == nil && len(files) > 0
-				if early {
-					nBefore++
-					if ok {
-						okBefore++
-					}
-				} else {
-					nAfter++
-					if ok {
-						okAfter++
-					}
-				}
-			})
+			done := tally.done(nw.Now() >= half)
+			p.Visit(siteAddr, func(files map[string][]byte, err error) { done(err == nil && len(files) > 0) })
 		})
 	}
 	nw.Schedule(half, func() { author.Node().Crash() })
@@ -156,7 +106,32 @@ func hostlessRun(seed int64, visitors int) (before, after, authorShare float64) 
 	for _, p := range peers {
 		totalServes += p.BlobServes
 	}
-	return ratio(okBefore, nBefore), ratio(okAfter, nAfter), ratio(author.BlobServes, totalServes)
+	before, after = tally.shares()
+	return before, after, ratio(author.BlobServes, totalServes)
+}
+
+// visitTally counts completed visits and their successes, split by
+// whether a visit was launched before the publisher died ([0]) or after.
+type visitTally struct{ ok, n [2]int }
+
+// done returns the completion callback of a visit launched now.
+func (v *visitTally) done(afterDeath bool) func(ok bool) {
+	i := 0
+	if afterDeath {
+		i = 1
+	}
+	return func(ok bool) {
+		v.n[i]++
+		if ok {
+			v.ok[i]++
+		}
+	}
+}
+
+// shares returns the success share of the visits on each side of the
+// death.
+func (v *visitTally) shares() (before, after float64) {
+	return ratio(v.ok[0], v.n[0]), ratio(v.ok[1], v.n[1])
 }
 
 func ratio(a, b int) float64 {

@@ -8,29 +8,40 @@ import (
 	"repro/internal/simnet"
 )
 
-// UsenetLoad is experiment X8: it quantifies §3.2's "Usenet eventually
+// usenetSize sizes X8: the network sizes swept, and each author's posts
+// and post size in bytes. usenetSizes is full scale, then tiny.
+type usenetSize struct {
+	servers      []int
+	posts, bytes int
+}
+
+var usenetSizes = [2]usenetSize{{[]int{5, 10, 20, 40}, 20, 512}, {[]int{3}, 4, 128}}
+
+// usenetMatrix is experiment X8: it quantifies §3.2's "Usenet eventually
 // collapsed under its own traffic load." Each of S servers hosts one
 // author who posts P articles of B bytes. Under Usenet's full flooding,
 // every server stores every article, so per-server storage grows linearly
 // with network size; under the federated-home model each instance stores
 // only what its users follow (here: a fixed 4 remote authors), so
-// per-server cost stays flat as the network grows. The centralized row
-// shows the aggregation extreme: one operator bears everything.
-func UsenetLoad(seed int64, serverCounts []int, postsPerAuthor, postBytes int) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("X8: per-server stored bytes as the network grows (%d posts/author, %dB each, follow 4 remote authors)",
-			postsPerAuthor, postBytes),
-		Headers: []string{"Servers"},
+// per-server cost stays flat as the network grows. The centralized column
+// shows the aggregation extreme: one operator bears everything. One seed
+// gives the mean stored bytes per server, per network size and model.
+func usenetMatrix(seed int64, s usenetSize) Matrix {
+	m := Matrix{Cols: []string{"usenet (full flood)", "federated-home (followed only)", "centralized (one operator)"}}
+	for _, n := range s.servers {
+		usenet := usenetPerServerBytes(seed, n, s.posts, s.bytes)
+		fed := fedHomePerServerBytes(seed, n, s.posts, s.bytes)
+		m.add(fmt.Sprint(n), float64(usenet), float64(fed), float64(n*s.posts*(s.bytes+64))) // one operator stores all
 	}
-	models := []string{"usenet (full flood)", "federated-home (followed only)", "centralized (one operator)"}
-	for _, m := range models {
-		t.Headers = append(t.Headers, m)
-	}
-	for _, s := range serverCounts {
-		u := usenetPerServerBytes(seed, s, postsPerAuthor, postBytes)
-		f := fedHomePerServerBytes(seed, s, postsPerAuthor, postBytes)
-		c := int64(s * postsPerAuthor * (postBytes + 64)) // one operator stores all
-		t.Add(fmt.Sprintf("%d", s), byteCount(u), byteCount(f), byteCount(c))
+	return m
+}
+
+// usenetTable renders X8 with every cell as a byte count.
+func usenetTable(seed int64, s usenetSize) *Table {
+	m := usenetMatrix(seed, s)
+	t := &Table{Headers: append([]string{"Servers"}, m.Cols...)}
+	for r, v := range m.Vals {
+		t.Add(m.Rows[r], byteCount(int64(v[0])), byteCount(int64(v[1])), byteCount(int64(v[2])))
 	}
 	return t
 }

@@ -8,7 +8,16 @@ import (
 	"repro/internal/simnet"
 )
 
-// AbuseContainment is experiment X9: a spammer injects banned content; a
+// abuseSize sizes X9: readers, and the policy coverages swept.
+// abuseSizes is full scale, then tiny.
+type abuseSize struct {
+	users     int
+	coverages []float64
+}
+
+var abuseSizes = [2]abuseSize{{20, []float64{0, 0.25, 0.5, 0.75, 1}}, {5, []float64{0, 1}}}
+
+// abuseMatrix is experiment X9: a spammer injects banned content; a
 // word-filter policy is deployed at a varying fraction of the system's
 // enforcement points, and we measure the fraction of users exposed to the
 // spam. It quantifies §3.2's Abuse Prevention trade-off:
@@ -25,26 +34,16 @@ import (
 // operator applying it or not (centralized, so only 0%/100% differ), and
 // fraction of users who befriended the spammer (social-p2p, where the
 // "enforcement point" is the friendship decision itself).
-func AbuseContainment(seed int64, users int, coverages []float64) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("X9: fraction of users exposed to spam vs policy coverage (N=%d users)", users),
-		Headers: []string{"Model"},
+func abuseMatrix(seed int64, s abuseSize) Matrix {
+	m := NewMatrix(
+		[]string{"centralized (global filter)", "federated-home (per-instance filter)", "social-p2p (trust graph is the filter)"},
+		labels("coverage=%.0f%%", 100, s.coverages))
+	for c, cov := range s.coverages {
+		for r, run := range []func(seed int64, users int, coverage float64) float64{centralAbuseRun, fedAbuseRun, socialAbuseRun} {
+			m.Vals[r][c] = run(seed, s.users, cov)
+		}
 	}
-	for _, c := range coverages {
-		t.Headers = append(t.Headers, fmt.Sprintf("coverage=%.0f%%", c*100))
-	}
-	rowCentral := []any{"centralized (global filter)"}
-	rowFed := []any{"federated-home (per-instance filter)"}
-	rowSocial := []any{"social-p2p (trust graph is the filter)"}
-	for _, c := range coverages {
-		rowCentral = append(rowCentral, fmt.Sprintf("%.2f", centralAbuseRun(seed, users, c)))
-		rowFed = append(rowFed, fmt.Sprintf("%.2f", fedAbuseRun(seed, users, c)))
-		rowSocial = append(rowSocial, fmt.Sprintf("%.2f", socialAbuseRun(seed, users, c)))
-	}
-	t.Add(rowCentral...)
-	t.Add(rowFed...)
-	t.Add(rowSocial...)
-	return t
+	return m
 }
 
 var spamPolicy = &groupcomm.ModerationPolicy{BannedWords: []string{"spam"}}
