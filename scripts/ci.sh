@@ -7,7 +7,9 @@
 # BENCH_baseline.json exactly (tolerance 0 — the simulation is
 # seed-deterministic, so any metric drift is a real behaviour change that
 # requires regenerating the baseline on purpose), and the committed
-# BENCH_baseline.json / BENCH_PR3.json pair must agree.
+# BENCH_baseline.json / BENCH_PR3.json pair must agree. The same bench
+# built with GOAMD64=v3 must match the baseline too, and the tree must vet
+# for arm64.
 # .github/workflows/ci.yml runs exactly this script; run it locally before
 # pushing to see what CI will see.
 #
@@ -41,6 +43,27 @@ echo "bench gate: running deterministic bench (seed 42, full scale)"
 "$tmp/feudalism" bench -scale full -seed 42 -trials 1 -json "$tmp/bench.json"
 "$tmp/benchdiff" BENCH_baseline.json "$tmp/bench.json"
 "$tmp/benchdiff" BENCH_baseline.json BENCH_PR3.json
+
+# Same bytes on a second ISA level: the bench built with GOAMD64=v3
+# (AVX2/BMI2-era instruction selection, and files under the amd64.v3
+# build tag) must match the baseline at tolerance 0. It is not an FMA
+# check: Go does not fuse x*y+z on amd64 at any level, while it may on
+# arm64, and the arm64 vet below only proves that the tree compiles there.
+# A host whose CPU cannot run v3 code skips the step and says why.
+if [ "$(go env GOARCH)" != amd64 ]; then
+	echo "isa gate: skipped, GOAMD64 levels exist on amd64 only (host is $(go env GOARCH))"
+else
+	GOAMD64=v3 go build -o "$tmp/feudalism-v3" ./cmd/feudalism
+	if ! "$tmp/feudalism-v3" list >/dev/null 2>&1; then
+		echo "isa gate: skipped, this CPU cannot run GOAMD64=v3 code (needs AVX2, BMI2, FMA)"
+	else
+		echo "isa gate: GOAMD64=v3 bench (seed 42, full scale) vs BENCH_baseline.json at tolerance 0"
+		"$tmp/feudalism-v3" bench -scale full -seed 42 -trials 1 -json "$tmp/bench-v3.json"
+		"$tmp/benchdiff" -tol 0 BENCH_baseline.json "$tmp/bench-v3.json"
+	fi
+fi
+echo "isa gate: GOARCH=arm64 go vet ./... (compile check)"
+GOARCH=arm64 go vet ./...
 
 # The 10k-node tier (make scale) is nightly-style work: run it only when
 # asked, so the merge gate stays fast.
