@@ -14,9 +14,10 @@
 //     can serve reads. "Matrix provides high availability by replicating
 //     data over the entire network" — while "metadata is still accessible
 //     and readable by the Matrix server that stores it."
-//   - SocialP2P: PrPl/Persona/Lockr style. No servers; data flows only
-//     along socially trusted edges. Best privacy, availability limited by
-//     friends' uptime.
+//   - SocialP2P: the socially-aware P2P model (SocialPeer). No servers;
+//     data flows only along socially trusted edges, pushed to friends and
+//     repaired by friend-to-friend anti-entropy, with double-ratchet DMs.
+//     Best privacy, availability limited by friends' uptime.
 //
 // All four expose posting and reading so experiment X3/X4 can measure
 // deliverability under failure, and each reports its per-message metadata

@@ -112,8 +112,12 @@ func (p *SocialPeer) NumFriends() int { return len(p.friends) }
 func (p *SocialPeer) Publish(room string, body []byte) Post {
 	post := NewPost(room, p.user, body, p.node.Now())
 	p.accept(post)
+	// One boxed message serves every friend: receivers copy it out of the
+	// interface, so nothing downstream writes to it.
+	var msg any = socialPostMsg{From: p.user, Post: post}
+	size := post.WireSize() + 32
 	for _, friend := range p.sortedFriends() {
-		p.node.Send(p.addrs[friend], msgSocialPost, socialPostMsg{From: p.user, Post: post}, post.WireSize()+32)
+		p.node.Send(p.addrs[friend], msgSocialPost, msg, size)
 	}
 	return post
 }

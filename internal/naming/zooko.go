@@ -21,17 +21,21 @@ type TriangleScore struct {
 func (s TriangleScore) All() bool { return s.HumanMeaningful && s.Secure && s.Decentralized }
 
 // TriangleScores returns the assessment of every naming scheme implemented
-// in this repository. Each row is backed by executable behaviour:
-//   - centralized-registrar: CentralizedRegistrar.Seize/Ban demonstrate the
-//     missing decentralization.
-//   - ca-pki: identity.TestCACompromiseForgesTrustedCerts demonstrates
-//     centralized trust.
-//   - web-of-trust: identity.WebOfTrust Sybil amplification demonstrates
-//     the missing security.
-//   - self-certifying: cryptoutil key fingerprints are secure and
-//     decentralized but opaque.
+// in this repository. The scores are literals; what backs each row:
+//   - centralized-registrar: CentralizedRegistrar.Seize/Ban show the
+//     missing decentralization, in unit tests only
+//     (TestCentralizedRegistrarCensorshipAndSeizure). X1 runs the
+//     registrar, but for its throughput, not its seizures.
+//   - ca-pki: a stolen identity.CA key (CA.Compromise) forges trusted
+//     certificates, in unit tests only
+//     (identity.TestCACompromiseForgesTrustedCerts).
+//   - web-of-trust: X12 (wot-sybil), a shipped run, measures the Sybil
+//     amplification behind the missing security.
+//   - self-certifying-key: a definitional row; cryptoutil key fingerprints
+//     are secure and decentralized but opaque, and no run measures them.
 //   - blockchain: this package's Index achieves all three, paying with
-//     confirmation latency and ledger growth (experiment X1/X2).
+//     confirmation latency (X1, naming-throughput), 51% exposure (X2,
+//     fifty-one) and ledger growth (X13).
 func TriangleScores() []TriangleScore {
 	return []TriangleScore{
 		{

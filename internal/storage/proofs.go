@@ -73,11 +73,6 @@ func Seal(data []byte, provider simnet.NodeID, replica int) []byte {
 	return out
 }
 
-// Unseal recovers the original chunk from a sealed replica.
-func Unseal(sealed []byte, provider simnet.NodeID, replica int) []byte {
-	return Seal(sealed, provider, replica)
-}
-
 // sealStream expands a (provider, replica) seed into an n-byte keystream
 // via HMAC in counter mode (HKDF caps output at 8160 bytes; chunks can be
 // larger).
@@ -93,12 +88,6 @@ func sealStream(n int, provider simnet.NodeID, replica int) []byte {
 		out = append(out, cryptoutil.HMAC256(key, ctr[:])...)
 	}
 	return out[:n]
-}
-
-// SealedID returns the content address of the sealed replica, which the
-// owner records for replication audits.
-func SealedID(data []byte, provider simnet.NodeID, replica int) cryptoutil.Hash {
-	return cryptoutil.SumHash(Seal(data, provider, replica))
 }
 
 // SealedRoot returns the proof Merkle root of the sealed replica.
@@ -131,43 +120,4 @@ func (c *Client) RepAudit(chunkID cryptoutil.Hash, sealedRoot cryptoutil.Hash, c
 		r, ok := resp.(challengeResp)
 		done(ok && r.OK && cryptoutil.VerifyProof(sealedRoot, r.LeafData, r.Proof))
 	})
-}
-
-// SpacetimeResult summarizes a proof-of-spacetime window: sequential
-// replication audits spaced over simulated time. Filecoin's
-// proof-of-spacetime (Table 2) is exactly this: "proofs of storage over
-// time" — a provider must answer challenges continuously, not just once at
-// deal start.
-type SpacetimeResult struct {
-	Passed int
-	Total  int
-	// Continuous reports whether every epoch passed — the property that
-	// earns the full storage payment.
-	Continuous bool
-}
-
-// SpacetimeAudit runs `epochs` replication audits `interval` apart against
-// one sealed replica and reports the aggregate. done fires after the final
-// epoch.
-func (c *Client) SpacetimeAudit(chunkID, sealedRoot cryptoutil.Hash, chunkLen int, holder ProviderRef, replica, epochs int, interval, deadline time.Duration, done func(SpacetimeResult)) {
-	if epochs <= 0 {
-		done(SpacetimeResult{Continuous: true})
-		return
-	}
-	res := SpacetimeResult{Total: epochs}
-	var epoch func(i int)
-	epoch = func(i int) {
-		c.RepAudit(chunkID, sealedRoot, chunkLen, holder, replica, deadline, func(ok bool) {
-			if ok {
-				res.Passed++
-			}
-			if i+1 >= epochs {
-				res.Continuous = res.Passed == res.Total
-				done(res)
-				return
-			}
-			c.rpc.Node().After(interval, func() { epoch(i + 1) })
-		})
-	}
-	epoch(0)
 }

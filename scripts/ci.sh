@@ -1,13 +1,14 @@
 #!/bin/sh
 # ci.sh — the merge gate, plus the nightly tier when asked. The default
 # run is the merge gate: the full `make ci` pipeline (fmt, build, vet,
-# determinism lint, race, tests, coverage floor, fuzz burst), the benchmark
-# module's own vet and tests, then the seeded bench regression gate: a
-# fresh deterministic `feudalism bench` run must match the checked-in
-# BENCH_baseline.json exactly (tolerance 0 — the simulation is
-# seed-deterministic, so any metric drift is a real behaviour change that
-# requires regenerating the baseline on purpose), and the committed
-# BENCH_baseline.json / BENCH_PR3.json pair must agree. The same bench
+# determinism lint, race, tests, coverage floor, fuzz burst), the reach
+# check (scripts/reach.sh: no internal file that no shipped run reaches,
+# outside its allowlist), the benchmark module's own vet and tests, then
+# the seeded bench regression gate: a fresh deterministic `feudalism bench`
+# run must match the checked-in BENCH_baseline.json exactly (tolerance 0 —
+# the simulation is seed-deterministic, so any metric drift is a real
+# behaviour change that requires regenerating the baseline on purpose), and
+# the committed BENCH_baseline.json / BENCH_PR3.json pair must agree. The same bench
 # built with GOAMD64=v3 must match the baseline too, and the tree must vet
 # for arm64.
 # .github/workflows/ci.yml runs exactly this script; run it locally before
@@ -15,14 +16,21 @@
 #
 # CI_SCALE=1 adds the 10k-node tier (make scale). CI_NIGHTLY=1 adds the
 # throughput history gate (a -timing bench diffed against BENCH_PR3.json
-# with benchdiff -history: msgs/sec regressions beyond 25% fail) and the
-# 100k-node sharded tier; nightly artifacts (the timing bench JSON and the
-# huge-tier scale JSON) land in $CI_ARTIFACTS (default ./ci-artifacts) so
-# the workflow can upload them.
+# with benchdiff -history: msgs/sec regressions beyond 25% fail), the same
+# bench from a GOARCH=386 build at tolerance 0, and the 100k-node sharded
+# tier; nightly artifacts (the timing bench JSON and the huge-tier scale
+# JSON) land in $CI_ARTIFACTS (default ./ci-artifacts) so the workflow can
+# upload them.
 set -eu
 cd "$(dirname "$0")/.."
 
 make ci
+
+# Reach: every non-test file under internal/ must be run by something the
+# repository ships (the registry, the CLI's tests, the examples), or sit on
+# the script's allowlist with its reason.
+echo "reach gate: code no shipped run reaches"
+./scripts/reach.sh
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
@@ -83,6 +91,18 @@ if [ "${CI_NIGHTLY:-0}" = "1" ]; then
 	echo "nightly gate: timing bench vs BENCH_PR3.json (benchdiff -history)"
 	"$tmp/feudalism" bench -scale full -seed 42 -trials 1 -timing -json "$art/bench-timing.json"
 	"$tmp/benchdiff" -history BENCH_PR3.json "$art/bench-timing.json"
+
+	# Same bytes on a 32-bit build: word size, map layout and the
+	# compiler's 386 code paths must not move a published number. It takes
+	# about 26 s, so it stays out of the merge gate.
+	if [ "$(go env GOARCH)" = amd64 ] || [ "$(go env GOARCH)" = 386 ]; then
+		echo "nightly gate: GOARCH=386 bench (seed 42, full scale) vs BENCH_baseline.json at tolerance 0"
+		GOARCH=386 go build -o "$tmp/feudalism-386" ./cmd/feudalism
+		"$tmp/feudalism-386" bench -scale full -seed 42 -trials 1 -json "$tmp/bench-386.json"
+		"$tmp/benchdiff" -tol 0 BENCH_baseline.json "$tmp/bench-386.json"
+	else
+		echo "nightly gate: 386 bench skipped, a $(go env GOARCH) host cannot run 386 code"
+	fi
 
 	echo "nightly gate: 100k-node sharded tier (SCALE=huge)"
 	SCALE=huge go test -run TestScaleHuge -count=1 -timeout 1800s -v .
