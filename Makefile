@@ -94,8 +94,9 @@ fuzz:
 
 # bench runs every per-package Benchmark* once and no test (-run '^$$'): a
 # smoke run that keeps each layer micro-benchmark and its setup working, not
-# a measurement. Experiments are timed by `feudalism bench -timing`, the
-# repository benchmark is bench/run.sh. About 2.5-3 s on two cores with a
+# a measurement. Experiments are timed by `feudalism bench -timing`, X15's
+# cells one by one by `feudalism scale`, and the repository benchmark is
+# bench/run.sh. About 2.5-3 s on two cores with a
 # warm build cache (-count=1 re-runs the benchmarks every time).
 bench:
 	$(GO) test -count=1 -run '^$$' -bench . -benchmem -benchtime 1x ./...
@@ -116,11 +117,12 @@ bench:
 allocs:
 	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht ./internal/resil ./internal/replic
 
-# scale is the nightly-style 10k-node tier: the big scale matrix at full
-# population, plus the race detector over the small tier. scripts/ci.sh
-# runs it when CI_SCALE=1 so the merge gate stays fast by default.
+# scale is the nightly-style 10k-node tier: the scale matrix with its big
+# rows (SCALE=big) on top of the merge gate's, plus the race detector over
+# the small tier. scripts/ci.sh runs it when CI_SCALE=1 so the merge gate
+# stays fast by default.
 scale:
-	SCALE=big $(GO) test -run 'TestScaleBig' -count=1 -timeout 300s -v .
+	SCALE=big $(GO) test -run 'TestScaleMatrix' -count=1 -timeout 300s -v .
 	$(GO) test -race -short -run 'TestScaleMatrix' -count=1 .
 
 # parent-diff proves a refactor moved no published number: every

@@ -33,8 +33,8 @@ import (
 
 // TestAllocBytesPerNode pins the per-node memory cost of constructing a
 // 10k-node network with the RPC layer attached — the footprint that
-// decides whether the huge tiers (100k and 1M nodes, see TestScaleHuge and
-// `feudalism scale`) fit in memory. Measured ≈0.6 kB/node on both engines
+// decides whether the huge tiers (100k and 1M nodes, see the huge rows of
+// TestScaleMatrix and `feudalism scale`) fit in memory. Measured ≈0.6 kB/node on both engines
 // (551 B single-heap, 623 B on 64 shards); the ceiling leaves ~60%
 // headroom. At the ceiling, 1M nodes cost ≈1 GB before any traffic, which
 // is the budget EXPERIMENTS.md quotes.

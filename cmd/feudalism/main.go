@@ -8,7 +8,6 @@
 //	feudalism table1|table2|table3|zooko          # paper tables + naming triangle
 //	feudalism experiment <id> [-seed N] [-trials T] [-workers W]
 //	                [-workload zipf|diurnal|flash]  # X18 schedule shape
-//	                [-timing]                     # X15 wall time per cell
 //	feudalism names [-seed N] [-name NAME]        # a name's lifecycle on a chain
 //	feudalism dedup [-seed N] [-cdc] [-stats]     # one X17 dedup world
 //	feudalism all [-seed N]                       # everything, in order
@@ -17,7 +16,8 @@
 //	                [-scale full|tiny] [-timing]  # machine-readable bench
 //	                [-cpuprofile f] [-memprofile f]
 //	feudalism scale [-n 100000] [-subsystems simnet,dht,gossip] [-workers 1,2]
-//	                [-cpuprofile f] [-memprofile f]  # huge-tier sweep
+//	                [-shards 64] [-json out.json] [-check-speedup 1.5]
+//	                [-cpuprofile f] [-memprofile f]  # X15 cells, timed
 //
 // With -trials T > 1 the stochastic experiments run T independent seeds in
 // parallel (simnet.Trials) and report mean [p50 p95] per cell instead of a
@@ -39,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -157,7 +158,6 @@ func runExperimentCmd(seed int64, args []string, stdout, stderr io.Writer) int {
 	seed2 := rest.Int64("seed", seed, "simulation seed")
 	trials := rest.Int("trials", 1, "number of independent seeds to aggregate over")
 	workers := rest.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
-	timing := rest.Bool("timing", false, "show wall time and allocations per cell (X15's single-seed table)")
 	wl := rest.String("workload", "flash", "X18 schedule shape: zipf (steady popularity), diurnal (day/night cycle), or flash (crowd spike)")
 	if code, ok := parseFlags(rest, args[1:]); !ok {
 		return code
@@ -178,8 +178,6 @@ func runExperimentCmd(seed int64, args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *trials > 1 && e.Multi != nil:
 		fmt.Fprint(stdout, e.Multi(simnet.Seeds(*seed2, *trials), *workers))
-	case id == "x15" && *timing:
-		fmt.Fprint(stdout, experiments.ScaleSweep(*seed2, false, wallClock))
 	default:
 		fmt.Fprint(stdout, e.Run(*seed2))
 	}
@@ -268,42 +266,58 @@ func runBenchCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runScaleCmd implements `feudalism scale`: the huge-tier (100k–1M node)
-// X15 sweep on the sharded engine. Each cell runs at every requested
-// worker count on the same seed; the runs must produce byte-identical
-// metric snapshots (the command fails otherwise), and the emitted bench
-// JSON records wall time and msgs/sec per worker count so CI can track the
-// throughput trajectory and the parallel speedup.
+// speedupMinCPUs is the host size below which -check-speedup is not
+// enforced: with fewer CPUs the parallel engine has no cores to win on.
+const speedupMinCPUs = 4
+
+// runScaleCmd implements `feudalism scale`: X15 cells timed one by one,
+// by default the huge tiers (100k–1M nodes) on the sharded engine. Each
+// cell runs at every requested worker count on the same seed; the runs
+// must produce byte-identical metric snapshots (the command fails
+// otherwise), and the emitted bench JSON records wall time and msgs/sec
+// per worker count so CI can track the throughput trajectory and the
+// parallel speedup. -shards 0 runs the single-heap engine, which times
+// the X15 table's own cells.
 func runScaleCmd(args []string, stdout, stderr io.Writer) int {
 	sfs := newFlagSet("scale", stderr)
 	sseed := sfs.Int64("seed", 42, "base simulation seed")
 	stiers := sfs.String("n", "100000", "comma-separated node populations (e.g. 100000,1000000)")
-	ssubs := sfs.String("subsystems", "simnet,dht,gossip", "comma-separated subsystems to sweep")
-	sshards := sfs.Int("shards", experiments.HugeShards, "shard count for the sharded engine")
-	sworkers := sfs.String("workers", "", "comma-separated worker counts (default \"1,<GOMAXPROCS>\")")
+	ssubs := sfs.String("subsystems", strings.Join(experiments.ScaleSubsystems(), ","), "comma-separated subsystems to sweep")
+	sshards := sfs.Int("shards", experiments.HugeShards, "shard count for the sharded engine; 0 runs the single-heap engine")
+	sworkers := sfs.String("workers", "", "comma-separated worker counts (default \"1,<GOMAXPROCS>\"; 1 with -shards 0)")
 	sout := sfs.String("json", "", "write the bench JSON artifact to this file")
-	sspeed := sfs.Float64("check-speedup", 0, "fail unless the max/min-worker msgs/sec ratio reaches this (0 disables)")
-	smincpu := sfs.Int("min-cpus", 4, "enforce -check-speedup only on hosts with at least this many CPUs")
+	sspeed := sfs.Float64("check-speedup", 0, fmt.Sprintf("fail unless the max/min-worker msgs/sec ratio reaches this (0 disables; enforced on hosts with at least %d CPUs)", speedupMinCPUs))
 	scpu := sfs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	smem := sfs.String("memprofile", "", "write a heap profile, taken when the sweep ends, to this file")
 	if code, ok := parseFlags(sfs, args); !ok {
 		return code
 	}
 
-	opts := experiments.HugeOptions{Seed: *sseed, Shards: *sshards, WallClock: wallClock}
+	opts := experiments.HugeOptions{Seed: *sseed, Shards: *sshards, Subsystems: strings.Split(*ssubs, ","), WallClock: wallClock}
 	var err error
 	if opts.Tiers, err = parseIntList(*stiers, "n"); err != nil {
 		fmt.Fprintf(stderr, "scale: %v\n", err)
 		return 2
 	}
-	if subs := strings.Split(*ssubs, ","); *ssubs != "" {
-		opts.Subsystems = subs
+	for _, sub := range opts.Subsystems {
+		if !slices.Contains(experiments.ScaleSubsystems(), sub) {
+			fmt.Fprintf(stderr, "scale: unknown subsystem %q; want some of %v\n", sub, experiments.ScaleSubsystems())
+			return 2
+		}
+	}
+	if *sshards < 0 {
+		fmt.Fprintf(stderr, "scale: -shards must be 0 or more, got %d\n", *sshards)
+		return 2
 	}
 	if *sworkers != "" {
 		if opts.Workers, err = parseIntList(*sworkers, "workers"); err != nil {
 			fmt.Fprintf(stderr, "scale: %v\n", err)
 			return 2
 		}
+	}
+	if *sshards == 0 && len(opts.Workers) > 1 {
+		fmt.Fprintln(stderr, "scale: -shards 0 runs the single-heap engine, which has no workers; give one -workers count")
+		return 2
 	}
 	stopProfiles, err := startProfiles(*scpu, *smem)
 	if err != nil {
@@ -328,7 +342,7 @@ func runScaleCmd(args []string, stdout, stderr io.Writer) int {
 			if sp, ok := experiments.HugeSpeedup(cells, sub, n); ok {
 				fmt.Fprintf(stdout, "%-28s speedup=%.2fx (byte-identical across worker counts)\n",
 					fmt.Sprintf("x15.huge.%s.n%d", sub, n), sp)
-				if *sspeed > 0 && runtime.NumCPU() >= *smincpu && sp < *sspeed {
+				if *sspeed > 0 && runtime.NumCPU() >= speedupMinCPUs && sp < *sspeed {
 					fmt.Fprintf(stderr, "scale: %s.n%d speedup %.2fx below required %.2fx\n", sub, n, sp, *sspeed)
 					return 1
 				}
@@ -407,8 +421,7 @@ commands:
   table3      regenerate the paper's Table 3 (cloud vs device capacity)
   zooko       Zooko-triangle scores for all implemented naming schemes
   experiment  run one experiment by id (see list); x18 takes
-              -workload zipf|diurnal|flash to pick the schedule shape,
-              x15 takes -timing to show wall time per cell
+              -workload zipf|diurnal|flash to pick the schedule shape
   names       one name's lifecycle on a live simulated chain;
               -name NAME picks the name
   dedup       one X17 overlapping-upload world; -cdc for content-defined
@@ -418,7 +431,8 @@ commands:
   bench       run every experiment and emit machine-readable BENCH JSON;
               -timing adds wall time and allocations per experiment;
               -cpuprofile f / -memprofile f profile the run
-  scale       run the huge-tier (100k-1M node) X15 sweep on the sharded
-              engine; -n 100000,1000000 -workers 1,8 -json out.json;
-              -cpuprofile f / -memprofile f profile the sweep`)
+  scale       time X15 cells, by default the huge tiers (100k-1M nodes)
+              on the sharded engine; -n 100000,1000000 -workers 1,8
+              -json out.json; -shards 0 runs the single-heap engine of
+              the X15 table; -cpuprofile f / -memprofile f profile it`)
 }

@@ -72,6 +72,8 @@ func TestExitCodes(t *testing.T) {
 		{"bad scale", []string{"bench", "-scale", "huge"}},
 		{"tiny with trials", []string{"bench", "-scale", "tiny", "-trials", "3"}},
 		{"invalid name", []string{"names", "-name", "NOT A NAME"}},
+		{"unknown subsystem", []string{"scale", "-n", "100", "-subsystems", "simnet,bogus"}},
+		{"single heap with workers", []string{"scale", "-n", "100", "-shards", "0", "-workers", "1,2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -82,6 +84,37 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("%v: %d bytes on stdout, %d on stderr; want a message on stderr only", tc.args, stdout.Len(), stderr.Len())
 			}
 		})
+	}
+}
+
+// TestScaleCmd: `scale` prints one line per (subsystem, workers) cell and
+// one speedup line per subsystem, and writes the huge-scale artifact. Two
+// worker counts make the run the determinism check it exists for.
+func TestScaleCmd(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "scale.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"scale", "-n", "200", "-workers", "1,2", "-json", out}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr: %s", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	var cells, identical int
+	for _, l := range lines {
+		switch {
+		case strings.Contains(l, " workers="):
+			cells++
+		case strings.Contains(l, "byte-identical across worker counts"):
+			identical++
+		}
+	}
+	if cells != 6 || identical != 3 || len(lines) != 9 {
+		t.Errorf("%d cell lines, %d byte-identical lines, %d in all; want 6, 3, 9:\n%s", cells, identical, len(lines), stdout.String())
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"scale": "huge"`)) {
+		t.Errorf("artifact is not the huge-scale bench file:\n%.200s", b)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/overload"
 	"repro/internal/simnet"
 	"repro/internal/webapp"
 )
@@ -22,7 +21,7 @@ import (
 func main() {
 	nw := simnet.New(31)
 	rng := rand.New(rand.NewSource(31))
-	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
+	tracker := webapp.NewTracker(nw.AddNode())
 
 	// Everyone — author included — is on a home broadband link.
 	newPeer := func() *webapp.Peer {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
 	"repro/internal/naming"
-	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
@@ -192,7 +191,7 @@ func TestWebappNamingBridge(t *testing.T) {
 	}
 
 	// Web side.
-	tracker := webapp.NewTracker(nw.AddNode(), overload.Config{})
+	tracker := webapp.NewTracker(nw.AddNode())
 	mkPeer := func() *webapp.Peer {
 		node := nw.AddNode()
 		return webapp.NewPeer(node, dht.NewPeer(node, dht.Key{}, dht.Config{}), tracker.Node().ID(), 10*time.Second, webapp.PeerConfig{})

@@ -73,33 +73,26 @@ func RunBench(opts BenchOptions) *obs.BenchFile {
 
 // benchEntry runs one experiment under a fresh obs collector and returns
 // its bench entry: the merge of every metric registry the run created,
-// plus timing given a clock.
+// plus, given a clock, its wall time and heap allocations. It is the one
+// place under internal/experiments that measures the host — the bench
+// entries and the X15 scale cells both time through it.
 func benchEntry(id string, clock func() int64, run func()) obs.BenchExperiment {
 	col := obs.NewCollector()
 	restore := obs.SetCollector(col)
 	defer restore()
-	timing := timed(clock, run)
-	return obs.BenchExperiment{ID: id, Metrics: col.Merged(), Timing: timing}
-}
-
-// timed runs fn and, given a wall clock, returns its wall time and heap
-// allocations; with a nil clock fn still runs and the result is nil. It is
-// the one place under internal/experiments that measures the host — the
-// bench entries, the X15 cells and the huge tiers all time through it.
-func timed(clock func() int64, fn func()) *obs.Timing {
 	if clock == nil {
-		fn()
-		return nil
+		run()
+		return obs.BenchExperiment{ID: id, Metrics: col.Merged()}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := clock()
-	fn()
+	run()
 	elapsed := clock() - start
 	runtime.ReadMemStats(&after)
-	return &obs.Timing{
+	return obs.BenchExperiment{ID: id, Metrics: col.Merged(), Timing: &obs.Timing{
 		WallNS:     elapsed,
 		Allocs:     after.Mallocs - before.Mallocs,
 		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-	}
+	}}
 }

@@ -14,8 +14,7 @@ type descriptor struct {
 	id, desc string
 	// title names the single-seed table at full scale (false) or test
 	// scale (true); a title that prints the experiment's sizes is built by
-	// titled. nil keeps the title the table override sets itself (X15's
-	// ScaleSweep, which cmd/feudalism also calls directly).
+	// titled.
 	title func(tiny bool) string
 	// multiTitle, when set, replaces title(false) as the aggregated
 	// table's title.
@@ -74,9 +73,7 @@ func (d descriptor) run(seed int64, tiny bool) *Table {
 	default:
 		t = d.matrix(seed, tiny).render(d.rowHeader, d.groups, d.cell)
 	}
-	if d.title != nil {
-		t.Title = d.title(tiny)
-	}
+	t.Title = d.title(tiny)
 	return t
 }
 

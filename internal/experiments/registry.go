@@ -197,11 +197,14 @@ func descriptors() []descriptor {
 		},
 		{
 			id: "x15", desc: "X15: scale sweep, subsystem × population up to 10k nodes",
-			rowHeader:  "Subsystem",
-			multiTitle: "X15: scale sweep — convergence %, messages/node per subsystem × population",
-			multi:      []string{"%.1f%%", "%.0f"},
-			matrix:     scaleMatrix,
-			table:      func(seed int64, tiny bool) *Table { return ScaleSweep(seed, tiny, nil) },
+			title: titles("X15: scale sweep — convergence %, messages/node per subsystem × population",
+				"X15 (tiny): scale sweep"),
+			rowHeader: "Subsystem",
+			multi:     []string{"%.1f%%", "%.0f"},
+			matrix:    sized(scaleSizes, scaleMatrix),
+			table: sized(scaleSizes, func(seed int64, ns []int) *Table {
+				return scaleMatrix(seed, ns).render("Subsystem", labels("N=%d", 1, ns), []string{"%.1f%%", "%.0fm/n"})
+			}),
 		},
 		{
 			id: "x16", desc: "X16: resilience matrix, subsystem × fault scenario, naive vs adaptive transport",

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
@@ -126,7 +125,7 @@ type webSwarm struct {
 
 // newWebSwarm adds the tracker node, then the author on the given link.
 func newWebSwarm(nw *simnet.Network, authorLink simnet.LinkProfile, timeout time.Duration) *webSwarm {
-	s := &webSwarm{nw: nw, tracker: webapp.NewTracker(nw.AddNode(), overload.Config{}), timeout: timeout}
+	s := &webSwarm{nw: nw, tracker: webapp.NewTracker(nw.AddNode()), timeout: timeout}
 	s.author = s.peer(authorLink, dht.Config{}, webapp.PeerConfig{})
 	return s
 }

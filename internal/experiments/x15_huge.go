@@ -2,22 +2,21 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 
 	"repro/internal/obs"
+	"repro/internal/simnet"
 )
 
-// The huge tiers push X15 one-to-two orders of magnitude past the golden
-// sweep (ScaleTiers caps at 10k): 100k nodes for the optional merge-gate
-// tier and 1M for the nightly. These populations only run on the sharded
-// engine (simnet.NewWithConfig), whose results are byte-identical at every
-// worker count — which is what lets the harness measure a parallel speedup
-// and simultaneously prove the parallelism changed nothing. The golden
-// ScaleTiers stay on the single-heap engine, untouched.
-
-// ScaleHugeTiers returns the sharded sweep's population axis.
-func ScaleHugeTiers() []int { return []int{100_000, 1_000_000} }
+// The huge tiers push X15 one-to-two orders of magnitude past the table's
+// 10k nodes: 100k for the nightly test tier and 1M for the nightly sweep.
+// These populations run on the sharded engine, whose results are
+// byte-identical at every worker count — which is what lets the harness
+// measure a parallel speedup and simultaneously prove the parallelism
+// changed nothing. With Shards 0 the same runner times the table's own
+// single-heap cells.
 
 // HugeShards is the default shard count for the huge tiers. Any value
 // produces identical results (the determinism suite pins this); 64 keeps
@@ -27,43 +26,24 @@ const HugeShards = 64
 
 // HugeOptions sizes one huge-tier sweep.
 type HugeOptions struct {
-	Seed int64
-	// Tiers are the populations to run; nil means ScaleHugeTiers().
-	Tiers []int
-	// Subsystems to run; nil means ScaleSubsystems().
-	Subsystems []string
-	// Shards for the sharded engine; 0 means HugeShards.
+	Seed       int64
+	Tiers      []int    // populations to run
+	Subsystems []string // a subset of ScaleSubsystems()
+	// Shards for the engine: 0 is the single-heap engine, >= 1 the sharded
+	// engine.
 	Shards int
 	// Workers are the worker counts to run each cell at; nil means
-	// {1, GOMAXPROCS} (deduplicated), i.e. the serial baseline plus the
-	// parallel run whose speedup the artifact records.
+	// {1, GOMAXPROCS} (deduplicated) on the sharded engine, i.e. the serial
+	// baseline plus the parallel run whose speedup the artifact records,
+	// and {1} on the single-heap engine, which ignores Workers.
 	Workers []int
-	// WallClock supplies monotonic wall-clock nanoseconds (injected by
-	// cmd/feudalism, never read under internal/). Required: the huge tiers
-	// exist to measure msgs/sec of wall time.
+	// WallClock, when non-nil, supplies monotonic wall-clock nanoseconds
+	// (injected by cmd/feudalism, never read under internal/) and records
+	// each cell's wall time and allocations.
 	WallClock func() int64
 }
 
-func (o HugeOptions) withDefaults() HugeOptions {
-	if o.Tiers == nil {
-		o.Tiers = ScaleHugeTiers()
-	}
-	if o.Subsystems == nil {
-		o.Subsystems = ScaleSubsystems()
-	}
-	if o.Shards <= 0 {
-		o.Shards = HugeShards
-	}
-	if o.Workers == nil {
-		o.Workers = []int{1}
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			o.Workers = append(o.Workers, p)
-		}
-	}
-	return o
-}
-
-// HugeCell is one (subsystem, N, workers) run of the sharded sweep.
+// HugeCell is one (subsystem, N, workers) run of the sweep.
 type HugeCell struct {
 	Subsystem string
 	N         int
@@ -90,7 +70,13 @@ func (c HugeCell) ID() string {
 // of the same (subsystem, tier) at different worker counts diverges — the
 // determinism acceptance gate for the sharded engine.
 func RunScaleHuge(opts HugeOptions) ([]HugeCell, *obs.BenchFile, error) {
-	opts = opts.withDefaults()
+	workers := opts.Workers
+	if workers == nil {
+		workers = []int{1}
+		if p := runtime.GOMAXPROCS(0); p > 1 && opts.Shards > 0 {
+			workers = append(workers, p)
+		}
+	}
 	file := &obs.BenchFile{
 		Schema: obs.BenchSchema,
 		Seed:   opts.Seed,
@@ -101,12 +87,15 @@ func RunScaleHuge(opts HugeOptions) ([]HugeCell, *obs.BenchFile, error) {
 	for _, sub := range opts.Subsystems {
 		for _, n := range opts.Tiers {
 			var baseline []byte
-			for _, w := range opts.Workers {
-				c, err := runHugeCell(sub, n, w, opts)
-				if err != nil {
-					return nil, nil, err
+			for _, w := range workers {
+				c := HugeCell{Subsystem: sub, N: n, Shards: opts.Shards, Workers: w}
+				cfg := simnet.NetworkConfig{Seed: opts.Seed, Shards: opts.Shards, Workers: w}
+				e := benchEntry(c.ID(), opts.WallClock, func() { c.Cell = ScaleCellRun(sub, n, cfg) })
+				c.Snapshot, c.Timing = e.Metrics, e.Timing
+				if c.Timing != nil && c.Timing.WallNS > 0 {
+					c.MsgsPerSec = float64(c.Cell.Messages) / (float64(c.Timing.WallNS) / 1e9)
 				}
-				enc, err := encodeSnapshot(c.Snapshot)
+				enc, err := json.Marshal(c.Snapshot)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -115,38 +104,15 @@ func RunScaleHuge(opts HugeOptions) ([]HugeCell, *obs.BenchFile, error) {
 				} else if !bytes.Equal(baseline, enc) {
 					return nil, nil, fmt.Errorf(
 						"x15.huge.%s.n%d: metric snapshot at workers=%d differs from workers=%d — sharded engine nondeterminism",
-						sub, n, w, opts.Workers[0])
+						sub, n, w, workers[0])
 				}
 				cells = append(cells, c)
-				file.Experiments = append(file.Experiments, obs.BenchExperiment{
-					ID: c.ID(), Metrics: c.Snapshot, Timing: c.Timing,
-				})
+				file.Experiments = append(file.Experiments, e)
 			}
 		}
 	}
 	file.Sort()
 	return cells, file, nil
-}
-
-func runHugeCell(sub string, n, workers int, opts HugeOptions) (HugeCell, error) {
-	col := obs.NewCollector()
-	restore := obs.SetCollector(col)
-	defer restore()
-
-	c := HugeCell{Subsystem: sub, N: n, Shards: opts.Shards, Workers: workers}
-	c.Timing = timed(opts.WallClock, func() {
-		c.Cell = ScaleCellRunSharded(sub, opts.Seed, n, opts.Shards, workers)
-	})
-	c.Snapshot = col.Merged()
-	if c.Timing != nil && c.Timing.WallNS > 0 {
-		c.MsgsPerSec = float64(c.Cell.Messages) / (float64(c.Timing.WallNS) / 1e9)
-	}
-	return c, nil
-}
-
-func encodeSnapshot(s *obs.Snapshot) ([]byte, error) {
-	f := obs.BenchFile{Schema: obs.BenchSchema, Experiments: []obs.BenchExperiment{{ID: "snap", Metrics: s}}}
-	return f.EncodeJSON()
 }
 
 // HugeSpeedup returns the msgs/sec ratio between the highest- and

@@ -16,21 +16,14 @@ import (
 // runs "as fast as the hardware allows" — so this experiment drives each
 // substrate subsystem across N ∈ {100, 1k, 5k, 10k} and reports, per cell,
 // the convergence rate (did the protocol still do its job at that
-// population?) and the delivered message volume, plus wall time and
-// allocations when timing is enabled. The convergence and traffic numbers
-// are seed-deterministic and flow into the bench gate; the timing columns
-// are machine-dependent and therefore opt-in (cmd/feudalism -timing). The
-// clock is passed in rather than read here so that everything under
-// internal/ stays free of time.Now (the determinism lint enforces this).
+// population?) and the delivered message volume. Both are
+// seed-deterministic and flow into the bench gate; wall time and
+// allocations per cell are `feudalism scale`'s (RunScaleHuge), which
+// takes the same populations on either engine.
 
-// ScaleTiers returns the sweep's population axis: the full experiment runs
-// 100 → 10,000 nodes, the tiny variant keeps the same shape at test scale.
-func ScaleTiers(tiny bool) []int {
-	if tiny {
-		return []int{30, 60}
-	}
-	return []int{100, 1000, 5000, 10000}
-}
+// scaleSizes is the sweep's population axis: full scale 100 → 10,000
+// nodes, tiny the same shape at test scale.
+var scaleSizes = [2][]int{{100, 1000, 5000, 10000}, {30, 60}}
 
 // ScaleSubsystems returns the sweep's subsystem axis, in presentation
 // order: the raw RPC substrate, then the two discovery/dissemination
@@ -44,25 +37,14 @@ type ScaleCell struct {
 	Messages  int64   // substrate messages delivered during the run
 }
 
-// ScaleCellRun executes one cell of the sweep. Exported so the scale-test
-// matrix drives exactly the experiment's workloads.
-func ScaleCellRun(subsystem string, seed int64, n int) ScaleCell {
-	return scaleCellOn(subsystem, n, func() *simnet.Network { return simnet.New(seed) })
-}
-
-// ScaleCellRunSharded is ScaleCellRun on the sharded engine: the same
-// workloads on a network built with NetworkConfig{Shards, Workers}. The
-// huge tiers (ScaleHugeTiers) run through this path; results are identical
+// ScaleCellRun executes one cell of the sweep on a network built from
+// cfg: Shards 0 is the single-heap engine the X15 table runs on, Shards
+// >= 1 the sharded engine of the huge tiers. Sharded results are identical
 // at every (Shards, Workers) setting but differ from the single-heap
 // engine's (substrate draws come from per-node streams there — see
-// simnet/shard.go), so sharded and unsharded cells are never compared.
-func ScaleCellRunSharded(subsystem string, seed int64, n, shards, workers int) ScaleCell {
-	return scaleCellOn(subsystem, n, func() *simnet.Network {
-		return simnet.NewWithConfig(simnet.NetworkConfig{Seed: seed, Shards: shards, Workers: workers})
-	})
-}
-
-func scaleCellOn(subsystem string, n int, mk func() *simnet.Network) ScaleCell {
+// simnet/shard.go), so cells of the two engines are never compared.
+// Exported so the scale tests drive exactly the experiment's workloads.
+func ScaleCellRun(subsystem string, n int, cfg simnet.NetworkConfig) ScaleCell {
 	var run func(*simnet.Network, int) (float64, int64)
 	switch subsystem {
 	case "simnet":
@@ -75,7 +57,7 @@ func scaleCellOn(subsystem string, n int, mk func() *simnet.Network) ScaleCell {
 		panic("x15: unknown subsystem " + subsystem)
 	}
 	cell := ScaleCell{N: n}
-	cell.Converged, cell.Messages = run(mk(), n)
+	cell.Converged, cell.Messages = run(simnet.NewWithConfig(cfg), n)
 	return cell
 }
 
@@ -214,64 +196,19 @@ func delivered(nw *simnet.Network) int64 { return nw.Trace().Delivered }
 
 // scaleMatrix is the numeric core of X15: rows are subsystems, columns
 // alternate "N=<tier> conv%" and "N=<tier> msg/node" so one Matrix carries
-// both measures through AggregateSeeds. Timing never enters the matrix —
-// it is machine-dependent and would poison the multi-seed aggregates.
-func scaleMatrix(seed int64, tiny bool) Matrix {
-	tiers := ScaleTiers(tiny)
+// both measures through AggregateSeeds.
+func scaleMatrix(seed int64, ns []int) Matrix {
 	var m Matrix
-	for _, n := range tiers {
+	for _, n := range ns {
 		m.Cols = append(m.Cols, fmt.Sprintf("N=%d conv%%", n), fmt.Sprintf("N=%d msg/node", n))
 	}
 	for _, sub := range ScaleSubsystems() {
 		var row []float64
-		for _, n := range tiers {
-			cell := ScaleCellRun(sub, seed, n)
+		for _, n := range ns {
+			cell := ScaleCellRun(sub, n, simnet.NetworkConfig{Seed: seed})
 			row = append(row, cell.Converged*100, float64(cell.Messages)/float64(n))
 		}
 		m.add(sub, row...)
 	}
 	return m
-}
-
-// ScaleSweep renders the single-seed X15 table. Given a wall clock
-// (`feudalism experiment x15 -timing`) each cell also shows wall seconds
-// and heap allocations; with a nil clock the output is a pure function of
-// the seed.
-func ScaleSweep(seed int64, tiny bool, clock func() int64) *Table {
-	tiers := ScaleTiers(tiny)
-	subs := ScaleSubsystems()
-	headers := []string{"Subsystem"}
-	for _, n := range tiers {
-		headers = append(headers, fmt.Sprintf("N=%d", n))
-	}
-	title := "X15: scale sweep — convergence %, messages/node per subsystem × population"
-	if tiny {
-		title = "X15 (tiny): scale sweep"
-	}
-	t := &Table{Title: title, Headers: headers}
-	for _, sub := range subs {
-		row := []any{sub}
-		for _, n := range tiers {
-			var cell ScaleCell
-			timing := timed(clock, func() { cell = ScaleCellRun(sub, seed, n) })
-			text := fmt.Sprintf("%.1f%% %.0fm/n", cell.Converged*100, float64(cell.Messages)/float64(n))
-			if timing != nil {
-				text += fmt.Sprintf(" %.2fs %s", float64(timing.WallNS)/1e9, humanCount(timing.Allocs))
-			}
-			row = append(row, text)
-		}
-		t.Add(row...)
-	}
-	return t
-}
-
-// humanCount renders an allocation count compactly (12.3k, 4.5M).
-func humanCount(v uint64) string {
-	switch {
-	case v >= 1e6:
-		return fmt.Sprintf("%.1fMalloc", float64(v)/1e6)
-	case v >= 1e3:
-		return fmt.Sprintf("%.1fkalloc", float64(v)/1e3)
-	}
-	return fmt.Sprintf("%dalloc", v)
 }

@@ -2,10 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
 )
 
 // HistStat is the exported summary of a Histogram: Count, Min and Max are
@@ -138,39 +136,3 @@ func (s *Snapshot) EncodeJSON(w io.Writer) error {
 	_, err = w.Write(b)
 	return err
 }
-
-// WriteCSV emits the snapshot as `type,name,field,value` rows sorted by
-// (type, name, field) — a flat form spreadsheet tooling ingests directly.
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	var rows []string
-	for name, v := range s.Counters {
-		rows = append(rows, fmt.Sprintf("counter,%s,value,%d", name, v))
-	}
-	for name, v := range s.Gauges {
-		rows = append(rows, "gauge,"+name+",value,"+formatFloat(v))
-	}
-	for name, h := range s.Histograms {
-		rows = append(rows,
-			fmt.Sprintf("histogram,%s,count,%d", name, h.Count),
-			"histogram,"+name+",sum,"+formatFloat(h.Sum),
-			"histogram,"+name+",mean,"+formatFloat(h.Mean),
-			"histogram,"+name+",min,"+formatFloat(h.Min),
-			"histogram,"+name+",max,"+formatFloat(h.Max),
-			"histogram,"+name+",p50,"+formatFloat(h.P50),
-			"histogram,"+name+",p90,"+formatFloat(h.P90),
-			"histogram,"+name+",p99,"+formatFloat(h.P99),
-		)
-	}
-	sort.Strings(rows)
-	if _, err := io.WriteString(w, "type,name,field,value\n"); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if _, err := io.WriteString(w, row+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

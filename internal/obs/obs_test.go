@@ -139,22 +139,3 @@ func TestCollectorAttach(t *testing.T) {
 		t.Errorf("collector holds %d registries, want 1", col.Len())
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("net.msg.sent").Add(9)
-	r.Histogram("dht.lookup.hops").Observe(3)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "type,name,field,value\n") {
-		t.Errorf("missing CSV header: %q", out)
-	}
-	for _, want := range []string{"counter,net.msg.sent,value,9", "histogram,dht.lookup.hops,count,1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("CSV missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
@@ -23,7 +22,7 @@ func webappConformanceRun(t testing.TB, seed int64, sc fault.Scenario) float64 {
 		horizon   = 40 * time.Minute
 	)
 	nw := simnet.New(seed)
-	tracker := NewTracker(nw.AddNode(), overload.Config{})
+	tracker := NewTracker(nw.AddNode())
 	authorNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
 	author := NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, PeerConfig{})
@@ -123,7 +122,7 @@ func webappMidFaultRun(t testing.TB, seed int64, sc fault.Scenario, rcfg resil.C
 		sla      = 15 * time.Second
 	)
 	nw := simnet.New(seed)
-	tracker := NewTracker(nw.AddNode(), overload.Config{})
+	tracker := NewTracker(nw.AddNode())
 	authorNode := nw.AddNode()
 	authorDHT := dht.NewPeer(authorNode, dht.Key{}, dht.Config{})
 	author := NewPeer(authorNode, authorDHT, tracker.Node().ID(), 30*time.Second, PeerConfig{})

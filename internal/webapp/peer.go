@@ -43,11 +43,10 @@ type peersResp struct {
 // announce and peer lookups are the RPCs a flash crowd needs answered to
 // spread load — so both methods register as Control: never queued or
 // shed, and on the control lane, which moves them ahead of bulk replies
-// once overload control turns the priority uplink on. The zero Config is a
-// passthrough: the historical tracker.
-func NewTracker(node *simnet.Node, ocfg overload.Config) *Tracker {
+// once a priority uplink is on.
+func NewTracker(node *simnet.Node) *Tracker {
 	t := &Tracker{rpc: simnet.NewRPCNode(node), seeders: map[cryptoutil.Hash][]simnet.NodeID{}}
-	ov := overload.New(t.rpc, ocfg)
+	ov := overload.New(t.rpc, overload.Config{})
 	ov.Control(methodAnnounce, t.onAnnounce)
 	ov.Control(methodPeers, t.onPeers)
 	return t

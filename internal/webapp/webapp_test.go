@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
-	"repro/internal/overload"
 	"repro/internal/simnet"
 )
 
@@ -82,7 +81,7 @@ func TestManifestDeterministicFileOrder(t *testing.T) {
 func webWorld(t testing.TB, seed int64, n int) (*simnet.Network, *Tracker, []*Peer) {
 	t.Helper()
 	nw := simnet.New(seed)
-	tracker := NewTracker(nw.AddNode(), overload.Config{})
+	tracker := NewTracker(nw.AddNode())
 	peers := make([]*Peer, n)
 	dhts := make([]*dht.Peer, n)
 	for i := 0; i < n; i++ {
@@ -317,7 +316,7 @@ func TestSeederScalingDistributesLoad(t *testing.T) {
 
 func TestTrackerIdempotentAnnounce(t *testing.T) {
 	nw := simnet.New(16)
-	tracker := NewTracker(nw.AddNode(), overload.Config{})
+	tracker := NewTracker(nw.AddNode())
 	node := nw.AddNode()
 	rpc := simnet.NewRPCNode(node)
 	site := cryptoutil.SumHash([]byte("s"))
@@ -354,7 +353,7 @@ func BenchmarkVisit(b *testing.B) {
 // the seeder manifest path, because manifests are self-verifying.
 func TestVisitFallsBackToSwarmManifest(t *testing.T) {
 	nw := simnet.New(41)
-	tracker := NewTracker(nw.AddNode(), overload.Config{})
+	tracker := NewTracker(nw.AddNode())
 	// Author peer with its own private DHT (not shared with the visitor),
 	// so the visitor's DHT lookup always misses.
 	authorNode := nw.AddNode()
@@ -390,7 +389,7 @@ func TestVisitFallsBackToSwarmManifest(t *testing.T) {
 // fail cleanly when no honest seeder exists.
 func TestVisitFallbackRejectsForgedSeederManifest(t *testing.T) {
 	nw := simnet.New(43)
-	tracker := NewTracker(nw.AddNode(), overload.Config{})
+	tracker := NewTracker(nw.AddNode())
 	mk := func() *Peer {
 		node := nw.AddNode()
 		return NewPeer(node, dht.NewPeer(node, dht.Key{}, dht.Config{}), tracker.Node().ID(), 5*time.Second, PeerConfig{})

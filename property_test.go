@@ -128,8 +128,9 @@ func TestQuickScaleCellDeterministic(t *testing.T) {
 	prop := func(seed int64, rawN uint8, which uint8) bool {
 		n := clampPop(rawN) + 20 // [36, 84]: big enough for every subsystem
 		sub := subs[int(which)%len(subs)]
-		a := experiments.ScaleCellRun(sub, seed%(1<<30), n)
-		b := experiments.ScaleCellRun(sub, seed%(1<<30), n)
+		cfg := simnet.NetworkConfig{Seed: seed % (1 << 30)}
+		a := experiments.ScaleCellRun(sub, n, cfg)
+		b := experiments.ScaleCellRun(sub, n, cfg)
 		return a.Converged == b.Converged && a.Messages == b.Messages
 	}
 	if err := quick.Check(prop, quickCfg(3003, 6)); err != nil {

@@ -1,15 +1,13 @@
-// Scale tests: a table-driven matrix of subsystem × population tier,
+// Scale tests: one table-driven matrix of subsystem × population tier,
 // driving exactly the X15 scale-sweep workloads (experiments.ScaleCellRun)
 // plus a chain row with miner-specific invariants. Under -short only the
-// small tier runs; the 10k big tier lives in TestScaleBig, gated behind
-// SCALE=big or an explicit `-run TestScaleBig` selection so `go test ./...`
-// stays fast.
+// small tier runs. The 10k big tier and the 100k huge tier (the sharded
+// engine) run only when SCALE=big or SCALE=huge names them, so
+// `go test ./...` stays fast.
 package repro
 
 import (
-	"flag"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -19,127 +17,69 @@ import (
 	"repro/internal/simnet"
 )
 
-// scaleRow is one cell of the scale matrix: subsystem × population tier,
-// with the convergence floor the run must clear.
+// scaleRow is one cell of the scale matrix: subsystem × population tier on
+// an engine layout (shards 0 is the single-heap engine), with the
+// convergence floor the run must clear.
 type scaleRow struct {
 	subsystem string
 	tier      string
 	n         int
-	short     bool // included in -short runs
+	shards    int
 	seed      int64
 	minConv   float64
 }
 
-// scaleMatrix is the merge-gate portion of the matrix. The convergence
-// floors encode what the substrate owes at each population: the raw RPC
-// layer is lossless at any N, gossip's overlay floods completely, and the
-// DHT is allowed the lookup-miss tail that grows with population (X15
-// documents the curve).
+// scaleMatrix is the whole matrix. The convergence floors encode what the
+// substrate owes at each population: the raw RPC layer is lossless at any
+// N, gossip's overlay floods completely, and the DHT is allowed the
+// lookup-miss tail that grows with population (X15 documents the curve).
+// The small and medium tiers are the merge gate's; big (10k, plus 5k for
+// the curve, `make scale`) and huge (100k on the sharded engine, the
+// nightly; about a minute of wall time on one core, see EXPERIMENTS.md
+// "Running at 1M") run only when SCALE names them.
 var scaleMatrix = []scaleRow{
-	{"simnet", "small", 100, true, 42, 1.0},
-	{"simnet", "medium", 2000, false, 42, 1.0},
-	{"dht", "small", 100, true, 42, 0.95},
-	{"dht", "medium", 1000, false, 42, 0.85},
-	{"gossip", "small", 100, true, 42, 0.99},
-	{"gossip", "medium", 2000, false, 42, 0.99},
-}
-
-// scaleBigMatrix is the 10k-node tier (plus 5k for the curve), run by
-// TestScaleBig only.
-var scaleBigMatrix = []scaleRow{
-	{"simnet", "big", 10000, false, 42, 1.0},
-	{"dht", "big", 5000, false, 42, 0.85},
-	{"dht", "big", 10000, false, 42, 0.85},
-	{"gossip", "big", 10000, false, 42, 0.99},
-}
-
-func runScaleRow(t *testing.T, row scaleRow) {
-	t.Helper()
-	cell := experiments.ScaleCellRun(row.subsystem, row.seed, row.n)
-	if cell.Converged < row.minConv {
-		t.Errorf("%s at N=%d: converged %.1f%%, floor %.1f%%",
-			row.subsystem, row.n, cell.Converged*100, row.minConv*100)
-	}
-	if cell.Messages <= 0 {
-		t.Errorf("%s at N=%d: no traffic delivered", row.subsystem, row.n)
-	}
+	{"simnet", "small", 100, 0, 42, 1.0},
+	{"simnet", "medium", 2000, 0, 42, 1.0},
+	{"dht", "small", 100, 0, 42, 0.95},
+	{"dht", "medium", 1000, 0, 42, 0.85},
+	{"gossip", "small", 100, 0, 42, 0.99},
+	{"gossip", "medium", 2000, 0, 42, 0.99},
+	{"simnet", "big", 10000, 0, 42, 1.0},
+	{"dht", "big", 5000, 0, 42, 0.85},
+	{"dht", "big", 10000, 0, 42, 0.85},
+	{"gossip", "big", 10000, 0, 42, 0.99},
+	{"simnet", "huge", 100_000, experiments.HugeShards, 42, 1.0},
+	{"dht", "huge", 100_000, experiments.HugeShards, 42, 0.85},
+	{"gossip", "huge", 100_000, experiments.HugeShards, 42, 0.99},
 }
 
 func TestScaleMatrix(t *testing.T) {
 	for _, row := range scaleMatrix {
-		row := row
 		t.Run(row.subsystem+"/"+row.tier, func(t *testing.T) {
-			if testing.Short() && !row.short {
-				t.Skip("medium tier skipped under -short")
+			switch row.tier {
+			case "medium":
+				if testing.Short() {
+					t.Skip("medium tier skipped under -short")
+				}
+			case "big", "huge":
+				if os.Getenv("SCALE") != row.tier {
+					t.Skipf("%s tier: set SCALE=%s", row.tier, row.tier)
+				}
 			}
-			runScaleRow(t, row)
+			cfg := simnet.NetworkConfig{Seed: row.seed, Shards: row.shards}
+			cell := experiments.ScaleCellRun(row.subsystem, row.n, cfg)
+			if cell.Converged < row.minConv {
+				t.Errorf("%s at N=%d (shards=%d): converged %.1f%%, floor %.1f%%",
+					row.subsystem, row.n, row.shards, cell.Converged*100, row.minConv*100)
+			}
+			if cell.Messages <= 0 {
+				t.Errorf("%s at N=%d (shards=%d): no traffic delivered", row.subsystem, row.n, row.shards)
+			}
 		})
 	}
 	t.Run("chain/small", func(t *testing.T) {
 		scaleChain(t, 202, 8, 2*time.Hour)
 	})
-}
-
-// bigSelected reports whether the 10k tier was explicitly requested, via
-// the SCALE=big environment variable or a -run selector naming the test.
-func bigSelected() bool {
-	if os.Getenv("SCALE") == "big" {
-		return true
-	}
-	f := flag.Lookup("test.run")
-	return f != nil && strings.Contains(f.Value.String(), "TestScaleBig")
-}
-
-// TestScaleBig is the nightly-style 10,000-node tier (`make scale`). It
-// must finish well inside the X15 acceptance budget of 60 s wall.
-func TestScaleBig(t *testing.T) {
-	if !bigSelected() {
-		t.Skip("big tier: set SCALE=big or select with -run TestScaleBig")
-	}
-	for _, row := range scaleBigMatrix {
-		row := row
-		t.Run(row.subsystem+"/"+row.tier, func(t *testing.T) {
-			runScaleRow(t, row)
-		})
-	}
-}
-
-// hugeSelected reports whether the 100k sharded tier was explicitly
-// requested, via SCALE=huge or a -run selector naming the test.
-func hugeSelected() bool {
-	if os.Getenv("SCALE") == "huge" {
-		return true
-	}
-	f := flag.Lookup("test.run")
-	return f != nil && strings.Contains(f.Value.String(), "TestScaleHuge")
-}
-
-// TestScaleHuge is the 100,000-node tier on the sharded engine — the
-// merge-gate-optional rung of the huge sweep (the 1M rung is nightly-only
-// via `feudalism scale`). Expect roughly a minute of wall time on one
-// core; see EXPERIMENTS.md "Running at 1M".
-func TestScaleHuge(t *testing.T) {
-	if !hugeSelected() {
-		t.Skip("huge tier: set SCALE=huge or select with -run TestScaleHuge")
-	}
-	rows := []scaleRow{
-		{"simnet", "huge", 100_000, false, 42, 1.0},
-		{"dht", "huge", 100_000, false, 42, 0.85},
-		{"gossip", "huge", 100_000, false, 42, 0.99},
-	}
-	for _, row := range rows {
-		row := row
-		t.Run(row.subsystem+"/"+row.tier, func(t *testing.T) {
-			cell := experiments.ScaleCellRunSharded(row.subsystem, row.seed, row.n, experiments.HugeShards, 0)
-			if cell.Converged < row.minConv {
-				t.Errorf("%s at N=%d (sharded): converged %.1f%%, floor %.1f%%",
-					row.subsystem, row.n, cell.Converged*100, row.minConv*100)
-			}
-			if cell.Messages <= 0 {
-				t.Errorf("%s at N=%d (sharded): no traffic delivered", row.subsystem, row.n)
-			}
-		})
-	}
 }
 
 // scaleChain runs n miners with retargeting for the given horizon and

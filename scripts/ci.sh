@@ -105,7 +105,7 @@ if [ "${CI_NIGHTLY:-0}" = "1" ]; then
 	fi
 
 	echo "nightly gate: 100k-node sharded tier (SCALE=huge)"
-	SCALE=huge go test -run TestScaleHuge -count=1 -timeout 1800s -v .
+	SCALE=huge go test -run TestScaleMatrix -count=1 -timeout 1800s -v .
 
 	# The huge sweep re-runs every cell at 1 worker and GOMAXPROCS workers,
 	# fails unless the snapshots are byte-identical, and (on real multi-core

@@ -9,7 +9,7 @@
 #
 #   - TestRegistryTinyRuns: every registry experiment at tiny scale;
 #   - go test ./cmd/feudalism ./cmd/benchdiff: the CLI's commands and
-#     goldens (table1|2|3, zooko, names, dedup, bench);
+#     goldens (table1|2|3, zooko, names, dedup, bench, scale);
 #   - go test ./examples/...: the five end-to-end examples.
 #
 # The zero-coverage functions are printed, grouped by file, for
@@ -20,9 +20,7 @@ cd "$(dirname "$0")/.."
 
 # Files no merge-gate run reaches, on purpose. One line each:
 # <path under internal/> <reason>.
-allow='simnet/shard.go only feudalism scale (the nightly huge tier) runs the sharded engine
-experiments/x15_huge.go only feudalism scale (the nightly huge tier) runs the 100k+ cells
-identity/pki.go the zooko ca-pki row cites it, pending a computed CA-compromise row
+allow='identity/pki.go the zooko ca-pki row cites it, pending a computed CA-compromise row
 core/core.go the §2 taxonomy Profiles(), which no command prints yet'
 
 tmp=$(mktemp -d)

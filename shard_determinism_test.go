@@ -12,38 +12,15 @@ package repro
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
-// shardDetLayouts is the determinism grid. Worker counts are deduplicated
-// at runtime when GOMAXPROCS is 1.
+// shardDetShards is the determinism grid's shard axis. Each shard count
+// runs at Workers 1 and GOMAXPROCS (RunScaleHuge's default; one run when
+// GOMAXPROCS is 1).
 var shardDetShards = []int{1, 4, 16}
-
-func shardDetWorkers() []int {
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		return []int{1, p}
-	}
-	return []int{1}
-}
-
-// shardDetRun executes one sharded X15 cell under a private obs collector
-// and returns the byte-exact description of everything it measured.
-func shardDetRun(t *testing.T, sub string, n, shards, workers int) string {
-	t.Helper()
-	col := obs.NewCollector()
-	restore := obs.SetCollector(col)
-	cell := experiments.ScaleCellRunSharded(sub, 42, n, shards, workers)
-	restore()
-	snap, err := json.Marshal(col.Merged())
-	if err != nil {
-		t.Fatalf("marshal snapshot: %v", err)
-	}
-	return fmt.Sprintf("conv=%.9f msgs=%d snap=%s", cell.Converged, cell.Messages, snap)
-}
 
 func TestShardDeterminism(t *testing.T) {
 	n := 5000
@@ -51,14 +28,22 @@ func TestShardDeterminism(t *testing.T) {
 		n = 600
 	}
 	for _, sub := range experiments.ScaleSubsystems() {
-		sub := sub
 		t.Run(sub, func(t *testing.T) {
-			var want string
-			var wantAt string
+			var want, wantAt string
 			for _, shards := range shardDetShards {
-				for _, workers := range shardDetWorkers() {
-					got := shardDetRun(t, sub, n, shards, workers)
-					at := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+				cells, _, err := experiments.RunScaleHuge(experiments.HugeOptions{
+					Seed: 42, Tiers: []int{n}, Subsystems: []string{sub}, Shards: shards,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range cells {
+					snap, err := json.Marshal(c.Snapshot)
+					if err != nil {
+						t.Fatalf("marshal snapshot: %v", err)
+					}
+					got := fmt.Sprintf("conv=%.9f msgs=%d snap=%s", c.Cell.Converged, c.Cell.Messages, snap)
+					at := fmt.Sprintf("shards=%d workers=%d", shards, c.Workers)
 					if want == "" {
 						want, wantAt = got, at
 						continue
