@@ -119,12 +119,15 @@ func TestDerivedIDsUnique(t *testing.T) {
 
 // TestDHTTraceDigestPinned pins everything observable about a lossy,
 // crash-ridden 300-peer run — each Put's, Get's and LookupNode's outcome
-// and completion instant, the network's message counters, and every peer's
-// Stats and table size — to one SHA-256. The routing table, the lookup and
-// the reply path may be rewritten for speed; they may not move one send,
-// one drop or one result. The digest was recorded before the rewrite.
+// and completion instant, the network's message counters, its registry
+// snapshot (the DHT's lookup, hop, store and serve counters among them), and
+// every peer's routing table, bucket by bucket in recency order — to one
+// SHA-256. The routing table, the lookup and the reply path may be
+// rewritten for speed; they may not move one send, one drop or one result.
+// Re-pin it only when the hashed inputs change, on unchanged protocol
+// code, never to absorb a protocol change.
 func TestDHTTraceDigestPinned(t *testing.T) {
-	const want = "95ef6bc5b47d02d978d9b95d6cb3ab4fc3068313cf928d10976e71276996ef7c"
+	const want = "02d0b8620c71bf8252da000decaebd9900dd3d02a5022d223bda144a0708601f"
 	const (
 		n   = 300
 		ops = 450
@@ -185,8 +188,20 @@ func TestDHTTraceDigestPinned(t *testing.T) {
 		fmt.Fprintf(h, "op %d %s\n", i, o)
 	}
 	fmt.Fprintf(h, "trace %+v\n", *nw.Trace())
+	if err := nw.Obs().Snapshot().EncodeJSON(h); err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range peers {
-		fmt.Fprintf(h, "peer %d %+v %d\n", i, p.Stats(), p.TableSize())
+		fmt.Fprintf(h, "peer %d %d", i, p.TableSize())
+		for idx := 0; idx < 256; idx++ {
+			if bk := p.rt.at(idx); bk != nil {
+				fmt.Fprintf(h, " b%d", idx)
+				for _, c := range bk.entries {
+					fmt.Fprintf(h, " %d:%s", c.Addr, c.ID.Short())
+				}
+			}
+		}
+		fmt.Fprintln(h)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("run digest %s, pinned %s (trace %+v)", got, want, *nw.Trace())
