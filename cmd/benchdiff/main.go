@@ -4,30 +4,32 @@
 //
 // Usage:
 //
-//	benchdiff [-tol F] [-time-tol F] old.json new.json
-//	benchdiff -history [-tput-tol F] [-tol F] old.json new.json
+//	benchdiff [-tol F] old.json new.json
+//	benchdiff -history [-tol F] old.json new.json
 //
 // A metric regresses when |new-old| > tol*|old| (a metric that was zero
 // must stay exactly zero); a missing experiment or metric in the new file
 // is always a regression, while extra ones are fine — adding coverage
-// should never fail the gate. Wall time is compared only when -time-tol
-// is positive and both files carry a timing section, and only in the slow
-// direction. scripts/ci.sh runs this as the merge gate against the
-// checked-in BENCH_baseline.json.
+// should never fail the gate. scripts/ci.sh runs this as the merge gate
+// against the checked-in BENCH_baseline.json.
 //
-// -history is the nightly throughput gate: both files must come from
+// -history is the one timing gate, run nightly: both files must come from
 // `-timing` runs, and for every experiment present in both with timing it
 // derives msgs/sec (net.msg.delivered over wall seconds) and fails when
-// the new run's throughput drops more than -tput-tol below the old one
+// the new run's throughput drops more than tputTol below the old one
 // (one-sided: getting faster never fails). Metric snapshots are still
 // compared with -tol so a nightly that silently changed its workload is
 // caught too. scripts/ci.sh runs this against BENCH_PR3.json when
 // CI_NIGHTLY=1.
+//
+// Exit codes: 0 when nothing regressed, 1 on any regression, 2 on a usage
+// error or a file that cannot be read as a bench file.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -35,48 +37,62 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	tol := flag.Float64("tol", 0, "relative tolerance per metric (0 = exact match)")
-	timeTol := flag.Float64("time-tol", 0, "relative wall-time slowdown tolerance (0 = ignore timing)")
-	history := flag.Bool("history", false, "throughput mode: derive msgs/sec from timing and gate one-sided regressions")
-	tputTol := flag.Float64("tput-tol", 0.25, "with -history: allowed relative msgs/sec drop before failing")
-	minWall := flag.Duration("min-wall", 100*time.Millisecond, "with -history: experiments faster than this in the old file are reported but not gated (scheduler noise dominates)")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol F] [-time-tol F] [-history [-tput-tol F]] old.json new.json")
-		flag.PrintDefaults()
+const (
+	// tputTol is the relative msgs/sec drop -history allows before failing.
+	tputTol = 0.25
+	// minWall is the old wall time under which -history reports an
+	// experiment but does not gate it: scheduler noise dominates there.
+	minWall = 100 * time.Millisecond
+)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tol := fs.Float64("tol", 0, "relative tolerance per metric (0 = exact match)")
+	history := fs.Bool("history", false, "throughput mode: derive msgs/sec from timing and gate one-sided regressions")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: benchdiff [-tol F] [-history] old.json new.json")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		return 0
+	case err != nil:
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
 	}
 
-	oldFile, err := obs.LoadBenchFile(flag.Arg(0))
+	oldFile, err := obs.LoadBenchFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
 	}
-	newFile, err := obs.LoadBenchFile(flag.Arg(1))
+	newFile, err := obs.LoadBenchFile(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
 	}
 
-	problems := obs.Compare(oldFile, newFile, obs.Tolerances{Metric: *tol, Time: *timeTol})
+	problems := obs.Compare(oldFile, newFile, *tol)
 	if *history {
-		problems = append(problems, compareThroughput(oldFile, newFile, *tputTol, *minWall)...)
+		problems = append(problems, compareThroughput(stdout, oldFile, newFile)...)
 	}
 	if len(problems) == 0 {
-		fmt.Printf("benchdiff: OK (%d experiments, tol=%g time-tol=%g)\n",
-			len(newFile.Experiments), *tol, *timeTol)
-		return
+		fmt.Fprintf(stdout, "benchdiff: OK (%d experiments, tol=%g)\n", len(newFile.Experiments), *tol)
+		return 0
 	}
 	for _, p := range problems {
-		fmt.Fprintf(os.Stderr, "REGRESSION %s\n", p)
+		fmt.Fprintf(stderr, "REGRESSION %s\n", p)
 	}
-	fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) between %s and %s\n",
-		len(problems), flag.Arg(0), flag.Arg(1))
-	os.Exit(1)
+	fmt.Fprintf(stderr, "benchdiff: %d regression(s) between %s and %s\n",
+		len(problems), fs.Arg(0), fs.Arg(1))
+	return 1
 }
 
 // throughput derives an experiment's delivered msgs/sec from its metric
@@ -95,13 +111,13 @@ func throughput(e obs.BenchExperiment) (float64, bool) {
 }
 
 // compareThroughput is the -history gate: for every experiment with a
-// derivable msgs/sec in both files, the new run must stay within tol of
-// the old run's throughput in the slow direction. An experiment whose old
-// record has throughput but whose new record lost its timing section is a
-// regression too — the nightly stopped measuring. Experiments whose old
-// wall time is under minWall are printed but never gated: at sub-100ms
-// runtimes the ratio measures the host scheduler, not the code.
-func compareThroughput(old, new *obs.BenchFile, tol float64, minWall time.Duration) []obs.Problem {
+// derivable msgs/sec in both files, the new run must stay within tputTol
+// of the old run's throughput in the slow direction. An experiment whose
+// old record has throughput but whose new record lost its timing section
+// is a regression too — the nightly stopped measuring. Experiments whose
+// old wall time is under minWall are printed to w but never gated: at
+// sub-100ms runtimes the ratio measures the host scheduler, not the code.
+func compareThroughput(w io.Writer, old, new *obs.BenchFile) []obs.Problem {
 	newByID := map[string]obs.BenchExperiment{}
 	for _, e := range new.Experiments {
 		newByID[e.ID] = e
@@ -130,16 +146,16 @@ func compareThroughput(old, new *obs.BenchFile, tol float64, minWall time.Durati
 		gated := oe.Timing.WallNS >= int64(minWall)
 		note := ""
 		if !gated {
-			note = "  [under -min-wall, not gated]"
+			note = fmt.Sprintf("  [under %v, not gated]", minWall)
 		} else {
 			compared++
 		}
-		fmt.Printf("history %-24s msgs/sec old=%.0f new=%.0f (%+.1f%%)%s\n",
+		fmt.Fprintf(w, "history %-24s msgs/sec old=%.0f new=%.0f (%+.1f%%)%s\n",
 			oe.ID, oldTput, newTput, (newTput/oldTput-1)*100, note)
-		if gated && newTput < oldTput*(1-tol) {
+		if gated && newTput < oldTput*(1-tputTol) {
 			probs = append(probs, obs.Problem{
 				Experiment: oe.ID, Metric: "throughput.msgs_per_sec", Old: oldTput, New: newTput,
-				Detail: fmt.Sprintf("msgs/sec dropped beyond -%.0f%%", tol*100),
+				Detail: fmt.Sprintf("msgs/sec dropped beyond -%.0f%%", tputTol*100),
 			})
 		}
 	}

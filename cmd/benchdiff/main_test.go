@@ -1,8 +1,9 @@
 package main
 
 import (
-	"io"
+	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -45,28 +46,7 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-// captureStdout runs f and returns what it printed.
-func captureStdout(t *testing.T, f func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
-	out := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- string(b)
-	}()
-	defer func() { os.Stdout = stdout }()
-	f()
-	w.Close()
-	return <-out
-}
-
 func TestCompareThroughput(t *testing.T) {
-	const tol, minWall = 0.25, 100 * time.Millisecond
 	for _, tc := range []struct {
 		name     string
 		old, new *obs.BenchFile
@@ -92,10 +72,10 @@ func TestCompareThroughput(t *testing.T) {
 			problems: []string{"msgs/sec dropped beyond -25%"},
 		},
 		{
-			name:    "an old entry under -min-wall is printed but not gated",
+			name:    "an old entry under minWall is printed but not gated",
 			old:     file(exp("a", 1000, time.Second), exp("fast", 1000, 50*time.Millisecond)),
 			new:     file(exp("a", 1000, time.Second), exp("fast", 1000, time.Second)),
-			printed: "[under -min-wall, not gated]",
+			printed: "[under 100ms, not gated]",
 		},
 		{
 			name:     "a new file without timing is a regression",
@@ -115,8 +95,8 @@ func TestCompareThroughput(t *testing.T) {
 			new:  file(exp("a", 1000, time.Second)),
 		},
 	} {
-		var probs []obs.Problem
-		out := captureStdout(t, func() { probs = compareThroughput(tc.old, tc.new, tol, minWall) })
+		var out strings.Builder
+		probs := compareThroughput(&out, tc.old, tc.new)
 		if len(probs) != len(tc.problems) {
 			t.Errorf("%s: %d problems %v, want %d", tc.name, len(probs), probs, len(tc.problems))
 			continue
@@ -126,8 +106,59 @@ func TestCompareThroughput(t *testing.T) {
 				t.Errorf("%s: problem %d = %q, want it to mention %q", tc.name, i, probs[i].Detail, want)
 			}
 		}
-		if !strings.Contains(out, tc.printed) {
-			t.Errorf("%s: history table lacks %q:\n%s", tc.name, tc.printed, out)
+		if !strings.Contains(out.String(), tc.printed) {
+			t.Errorf("%s: history table lacks %q:\n%s", tc.name, tc.printed, out.String())
 		}
+	}
+}
+
+// TestExitCodes pins benchdiff's contract with scripts/ci.sh: 0 when
+// nothing regressed, 1 on a regression, 2 on a usage error or a file that
+// is not a bench file.
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, f *obs.BenchFile) string {
+		t.Helper()
+		b, err := f.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", file(exp("a", 1000, 0), exp("b", 2000, 0)))
+	same := write("same.json", file(exp("a", 1000, 0), exp("b", 2000, 0)))
+	drifted := write("drifted.json", file(exp("a", 1001, 0), exp("b", 2000, 0)))
+	missing := write("missing.json", file(exp("a", 1000, 0)))
+	timed := write("timed.json", file(exp("a", 1000, time.Second), exp("b", 2000, time.Second)))
+	wrongSchema := write("schema.json", &obs.BenchFile{Schema: "feudalism-bench/v0"})
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"identical files", []string{base, same}, 0},
+		{"drifted counter", []string{base, drifted}, 1},
+		{"missing experiment", []string{base, missing}, 1},
+		{"history against a file with no timing", []string{"-history", timed, base}, 1},
+		{"wrong argument count", []string{base}, 2},
+		{"bad flag", []string{"-nope", base, same}, 2},
+		{"schema mismatch", []string{base, wrongSchema}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Errorf("exit %d, want %d; stderr:\n%s", code, tc.code, stderr.String())
+			}
+			if tc.code == 0 && !strings.Contains(stdout.String(), "benchdiff: OK") {
+				t.Errorf("no OK line on stdout:\n%s", stdout.String())
+			}
+			if tc.code != 0 && stderr.Len() == 0 {
+				t.Error("nothing on stderr")
+			}
+		})
 	}
 }

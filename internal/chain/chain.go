@@ -136,9 +136,6 @@ func (c *Chain) Block(h cryptoutil.Hash) *Block {
 	return nil
 }
 
-// HasBlock reports whether the block is known.
-func (c *Chain) HasBlock(h cryptoutil.Hash) bool { _, ok := c.blocks[h]; return ok }
-
 // State returns the account state at the head.
 func (c *Chain) State() *State { return c.blocks[c.head].state }
 

@@ -284,11 +284,12 @@ func TestRepublishKeepsValueAliveUnderChurn(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	nw, peers := buildNetwork(t, 27, 20, Config{})
+	lookups, stores := nw.Obs().Counter("dht.lookup.started"), nw.Obs().Counter("dht.store.sent")
+	l0, s0 := lookups.Value(), stores.Value()
 	peers[0].Put(key("x"), []byte("y"), nil)
 	nw.Run(nw.Now() + 30*time.Second)
-	st := peers[0].Stats()
-	if st.LookupsStarted == 0 || st.StoresSent == 0 {
-		t.Errorf("stats not accumulating: %+v", st)
+	if lookups.Value() == l0 || stores.Value() == s0 {
+		t.Errorf("counters not accumulating: lookups %d -> %d, stores %d -> %d", l0, lookups.Value(), s0, stores.Value())
 	}
 	if peers[0].TableSize() == 0 {
 		t.Error("routing table empty after activity")

@@ -51,7 +51,6 @@ type lookupQuery struct {
 }
 
 func (p *Peer) lookup(target Key, wantValue bool, done func([]Contact, []byte, bool)) {
-	p.stats.LookupsStarted++
 	p.m.lookups.Inc()
 	ls := &lookupState{
 		p:         p,
@@ -113,7 +112,6 @@ func (ls *lookupState) step() {
 	if ls.finished {
 		return
 	}
-	ls.p.stats.LookupHops++
 	ls.p.m.hops.Inc()
 	launched := 0
 	for i := range ls.shortlist {

@@ -119,7 +119,6 @@ type Peer struct {
 	store map[Key]storedValue
 	// published tracks keys this peer originated, for republishing.
 	published map[Key][]byte
-	stats     Stats
 
 	// Observability: network-wide DHT metrics. The bundle is resolved once
 	// per registry via Memo and shared by every peer on the network, so
@@ -145,14 +144,6 @@ func metricsFor(r *obs.Registry) *dhtMetrics {
 			stores:  r.Counter("dht.store.sent"),
 		}
 	}).(*dhtMetrics)
-}
-
-// Stats counts DHT operations for experiments.
-type Stats struct {
-	LookupsStarted int
-	LookupHops     int // total query rounds across lookups
-	StoresSent     int
-	ValuesServed   int
 }
 
 // derivedID is the DHT ID of a peer created without one: a hash of its
@@ -208,9 +199,6 @@ func (p *Peer) Contact() Contact { return Contact{ID: p.id, Addr: p.rpc.Node().I
 
 // Node returns the underlying simnet node.
 func (p *Peer) Node() *simnet.Node { return p.rpc.Node() }
-
-// Stats returns operation counters.
-func (p *Peer) Stats() Stats { return p.stats }
 
 // TableSize returns the number of contacts in the routing table.
 func (p *Peer) TableSize() int { return p.rt.size() }
@@ -283,7 +271,6 @@ func (p *Peer) onFindValue(from simnet.NodeID, req any) (any, int) {
 	}
 	p.observe(r.From)
 	if sv, ok := p.store[r.Target]; ok && p.fresh(sv) {
-		p.stats.ValuesServed++
 		p.m.served.Inc()
 		resp := takeReply()
 		resp.Value, resp.Found = sv.data, true
@@ -344,7 +331,6 @@ func (p *Peer) putOnce(key Key, value []byte, done func(stored int)) {
 		}
 		for _, c := range closest {
 			req := storeReq{From: p.Contact(), Key: key, Value: value}
-			p.stats.StoresSent++
 			p.m.stores.Inc()
 			p.rpc.Call(c.Addr, methodStore, req, 48+len(value), p.cfg.RequestTimeout, func(resp any, err error) {
 				pending--

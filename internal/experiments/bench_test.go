@@ -200,7 +200,7 @@ func TestBaselinePerturbationFailsGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probs := obs.Compare(clean, same, obs.Tolerances{}); len(probs) != 0 {
+	if probs := obs.Compare(clean, same, 0); len(probs) != 0 {
 		t.Fatalf("identical baselines compare unclean: %v", probs)
 	}
 
@@ -225,7 +225,7 @@ func TestBaselinePerturbationFailsGate(t *testing.T) {
 	if !bumped {
 		t.Fatal("baseline has no counters to perturb")
 	}
-	if probs := obs.Compare(clean, perturbed, obs.Tolerances{Metric: 0.25}); len(probs) == 0 {
+	if probs := obs.Compare(clean, perturbed, 0.25); len(probs) == 0 {
 		t.Fatal("perturbed baseline passed the gate")
 	}
 }

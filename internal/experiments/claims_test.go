@@ -1,47 +1,9 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 // The headline-claim tests: one acceptance gate per matrix experiment,
 // each pinning the result the experiment exists to show.
-
-// x15TimedFile builds a bench file holding one X15 entry with the given
-// wall time, for exercising the time gate.
-func x15TimedFile(wallNS int64) *obs.BenchFile {
-	return &obs.BenchFile{
-		Schema: obs.BenchSchema,
-		Experiments: []obs.BenchExperiment{{
-			ID:      "x15",
-			Metrics: &obs.Snapshot{Counters: map[string]int64{"net.msg.delivered": 100}},
-			Timing:  &obs.Timing{WallNS: wallNS, Allocs: 1000},
-		}},
-	}
-}
-
-// TestX15TimeGate covers the benchdiff time gate on X15 entries: growth
-// beyond the tolerance is a regression, growth within it (and any
-// improvement) is not, and a zero tolerance disables the gate entirely —
-// the setting cross-machine comparisons rely on.
-func TestX15TimeGate(t *testing.T) {
-	base := x15TimedFile(10_000_000) // 10 ms
-
-	if probs := obs.Compare(base, x15TimedFile(13_000_000), obs.Tolerances{Time: 0.2}); len(probs) == 0 {
-		t.Fatal("30% wall-time growth passed a 20% time gate")
-	}
-	if probs := obs.Compare(base, x15TimedFile(11_000_000), obs.Tolerances{Time: 0.2}); len(probs) != 0 {
-		t.Fatalf("10%% wall-time growth tripped a 20%% time gate: %v", probs)
-	}
-	if probs := obs.Compare(base, x15TimedFile(5_000_000), obs.Tolerances{Time: 0.2}); len(probs) != 0 {
-		t.Fatalf("a wall-time improvement tripped the gate: %v", probs)
-	}
-	if probs := obs.Compare(base, x15TimedFile(1_000_000_000), obs.Tolerances{Time: 0}); len(probs) != 0 {
-		t.Fatalf("time gate fired despite being disabled: %v", probs)
-	}
-}
 
 // TestX16ResilientBeatsNaive pins the experiment's headline claim: with
 // the same seed, worlds, and fault plans, the adaptive transport's

@@ -141,9 +141,6 @@ func (m *Member) SetPeers(peers []simnet.NodeID) {
 	}
 }
 
-// Peers returns the current peer set.
-func (m *Member) Peers() []simnet.NodeID { return m.peers }
-
 // OnDeliver registers an observer called exactly once per item, at first
 // receipt (including items this member publishes itself).
 func (m *Member) OnDeliver(f func(Item)) { m.onDeliver = append(m.onDeliver, f) }

@@ -38,11 +38,6 @@ func NewCentralServer(node *simnet.Node, policy *ModerationPolicy) *CentralServe
 // Node returns the server's simnet node.
 func (s *CentralServer) Node() *simnet.Node { return s.rpc.Node() }
 
-// SetPolicy swaps the global moderation policy — unilaterally, as the
-// paper notes: "the norms for 'good behavior' … are dictated by platform
-// operators."
-func (s *CentralServer) SetPolicy(p *ModerationPolicy) { s.policy = p }
-
 // RoomLen returns how many posts a room holds.
 func (s *CentralServer) RoomLen(room string) int { return len(s.rooms[room]) }
 
@@ -87,9 +82,6 @@ func NewCentralClient(node *simnet.Node, server simnet.NodeID, user UserID, time
 
 // User returns the client's user ID.
 func (c *CentralClient) User() UserID { return c.user }
-
-// Node returns the client's simnet node.
-func (c *CentralClient) Node() *simnet.Node { return c.rpc.Node() }
 
 // Post publishes body into room. done reports acceptance (false on
 // moderation, timeout, or server failure).

@@ -32,8 +32,6 @@ type FedInstance struct {
 	peers    map[string]simnet.NodeID
 	policy   *ModerationPolicy
 	blocked  map[string]bool // defederated instance names
-	// Moderated counts posts this instance refused.
-	Moderated int
 
 	// Observability: federation-wide post/push/moderation totals.
 	obsStored    *obs.Counter
@@ -140,7 +138,6 @@ func (fi *FedInstance) onPost(from simnet.NodeID, req any) (any, int) {
 		return false, 8
 	}
 	if !fi.policy.Allows(r.Post) {
-		fi.Moderated++
 		fi.obsModerated.Inc()
 		return false, 8
 	}
@@ -173,7 +170,6 @@ func (fi *FedInstance) onPush(from simnet.NodeID, req any) (any, int) {
 		return false, 8
 	}
 	if !fi.policy.Allows(r.Post) {
-		fi.Moderated++
 		fi.obsModerated.Inc()
 		return false, 8
 	}

@@ -22,8 +22,6 @@ type ReplServer struct {
 	member *gossip.Member
 	rooms  map[string][]Post
 	policy *ModerationPolicy
-	// Moderated counts posts this server refused to accept from clients.
-	Moderated int
 }
 
 // RPC methods for the replicated-federation model.
@@ -52,9 +50,6 @@ func NewReplServer(node *simnet.Node, name string, policy *ModerationPolicy, gcf
 	return s
 }
 
-// Name returns the server name.
-func (s *ReplServer) Name() string { return s.name }
-
 // Node returns the server's simnet node.
 func (s *ReplServer) Node() *simnet.Node { return s.rpc.Node() }
 
@@ -70,7 +65,6 @@ func (s *ReplServer) onPost(from simnet.NodeID, req any) (any, int) {
 		return false, 8
 	}
 	if !s.policy.Allows(p) {
-		s.Moderated++
 		return false, 8
 	}
 	s.member.Publish(gossip.Item{ID: p.ID, Data: p, Size: p.WireSize()})

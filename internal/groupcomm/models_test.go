@@ -254,8 +254,8 @@ func TestFederatedHomeDefederationAndPolicy(t *testing.T) {
 	var ok bool
 	cl.Post("town", []byte("rude text"), func(o bool) { ok = o })
 	nw2.RunAll()
-	if ok || strict.Moderated != 1 {
-		t.Error("instance policy did not moderate")
+	if moderated := nw2.Obs().Counter("groupcomm.fed.post.moderated").Value(); ok || moderated != 1 {
+		t.Errorf("instance policy did not moderate: accepted=%v moderated=%d", ok, moderated)
 	}
 }
 

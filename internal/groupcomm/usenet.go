@@ -37,9 +37,6 @@ func NewUsenetServer(node *simnet.Node, name string) *UsenetServer {
 	return s
 }
 
-// Name returns the server name.
-func (s *UsenetServer) Name() string { return s.name }
-
 // Node returns the underlying simnet node.
 func (s *UsenetServer) Node() *simnet.Node { return s.node }
 

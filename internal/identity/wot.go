@@ -33,9 +33,6 @@ func NewWebOfTrust() *WebOfTrust {
 // AddMember registers an identity in the web.
 func (w *WebOfTrust) AddMember(id *Identity) { w.members[id.Fingerprint()] = id }
 
-// Member returns a registered identity by fingerprint.
-func (w *WebOfTrust) Member(fp cryptoutil.Hash) *Identity { return w.members[fp] }
-
 // NumMembers returns the number of registered identities.
 func (w *WebOfTrust) NumMembers() int { return len(w.members) }
 

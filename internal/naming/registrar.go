@@ -17,9 +17,6 @@ type CentralizedRegistrar struct {
 	rpc    *simnet.RPCNode
 	names  map[string]*Record
 	banned map[string]bool
-	// ops counts successful registrations and resolutions.
-	Registrations int
-	Resolutions   int
 }
 
 // Registrar RPC methods.
@@ -81,7 +78,6 @@ func (r *CentralizedRegistrar) onRegister(from simnet.NodeID, req any) (any, int
 		return false, 8
 	}
 	r.names[rr.Name] = &Record{Name: rr.Name, Owner: rr.Owner, Value: rr.Value}
-	r.Registrations++
 	return true, 8
 }
 
@@ -91,7 +87,6 @@ func (r *CentralizedRegistrar) onResolve(from simnet.NodeID, req any) (any, int)
 		return resolveResp{}, 8
 	}
 	rec, found := r.names[name]
-	r.Resolutions++
 	return resolveResp{Rec: rec, Found: found}, 8 + 64
 }
 

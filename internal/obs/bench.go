@@ -73,18 +73,6 @@ func LoadBenchFile(path string) (*BenchFile, error) {
 	return &f, nil
 }
 
-// Tolerances configures the bench comparison.
-type Tolerances struct {
-	// Metric is the allowed relative drift for every deterministic value
-	// (counters, gauges, histogram fields): |new-old| ≤ Metric·|old|.
-	// Zero means exact equality — the right setting for same-seed runs.
-	Metric float64
-	// Time is the allowed relative wall-time growth: new ≤ old·(1+Time).
-	// Zero disables the timing gate (timing is compared informationally
-	// only); cross-machine comparisons should leave it off.
-	Time float64
-}
-
 // Problem is one regression found by Compare.
 type Problem struct {
 	Experiment string
@@ -107,10 +95,14 @@ func withinTol(old, new, tol float64) bool {
 	return math.Abs(new-old) <= tol*math.Abs(old)
 }
 
-// Compare diffs new against old and returns every regression. Experiments
-// or metrics present only in new are additions, not regressions; metrics
-// missing from new are regressions (a measurement silently disappeared).
-func Compare(old, new *BenchFile, tol Tolerances) []Problem {
+// Compare diffs new against old and returns every regression. tol is the
+// allowed relative drift for every deterministic value (counters, gauges,
+// histogram fields): |new-old| ≤ tol·|old|, and zero means exact equality,
+// the right setting for same-seed runs. Experiments or metrics present
+// only in new are additions, not regressions; metrics missing from new are
+// regressions (a measurement silently disappeared). Timing sections are
+// not compared here: the one timing gate is benchdiff -history.
+func Compare(old, new *BenchFile, tol float64) []Problem {
 	var probs []Problem
 	newByID := map[string]BenchExperiment{}
 	for _, e := range new.Experiments {
@@ -124,16 +116,7 @@ func Compare(old, new *BenchFile, tol Tolerances) []Problem {
 			probs = append(probs, Problem{Experiment: oe.ID, Detail: "experiment missing from new file"})
 			continue
 		}
-		probs = append(probs, compareSnapshots(oe.ID, oe.Metrics, ne.Metrics, tol.Metric)...)
-		if tol.Time > 0 && oe.Timing != nil && ne.Timing != nil {
-			ow, nw := float64(oe.Timing.WallNS), float64(ne.Timing.WallNS)
-			if nw > ow*(1+tol.Time) {
-				probs = append(probs, Problem{
-					Experiment: oe.ID, Metric: "timing.wall_ns", Old: ow, New: nw,
-					Detail: fmt.Sprintf("wall time grew beyond +%.0f%%", tol.Time*100),
-				})
-			}
-		}
+		probs = append(probs, compareSnapshots(oe.ID, oe.Metrics, ne.Metrics, tol)...)
 	}
 	return probs
 }

@@ -52,7 +52,7 @@ func TestCompareToleranceEdges(t *testing.T) {
 		{"just inside", 110, 0.1, 0},
 		{"just outside", 111, 0.1, 1},
 	} {
-		probs := Compare(old, benchWith("m", c.new), Tolerances{Metric: c.tol})
+		probs := Compare(old, benchWith("m", c.new), c.tol)
 		if len(probs) != c.wantN {
 			t.Errorf("%s: got %d problems (%v), want %d", c.name, len(probs), probs, c.wantN)
 		}
@@ -64,13 +64,13 @@ func TestCompareMissingAndExtra(t *testing.T) {
 
 	// A metric missing from the new file is a regression; the unrelated
 	// "other" counter is an addition and does not count.
-	probs := Compare(old, benchWith("other", 1), Tolerances{})
+	probs := Compare(old, benchWith("other", 1), 0)
 	if len(probs) != 1 || !strings.Contains(probs[0].Detail, "missing") {
 		t.Fatalf("missing metric: got %v, want one missing-metric problem", probs)
 	}
 
 	// A whole experiment missing from the new file is a regression.
-	probs = Compare(old, &BenchFile{Schema: BenchSchema}, Tolerances{})
+	probs = Compare(old, &BenchFile{Schema: BenchSchema}, 0)
 	if len(probs) != 1 || !strings.Contains(probs[0].Detail, "missing") {
 		t.Fatalf("missing experiment: got %v", probs)
 	}
@@ -81,37 +81,8 @@ func TestCompareMissingAndExtra(t *testing.T) {
 	bigger.Experiments[0].Metrics.Counters["extra"] = 7
 	bigger.Experiments = append(bigger.Experiments,
 		BenchExperiment{ID: "y", Metrics: &Snapshot{Counters: map[string]int64{"n": 1}}})
-	if probs := Compare(old, bigger, Tolerances{}); len(probs) != 0 {
+	if probs := Compare(old, bigger, 0); len(probs) != 0 {
 		t.Fatalf("additions flagged as regressions: %v", probs)
-	}
-}
-
-func TestCompareTimingGate(t *testing.T) {
-	withTiming := func(wall int64) *BenchFile {
-		f := benchWith("m", 1)
-		f.Experiments[0].Timing = &Timing{WallNS: wall}
-		return f
-	}
-
-	// Time tolerance zero: timing differences are ignored entirely.
-	if probs := Compare(withTiming(100), withTiming(1000), Tolerances{}); len(probs) != 0 {
-		t.Fatalf("timing gated with Time=0: %v", probs)
-	}
-	// Within the allowed slowdown.
-	if probs := Compare(withTiming(100), withTiming(149), Tolerances{Time: 0.5}); len(probs) != 0 {
-		t.Fatalf("timing inside tolerance flagged: %v", probs)
-	}
-	// Beyond it.
-	if probs := Compare(withTiming(100), withTiming(151), Tolerances{Time: 0.5}); len(probs) != 1 {
-		t.Fatalf("timing regression missed: %v", probs)
-	}
-	// Getting faster is never a regression.
-	if probs := Compare(withTiming(100), withTiming(10), Tolerances{Time: 0.5}); len(probs) != 0 {
-		t.Fatalf("speedup flagged: %v", probs)
-	}
-	// Timing present on only one side: informational, never gated.
-	if probs := Compare(withTiming(100), benchWith("m", 1), Tolerances{Time: 0.5}); len(probs) != 0 {
-		t.Fatalf("one-sided timing gated: %v", probs)
 	}
 }
 
@@ -138,7 +109,7 @@ func TestLoadBenchFileSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probs := Compare(f, loaded, Tolerances{}); len(probs) != 0 {
+	if probs := Compare(f, loaded, 0); len(probs) != 0 {
 		t.Fatalf("round-trip drift: %v", probs)
 	}
 }

@@ -118,9 +118,6 @@ func NewRegistry() *Registry {
 // finished first.
 func (r *Registry) SetLabel(label string) { r.label = label }
 
-// Label returns the registry's merge-ordering tag.
-func (r *Registry) Label() string { return r.label }
-
 // Counter returns (creating on first use) the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	c, ok := r.counters[name]

@@ -78,9 +78,6 @@ func (s *Server) Limit() float64 {
 // Depth returns the current service-queue depth.
 func (s *Server) Depth() int { return s.q.depth() }
 
-// InService returns the number of replies currently being serviced.
-func (s *Server) InService() int { return s.inService }
-
 // Protect registers a bulk-lane method behind the overload queue. The
 // inner handler h runs when the request is admitted — immediately when a
 // service slot is free, after a queue wait otherwise — and its reply is

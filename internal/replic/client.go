@@ -57,9 +57,6 @@ func NewClient(node *simnet.Node, cfg Config, dir simnet.NodeID, self int, regio
 // Node returns the client's simnet node.
 func (c *Client) Node() *simnet.Node { return c.rpc.Node() }
 
-// Router exposes the client's ranking policy (nil when disabled).
-func (c *Client) Router() *Router { return c.router }
-
 // Get fetches obj: resolve holders through the directory, then fetch per
 // the configured policy. timeout bounds each directory/fetch RPC (it is
 // the whole budget per attempt, not for the operation — failover makes

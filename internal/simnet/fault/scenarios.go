@@ -39,7 +39,6 @@ const (
 	saltLossyEdge      = 0x10551
 	saltFlashPartition = 0xF1A5
 	saltRollingChurn   = 0xC4024
-	saltCorrupt        = 0xC0442
 	saltSustained      = 0x5C402
 )
 

@@ -47,7 +47,6 @@ type Node struct {
 	onUp   []func()
 	onDown []func()
 
-	trace    Trace
 	crashes  int
 	downtime time.Duration
 	downAt   time.Duration
@@ -92,11 +91,6 @@ func (n *Node) Network() *Network { return n.nw }
 // stochastic behaviour is a function of the seed and its own actions, not
 // of how unrelated nodes' events interleave.
 func (n *Node) Rand() *rand.Rand { return n.rng }
-
-// Trace returns this node's traffic counters: Sent/BytesSent and send-time
-// drops for messages it originated; Delivered/BytesDelivered/Unhandled and
-// in-flight drops for messages addressed to it.
-func (n *Node) Trace() *Trace { return &n.trace }
 
 // Obs returns the observability registry protocol layers on this node
 // should annotate: its shard's. On the single-heap engine that is the

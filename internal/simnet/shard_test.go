@@ -9,11 +9,30 @@ import (
 	"repro/internal/obs"
 )
 
+// tally is what one node's own code saw: every message its handlers got,
+// in order, and how many of its Sends the substrate refused. A workload
+// keeps one per node and writes it only from that node's events, so only
+// the node's own shard touches it.
+type tally struct {
+	got     []string
+	refused int
+}
+
+func (t *tally) note(now time.Duration, what string, v any) {
+	t.got = append(t.got, fmt.Sprintf("%v:%s:%v", now, what, v))
+}
+
+func (t *tally) sent(ok bool) {
+	if !ok {
+		t.refused++
+	}
+}
+
 // shardSnapshot serializes everything observable about a finished network:
-// end time, merged trace, per-kind latency histograms, and every node's
-// counters and liveness. Layout-invariance tests compare these byte for
-// byte.
-func shardSnapshot(nw *Network, end time.Duration) string {
+// end time, merged trace, per-kind latency histograms, and one line per
+// node with its liveness and its tally. Layout-invariance tests compare
+// these byte for byte.
+func shardSnapshot(nw *Network, end time.Duration, tallies []tally) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "end=%v trace=%+v\n", end, *nw.Trace())
 	for _, k := range nw.LatencyKinds() {
@@ -21,8 +40,9 @@ func shardSnapshot(nw *Network, end time.Duration) string {
 		fmt.Fprintf(&b, "lat[%s] n=%d p50=%.9f p95=%.9f\n", k, h.Count(), h.Quantile(0.5), h.Quantile(0.95))
 	}
 	for _, n := range nw.Nodes() {
-		fmt.Fprintf(&b, "node%d=%+v up=%v crashes=%d downtime=%v\n",
-			n.ID(), n.trace, n.Up(), n.Crashes(), n.Downtime())
+		t := tallies[n.ID()]
+		fmt.Fprintf(&b, "node%d up=%v crashes=%d downtime=%v refused=%d got=%v\n",
+			n.ID(), n.Up(), n.Crashes(), n.Downtime(), t.refused, t.got)
 	}
 	return b.String()
 }
@@ -37,20 +57,26 @@ func runShardWorkload(cfg NetworkConfig, n int) string {
 	nw.SetDefaultProfile(HomeBroadbandProfile())
 	nw.SetLinkFault(LinkFault{Corrupt: 0.01, Duplicate: 0.02, Reorder: 0.05})
 	nodes := make([]*Node, n)
+	tallies := make([]tally, n)
 	for i := range nodes {
 		nodes[i] = nw.AddNode()
 	}
 	for i, node := range nodes {
+		node, t := node, &tallies[i]
 		node.Handle("ping", func(m Message) {
+			t.note(node.Now(), "ping", m.Payload)
 			if _, bad := m.Payload.(Corrupted); bad {
 				return
 			}
-			nodes[m.To].Send(m.From, "pong", nil, 120)
+			t.sent(node.Send(m.From, "pong", nil, 120))
 		})
-		node.Handle("pong", func(m Message) {})
+		node.Handle("pong", func(m Message) { t.note(node.Now(), "pong", m.Payload) })
 		r := NewRPCNode(node)
 		if i%2 == 0 {
-			r.Serve("work", func(from NodeID, req any) (any, int) { return req, 64 })
+			r.Serve("work", func(from NodeID, req any) (any, int) {
+				t.note(node.Now(), fmt.Sprintf("work<-%d", from), req)
+				return req, 64
+			})
 		}
 	}
 	// Periodic pings: each node pumps 12 rounds on its own timer chain.
@@ -61,7 +87,7 @@ func runShardWorkload(cfg NetworkConfig, n int) string {
 		}
 		to := NodeID((int(node.ID()) + k*7 + 1) % n)
 		if to != node.ID() {
-			node.Send(to, "ping", k, 300)
+			tallies[node.ID()].sent(node.Send(to, "ping", k, 300))
 		}
 		node.After(97*time.Millisecond, func() { pump(node, k+1) })
 	}
@@ -74,14 +100,16 @@ func runShardWorkload(cfg NetworkConfig, n int) string {
 		if i%2 == 0 {
 			continue
 		}
-		r := node.rpc
+		r, t := node.rpc, &tallies[i]
 		target := NodeID((i + 1) % n)
 		var call func(k int)
 		call = func(k int) {
 			if k >= 8 {
 				return
 			}
-			r.Call(target, "work", k, 200, 400*time.Millisecond, func(resp any, err error) {})
+			r.Call(target, "work", k, 200, 400*time.Millisecond, func(resp any, err error) {
+				t.note(r.n.Now(), "done", fmt.Sprint(resp, err))
+			})
 			r.n.After(150*time.Millisecond, func() { call(k + 1) })
 		}
 		call(0)
@@ -95,7 +123,7 @@ func runShardWorkload(cfg NetworkConfig, n int) string {
 	// Timer cancel/reschedule exercise on each node.
 	for _, node := range nodes {
 		node := node
-		tm := node.AfterTimer(time.Second, func() { node.Send(NodeID(0), "ping", -1, 50) })
+		tm := node.AfterTimer(time.Second, func() { tallies[node.ID()].sent(node.Send(NodeID(0), "ping", -1, 50)) })
 		if int(node.ID())%3 == 0 {
 			node.After(600*time.Millisecond, func() { tm.Cancel() })
 		} else {
@@ -115,7 +143,7 @@ func runShardWorkload(cfg NetworkConfig, n int) string {
 	nw.Schedule(500*time.Millisecond, func() { nw.Partition(half, rest) })
 	nw.Schedule(1100*time.Millisecond, func() { nw.Heal() })
 	end := nw.Run(3 * time.Second)
-	return shardSnapshot(nw, end)
+	return shardSnapshot(nw, end, tallies)
 }
 
 // TestShardLayoutInvariance is the core determinism claim: the same seed
@@ -151,7 +179,7 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 		name    string
 		profile LinkProfile
 		setup   func(nw *Network, nodes []*Node)
-		traffic func(nodes []*Node) // nil: the default rounds below
+		traffic func(nodes []*Node, tallies []tally) // nil: the default rounds below
 	}{
 		{name: "latency only", profile: LinkProfile{Latency: 5 * time.Millisecond}},
 		{name: "priority uplink with mixed lanes", profile: slowUplink,
@@ -175,15 +203,15 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 		// per-shard last-value metric would read differently per layout.
 		{name: "queue metrics, asymmetric senders", profile: LinkProfile{Latency: 5 * time.Millisecond, UplinkBps: 1e5},
 			setup: func(nw *Network, nodes []*Node) { nw.EnableQueueMetrics() },
-			traffic: func(nodes []*Node) {
+			traffic: func(nodes []*Node, tallies []tally) {
 				for i, from := range nodes {
 					from, to := from, NodeID((i+1)%len(nodes))
-					from.After(time.Millisecond, func() { from.Send(to, "x", i, 125) })
+					from.After(time.Millisecond, func() { tallies[i].sent(from.Send(to, "x", i, 125)) })
 				}
 				from := nodes[0]
 				from.After(10*time.Millisecond, func() {
 					for i := 0; i < 40; i++ {
-						from.Send(1, "x", i, 125)
+						tallies[0].sent(from.Send(1, "x", i, 125))
 					}
 				})
 			}},
@@ -193,19 +221,17 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 			nw := NewWithConfig(cfg)
 			nw.SetDefaultProfile(tc.profile)
 			nodes := make([]*Node, n)
-			logs := make([][]string, n) // per-node delivery log: written only by the node's own shard
+			tallies := make([]tally, n)
 			for i := range nodes {
-				node := nw.AddNode()
+				node, t := nw.AddNode(), &tallies[i]
 				nodes[i] = node
-				node.HandleDefault(func(m Message) {
-					logs[m.To] = append(logs[m.To], fmt.Sprintf("%v:%v", node.Now(), m.Payload))
-				})
+				node.HandleDefault(func(m Message) { t.note(node.Now(), m.Kind, m.Payload) })
 			}
 			if tc.setup != nil {
 				tc.setup(nw, nodes)
 			}
 			if tc.traffic != nil {
-				tc.traffic(nodes)
+				tc.traffic(nodes, tallies)
 			}
 			// 7 is coprime to n, so each destination hears from exactly one
 			// sender and equal-time arrivals never tie across senders (the
@@ -221,14 +247,11 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 				if (i/n)%3 == 0 {
 					lane = LaneCtrl
 				}
-				from.After(time.Duration(i/n)*2*time.Millisecond, func() { from.SendLane(to, "x", i, 1000, lane) })
+				from.After(time.Duration(i/n)*2*time.Millisecond, func() { tallies[from.ID()].sent(from.SendLane(to, "x", i, 1000, lane)) })
 			}
 			end := nw.Run(time.Second)
 			var b strings.Builder
-			b.WriteString(shardSnapshot(nw, end))
-			for i, l := range logs {
-				fmt.Fprintf(&b, "log%d=%v\n", i, l)
-			}
+			b.WriteString(shardSnapshot(nw, end, tallies))
 			regs := []*obs.Registry{nw.obs}
 			for _, sh := range nw.shards {
 				if sh.obs != nw.obs {

@@ -40,9 +40,9 @@
 // Scale-out. Independent trials parallelize across cores with Trials
 // (trials.go): each trial owns its whole Network, so parallelism is
 // trial-level and per-seed results are identical at any worker count.
-// Traffic is accounted per node (Node.Trace) and network-wide
-// (Network.Trace), with per-kind delivery-latency histograms available via
-// Network.LatencyHistogram.
+// Traffic is counted once, in each event queue's ledger, and read as
+// network-wide totals (Network.Trace), with per-kind delivery-latency
+// histograms available via Network.LatencyHistogram.
 package simnet
 
 import (
@@ -636,17 +636,13 @@ func deliverEvent(arg any) {
 	// drop (see Send).
 	if !dst.up || !nw.samePartition(msg.From, msg.To) {
 		sh.trace.Dropped++
-		dst.trace.Dropped++
 		return
 	}
 	if _, garbled := msg.Payload.(Corrupted); garbled {
 		sh.trace.Corrupted++
-		dst.trace.Corrupted++
 	}
 	sh.trace.Delivered++
 	sh.trace.BytesDelivered += int64(msg.Size)
-	dst.trace.Delivered++
-	dst.trace.BytesDelivered += int64(msg.Size)
 	sh.observeLatency(msg.Kind, sh.now-sentAt)
 	if e := dst.lookup(msg.Kind); e != nil {
 		e.h(msg)
@@ -654,7 +650,6 @@ func deliverEvent(arg any) {
 		dst.defaultHandler(msg)
 	} else {
 		sh.trace.Unhandled++
-		dst.trace.Unhandled++
 	}
 }
 
@@ -664,8 +659,8 @@ func deliverEvent(arg any) {
 // the loss draw fires. Send reports whether delivery was scheduled.
 //
 // Accounting: Sent/BytesSent and send-time drops are charged to the
-// sending node's Trace; Delivered/BytesDelivered/Unhandled and in-flight
-// drops to the receiving node's. The network-wide Trace sees everything.
+// sender's ledger; Delivered/BytesDelivered/Unhandled and in-flight drops
+// to the receiver's. Network.Trace sums the ledgers.
 //
 // Send runs on the sender's shard and touches only sender-owned state
 // (cursors, queue metrics, the sender's substrate stream) plus state that
@@ -682,13 +677,10 @@ func (nw *Network) Send(msg Message) bool {
 	ssh := src.sh
 	ssh.trace.Sent++
 	ssh.trace.BytesSent += int64(msg.Size)
-	src.trace.Sent++
-	src.trace.BytesSent += int64(msg.Size)
 	// Mode difference 1: a single heap drops a message to a down
 	// destination here; shards leave it to the delivery-time re-check.
 	if !src.up || (!nw.sharded && !dst.up) || !nw.samePartition(msg.From, msg.To) {
 		ssh.trace.Dropped++
-		src.trace.Dropped++
 		return false
 	}
 	// Loss at either endpoint is an independent drop, so the combined
@@ -699,7 +691,6 @@ func (nw *Network) Send(msg Message) bool {
 	if pa, pb := src.profile.Loss, dst.profile.Loss; pa > 0 || pb > 0 {
 		if p := 1 - (1-pa)*(1-pb); src.srng.Float64() < p {
 			ssh.trace.Dropped++
-			src.trace.Dropped++
 			return false
 		}
 	}
@@ -781,8 +772,8 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// Trace accumulates traffic statistics; the Network holds a network-wide
-// instance and every Node holds its own.
+// Trace accumulates traffic statistics. Each ledger holds one, and
+// Network.Trace sums them; no node keeps its own.
 type Trace struct {
 	Sent           int64
 	Delivered      int64

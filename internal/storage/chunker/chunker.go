@@ -85,11 +85,6 @@ func New(cfg Config) (*Chunker, error) {
 	return c, nil
 }
 
-// Bounds returns the configured (min, avg, max) chunk sizes.
-func (c *Chunker) Bounds() (min, avg, max int) {
-	return c.cfg.MinSize, c.cfg.AvgSize, c.cfg.MaxSize
-}
-
 // appendByte feeds one byte into a reduced polynomial fingerprint.
 func appendByte(h Pol, b byte, pol Pol) Pol {
 	return mod(h<<8|Pol(b), pol)
@@ -165,12 +160,4 @@ func (c *Chunker) Cuts(data []byte) []int {
 		cuts = append(cuts, end)
 	})
 	return cuts
-}
-
-// MaxChunks bounds how many chunks Split can emit for n bytes.
-func (c *Chunker) MaxChunks(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return n/c.cfg.MinSize + 1
 }

@@ -469,11 +469,6 @@ func (c *Client) PinObject(m *Manifest, pl *Placement, done func(acked int)) {
 	c.forEachChunkHolder(m, pl, methodPin, done)
 }
 
-// UnpinObject drops the contract pins (contract expiry or termination).
-func (c *Client) UnpinObject(m *Manifest, pl *Placement, done func(acked int)) {
-	c.forEachChunkHolder(m, pl, methodUnpin, done)
-}
-
 // ReleaseObject tells every holder the object is deleted: each chunk
 // loses one reference. Providers keep the bytes until GC wants the
 // space — dedup means another object may still reference the same chunk,

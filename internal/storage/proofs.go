@@ -51,12 +51,12 @@ func (c *Client) RetAudit(chunkID cryptoutil.Hash, holder ProviderRef, s Sentine
 
 // Proof-of-replication (Filecoin-style, simplified): each replica of a
 // chunk is "sealed" with a provider- and replica-specific keystream before
-// upload. Sealing is deliberately slow (simulated via Provider's
-// sealDelayPerByte), so a provider that stores one copy cannot regenerate
-// the others within a challenge deadline; a provider that claims extra
-// identities still has to store one distinct sealed replica per identity.
-// Sealing is an involution (XOR), so the original data is recoverable from
-// any replica.
+// upload. Sealing is taken to be slower than any challenge deadline, so a
+// provider that stores one copy cannot regenerate the others in time: the
+// model has a provider missing a replica fail its challenge at once, with
+// no sealing time charged. A provider that claims extra identities still
+// has to store one distinct sealed replica per identity. Sealing is an
+// involution (XOR), so the original data is recoverable from any replica.
 
 // Seal transforms chunk data into the sealed replica for (provider,
 // replica). Applying Seal twice with the same parameters restores the

@@ -107,12 +107,6 @@ type Provider struct {
 	// separately from the chunk store.
 	sealed     map[cryptoutil.Hash]map[int][]byte
 	sealedUsed int64
-	// sealDelayPerByte is the simulated cost of the sealing transform;
-	// generation-attack detection relies on it being much larger than the
-	// challenge deadline.
-	sealDelayPerByte time.Duration
-	// Stats.
-	Stores, Serves, Challenges int
 }
 
 // ProviderConfig selects a provider's storage tiering and accounting.
@@ -153,8 +147,7 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 			MemCapacity: cfg.MemCapacity,
 			GC:          cfg.GC,
 		}),
-		sealed:           map[cryptoutil.Hash]map[int][]byte{},
-		sealDelayPerByte: 10 * time.Microsecond,
+		sealed: map[cryptoutil.Hash]map[int][]byte{},
 	}
 	if cfg.Metrics {
 		p.store.AttachMetrics(node.Obs())
@@ -188,7 +181,6 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 					tok.Reply(getResp{}, 8)
 					return
 				}
-				p.Serves++
 				tok.Reply(getResp{Data: data, OK: true}, 16+len(data))
 			})
 		})
@@ -198,7 +190,6 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 				tok.Reply(challengeResp{}, 8)
 				return
 			}
-			p.Challenges++
 			p.fetchFromAccomplice(r.ChunkID, func(data []byte, ok bool) {
 				if !ok {
 					tok.Reply(challengeResp{}, 8)
@@ -213,7 +204,6 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 				tok.Reply(retChallengeResp{}, 8)
 				return
 			}
-			p.Challenges++
 			p.fetchFromAccomplice(r.ChunkID, func(data []byte, ok bool) {
 				if !ok {
 					tok.Reply(retChallengeResp{}, 8)
@@ -297,7 +287,6 @@ func (p *Provider) onPut(from simnet.NodeID, req any) (any, int) {
 	}
 	switch p.cheat {
 	case DropAfterAck, OutsourceFetch:
-		p.Stores++
 		return true, 8 // lie
 	}
 	data := r.Chunk.Data
@@ -308,7 +297,6 @@ func (p *Provider) onPut(from simnet.NodeID, req any) (any, int) {
 	if !p.store.Put(r.Chunk.ID, data) {
 		return false, 8
 	}
-	p.Stores++
 	return true, 8
 }
 
@@ -321,7 +309,6 @@ func (p *Provider) onGet(from simnet.NodeID, req any) (any, int) {
 	if !have {
 		return getResp{}, 8
 	}
-	p.Serves++
 	return getResp{Data: data, OK: true}, 16 + len(data)
 }
 
@@ -376,7 +363,6 @@ func (p *Provider) onChallenge(from simnet.NodeID, req any) (any, int) {
 	if !ok {
 		return challengeResp{}, 8
 	}
-	p.Challenges++
 	data, have := p.store.Peek(r.ChunkID)
 	if !have {
 		return challengeResp{}, 8
@@ -391,7 +377,6 @@ func (p *Provider) onRetChallenge(from simnet.NodeID, req any) (any, int) {
 	if !ok {
 		return retChallengeResp{}, 8
 	}
-	p.Challenges++
 	data, have := p.store.Peek(r.ChunkID)
 	if !have {
 		return retChallengeResp{}, 8
@@ -408,7 +393,6 @@ func (p *Provider) onPutSealed(from simnet.NodeID, req any) (any, int) {
 		return false, 8
 	}
 	if p.cheat == DropAfterAck || p.cheat == OutsourceFetch {
-		p.Stores++
 		return true, 8 // lie, as for plain chunks
 	}
 	if p.cheat == CorruptBits && len(r.Data) > 0 {
@@ -418,7 +402,6 @@ func (p *Provider) onPutSealed(from simnet.NodeID, req any) (any, int) {
 	if p.cheat == DedupReplicas && r.Replica > 0 {
 		// Claim success but store only replica 0; keep the original chunk
 		// (needed for on-demand re-sealing) via replica 0's slot.
-		p.Stores++
 		return true, 8
 	}
 	if p.sealed[r.ChunkID] == nil {
@@ -426,30 +409,26 @@ func (p *Provider) onPutSealed(from simnet.NodeID, req any) (any, int) {
 	}
 	p.sealed[r.ChunkID][r.Replica] = append([]byte{}, r.Data...)
 	p.sealedUsed += int64(len(r.Data))
-	p.Stores++
 	return true, 8
 }
 
 // onRepChallenge answers a proof-of-replication challenge: a Merkle leaf of
-// the sealed replica. Cheating providers can regenerate the sealed data,
-// but regeneration costs sealDelayPerByte — the response arrives after the
-// verifier's deadline (generation-attack detection by timing, as in
-// Filecoin's slow sealing function).
+// the sealed replica. A provider that lacks the replica fails at once; the
+// model charges no sealing time, because a re-seal is taken to be slower
+// than any challenge deadline (generation-attack detection by timing, as
+// in Filecoin's slow sealing function).
 func (p *Provider) onRepChallenge(from simnet.NodeID, req any) (any, int) {
 	r, ok := req.(repChallengeReq)
 	if !ok {
 		return challengeResp{}, 8
 	}
-	p.Challenges++
 	replicas := p.sealed[r.ChunkID]
 	data, have := replicas[r.Replica]
 	if !have {
 		// A DedupReplicas cheater could re-seal the missing replica from
-		// replica 0 on demand, but sealing costs sealDelayPerByte per byte
-		// — far beyond the verifier's challenge deadline. A late response
-		// is indistinguishable from none, so the cheater simply fails the
-		// challenge (generation-attack detection by slow sealing, as in
-		// Filecoin).
+		// replica 0 on demand, but a re-seal would land after the
+		// verifier's deadline, and a late response is indistinguishable
+		// from none. So the cheater fails the challenge here and now.
 		return challengeResp{}, 8
 	}
 	return buildStorageProof(data, r.Leaf)

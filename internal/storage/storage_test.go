@@ -337,6 +337,7 @@ func TestOutsourcerWithOverloadAnswersViaAccomplice(t *testing.T) {
 		t.Fatal("the outsourcer stored the chunk it should only pretend to hold")
 	}
 
+	served := accomplice.Store().Accesses(id)
 	var got getResp
 	simnet.NewRPCNode(client.Node()).Call(outsourcer.Node().ID(), methodGet, id, 40, 10*time.Second,
 		func(resp any, err error) {
@@ -349,7 +350,7 @@ func TestOutsourcerWithOverloadAnswersViaAccomplice(t *testing.T) {
 	if !got.OK || !bytes.Equal(got.Data, data) {
 		t.Fatalf("get answered ok=%v with %d bytes, want the chunk fetched from the accomplice", got.OK, len(got.Data))
 	}
-	if accomplice.Serves == 0 {
+	if accomplice.Store().Accesses(id) == served {
 		t.Error("the accomplice served nothing")
 	}
 }
