@@ -253,7 +253,9 @@ func TestAllocChunkerSplit(t *testing.T) {
 	}
 	data := make([]byte, 64<<10)
 	for i := range data {
-		data[i] = byte(i*2654435761 + i>>8)
+		// uint32 keeps the constant in range on 32-bit targets; the low
+		// byte is the same as with a 64-bit int.
+		data[i] = byte(uint32(i)*2654435761 + uint32(i)>>8)
 	}
 	sink := 0
 	split := func() {

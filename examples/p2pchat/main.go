@@ -66,7 +66,7 @@ func main() {
 	fmt.Println("\n== 2. app instances boot in two 'browsers' over a shared DHT")
 	mkRuntime := func() *webapp.AppRuntime {
 		node := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-		return webapp.NewAppRuntime(node, dht.NewPeer(node, dht.Key{}, dht.Config{}), resolver)
+		return webapp.NewAppRuntime(node, dht.NewPeer(node, dht.Key{}, dht.Config{}))
 	}
 	appAlice := mkRuntime()
 	appBob := mkRuntime()

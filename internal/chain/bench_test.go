@@ -88,7 +88,7 @@ func BenchmarkAddBlock(b *testing.B) {
 		txs[i] = wallets[i%len(wallets)].Pay(wallets[(i+1)%len(wallets)].Address(), 1, 1)
 	}
 	c := NewChain(cfg)
-	blk, err := c.NewBlock(c.Genesis(), txs, time.Second, Address{0x4D})
+	blk, err := c.NewBlock(c.genesis, txs, time.Second, Address{0x4D})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -116,9 +116,6 @@ func (c *Chain) SetObs(r *obs.Registry) {
 // Config returns the chain's configuration.
 func (c *Chain) Config() Config { return c.cfg }
 
-// Genesis returns the genesis block hash.
-func (c *Chain) Genesis() cryptoutil.Hash { return c.genesis }
-
 // Head returns the current best block.
 func (c *Chain) Head() *Block { return c.blocks[c.head].block }
 
@@ -341,25 +338,6 @@ func (c *Chain) forkDepth(oldHead, newHead cryptoutil.Hash) uint64 {
 		a, b = na, nb
 	}
 	return c.Block(oldHead).Header.Height - a.Header.Height
-}
-
-// Ancestors returns up to max block hashes walking back from h (inclusive),
-// newest first. Used by the sync protocol to fetch missing branches.
-func (c *Chain) Ancestors(h cryptoutil.Hash, max int) []cryptoutil.Hash {
-	var out []cryptoutil.Hash
-	for max > 0 {
-		b := c.Block(h)
-		if b == nil {
-			break
-		}
-		out = append(out, h)
-		if b.Header.Height == 0 {
-			break
-		}
-		h = b.Header.Prev
-		max--
-	}
-	return out
 }
 
 // IsOnBestChain reports whether block h lies on the path from genesis to

@@ -104,7 +104,7 @@ func TestStateApplyAndErrors(t *testing.T) {
 
 	tx := &Tx{To: to, Amount: 60, Fee: 5, Nonce: 0, Kind: KindPayment}
 	tx.Sign(kp)
-	if err := st.ApplyTx(tx); err != nil {
+	if err := st.applyTx(tx, tx.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if st.Balance(addr) != 35 || st.Balance(to) != 60 || st.Nonce(addr) != 1 {
@@ -112,19 +112,19 @@ func TestStateApplyAndErrors(t *testing.T) {
 	}
 
 	// Replay (same nonce) must fail.
-	if err := st.ApplyTx(tx); err == nil {
+	if err := st.applyTx(tx, tx.ID()); err == nil {
 		t.Error("replayed tx accepted")
 	}
 	// Overdraft must fail.
 	big := &Tx{To: to, Amount: 1000, Nonce: 1, Kind: KindPayment}
 	big.Sign(kp)
-	if err := st.ApplyTx(big); err == nil {
+	if err := st.applyTx(big, big.ID()); err == nil {
 		t.Error("overdraft accepted")
 	}
 	// Overflow of amount+fee must fail.
 	ovf := &Tx{To: to, Amount: ^uint64(0), Fee: 2, Nonce: 1, Kind: KindPayment}
 	ovf.Sign(kp)
-	if err := st.ApplyTx(ovf); err == nil {
+	if err := st.applyTx(ovf, ovf.ID()); err == nil {
 		t.Error("amount+fee overflow accepted")
 	}
 }
@@ -141,7 +141,7 @@ func TestStateCloneIsolated(t *testing.T) {
 func TestGenesisDeterministic(t *testing.T) {
 	a := testChain(t, nil)
 	b := testChain(t, nil)
-	if a.Genesis() != b.Genesis() {
+	if a.genesis != b.genesis {
 		t.Error("same config produced different genesis")
 	}
 	if a.Height() != 0 || a.Head() == nil {
@@ -395,24 +395,6 @@ func TestDifficultyRetarget(t *testing.T) {
 	}
 }
 
-func TestAncestors(t *testing.T) {
-	c := testChain(t, nil)
-	for i := 0; i < 5; i++ {
-		extend(t, c, nil, Address{1})
-	}
-	anc := c.Ancestors(c.HeadHash(), 3)
-	if len(anc) != 3 || anc[0] != c.HeadHash() {
-		t.Errorf("ancestors = %d entries", len(anc))
-	}
-	all := c.Ancestors(c.HeadHash(), 100)
-	if len(all) != 6 { // 5 blocks + genesis
-		t.Errorf("full walk = %d entries, want 6", len(all))
-	}
-	if c.Ancestors(cryptoutil.Hash{0xFF}, 5) != nil {
-		t.Error("unknown start should return nil")
-	}
-}
-
 func TestMempoolFeeOrderingAndNonceSequence(t *testing.T) {
 	kpA, kpB := testKey(t, 1), testKey(t, 2)
 	st := NewState(map[Address]uint64{kpA.Fingerprint(): 1000, kpB.Fingerprint(): 1000})
@@ -433,8 +415,8 @@ func TestMempoolFeeOrderingAndNonceSequence(t *testing.T) {
 	if pool.Add(a0) {
 		t.Error("duplicate add should report false")
 	}
-	if pool.Len() != 3 {
-		t.Fatalf("len = %d", pool.Len())
+	if len(pool.ids) != 3 {
+		t.Fatalf("len = %d", len(pool.ids))
 	}
 
 	sel := pool.Select(st, 10)
@@ -472,8 +454,8 @@ func TestMempoolSkipsUnaffordableAndGaps(t *testing.T) {
 	if sel := pool.Select(st, 10); len(sel) != 0 {
 		t.Errorf("selected unaffordable tx")
 	}
-	if pool.Len() != 2 {
-		t.Errorf("pool should retain both txs, has %d", pool.Len())
+	if len(pool.ids) != 2 {
+		t.Errorf("pool should retain both txs, has %d", len(pool.ids))
 	}
 }
 
@@ -483,7 +465,7 @@ func TestMempoolEvictsBadSignature(t *testing.T) {
 	pool.Add(bad)
 	st := NewState(nil)
 	pool.Select(st, 10)
-	if pool.Len() != 0 {
+	if len(pool.ids) != 0 {
 		t.Error("invalid-signature tx not evicted")
 	}
 }
@@ -497,7 +479,7 @@ func TestMempoolRemoveMined(t *testing.T) {
 	pool.Add(tx)
 	b := extend(t, c, []*Tx{tx}, Address{3})
 	pool.RemoveMined(b)
-	if pool.Has(tx.ID()) {
+	if pending(pool, tx.ID()) {
 		t.Error("mined tx still pending")
 	}
 }
@@ -529,7 +511,7 @@ func TestSupplyConservationProperty(t *testing.T) {
 				addr := from.Fingerprint()
 				tx := &Tx{To: to, Amount: uint64(rng.Intn(50)), Fee: uint64(rng.Intn(5)), Nonce: nonces[addr], Kind: KindPayment}
 				tx.Sign(from)
-				if c.State().CheckTx(tx) != nil {
+				if c.State().checkTx(tx, tx.ID()) != nil {
 					continue
 				}
 				// Also ensure it applies after earlier txs in this block:
@@ -540,7 +522,7 @@ func TestSupplyConservationProperty(t *testing.T) {
 			st := c.State().Clone()
 			var ok []*Tx
 			for _, tx := range txs {
-				if st.ApplyTx(tx) == nil {
+				if st.applyTx(tx, tx.ID()) == nil {
 					ok = append(ok, tx)
 				}
 			}
@@ -554,7 +536,7 @@ func TestSupplyConservationProperty(t *testing.T) {
 			}
 		}
 		want := uint64(4*1000) + uint64(blocks)*50
-		return c.State().Supply() == want
+		return totalSupply(c.State()) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -585,12 +567,12 @@ func TestWalletSequencesMixedKinds(t *testing.T) {
 	kp := testKey(t, 1)
 	c := testChain(t, map[Address]uint64{kp.Fingerprint(): 1000})
 	w := NewWallet(kp, 0)
-	if w.Address() != kp.Fingerprint() || w.Key() != kp {
+	if w.Address() != kp.Fingerprint() {
 		t.Fatal("wallet identity wrong")
 	}
 	txs := []*Tx{
 		w.Pay(Address{1}, 10, 1),
-		w.Anchor([]byte("document hash"), 1),
+		anchor(w, []byte("document hash"), 1),
 		w.Pay(Address{2}, 20, 1),
 	}
 	for i, tx := range txs {
@@ -606,16 +588,30 @@ func TestWalletSequencesMixedKinds(t *testing.T) {
 	if st.Balance(Address{1}) != 10 || st.Balance(Address{2}) != 20 {
 		t.Error("payments not applied")
 	}
-	if st.Nonce(kp.Fingerprint()) != 3 || w.Nonce() != 3 {
-		t.Errorf("nonces: chain %d wallet %d", st.Nonce(kp.Fingerprint()), w.Nonce())
+	if st.Nonce(kp.Fingerprint()) != 3 || w.NextNonce() != 3 {
+		t.Errorf("nonces: chain %d wallet %d", st.Nonce(kp.Fingerprint()), w.nonce-1)
 	}
-	// SignOp claims the next slot for an externally shaped tx.
-	op := w.SignOp(&Tx{Kind: KindContract, Payload: []byte("{}"), Fee: 1})
-	if op.Nonce != 3 || op.CheckSig() != nil {
-		t.Error("SignOp wrong")
+}
+
+// anchor builds a signed data-commitment transaction at the wallet's next
+// nonce, a kind the wallet has no helper for.
+func anchor(w *Wallet, payload []byte, fee uint64) *Tx {
+	tx := &Tx{Kind: KindAnchor, Payload: payload, Fee: fee, Nonce: w.NextNonce()}
+	tx.Sign(w.key)
+	return tx
+}
+
+// pending reports whether the transaction is pending in m.
+func pending(m *Mempool, id cryptoutil.Hash) bool {
+	_, ok := m.ids[id]
+	return ok
+}
+
+// totalSupply is the sum of every balance in st.
+func totalSupply(st *State) uint64 {
+	var total uint64
+	for i := range st.accounts {
+		total += st.accounts[i].balance
 	}
-	w.SetNonce(10)
-	if w.NextNonce() != 10 {
-		t.Error("SetNonce/NextNonce wrong")
-	}
+	return total
 }

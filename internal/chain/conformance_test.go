@@ -33,7 +33,7 @@ func TestChainRecoveryConformance(t *testing.T) {
 			for i, m := range miners {
 				eligible[i] = m.Node().ID()
 			}
-			sc.Build(seed, eligible, horizon).Apply(nw)
+			sc.Build(seed, eligible, horizon).ApplyAt(nw, 0)
 			for _, m := range miners {
 				m.Start()
 			}
@@ -113,9 +113,9 @@ func TestLateRelayDoesNotWedgeSender(t *testing.T) {
 					missing++
 				}
 			}
-			if missing > 0 || m.Pool().Len() > 0 {
+			if missing > 0 || len(m.Pool().ids) > 0 {
 				t.Errorf("seed %d miner %d: %d of %d payments not on its best chain, %d left in its pool",
-					seed, i, missing, nPay, m.Pool().Len())
+					seed, i, missing, nPay, len(m.Pool().ids))
 			}
 		}
 	}
@@ -149,11 +149,11 @@ func TestReorgReturnsUnminedTxs(t *testing.T) {
 		}
 		return b
 	}
-	abandoned := mine(c.Genesis(), a0, Address{1})
-	if m.Pool().Has(a0.ID()) || m.Pool().Len() != 2 {
-		t.Fatalf("after the first block: a0 pooled %v, pool holds %d, want false and 2", m.Pool().Has(a0.ID()), m.Pool().Len())
+	abandoned := mine(c.genesis, a0, Address{1})
+	if pending(m.Pool(), a0.ID()) || len(m.Pool().ids) != 2 {
+		t.Fatalf("after the first block: a0 pooled %v, pool holds %d, want false and 2", pending(m.Pool(), a0.ID()), len(m.Pool().ids))
 	}
-	side := mine(c.Genesis(), b0, Address{2})
+	side := mine(c.genesis, b0, Address{2})
 	if c.HeadHash() != abandoned.Hash() {
 		t.Fatal("an equal-work side block displaced the head")
 	}
@@ -161,10 +161,10 @@ func TestReorgReturnsUnminedTxs(t *testing.T) {
 	if c.HeadHash() != tip.Hash() {
 		t.Fatal("the heavier side branch did not become the head")
 	}
-	if !m.Pool().Has(a0.ID()) {
+	if !pending(m.Pool(), a0.ID()) {
 		t.Error("the abandoned block's payment did not return to the pool")
 	}
-	if m.Pool().Has(b0.ID()) || m.Pool().Has(b1.ID()) {
-		t.Errorf("adopted payments still pooled: b0 %v, b1 %v", m.Pool().Has(b0.ID()), m.Pool().Has(b1.ID()))
+	if pending(m.Pool(), b0.ID()) || pending(m.Pool(), b1.ID()) {
+		t.Errorf("adopted payments still pooled: b0 %v, b1 %v", pending(m.Pool(), b0.ID()), pending(m.Pool(), b1.ID()))
 	}
 }

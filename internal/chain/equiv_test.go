@@ -152,7 +152,7 @@ func TestWireSizeIsEncodingLength(t *testing.T) {
 	w := NewWallet(testKey(t, 1), 0)
 	for _, tx := range []*Tx{
 		w.Pay(Address{9}, 10, 1),
-		w.Anchor(make([]byte, 700), 2), // longer than the stack scratch
+		anchor(w, make([]byte, 700), 2), // longer than the stack scratch
 		NewCoinbase(Address{3}, 50, 7),
 	} {
 		if got, want := tx.WireSize(), len(tx.appendEncoding(nil, true)); got != want {
@@ -260,7 +260,7 @@ func referenceSelect(pool map[cryptoutil.Hash]*Tx, st *State, max int) []*Tx {
 				continue
 			}
 			tx := seq[i]
-			if work.CheckTx(tx) != nil {
+			if work.checkTx(tx, tx.ID()) != nil {
 				continue
 			}
 			id := tx.ID()
@@ -271,7 +271,7 @@ func referenceSelect(pool map[cryptoutil.Hash]*Tx, st *State, max int) []*Tx {
 		if best == nil {
 			break
 		}
-		if err := work.ApplyTx(best); err != nil {
+		if err := work.applyTx(best, best.ID()); err != nil {
 			break
 		}
 		out = append(out, best)
@@ -363,7 +363,7 @@ func TestSelectMatchesReference(t *testing.T) {
 			}
 			st = st.Clone()
 			for _, tx := range got {
-				if err := st.ApplyTx(tx); err != nil {
+				if err := st.applyTx(tx, tx.ID()); err != nil {
 					t.Fatalf("seed %d round %d: selection does not apply: %v", seed, round, err)
 				}
 				delete(ref, tx.ID())
@@ -405,7 +405,8 @@ func TestSelectSkipsWhatCannotBeMined(t *testing.T) {
 	// payments are selected. (The reference selects nothing, for good.)
 	st := NewState(map[Address]uint64{addr: 100})
 	spent, next, after := pay(0, 1), pay(1, 1), pay(2, 1)
-	if err := st.ApplyTx(pay(0, 5)); err != nil { // another nonce-0 payment was mined
+	mined := pay(0, 5) // another nonce-0 payment was mined
+	if err := st.applyTx(mined, mined.ID()); err != nil {
 		t.Fatal(err)
 	}
 	pool := NewMempool()
@@ -415,8 +416,8 @@ func TestSelectSkipsWhatCannotBeMined(t *testing.T) {
 	if got := pool.Select(st, 10); !same(got, next, after) {
 		t.Errorf("behind a spent nonce: selected %d payments, want the two live ones", len(got))
 	}
-	if pool.Has(spent.ID()) || pool.Len() != 2 {
-		t.Errorf("spent nonce still pooled: %v, pool holds %d", pool.Has(spent.ID()), pool.Len())
+	if pending(pool, spent.ID()) || len(pool.ids) != 2 {
+		t.Errorf("spent nonce still pooled: %v, pool holds %d", pending(pool, spent.ID()), len(pool.ids))
 	}
 
 	// A same-nonce conflict with a later nonce behind it: the winner, then
@@ -431,7 +432,7 @@ func TestSelectSkipsWhatCannotBeMined(t *testing.T) {
 	if got := pool.Select(st, 10); !same(got, rich, later) {
 		t.Errorf("behind a conflict loser: selected %d payments, want the winner and the later nonce", len(got))
 	}
-	if !pool.Has(cheap.ID()) {
+	if !pending(pool, cheap.ID()) {
 		t.Error("conflict loser evicted while its nonce was unspent in the given state")
 	}
 	if got := referenceSelect(map[cryptoutil.Hash]*Tx{rich.ID(): rich, cheap.ID(): cheap, later.ID(): later}, st, 10); !same(got, rich) {
@@ -521,8 +522,8 @@ func TestStateMatchesMapModel(t *testing.T) {
 				}
 				supply += model.balances[a]
 			}
-			if st.Supply() != supply {
-				t.Fatalf("seed %d, %s: supply %d, model %d", seed, what, st.Supply(), supply)
+			if totalSupply(st) != supply {
+				t.Fatalf("seed %d, %s: supply %d, model %d", seed, what, totalSupply(st), supply)
 			}
 			for i := 1; i < len(st.accounts); i++ {
 				if bytes.Compare(st.accounts[i-1].addr[:], st.accounts[i].addr[:]) >= 0 {
@@ -559,7 +560,7 @@ func TestStateMatchesMapModel(t *testing.T) {
 					tx.Amount = ^uint64(0) - 1 // amount+fee overflows when the fee is 2 or 3
 				}
 				tx.Sign(kp)
-				if got, want := st.ApplyTx(tx) == nil, model.apply(tx); got != want {
+				if got, want := st.applyTx(tx, tx.ID()) == nil, model.apply(tx); got != want {
 					t.Fatalf("seed %d op %d: ApplyTx accepted %v, model %v", seed, op, got, want)
 				}
 			}

@@ -96,12 +96,6 @@ func (m *Mempool) Add(tx *Tx) bool {
 	return true
 }
 
-// Has reports whether the transaction is pending.
-func (m *Mempool) Has(id cryptoutil.Hash) bool { _, ok := m.ids[id]; return ok }
-
-// Len returns the number of pending transactions.
-func (m *Mempool) Len() int { return len(m.ids) }
-
 // RemoveMined deletes every transaction included in block b.
 func (m *Mempool) RemoveMined(b *Block) {
 	for _, tx := range b.Txs {

@@ -115,6 +115,8 @@ func (m *Miner) Pool() *Mempool { return m.pool }
 func (m *Miner) Address() Address { return m.address }
 
 // BlocksFound returns how many blocks this miner has discovered.
+//
+//reach:the root scale test checks a long run's miners found blocks
 func (m *Miner) BlocksFound() int { return m.blocksFound }
 
 // SetPeers sets the gossip peer set.

@@ -46,7 +46,7 @@ func TestSealTarget(t *testing.T) {
 		{1 << 30, 1.0 / 32, 1.0 / 8},
 	} {
 		hc := NewHeaderChain(Config{})
-		_, gh := hc.Head()
+		gh := hc.head
 		const tries = 4096
 		accepted := 0
 		for i := 0; i < tries; i++ {

@@ -82,20 +82,8 @@ func (s *State) Balance(addr Address) uint64 { return s.get(addr).balance }
 // Nonce returns the next expected nonce for addr.
 func (s *State) Nonce(addr Address) uint64 { return s.get(addr).nonce }
 
-// Supply returns the sum of all balances.
-func (s *State) Supply() uint64 {
-	var total uint64
-	for i := range s.accounts {
-		total += s.accounts[i].balance
-	}
-	return total
-}
-
-// CheckTx validates a non-coinbase transaction against the state without
-// mutating it.
-func (s *State) CheckTx(tx *Tx) error { return s.checkTx(tx, tx.ID()) }
-
-// checkTx is CheckTx for a caller that already holds the transaction's ID.
+// checkTx validates a non-coinbase transaction, whose ID the caller
+// already holds, against the state without mutating it.
 func (s *State) checkTx(tx *Tx, id cryptoutil.Hash) error {
 	if err := tx.checkSig(id); err != nil {
 		return err
@@ -117,17 +105,15 @@ func (s *State) checkTx(tx *Tx, id cryptoutil.Hash) error {
 	}
 }
 
-// canSpend is the state-dependent rule of CheckTx: the nonce is the
+// canSpend is the state-dependent rule of checkTx: the nonce is the
 // account's next, and the balance covers amount plus fee without overflow.
 func (a account) canSpend(tx *Tx) bool {
 	need := tx.Amount + tx.Fee
 	return tx.Nonce == a.nonce && need >= tx.Amount && a.balance >= need
 }
 
-// ApplyTx validates and applies one non-coinbase transaction.
-func (s *State) ApplyTx(tx *Tx) error { return s.applyTx(tx, tx.ID()) }
-
-// applyTx is ApplyTx for a caller that already holds the transaction's ID.
+// applyTx validates and applies one non-coinbase transaction whose ID the
+// caller already holds.
 func (s *State) applyTx(tx *Tx, id cryptoutil.Hash) error {
 	if err := s.checkTx(tx, id); err != nil {
 		return err

@@ -22,17 +22,6 @@ func NewWallet(key *cryptoutil.KeyPair, nonce uint64) *Wallet {
 // Address returns the wallet's account address.
 func (w *Wallet) Address() Address { return w.key.Fingerprint() }
 
-// Key returns the underlying key pair (for layers that sign their own
-// transaction shapes).
-func (w *Wallet) Key() *cryptoutil.KeyPair { return w.key }
-
-// Nonce returns the next nonce the wallet will use.
-func (w *Wallet) Nonce() uint64 { return w.nonce }
-
-// SetNonce resynchronizes the wallet with chain state (after a reorg or an
-// externally signed transaction).
-func (w *Wallet) SetNonce(n uint64) { w.nonce = n }
-
 // NextNonce returns the current nonce and advances the counter; layers
 // that build their own transactions call this to claim a slot.
 func (w *Wallet) NextNonce() uint64 {
@@ -45,22 +34,6 @@ func (w *Wallet) NextNonce() uint64 {
 // fee.
 func (w *Wallet) Pay(to Address, amount, fee uint64) *Tx {
 	tx := &Tx{To: to, Amount: amount, Fee: fee, Kind: KindPayment, Nonce: w.NextNonce()}
-	tx.Sign(w.key)
-	return tx
-}
-
-// Anchor builds a signed data-commitment transaction carrying payload
-// (e.g. a document hash) with the given fee.
-func (w *Wallet) Anchor(payload []byte, fee uint64) *Tx {
-	tx := &Tx{Kind: KindAnchor, Payload: payload, Fee: fee, Nonce: w.NextNonce()}
-	tx.Sign(w.key)
-	return tx
-}
-
-// SignOp signs an arbitrary prepared transaction shape (kind + payload +
-// amounts) at the wallet's next nonce, returning the same transaction.
-func (w *Wallet) SignOp(tx *Tx) *Tx {
-	tx.Nonce = w.NextNonce()
 	tx.Sign(w.key)
 	return tx
 }

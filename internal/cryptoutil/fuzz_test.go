@@ -2,31 +2,8 @@ package cryptoutil
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
-
-// FuzzParseHash: ParseHash must never panic, must reject everything that
-// is not 64 hex characters, and must round-trip through Hash.String.
-func FuzzParseHash(f *testing.F) {
-	f.Add(strings.Repeat("0", 64))
-	f.Add(strings.Repeat("Ff", 32))
-	f.Add("deadbeef")
-	f.Add("zz")
-	f.Fuzz(func(t *testing.T, s string) {
-		h, err := ParseHash(s)
-		if err != nil {
-			return
-		}
-		if len(s) != 64 {
-			t.Fatalf("accepted %d-character input %q", len(s), s)
-		}
-		again, err := ParseHash(h.String())
-		if err != nil || again != h {
-			t.Fatalf("String/Parse round-trip broke: %v", err)
-		}
-	})
-}
 
 // FuzzParseDHPublic: ParseDHPublic must never panic and every accepted
 // key must re-encode to the exact input bytes.
@@ -99,14 +76,14 @@ func FuzzMerkleProveVerify(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Prove(%d): %v", i, err)
 		}
-		if !VerifyProof(tree.Root(), leaves[i], proof) {
+		if !VerifyProof(treeRoot(tree), leaves[i], proof) {
 			t.Fatalf("valid proof for leaf %d/%d rejected", i, n)
 		}
 		tampered := append(append([]byte(nil), leaves[i]...), 'x')
-		if VerifyProof(tree.Root(), tampered, proof) {
+		if VerifyProof(treeRoot(tree), tampered, proof) {
 			t.Fatalf("tampered leaf %d/%d verified", i, n)
 		}
-		if VerifyProof(tree.Root(), leaves[i], nil) {
+		if VerifyProof(treeRoot(tree), leaves[i], nil) {
 			t.Fatal("nil proof verified")
 		}
 	})

@@ -39,6 +39,8 @@ func SumHashes(parts ...[]byte) Hash {
 }
 
 // String renders the hash as lowercase hex.
+//
+//reach:fmt.Stringer; a hash prints as hex wherever one is logged
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
 // Short returns the first 8 hex characters, for logs and tables.
@@ -46,20 +48,6 @@ func (h Hash) Short() string { return hex.EncodeToString(h[:4]) }
 
 // IsZero reports whether the hash is all zero bytes.
 func (h Hash) IsZero() bool { return h == Hash{} }
-
-// ParseHash decodes a 64-character hex string into a Hash.
-func ParseHash(s string) (Hash, error) {
-	var h Hash
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return h, fmt.Errorf("cryptoutil: parse hash: %w", err)
-	}
-	if len(b) != len(h) {
-		return h, fmt.Errorf("cryptoutil: parse hash: got %d bytes, want %d", len(b), len(h))
-	}
-	copy(h[:], b)
-	return h, nil
-}
 
 // KeyPair is an ed25519 signing identity. The public key doubles as a node
 // or user identifier across the naming, storage, and communication layers.

@@ -77,9 +77,6 @@ func NewMerkleTree(leaves [][]byte) (*MerkleTree, error) {
 	return t, nil
 }
 
-// Root returns the tree's root hash.
-func (t *MerkleTree) Root() Hash { return t.levels[len(t.levels)-1][0] }
-
 // NumLeaves returns the number of leaves the tree was built over.
 func (t *MerkleTree) NumLeaves() int { return len(t.levels[0]) }
 

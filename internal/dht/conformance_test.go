@@ -95,7 +95,7 @@ func TestDHTRecoveryConformance(t *testing.T) {
 // TestDHTConformanceDeterministic: the recovery metric is a pure function
 // of the seed.
 func TestDHTConformanceDeterministic(t *testing.T) {
-	sc, _ := fault.ByName("rolling-churn")
+	sc := fault.RollingChurn()
 	if a, b := dhtConformanceRun(t, 77, sc), dhtConformanceRun(t, 77, sc); a != b {
 		t.Errorf("same seed gave different success rates: %v vs %v", a, b)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -14,24 +13,10 @@ import (
 
 func key(s string) Key { return cryptoutil.SumHash([]byte(s)) }
 
-func TestXorMetricProperties(t *testing.T) {
-	f := func(a, b, c [32]byte) bool {
-		ka, kb, kc := Key(a), Key(b), Key(c)
-		// d(a,a) = 0
-		if XorDistance(ka, ka) != (Key{}) {
-			return false
-		}
-		// symmetry
-		if XorDistance(ka, kb) != XorDistance(kb, ka) {
-			return false
-		}
-		// XOR triangle equality property: d(a,b) ^ d(b,c) == d(a,c)
-		dab, dbc, dac := XorDistance(ka, kb), XorDistance(kb, kc), XorDistance(ka, kc)
-		return XorDistance(dab, dbc) == dac
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+// LookupNode runs an iterative FIND_NODE and returns the K closest
+// contacts to target.
+func (p *Peer) LookupNode(target Key, done func([]Contact)) {
+	p.lookup(target, false, func(cs []Contact, _ []byte, _ bool) { done(cs) })
 }
 
 func TestDistanceLess(t *testing.T) {
@@ -211,11 +196,11 @@ func TestLookupNodeReturnsClosest(t *testing.T) {
 	var best Key
 	first := true
 	for _, p := range peers {
-		if p.ID() == peers[5].ID() {
+		if p.id == peers[5].id {
 			continue
 		}
-		if first || DistanceLess(target, p.ID(), best) {
-			best = p.ID()
+		if first || DistanceLess(target, p.id, best) {
+			best = p.id
 			first = false
 		}
 	}
@@ -300,12 +285,12 @@ func TestDerivedIDStable(t *testing.T) {
 	nw := simnet.New(1)
 	n := nw.AddNode()
 	p1 := NewPeer(n, Key{}, Config{})
-	if p1.ID().IsZero() {
+	if p1.id.IsZero() {
 		t.Error("derived ID should be nonzero")
 	}
 	explicit := key("explicit")
 	p2 := NewPeer(nw.AddNode(), explicit, Config{})
-	if p2.ID() != explicit {
+	if p2.id != explicit {
 		t.Error("explicit ID not respected")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
 )
@@ -188,7 +189,7 @@ func TestDHTTraceDigestPinned(t *testing.T) {
 		fmt.Fprintf(h, "op %d %s\n", i, o)
 	}
 	fmt.Fprintf(h, "trace %+v\n", *nw.Trace())
-	if err := nw.Obs().Snapshot().EncodeJSON(h); err != nil {
+	if err := obs.MergeRegistries([]*obs.Registry{nw.Obs()}).EncodeJSON(h); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range peers {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/obs"
-	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 )
@@ -26,11 +25,6 @@ type Config struct {
 	// RPC (lookup queries, stores, refresh pings). The zero value keeps
 	// the historical fixed-RequestTimeout behaviour.
 	Resilience resil.Config
-	// Overload, when enabled, puts the value-carrying server paths
-	// (find_value, find_node, store) behind server-side overload control
-	// while pings ride the priority control lane — liveness probing keeps
-	// working on a saturated peer. The zero value is a pure passthrough.
-	Overload overload.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -178,21 +172,15 @@ func NewPeer(node *simnet.Node, id Key, cfg Config) *Peer {
 	}
 	p.rt = newRoutingTable(id, p.cfg.K)
 	p.ping = p.Contact()
-	// Pings are pure liveness control — they must keep answering while the
-	// lookup paths queue, or a merely-busy peer gets evicted as dead.
-	ov := overload.New(rpc, cfg.Overload)
-	ov.Control(methodPing, p.onPing)
-	ov.Protect(methodFindNode, p.onFindNode)
-	ov.Protect(methodFindValue, p.onFindValue)
-	ov.Protect(methodStore, p.onStore)
+	rpc.Serve(methodPing, p.onPing)
+	rpc.Serve(methodFindNode, p.onFindNode)
+	rpc.Serve(methodFindValue, p.onFindValue)
+	rpc.Serve(methodStore, p.onStore)
 	if p.cfg.RepublishInterval > 0 {
 		p.scheduleRepublish()
 	}
 	return p
 }
-
-// ID returns the peer's DHT identifier.
-func (p *Peer) ID() Key { return p.id }
 
 // Contact returns this peer's own contact record.
 func (p *Peer) Contact() Contact { return Contact{ID: p.id, Addr: p.rpc.Node().ID()} }
@@ -365,12 +353,6 @@ func (p *Peer) Get(key Key, done func(value []byte, ok bool)) {
 	p.lookup(key, true, func(_ []Contact, value []byte, found bool) {
 		done(value, found)
 	})
-}
-
-// LookupNode runs an iterative FIND_NODE and returns the K closest
-// contacts to target.
-func (p *Peer) LookupNode(target Key, done func([]Contact)) {
-	p.lookup(target, false, func(cs []Contact, _ []byte, _ bool) { done(cs) })
 }
 
 func (p *Peer) scheduleRepublish() {

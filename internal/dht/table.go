@@ -28,15 +28,6 @@ type Contact struct {
 	Addr simnet.NodeID
 }
 
-// XorDistance returns the Kademlia distance a⊕b.
-func XorDistance(a, b Key) Key {
-	var d Key
-	for i := range a {
-		d[i] = a[i] ^ b[i]
-	}
-	return d
-}
-
 // DistanceLess reports whether a is strictly closer to target than b. It
 // compares the distances eight bytes at a time, most significant first.
 func DistanceLess(target, a, b Key) bool {

@@ -73,7 +73,7 @@ func FuzzReconstructArbitraryShards(f *testing.F) {
 			t.Fatalf("New(%d,%d): %v", k, m, err)
 		}
 		// Build n shard slots with fuzz-chosen lengths and nil holes.
-		shards := make([][]byte, c.TotalShards())
+		shards := make([][]byte, c.n)
 		for i := range shards {
 			if nilMask>>uint(i)&1 == 1 {
 				continue

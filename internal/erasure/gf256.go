@@ -84,15 +84,6 @@ func newMatrix(rows, cols int) *matrix {
 func (m *matrix) at(r, c int) byte     { return m.data[r*m.cols+c] }
 func (m *matrix) set(r, c int, v byte) { m.data[r*m.cols+c] = v }
 
-// identityMatrix returns the n×n identity.
-func identityMatrix(n int) *matrix {
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.set(i, i, 1)
-	}
-	return m
-}
-
 // vandermonde returns the rows×cols matrix with entry (r, c) = r**c. Any
 // square submatrix formed from distinct rows is invertible, which is the
 // property Reed–Solomon reconstruction relies on.

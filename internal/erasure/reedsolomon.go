@@ -35,18 +35,6 @@ func New(dataShards, parityShards int) (*Code, error) {
 	return &Code{k: k, n: n, enc: v.mul(topInv)}, nil
 }
 
-// DataShards returns k.
-func (c *Code) DataShards() int { return c.k }
-
-// TotalShards returns n.
-func (c *Code) TotalShards() int { return c.n }
-
-// ParityShards returns n-k.
-func (c *Code) ParityShards() int { return c.n - c.k }
-
-// Overhead returns the storage expansion factor n/k.
-func (c *Code) Overhead() float64 { return float64(c.n) / float64(c.k) }
-
 // Split pads data to a multiple of k and slices it into k equal data
 // shards. The original length must be carried out of band (Join takes it
 // back).
@@ -203,33 +191,4 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 		shards[r] = shard
 	}
 	return nil
-}
-
-// Verify checks that the parity shards are consistent with the data shards.
-// All n shards must be present and equal length.
-func (c *Code) Verify(shards [][]byte) (bool, error) {
-	if len(shards) != c.n {
-		return false, fmt.Errorf("erasure: verify needs %d shards, got %d", c.n, len(shards))
-	}
-	for i, s := range shards {
-		if s == nil {
-			return false, fmt.Errorf("erasure: verify: shard %d missing", i)
-		}
-		if len(s) != len(shards[0]) {
-			return false, errors.New("erasure: verify: unequal shard lengths")
-		}
-	}
-	expected, err := c.Encode(shards[:c.k])
-	if err != nil {
-		return false, err
-	}
-	for r := c.k; r < c.n; r++ {
-		exp, got := expected[r], shards[r]
-		for b := range exp {
-			if exp[b] != got[b] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }

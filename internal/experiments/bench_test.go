@@ -229,3 +229,9 @@ func TestBaselinePerturbationFailsGate(t *testing.T) {
 		t.Fatal("perturbed baseline passed the gate")
 	}
 }
+
+// engineParametric reports whether the arm's outcome is independent of the
+// engine layout under det links. Crashes are outside that contract (the
+// two engines drop a crashed node's in-flight messages at different
+// points), so arms with a fault scenario are not.
+func (a flashArm) engineParametric() bool { return a.scenario == nil }

@@ -18,15 +18,17 @@ import (
 func TestFaultCellOrdersSameInstantEvents(t *testing.T) {
 	const first, last = 2 * time.Minute, 6 * time.Minute
 	nw := simnet.New(1)
-	nw.AddNode()
+	node := nw.AddNode()
 	nw.Run(time.Minute) // a warmed world: the scenario clock starts past zero
 	start := nw.Now()
 	var log []string
 	note := func(what string) { log = append(log, fmt.Sprintf("%v %s", nw.Now()-start, what)) }
 
+	// The plan's two steps crash and restart the node; its observers log them.
+	node.OnDown(func() { note("plan") })
+	node.OnUp(func() { note("plan") })
 	sc := fault.Scenario{Name: "two-steps", Build: func(int64, []simnet.NodeID, time.Duration) *fault.Plan {
-		step := func(*simnet.Network) { note("plan") }
-		return fault.NewPlan().At(first, "first", step).At(last, "last", step)
+		return fault.NewPlan().CrashAt(first, node.ID()).RestartAt(last, node.ID())
 	}}
 	w := faultWorld{
 		nw: nw, msgNodes: 1, sla: time.Second,

@@ -119,12 +119,6 @@ type flashArm struct {
 	det    bool
 }
 
-// engineParametric reports whether the arm's outcome is independent of the
-// engine layout under det links. Crashes are outside that contract (the
-// two engines drop a crashed node's in-flight messages at different
-// points), so arms with a fault scenario are not.
-func (a flashArm) engineParametric() bool { return a.scenario == nil }
-
 // flashScore is the part of an arm's outcome that an engine-parametric
 // arm must reproduce exactly at every engine layout; it compares with ==.
 type flashScore struct {

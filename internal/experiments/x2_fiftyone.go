@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/cryptoutil"
 	"repro/internal/simnet"
 )
 
@@ -84,55 +83,4 @@ func fiftyOneTrial(seed int64, share float64, horizonBlocks int) (bool, int) {
 	attacker.Release()
 	nw.RunAll()
 	return honest.Chain().Reorgs() > 0, lead
-}
-
-// doubleSpend demonstrates the canonical consequence of a successful
-// private-branch attack: a payment confirmed on the public chain vanishes
-// after the reorg. It returns the victim's observed balance before and
-// after the attack branch is published.
-func doubleSpend(seed int64) (before, after uint64) {
-	nw := simnet.New(seed)
-	spacing := 10 * time.Second
-	kp, err := cryptoutil.GenerateKeyPair(nw.Rand())
-	if err != nil {
-		panic(err)
-	}
-	cfg := chain.Config{
-		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
-		Subsidy:           50,
-		GenesisAlloc:      map[chain.Address]uint64{kp.Fingerprint(): 1000},
-	}
-	total := float64(cfg.InitialDifficulty) / spacing.Seconds()
-	miners := newMinerNet(nw, 2, 0, cfg)
-	honest, attacker := miners[0], miners[1]
-	honest.SetHashrate(total * 0.3)
-	attacker.SetHashrate(total * 0.7)
-	attacker.SetWithhold(true)
-	attacker.SetMiningTarget(attacker.Chain().HeadHash())
-
-	victim := chain.Address{0x56}
-	pay := &chain.Tx{To: victim, Amount: 500, Fee: 1, Nonce: 0, Kind: chain.KindPayment}
-	pay.Sign(kp)
-	// The attacker (who colludes with the payer in the classic scenario)
-	// seeds its private mempool with a conflicting, higher-fee spend of the
-	// same nonce back to the payer, so the private branch never includes
-	// the victim's payment.
-	conflict := &chain.Tx{To: kp.Fingerprint(), Amount: 0, Fee: 5, Nonce: 0, Kind: chain.KindPayment}
-	conflict.Sign(kp)
-	attacker.Pool().Add(conflict)
-
-	honest.Start()
-	attacker.Start()
-	nw.After(time.Second, func() { honest.SubmitTx(pay) })
-	nw.Run(20 * spacing)
-	honest.Stop()
-	attacker.Stop()
-	nw.RunAll()
-
-	before = honest.Chain().State().Balance(victim)
-	attacker.Release()
-	nw.RunAll()
-	after = honest.Chain().State().Balance(victim)
-	return before, after
 }

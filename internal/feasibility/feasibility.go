@@ -20,13 +20,6 @@ type Capacity struct {
 	StorageEB float64
 }
 
-// Covers reports whether c meets or exceeds need on every resource.
-func (c Capacity) Covers(need Capacity) bool {
-	return c.BandwidthTbps >= need.BandwidthTbps &&
-		c.Cores >= need.Cores &&
-		c.StorageEB >= need.StorageEB
-}
-
 // String formats the capacity in the paper's Table 3 units.
 func (c Capacity) String() string {
 	return fmt.Sprintf("%.0f Tbps / %.0f M cores / %.0f EB",

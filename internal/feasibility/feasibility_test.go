@@ -32,7 +32,7 @@ func TestTable3ExactPaperNumbers(t *testing.T) {
 	if math.Abs(d.StorageEB-210) > 1e-9 {
 		t.Errorf("device storage = %v EB, want 210", d.StorageEB)
 	}
-	if !d.Covers(c) {
+	if d.BandwidthTbps < c.BandwidthTbps || d.Cores < c.Cores || d.StorageEB < c.StorageEB {
 		t.Error("paper's conclusion — sufficient capacity — does not hold")
 	}
 }
@@ -66,17 +66,6 @@ func TestCapacityString(t *testing.T) {
 	s := PaperCloud().Estimate().String()
 	if !strings.Contains(s, "200 Tbps") || !strings.Contains(s, "400 M cores") || !strings.Contains(s, "80 EB") {
 		t.Errorf("string = %q", s)
-	}
-}
-
-func TestCoversPartialFailure(t *testing.T) {
-	a := Capacity{BandwidthTbps: 10, Cores: 10, StorageEB: 10}
-	b := Capacity{BandwidthTbps: 10, Cores: 11, StorageEB: 10}
-	if a.Covers(b) {
-		t.Error("a lacks cores yet covers b")
-	}
-	if !b.Covers(a) {
-		t.Error("b should cover a")
 	}
 }
 

@@ -31,7 +31,7 @@ func gossipConformanceRun(t testing.TB, seed int64, sc fault.Scenario) float64 {
 	for _, m := range members[1:] {
 		eligible = append(eligible, m.Node().ID())
 	}
-	sc.Build(seed, eligible, horizon).Apply(nw)
+	sc.Build(seed, eligible, horizon).ApplyAt(nw, 0)
 
 	// Publish throughout the fault window, so items land while members are
 	// down, partitioned, and mangled.
@@ -72,7 +72,7 @@ func TestGossipRecoveryConformance(t *testing.T) {
 // TestGossipConformanceDeterministic: the delivery ratio is a pure function
 // of the seed.
 func TestGossipConformanceDeterministic(t *testing.T) {
-	sc, _ := fault.ByName("corrupt-10pct")
+	sc := fault.CorruptTenPct()
 	if a, b := gossipConformanceRun(t, 88, sc), gossipConformanceRun(t, 88, sc); a != b {
 		t.Errorf("same seed gave different ratios: %v vs %v", a, b)
 	}

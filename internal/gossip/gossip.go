@@ -148,16 +148,9 @@ func (m *Member) OnDeliver(f func(Item)) { m.onDeliver = append(m.onDeliver, f) 
 // Has reports whether the member holds the item.
 func (m *Member) Has(id cryptoutil.Hash) bool { _, ok := m.index[id]; return ok }
 
-// Get returns a held item.
-func (m *Member) Get(id cryptoutil.Hash) (Item, bool) {
-	pos, ok := m.index[id]
-	if !ok {
-		return Item{}, false
-	}
-	return *m.log[pos], true
-}
-
 // Len returns how many items the member holds.
+//
+//reach:the root alloc gate checks both members converged before measuring
 func (m *Member) Len() int { return len(m.log) }
 
 // Publish introduces a new item at this member and pushes it to the

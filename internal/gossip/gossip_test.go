@@ -425,3 +425,12 @@ func TestDigestReadWhileSenderAppends(t *testing.T) {
 		t.Error("outcome differs between 1 and 4 workers")
 	}
 }
+
+// Get returns a held item.
+func (m *Member) Get(id cryptoutil.Hash) (Item, bool) {
+	pos, ok := m.index[id]
+	if !ok {
+		return Item{}, false
+	}
+	return *m.log[pos], true
+}

@@ -38,9 +38,6 @@ func NewCentralServer(node *simnet.Node, policy *ModerationPolicy) *CentralServe
 // Node returns the server's simnet node.
 func (s *CentralServer) Node() *simnet.Node { return s.rpc.Node() }
 
-// RoomLen returns how many posts a room holds.
-func (s *CentralServer) RoomLen(room string) int { return len(s.rooms[room]) }
-
 func (s *CentralServer) onPost(from simnet.NodeID, req any) (any, int) {
 	p, ok := req.(Post)
 	if !ok {

@@ -40,7 +40,7 @@ func socialConformanceRun(t testing.TB, seed int64, sc fault.Scenario) float64 {
 	for _, p := range peers[1:] {
 		eligible = append(eligible, p.Node().ID())
 	}
-	sc.Build(seed, eligible, horizon).Apply(nw)
+	sc.Build(seed, eligible, horizon).ApplyAt(nw, 0)
 
 	for i := 0; i < nPosts; i++ {
 		i := i
@@ -76,7 +76,7 @@ func TestSocialRecoveryConformance(t *testing.T) {
 // TestSocialConformanceDeterministic: the delivery ratio is a pure function
 // of the seed.
 func TestSocialConformanceDeterministic(t *testing.T) {
-	sc, _ := fault.ByName("flash-partition")
+	sc := fault.FlashPartition()
 	if a, b := socialConformanceRun(t, 99, sc), socialConformanceRun(t, 99, sc); a != b {
 		t.Errorf("same seed gave different ratios: %v vs %v", a, b)
 	}

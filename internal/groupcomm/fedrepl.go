@@ -56,9 +56,6 @@ func (s *ReplServer) Node() *simnet.Node { return s.rpc.Node() }
 // SetPeers wires the replication mesh (other servers in the federation).
 func (s *ReplServer) SetPeers(peers []simnet.NodeID) { s.member.SetPeers(peers) }
 
-// RoomLen returns how many posts of a room this server has replicated.
-func (s *ReplServer) RoomLen(room string) int { return len(s.rooms[room]) }
-
 func (s *ReplServer) onPost(from simnet.NodeID, req any) (any, int) {
 	p, ok := req.(Post)
 	if !ok {

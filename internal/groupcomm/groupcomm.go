@@ -16,8 +16,9 @@
 //     and readable by the Matrix server that stores it."
 //   - SocialP2P: the socially-aware P2P model (SocialPeer). No servers;
 //     data flows only along socially trusted edges, pushed to friends and
-//     repaired by friend-to-friend anti-entropy, with double-ratchet DMs.
-//     Best privacy, availability limited by friends' uptime.
+//     repaired by friend-to-friend anti-entropy. Best privacy,
+//     availability limited by friends' uptime. The double ratchet
+//     (ratchet.go) encrypts the socialnet example's direct message.
 //
 // All four expose posting and reading so experiment X3/X4 can measure
 // deliverability under failure, and each reports its per-message metadata

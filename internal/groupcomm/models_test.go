@@ -1,11 +1,9 @@
 package groupcomm
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/cryptoutil"
 	"repro/internal/gossip"
 	"repro/internal/resil"
 	"repro/internal/simnet"
@@ -97,7 +95,7 @@ func TestCentralizedPostFetchModeration(t *testing.T) {
 	if len(posts) != 1 || posts[0].Author != "alice" {
 		t.Fatalf("fetch got %d posts", len(posts))
 	}
-	if srv.RoomLen("town-square") != 1 {
+	if len(srv.rooms["town-square"]) != 1 {
 		t.Error("server room length")
 	}
 }
@@ -296,8 +294,8 @@ func TestReplicatedDeliveryEverywhere(t *testing.T) {
 		t.Fatal("post failed")
 	}
 	for i, s := range servers {
-		if s.RoomLen("room") != 1 {
-			t.Errorf("server %d has %d posts, want 1", i, s.RoomLen("room"))
+		if len(s.rooms["room"]) != 1 {
+			t.Errorf("server %d has %d posts, want 1", i, len(s.rooms["room"]))
 		}
 	}
 }
@@ -331,7 +329,7 @@ func TestReplicatedRepairAfterRestart(t *testing.T) {
 	nw.Run(nw.Now() + time.Minute)
 	servers[3].Node().Restart()
 	nw.Run(nw.Now() + 10*time.Minute) // anti-entropy repairs
-	if servers[3].RoomLen("room") != 1 {
+	if len(servers[3].rooms["room"]) != 1 {
 		t.Error("restarted server did not repair history (anti-entropy)")
 	}
 }
@@ -418,36 +416,5 @@ func TestSocialP2PNoOverlapNoDelivery(t *testing.T) {
 	nw.Run(nw.Now() + 10*time.Minute)
 	if b.Has(post.ID) {
 		t.Error("delivery without uptime overlap or common friend should fail — that's the availability cost")
-	}
-}
-
-func TestSocialP2PEncryptedDM(t *testing.T) {
-	nw := simnet.New(15)
-	a := NewSocialPeer(nw.AddNode(), "alice", 0)
-	b := NewSocialPeer(nw.AddNode(), "bob", 0)
-	a.Befriend("bob", b.Node().ID())
-	b.Befriend("alice", a.Node().ID())
-
-	rng := rand.New(rand.NewSource(16))
-	secret := cryptoutil.HKDF([]byte("a-b dm"), nil, nil, 32)
-	bobDH, _ := cryptoutil.GenerateDHKeyPair(rng)
-	ar, err := NewRatchetInitiator(rng, secret, bobDH.Public)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetSession("bob", ar)
-	b.SetSession("alice", NewRatchetResponder(rng, secret, bobDH))
-
-	if !a.SendDM("bob", []byte("secret plan")) {
-		t.Fatal("send failed")
-	}
-	nw.RunAll()
-	inbox := b.Inbox()
-	if len(inbox) != 1 || string(inbox[0].Body) != "secret plan" {
-		t.Fatalf("inbox = %v", inbox)
-	}
-	// No session / no friendship cases.
-	if a.SendDM("carol", []byte("x")) {
-		t.Error("DM to stranger should fail")
 	}
 }

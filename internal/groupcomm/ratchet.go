@@ -27,9 +27,6 @@ type RatchetMsg struct {
 	Ciphertext []byte
 }
 
-// WireSize returns the simulated size in bytes.
-func (m *RatchetMsg) WireSize() int { return 32 + 8 + len(m.Ciphertext) }
-
 func (m *RatchetMsg) header() []byte {
 	buf := make([]byte, 0, 40)
 	buf = append(buf, m.DHPub...)

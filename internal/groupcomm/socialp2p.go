@@ -28,9 +28,6 @@ type SocialPeer struct {
 	// posts[author] holds accepted posts, author ∈ friends ∪ {self}.
 	posts map[UserID][]Post
 	seen  map[cryptoutil.Hash]bool
-	// sessions holds established double-ratchet sessions per peer for DMs.
-	sessions map[UserID]*Ratchet
-	inbox    []Post // decrypted DMs
 	// RefusedNonFriend counts posts rejected by the trust check.
 	RefusedNonFriend int
 	syncEvery        time.Duration
@@ -41,7 +38,6 @@ const (
 	msgSocialPost = "gc.social.post"
 	msgSocialSync = "gc.social.sync" // anti-entropy digest
 	msgSocialWant = "gc.social.want"
-	msgSocialDM   = "gc.social.dm"
 )
 
 type socialPostMsg struct {
@@ -59,11 +55,6 @@ type socialWantMsg struct {
 	Posts []Post
 }
 
-type socialDM struct {
-	From UserID
-	Msg  *RatchetMsg
-}
-
 // NewSocialPeer creates a peer for user on node. syncEvery sets the
 // anti-entropy period (0 disables).
 func NewSocialPeer(node *simnet.Node, user UserID, syncEvery time.Duration) *SocialPeer {
@@ -75,13 +66,11 @@ func NewSocialPeer(node *simnet.Node, user UserID, syncEvery time.Duration) *Soc
 		addrs:     map[UserID]simnet.NodeID{},
 		posts:     map[UserID][]Post{},
 		seen:      map[cryptoutil.Hash]bool{},
-		sessions:  map[UserID]*Ratchet{},
 		syncEvery: syncEvery,
 	}
 	node.Handle(msgSocialPost, p.onPost)
 	node.Handle(msgSocialSync, p.onSync)
 	node.Handle(msgSocialWant, p.onWant)
-	node.Handle(msgSocialDM, p.onDM)
 	if syncEvery > 0 {
 		p.scheduleSync()
 	}
@@ -227,41 +216,3 @@ func (p *SocialPeer) onWant(msg simnet.Message) {
 		p.accept(post)
 	}
 }
-
-// SetSession installs an established double-ratchet session for DMs with
-// peer (session establishment — key exchange — happens out of band via the
-// identity/naming layers).
-func (p *SocialPeer) SetSession(peer UserID, r *Ratchet) { p.sessions[peer] = r }
-
-// SendDM encrypts plaintext to friend and sends it directly. Returns false
-// if there is no session or no friendship.
-func (p *SocialPeer) SendDM(friend UserID, plaintext []byte) bool {
-	sess, ok := p.sessions[friend]
-	if !ok || !p.friends[friend] {
-		return false
-	}
-	msg, err := sess.Encrypt(plaintext, []byte(p.user))
-	if err != nil {
-		return false
-	}
-	return p.node.Send(p.addrs[friend], msgSocialDM, socialDM{From: p.user, Msg: msg}, msg.WireSize()+16)
-}
-
-func (p *SocialPeer) onDM(msg simnet.Message) {
-	m, ok := msg.Payload.(socialDM)
-	if !ok || !p.friends[m.From] {
-		return
-	}
-	sess, ok := p.sessions[m.From]
-	if !ok {
-		return
-	}
-	pt, err := sess.Decrypt(m.Msg, []byte(m.From))
-	if err != nil {
-		return
-	}
-	p.inbox = append(p.inbox, NewPost("dm", m.From, pt, p.node.Now()))
-}
-
-// Inbox returns decrypted direct messages received so far.
-func (p *SocialPeer) Inbox() []Post { return p.inbox }

@@ -43,12 +43,6 @@ func (s *UsenetServer) Node() *simnet.Node { return s.node }
 // SetPeers wires the NNTP feed topology (typically a dense mesh).
 func (s *UsenetServer) SetPeers(peers []simnet.NodeID) { s.peers = peers }
 
-// NumArticles returns how many articles this server carries.
-func (s *UsenetServer) NumArticles() int { return len(s.articles) }
-
-// Has reports whether an article is present.
-func (s *UsenetServer) Has(id cryptoutil.Hash) bool { _, ok := s.articles[id]; return ok }
-
 // PostLocal accepts an article from a locally connected user and floods it
 // to every peer.
 func (s *UsenetServer) PostLocal(group string, author UserID, body []byte) Post {
@@ -86,16 +80,4 @@ func (s *UsenetServer) onArticle(msg simnet.Message) {
 		return
 	}
 	s.accept(p, msg.From)
-}
-
-// Group returns the stored articles of one newsgroup, any-server read —
-// the upside of full replication.
-func (s *UsenetServer) Group(group string) []Post {
-	var out []Post
-	for _, p := range s.articles {
-		if p.Room == group {
-			out = append(out, p)
-		}
-	}
-	return out
 }

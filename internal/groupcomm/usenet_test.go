@@ -34,11 +34,11 @@ func TestUsenetFullReplication(t *testing.T) {
 	post := srvs[0].PostLocal("comp.misc", "alice", []byte("hello usenet"))
 	nw.Run(time.Minute)
 	for i, s := range srvs {
-		if !s.Has(post.ID) {
+		if _, ok := s.articles[post.ID]; !ok {
 			t.Errorf("server %d missing the article (flooding broken)", i)
 		}
-		if s.NumArticles() != 1 {
-			t.Errorf("server %d has %d articles", i, s.NumArticles())
+		if len(s.articles) != 1 {
+			t.Errorf("server %d has %d articles", i, len(s.articles))
 		}
 	}
 	// Any-server read works.
@@ -56,7 +56,7 @@ func TestUsenetDedupAndRelayAccounting(t *testing.T) {
 	nw.Run(time.Minute)
 	// Duplicate reinjection must not double-store.
 	srvs[1].accept(post, -1)
-	if srvs[1].NumArticles() != 1 {
+	if len(srvs[1].articles) != 1 {
 		t.Error("duplicate stored twice")
 	}
 	// Everyone stored exactly the wire size once.
@@ -97,7 +97,19 @@ func TestUsenetPartitionedServerMissesTraffic(t *testing.T) {
 	nw.Run(time.Minute)
 	srvs[2].Node().Restart()
 	nw.Run(time.Minute)
-	if srvs[2].Has(post.ID) {
+	if _, ok := srvs[2].articles[post.ID]; ok {
 		t.Error("dead server should have missed the flood (no NNTP backfill modelled)")
 	}
+}
+
+// Group returns the stored articles of one newsgroup, any-server read —
+// the upside of full replication.
+func (s *UsenetServer) Group(group string) []Post {
+	var out []Post
+	for _, p := range s.articles {
+		if p.Room == group {
+			out = append(out, p)
+		}
+	}
+	return out
 }

@@ -33,6 +33,8 @@ const (
 )
 
 // String returns the mechanism name.
+//
+//reach:fmt.Stringer; a mechanism prints by name wherever one is logged
 func (m Mechanism) String() string {
 	switch m {
 	case MechanismPublicKey:
@@ -55,6 +57,8 @@ type Properties struct {
 }
 
 // Properties returns the paper's assessment of the mechanism.
+//
+//reach:the §3.1 three-mechanism claim row in EXPERIMENTS.md cites TestMechanismProperties
 func (m Mechanism) Properties() Properties {
 	switch m {
 	case MechanismPublicKey:

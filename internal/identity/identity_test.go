@@ -175,24 +175,17 @@ func TestWoTPathFinding(t *testing.T) {
 	w.Endorse(ids["bob"], ids["carol"].Fingerprint())
 
 	a, c, d := ids["alice"].Fingerprint(), ids["carol"].Fingerprint(), ids["dave"].Fingerprint()
-	if !w.Trusts(a, c, 2) {
+	if !w.ReachableSet(a, 2)[c] {
 		t.Error("alice should reach carol in 2 hops")
 	}
-	if w.Trusts(a, c, 1) {
+	if w.ReachableSet(a, 1)[c] {
 		t.Error("alice should not reach carol in 1 hop")
 	}
-	if w.Trusts(a, d, 10) {
+	if w.ReachableSet(a, 10)[d] {
 		t.Error("isolated dave should be unreachable")
 	}
-	if !w.Trusts(a, a, 0) {
-		t.Error("self-trust should hold")
-	}
-	path := w.TrustPath(a, c, 5)
-	if len(path) != 3 || path[0] != a || path[2] != c {
-		t.Errorf("path = %v", path)
-	}
-	if w.NumMembers() != 4 {
-		t.Errorf("members = %d", w.NumMembers())
+	if len(w.members) != 4 {
+		t.Errorf("members = %d", len(w.members))
 	}
 }
 
@@ -229,17 +222,17 @@ func TestWoTSybilAmplification(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := ids["alice"].Fingerprint()
-	if got := w.ReachableFrom(a, 10); got != 1 {
+	if got := len(w.ReachableSet(a, 10)); got != 1 {
 		t.Fatalf("before bridge: alice reaches %d members, want 1 (bob)", got)
 	}
 	// Bob makes one careless endorsement of a single sybil.
 	w.Endorse(ids["bob"], sybils[0])
-	got := w.ReachableFrom(a, 10)
-	if got != 51 { // bob + all 50 sybils
+	trusted := w.ReachableSet(a, 10)
+	if got := len(trusted); got != 51 { // bob + all 50 sybils
 		t.Errorf("after bridge: alice reaches %d, want 51 (full ring amplification)", got)
 	}
 	for _, s := range sybils {
-		if !w.Trusts(a, s, 10) {
+		if !trusted[s] {
 			t.Fatalf("sybil %s not trusted after bridge", s.Short())
 		}
 	}
@@ -250,27 +243,10 @@ func TestReachableDepthBound(t *testing.T) {
 	w.Endorse(ids["a"], ids["b"].Fingerprint())
 	w.Endorse(ids["b"], ids["c"].Fingerprint())
 	a := ids["a"].Fingerprint()
-	if got := w.ReachableFrom(a, 1); got != 1 {
+	if got := len(w.ReachableSet(a, 1)); got != 1 {
 		t.Errorf("depth 1 reaches %d, want 1", got)
 	}
-	if got := w.ReachableFrom(a, 2); got != 2 {
+	if got := len(w.ReachableSet(a, 2)); got != 2 {
 		t.Errorf("depth 2 reaches %d, want 2", got)
-	}
-}
-
-func TestReachableSetMatchesTrusts(t *testing.T) {
-	w, ids := buildWeb(t, "a", "b", "c", "d")
-	w.Endorse(ids["a"], ids["b"].Fingerprint())
-	w.Endorse(ids["b"], ids["c"].Fingerprint())
-	a := ids["a"].Fingerprint()
-	set := w.ReachableSet(a, 2)
-	for name, id := range ids {
-		want := w.Trusts(a, id.Fingerprint(), 2) && name != "a"
-		if set[id.Fingerprint()] != want {
-			t.Errorf("%s: set=%v trusts=%v", name, set[id.Fingerprint()], want)
-		}
-	}
-	if len(set) != w.ReachableFrom(a, 2) {
-		t.Error("set size disagrees with ReachableFrom")
 	}
 }

@@ -33,9 +33,6 @@ func NewWebOfTrust() *WebOfTrust {
 // AddMember registers an identity in the web.
 func (w *WebOfTrust) AddMember(id *Identity) { w.members[id.Fingerprint()] = id }
 
-// NumMembers returns the number of registered identities.
-func (w *WebOfTrust) NumMembers() int { return len(w.members) }
-
 // endorsementMsg is the canonical signed statement.
 func endorsementMsg(from, to cryptoutil.Hash) []byte {
 	msg := make([]byte, 0, 64+12)
@@ -70,45 +67,6 @@ func (w *WebOfTrust) Endorse(signer *Identity, subject cryptoutil.Hash) bool {
 	return true
 }
 
-// TrustPath returns the shortest endorsement path from verifier to subject
-// with at most maxDepth hops, or nil if none exists. A verifier implicitly
-// trusts itself.
-func (w *WebOfTrust) TrustPath(verifier, subject cryptoutil.Hash, maxDepth int) []cryptoutil.Hash {
-	if verifier == subject {
-		return []cryptoutil.Hash{verifier}
-	}
-	type queued struct {
-		fp   cryptoutil.Hash
-		path []cryptoutil.Hash
-	}
-	visited := map[cryptoutil.Hash]bool{verifier: true}
-	queue := []queued{{fp: verifier, path: []cryptoutil.Hash{verifier}}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if len(cur.path)-1 >= maxDepth {
-			continue
-		}
-		for _, next := range w.endorsements[cur.fp] {
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			path := append(append([]cryptoutil.Hash{}, cur.path...), next)
-			if next == subject {
-				return path
-			}
-			queue = append(queue, queued{fp: next, path: path})
-		}
-	}
-	return nil
-}
-
-// Trusts reports whether verifier reaches subject within maxDepth hops.
-func (w *WebOfTrust) Trusts(verifier, subject cryptoutil.Hash, maxDepth int) bool {
-	return w.TrustPath(verifier, subject, maxDepth) != nil
-}
-
 // SybilRing injects n attacker-controlled identities endorsing each other
 // in a hub-and-spoke pattern (the hub endorses every spoke and vice versa
 // — the cheapest topology that makes the whole ring reachable within two
@@ -134,16 +92,8 @@ func (w *WebOfTrust) SybilRing(rand io.Reader, n int) ([]cryptoutil.Hash, error)
 	return fps, nil
 }
 
-// ReachableFrom returns how many distinct members (excluding the verifier)
-// the verifier trusts at maxDepth. Experiments use this to quantify Sybil
-// amplification.
-func (w *WebOfTrust) ReachableFrom(verifier cryptoutil.Hash, maxDepth int) int {
-	return len(w.ReachableSet(verifier, maxDepth))
-}
-
 // ReachableSet returns the set of member fingerprints the verifier trusts
-// within maxDepth hops (excluding the verifier itself). Use this instead
-// of repeated Trusts calls when checking many subjects at once.
+// within maxDepth hops (excluding the verifier itself).
 func (w *WebOfTrust) ReachableSet(verifier cryptoutil.Hash, maxDepth int) map[cryptoutil.Hash]bool {
 	visited := map[cryptoutil.Hash]bool{verifier: true}
 	frontier := []cryptoutil.Hash{verifier}

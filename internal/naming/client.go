@@ -81,8 +81,3 @@ func (cl *Client) Update(name string, value []byte) *chain.Tx {
 func (cl *Client) Transfer(name string, newOwner chain.Address) *chain.Tx {
 	return cl.sign(&Op{Op: OpTransfer, Name: name, NewOwner: newOwner}, 1)
 }
-
-// Renew builds a renewal transaction, paying the fee again.
-func (cl *Client) Renew(name string) *chain.Tx {
-	return cl.sign(&Op{Op: OpRenew, Name: name}, cl.cfg.RequiredFee(name))
-}

@@ -59,16 +59,6 @@ func BuildIndex(c *chain.Chain, cfg Config) *Index {
 	return idx
 }
 
-// Height returns the height of the last applied block.
-func (idx *Index) Height() uint64 { return idx.height }
-
-// Rejected returns how many rule-violating ops were ignored.
-func (idx *Index) Rejected() int { return idx.rejected }
-
-// NumNames returns how many names are currently registered (including
-// expired but not yet re-registered ones).
-func (idx *Index) NumNames() int { return len(idx.names) }
-
 func (idx *Index) applyBlock(b *chain.Block) {
 	h := b.Header.Height
 	idx.height = h
@@ -194,15 +184,4 @@ func (idx *Index) ResolveOwner(name string) (chain.Address, bool) {
 		return chain.Address{}, false
 	}
 	return rec.Owner, true
-}
-
-// Names returns all currently resolvable names.
-func (idx *Index) Names() []string {
-	var out []string
-	for n, rec := range idx.names {
-		if idx.height < rec.ExpiresAt {
-			out = append(out, n)
-		}
-	}
-	return out
 }

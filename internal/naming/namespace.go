@@ -107,17 +107,6 @@ func (idx *Index) Namespace(ns string) (*Namespace, bool) {
 	return n, ok
 }
 
-// Namespaces lists ready namespace IDs.
-func (idx *Index) Namespaces() []string {
-	var out []string
-	for id, n := range idx.namespaces {
-		if n.Ready {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // effectiveRules returns the fee and registration period applying to a
 // name, looking through its namespace (if any). ok is false when the name
 // references a namespace that is not ready.

@@ -183,3 +183,14 @@ func TestUnclaimedSuffixUsesDefaults(t *testing.T) {
 		t.Error("default period not applied")
 	}
 }
+
+// Namespaces lists ready namespace IDs.
+func (idx *Index) Namespaces() []string {
+	var out []string
+	for id, n := range idx.namespaces {
+		if n.Ready {
+			out = append(out, id)
+		}
+	}
+	return out
+}

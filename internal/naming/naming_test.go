@@ -125,7 +125,7 @@ func TestPreorderRegisterResolve(t *testing.T) {
 	if owner, ok := idx.ResolveOwner("alice.id"); !ok || owner != kp.Fingerprint() {
 		t.Error("ResolveOwner mismatch")
 	}
-	if len(idx.Names()) != 1 || idx.NumNames() != 1 {
+	if len(idx.Names()) != 1 || len(idx.names) != 1 {
 		t.Error("names listing wrong")
 	}
 	if len(rec.History) != 1 || rec.History[0].Op != OpRegister {
@@ -142,7 +142,7 @@ func TestRegisterWithoutPreorderRejected(t *testing.T) {
 	if _, ok := idx.Resolve("alice.id"); ok {
 		t.Error("register without preorder accepted")
 	}
-	if idx.Rejected() == 0 {
+	if idx.rejected == 0 {
 		t.Error("rejection not counted")
 	}
 }
@@ -355,8 +355,8 @@ func TestCentralizedRegistrarHappyPath(t *testing.T) {
 	if okReg {
 		t.Error("duplicate registration accepted")
 	}
-	if reg.NumNames() != 1 {
-		t.Errorf("names = %d", reg.NumNames())
+	if len(reg.names) != 1 {
+		t.Errorf("names = %d", len(reg.names))
 	}
 }
 
@@ -414,7 +414,7 @@ func TestZookoTriangleScores(t *testing.T) {
 		if s.Caveat == "" {
 			t.Errorf("%s has no caveat", s.Scheme)
 		}
-		if s.All() {
+		if s.HumanMeaningful && s.Secure && s.Decentralized {
 			all++
 			if s.Scheme != "blockchain" {
 				t.Errorf("%s claims all three corners; only blockchain should", s.Scheme)
@@ -502,7 +502,7 @@ func TestIndexInvariantsProperty(t *testing.T) {
 				return false
 			}
 			// Unexpired and with ascending history.
-			if i1.Height() >= r1.ExpiresAt {
+			if i1.height >= r1.ExpiresAt {
 				return false
 			}
 			for k := 1; k < len(r1.History); k++ {
@@ -527,4 +527,20 @@ func TestIndexInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Renew builds a renewal transaction, paying the fee again.
+func (cl *Client) Renew(name string) *chain.Tx {
+	return cl.sign(&Op{Op: OpRenew, Name: name}, cl.cfg.RequiredFee(name))
+}
+
+// Names returns all currently resolvable names.
+func (idx *Index) Names() []string {
+	var out []string
+	for n, rec := range idx.names {
+		if idx.height < rec.ExpiresAt {
+			out = append(out, n)
+		}
+	}
+	return out
 }

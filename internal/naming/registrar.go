@@ -11,8 +11,10 @@ import (
 // single authoritative server that registers and resolves names instantly.
 // It is fast and convenient — and a single point of failure and control.
 // The registrar can censor (refuse) names and seize (rewrite) them, which
-// no client can detect or prevent; experiment X1 contrasts its latency and
-// availability with the blockchain scheme.
+// no client can detect or prevent. Experiment X1 runs only its Register
+// path, timing registrations against the blockchain scheme's confirmation
+// latency; Resolve, Ban and Seize back the zooko table's
+// centralized-registrar row through unit tests.
 type CentralizedRegistrar struct {
 	rpc    *simnet.RPCNode
 	names  map[string]*Record
@@ -54,20 +56,21 @@ func (r *CentralizedRegistrar) Node() *simnet.Node { return r.rpc.Node() }
 // Ban censors a name: future registrations and resolutions fail. This is
 // the unilateral control the paper's §2 describes ("access to the platform
 // can be unequivocally revoked").
+//
+//reach:the zooko centralized-registrar row cites it
 func (r *CentralizedRegistrar) Ban(name string) {
 	r.banned[name] = true
 	delete(r.names, name)
 }
 
 // Seize rewrites a name's owner — the registrar needs no one's consent.
+//
+//reach:the zooko centralized-registrar row cites it
 func (r *CentralizedRegistrar) Seize(name string, newOwner chain.Address) {
 	if rec, ok := r.names[name]; ok {
 		rec.Owner = newOwner
 	}
 }
-
-// NumNames returns the number of registered names.
-func (r *CentralizedRegistrar) NumNames() int { return len(r.names) }
 
 func (r *CentralizedRegistrar) onRegister(from simnet.NodeID, req any) (any, int) {
 	rr, ok := req.(registerReq)
@@ -81,6 +84,9 @@ func (r *CentralizedRegistrar) onRegister(from simnet.NodeID, req any) (any, int
 	return true, 8
 }
 
+// onResolve answers a client's Resolve.
+//
+//reach:the zooko centralized-registrar row cites it
 func (r *CentralizedRegistrar) onResolve(from simnet.NodeID, req any) (any, int) {
 	name, ok := req.(string)
 	if !ok || r.banned[name] {
@@ -114,6 +120,8 @@ func (c *RegistrarClient) Register(name string, owner chain.Address, value []byt
 // Resolve looks a name up. done receives the record or found=false (also
 // on timeout — an unreachable registrar resolves nothing, which is the
 // availability experiment's point).
+//
+//reach:the zooko centralized-registrar row cites it
 func (c *RegistrarClient) Resolve(name string, done func(rec *Record, found bool)) {
 	c.rpc.Call(c.server, MethodResolve, name, 32+len(name), c.timeout, func(resp any, err error) {
 		if err != nil {

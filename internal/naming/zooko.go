@@ -17,15 +17,13 @@ type TriangleScore struct {
 	Caveat string
 }
 
-// All reports whether the scheme achieves all three corners.
-func (s TriangleScore) All() bool { return s.HumanMeaningful && s.Secure && s.Decentralized }
-
 // TriangleScores returns the assessment of every naming scheme implemented
 // in this repository. The scores are literals; what backs each row:
-//   - centralized-registrar: CentralizedRegistrar.Seize/Ban show the
-//     missing decentralization, in unit tests only
-//     (TestCentralizedRegistrarCensorshipAndSeizure). X1 runs the
-//     registrar, but for its throughput, not its seizures.
+//   - centralized-registrar: CentralizedRegistrar.Seize/Ban and the
+//     resolve path show the missing decentralization, in unit tests only
+//     (TestCentralizedRegistrarCensorshipAndSeizure). X1 runs only the
+//     registrar's Register path, to time registrations; nothing it
+//     prints depends on Resolve, Ban or Seize.
 //   - ca-pki: a stolen identity.CA key (CA.Compromise) forges trusted
 //     certificates, in unit tests only
 //     (identity.TestCACompromiseForgesTrustedCerts).

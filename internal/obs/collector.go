@@ -24,13 +24,6 @@ func (c *Collector) Attach(r *Registry) {
 	c.mu.Unlock()
 }
 
-// Len returns how many registries have attached.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.regs)
-}
-
 // Merged returns the deterministic merge of every attached registry.
 func (c *Collector) Merged() *Snapshot {
 	c.mu.Lock()

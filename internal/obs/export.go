@@ -46,29 +46,6 @@ func histStat(h *Histogram) HistStat {
 	}
 }
 
-// Snapshot runs the publish hooks and exports every metric. The registry
-// remains usable (and accumulating) afterwards.
-func (r *Registry) Snapshot() *Snapshot {
-	r.runPublish()
-	s := &Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]HistStat, len(r.hists)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		if g.IsSet() {
-			s.Gauges[name] = g.Value()
-		}
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = histStat(h)
-	}
-	return s
-}
-
 // MergeRegistries folds several registries into one Snapshot with
 // commutative, order-independent semantics:
 //

@@ -65,10 +65,10 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		return r
 	}
 	var a, b bytes.Buffer
-	if err := build().Snapshot().EncodeJSON(&a); err != nil {
+	if err := MergeRegistries([]*Registry{build()}).EncodeJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := build().Snapshot().EncodeJSON(&b); err != nil {
+	if err := MergeRegistries([]*Registry{build()}).EncodeJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -118,11 +118,11 @@ func TestOnPublishHook(t *testing.T) {
 		calls++
 		reg.Counter("hooked").Set(42)
 	})
-	s := r.Snapshot()
+	s := MergeRegistries([]*Registry{r})
 	if s.Counters["hooked"] != 42 {
 		t.Errorf("publish hook did not run: %v", s.Counters)
 	}
-	_ = r.Snapshot()
+	_ = MergeRegistries([]*Registry{r})
 	if calls != 2 {
 		t.Errorf("hook calls = %d, want 2 (once per snapshot)", calls)
 	}
@@ -135,7 +135,7 @@ func TestCollectorAttach(t *testing.T) {
 	AttachCurrent(r)
 	restore()
 	AttachCurrent(NewRegistry()) // no collector installed: dropped
-	if col.Len() != 1 {
-		t.Errorf("collector holds %d registries, want 1", col.Len())
+	if len(col.regs) != 1 {
+		t.Errorf("collector holds %d registries, want 1", len(col.regs))
 	}
 }

@@ -147,6 +147,9 @@ type ErrOverloaded struct {
 	RetryAfter time.Duration
 }
 
+// Error describes the shed and its pacing hint.
+//
+//reach:the error interface; resil classifies sheds without printing them
 func (e *ErrOverloaded) Error() string {
 	return fmt.Sprintf("server overloaded; retry after %v", e.RetryAfter)
 }
@@ -174,12 +177,6 @@ func Classify(resp any) error {
 // overloaded maps a shed hint to the one *ErrOverloaded Classify returns
 // for it.
 var overloaded sync.Map
-
-// IsShed reports whether an RPC response payload is a shed marker.
-func IsShed(resp any) bool {
-	_, ok := resp.(Shed)
-	return ok
-}
 
 // metricsBundle is the package's network-scoped metric set, resolved once
 // per registry via Memo (see DESIGN.md metric naming conventions).

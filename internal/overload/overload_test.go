@@ -28,7 +28,7 @@ func enabledCfg() Config {
 func TestPassthroughIsPlainServe(t *testing.T) {
 	nw, srv, clients := world(1, 1)
 	s := New(srv, Config{})
-	if s.Enabled() {
+	if s.m != nil {
 		t.Fatal("zero Config must build a passthrough Server")
 	}
 	if s.Limit() != 0 {
@@ -102,9 +102,6 @@ func TestClassifyAndHint(t *testing.T) {
 	if other := Classify(Shed{RetryAfter: time.Second}); other.(*ErrOverloaded).RetryAfter != time.Second {
 		t.Fatalf("hint 1s classified as %v", other)
 	}
-	if !IsShed(Shed{}) || IsShed(42) {
-		t.Fatal("IsShed misclassifies")
-	}
 }
 
 // TestSaturationShedsAndBoundsQueue floods a 1 Mbps origin with far more
@@ -128,7 +125,7 @@ func TestSaturationShedsAndBoundsQueue(t *testing.T) {
 					switch {
 					case err != nil:
 						failed++
-					case IsShed(resp):
+					case isShed(resp):
 						shed++
 						if resp.(Shed).RetryAfter <= 0 {
 							t.Error("shed with non-positive hint")
@@ -137,8 +134,8 @@ func TestSaturationShedsAndBoundsQueue(t *testing.T) {
 						served++
 					}
 				})
-				if s.Depth() > enabledCfg().QueueLen {
-					t.Errorf("queue depth %d exceeds bound %d", s.Depth(), enabledCfg().QueueLen)
+				if s.q.depth() > enabledCfg().QueueLen {
+					t.Errorf("queue depth %d exceeds bound %d", s.q.depth(), enabledCfg().QueueLen)
 				}
 				if l := s.Limit(); l < float64(enabledCfg().MinLimit) || l > float64(enabledCfg().MaxLimit) {
 					t.Errorf("AIMD limit %v outside [%d, %d]", l, enabledCfg().MinLimit, enabledCfg().MaxLimit)
@@ -157,8 +154,8 @@ func TestSaturationShedsAndBoundsQueue(t *testing.T) {
 	offered := r.Counter("overload.offered").Value()
 	admitted := r.Counter("overload.admitted").Value()
 	shedC := r.Counter("overload.shed").Value()
-	if offered == 0 || admitted+shedC+int64(s.Depth()) != offered {
-		t.Fatalf("accounting: offered=%d admitted=%d shed=%d depth=%d", offered, admitted, shedC, s.Depth())
+	if offered == 0 || admitted+shedC+int64(s.q.depth()) != offered {
+		t.Fatalf("accounting: offered=%d admitted=%d shed=%d depth=%d", offered, admitted, shedC, s.q.depth())
 	}
 }
 
@@ -303,7 +300,7 @@ func TestHintLadderScalesWithPressure(t *testing.T) {
 		c := c
 		nw.Schedule(time.Duration(i)*time.Millisecond, func() {
 			c.Call(srv.Node().ID(), "blob.get", nil, 64, 5*time.Minute, func(resp any, err error) {
-				if err == nil && IsShed(resp) {
+				if err == nil && isShed(resp) {
 					hints = append(hints, resp.(Shed).RetryAfter)
 				}
 			})
@@ -365,4 +362,10 @@ func TestRingQueue(t *testing.T) {
 			t.Fatalf("wrap pop = %v, want %d", it.req, want)
 		}
 	}
+}
+
+// isShed reports whether an RPC response payload is a shed marker.
+func isShed(resp any) bool {
+	_, ok := resp.(Shed)
+	return ok
 }

@@ -64,19 +64,15 @@ func New(r *simnet.RPCNode, cfg Config) *Server {
 	return s
 }
 
-// Enabled reports whether the Server is active (false = passthrough).
-func (s *Server) Enabled() bool { return s.m != nil }
-
 // Limit returns the current AIMD concurrency limit (0 when passthrough).
+//
+//reach:the root property test bounds the AIMD limit under random load
 func (s *Server) Limit() float64 {
 	if s.m == nil {
 		return 0
 	}
 	return s.limit
 }
-
-// Depth returns the current service-queue depth.
-func (s *Server) Depth() int { return s.q.depth() }
 
 // Protect registers a bulk-lane method behind the overload queue. The
 // inner handler h runs when the request is admitted — immediately when a

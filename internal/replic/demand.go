@@ -61,26 +61,6 @@ func (r Rate) Value(now time.Duration) float64 {
 	return r.v * decayFactor(now-r.last, r.HalfLife)
 }
 
-// Merge combines two counters observed on the same half-life into one
-// that has seen both observation streams. It is commutative —
-// Merge(a, b) == Merge(b, a) bit for bit, since both sides decay to the
-// same instant (the later of the two timestamps) before their values
-// add — which is what lets per-holder demand views combine in any
-// arrival order. Mismatched half-lives panic: the sum would be
-// meaningless.
-func Merge(a, b Rate) Rate {
-	if a.HalfLife != b.HalfLife {
-		panic("replic: merging rates with different half-lives")
-	}
-	now := a.last
-	if b.last > now {
-		now = b.last
-	}
-	a.decayTo(now)
-	b.decayTo(now)
-	return Rate{HalfLife: a.HalfLife, v: a.v + b.v, last: now}
-}
-
 // pruneBelow is the demand floor under which an entry is dead weight: a
 // fully decayed object whose value can never again cross ColdRate without
 // fresh observations.
@@ -212,21 +192,6 @@ func (d *Demand) Advert(obj cryptoutil.Hash, from simnet.NodeID, rate float64, r
 	}
 }
 
-// DropHolder forgets any advert state from a holder (used when a push to
-// it fails or it retracts).
-func (d *Demand) DropHolder(obj cryptoutil.Hash, holder simnet.NodeID) {
-	e, ok := d.objects[obj]
-	if !ok {
-		return
-	}
-	for i := range e.remote {
-		if e.remote[i].holder == holder {
-			e.remote = append(e.remote[:i], e.remote[i+1:]...)
-			return
-		}
-	}
-}
-
 // RegionRates fills dst (len = regions) with the swarm-wide per-region
 // decayed demand for obj: locally observed region rates plus every
 // advertised breakdown scaled by its advert's decay. dst is reused by the
@@ -265,10 +230,9 @@ func (d *Demand) LocalRegionRates(obj cryptoutil.Hash, now time.Duration, dst []
 	}
 }
 
-// Regions returns the tracker's region count.
-func (d *Demand) Regions() int { return d.regions }
-
 // Len returns how many objects currently carry demand state.
+//
+//reach:the root alloc gate checks the tracker kept its live entries
 func (d *Demand) Len() int { return len(d.objects) }
 
 // Tick garbage-collects fully decayed state: stale neighbor adverts are

@@ -46,39 +46,6 @@ func TestRateAccumulates(t *testing.T) {
 	}
 }
 
-func TestMergeCommutative(t *testing.T) {
-	a := NewRate(30 * time.Second)
-	b := NewRate(30 * time.Second)
-	a.Observe(0)
-	a.Observe(7 * time.Second)
-	b.Observe(3 * time.Second)
-	b.AddAt(19*time.Second, 2.5)
-
-	ab := Merge(a, b)
-	ba := Merge(b, a)
-	if ab != ba {
-		t.Fatalf("Merge not commutative: %+v vs %+v", ab, ba)
-	}
-	// The merged counter equals a single counter that saw both streams.
-	both := NewRate(30 * time.Second)
-	both.Observe(0)
-	both.Observe(3 * time.Second)
-	both.Observe(7 * time.Second)
-	both.AddAt(19*time.Second, 2.5)
-	if math.Abs(ab.Value(60*time.Second)-both.Value(60*time.Second)) > 1e-12 {
-		t.Fatalf("merged %g != combined-stream %g", ab.Value(60*time.Second), both.Value(60*time.Second))
-	}
-}
-
-func TestMergeHalfLifeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge with mismatched half-lives did not panic")
-		}
-	}()
-	Merge(NewRate(time.Second), NewRate(2*time.Second))
-}
-
 func TestLocalRateRecoversSteadyStream(t *testing.T) {
 	// A constant stream of q req/s accumulates q·HalfLife/ln2 of mass at
 	// equilibrium; LocalRate divides that back out and should recover q.
@@ -138,19 +105,6 @@ func TestAdvertOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestDropHolder(t *testing.T) {
-	d := NewDemand(30*time.Second, 1)
-	obj := h(4)
-	d.Advert(obj, 5, 1.0, []float64{1}, 0)
-	d.Advert(obj, 6, 2.0, []float64{2}, 0)
-	d.DropHolder(obj, 5)
-	if got := d.SwarmRate(obj, 0); got != 2.0 {
-		t.Fatalf("SwarmRate after DropHolder = %g, want 2.0", got)
-	}
-	d.DropHolder(obj, 99) // unknown holder is a no-op
-	d.DropHolder(h(9), 6) // unknown object is a no-op
-}
-
 func TestRegionRates(t *testing.T) {
 	d := NewDemand(30*time.Second, 3)
 	obj := h(5)
@@ -173,8 +127,8 @@ func TestRegionRates(t *testing.T) {
 	if dst[2] != 0 || !(dst[1] > dst[0]) {
 		t.Fatalf("LocalRegionRates = %v, want remote excluded and region1 > region0", dst)
 	}
-	if d.Regions() != 3 {
-		t.Fatalf("Regions() = %d", d.Regions())
+	if d.regions != 3 {
+		t.Fatalf("Regions() = %d", d.regions)
 	}
 }
 
@@ -184,15 +138,15 @@ func TestTickPrunesDecayedState(t *testing.T) {
 	d.Observe(cold, 0, 0)
 	d.Advert(cold, 3, 1.0, []float64{1}, 0)
 	d.Observe(hot, 0, 0)
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", d.Len())
+	if len(d.objects) != 2 {
+		t.Fatalf("Len = %d, want 2", len(d.objects))
 	}
 	// 60 half-lives on: cold's mass is ~1e-18, far below the prune floor.
 	later := 60 * time.Second
 	d.Observe(hot, 0, later)
 	d.Tick(later)
-	if d.Len() != 1 {
-		t.Fatalf("Len after prune = %d, want 1 (cold object forgotten)", d.Len())
+	if len(d.objects) != 1 {
+		t.Fatalf("Len after prune = %d, want 1 (cold object forgotten)", len(d.objects))
 	}
 	if d.LocalRate(hot, later) == 0 {
 		t.Fatal("prune dropped a live object")

@@ -142,6 +142,8 @@ func NewDirectoryWith(node *simnet.Node, floorK int, ocfg overload.Config) *Dire
 }
 
 // Node returns the directory's simnet node.
+//
+//reach:experiments' conformance tests check fault plans spare the directory
 func (d *Directory) Node() *simnet.Node { return d.rpc.Node() }
 
 func (d *Directory) onAnnounce(from simnet.NodeID, req any) (any, int) {
@@ -239,17 +241,6 @@ func (d *Directory) onHolders(from simnet.NodeID, req any) (any, int) {
 // NumHolders returns the registered holder count for an object
 // (in-process inspection for experiments and tests).
 func (d *Directory) NumHolders(obj cryptoutil.Hash) int { return len(d.holders[obj]) }
-
-// HoldersOf returns a copy of the registered holder list, origin first
-// (in-process inspection for experiments and tests).
-func (d *Directory) HoldersOf(obj cryptoutil.Hash) []simnet.NodeID {
-	hs := d.holders[obj]
-	out := make([]simnet.NodeID, len(hs))
-	for i := range hs {
-		out[i] = hs[i].id
-	}
-	return out
-}
 
 // TotalReplicas returns the registered replica count across all objects —
 // the X19 replica-count timeline samples exactly this.

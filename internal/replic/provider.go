@@ -133,20 +133,22 @@ func (p *Provider) RPC() *simnet.RPCNode { return simnet.NewRPCNode(p.Node()) }
 func (p *Provider) Holds(obj cryptoutil.Hash) bool { _, ok := p.store[obj]; return ok }
 
 // Pinned reports whether obj is pinned on this provider.
+//
+//reach:experiments' conformance tests check which objects stay held
 func (p *Provider) Pinned(obj cryptoutil.Hash) bool { return p.pinned[obj] }
 
 // NumHeld returns how many objects the provider stores.
+//
+//reach:experiments' conformance tests check which objects stay held
 func (p *Provider) NumHeld() int { return len(p.held) }
 
 // HeldObjects returns a copy of the held-object list, sorted by hash
 // (in-process inspection for experiments and tests).
+//
+//reach:experiments' conformance tests check which objects stay held
 func (p *Provider) HeldObjects() []cryptoutil.Hash {
 	return append([]cryptoutil.Hash(nil), p.held...)
 }
-
-// Demand exposes the provider's demand tracker (tests and experiments
-// inspect it; protocol code never mutates it from outside).
-func (p *Provider) Demand() *Demand { return p.demand }
 
 // Put installs an object locally and announces the registration to the
 // directory. Pinned objects are origins: never released, never decayed.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/simnet"
 )
@@ -342,7 +343,7 @@ func TestReplicNearestRouting(t *testing.T) {
 	}
 	// The serving provider recorded the requester's region.
 	dst := make([]float64, 2)
-	w.provs[1].Demand().LocalRegionRates(obj, w.provs[1].Node().Now(), dst)
+	w.provs[1].demand.LocalRegionRates(obj, w.provs[1].Node().Now(), dst)
 	if dst[1] == 0 || dst[0] != 0 {
 		t.Fatalf("demand region split = %v, want all in region 1", dst)
 	}
@@ -405,7 +406,7 @@ func TestReplicDisabledIsStatic(t *testing.T) {
 			t.Fatal("disabled layer pushed a replica")
 		}
 	}
-	snap := w.nw.Obs().Snapshot()
+	snap := obs.MergeRegistries([]*obs.Registry{w.nw.Obs()})
 	for name := range snap.Counters {
 		if strings.HasPrefix(name, "resil.") {
 			t.Fatalf("disabled layer registered %s: a resilience client was built", name)
@@ -539,4 +540,15 @@ func TestReplicHedgeFailsBeforePrimary(t *testing.T) {
 	if got := m.nearestHit.Value(); got != 1 {
 		t.Fatalf("replic.route.nearest_hit = %d, want 1: rank 0's win was credited to another rank", got)
 	}
+}
+
+// HoldersOf returns a copy of the registered holder list, origin first
+// (in-process inspection for experiments and tests).
+func (d *Directory) HoldersOf(obj cryptoutil.Hash) []simnet.NodeID {
+	hs := d.holders[obj]
+	out := make([]simnet.NodeID, len(hs))
+	for i := range hs {
+		out[i] = hs[i].id
+	}
+	return out
 }

@@ -125,9 +125,3 @@ func (b *Breaker) observe(outcome float64) {
 	b.rate = rateDecay*b.rate + (1-rateDecay)*outcome
 	b.samples++
 }
-
-// State returns the current machine state.
-func (b *Breaker) State() BreakerState { return b.state }
-
-// Opens counts transitions into the open state over the breaker's life.
-func (b *Breaker) Opens() int { return b.opens }

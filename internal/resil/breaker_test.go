@@ -19,8 +19,8 @@ func TestBreakerConsecutiveTrip(t *testing.T) {
 	if !b.Failure(now) {
 		t.Fatal("breaker did not open at the trip threshold")
 	}
-	if b.State() != BreakerOpen || b.Opens() != 1 {
-		t.Fatalf("state=%v opens=%d after trip", b.State(), b.Opens())
+	if b.state != BreakerOpen || b.opens != 1 {
+		t.Fatalf("state=%v opens=%d after trip", b.state, b.opens)
 	}
 	if b.Allow(now + breakerCooldown/2) {
 		t.Fatal("open breaker admitted a call before cooldown")
@@ -37,8 +37,8 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if !b.Allow(probeAt) {
 		t.Fatal("cooldown elapsed but no probe admitted")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after probe admission = %v, want half-open", b.State())
+	if b.state != BreakerHalfOpen {
+		t.Fatalf("state after probe admission = %v, want half-open", b.state)
 	}
 	if b.Allow(probeAt) {
 		t.Fatal("second call admitted while probe outstanding")
@@ -55,8 +55,8 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 	// Probe success: closed, ladder reset.
 	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after probe success = %v, want closed", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state after probe success = %v, want closed", b.state)
 	}
 	if b.cooldown != breakerCooldown {
 		t.Fatalf("cooldown ladder not reset: %v", b.cooldown)
@@ -93,7 +93,7 @@ func TestBreakerRateTrip(t *testing.T) {
 		b.Failure(now)
 		b.Failure(now)
 	}
-	if b.State() != BreakerClosed {
+	if b.state != BreakerClosed {
 		t.Fatalf("breaker opened at a 1-in-3 success rate (rate %.3f), floor is %v", b.rate, breakerSuccessFloor)
 	}
 	// A run of breakerTrip failures opens it; a probe success closes it
@@ -140,6 +140,6 @@ func TestBreakerMinSamplesGate(t *testing.T) {
 		t.Fatal("the rate never sank under the floor: the gate was not tested")
 	}
 	if !b.Failure(0) || b.consec >= breakerTrip {
-		t.Fatalf("outcome %d did not open on the rate: state=%v consec=%d", breakerMinSamples, b.State(), b.consec)
+		t.Fatalf("outcome %d did not open on the rate: state=%v consec=%d", breakerMinSamples, b.state, b.consec)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -109,7 +110,7 @@ func TestWrapDisabledIsRPCNode(t *testing.T) {
 // resilMetricNames lists the resil.* counters and histograms registered on
 // nw.
 func resilMetricNames(nw *simnet.Network) []string {
-	snap := nw.Obs().Snapshot()
+	snap := obs.MergeRegistries([]*obs.Registry{nw.Obs()})
 	var names []string
 	for name := range snap.Counters {
 		if strings.HasPrefix(name, "resil.") {

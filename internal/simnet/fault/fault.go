@@ -34,14 +34,14 @@ type Step struct {
 	do   func(nw *simnet.Network, st *applyState)
 }
 
-// applyState is per-Apply scratch shared by paired steps (degrade/restore),
+// applyState is per-ApplyAt scratch shared by paired steps (degrade/restore),
 // so one Plan can be applied to any number of networks independently.
 type applyState struct {
 	savedProfiles map[simnet.NodeID]simnet.LinkProfile
 }
 
 // Plan is a deterministic schedule of fault steps. Build one with the
-// typed At-helpers (or the raw At), then Apply it to a network before Run.
+// typed At-helpers, then ApplyAt it to a network before Run.
 // The zero Plan is valid and injects nothing.
 type Plan struct {
 	steps []Step
@@ -49,12 +49,6 @@ type Plan struct {
 
 // NewPlan returns an empty plan.
 func NewPlan() *Plan { return &Plan{} }
-
-// At appends a raw step running do at virtual time at. Prefer the typed
-// helpers; At is the escape hatch for scenario-specific actions.
-func (p *Plan) At(at time.Duration, desc string, do func(nw *simnet.Network)) *Plan {
-	return p.add(at, desc, func(nw *simnet.Network, _ *applyState) { do(nw) })
-}
 
 func (p *Plan) add(at time.Duration, desc string, do func(nw *simnet.Network, st *applyState)) *Plan {
 	p.steps = append(p.steps, Step{At: at, Desc: desc, do: do})
@@ -182,16 +176,13 @@ func (p *Plan) End() time.Duration {
 	return end
 }
 
-// Apply schedules every step on the network's event engine. A plan may be
-// applied to several networks (or the same network under several seeds);
-// each Apply gets independent scratch state, so paired degrade/restore
-// steps never leak between runs.
-func (p *Plan) Apply(nw *simnet.Network) { p.ApplyAt(nw, 0) }
-
-// ApplyAt is Apply with every step time shifted by base. Use it when the
-// workload needs fault-free setup time (bootstrap, initial publishes)
-// before the scenario clock starts: build the plan against the horizon of
-// the measured window and apply it at base = nw.Now().
+// ApplyAt schedules every step on the network's event engine, its time
+// shifted by base. The shift gives the workload fault-free setup time
+// (bootstrap, initial publishes) before the scenario clock starts: build
+// the plan against the horizon of the measured window and apply it at
+// base = nw.Now(). A plan may be applied to several networks (or the same
+// network under several seeds); each ApplyAt gets independent scratch
+// state, so paired degrade/restore steps never leak between runs.
 func (p *Plan) ApplyAt(nw *simnet.Network, base time.Duration) {
 	st := &applyState{savedProfiles: map[simnet.NodeID]simnet.LinkProfile{}}
 	for _, s := range p.Steps() {
@@ -201,6 +192,8 @@ func (p *Plan) ApplyAt(nw *simnet.Network, base time.Duration) {
 }
 
 // String renders the schedule, one step per line, in execution order.
+//
+//reach:fmt.Stringer; a plan prints itself when a test or a user logs it
 func (p *Plan) String() string {
 	var b strings.Builder
 	for _, s := range p.Steps() {

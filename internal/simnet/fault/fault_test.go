@@ -69,14 +69,27 @@ func TestScenariosOnlyTouchEligibleNodes(t *testing.T) {
 	eligible := ids(12)[1:] // node 0 excluded
 	for _, sc := range Scenarios() {
 		plan := sc.Build(99, eligible, 10*time.Minute)
-		plan.Apply(nw)
+		plan.ApplyAt(nw, 0)
 	}
+	// A skewed clock would stretch or shrink the anchor's one-second timers.
+	skewed := 0
+	var tick func()
+	tick = func() {
+		start := nw.Now()
+		anchor.After(time.Second, func() {
+			if nw.Now()-start != time.Second {
+				skewed++
+			}
+			tick()
+		})
+	}
+	tick()
 	nw.Run(10 * time.Minute)
 	if anchor.Crashes() != 0 {
 		t.Errorf("anchor node crashed %d times despite being ineligible", anchor.Crashes())
 	}
-	if anchor.ClockSkew() != 1 {
-		t.Errorf("anchor clock skewed to %v", anchor.ClockSkew())
+	if skewed != 0 {
+		t.Errorf("anchor clock skewed: %d one-second timers fired off time", skewed)
 	}
 }
 
@@ -87,7 +100,7 @@ func TestPlanCrashRestart(t *testing.T) {
 	NewPlan().
 		CrashAt(time.Minute, n.ID()).
 		RestartAt(2*time.Minute, n.ID()).
-		Apply(nw)
+		ApplyAt(nw, 0)
 	nw.Run(30 * time.Second)
 	if !n.Up() {
 		t.Fatal("node down before plan's crash time")
@@ -114,8 +127,8 @@ func TestPlanPartitionHeal(t *testing.T) {
 	b.Handle("ping", func(simnet.Message) { got++ })
 	NewPlan().
 		PartitionAt(time.Minute, nil, []simnet.NodeID{b.ID()}).
-		HealAt(2 * time.Minute).
-		Apply(nw)
+		HealAt(2*time.Minute).
+		ApplyAt(nw, 0)
 
 	// One send per phase: before partition, during, after heal.
 	nw.Schedule(30*time.Second, func() { a.Send(b.ID(), "ping", nil, 16) })
@@ -128,7 +141,7 @@ func TestPlanPartitionHeal(t *testing.T) {
 }
 
 // TestDegradeRestoreRoundTrips: RestoreLinksAt reinstates the exact
-// pre-degradation profile, and a second Apply starts from fresh scratch
+// pre-degradation profile, and a second ApplyAt starts from fresh scratch
 // state.
 func TestDegradeRestoreRoundTrips(t *testing.T) {
 	plan := NewPlan().
@@ -138,7 +151,7 @@ func TestDegradeRestoreRoundTrips(t *testing.T) {
 		nw := simnet.New(3)
 		n := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 		want := n.Profile()
-		plan.Apply(nw)
+		plan.ApplyAt(nw, 0)
 		nw.Run(90 * time.Second)
 		mid := n.Profile()
 		if mid.Loss != 0.3 || mid.Latency != want.Latency+10*time.Millisecond {
@@ -174,9 +187,9 @@ func TestScenarioRunDeterminism(t *testing.T) {
 			nodes := make([]*simnet.Node, n)
 			for i := range nodes {
 				nodes[i] = nw.AddNode()
-				nodes[i].HandleDefault(func(simnet.Message) {})
+				nodes[i].Handle("tick", func(simnet.Message) {})
 			}
-			sc.Build(1234, ids(n), 20*time.Minute).Apply(nw)
+			sc.Build(1234, ids(n), 20*time.Minute).ApplyAt(nw, 0)
 			// Workload: every node pings its ring successor every second.
 			for i, src := range nodes {
 				src, dst := src, nodes[(i+1)%n]
@@ -209,8 +222,8 @@ func TestCorruptScenarioManglesTraffic(t *testing.T) {
 	run := func(sc Scenario) simnet.Trace {
 		nw := simnet.New(5)
 		a, b := nw.AddNode(), nw.AddNode()
-		b.HandleDefault(func(simnet.Message) {})
-		sc.Build(5, []simnet.NodeID{a.ID(), b.ID()}, 10*time.Minute).Apply(nw)
+		b.Handle("x", func(simnet.Message) {})
+		sc.Build(5, []simnet.NodeID{a.ID(), b.ID()}, 10*time.Minute).ApplyAt(nw, 0)
 		for i := 0; i < 600; i++ {
 			i := i
 			nw.Schedule(time.Duration(i)*time.Second, func() { a.Send(b.ID(), "x", nil, 64) })
@@ -256,7 +269,7 @@ func TestSustainedChurnContract(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		nw.AddNode()
 	}
-	sc.Build(99, nodes, 10*time.Minute).Apply(nw)
+	sc.Build(99, nodes, 10*time.Minute).ApplyAt(nw, 0)
 	nw.Run(10 * time.Minute)
 	if nw.Node(0).Crashes() != 0 {
 		t.Error("anchor node crashed despite being ineligible")

@@ -31,6 +31,8 @@ type Scenario struct {
 // RecoveryPoint returns the virtual time by which every scenario's faults
 // have cleared: the final fifth of the horizon is guaranteed fault-free,
 // and recovery invariants are asserted against it.
+//
+//reach:experiments' conformance tests assert recovery invariants from it
 func RecoveryPoint(horizon time.Duration) time.Duration { return horizon * 4 / 5 }
 
 // Per-scenario salts for Rand, so scenarios sharing a seed draw
@@ -193,16 +195,6 @@ func SustainedChurn() Scenario {
 // conformance suite and the X14 recovery matrix iterate exactly this list.
 func Scenarios() []Scenario {
 	return []Scenario{Clean(), LossyEdge(), FlashPartition(), RollingChurn(), CorruptTenPct()}
-}
-
-// ByName returns the named scenario from the battery.
-func ByName(name string) (Scenario, bool) {
-	for _, sc := range Scenarios() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
 }
 
 // pick returns k distinct nodes drawn without replacement, in a

@@ -53,7 +53,9 @@ func TestLinkFaultReorderInvertsOrder(t *testing.T) {
 	nw := New(23)
 	a, b := nw.AddNode(), nw.AddNode()
 	var order []string
-	b.HandleDefault(func(m Message) { order = append(order, m.Kind) })
+	note := func(m Message) { order = append(order, m.Kind) }
+	b.Handle("first", note)
+	b.Handle("second", note)
 
 	nw.SetLinkFault(LinkFault{Reorder: 1, HoldBack: time.Second})
 	a.Send(b.ID(), "first", nil, 8)
@@ -75,7 +77,7 @@ func TestZeroLinkFaultPreservesEventStream(t *testing.T) {
 	run := func(touch bool) Trace {
 		nw := New(99)
 		a, b := nw.AddNodeWithProfile(HomeBroadbandProfile()), nw.AddNodeWithProfile(HomeBroadbandProfile())
-		b.HandleDefault(func(Message) {})
+		b.Handle("x", func(Message) {})
 		if touch {
 			nw.SetLinkFault(LinkFault{})
 		}
@@ -120,12 +122,12 @@ func TestClockSkewResets(t *testing.T) {
 	nw := New(32)
 	n := nw.AddNode()
 	n.SetClockSkew(1.5)
-	if n.ClockSkew() != 1.5 {
-		t.Fatalf("skew = %v, want 1.5", n.ClockSkew())
+	if n.clockRate != 1.5 {
+		t.Fatalf("skew = %v, want 1.5", n.clockRate)
 	}
 	n.SetClockSkew(0)
-	if n.ClockSkew() != 1 {
-		t.Fatalf("skew after reset = %v, want 1", n.ClockSkew())
+	if n.clockRate != 1 {
+		t.Fatalf("skew after reset = %v, want 1", n.clockRate)
 	}
 }
 

@@ -13,14 +13,15 @@ func TestLossComposition(t *testing.T) {
 	nw := New(7)
 	src := nw.AddNodeWithProfile(LinkProfile{Loss: 0.2})
 	dst := nw.AddNodeWithProfile(LinkProfile{Loss: 0.2})
-	dst.HandleDefault(func(m Message) {})
+	dst.Handle("x", func(m Message) {})
 	const n = 20000
 	for i := 0; i < n; i++ {
 		src.Send(dst.ID(), "x", nil, 1)
 	}
 	nw.RunAll()
 	want := (1 - 0.2) * (1 - 0.2) // 0.64 delivery rate
-	rate := nw.Trace().DeliveryRate()
+	tr := nw.Trace()
+	rate := float64(tr.Delivered) / float64(tr.Sent)
 	if math.Abs(rate-want) > 0.02 {
 		t.Errorf("delivery rate = %.4f, want ≈%.2f (independent composition)", rate, want)
 	}
@@ -39,7 +40,7 @@ func TestLostMessageDoesNotOccupyUplink(t *testing.T) {
 	// uplink per message if the implementation (wrongly) serialized drops.
 	src := nw.AddNodeWithProfile(LinkProfile{UplinkBps: 8e6, Loss: 1})
 	dst := nw.AddNodeWithProfile(LinkProfile{})
-	dst.HandleDefault(func(m Message) {})
+	dst.Handle("x", func(m Message) {})
 	for i := 0; i < 10; i++ {
 		src.Send(dst.ID(), "x", nil, 1_000_000)
 	}

@@ -36,8 +36,7 @@ type Node struct {
 	// handlers holds one entry per registered message kind, in
 	// registration order. A node registers one to four kinds, so a scan
 	// beats a map probe on every delivery.
-	handlers       []kindHandler
-	defaultHandler Handler
+	handlers []kindHandler
 	// rpc is the node's shared request/response layer, created lazily by
 	// NewRPCNode.
 	rpc *RPCNode
@@ -74,7 +73,7 @@ func (n *Node) nextOseq() uint64 {
 // seed alone, never of which shard or worker produced them.
 func (n *Node) key() (origin, oseq uint64) {
 	if !n.nw.sharded {
-		return 0, n.sh.draw(0)
+		return 0, n.sh.draw()
 	}
 	return uint64(n.id) + 1, n.nextOseq()
 }
@@ -128,21 +127,13 @@ func (n *Node) Up() bool { return n.up }
 // SetClockSkew sets the node's clock-rate multiplier: rate 1 is a perfect
 // clock, 1.1 runs 10% fast (local timers fire early in network time), 0.9
 // runs 10% slow. Rates <= 0 reset to 1. Protocol layers that schedule
-// periodic work through Node.After / Node.AfterTimer inherit the skew;
+// periodic work through Node.After / Node.AfterCall inherit the skew;
 // fault plans use this to model drifting device clocks.
 func (n *Node) SetClockSkew(rate float64) {
 	if rate <= 0 {
 		rate = 1
 	}
 	n.clockRate = rate
-}
-
-// ClockSkew returns the node's clock-rate multiplier (1 when unset).
-func (n *Node) ClockSkew() float64 {
-	if n.clockRate == 0 {
-		return 1
-	}
-	return n.clockRate
 }
 
 // skewed converts a duration on the node's local clock into network time.
@@ -158,12 +149,6 @@ func (n *Node) skewed(d time.Duration) time.Duration {
 // rounds, audit epochs, RPC timeouts) must be scheduled through the node,
 // not the network, so fault plans can skew them.
 func (n *Node) After(d time.Duration, fn func()) { n.schedule(n.Now()+n.skewed(d), fn, nil, nil) }
-
-// AfterTimer is After returning a cancellable Timer handle.
-func (n *Node) AfterTimer(d time.Duration, fn func()) Timer {
-	e := n.schedule(n.Now()+n.skewed(d), fn, nil, nil)
-	return Timer{e: e, gen: e.gen}
-}
 
 // AfterCall is the closure-free variant of After: h runs with arg after d
 // of the node's local clock time. Per-message and per-call paths (RPC
@@ -199,10 +184,6 @@ func (n *Node) lookup(kind string) *kindHandler {
 	}
 	return nil
 }
-
-// HandleDefault registers a catch-all handler for kinds with no specific
-// handler.
-func (n *Node) HandleDefault(h Handler) { n.defaultHandler = h }
 
 // Send transmits a message from this node on the bulk lane.
 func (n *Node) Send(to NodeID, kind string, payload any, size int) bool {
@@ -356,25 +337,15 @@ func (n *Node) OnUp(f func()) { n.onUp = append(n.onUp, f) }
 func (n *Node) OnDown(f func()) { n.onDown = append(n.onDown, f) }
 
 // Crashes returns how many times the node has crashed.
+//
+//reach:experiments' conformance tests read it to check fault plans spare anchors
 func (n *Node) Crashes() int { return n.crashes }
 
 // Downtime returns the cumulative time the node has spent down (not
 // counting an in-progress outage).
+//
+//reach:experiments' conformance tests read it to check fault plans spare anchors
 func (n *Node) Downtime() time.Duration { return n.downtime }
-
-// Availability returns the fraction of elapsed virtual time the node has
-// been up, in [0, 1]. Returns 1 when no time has elapsed.
-func (n *Node) Availability() float64 {
-	elapsed := n.Now()
-	if elapsed == 0 {
-		return 1
-	}
-	down := n.downtime
-	if !n.up {
-		down += elapsed - n.downAt
-	}
-	return 1 - float64(down)/float64(elapsed)
-}
 
 // Churn drives a node through an alternating up/down renewal process with
 // exponentially distributed time-to-failure and time-to-repair. It models

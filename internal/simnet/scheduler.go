@@ -17,7 +17,7 @@ import (
 //     "schedule order" (every origin 0) and the sharded mode's
 //     layout-independent per-node order.
 //   - Events live in an indexed binary heap: each event records its heap
-//     position, so cancellation and rescheduling are O(log n) instead of
+//     position, so cancellation is O(log n) instead of
 //     requiring lazy tombstones that bloat the queue.
 //   - Events are recycled through a sync.Pool and carry a handler+argument
 //     pair (EventFunc + arg) instead of a captured closure, so the message
@@ -68,9 +68,6 @@ type engine struct {
 	now  time.Duration
 	seq  uint64 // origin 0's sequence counter
 	heap []*event
-	// nw is set on a Network's queues, whose events may be keyed by node:
-	// re-keying such an event draws that node's counter.
-	nw *Network
 	// pool recycles this queue's events. An event always returns to the
 	// queue that owned it, so the gen and pos a stale Timer handle inspects
 	// are only ever written by that queue's own goroutine; a pool shared
@@ -87,30 +84,18 @@ type Timer struct {
 }
 
 // Active reports whether the timer is still pending (not fired, not
-// cancelled, not rescheduled away by another handle).
+// cancelled).
 func (t Timer) Active() bool {
 	return t.e != nil && t.e.gen == t.gen && t.e.pos >= 0
-}
-
-// When returns the virtual time the timer will fire at, or 0 if inactive.
-func (t Timer) When() time.Duration {
-	if !t.Active() {
-		return 0
-	}
-	return t.e.at
 }
 
 // Now returns the current virtual time.
 func (en *engine) Now() time.Duration { return en.now }
 
-// draw returns origin's next sequence number: origin 0 counts on the queue
-// itself, origin >= 1 on the node it names.
-func (en *engine) draw(origin uint64) uint64 {
-	if origin == 0 {
-		en.seq++
-		return en.seq
-	}
-	return en.nw.nodes[origin-1].nextOseq()
+// draw returns origin 0's next sequence number, counted on the queue.
+func (en *engine) draw() uint64 {
+	en.seq++
+	return en.seq
 }
 
 // alloc returns a pooled event owned by queue en. Safe to call from another
@@ -137,29 +122,21 @@ func (en *engine) schedule(at time.Duration, origin, oseq uint64, fn func(), h E
 }
 
 // Schedule runs fn at absolute virtual time at (clamped to Now).
-func (en *engine) Schedule(at time.Duration, fn func()) { en.schedule(at, 0, en.draw(0), fn, nil, nil) }
+func (en *engine) Schedule(at time.Duration, fn func()) { en.schedule(at, 0, en.draw(), fn, nil, nil) }
 
 // After runs fn after d of virtual time.
 func (en *engine) After(d time.Duration, fn func()) { en.Schedule(en.now+d, fn) }
 
 // ScheduleCall is the closure-free variant of Schedule; it returns a
-// Timer that can cancel or reschedule the event before it fires.
+// Timer that can cancel the event before it fires.
 func (en *engine) ScheduleCall(at time.Duration, h EventFunc, arg any) Timer {
-	e := en.schedule(at, 0, en.draw(0), nil, h, arg)
+	e := en.schedule(at, 0, en.draw(), nil, h, arg)
 	return Timer{e: e, gen: e.gen}
 }
 
 // AfterCall is the closure-free variant of After.
 func (en *engine) AfterCall(d time.Duration, h EventFunc, arg any) Timer {
 	return en.ScheduleCall(en.now+d, h, arg)
-}
-
-// AfterTimer schedules a closure and returns a cancellable Timer for it.
-// Protocol retry/timeout patterns use this to cancel the timeout when the
-// awaited reply arrives instead of leaving a dead event in the queue.
-func (en *engine) AfterTimer(d time.Duration, fn func()) Timer {
-	e := en.schedule(en.now+d, 0, en.draw(0), fn, nil, nil)
-	return Timer{e: e, gen: e.gen}
 }
 
 // Cancel removes the event from the queue so it never fires. It reports
@@ -171,24 +148,6 @@ func (t Timer) Cancel() bool {
 	}
 	t.e.q.remove(t.e)
 	t.e.free()
-	return true
-}
-
-// Reschedule moves a still-pending timer to fire at absolute time at
-// (clamped to Now), as if its origin had freshly scheduled it there: among
-// equal-time events of that origin it runs after those already queued. It
-// reports whether the timer was pending; a fired or cancelled timer cannot
-// be revived.
-func (t Timer) Reschedule(at time.Duration) bool {
-	if !t.Active() {
-		return false
-	}
-	e, en := t.e, t.e.q
-	if at < en.now {
-		at = en.now
-	}
-	e.at, e.oseq = at, en.draw(e.origin)
-	en.fix(e)
 	return true
 }
 
@@ -217,9 +176,6 @@ func (en *engine) peekTime() (time.Duration, bool) {
 	}
 	return en.heap[0].at, true
 }
-
-// pending returns how many events are queued.
-func (en *engine) pending() int { return len(en.heap) }
 
 // --- indexed binary heap -------------------------------------------------
 //
@@ -277,13 +233,6 @@ func (en *engine) remove(e *event) {
 		}
 	}
 	e.pos = -1
-}
-
-// fix restores heap order after e's time changed (timer rescheduling).
-func (en *engine) fix(e *event) {
-	if !en.up(e.pos) {
-		en.down(e.pos)
-	}
 }
 
 func (en *engine) up(i int) bool {

@@ -88,6 +88,8 @@ import (
 type shard struct {
 	engine
 	ledger
+	// nw is the network the shard belongs to; stage reads its window end.
+	nw  *Network
 	idx int
 	// outbox[d] holds events this shard scheduled onto shard d during the
 	// current window; the barrier merge (drainInboxes) moves them into d's

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -35,8 +36,14 @@ func (t *tally) sent(ok bool) {
 func shardSnapshot(nw *Network, end time.Duration, tallies []tally) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "end=%v trace=%+v\n", end, *nw.Trace())
-	for _, k := range nw.LatencyKinds() {
-		h := nw.LatencyHistogram(k)
+	lat := nw.latencySnapshot()
+	kinds := make([]string, 0, len(lat))
+	for k := range lat {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		h := lat[k]
 		fmt.Fprintf(&b, "lat[%s] n=%d p50=%.9f p95=%.9f\n", k, h.Count(), h.Quantile(0.5), h.Quantile(0.95))
 	}
 	for _, n := range nw.Nodes() {
@@ -120,14 +127,19 @@ func runShardWorkload(cfg NetworkConfig, n int) string {
 			Churn{MTTF: 900 * time.Millisecond, MTTR: 200 * time.Millisecond}.Apply(node)
 		}
 	}
-	// Timer cancel/reschedule exercise on each node.
+	// Timer cancel exercise on each node: every third node cancels its
+	// ping, the others cancel it and set a later one.
 	for _, node := range nodes {
 		node := node
-		tm := node.AfterTimer(time.Second, func() { tallies[node.ID()].sent(node.Send(NodeID(0), "ping", -1, 50)) })
+		ping := func(any) { tallies[node.ID()].sent(node.Send(NodeID(0), "ping", -1, 50)) }
+		tm := node.AfterCall(time.Second, ping, nil)
 		if int(node.ID())%3 == 0 {
 			node.After(600*time.Millisecond, func() { tm.Cancel() })
 		} else {
-			node.After(500*time.Millisecond, func() { tm.Reschedule(nw.Now() + 700*time.Millisecond) })
+			node.After(500*time.Millisecond, func() {
+				tm.Cancel()
+				node.AfterCall(700*time.Millisecond, ping, nil)
+			})
 		}
 	}
 	// Control events: a partition appears mid-run and heals later.
@@ -225,7 +237,7 @@ func TestShardedMatchesLegacyWhenDeterministic(t *testing.T) {
 			for i := range nodes {
 				node, t := nw.AddNode(), &tallies[i]
 				nodes[i] = node
-				node.HandleDefault(func(m Message) { t.note(node.Now(), m.Kind, m.Payload) })
+				node.Handle("x", func(m Message) { t.note(node.Now(), m.Kind, m.Payload) })
 			}
 			if tc.setup != nil {
 				tc.setup(nw, nodes)
@@ -304,7 +316,7 @@ func TestShardedTimerSemantics(t *testing.T) {
 	nw.SetDefaultProfile(LinkProfile{Latency: time.Millisecond})
 	n := nw.AddNode()
 	fired := []string{}
-	tm := n.AfterTimer(20*time.Millisecond, func() { fired = append(fired, "cancelled") })
+	tm := n.AfterCall(20*time.Millisecond, func(any) { fired = append(fired, "cancelled") }, nil)
 	if !tm.Active() {
 		t.Fatal("fresh timer not active")
 	}
@@ -314,14 +326,11 @@ func TestShardedTimerSemantics(t *testing.T) {
 	if tm.Cancel() {
 		t.Fatal("double cancel succeeded")
 	}
-	tm2 := n.AfterTimer(20*time.Millisecond, func() { fired = append(fired, "moved") })
-	if !tm2.Reschedule(60 * time.Millisecond) {
-		t.Fatal("reschedule failed")
-	}
+	tm2 := n.AfterCall(60*time.Millisecond, func(any) { fired = append(fired, "late") }, nil)
 	n.After(40*time.Millisecond, func() { fired = append(fired, "mid") })
 	nw.RunAll()
-	if len(fired) != 2 || fired[0] != "mid" || fired[1] != "moved" {
-		t.Fatalf("fired = %v, want [mid moved]", fired)
+	if len(fired) != 2 || fired[0] != "mid" || fired[1] != "late" {
+		t.Fatalf("fired = %v, want [mid late]", fired)
 	}
 	if tm2.Active() {
 		t.Fatal("fired timer still active")
@@ -369,19 +378,19 @@ func TestShardedZeroLatencyPanics(t *testing.T) {
 
 func TestShardedAccessors(t *testing.T) {
 	legacy := New(1)
-	if legacy.Sharded() || legacy.NumShards() != 1 || legacy.Workers() != 1 {
+	if legacy.sharded || len(legacy.shards) != 1 || legacy.workers != 1 {
 		t.Fatalf("legacy accessors: sharded=%v shards=%d workers=%d",
-			legacy.Sharded(), legacy.NumShards(), legacy.Workers())
+			legacy.sharded, len(legacy.shards), legacy.workers)
 	}
 	sh := NewWithConfig(NetworkConfig{Seed: 1, Shards: 6, Workers: 2})
-	if !sh.Sharded() || sh.NumShards() != 6 || sh.Workers() != 2 {
+	if !sh.sharded || len(sh.shards) != 6 || sh.workers != 2 {
 		t.Fatalf("sharded accessors: sharded=%v shards=%d workers=%d",
-			sh.Sharded(), sh.NumShards(), sh.Workers())
+			sh.sharded, len(sh.shards), sh.workers)
 	}
 	// Workers cap at the shard count.
 	capped := NewWithConfig(NetworkConfig{Seed: 1, Shards: 2, Workers: 64})
-	if capped.Workers() != 2 {
-		t.Fatalf("workers not capped at shards: %d", capped.Workers())
+	if capped.workers != 2 {
+		t.Fatalf("workers not capped at shards: %d", capped.workers)
 	}
 	n := sh.AddNode()
 	if n.Obs() == sh.Obs() {
@@ -403,7 +412,7 @@ func TestShardMergesOnlyStagedOutboxes(t *testing.T) {
 		got := make([][]string, shards)
 		for i := range nodes {
 			nodes[i] = nw.AddNode()
-			nodes[i].HandleDefault(func(m Message) {
+			nodes[i].Handle("staged", func(m Message) {
 				got[m.To] = append(got[m.To], fmt.Sprintf("%d:%v", m.From, m.Payload))
 			})
 		}

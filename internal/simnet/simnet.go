@@ -7,7 +7,7 @@
 // each:
 //
 //   - The engine (scheduler.go) is one event queue type: an indexed heap
-//     ordered by (at, origin, oseq), with cancellable, reschedulable Timer
+//     ordered by (at, origin, oseq), with cancellable Timer
 //     handles and a pooled, closure-free hot path (events carry an
 //     EventFunc handler plus argument, recycled through a sync.Pool, so
 //     steady-state message traffic allocates nothing). Protocols schedule
@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -300,7 +299,7 @@ func NewWithConfig(cfg NetworkConfig) *Network {
 		partition: map[NodeID]int{},
 		workers:   1,
 	}
-	nw.engine.nw = nw
+	nw.shard.nw = nw
 	nw.ledger = newLedger(fmt.Sprintf("seed:%d", cfg.Seed))
 	// The publish hook keeps the per-message hot path free of registry work
 	// by copying Trace totals and latency quantiles in only when a snapshot
@@ -321,7 +320,7 @@ func NewWithConfig(cfg NetworkConfig) *Network {
 			// Shard labels sort after the root "seed:N" label, keeping
 			// merged exports stable regardless of shard count.
 			nw.shards[i] = &shard{
-				engine: engine{nw: nw},
+				nw:     nw,
 				ledger: newLedger(fmt.Sprintf("seed:%d/shard:%03d", cfg.Seed, i)),
 				idx:    i,
 				outbox: make([][]*event, cfg.Shards),
@@ -330,15 +329,6 @@ func NewWithConfig(cfg NetworkConfig) *Network {
 	}
 	return nw
 }
-
-// Sharded reports whether the network runs on the sharded engine.
-func (nw *Network) Sharded() bool { return nw.sharded }
-
-// NumShards returns the shard count (1 in single-heap mode).
-func (nw *Network) NumShards() int { return len(nw.shards) }
-
-// Workers returns the sharded engine's worker count (1 in single-heap mode).
-func (nw *Network) Workers() int { return nw.workers }
 
 // Obs returns the network's observability registry. Protocol layers
 // resolve their named metrics once at construction (see Node.Obs) and
@@ -419,25 +409,6 @@ func (nw *Network) Trace() *Trace {
 	return &nw.total
 }
 
-// LatencyHistogram returns the delivery-latency histogram (in seconds) for
-// a message kind, or nil if nothing of that kind has been delivered. Its
-// quantiles are within obs.Histogram's 2⁻⁷ relative error. The histogram is
-// a fresh merge of the ledgers' on every call.
-func (nw *Network) LatencyHistogram(kind string) *obs.Histogram {
-	return nw.latencySnapshot()[kind]
-}
-
-// LatencyKinds returns the message kinds with recorded delivery latencies,
-// sorted.
-func (nw *Network) LatencyKinds() []string {
-	var kinds []string
-	for k := range nw.latencySnapshot() { //determinism:ok result is sorted below
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
-}
-
 // AddNode creates a node with the current default link profile.
 func (nw *Network) AddNode() *Node {
 	return nw.AddNodeWithProfile(nw.defProf)
@@ -490,6 +461,8 @@ func (nw *Network) Node(id NodeID) *Node {
 func (nw *Network) NumNodes() int { return len(nw.nodes) }
 
 // Nodes returns the live slice of all nodes (do not mutate).
+//
+//reach:experiments' conformance tests walk every node's crash count
 func (nw *Network) Nodes() []*Node { return nw.nodes }
 
 // Run executes events until the queue empties or virtual time reaches
@@ -646,8 +619,6 @@ func deliverEvent(arg any) {
 	sh.observeLatency(msg.Kind, sh.now-sentAt)
 	if e := dst.lookup(msg.Kind); e != nil {
 		e.h(msg)
-	} else if dst.defaultHandler != nil {
-		dst.defaultHandler(msg)
 	} else {
 		sh.trace.Unhandled++
 	}
@@ -787,14 +758,6 @@ type Trace struct {
 	Corrupted  int64
 	Duplicated int64
 	Reordered  int64
-}
-
-// DeliveryRate returns Delivered/Sent, or 0 when nothing was sent.
-func (t *Trace) DeliveryRate() float64 {
-	if t.Sent == 0 {
-		return 0
-	}
-	return float64(t.Delivered) / float64(t.Sent)
 }
 
 // add accumulates o's counters into t (the shard-merge primitive; field

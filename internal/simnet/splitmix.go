@@ -47,6 +47,8 @@ func (s *SplitMix64) Uint64() uint64 {
 func (s *SplitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Seed implements rand.Source.
+//
+//reach:rand.Source requires it; streams are seeded at construction
 func (s *SplitMix64) Seed(seed int64) { s.state = uint64(seed) }
 
 // Mix64 is one stateless SplitMix64 output step, used to whiten raw seeds

@@ -21,7 +21,7 @@ func runOneTrial(seed int64) trialResult {
 	nodes := make([]*Node, 8)
 	for i := range nodes {
 		nodes[i] = nw.AddNode()
-		nodes[i].HandleDefault(func(m Message) {})
+		nodes[i].Handle("x", func(m Message) {})
 	}
 	for i := 0; i < 100; i++ {
 		from := nodes[i%8]

@@ -69,9 +69,6 @@ func (b *BitswapNode) Put(data []byte) cryptoutil.Hash {
 	return id
 }
 
-// Has reports whether the node holds the block.
-func (b *BitswapNode) Has(id cryptoutil.Hash) bool { _, ok := b.blocks[id]; return ok }
-
 // DebtRatio returns how indebted a partner is: bytes we sent them over
 // bytes they sent us, after the bootstrap grace.
 func (b *BitswapNode) DebtRatio(peer simnet.NodeID) float64 {

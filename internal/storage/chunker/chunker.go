@@ -11,9 +11,6 @@ const windowSize = 64
 // test masks the low log2(AvgSize) bits of the fingerprint, making cuts a
 // 1-in-AvgSize event per byte and the mean chunk size ≈ AvgSize.
 type Config struct {
-	// Pol is the irreducible fingerprint polynomial (DefaultPol or a
-	// DerivePol result). Zero selects DefaultPol.
-	Pol Pol
 	// MinSize is the smallest cut distance; boundaries inside it are
 	// ignored. Must be >= the 64-byte window.
 	MinSize int
@@ -24,9 +21,9 @@ type Config struct {
 }
 
 // Defaults returns the conventional bounds around an average chunk size:
-// min = avg/4, max = avg*4, DefaultPol.
+// min = avg/4, max = avg*4.
 func Defaults(avg int) Config {
-	return Config{Pol: DefaultPol, MinSize: avg / 4, AvgSize: avg, MaxSize: avg * 4}
+	return Config{MinSize: avg / 4, AvgSize: avg, MaxSize: avg * 4}
 }
 
 // Chunker cuts byte slices at content-defined boundaries. It is cheap to
@@ -46,12 +43,6 @@ type Chunker struct {
 
 // New validates cfg and builds the fingerprint tables.
 func New(cfg Config) (*Chunker, error) {
-	if cfg.Pol == 0 {
-		cfg.Pol = DefaultPol
-	}
-	if cfg.Pol.Deg() != polDegree {
-		return nil, fmt.Errorf("chunker: polynomial degree %d, want %d", cfg.Pol.Deg(), polDegree)
-	}
 	if cfg.AvgSize <= 0 || cfg.AvgSize&(cfg.AvgSize-1) != 0 {
 		return nil, fmt.Errorf("chunker: avg size %d is not a positive power of two", cfg.AvgSize)
 	}
@@ -70,9 +61,9 @@ func New(cfg Config) (*Chunker, error) {
 	// pushed windowSize-1 positions deep — xoring it out when b leaves
 	// the window keeps the digest a fingerprint of exactly the window.
 	for b := 0; b < 256; b++ {
-		h := appendByte(0, byte(b), cfg.Pol)
+		h := appendByte(0, byte(b))
 		for i := 0; i < windowSize-1; i++ {
-			h = appendByte(h, 0, cfg.Pol)
+			h = appendByte(h, 0)
 		}
 		c.tabOut[b] = uint64(h)
 	}
@@ -80,14 +71,14 @@ func New(cfg Config) (*Chunker, error) {
 	// folds in their remainder, keeping the digest reduced mod Pol.
 	for b := 0; b < 256; b++ {
 		p := Pol(b) << polDegree
-		c.tabMod[b] = uint64(mod(p, cfg.Pol) | p)
+		c.tabMod[b] = uint64(mod(p, DefaultPol) | p)
 	}
 	return c, nil
 }
 
 // appendByte feeds one byte into a reduced polynomial fingerprint.
-func appendByte(h Pol, b byte, pol Pol) Pol {
-	return mod(h<<8|Pol(b), pol)
+func appendByte(h Pol, b byte) Pol {
+	return mod(h<<8|Pol(b), DefaultPol)
 }
 
 // reset prepares for a fresh chunk. The digest is seeded by sliding in a
@@ -141,23 +132,4 @@ func (c *Chunker) Split(data []byte, emit func(chunk []byte)) {
 	if start < len(data) {
 		emit(data[start:])
 	}
-}
-
-// SplitAll is Split collecting the chunks into a slice.
-func (c *Chunker) SplitAll(data []byte) [][]byte {
-	var out [][]byte
-	c.Split(data, func(chunk []byte) { out = append(out, chunk) })
-	return out
-}
-
-// Cuts returns the end offset of every chunk of data — the variable-length
-// chunk table a manifest records.
-func (c *Chunker) Cuts(data []byte) []int {
-	var cuts []int
-	end := 0
-	c.Split(data, func(chunk []byte) {
-		end += len(chunk)
-		cuts = append(cuts, end)
-	})
-	return cuts
 }

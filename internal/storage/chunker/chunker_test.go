@@ -25,19 +25,6 @@ func TestDefaultPolIrreducible(t *testing.T) {
 	}
 }
 
-func TestDerivePolDeterministic(t *testing.T) {
-	a, b := DerivePol(42), DerivePol(42)
-	if a != b {
-		t.Fatalf("same seed, different polynomials: %x vs %x", a, b)
-	}
-	if !irreducible53(a) {
-		t.Fatalf("derived polynomial %x not irreducible", a)
-	}
-	if DerivePol(43) == a {
-		t.Fatal("different seeds landed on the same polynomial")
-	}
-}
-
 func TestSplitRoundTrip(t *testing.T) {
 	c, err := New(Defaults(1 << 10))
 	if err != nil {
@@ -112,28 +99,6 @@ func TestSplitDeterministicAndReusable(t *testing.T) {
 	}
 }
 
-func TestDifferentPolsDifferentCuts(t *testing.T) {
-	data := testData(64<<10, 13)
-	cfgA := Defaults(512)
-	cfgB := Defaults(512)
-	cfgB.Pol = DerivePol(99)
-	a, _ := New(cfgA)
-	b, _ := New(cfgB)
-	ca, cb := a.Cuts(data), b.Cuts(data)
-	same := len(ca) == len(cb)
-	if same {
-		for i := range ca {
-			if ca[i] != cb[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("two different polynomials produced identical cut sets")
-	}
-}
-
 func TestContentLocality(t *testing.T) {
 	cfg := Defaults(512)
 	c, _ := New(cfg)
@@ -177,10 +142,9 @@ func diffCount(a, b map[string]int) int {
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	bad := []Config{
-		{Pol: DefaultPol, MinSize: 16, AvgSize: 256, MaxSize: 1024},   // min below window
-		{Pol: DefaultPol, MinSize: 128, AvgSize: 300, MaxSize: 1024},  // avg not a power of two
-		{Pol: DefaultPol, MinSize: 2048, AvgSize: 1024, MaxSize: 512}, // inverted bounds
-		{Pol: 0xff, MinSize: 128, AvgSize: 512, MaxSize: 2048},        // wrong degree
+		{MinSize: 16, AvgSize: 256, MaxSize: 1024},   // min below window
+		{MinSize: 128, AvgSize: 300, MaxSize: 1024},  // avg not a power of two
+		{MinSize: 2048, AvgSize: 1024, MaxSize: 512}, // inverted bounds
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -188,7 +152,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		}
 	}
 	if _, err := New(Config{MinSize: 128, AvgSize: 512, MaxSize: 2048}); err != nil {
-		t.Errorf("zero Pol should select DefaultPol: %v", err)
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
@@ -203,4 +167,64 @@ func TestAverageChunkSizeNearTarget(t *testing.T) {
 	if avg < cfg.AvgSize/3 || avg > cfg.AvgSize*3 {
 		t.Fatalf("mean chunk size %d, target %d", avg, cfg.AvgSize)
 	}
+}
+
+// SplitAll is Split collecting the chunks into a slice.
+func (c *Chunker) SplitAll(data []byte) [][]byte {
+	var out [][]byte
+	c.Split(data, func(chunk []byte) { out = append(out, chunk) })
+	return out
+}
+
+// Cuts returns the end offset of every chunk of data — the variable-length
+// chunk table a manifest records.
+func (c *Chunker) Cuts(data []byte) []int {
+	var cuts []int
+	end := 0
+	c.Split(data, func(chunk []byte) {
+		end += len(chunk)
+		cuts = append(cuts, end)
+	})
+	return cuts
+}
+
+// mulMod returns a·b mod m. Callers guarantee deg(m) <= 62 so the
+// shift-then-reduce step cannot overflow.
+func mulMod(a, b, m Pol) Pol {
+	a = mod(a, m)
+	var res Pol
+	for b != 0 {
+		if b&1 != 0 {
+			res ^= a
+		}
+		b >>= 1
+		a = mod(a<<1, m)
+	}
+	return res
+}
+
+// gcd returns the greatest common divisor of a and b over GF(2).
+func gcd(a, b Pol) Pol {
+	for b != 0 {
+		a, b = b, mod(a, b)
+	}
+	return a
+}
+
+// irreducible53 reports whether f, of degree exactly 53, is irreducible
+// over GF(2). Rabin's criterion for prime degree n needs only two checks:
+// f shares no factor with x^2+x (i.e. has no linear factor), and
+// x^(2^n) ≡ x (mod f).
+func irreducible53(f Pol) bool {
+	if f.Deg() != polDegree {
+		return false
+	}
+	if gcd(f, Pol(0b110)) != 1 { // x^2 + x = x(x+1)
+		return false
+	}
+	r := Pol(2) // x
+	for i := 0; i < polDegree; i++ {
+		r = mulMod(r, r, f) // square: x^(2^i) -> x^(2^(i+1))
+	}
+	return r == 2
 }

@@ -7,18 +7,15 @@ import (
 
 // FuzzChunkerRoundTrip: for arbitrary data and an arbitrary average-size
 // selector, split→join is the identity and every chunk respects the
-// configured bounds (the final chunk may run short). The polynomial is
-// derived from the fuzzed seed so the property holds for the whole
-// family, not just DefaultPol.
+// configured bounds (the final chunk may run short).
 func FuzzChunkerRoundTrip(f *testing.F) {
-	f.Add([]byte("hello, content-defined world"), uint8(0), int64(1))
-	f.Add([]byte{}, uint8(1), int64(2))
-	f.Add(bytes.Repeat([]byte{0}, 4096), uint8(2), int64(3))
-	f.Add(bytes.Repeat([]byte("abcd1234"), 1024), uint8(3), int64(42))
-	f.Fuzz(func(t *testing.T, data []byte, avgSel uint8, polSeed int64) {
+	f.Add([]byte("hello, content-defined world"), uint8(0))
+	f.Add([]byte{}, uint8(1))
+	f.Add(bytes.Repeat([]byte{0}, 4096), uint8(2))
+	f.Add(bytes.Repeat([]byte("abcd1234"), 1024), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, avgSel uint8) {
 		avg := 256 << (avgSel % 4) // 256..2048, always a power of two
 		cfg := Defaults(avg)
-		cfg.Pol = DerivePol(polSeed)
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatalf("config rejected: %v", err)

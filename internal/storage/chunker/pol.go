@@ -18,8 +18,9 @@ import "math/bits"
 type Pol uint64
 
 // polDegree is the fixed fingerprint polynomial degree. 53 is prime,
-// which keeps the irreducibility test to two checks (see irreducible53),
-// and deg+8 < 64 keeps the byte-append shift overflow-free.
+// which keeps the irreducibility test to two checks (the package tests
+// check DefaultPol with it), and deg+8 < 64 keeps the byte-append shift
+// overflow-free.
 const polDegree = 53
 
 // DefaultPol is a known irreducible degree-53 polynomial (the one
@@ -36,66 +37,4 @@ func mod(a, m Pol) Pol {
 		a ^= m << uint(da-dm)
 	}
 	return a
-}
-
-// mulMod returns a·b mod m. Callers guarantee deg(m) <= 62 so the
-// shift-then-reduce step cannot overflow.
-func mulMod(a, b, m Pol) Pol {
-	a = mod(a, m)
-	var res Pol
-	for b != 0 {
-		if b&1 != 0 {
-			res ^= a
-		}
-		b >>= 1
-		a = mod(a<<1, m)
-	}
-	return res
-}
-
-// gcd returns the greatest common divisor of a and b over GF(2).
-func gcd(a, b Pol) Pol {
-	for b != 0 {
-		a, b = b, mod(a, b)
-	}
-	return a
-}
-
-// irreducible53 reports whether f, of degree exactly 53, is irreducible
-// over GF(2). Rabin's criterion for prime degree n needs only two checks:
-// f shares no factor with x^2+x (i.e. has no linear factor), and
-// x^(2^n) ≡ x (mod f).
-func irreducible53(f Pol) bool {
-	if f.Deg() != polDegree {
-		return false
-	}
-	if gcd(f, Pol(0b110)) != 1 { // x^2 + x = x(x+1)
-		return false
-	}
-	r := Pol(2) // x
-	for i := 0; i < polDegree; i++ {
-		r = mulMod(r, r, f) // square: x^(2^i) -> x^(2^(i+1))
-	}
-	return r == 2
-}
-
-// DerivePol deterministically derives an irreducible degree-53 polynomial
-// from a seed: a SplitMix64 stream proposes candidates (top and constant
-// coefficients forced to 1) until one passes the irreducibility test.
-// About one in deg candidates is irreducible, so the walk is short, and
-// the same seed always lands on the same polynomial — per-seed chunk
-// boundaries are reproducible across machines and processes.
-func DerivePol(seed int64) Pol {
-	state := uint64(seed)
-	for {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		cand := Pol(z)&(1<<polDegree-1) | 1<<polDegree | 1
-		if irreducible53(cand) {
-			return cand
-		}
-	}
 }

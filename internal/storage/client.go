@@ -51,9 +51,6 @@ func NewClient(node *simnet.Node, timeout time.Duration, rcfg resil.Config) *Cli
 	}
 }
 
-// Node returns the client's simnet node.
-func (c *Client) Node() *simnet.Node { return c.rpc.Node() }
-
 // EnableRepairPinning makes every Repair pin the chunks it reads as
 // restore sources at their holders, and unpin them once the lost
 // redundancy is re-placed. On providers running capacity-triggered GC
@@ -335,20 +332,6 @@ func (r *AuditReport) Passed() int {
 
 // Failed returns how many challenges failed.
 func (r *AuditReport) Failed() int { return len(r.Results) - r.Passed() }
-
-// FailedHolders returns the distinct providers that failed at least one
-// challenge.
-func (r *AuditReport) FailedHolders() []ProviderRef {
-	seen := map[simnet.NodeID]bool{}
-	var out []ProviderRef
-	for _, res := range r.Results {
-		if !res.OK && !seen[res.Holder.Node] {
-			seen[res.Holder.Node] = true
-			out = append(out, res.Holder)
-		}
-	}
-	return out
-}
 
 // Audit issues one random-leaf proof-of-storage challenge to every holder
 // of every chunk. deadline bounds each challenge round trip; a correct

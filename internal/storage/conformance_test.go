@@ -92,7 +92,7 @@ func TestStorageRecoveryConformance(t *testing.T) {
 // TestStorageConformanceDeterministic: the audit outcome is a pure function
 // of the seed.
 func TestStorageConformanceDeterministic(t *testing.T) {
-	sc, _ := fault.ByName("rolling-churn")
+	sc := fault.RollingChurn()
 	a1, ok1 := storageConformanceRun(t, 55, sc)
 	a2, ok2 := storageConformanceRun(t, 55, sc)
 	if a1 != a2 || ok1 != ok2 {
@@ -239,12 +239,8 @@ func storageTieredCDCRun(t testing.TB, seed int64, sc fault.Scenario) (float64, 
 // download exactly like fixed ones, through crashes, corruption, and
 // churn.
 func TestStorageTieredCDCConformance(t *testing.T) {
-	for _, name := range []string{"corrupt-10pct", "rolling-churn"} {
-		sc, ok := fault.ByName(name)
-		if !ok {
-			t.Fatalf("scenario %s not found", name)
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, sc := range []fault.Scenario{fault.CorruptTenPct(), fault.RollingChurn()} {
+		t.Run(sc.Name, func(t *testing.T) {
 			ratio, ok := storageTieredCDCRun(t, 417, sc)
 			if ratio < 1.0 {
 				t.Errorf("audit pass ratio %.3f after recovery window, want 1.0", ratio)
@@ -356,7 +352,7 @@ func TestGCNeverEvictsRepairSource(t *testing.T) {
 		if src.Store().Pinned(id) {
 			t.Errorf("chunk %d still pinned on src after repair finished", ci)
 		}
-		if !fresh.HasChunk(id) {
+		if !fresh.store.Has(id) {
 			t.Errorf("chunk %d not re-replicated onto the fresh provider", ci)
 		}
 	}

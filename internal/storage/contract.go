@@ -30,9 +30,6 @@ type Contract struct {
 	ProofEvery int `json:"proof_every"`
 }
 
-// ID returns the contract's content-derived identifier.
-func (ct *Contract) ID() cryptoutil.Hash { return cryptoutil.SumHash(ct.encode()) }
-
 func (ct *Contract) encode() []byte {
 	b, err := json.Marshal(ct)
 	if err != nil {
@@ -49,9 +46,6 @@ func DecodeContract(payload []byte) (*Contract, error) {
 	}
 	return &ct, nil
 }
-
-// TotalPrice returns the contract's maximum payout.
-func (ct *Contract) TotalPrice() uint64 { return ct.PricePerEpoch * uint64(ct.Epochs) }
 
 // AnchorTx builds the signed transaction that publishes the contract
 // on-chain. nonce must be the client's current account nonce.

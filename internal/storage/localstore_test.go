@@ -32,8 +32,8 @@ func TestLocalStoreDedup(t *testing.T) {
 	if r := ls.DedupRatio(); r != 3 {
 		t.Errorf("dedup ratio = %v, want 3", r)
 	}
-	if ls.Len() != 1 {
-		t.Errorf("len = %d, want 1", ls.Len())
+	if len(ls.entries) != 1 {
+		t.Errorf("len = %d, want 1", len(ls.entries))
 	}
 	got, ok := ls.Get(id)
 	if !ok || !bytes.Equal(got, data) {
@@ -293,7 +293,7 @@ func TestLocalStoreLRUOrderAcrossOps(t *testing.T) {
 	if ls.MemBytes() > 200 {
 		t.Errorf("mem %d exceeds mem capacity", ls.MemBytes())
 	}
-	if ls.Len() == 0 {
+	if len(ls.entries) == 0 {
 		t.Error("store ended empty")
 	}
 }
@@ -389,4 +389,24 @@ func TestLocalStoreStress(t *testing.T) {
 		fmt.Printf("stress: phys=%d mem=%d ratio=%.2f hits=(%d,%d) gc=%d\n",
 			ls.PhysicalBytes(), ls.MemBytes(), ls.DedupRatio(), mem, disk, ls.GCReclaimedBytes())
 	}
+}
+
+// Has reports presence without counting a tier hit.
+func (ls *LocalStore) Has(id cryptoutil.Hash) bool {
+	_, ok := ls.entries[id]
+	return ok
+}
+
+// Pinned reports whether the chunk is currently pin-protected.
+func (ls *LocalStore) Pinned(id cryptoutil.Hash) bool {
+	e, ok := ls.entries[id]
+	return ok && e.pins > 0
+}
+
+// Accesses returns the chunk's access count (test/stats introspection).
+func (ls *LocalStore) Accesses(id cryptoutil.Hash) int64 {
+	if e, ok := ls.entries[id]; ok {
+		return e.accesses
+	}
+	return 0
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
-	"repro/internal/overload"
 	"repro/internal/simnet"
 )
 
@@ -39,7 +38,6 @@ const (
 const (
 	methodPut          = "storage.put"
 	methodGet          = "storage.get"
-	methodHas          = "storage.has"
 	methodPin          = "storage.pin" // GC exemption (contracts, repairs)
 	methodUnpin        = "storage.unpin"
 	methodRelease      = "storage.release"      // drop one upload reference
@@ -123,13 +121,6 @@ type ProviderConfig struct {
 	// storage.gc.reclaimed_bytes into the node's obs registry. Off by
 	// default so historical worlds keep their exact metric sets.
 	Metrics bool
-	// Overload, when enabled, puts the provider's data plane (get) behind
-	// server-side overload control while the coordination and audit
-	// methods — has/pin/unpin/release and all proof challenges, each a
-	// deadline-sensitive answer far smaller than a chunk — ride the
-	// priority control lane. Off by default: the zero value is a strict
-	// passthrough, keeping historical worlds byte-identical.
-	Overload overload.Config
 }
 
 // NewProvider starts a provider on node. A config carrying only Capacity
@@ -153,17 +144,15 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 		p.store.AttachMetrics(node.Obs())
 	}
 	cheat := cfg.Cheat
-	ov := overload.New(p.rpc, cfg.Overload)
 	p.rpc.Serve(methodPut, p.onPut)
 	p.rpc.Serve(methodPutSealed, p.onPutSealed)
-	ov.Protect(methodGet, p.onGet)
-	ov.Control(methodHas, p.onHas)
-	ov.Control(methodPin, p.onPin)
-	ov.Control(methodUnpin, p.onUnpin)
-	ov.Control(methodRelease, p.onRelease)
-	ov.Control(methodChallenge, p.onChallenge)
-	ov.Control(methodRetChallenge, p.onRetChallenge)
-	ov.Control(methodRepChallenge, p.onRepChallenge)
+	p.rpc.Serve(methodGet, p.onGet)
+	p.rpc.Serve(methodPin, p.onPin)
+	p.rpc.Serve(methodUnpin, p.onUnpin)
+	p.rpc.Serve(methodRelease, p.onRelease)
+	p.rpc.Serve(methodChallenge, p.onChallenge)
+	p.rpc.Serve(methodRetChallenge, p.onRetChallenge)
+	p.rpc.Serve(methodRepChallenge, p.onRepChallenge)
 	if cheat == OutsourceFetch {
 		// The outsourcing attacker answers data requests and proofs by
 		// first fetching the chunk from an accomplice — correct answers,
@@ -258,9 +247,6 @@ func (p *Provider) Ref() ProviderRef { return ProviderRef{Node: p.rpc.Node().ID(
 // SetPrice posts the provider's price per byte-epoch.
 func (p *Provider) SetPrice(price uint64) { p.price = price }
 
-// Price returns the posted price.
-func (p *Provider) Price() uint64 { return p.price }
-
 // SetAccomplice points an OutsourceFetch cheater at the provider it
 // secretly fetches from.
 func (p *Provider) SetAccomplice(n simnet.NodeID) { p.accomplice = n }
@@ -269,16 +255,9 @@ func (p *Provider) SetAccomplice(n simnet.NodeID) { p.accomplice = n }
 // replicas).
 func (p *Provider) Used() int64 { return p.store.PhysicalBytes() + p.sealedUsed }
 
-// Capacity returns the provider's capacity in bytes.
-func (p *Provider) Capacity() int64 { return p.capacity }
-
 // Store exposes the provider's tiered localstore (test/experiment
 // introspection: dedup ratio, tier hits, GC reclaim, pin state).
 func (p *Provider) Store() *LocalStore { return p.store }
-
-// HasChunk reports whether the provider truly holds the chunk (test/debug
-// introspection, not an RPC).
-func (p *Provider) HasChunk(id cryptoutil.Hash) bool { return p.store.Has(id) }
 
 func (p *Provider) onPut(from simnet.NodeID, req any) (any, int) {
 	r, ok := req.(putReq)
@@ -310,17 +289,6 @@ func (p *Provider) onGet(from simnet.NodeID, req any) (any, int) {
 		return getResp{}, 8
 	}
 	return getResp{Data: data, OK: true}, 16 + len(data)
-}
-
-func (p *Provider) onHas(from simnet.NodeID, req any) (any, int) {
-	id, ok := req.(cryptoutil.Hash)
-	if !ok {
-		return false, 8
-	}
-	if p.cheat == DropAfterAck || p.cheat == OutsourceFetch {
-		return true, 8 // keep lying
-	}
-	return p.store.Has(id), 8
 }
 
 // onPin marks a chunk GC-exempt; live contracts and in-flight repairs
@@ -432,19 +400,4 @@ func (p *Provider) onRepChallenge(from simnet.NodeID, req any) (any, int) {
 		return challengeResp{}, 8
 	}
 	return buildStorageProof(data, r.Leaf)
-}
-
-// Probe asks a provider whether it (claims to) hold a chunk — a cheap
-// liveness/possession hint. Unlike a proof-of-storage challenge, the
-// answer is unverified: a lying provider (DropAfterAck) will claim
-// possession, which is exactly why the proof mechanisms exist.
-func (c *Client) Probe(holder ProviderRef, id cryptoutil.Hash, timeout time.Duration, done func(claims bool, reachable bool)) {
-	c.rpc.Call(holder.Node, methodHas, id, 40, timeout, func(resp any, err error) {
-		if err != nil {
-			done(false, false)
-			return
-		}
-		has, _ := resp.(bool)
-		done(has, true)
-	})
 }

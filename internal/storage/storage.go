@@ -72,6 +72,8 @@ const (
 )
 
 // String names the mode.
+//
+//reach:fmt.Stringer; a mode prints by name wherever one is logged
 func (m PlacementMode) String() string {
 	switch m {
 	case ModeReplicate:
@@ -205,6 +207,9 @@ func (p *Placement) MinRedundancy(m *Manifest) int {
 	return min
 }
 
+// String summarizes the placement.
+//
+//reach:fmt.Stringer; a placement prints its size wherever one is logged
 func (p *Placement) String() string {
 	return fmt.Sprintf("placement over %d chunks", len(p.Holders))
 }

@@ -9,20 +9,21 @@ import (
 // AppRuntime is the freedom.js model of §3.4: "a web application,
 // including its back-end logic, runs entirely in a web browser. Three
 // types of APIs, the identity, storage, and transport, are provided to
-// application developers." Here the browser is a simulated node, and the
-// three APIs are backed by this repository's substrates:
+// application developers." Here the browser is a simulated node, and
+// two of the three APIs are backed by this repository's substrates:
 //
-//   - Identity: a pluggable resolver (typically a naming.Index replica)
-//     mapping human names to key fingerprints;
 //   - Storage: the Kademlia DHT ("a reliable DHT can be selected to store
 //     data globally");
 //   - Transport: direct peer-to-peer datagrams between app instances
 //     (standing in for WebRTC data channels).
+//
+// Identity is the naming layer's job: an app resolves a human name to a
+// key fingerprint with a naming.Index replica of its own, as the p2pchat
+// example does.
 type AppRuntime struct {
-	node    *simnet.Node
-	dht     *dht.Peer
-	resolve func(name string) (cryptoutil.Hash, bool)
-	onMsg   []func(from simnet.NodeID, payload []byte)
+	node  *simnet.Node
+	dht   *dht.Peer
+	onMsg []func(from simnet.NodeID, payload []byte)
 	// MessagesReceived counts transport deliveries.
 	MessagesReceived int
 }
@@ -33,10 +34,9 @@ type appDatagram struct {
 	Payload []byte
 }
 
-// NewAppRuntime wires the three freedom.js APIs onto a node. resolver may
-// be nil, in which case identity lookups always miss.
-func NewAppRuntime(node *simnet.Node, d *dht.Peer, resolver func(string) (cryptoutil.Hash, bool)) *AppRuntime {
-	rt := &AppRuntime{node: node, dht: d, resolve: resolver}
+// NewAppRuntime wires the storage and transport APIs onto a node.
+func NewAppRuntime(node *simnet.Node, d *dht.Peer) *AppRuntime {
+	rt := &AppRuntime{node: node, dht: d}
 	node.Handle(msgAppTransport, func(msg simnet.Message) {
 		dg, ok := msg.Payload.(appDatagram)
 		if !ok {
@@ -55,15 +55,6 @@ func (rt *AppRuntime) Node() *simnet.Node { return rt.node }
 
 // DHT returns the runtime's DHT participant (for bootstrapping).
 func (rt *AppRuntime) DHT() *dht.Peer { return rt.dht }
-
-// LookupIdentity is the identity API: resolve a human-meaningful name to a
-// key fingerprint.
-func (rt *AppRuntime) LookupIdentity(name string) (cryptoutil.Hash, bool) {
-	if rt.resolve == nil {
-		return cryptoutil.Hash{}, false
-	}
-	return rt.resolve(name)
-}
 
 // StorePut is the storage API's write: value goes into the global DHT
 // under an application key. done (optional) receives the replica count.

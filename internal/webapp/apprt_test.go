@@ -4,13 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cryptoutil"
 	"repro/internal/dht"
 	"repro/internal/simnet"
 )
 
 // appWorld builds n app runtimes over a bootstrapped DHT.
-func appWorld(t testing.TB, seed int64, n int, resolver func(string) (cryptoutil.Hash, bool)) (*simnet.Network, []*AppRuntime) {
+func appWorld(t testing.TB, seed int64, n int) (*simnet.Network, []*AppRuntime) {
 	t.Helper()
 	nw := simnet.New(seed)
 	rts := make([]*AppRuntime, n)
@@ -23,14 +22,14 @@ func appWorld(t testing.TB, seed int64, n int, resolver func(string) (cryptoutil
 		} else {
 			d.Bootstrap(seedContact, nil)
 		}
-		rts[i] = NewAppRuntime(node, d, resolver)
+		rts[i] = NewAppRuntime(node, d)
 	}
 	nw.Run(time.Minute)
 	return nw, rts
 }
 
 func TestAppStorageAPI(t *testing.T) {
-	nw, rts := appWorld(t, 1, 8, nil)
+	nw, rts := appWorld(t, 1, 8)
 	stored := -1
 	rts[0].StorePut("game-state", []byte(`{"score":42}`), func(n int) { stored = n })
 	nw.Run(nw.Now() + time.Minute)
@@ -51,30 +50,8 @@ func TestAppStorageAPI(t *testing.T) {
 	}
 }
 
-func TestAppIdentityAPI(t *testing.T) {
-	alice := cryptoutil.SumHash([]byte("alice-key"))
-	resolver := func(name string) (cryptoutil.Hash, bool) {
-		if name == "alice.id" {
-			return alice, true
-		}
-		return cryptoutil.Hash{}, false
-	}
-	_, rts := appWorld(t, 2, 2, resolver)
-	got, ok := rts[1].LookupIdentity("alice.id")
-	if !ok || got != alice {
-		t.Error("identity lookup failed")
-	}
-	if _, ok := rts[1].LookupIdentity("nobody"); ok {
-		t.Error("ghost identity resolved")
-	}
-	nilRT := NewAppRuntime(simnet.New(99).AddNode(), nil, nil)
-	if _, ok := nilRT.LookupIdentity("x"); ok {
-		t.Error("nil resolver should miss")
-	}
-}
-
 func TestAppTransportAPI(t *testing.T) {
-	nw, rts := appWorld(t, 3, 3, nil)
+	nw, rts := appWorld(t, 3, 3)
 	var gotFrom simnet.NodeID
 	var gotPayload []byte
 	rts[1].OnMessage(func(from simnet.NodeID, payload []byte) { gotFrom, gotPayload = from, payload })
@@ -93,7 +70,7 @@ func TestAppTransportAPI(t *testing.T) {
 // TestAppEndToEnd is the freedom.js scenario: instances rendezvous through
 // the DHT, connect directly, and exchange state — no server anywhere.
 func TestAppEndToEnd(t *testing.T) {
-	nw, rts := appWorld(t, 4, 6, nil)
+	nw, rts := appWorld(t, 4, 6)
 	// Instance 2 announces itself for app "p2p-chat".
 	done := false
 	rts[2].Rendezvous("p2p-chat", func() { done = true })

@@ -101,7 +101,7 @@ func TestWebappRecoveryConformance(t *testing.T) {
 // TestWebappConformanceDeterministic: the success rate is a pure function
 // of the seed.
 func TestWebappConformanceDeterministic(t *testing.T) {
-	sc, _ := fault.ByName("lossy-edge")
+	sc := fault.LossyEdge()
 	if a, b := webappConformanceRun(t, 66, sc), webappConformanceRun(t, 66, sc); a != b {
 		t.Errorf("same seed gave different rates: %v vs %v", a, b)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
 	"repro/internal/obs"
-	"repro/internal/overload"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 )
@@ -39,16 +38,11 @@ type peersResp struct {
 	Seeders []simnet.NodeID
 }
 
-// NewTracker starts a tracker on node. The tracker is pure control plane —
-// announce and peer lookups are the RPCs a flash crowd needs answered to
-// spread load — so both methods register as Control: never queued or
-// shed, and on the control lane, which moves them ahead of bulk replies
-// once a priority uplink is on.
+// NewTracker starts a tracker on node, serving announces and peer lookups.
 func NewTracker(node *simnet.Node) *Tracker {
 	t := &Tracker{rpc: simnet.NewRPCNode(node), seeders: map[cryptoutil.Hash][]simnet.NodeID{}}
-	ov := overload.New(t.rpc, overload.Config{})
-	ov.Control(methodAnnounce, t.onAnnounce)
-	ov.Control(methodPeers, t.onPeers)
+	t.rpc.Serve(methodAnnounce, t.onAnnounce)
+	t.rpc.Serve(methodPeers, t.onPeers)
 	return t
 }
 
@@ -105,21 +99,13 @@ type Peer struct {
 	obsServes    *obs.Counter
 }
 
-// PeerConfig bundles a web peer's client- and server-side robustness
-// layers. The zero value is the historical peer: fixed-timeout fetches,
-// unbounded serving.
+// PeerConfig bundles a web peer's client-side robustness layer. The zero
+// value is the historical peer: fixed-timeout fetches.
 type PeerConfig struct {
 	// Resilience tunes the peer's own fetches (manifest, blob, and tracker
 	// RPCs). The DHT leg of a Visit is tuned separately through
 	// dht.Config.Resilience.
 	Resilience resil.Config
-	// Overload, when enabled, puts the peer's serving methods behind
-	// server-side overload control: blob serving is the bulk plane
-	// (bounded queue, admission control), manifest serving and the peer's
-	// own tracker announces ride the control lane — a seeder saturated by
-	// a flash crowd keeps handing out the (tiny, swarm-unlocking)
-	// manifests and keeps itself announced.
-	Overload overload.Config
 }
 
 // NewPeer creates a web peer on node, joined to the given DHT (the caller
@@ -137,10 +123,8 @@ func NewPeer(node *simnet.Node, d *dht.Peer, tracker simnet.NodeID, timeout time
 		obsVisitFail: node.Obs().Counter("webapp.visit.fail"),
 		obsServes:    node.Obs().Counter("webapp.blob.served"),
 	}
-	ov := overload.New(rpc, cfg.Overload)
-	ov.Protect(methodBlob, p.onBlob)
-	ov.Control(methodManifest, p.onManifest)
-	ov.MarkControl(methodAnnounce)
+	rpc.Serve(methodBlob, p.onBlob)
+	rpc.Serve(methodManifest, p.onManifest)
 	// Re-announce everything after a restart so the swarm finds us again,
 	// in site order: each send draws its call id and link loss/jitter, so
 	// map order would bind those draws to a different site on every run.

@@ -77,12 +77,6 @@ func (d Diurnal) Rate(t time.Duration) float64 {
 	return d.cfg.Mean * d.shape(x) / d.norm
 }
 
-// Mean returns the configured mean rate.
-func (d Diurnal) Mean() float64 { return d.cfg.Mean }
-
-// Period returns the configured day length.
-func (d Diurnal) Period() time.Duration { return d.cfg.Period }
-
 // MaxRate returns the supremum of Rate over a period — the thinning bound
 // Generate rejects against.
 func (d Diurnal) MaxRate() float64 {

@@ -14,7 +14,7 @@ func defaultDiurnal() Diurnal {
 
 // integrate computes the mean of Rate over one period by midpoint rule.
 func integrate(d Diurnal, steps int) float64 {
-	p := d.Period()
+	p := d.cfg.Period
 	var sum float64
 	for i := 0; i < steps; i++ {
 		t := time.Duration((float64(i) + 0.5) / float64(steps) * float64(p))
@@ -28,8 +28,8 @@ func integrate(d Diurnal, steps int) float64 {
 // (Floor 0.5 > 1−Amp 0.4, so the curve is genuinely piecewise here).
 func TestDiurnalMeanPreserved(t *testing.T) {
 	d := defaultDiurnal()
-	if got := integrate(d, 20000); math.Abs(got-d.Mean()) > 0.002*d.Mean() {
-		t.Errorf("time-averaged rate %g, configured mean %g", got, d.Mean())
+	if got := integrate(d, 20000); math.Abs(got-d.cfg.Mean) > 0.002*d.cfg.Mean {
+		t.Errorf("time-averaged rate %g, configured mean %g", got, d.cfg.Mean)
 	}
 }
 
@@ -43,7 +43,7 @@ func TestDiurnalFloorBinds(t *testing.T) {
 	}
 	min := math.Inf(1)
 	for i := 0; i < 1000; i++ {
-		if r := d.Rate(time.Duration(i) * d.Period() / 1000); r < min {
+		if r := d.Rate(time.Duration(i) * d.cfg.Period / 1000); r < min {
 			min = r
 		}
 	}
@@ -58,7 +58,7 @@ func TestDiurnalMaxRateBounds(t *testing.T) {
 	d := defaultDiurnal()
 	max := 0.0
 	for i := 0; i < 4000; i++ {
-		if r := d.Rate(time.Duration(i) * d.Period() / 4000); r > max {
+		if r := d.Rate(time.Duration(i) * d.cfg.Period / 4000); r > max {
 			max = r
 		}
 	}
@@ -93,8 +93,8 @@ func TestDiurnalShare(t *testing.T) {
 			t.Fatalf("share(0.5) at %v: %g vs %g", at, a, b)
 		}
 	}
-	if half.Mean() != base.Mean()/2 {
-		t.Errorf("share mean %g, want %g", half.Mean(), base.Mean()/2)
+	if half.cfg.Mean != base.cfg.Mean/2 {
+		t.Errorf("share mean %g, want %g", half.cfg.Mean, base.cfg.Mean/2)
 	}
 }
 

@@ -77,12 +77,6 @@ func NewHotZipf(base *Zipf, f Flash) *HotZipf {
 	return h
 }
 
-// Base returns the underlying Zipf sampler.
-func (h *HotZipf) Base() *Zipf { return h.base }
-
-// Flash returns the spike configuration.
-func (h *HotZipf) Flash() Flash { return h.f }
-
 // WeightFactor returns the total-demand scale at time t:
 // 1 + (Multiplier(t)−1)·P(hot). Multiplying the base arrival rate by it
 // models the crowd as *extra* traffic (new requesters showing up), not a

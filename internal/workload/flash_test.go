@@ -123,7 +123,7 @@ func TestHotZipfInertMatchesBase(t *testing.T) {
 	if h.MaxWeightFactor() != 1 {
 		t.Errorf("inert MaxWeightFactor %g, want 1", h.MaxWeightFactor())
 	}
-	if h.Base() != z || h.Flash().Active() {
+	if h.base != z || h.f.Active() {
 		t.Error("accessors disagree with construction")
 	}
 }

@@ -49,7 +49,7 @@ func TestGenerateOrderedAndBounded(t *testing.T) {
 func TestGenerateReplaysIdentically(t *testing.T) {
 	cfg := defaultStream()
 	cfg.Flash = Flash{Object: 23, Start: 800 * time.Second, Ramp: 100 * time.Second, Peak: 400, Decay: 150 * time.Second}
-	rs := DefaultRegions(3, cfg.Rate.Period())
+	rs := DefaultRegions(3, cfg.Rate.cfg.Period)
 	cfg.Regions = &rs
 	a, b := Generate(cfg), Generate(cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -71,7 +71,7 @@ func TestGenerateReplaysIdentically(t *testing.T) {
 // process realizes Mean·Horizon arrivals (±5%, ~4σ at this volume).
 func TestGenerateCountMatchesMean(t *testing.T) {
 	cfg := defaultStream() // 4 whole periods; mean preserved by normalizer
-	want := cfg.Rate.Mean() * cfg.Horizon.Seconds()
+	want := cfg.Rate.cfg.Mean * cfg.Horizon.Seconds()
 	got := float64(len(Generate(cfg)))
 	if math.Abs(got-want) > 0.05*want {
 		t.Errorf("generated %g requests, want %g ± 5%%", got, want)
@@ -126,7 +126,7 @@ func TestGenerateFlashInflatesHotShare(t *testing.T) {
 // its own clients.
 func TestGenerateRegionsSplitLoad(t *testing.T) {
 	cfg := defaultStream()
-	rs := DefaultRegions(3, cfg.Rate.Period())
+	rs := DefaultRegions(3, cfg.Rate.cfg.Period)
 	cfg.Regions = &rs
 	reqs := Generate(cfg)
 	counts := make([]float64, 3)
@@ -139,7 +139,7 @@ func TestGenerateRegionsSplitLoad(t *testing.T) {
 			t.Errorf("region %d carries %g of the load, want ≈ 1/3", r, share)
 		}
 	}
-	if want := cfg.Rate.Mean() * cfg.Horizon.Seconds(); math.Abs(total-want) > 0.08*want {
+	if want := cfg.Rate.cfg.Mean * cfg.Horizon.Seconds(); math.Abs(total-want) > 0.08*want {
 		t.Errorf("regional split changed total volume: %g vs %g", total, want)
 	}
 }

@@ -89,9 +89,6 @@ func NewZipf(n int, s float64) *Zipf {
 // N returns the number of objects.
 func (z *Zipf) N() int { return z.n }
 
-// S returns the skew exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // P returns the exact probability of object i.
 func (z *Zipf) P(i int) float64 { return z.pmf[i] }
 

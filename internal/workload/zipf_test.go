@@ -22,8 +22,8 @@ func TestZipfPMF(t *testing.T) {
 	if got, want := z.P(1)/z.P(0), math.Pow(2, -1.1); math.Abs(got-want) > 1e-12 {
 		t.Errorf("P(1)/P(0) = %g, want 2^-1.1 = %g", got, want)
 	}
-	if z.S() != 1.1 {
-		t.Errorf("S() = %g", z.S())
+	if z.s != 1.1 {
+		t.Errorf("S() = %g", z.s)
 	}
 }
 

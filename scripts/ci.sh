@@ -2,15 +2,15 @@
 # ci.sh — the merge gate, plus the nightly tier when asked. The default
 # run is the merge gate: the full `make ci` pipeline (fmt, build, vet,
 # determinism lint, race, tests, coverage floor, fuzz burst), the reach
-# check (scripts/reach.sh: no internal file that no shipped run reaches,
-# outside its allowlist), the benchmark module's own vet and tests, then
+# check (scripts/reach.sh: no internal function that no shipped run
+# reaches, unless marked //reach: or on its file allowlist), the benchmark module's own vet and tests, then
 # the seeded bench regression gate: a fresh deterministic `feudalism bench`
 # run must match the checked-in BENCH_baseline.json exactly (tolerance 0 —
 # the simulation is seed-deterministic, so any metric drift is a real
 # behaviour change that requires regenerating the baseline on purpose), and
 # the committed BENCH_baseline.json / BENCH_PR3.json pair must agree. The same bench
 # built with GOAMD64=v3 must match the baseline too, and the tree must vet
-# for arm64.
+# for arm64 and 386.
 # .github/workflows/ci.yml runs exactly this script; run it locally before
 # pushing to see what CI will see.
 #
@@ -26,9 +26,10 @@ cd "$(dirname "$0")/.."
 
 make ci
 
-# Reach: every non-test file under internal/ must be run by something the
-# repository ships (the registry, the CLI's tests, the examples), or sit on
-# the script's allowlist with its reason.
+# Reach: every non-test function under internal/ must be run by something
+# the repository ships (the registry, the CLI's tests, the examples, the
+# bench module's tests), or carry a //reach: marker with its reason; whole
+# files at 0 % need a line on the script's allowlist.
 echo "reach gate: code no shipped run reaches"
 ./scripts/reach.sh
 
@@ -72,6 +73,8 @@ else
 fi
 echo "isa gate: GOARCH=arm64 go vet ./... (compile check)"
 GOARCH=arm64 go vet ./...
+echo "isa gate: GOARCH=386 go vet ./... (32-bit compile check: constants that overflow int)"
+GOARCH=386 go vet ./...
 
 # The 10k-node tier (make scale) is nightly-style work: run it only when
 # asked, so the merge gate stays fast.
