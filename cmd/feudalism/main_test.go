@@ -187,35 +187,32 @@ func TestStartProfiles(t *testing.T) {
 }
 
 // TestBenchProfiles: `bench -cpuprofile -memprofile` writes both profiles
-// beside a bench file that is byte for byte the one an unprofiled run
-// writes.
+// beside a bench file that is byte for byte the tiny seed-7 bench golden
+// internal/experiments pins, which is what an unprofiled run writes.
 func TestBenchProfiles(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
-	bench := func(args ...string) {
-		t.Helper()
-		var stderr bytes.Buffer
-		args = append([]string{"bench", "-scale", "tiny", "-seed", "9"}, args...)
-		if code := run(args, io.Discard, &stderr); code != 0 {
-			t.Fatalf("%v: exit %d; stderr: %s", args, code, stderr.String())
-		}
+	args := []string{"bench", "-scale", "tiny", "-seed", "7", "-json", path("bench.json"),
+		"-cpuprofile", path("cpu.prof"), "-memprofile", path("mem.prof")}
+	var stderr bytes.Buffer
+	if code := run(args, io.Discard, &stderr); code != 0 {
+		t.Fatalf("%v: exit %d; stderr: %s", args, code, stderr.String())
 	}
-	bench("-json", path("plain.json"))
-	bench("-json", path("profiled.json"), "-cpuprofile", path("cpu.prof"), "-memprofile", path("mem.prof"))
 	for _, name := range []string{"cpu.prof", "mem.prof"} {
 		if fi, err := os.Stat(path(name)); err != nil || fi.Size() == 0 {
 			t.Errorf("%s: not written (%v)", name, err)
 		}
 	}
-	plain, err := os.ReadFile(path("plain.json"))
+	got, err := os.ReadFile(path("bench.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, err := os.ReadFile(path("profiled.json"))
+	const golden = "../../internal/experiments/testdata/bench_tiny_golden.json"
+	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v (go test ./internal/experiments -run 'TestRegistryTinyRuns$' -update writes it)", err)
 	}
-	if len(plain) == 0 || !bytes.Equal(plain, profiled) {
-		t.Errorf("profiling changed the bench file: %d bytes without, %d with", len(plain), len(profiled))
+	if !bytes.Equal(got, want) {
+		t.Errorf("profiled bench file differs from %s: %d bytes, want %d", golden, len(got), len(want))
 	}
 }

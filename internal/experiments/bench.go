@@ -49,23 +49,40 @@ func (o BenchOptions) withDefaults() BenchOptions {
 // scripts/ci.sh diffs against BENCH_baseline.json.
 func RunBench(opts BenchOptions) *obs.BenchFile {
 	opts = opts.withDefaults()
-	file := &obs.BenchFile{
-		Schema: obs.BenchSchema,
-		Seed:   opts.Seed,
-		Trials: opts.Trials,
-		Scale:  opts.Scale,
-	}
+	var entries []obs.BenchExperiment
 	for _, d := range descriptors() {
-		file.Experiments = append(file.Experiments, benchEntry(d.id, opts.WallClock, func() {
-			switch {
-			case opts.Scale == "tiny":
-				d.run(opts.Seed, true)
-			case opts.Trials > 1 && d.matrix != nil:
-				d.runMulti(simnet.Seeds(opts.Seed, opts.Trials), opts.Workers, false)
-			default:
-				d.run(opts.Seed, false)
-			}
-		}))
+		e, _ := benchRun(d, opts)
+		entries = append(entries, e)
+	}
+	return benchFile(opts, entries)
+}
+
+// benchRun runs one registry entry as RunBench does and returns its bench
+// entry and the table the run rendered. Trials > 1 runs the entry's
+// multi-seed variant, when it has one, at the scale's sizes; RunBench's
+// defaults keep the tiny scale at one trial.
+func benchRun(d descriptor, opts BenchOptions) (obs.BenchExperiment, *Table) {
+	var tab *Table
+	e := benchEntry(d.id, opts.WallClock, func() {
+		tiny := opts.Scale == "tiny"
+		if opts.Trials > 1 && d.matrix != nil {
+			tab = d.runMulti(simnet.Seeds(opts.Seed, opts.Trials), opts.Workers, tiny)
+		} else {
+			tab = d.run(opts.Seed, tiny)
+		}
+	})
+	return e, tab
+}
+
+// benchFile assembles the bench file of a sweep run with opts, in the
+// file's canonical order.
+func benchFile(opts BenchOptions, entries []obs.BenchExperiment) *obs.BenchFile {
+	file := &obs.BenchFile{
+		Schema:      obs.BenchSchema,
+		Seed:        opts.Seed,
+		Trials:      opts.Trials,
+		Scale:       opts.Scale,
+		Experiments: entries,
 	}
 	file.Sort()
 	return file

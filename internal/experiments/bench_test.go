@@ -1,91 +1,13 @@
 package experiments
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
-
-// benchGoldens is the known-answer table behind TestBenchGoldens: one row
-// per matrix experiment, naming the seed its snapshot was recorded at and
-// whether it runs at the tiny world sizes (worker invariance is about merge
-// ordering, not population size, so only X14 — the experiment touching the
-// most subsystems — pays for full scale). The answers themselves are
-// testdata/<id>_bench_golden.json.
-type benchGolden struct {
-	id   string
-	seed int64
-	tiny bool
-}
-
-var benchGoldens = []benchGolden{
-	{"x14", 4242, false},
-	{"x15", 1515, true},
-	{"x16", 1616, true}, // resil.* retry/hedge/breaker counters: every adaptive decision the layer made
-	{"x17", 1717, true}, // storage.tier.* hits, storage.dedup.ratio, storage.gc.reclaimed_bytes: every tiering decision
-	{"x18", 1818, true}, // workload.* request accounting; any drift in the schedule's draws moves it
-	{"x19", 1919, true}, // replic.* counters, the origin-byte-share gauge, the adaptive arms' resil.*
-	{"x20", 2020, true}, // overload.* admission/shed/CoDel counters, net.queue.* uplink gauges, resil.shed.count
-}
-
-// benchSnapshot runs one matrix experiment as a three-trial bench entry on
-// `workers` trial runners and returns the snapshot JSON.
-func benchSnapshot(t *testing.T, d descriptor, seed int64, tiny bool, workers int) []byte {
-	t.Helper()
-	entry := benchEntry(d.id, nil, func() { d.runMulti(simnet.Seeds(seed, 3), workers, tiny) })
-	var buf bytes.Buffer
-	if err := entry.Metrics.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestBenchGoldens pins each matrix experiment's fixed-seed observability
-// snapshot byte for byte: identical across trial worker counts and against
-// the checked-in golden file. Regenerate every golden with
-// `go test ./internal/experiments -run TestBenchGoldens -update` after an
-// intentional behaviour change (add `/x17` to the pattern for just one).
-func TestBenchGoldens(t *testing.T) {
-	// The matrix experiments are the ids named by their X number (x14–x20).
-	for _, d := range descriptors() {
-		if strings.HasPrefix(d.id, "x") && !slices.ContainsFunc(benchGoldens, func(g benchGolden) bool { return g.id == d.id }) {
-			t.Errorf("matrix experiment %s has no benchGoldens row", d.id)
-		}
-	}
-	for _, g := range benchGoldens {
-		t.Run(g.id, func(t *testing.T) {
-			d := descriptorByID(g.id)
-			serial := benchSnapshot(t, d, g.seed, g.tiny, 1)
-			if parallel := benchSnapshot(t, d, g.seed, g.tiny, 4); !bytes.Equal(serial, parallel) {
-				t.Fatal("snapshot differs between 1 and 4 trial workers")
-			}
-			golden := filepath.Join("testdata", g.id+"_bench_golden.json")
-			if *updateGolden {
-				if err := os.WriteFile(golden, serial, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if !bytes.Equal(serial, want) {
-				t.Fatalf("snapshot drifted from %s; if intentional, rerun with -update\ngot:\n%s", golden, serial)
-			}
-		})
-	}
-}
 
 // TestShardedLayoutsAgree runs every engine-parametric arm of the
 // flash-crowd batteries on deterministic links, once on the legacy
@@ -143,29 +65,6 @@ func TestShardedLayoutsAgree(t *testing.T) {
 	}
 }
 
-// TestRunBenchTinyReproducible checks that a whole-registry bench file is
-// byte-identical across runs when timing is off. The second run asks for
-// three trials, which the tiny scale does not run, so its file must also
-// record the one trial it ran.
-func TestRunBenchTinyReproducible(t *testing.T) {
-	opts := BenchOptions{Seed: 42, Scale: "tiny"}
-	b1, err := RunBench(opts).EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Trials = 3
-	b2, err := RunBench(opts).EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("tiny bench output differs between identical runs")
-	}
-	if len(b1) == 0 || b1[len(b1)-1] != '\n' {
-		t.Fatal("bench output must end with a newline")
-	}
-}
-
 // TestBaselineCoversRegistry requires every registered experiment to have
 // an entry in the committed BENCH_baseline.json. benchdiff treats
 // experiments present only in the fresh run as additions, not regressions,
@@ -194,7 +93,7 @@ func TestBaselinePerturbationFailsGate(t *testing.T) {
 	const path = "../../BENCH_baseline.json"
 	clean, err := obs.LoadBenchFile(path)
 	if err != nil {
-		t.Skipf("baseline not present: %v", err)
+		t.Fatalf("baseline not loadable: %v", err)
 	}
 	same, err := obs.LoadBenchFile(path)
 	if err != nil {

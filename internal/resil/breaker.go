@@ -29,7 +29,6 @@ type Breaker struct {
 	samples  int
 	cooldown time.Duration
 	openedAt time.Duration // virtual time the current open period started
-	opens    int
 }
 
 const (
@@ -107,14 +106,12 @@ func (b *Breaker) Failure(now time.Duration) bool {
 		}
 		b.state = BreakerOpen
 		b.openedAt = now
-		b.opens++
 		return true
 	case BreakerClosed:
 		if b.consec >= breakerTrip ||
 			(b.samples >= breakerMinSamples && b.rate < breakerSuccessFloor) {
 			b.state = BreakerOpen
 			b.openedAt = now
-			b.opens++
 			return true
 		}
 	}

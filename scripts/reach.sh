@@ -7,9 +7,9 @@
 # One coverage profile, instrumented over ./internal/..., is merged from
 # everything the repository ships:
 #
-#   - TestRegistryTinyRuns: every registry experiment at tiny scale;
 #   - go test ./cmd/feudalism ./cmd/benchdiff: the CLI's commands and
-#     goldens (table1|2|3, zooko, names, dedup, bench, scale);
+#     goldens (table1|2|3, zooko, names, dedup, scale), and `bench -scale
+#     tiny -seed 7`, which runs every registry experiment at tiny scale;
 #   - go test ./examples/...: the five end-to-end examples;
 #   - the bench module's tests (bench/, its own go.mod): every workload of
 #     the benchmark.
@@ -49,7 +49,6 @@ cover() {
 		exit 1
 	}
 }
-cover registry . ./internal/... -run '^TestRegistryTinyRuns$' ./internal/experiments
 cover cmd . ./internal/... ./cmd/feudalism ./cmd/benchdiff
 cover examples . ./internal/... ./examples/...
 cover bench bench repro/internal/... ./...
@@ -58,7 +57,7 @@ cover bench bench repro/internal/... ./...
 # only the blocks of the packages its binary links, the others every block
 # under internal/, so the union of blocks is taken.
 echo "mode: set" >"$tmp/merged.out"
-cat "$tmp/registry.out" "$tmp/cmd.out" "$tmp/examples.out" "$tmp/bench.out" | awk '
+cat "$tmp/cmd.out" "$tmp/examples.out" "$tmp/bench.out" | awk '
 	$1 != "mode:" { stmts[$1] = $2; if ($3 > 0) hit[$1] = 1 }
 	END { for (b in stmts) print b, stmts[b], (b in hit) }' >>"$tmp/merged.out"
 
