@@ -32,16 +32,17 @@ lint:
 	./scripts/determinism_lint.sh
 
 # race covers internal/chain's TestCheckSigConcurrent (a Tx shared between
-# miners is only read once Sign has returned), and also runs the
-# shard-determinism suite (small tier, every X15 cell) and the flash-crowd
-# batteries' layout-agreement test with the race detector watching the
-# sharded engine's worker pool — the only place in the repo where
-# simulation state, and the harness callbacks experiments hand to it, cross
-# goroutines mid-run.
+# miners is only read once Sign has returned); internal/experiments' golden
+# harness, whose rerun column runs every registry entry side by side on
+# four workers; and internal/experiments' layout-agreement test for the
+# flash-crowd batteries, with the race detector watching the sharded
+# engine's worker pool — the only place in the repo where simulation
+# state, and the harness callbacks experiments hand to it, cross goroutines
+# mid-run. The second line adds the shard-determinism suite (small tier,
+# every X15 cell).
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -short -run 'TestShardDeterminism' -count=1 .
-	$(GO) test -race -short -run 'TestShardedLayoutsAgree' -count=1 ./internal/experiments
 
 test:
 	$(GO) test ./...

@@ -27,8 +27,11 @@
 // BENCH_*.json format (see EXPERIMENTS.md): per experiment, the merged
 // observability snapshot — protocol counters like dht.lookup.hops,
 // substrate traffic, span histograms — plus wall time and allocations when
-// -timing is set. Without -timing the bytes are deterministic: identical
-// across repeated runs and across -workers counts. cmd/benchdiff compares
+// -timing is set. -workers bounds both how many experiments run side by
+// side and how many trials each runs at once; -timing runs the experiments
+// one at a time, since their allocation counts read process-wide
+// counters. Without -timing the bytes are deterministic: identical across
+// repeated runs and across -workers counts. cmd/benchdiff compares
 // two such files; scripts/ci.sh uses the pair as the merge gate.
 package main
 
@@ -220,7 +223,7 @@ func runBenchCmd(args []string, stdout, stderr io.Writer) int {
 	bfs := newFlagSet("bench", stderr)
 	bseed := bfs.Int64("seed", 42, "base simulation seed")
 	btrials := bfs.Int("trials", 1, "independent seeds for experiments with a Multi variant (full scale only)")
-	bworkers := bfs.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS); output is identical at any count")
+	bworkers := bfs.Int("workers", 0, "how many experiments, and trials inside each, run at once (0 = GOMAXPROCS; -timing runs experiments one at a time); output is identical at any count")
 	bscale := bfs.String("scale", "full", "experiment sizes: full or tiny")
 	btiming := bfs.Bool("timing", false, "record wall time and allocations (machine-dependent; breaks byte-reproducibility)")
 	bout := bfs.String("json", "", "write JSON to this file instead of stdout")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -15,8 +16,10 @@ type BenchOptions struct {
 	// Trials > 1 runs the Multi variant of experiments that have one. The
 	// tiny scale has no multi-seed runs, so there it is always 1.
 	Trials int
-	// Workers bounds trial parallelism (0 = GOMAXPROCS). The exported
-	// metrics are identical at any worker count.
+	// Workers bounds how many entries run at once and, inside a
+	// multi-trial entry, how many trials (0 = GOMAXPROCS). With WallClock
+	// set, entries run one at a time. The exported metrics are identical
+	// at any worker count.
 	Workers int
 	// Scale selects "full" (the Run/Multi sizes) or "tiny" (the test-suite
 	// sizes). Tiny keeps the CI gate and the determinism tests fast.
@@ -41,20 +44,53 @@ func (o BenchOptions) withDefaults() BenchOptions {
 	return o
 }
 
-// RunBench executes every registered experiment under a fresh obs
-// collector and returns the machine-readable bench file: per experiment,
+// RunBench executes every registered experiment, each under its own obs
+// collector, and returns the machine-readable bench file: per experiment,
 // the deterministic merge of every metric registry the run created
 // (protocol counters, substrate traffic, span histograms), plus timing
 // when enabled. This is the artifact `feudalism bench -json` writes and
 // scripts/ci.sh diffs against BENCH_baseline.json.
 func RunBench(opts BenchOptions) *obs.BenchFile {
 	opts = opts.withDefaults()
-	var entries []obs.BenchExperiment
-	for _, d := range descriptors() {
-		e, _ := benchRun(d, opts)
-		entries = append(entries, e)
-	}
+	entries, _ := benchRuns(descriptors(), opts)
 	return benchFile(opts, entries)
+}
+
+// longestFirst names the entries that dominate a full-scale sweep, longest
+// first: under `feudalism bench -timing` on two cores, x15 5.9 s,
+// usenet-load 5.2 s, ledger-growth 3.8 s and x16 2.6 s, every other entry
+// under 1.3 s. benchRuns starts them before the rest, so a sweep does not
+// end waiting on one of them. The order moves only the wall time, never
+// the output.
+var longestFirst = []string{"x15", "usenet-load", "ledger-growth", "x16"}
+
+// benchRuns runs every entry of ds as RunBench does and returns their
+// bench entries and rendered tables in ds's order. Entries run side by
+// side on opts.Workers workers (0 = GOMAXPROCS), those in longestFirst
+// first; with a clock they run one at a time, because an entry's
+// allocation counts read the process-wide runtime.MemStats.
+func benchRuns(ds []descriptor, opts BenchOptions) ([]obs.BenchExperiment, []*Table) {
+	rank := func(i int) int {
+		if r := slices.Index(longestFirst, ds[i].id); r >= 0 {
+			return r
+		}
+		return len(longestFirst)
+	}
+	order := make([]int, len(ds))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rank(a) - rank(b) })
+	workers := opts.Workers
+	if opts.WallClock != nil {
+		workers = 1
+	}
+	entries, tables := make([]obs.BenchExperiment, len(ds)), make([]*Table, len(ds))
+	simnet.Each(len(order), workers, func(k int) {
+		i := order[k]
+		entries[i], tables[i] = benchRun(ds[i], opts)
+	})
+	return entries, tables
 }
 
 // benchRun runs one registry entry as RunBench does and returns its bench
@@ -63,12 +99,12 @@ func RunBench(opts BenchOptions) *obs.BenchFile {
 // defaults keep the tiny scale at one trial.
 func benchRun(d descriptor, opts BenchOptions) (obs.BenchExperiment, *Table) {
 	var tab *Table
-	e := benchEntry(d.id, opts.WallClock, func() {
-		tiny := opts.Scale == "tiny"
+	env := Env{Seed: opts.Seed, Tiny: opts.Scale == "tiny"}
+	e := benchEntry(d.id, opts.WallClock, env, func(env Env) {
 		if opts.Trials > 1 && d.matrix != nil {
-			tab = d.runMulti(simnet.Seeds(opts.Seed, opts.Trials), opts.Workers, tiny)
+			tab = d.runMulti(env, simnet.Seeds(opts.Seed, opts.Trials), opts.Workers)
 		} else {
-			tab = d.run(opts.Seed, tiny)
+			tab = d.run(env)
 		}
 	})
 	return e, tab
@@ -88,26 +124,25 @@ func benchFile(opts BenchOptions, entries []obs.BenchExperiment) *obs.BenchFile 
 	return file
 }
 
-// benchEntry runs one experiment under a fresh obs collector and returns
-// its bench entry: the merge of every metric registry the run created,
-// plus, given a clock, its wall time and heap allocations. It is the one
-// place under internal/experiments that measures the host — the bench
-// entries and the X15 scale cells both time through it.
-func benchEntry(id string, clock func() int64, run func()) obs.BenchExperiment {
-	col := obs.NewCollector()
-	restore := obs.SetCollector(col)
-	defer restore()
+// benchEntry runs one experiment on env with a fresh obs collector and
+// returns its bench entry: the merge of every metric registry the run's
+// networks own, plus, given a clock, its wall time and heap allocations.
+// It is the one place under internal/experiments that measures the host —
+// the bench entries and the X15 scale cells both time through it, one at
+// a time.
+func benchEntry(id string, clock func() int64, env Env, run func(Env)) obs.BenchExperiment {
+	env.col = obs.NewCollector()
 	if clock == nil {
-		run()
-		return obs.BenchExperiment{ID: id, Metrics: col.Merged()}
+		run(env)
+		return obs.BenchExperiment{ID: id, Metrics: env.col.Merged()}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := clock()
-	run()
+	run(env)
 	elapsed := clock() - start
 	runtime.ReadMemStats(&after)
-	return obs.BenchExperiment{ID: id, Metrics: col.Merged(), Timing: &obs.Timing{
+	return obs.BenchExperiment{ID: id, Metrics: env.col.Merged(), Timing: &obs.Timing{
 		WallNS:     elapsed,
 		Allocs:     after.Mallocs - before.Mallocs,
 		AllocBytes: after.TotalAlloc - before.TotalAlloc,

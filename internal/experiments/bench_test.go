@@ -4,9 +4,11 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // TestShardedLayoutsAgree runs every engine-parametric arm of the
@@ -41,11 +43,8 @@ func TestShardedLayoutsAgree(t *testing.T) {
 					continue
 				}
 				checked++
-				arm.det = true
-				arm.engine = layouts[0]
-				legacy := runFlashArm(42, sp, arm, reqs, rs)
-				arm.engine = layouts[1]
-				sharded := runFlashArm(42, sp, arm, reqs, rs)
+				legacy := runDetFlashArm(Env{Seed: 42, Layout: layouts[0]}, sp, arm, reqs, rs)
+				sharded := runDetFlashArm(Env{Seed: 42, Layout: layouts[1]}, sp, arm, reqs, rs)
 				if legacy.flashScore != sharded.flashScore {
 					t.Errorf("%s: scores diverged across layouts:\nlegacy:  %+v\nsharded: %+v",
 						arm.name, legacy.flashScore, sharded.flashScore)
@@ -127,6 +126,19 @@ func TestBaselinePerturbationFailsGate(t *testing.T) {
 	if probs := obs.Compare(clean, perturbed, 0.25); len(probs) == 0 {
 		t.Fatal("perturbed baseline passed the gate")
 	}
+}
+
+// runDetFlashArm runs the arm as runFlashArm does, but with every access
+// link replaced by a fixed-latency profile before any traffic — no
+// jitter, no loss, no bandwidth queueing — the regime where the legacy and
+// sharded engines are event-for-event identical (simnet's
+// TestShardedMatchesLegacyWhenDeterministic).
+func runDetFlashArm(env Env, sp flashSpec, arm flashArm, reqs []workload.Request, rs *workload.RegionSet) flashResult {
+	w := buildFlashWorld(env, sp, arm, rs)
+	for _, n := range w.nw.Nodes() {
+		n.SetProfile(simnet.LinkProfile{Latency: 5 * time.Millisecond})
+	}
+	return w.replay(reqs)
 }
 
 // engineParametric reports whether the arm's outcome is independent of the

@@ -11,7 +11,7 @@ import "testing"
 // transport's on the lossy-edge and rolling-churn scenarios, and never
 // worse on any other scenario by more than a small tolerance.
 func TestX16ResilientBeatsNaive(t *testing.T) {
-	m := resilienceMatrix(4242, true)
+	m := resilienceMatrix(Env{Seed: 4242, Tiny: true})
 	scs := resilScenarios()
 	col := func(name, measure string) int {
 		for c, cn := range m.Cols {
@@ -67,7 +67,7 @@ func TestX16ResilientBeatsNaive(t *testing.T) {
 // fixed-size chunking, while on the alignment-preserving shared-prefix
 // population both modes dedup substantially (ratio > 1.5 absolute).
 func TestX17CDCBeatsFixed(t *testing.T) {
-	m := dedupMatrix(4217, true)
+	m := dedupMatrix(Env{Seed: 4217, Tiny: true})
 	row := func(name string) int {
 		for r, rn := range m.Rows {
 			if rn == name {
@@ -115,7 +115,7 @@ func TestX18P2PBeatsFeudalUnderFlashCrowd(t *testing.T) {
 		cAvail  = 0
 		cOrigin = 2
 	)
-	flash := workloadMatrix(42, "flash", true)
+	flash := workloadMatrix(Env{Seed: 42, Tiny: true}, "flash")
 	if got := flash.Vals[rFeudal][cAvail]; got >= 60 {
 		t.Errorf("feudal availability %.1f%% under flash crowd, want SLA collapse (< 60%%)", got)
 	}
@@ -134,7 +134,7 @@ func TestX18P2PBeatsFeudalUnderFlashCrowd(t *testing.T) {
 
 	// Control: steady zipf at the same time-averaged rate — the feudal
 	// box handles it, so the collapse above is the spike, not the volume.
-	zipf := workloadMatrix(42, "zipf", true)
+	zipf := workloadMatrix(Env{Seed: 42, Tiny: true}, "zipf")
 	for r, name := range zipf.Rows {
 		if got := zipf.Vals[r][cAvail]; got < 90 {
 			t.Errorf("%s availability %.1f%% under steady zipf, want ≥ 90%%", name, got)
@@ -160,7 +160,7 @@ func TestX19AdaptiveBeatsStatic(t *testing.T) {
 		cP95           = 1
 		cOrigin        = 2
 	)
-	m := replicationMatrix(42, true)
+	m := replicationMatrix(Env{Seed: 42, Tiny: true})
 	staticOrigin := m.Vals[rStaticClean][cOrigin]
 	adaptOrigin := m.Vals[rAdaptiveClean][cOrigin]
 	if adaptOrigin <= 0 || staticOrigin/adaptOrigin < 2 {
@@ -203,7 +203,7 @@ func TestX20OverloadDegradesGracefully(t *testing.T) {
 		cCtlP95      = 3
 		cShed        = 4
 	)
-	m := overloadMatrix(42, true)
+	m := overloadMatrix(Env{Seed: 42, Tiny: true})
 
 	naive := m.Vals[rFeudalNaive][cFlash]
 	ovld := m.Vals[rFeudalOvld][cFlash]

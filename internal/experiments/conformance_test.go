@@ -72,7 +72,7 @@ func TestX18P2PWorkloadUnderFaults(t *testing.T) {
 	for _, sc := range fault.Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := x18P2P(seed, sp, reqs, rs, &sc)
+			res := x18P2P(Env{Seed: seed}, sp, reqs, rs, &sc)
 			outcomes := res.outcomes
 			if len(outcomes) == 0 {
 				t.Fatal("arm setup failed")
@@ -144,7 +144,7 @@ func TestX19AdaptiveUnderFaults(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			arm := armNamed(t, x19Arms(sp), "adaptive-clean")
 			arm.scenario = &sc
-			res := runFlashArm(seed, sp, arm, reqs, rs)
+			res := runFlashArm(Env{Seed: seed}, sp, arm, reqs, rs)
 			if len(res.outcomes) == 0 {
 				t.Fatal("arm setup failed")
 			}
@@ -203,7 +203,7 @@ func TestX19AnchorExemptLikeX18Tracker(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			arm := armNamed(t, x19Arms(sp), "adaptive-clean")
 			arm.scenario = &sc
-			res := runFlashArm(seed, sp, arm, reqs, rs)
+			res := runFlashArm(Env{Seed: seed}, sp, arm, reqs, rs)
 			anchor := res.dir.Node()
 			if anchor.Crashes() != 0 || anchor.Downtime() != 0 {
 				t.Errorf("directory anchor crashed %d times (downtime %v); anchors are exempt from fault scenarios",
@@ -294,7 +294,7 @@ func TestX20ProtectedArmsUnderFaults(t *testing.T) {
 				t.Run(sc.Name, func(t *testing.T) {
 					fa := armNamed(t, x20Arms(sp), arm.name+"-clean")
 					fa.scenario = &sc
-					res := runFlashArm(seed, sp, fa, reqs, rs)
+					res := runFlashArm(Env{Seed: seed}, sp, fa, reqs, rs)
 					if len(res.outcomes) == 0 {
 						t.Fatal("arm setup failed")
 					}

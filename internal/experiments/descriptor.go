@@ -28,15 +28,15 @@ type descriptor struct {
 	// groups, when non-nil, are the single-seed table's headers: each run
 	// of len(cell) matrix columns is joined into one cell under them.
 	groups []string
-	// matrix is the numeric core: one seed in, one labelled grid out. An
-	// experiment with a core has a multi-seed variant; the deterministic
-	// ones leave it nil.
-	matrix func(seed int64, tiny bool) Matrix
+	// matrix is the numeric core: one run's env in, one labelled grid out.
+	// An experiment with a core has a multi-seed variant; the
+	// deterministic ones leave it nil.
+	matrix func(Env) Matrix
 	// table, when non-nil, is the single-seed table in place of the
 	// core's grid: for tables that are not a grid over the core (a label,
 	// verdict or overhead column, a note row, byte counts, no numeric core
 	// at all) and for grids rendered at other sizes than the core's.
-	table func(seed int64, tiny bool) *Table
+	table func(Env) *Table
 }
 
 // render is m as a table: column c is formatted with
@@ -62,24 +62,25 @@ func (m Matrix) render(rowHeader string, groups, formats []string) *Table {
 	return t
 }
 
-// run renders the single-seed table at full or test scale.
-func (d descriptor) run(seed int64, tiny bool) *Table {
+// run renders the single-seed table at env's seed and scale.
+func (d descriptor) run(env Env) *Table {
 	var t *Table
 	switch {
 	case d.table != nil:
-		t = d.table(seed, tiny)
-	case tiny && d.tiny != nil:
-		t = d.matrix(seed, true).render(d.rowHeader, nil, d.tiny)
+		t = d.table(env)
+	case env.Tiny && d.tiny != nil:
+		t = d.matrix(env).render(d.rowHeader, nil, d.tiny)
 	default:
-		t = d.matrix(seed, tiny).render(d.rowHeader, d.groups, d.cell)
+		t = d.matrix(env).render(d.rowHeader, d.groups, d.cell)
 	}
-	t.Title = d.title(tiny)
+	t.Title = d.title(env.Tiny)
 	return t
 }
 
 // runMulti aggregates the core over a batch of seeds on `workers`
-// parallel trial runners (0 = GOMAXPROCS).
-func (d descriptor) runMulti(seeds []int64, workers int, tiny bool) *Table {
+// parallel trial runners (0 = GOMAXPROCS), each trial on a copy of env
+// with its seed.
+func (d descriptor) runMulti(env Env, seeds []int64, workers int) *Table {
 	title, formats := d.multiTitle, d.multi
 	if title == "" {
 		title = d.title(false)
@@ -87,15 +88,15 @@ func (d descriptor) runMulti(seeds []int64, workers int, tiny bool) *Table {
 	if formats == nil {
 		formats = d.cell
 	}
-	agg := AggregateSeeds(seeds, workers, func(seed int64) Matrix { return d.matrix(seed, tiny) })
+	agg := AggregateSeeds(env, seeds, workers, d.matrix)
 	return agg.Table(title, d.rowHeader, formats...)
 }
 
 // experiment is the registry entry generated from the descriptor.
 func (d descriptor) experiment() Experiment {
-	e := Experiment{ID: d.id, Desc: d.desc, Run: func(seed int64) fmt.Stringer { return d.run(seed, false) }}
+	e := Experiment{ID: d.id, Desc: d.desc, Run: func(seed int64) fmt.Stringer { return d.run(Env{Seed: seed}) }}
 	if d.matrix != nil {
-		e.Multi = func(seeds []int64, workers int) fmt.Stringer { return d.runMulti(seeds, workers, false) }
+		e.Multi = func(seeds []int64, workers int) fmt.Stringer { return d.runMulti(Env{}, seeds, workers) }
 	}
 	return e
 }
@@ -110,9 +111,9 @@ func at[S any](sizes [2]S, tiny bool) S {
 }
 
 // sized adapts a core or table over an experiment's own sizes to the
-// descriptor's (seed, tiny) signature.
-func sized[S, R any](sizes [2]S, f func(seed int64, s S) R) func(int64, bool) R {
-	return func(seed int64, tiny bool) R { return f(seed, at(sizes, tiny)) }
+// descriptor's func(Env) signature.
+func sized[S, R any](sizes [2]S, f func(env Env, s S) R) func(Env) R {
+	return func(env Env) R { return f(env, at(sizes, env.Tiny)) }
 }
 
 // titled is a title that prints the experiment's sizes.

@@ -19,38 +19,38 @@ import (
 // mechanism. The resulting table shows that each implemented scheme rewards honest
 // behaviour and catches (or starves) the cheater — the property §3.3 says
 // these mechanisms exist to provide.
-func incentiveDemos(seed int64) *Table {
+func incentiveDemos(env Env) *Table {
 	t := &Table{Headers: []string{"System", "Mechanism", "Honest Provider", "Cheating Provider"}}
 	for _, row := range core.Table2() {
-		honest, cheater := runIncentive(seed, row.Incentive)
+		honest, cheater := runIncentive(env, row.Incentive)
 		t.Add(row.System, row.Incentive, honest, cheater)
 	}
 	return t
 }
 
-func runIncentive(seed int64, id core.IncentiveID) (honest, cheater string) {
+func runIncentive(env Env, id core.IncentiveID) (honest, cheater string) {
 	switch id {
 	case core.IncentiveBitswap:
-		return bitswapDemo(seed)
+		return bitswapDemo(env)
 	case core.IncentiveProofOfStorage:
-		return proofDemo(seed, storage.DropAfterAck, "pos")
+		return proofDemo(env, storage.DropAfterAck, "pos")
 	case core.IncentiveProofOfRetrievability:
-		return proofDemo(seed, storage.DropAfterAck, "ret")
+		return proofDemo(env, storage.DropAfterAck, "ret")
 	case core.IncentiveProofOfReplication:
-		return proofDemo(seed, storage.DedupReplicas, "rep")
+		return proofDemo(env, storage.DedupReplicas, "rep")
 	case core.IncentiveNone:
-		return blockstackDemo(seed)
+		return blockstackDemo(env)
 	}
 	return "?", "?"
 }
 
-func bitswapDemo(seed int64) (string, string) {
-	nw := simnet.New(seed)
+func bitswapDemo(env Env) (string, string) {
+	nw := env.Net()
 	server := storage.NewBitswapNode(nw.AddNode())
 	freerider := storage.NewBitswapNode(nw.AddNode())
 	good := storage.NewBitswapNode(nw.AddNode())
 	var serverBlocks, goodBlocks []cryptoutil.Hash
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(env.Seed))
 	for i := 0; i < 16; i++ {
 		blk := make([]byte, 512)
 		rng.Read(blk)
@@ -78,8 +78,8 @@ func bitswapDemo(seed int64) (string, string) {
 		fmt.Sprintf("refused after debt limit (%d refusals)", freeRefused)
 }
 
-func proofDemo(seed int64, cheat storage.CheatMode, proof string) (string, string) {
-	nw := simnet.New(seed)
+func proofDemo(env Env, cheat storage.CheatMode, proof string) (string, string) {
+	nw := env.Net()
 	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
 	honest := storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30})
 	cheater := storage.NewProvider(nw.AddNode(), storage.ProviderConfig{Capacity: 1 << 30, Cheat: cheat})
@@ -147,8 +147,8 @@ func proofDemo(seed int64, cheat storage.CheatMode, proof string) (string, strin
 // blockstackDemo shows the Table 2 Blockstack row: the chain binds a name
 // to a key and zone-file hash; there is no storage incentive because the
 // data lives wherever the user chooses.
-func blockstackDemo(seed int64) (string, string) {
-	rng := rand.New(rand.NewSource(seed))
+func blockstackDemo(env Env) (string, string) {
+	rng := rand.New(rand.NewSource(env.Seed))
 	kp, err := cryptoutil.GenerateKeyPair(rng)
 	if err != nil {
 		panic(err)

@@ -2,9 +2,10 @@
 // and claim-backed experiment in EXPERIMENTS.md: the paper's three tables
 // (E1–E3) and the quantitative extensions X1–X20 that measure the §3
 // qualitative claims on this repository's implementations. Each
-// experiment is one descriptor (descriptor.go) and is deterministic given
-// its seed; cmd/feudalism drives them, and `feudalism bench` runs them
-// all into one machine-readable file.
+// experiment is one descriptor (descriptor.go) whose runs take an Env
+// (env.go), and is deterministic given its seed; cmd/feudalism drives
+// them, and `feudalism bench` runs them all, side by side, into one
+// machine-readable file.
 package experiments
 
 import (

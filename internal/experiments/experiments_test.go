@@ -50,7 +50,7 @@ func TestTable1Table2Table3(t *testing.T) {
 }
 
 func TestNamingSchemesShape(t *testing.T) {
-	m := namingMatrix(1, 8)
+	m := namingMatrix(Env{Seed: 1}, 8)
 	if len(m.Rows) < 3 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -70,7 +70,7 @@ func TestNamingSchemesShape(t *testing.T) {
 }
 
 func TestFiftyOnePercentMonotone(t *testing.T) {
-	m := fiftyOneMatrix(7, raceSize{trials: 6, horizon: 12})
+	m := fiftyOneMatrix(Env{Seed: 7}, raceSize{trials: 6, horizon: 12})
 	if len(m.Rows) != 8 {
 		t.Fatalf("rows = %d", len(m.Rows))
 	}
@@ -149,7 +149,7 @@ func TestDoubleSpend(t *testing.T) {
 }
 
 func TestCommAvailabilityShape(t *testing.T) {
-	m := commAvailabilityMatrix(11, commSize{servers: 10, fails: []float64{0, 0.3}})
+	m := commAvailabilityMatrix(Env{Seed: 11}, commSize{servers: 10, fails: []float64{0, 0.3}})
 	if len(m.Rows) != 4 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -170,7 +170,7 @@ func TestCommAvailabilityShape(t *testing.T) {
 }
 
 func TestSocialP2PShape(t *testing.T) {
-	m := socialP2PMatrix(13, socialSize{users: 20, degree: []int{2, 8}, uptime: []float64{0.5, 1.0}}, socialTrials)
+	m := socialP2PMatrix(Env{Seed: 13}, socialSize{users: 20, degree: []int{2, 8}, uptime: []float64{0.5, 1.0}}, socialTrials)
 	if len(m.Rows) != 2 {
 		t.Fatalf("rows = %d", len(m.Rows))
 	}
@@ -183,14 +183,14 @@ func TestSocialP2PShape(t *testing.T) {
 		t.Errorf("higher degree materially hurt delivery: %v", m.Vals)
 	}
 
-	exp := metadataExposure(0, 10)
+	exp := metadataExposure(Env{}, 10)
 	if len(exp.Rows) != 4 {
 		t.Errorf("exposure rows = %d", len(exp.Rows))
 	}
 }
 
 func TestStorageDurabilityShape(t *testing.T) {
-	m := durabilityMatrix(17, durabilitySize{objects: 12, providers: 24, horizon: 4 * time.Hour, dead: 0.5})
+	m := durabilityMatrix(Env{Seed: 17}, durabilitySize{objects: 12, providers: 24, horizon: 4 * time.Hour, dead: 0.5})
 	if len(m.Rows) != 5 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -209,7 +209,7 @@ func TestStorageDurabilityShape(t *testing.T) {
 }
 
 func TestStorageAttacksMatrix(t *testing.T) {
-	tab := storageAttacks(19)
+	tab := storageAttacks(Env{Seed: 19})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
 	}
@@ -247,7 +247,7 @@ func TestStorageAttacksMatrix(t *testing.T) {
 }
 
 func TestHostlessWebShape(t *testing.T) {
-	m := hostlessMatrix(23, 24)
+	m := hostlessMatrix(Env{Seed: 23}, 24)
 	if len(m.Rows) != 2 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -269,7 +269,7 @@ func TestHostlessWebShape(t *testing.T) {
 }
 
 func TestIncentiveDemos(t *testing.T) {
-	tab := incentiveDemos(29)
+	tab := incentiveDemos(Env{Seed: 29})
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
 	}
@@ -295,7 +295,7 @@ func TestIncentiveDemos(t *testing.T) {
 }
 
 func TestUsenetLoadShape(t *testing.T) {
-	m := usenetMatrix(5, usenetSize{servers: []int{4, 16}, posts: 10, bytes: 256})
+	m := usenetMatrix(Env{Seed: 5}, usenetSize{servers: []int{4, 16}, posts: 10, bytes: 256})
 	if len(m.Rows) != 2 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -348,7 +348,7 @@ func TestFeasibilitySensitivityShape(t *testing.T) {
 }
 
 func TestAbuseContainmentShape(t *testing.T) {
-	m := abuseMatrix(7, abuseSize{users: 12, coverages: []float64{0, 0.5, 1}})
+	m := abuseMatrix(Env{Seed: 7}, abuseSize{users: 12, coverages: []float64{0, 0.5, 1}})
 	if len(m.Rows) != 3 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -374,7 +374,7 @@ func TestAbuseContainmentShape(t *testing.T) {
 }
 
 func TestSelfishMiningCrossover(t *testing.T) {
-	m := selfishMatrix(11, raceSize{trials: 8, horizon: 120})
+	m := selfishMatrix(Env{Seed: 11}, raceSize{trials: 8, horizon: 120})
 	if len(m.Rows) != 5 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -393,7 +393,7 @@ func TestSelfishMiningCrossover(t *testing.T) {
 }
 
 func TestDHTQualityShape(t *testing.T) {
-	m := dhtQualityMatrix(5, dhtSize{peers: 30, lookups: 25}, dhtTrials)
+	m := dhtQualityMatrix(Env{Seed: 5}, dhtSize{peers: 30, lookups: 25}, dhtTrials)
 	if len(m.Rows) != 9 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -423,7 +423,7 @@ func TestDHTQualityShape(t *testing.T) {
 }
 
 func TestWoTSybilShape(t *testing.T) {
-	m := wotSybilMatrix(3, wotSize{honest: 12, rings: []int{10, 100}})
+	m := wotSybilMatrix(Env{Seed: 3}, wotSize{honest: 12, rings: []int{10, 100}})
 	if len(m.Rows) != 2 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}
@@ -439,7 +439,7 @@ func TestWoTSybilShape(t *testing.T) {
 }
 
 func TestLedgerGrowthShape(t *testing.T) {
-	m := ledgerMatrix(9, ledgerSize{hours: 2, txPerBlock: 10})
+	m := ledgerMatrix(Env{Seed: 9}, ledgerSize{hours: 2, txPerBlock: 10})
 	if len(m.Rows) != 2 {
 		t.Fatalf("rows = %d: %v", len(m.Rows), m.Rows)
 	}

@@ -110,13 +110,6 @@ type flashArm struct {
 	// metrics, a ctl.ping stream from a dedicated monitor node against the
 	// server the flash concentrates on, and the server-side shed total.
 	probe bool
-	// engine selects the simulation engine layout (the zero value is the
-	// classic single-heap engine). det replaces every access link with a
-	// fixed-latency profile — no jitter, no loss, no bandwidth queueing —
-	// the regime where the legacy and sharded engines are event-for-event
-	// identical (simnet's TestShardedMatchesLegacyWhenDeterministic).
-	engine simnet.NetworkConfig
-	det    bool
 }
 
 // flashScore is the part of an arm's outcome that an engine-parametric
@@ -153,48 +146,72 @@ type flashResult struct {
 	provs []*replic.Provider
 }
 
-// runFlashArm builds the arm's world and replays the schedule against it.
-func runFlashArm(seed int64, sp flashSpec, arm flashArm, reqs []workload.Request, rs *workload.RegionSet) flashResult {
-	arm.engine.Seed = seed
-	nw := simnet.NewWithConfig(arm.engine)
+// runFlashArm builds the arm's world on env and replays the schedule
+// against it.
+func runFlashArm(env Env, sp flashSpec, arm flashArm, reqs []workload.Request, rs *workload.RegionSet) flashResult {
+	return buildFlashWorld(env, sp, arm, rs).replay(reqs)
+}
+
+// flashWorld is an arm's machines on their network before anything runs
+// on them: the anchor (the origin, or the swarm's directory), the clients,
+// the swarm's providers and the probe arm's monitor.
+type flashWorld struct {
+	seed    int64
+	sp      flashSpec
+	arm     flashArm
+	rs      *workload.RegionSet
+	nw      *simnet.Network
+	anchor  *simnet.Node
+	clients []*simnet.Node
+	provs   []*simnet.Node
+	ids     []simnet.NodeID // clients, then providers: the fault-eligible nodes
+	monitor *simnet.RPCNode
+}
+
+// buildFlashWorld adds the arm's machines to a network env builds, each
+// on its region's link. No protocol is installed and nothing has been
+// sent, so their links can still be changed before replay.
+func buildFlashWorld(env Env, sp flashSpec, arm flashArm, rs *workload.RegionSet) *flashWorld {
+	nw := env.Net()
 	if arm.probe {
 		nw.EnableQueueMetrics()
 	}
-	res := flashResult{nw: nw}
+	w := &flashWorld{seed: env.Seed, sp: sp, arm: arm, rs: rs, nw: nw}
 
 	// The anchor first, then clients, then providers: client i keeps the
 	// region the schedule generator gave it and providers follow in the
 	// same round-robin.
-	var anchor *simnet.Node
 	if arm.replic == nil {
-		anchor = nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
+		w.anchor = nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
 	} else {
-		anchor = nw.AddNode()
+		w.anchor = nw.AddNode()
 	}
-	clientNodes := make([]*simnet.Node, sp.clients)
-	ids := make([]simnet.NodeID, 0, sp.clients+sp.providers)
-	for i := range clientNodes {
-		clientNodes[i] = nw.AddNode()
-		ids = append(ids, clientNodes[i].ID())
+	w.clients = make([]*simnet.Node, sp.clients)
+	w.ids = make([]simnet.NodeID, 0, sp.clients+sp.providers)
+	for i := range w.clients {
+		w.clients[i] = nw.AddNode()
+		w.ids = append(w.ids, w.clients[i].ID())
 	}
-	var provNodes []*simnet.Node
 	if arm.replic != nil {
-		provNodes = make([]*simnet.Node, sp.providers)
-		for i := range provNodes {
-			provNodes[i] = nw.AddNode()
-			ids = append(ids, provNodes[i].ID())
+		w.provs = make([]*simnet.Node, sp.providers)
+		for i := range w.provs {
+			w.provs[i] = nw.AddNode()
+			w.ids = append(w.ids, w.provs[i].ID())
 		}
 	}
-	rs.Apply(nw, ids)
-	var monitor *simnet.RPCNode
+	rs.Apply(nw, w.ids)
 	if arm.probe {
-		monitor = simnet.NewRPCNode(nw.AddNode())
+		w.monitor = simnet.NewRPCNode(nw.AddNode())
 	}
-	if arm.det {
-		for _, n := range nw.Nodes() {
-			n.SetProfile(simnet.LinkProfile{Latency: 5 * time.Millisecond})
-		}
-	}
+	return w
+}
+
+// replay installs the arm's serving stack on the world, replays the
+// schedule through one SLA meter and scores the arm.
+func (w *flashWorld) replay(reqs []workload.Request) flashResult {
+	nw, sp, arm, rs := w.nw, w.sp, w.arm, w.rs
+	anchor, clientNodes, provNodes, ids, monitor := w.anchor, w.clients, w.provs, w.ids, w.monitor
+	res := flashResult{nw: nw}
 
 	// get issues one request; hot is the server the flash concentrates on.
 	var get func(r workload.Request, done func(bool))
@@ -261,7 +278,7 @@ func runFlashArm(seed int64, sp flashSpec, arm flashArm, reqs []workload.Request
 	base := nw.Now()
 	sent := nw.Trace().Sent
 	if arm.scenario != nil {
-		arm.scenario.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
+		arm.scenario.Build(w.seed, ids, sp.horizon).ApplyAt(nw, base)
 	}
 	var ctl *slaMeter
 	if arm.probe {

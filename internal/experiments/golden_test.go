@@ -52,10 +52,16 @@ type cell struct {
 	snapshot []byte
 }
 
-// runCell runs d under opts on the path RunBench takes.
+// runCell runs d alone under opts on the path RunBench takes.
 func runCell(t *testing.T, d descriptor, opts BenchOptions) cell {
 	t.Helper()
 	e, tab := benchRun(d, opts)
+	return newCell(t, e, tab)
+}
+
+// newCell is the cell of one entry's run.
+func newCell(t *testing.T, e obs.BenchExperiment, tab *Table) cell {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := e.Metrics.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -64,19 +70,22 @@ func runCell(t *testing.T, d descriptor, opts BenchOptions) cell {
 }
 
 // The golden tests are one harness over entry × config. Each config is a
-// column, and each entry runs once per column per test binary, on the path
-// RunBench takes, however many of the tests below check that run:
+// column, and each column runs once per test binary, every entry at once
+// through benchRuns, the runner RunBench uses, however many of the tests
+// below check that run:
 //
-//   - reference: `bench -scale tiny -seed 7`. TestRegistryTinyRuns checks
-//     each entry's table against its block of registry_tiny.golden and the
-//     assembled bench file against bench_tiny_golden.json.
+//   - reference: `bench -scale tiny -seed 7 -workers 1`, one entry at a
+//     time. TestRegistryTinyRuns checks each entry's table against its
+//     block of registry_tiny.golden and the assembled bench file against
+//     bench_tiny_golden.json.
 //   - rerun: the same with three trials, which the tiny scale does not
-//     run. TestRegistryTinyDeterministic requires each entry's table and
+//     run, on four workers, so entries run side by side.
+//     TestRegistryTinyDeterministic requires each entry's table and
 //     snapshot to equal the reference's: the same seed gives the same
-//     bytes. TestRunBenchTinyReproducible requires the same of the whole
-//     bench file, so the file records one trial.
+//     bytes at any worker count. TestRunBenchTinyReproducible requires the
+//     same of the whole bench file, so the file records one trial.
 //   - multi (matrix experiments only, per multiGoldens): three trials on 1
-//     and on 4 trial workers. TestBenchGoldens requires the one-worker
+//     and on 4 trial workers, one entry per run. TestBenchGoldens requires the one-worker
 //     snapshot to equal <id>_bench_golden.json, and table and snapshot at
 //     4 workers to equal those at 1.
 //
@@ -86,30 +95,34 @@ func runCell(t *testing.T, d descriptor, opts BenchOptions) cell {
 // filter's multi goldens but refuses to rewrite the two whole-registry
 // files.
 var (
-	reference = BenchOptions{Seed: 7, Scale: "tiny"}.withDefaults()
-	rerun     = BenchOptions{Seed: 7, Scale: "tiny", Trials: 3}.withDefaults()
+	reference = BenchOptions{Seed: 7, Scale: "tiny", Workers: 1}.withDefaults()
+	rerun     = BenchOptions{Seed: 7, Scale: "tiny", Trials: 3, Workers: 4}.withDefaults()
 )
 
-// columnCells holds the reference and rerun cells already run, by column
-// and entry id. The golden tests do not run in parallel, so it needs no
-// lock.
-var columnCells = map[[2]string]cell{}
+// columns holds the reference and rerun columns already run: per column,
+// every entry's cell by id. The golden tests do not run in parallel, so it
+// needs no lock.
+var columns = map[string]map[string]cell{}
 
-// columnCell returns d's cell in the named column, running it under opts
-// the first time it is asked for.
-func columnCell(t *testing.T, column string, d descriptor, opts BenchOptions) cell {
+// column returns the named column, running every entry under opts the
+// first time it is asked for.
+func column(t *testing.T, name string, opts BenchOptions) map[string]cell {
 	t.Helper()
-	key := [2]string{column, d.id}
-	c, ok := columnCells[key]
-	if !ok {
-		c = runCell(t, d, opts)
-		columnCells[key] = c
+	if c, ok := columns[name]; ok {
+		return c
 	}
+	ds := descriptors()
+	entries, tables := benchRuns(ds, opts)
+	c := make(map[string]cell, len(ds))
+	for i, d := range ds {
+		c[d.id] = newCell(t, entries[i], tables[i])
+	}
+	columns[name] = c
 	return c
 }
 
-func referenceCell(t *testing.T, d descriptor) cell { return columnCell(t, "reference", d, reference) }
-func rerunCell(t *testing.T, d descriptor) cell     { return columnCell(t, "rerun", d, rerun) }
+func referenceCell(t *testing.T, d descriptor) cell { return column(t, "reference", reference)[d.id] }
+func rerunCell(t *testing.T, d descriptor) cell     { return column(t, "rerun", rerun)[d.id] }
 
 // TestRegistryTinyRuns checks the reference column: every entry renders a
 // tiny table of at least a header, a separator and one data row, equal to

@@ -1,13 +1,10 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/simnet"
-)
+import "fmt"
 
 // Multi-seed aggregation. Every stochastic experiment in this package has a
-// numeric core — a function from one seed to a Matrix of float64 cells —
+// numeric core — a function from one run's Env to a Matrix of float64
+// cells —
 // and its descriptor renders the single-seed table from it. AggregateSeeds
 // fans a batch of seeds over simnet.Trials workers and reduces the
 // resulting matrices cell-wise, so any experiment can also report
@@ -45,11 +42,12 @@ type Agg struct {
 	Mean, P50, P95 [][]float64
 }
 
-// AggregateSeeds runs the experiment core once per seed (in parallel on
-// `workers` simnet.Trials workers; 0 means GOMAXPROCS) and reduces the
-// matrices cell-wise. All matrices must share the core's fixed shape.
-func AggregateSeeds(seeds []int64, workers int, run func(seed int64) Matrix) Agg {
-	ms := simnet.Trials(seeds, workers, run)
+// AggregateSeeds runs the experiment core once per seed, each on a copy of
+// env with that seed (in parallel on `workers` simnet.Trials workers; 0
+// means GOMAXPROCS), and reduces the matrices cell-wise. All matrices must
+// share the core's fixed shape.
+func AggregateSeeds(env Env, seeds []int64, workers int, run func(Env) Matrix) Agg {
+	ms := runTrials(env, seeds, workers, run)
 	if len(ms) == 0 {
 		return Agg{}
 	}

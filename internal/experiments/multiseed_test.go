@@ -11,13 +11,13 @@ import (
 func TestAggregateSeedsReduces(t *testing.T) {
 	// A toy core whose cells are linear in the seed, so the aggregates are
 	// known exactly: seeds 1..5 → mean 3, p50 3, p95 4.8.
-	run := func(seed int64) Matrix {
+	run := func(env Env) Matrix {
 		m := NewMatrix([]string{"r"}, []string{"c0", "c1"})
-		m.Vals[0][0] = float64(seed)
-		m.Vals[0][1] = float64(seed) * 10
+		m.Vals[0][0] = float64(env.Seed)
+		m.Vals[0][1] = float64(env.Seed) * 10
 		return m
 	}
-	agg := AggregateSeeds([]int64{1, 2, 3, 4, 5}, 1, run)
+	agg := AggregateSeeds(Env{}, []int64{1, 2, 3, 4, 5}, 1, run)
 	if agg.Seeds != 5 {
 		t.Fatalf("seeds = %d", agg.Seeds)
 	}
@@ -33,10 +33,10 @@ func TestAggregateSeedsReduces(t *testing.T) {
 }
 
 func TestAggTableRendering(t *testing.T) {
-	agg := AggregateSeeds([]int64{2, 4}, 1, func(seed int64) Matrix {
+	agg := AggregateSeeds(Env{}, []int64{2, 4}, 1, func(env Env) Matrix {
 		m := NewMatrix([]string{"row"}, []string{"A", "B"})
-		m.Vals[0][0] = float64(seed)
-		m.Vals[0][1] = float64(seed) * 100
+		m.Vals[0][0] = float64(env.Seed)
+		m.Vals[0][1] = float64(env.Seed) * 100
 		return m
 	})
 	tab := agg.Table("demo", "Thing", "%.1f", "%.0f%%")
@@ -53,7 +53,7 @@ func TestAggTableRendering(t *testing.T) {
 }
 
 func TestAggregateSeedsEmpty(t *testing.T) {
-	agg := AggregateSeeds(nil, 4, func(seed int64) Matrix { return NewMatrix(nil, nil) })
+	agg := AggregateSeeds(Env{}, nil, 4, func(Env) Matrix { return NewMatrix(nil, nil) })
 	if agg.Seeds != 0 || agg.Mean != nil {
 		t.Errorf("empty aggregate not zero: %+v", agg)
 	}
@@ -69,21 +69,21 @@ func TestStrideSeedsMatchesSerialDerivation(t *testing.T) {
 
 // TestMultiSeedDeterministicAcrossWorkers is the PR's determinism
 // acceptance check at the experiments layer: fanning the X3 numeric core
-// over simnet.Trials must give bit-identical matrices — and therefore
+// over runTrials must give bit-identical matrices — and therefore
 // bit-identical aggregates — whether the trials run serially or on
 // GOMAXPROCS workers.
 func TestMultiSeedDeterministicAcrossWorkers(t *testing.T) {
 	seeds := simnet.Seeds(42, 6)
-	run := func(seed int64) Matrix {
-		return commAvailabilityMatrix(seed, commSize{servers: 5, fails: []float64{0, 0.4}})
+	run := func(env Env) Matrix {
+		return commAvailabilityMatrix(env, commSize{servers: 5, fails: []float64{0, 0.4}})
 	}
-	serial := simnet.Trials(seeds, 1, run)
-	parallel := simnet.Trials(seeds, 0, run)
+	serial := runTrials(Env{}, seeds, 1, run)
+	parallel := runTrials(Env{}, seeds, 0, run)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("X3 matrices differ between serial and parallel trial runs")
 	}
-	aggSerial := AggregateSeeds(seeds, 1, run)
-	aggParallel := AggregateSeeds(seeds, 0, run)
+	aggSerial := AggregateSeeds(Env{}, seeds, 1, run)
+	aggParallel := AggregateSeeds(Env{}, seeds, 0, run)
 	if !reflect.DeepEqual(aggSerial, aggParallel) {
 		t.Fatal("X3 aggregates differ between serial and parallel trial runs")
 	}
@@ -104,10 +104,10 @@ func TestMultiSeedDeterministicAcrossWorkers(t *testing.T) {
 // format: X3's descriptor aggregating its core at custom sizes.
 func TestCommAvailabilityMultiShape(t *testing.T) {
 	d := descriptorByID("comm-availability")
-	d.matrix = func(seed int64, _ bool) Matrix {
-		return commAvailabilityMatrix(seed, commSize{servers: 5, fails: []float64{0, 0.4}})
+	d.matrix = func(env Env) Matrix {
+		return commAvailabilityMatrix(env, commSize{servers: 5, fails: []float64{0, 0.4}})
 	}
-	tab := d.runMulti(simnet.Seeds(11, 3), 0, false)
+	tab := d.runMulti(Env{}, simnet.Seeds(11, 3), 0)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab)
 	}

@@ -79,11 +79,11 @@ func descriptors() []descriptor {
 			}),
 			rowHeader: "Mean Degree",
 			multi:     []string{"%.2f"},
-			matrix: sized(socialSizes, func(seed int64, s socialSize) Matrix {
-				return socialP2PMatrix(seed, s, 1)
+			matrix: sized(socialSizes, func(env Env, s socialSize) Matrix {
+				return socialP2PMatrix(env, s, 1)
 			}),
-			table: sized(socialSizes, func(seed int64, s socialSize) *Table {
-				return socialP2PMatrix(seed, s, socialTrials).render("Mean Degree", nil, []string{"%.2f"})
+			table: sized(socialSizes, func(env Env, s socialSize) *Table {
+				return socialP2PMatrix(env, s, socialTrials).render("Mean Degree", nil, []string{"%.2f"})
 			}),
 		},
 		{
@@ -107,14 +107,14 @@ func descriptors() []descriptor {
 		{
 			id: "storage-attacks", desc: "X6: proof mechanisms vs provider attacks",
 			title: func(bool) string { return "X6: which proof mechanism catches which provider attack" },
-			table: func(seed int64, _ bool) *Table { return storageAttacks(seed) },
+			table: storageAttacks,
 		},
 		{
 			id: "incentives", desc: "E2 demo: every Table 2 incentive scheme executed",
 			title: func(bool) string {
 				return "E2 demo: each surveyed incentive scheme executed against honest and cheating providers"
 			},
-			table: func(seed int64, _ bool) *Table { return incentiveDemos(seed) },
+			table: incentiveDemos,
 		},
 		{
 			id: "hostless-web", desc: "X7: website availability, client-server vs hostless",
@@ -138,8 +138,8 @@ func descriptors() []descriptor {
 			title: titled(abuseSizes, func(s abuseSize) string {
 				return fmt.Sprintf("X9: fraction of users exposed to spam vs policy coverage (N=%d users)", s.users)
 			}),
-			table: sized(abuseSizes, func(seed int64, s abuseSize) *Table {
-				return abuseMatrix(seed, s).render("Model", nil, []string{"%.2f"})
+			table: sized(abuseSizes, func(env Env, s abuseSize) *Table {
+				return abuseMatrix(env, s).render("Model", nil, []string{"%.2f"})
 			}),
 		},
 		{
@@ -160,8 +160,8 @@ func descriptors() []descriptor {
 			}),
 			rowHeader: "Attachment / Churn",
 			multi:     []string{"%.0f%%", "%.0fms", "%.0fms"},
-			matrix: sized(dhtSizes, func(seed int64, s dhtSize) Matrix {
-				return dhtQualityMatrix(seed, s, 1)
+			matrix: sized(dhtSizes, func(env Env, s dhtSize) Matrix {
+				return dhtQualityMatrix(env, s, 1)
 			}),
 			table: sized(dhtSizes, dhtQualityTable),
 		},
@@ -182,7 +182,7 @@ func descriptors() []descriptor {
 		{
 			id: "sensitivity", desc: "E3 sensitivity: perturbing the §4 feasibility constants",
 			title: func(bool) string { return "E3 sensitivity: perturbing one §4 constant at a time" },
-			table: func(int64, bool) *Table { return feasibilitySensitivity() },
+			table: func(Env) *Table { return feasibilitySensitivity() },
 		},
 		{
 			id: "x14", desc: "X14: recovery matrix, subsystem × fault scenario",
@@ -202,8 +202,8 @@ func descriptors() []descriptor {
 			rowHeader: "Subsystem",
 			multi:     []string{"%.1f%%", "%.0f"},
 			matrix:    sized(scaleSizes, scaleMatrix),
-			table: sized(scaleSizes, func(seed int64, ns []int) *Table {
-				return scaleMatrix(seed, ns).render("Subsystem", labels("N=%d", 1, ns), []string{"%.1f%%", "%.0fm/n"})
+			table: sized(scaleSizes, func(env Env, ns []int) *Table {
+				return scaleMatrix(env, ns).render("Subsystem", labels("N=%d", 1, ns), []string{"%.1f%%", "%.0fm/n"})
 			}),
 		},
 		{

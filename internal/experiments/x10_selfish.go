@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/simnet"
 )
 
 // selfishSizes is X10's race sizes: full scale, then tiny.
@@ -25,18 +24,18 @@ var selfishShares = []float64{0.2, 0.3, 0.35, 0.4, 0.45}
 // each averaging s.trials races. With no sybil network advantage (γ=0,
 // ties go to the honest incumbent), selfish mining should lose below
 // α≈1/3 and win above.
-func selfishMatrix(seed int64, s raceSize) Matrix {
+func selfishMatrix(env Env, s raceSize) Matrix {
 	mx := Matrix{Cols: []string{"Honest Revenue", "Selfish Revenue"}}
 	for _, share := range selfishShares {
-		honest := averageRevenue(seed, share, s, false)
-		mx.add(fmt.Sprintf("%.0f%%", share*100), honest, averageRevenue(seed, share, s, true))
+		honest := averageRevenue(env, share, s, false)
+		mx.add(fmt.Sprintf("%.0f%%", share*100), honest, averageRevenue(env, share, s, true))
 	}
 	return mx
 }
 
 // selfishTable renders X10 with a verdict column: does withholding pay?
-func selfishTable(seed int64, s raceSize) *Table {
-	m := selfishMatrix(seed, s)
+func selfishTable(env Env, s raceSize) *Table {
+	m := selfishMatrix(env, s)
 	t := &Table{Headers: []string{"Hashrate Share", "Honest Revenue", "Selfish Revenue", "Selfish Pays Off"}}
 	for r, v := range m.Vals {
 		t.Add(m.Rows[r], fmt.Sprintf("%.2f", v[0]), fmt.Sprintf("%.2f", v[1]), v[1] > v[0])
@@ -44,12 +43,12 @@ func selfishTable(seed int64, s raceSize) *Table {
 	return t
 }
 
-// averageRevenue fans the revenue trials over simnet.Trials; per-trial
+// averageRevenue fans the revenue trials over runTrials; per-trial
 // seeds reproduce the original serial derivation base + i·104729.
-func averageRevenue(seed int64, share float64, s raceSize, selfish bool) float64 {
+func averageRevenue(env Env, share float64, s raceSize, selfish bool) float64 {
 	sum := 0.0
-	for _, v := range simnet.Trials(strideSeeds(seed, 104729, s.trials), 0, func(seed int64) float64 {
-		return selfishTrial(seed, share, s.horizon, selfish)
+	for _, v := range runTrials(env, strideSeeds(env.Seed, 104729, s.trials), 0, func(env Env) float64 {
+		return selfishTrial(env, share, s.horizon, selfish)
 	}) {
 		sum += v
 	}
@@ -58,8 +57,8 @@ func averageRevenue(seed int64, share float64, s raceSize, selfish bool) float64
 
 // selfishTrial runs one race and returns the attacker's fraction of
 // best-chain rewards as observed by the honest node.
-func selfishTrial(seed int64, share float64, horizonBlocks int, selfish bool) float64 {
-	nw := simnet.New(seed)
+func selfishTrial(env Env, share float64, horizonBlocks int, selfish bool) float64 {
+	nw := env.Net()
 	spacing := 10 * time.Second
 	cfg := chain.Config{InitialDifficulty: 1 << 10, TargetSpacing: spacing, Subsidy: 50}
 	total := float64(cfg.InitialDifficulty) / spacing.Seconds()

@@ -48,13 +48,13 @@ var (
 // user-device-based infrastructure." One seed gives a (success %, mean ms,
 // p99 ms) triple per (attachment, churn-variant) row, each averaging
 // `trials` runs at seeds seed + i·6151.
-func dhtQualityMatrix(seed int64, s dhtSize, trials int) Matrix {
+func dhtQualityMatrix(env Env, s dhtSize, trials int) Matrix {
 	mx := Matrix{Cols: []string{"Lookup Success", "Mean Latency", "P99 Latency"}}
 	for _, prof := range dhtProfiles {
 		for _, v := range dhtVariants {
 			var success, mean, p99 float64
-			for _, o := range simnet.Trials(strideSeeds(seed, 6151, trials), 0, func(seed int64) [3]float64 {
-				su, m, p := dhtQualityRun(seed, s.peers, s.lookups, prof.p, v.churn, v.republish)
+			for _, o := range runTrials(env, strideSeeds(env.Seed, 6151, trials), 0, func(env Env) [3]float64 {
+				su, m, p := dhtQualityRun(env, s.peers, s.lookups, prof.p, v.churn, v.republish)
 				return [3]float64{su, m, p}
 			}) {
 				success += o[0]
@@ -70,8 +70,8 @@ func dhtQualityMatrix(seed int64, s dhtSize, trials int) Matrix {
 
 // dhtQualityTable renders X11 with attachment and churn in two label
 // columns.
-func dhtQualityTable(seed int64, s dhtSize) *Table {
-	m := dhtQualityMatrix(seed, s, dhtTrials)
+func dhtQualityTable(env Env, s dhtSize) *Table {
+	m := dhtQualityMatrix(env, s, dhtTrials)
 	t := &Table{Headers: []string{"Attachment", "Churn", "Lookup Success", "Mean Latency", "P99 Latency"}}
 	for i, prof := range dhtProfiles {
 		for j, v := range dhtVariants {
@@ -82,8 +82,8 @@ func dhtQualityTable(seed int64, s dhtSize) *Table {
 	return t
 }
 
-func dhtQualityRun(seed int64, peerCount, lookups int, profile simnet.LinkProfile, churn, republish bool) (success, meanSec, p99Sec float64) {
-	nw := simnet.New(seed)
+func dhtQualityRun(env Env, peerCount, lookups int, profile simnet.LinkProfile, churn, republish bool) (success, meanSec, p99Sec float64) {
+	nw := env.Net()
 	nw.SetDefaultProfile(profile)
 	// K=4 keeps the replica set realistic relative to the 40-node network
 	// (k=20 would put every value on half the network and hide churn).

@@ -24,18 +24,18 @@ var wotSizes = [2]wotSize{{12, []int{10, 50, 200, 1000}}, {4, []int{10}}}
 // entire ring. §3.1: PKIs relying on a WoT suffer "WoT Sybil attacks" —
 // this measures the amplification factor directly. One row per ring size:
 // Sybils trusted before and after the bridge.
-func wotSybilMatrix(seed int64, s wotSize) Matrix {
+func wotSybilMatrix(env Env, s wotSize) Matrix {
 	m := Matrix{Cols: []string{"Trusted Before Bridge", "Trusted After 1 Careless Endorsement"}}
 	for _, ring := range s.rings {
-		before, after := wotSybilRun(seed, s.honest, ring)
+		before, after := wotSybilRun(env, s.honest, ring)
 		m.add(fmt.Sprint(ring), float64(before), float64(after))
 	}
 	return m
 }
 
 // wotSybilTable renders X12 with the amplification each bridge buys.
-func wotSybilTable(seed int64, s wotSize) *Table {
-	m := wotSybilMatrix(seed, s)
+func wotSybilTable(env Env, s wotSize) *Table {
+	m := wotSybilMatrix(env, s)
 	t := &Table{Headers: []string{"Sybil Ring Size", "Trusted Before Bridge", "Trusted After 1 Careless Endorsement", "Amplification"}}
 	for r, v := range m.Vals {
 		amp := "∞"
@@ -50,8 +50,8 @@ func wotSybilTable(seed int64, s wotSize) *Table {
 // wotSybilRun returns how many identities the verifier trusts before and
 // after one honest member endorses one ring member. Counts exclude the
 // honest community itself.
-func wotSybilRun(seed int64, honest, ringSize int) (before, after int) {
-	rng := rand.New(rand.NewSource(seed + int64(ringSize)))
+func wotSybilRun(env Env, honest, ringSize int) (before, after int) {
+	rng := rand.New(rand.NewSource(env.Seed + int64(ringSize)))
 	w := identity.NewWebOfTrust()
 	members := make([]*identity.Identity, honest)
 	for i := range members {

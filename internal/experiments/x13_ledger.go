@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/cryptoutil"
-	"repro/internal/simnet"
 )
 
 // ledgerSize sizes X13: hourly checkpoints taken, and the transaction
@@ -16,8 +15,8 @@ type ledgerSize struct{ hours, txPerBlock int }
 var ledgerSizes = [2]ledgerSize{{6, 20}, {2, 5}}
 
 // ledgerTable renders X13 with the ledger and header sizes as byte counts.
-func ledgerTable(seed int64, s ledgerSize) *Table {
-	m := ledgerMatrix(seed, s)
+func ledgerTable(env Env, s ledgerSize) *Table {
+	m := ledgerMatrix(env, s)
 	t := &Table{Headers: append([]string{"Elapsed"}, m.Cols...)}
 	for r, v := range m.Vals {
 		t.Add(m.Rows[r], fmt.Sprintf("%.0f", v[0]), byteCount(int64(v[1])), byteCount(int64(v[2])), fmt.Sprintf("%.0f", v[3]))
@@ -32,9 +31,9 @@ func ledgerTable(seed int64, s ledgerSize) *Table {
 // client following the same chain (headers only), and the full node's
 // retained state count with checkpoint compaction. The ledger grows
 // without bound; the mitigations stay (nearly) flat.
-func ledgerMatrix(seed int64, s ledgerSize) Matrix {
+func ledgerMatrix(env Env, s ledgerSize) Matrix {
 	m := Matrix{Cols: []string{"Blocks", "Full Ledger", "SPV Client (headers)", "States Held (compact=100)"}}
-	nw := simnet.New(seed)
+	nw := env.Net()
 	kp, err := cryptoutil.GenerateKeyPair(nw.Rand())
 	if err != nil {
 		panic(err)

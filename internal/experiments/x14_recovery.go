@@ -39,7 +39,7 @@ func recoverySpec(tiny bool, fullNodes int) faultSpec {
 var recoveryWorlds = []struct {
 	name  string
 	nodes int
-	world func(seed int64, sp faultSpec) faultWorld
+	world func(env Env, sp faultSpec) faultWorld
 }{
 	{"chain", 5, chainRecoveryWorld},
 	{"dht", 12, dhtRecoveryWorld},
@@ -59,7 +59,7 @@ var recoveryWorlds = []struct {
 // all of them without an operator. Rows are subsystems, columns alternate
 // "<scenario> ok%" and "<scenario> rec(m)" so one Matrix carries both
 // measures through AggregateSeeds.
-func recoveryMatrix(seed int64, tiny bool) Matrix {
+func recoveryMatrix(env Env) Matrix {
 	scs := fault.Scenarios()
 	cols := make([]string, 0, 2*len(scs))
 	for _, sc := range scs {
@@ -67,10 +67,10 @@ func recoveryMatrix(seed int64, tiny bool) Matrix {
 	}
 	m := Matrix{Cols: cols}
 	for _, w := range recoveryWorlds {
-		sp := recoverySpec(tiny, w.nodes)
+		sp := recoverySpec(env.Tiny, w.nodes)
 		var row []float64
 		for _, sc := range scs {
-			cell := runFaultCell(seed, sc, sp, w.world(seed, sp))
+			cell := runFaultCell(env.Seed, sc, sp, w.world(env, sp))
 			row = append(row, cell.success*100, cell.rec.Minutes())
 		}
 		m.add(w.name, row...)
@@ -81,8 +81,8 @@ func recoveryMatrix(seed int64, tiny bool) Matrix {
 // chainRecoveryWorld: miners must reconverge on one head. Success is the
 // fraction of miners sharing the majority head after the run; the
 // invariant accepts a height spread of one block for in-flight propagation.
-func chainRecoveryWorld(seed int64, sp faultSpec) faultWorld {
-	nw := simnet.New(seed)
+func chainRecoveryWorld(env Env, sp faultSpec) faultWorld {
+	nw := env.Net()
 	cfg := chain.Config{InitialDifficulty: 1 << 10, TargetSpacing: 10 * time.Second, Subsidy: 50}
 	miners := newMinerNet(nw, sp.nodes, 100, cfg)
 	return faultWorld{
@@ -123,8 +123,8 @@ func chainRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 // dhtRecoveryWorld: published keys must stay findable. Success is the
 // fraction of (reader, key) lookups that succeed after the run; the
 // invariant is one rotating lookup from the first non-anchor reader.
-func dhtRecoveryWorld(seed int64, sp faultSpec) faultWorld {
-	nw := simnet.New(seed)
+func dhtRecoveryWorld(env Env, sp faultSpec) faultWorld {
+	nw := env.Net()
 	cfg := dht.Config{K: 4, RequestTimeout: 3 * time.Second, RepublishInterval: 5 * time.Minute}
 	peers := growDHT(nw, sp.nodes, 200*time.Millisecond, sameDHT(cfg))
 	nw.Run(time.Duration(len(peers)) * 400 * time.Millisecond)
@@ -158,9 +158,9 @@ func dhtRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 
 // gossipRecoveryWorld: every item published during the fault window must
 // reach every member; anti-entropy is the repair path.
-func gossipRecoveryWorld(seed int64, sp faultSpec) faultWorld {
+func gossipRecoveryWorld(env Env, sp faultSpec) faultWorld {
 	nItems := 6
-	nw := simnet.New(seed)
+	nw := env.Net()
 	members := make([]*gossip.Member, sp.nodes)
 	for i := range members {
 		members[i] = gossip.NewMember(nw.AddNode(), gossip.Config{Fanout: 3, AntiEntropyInterval: 30 * time.Second})
@@ -204,9 +204,9 @@ func gossipRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 
 // socialRecoveryWorld: posts by the anchor author must eventually reach
 // every friend via periodic sync.
-func socialRecoveryWorld(seed int64, sp faultSpec) faultWorld {
+func socialRecoveryWorld(env Env, sp faultSpec) faultWorld {
 	nPosts := 5
-	nw := simnet.New(seed)
+	nw := env.Net()
 	peers := make([]*groupcomm.SocialPeer, sp.nodes)
 	for i := range peers {
 		peers[i] = groupcomm.NewSocialPeer(nw.AddNode(), groupcomm.UserID(fmt.Sprintf("u%d", i)), 30*time.Second)
@@ -252,8 +252,8 @@ func socialRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 
 // storageRecoveryWorld: an object uploaded before the faults must still
 // pass a full audit afterwards, and the bytes must round-trip.
-func storageRecoveryWorld(seed int64, sp faultSpec) faultWorld {
-	nw := simnet.New(seed)
+func storageRecoveryWorld(env Env, sp faultSpec) faultWorld {
+	nw := env.Net()
 	fleet := newStorageFleet(nw, sp.nodes, 30*time.Second, resil.Config{}, storage.ProviderConfig{Capacity: 1 << 20})
 	obj := fleet.uploadPattern(nw, 17)
 	if obj.m == nil {
@@ -286,8 +286,8 @@ func storageRecoveryWorld(seed int64, sp faultSpec) faultWorld {
 
 // webappRecoveryWorld: a hostless site published before the faults must be
 // fully visitable afterwards.
-func webappRecoveryWorld(seed int64, sp faultSpec) faultWorld {
-	nw := simnet.New(seed)
+func webappRecoveryWorld(env Env, sp faultSpec) faultWorld {
+	nw := env.Net()
 	home := simnet.HomeBroadbandProfile()
 	web := newWebSwarm(nw, home, 30*time.Second)
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())

@@ -89,8 +89,8 @@ func RunScaleHuge(opts HugeOptions) ([]HugeCell, *obs.BenchFile, error) {
 			var baseline []byte
 			for _, w := range workers {
 				c := HugeCell{Subsystem: sub, N: n, Shards: opts.Shards, Workers: w}
-				cfg := simnet.NetworkConfig{Seed: opts.Seed, Shards: opts.Shards, Workers: w}
-				e := benchEntry(c.ID(), opts.WallClock, func() { c.Cell = ScaleCellRun(sub, n, cfg) })
+				env := Env{Seed: opts.Seed, Layout: simnet.NetworkConfig{Shards: opts.Shards, Workers: w}}
+				e := benchEntry(c.ID(), opts.WallClock, env, func(env Env) { c.Cell = ScaleCellRun(env, sub, n) })
 				c.Snapshot, c.Timing = e.Metrics, e.Timing
 				if c.Timing != nil && c.Timing.WallNS > 0 {
 					c.MsgsPerSec = float64(c.Cell.Messages) / (float64(c.Timing.WallNS) / 1e9)

@@ -37,14 +37,14 @@ type ScaleCell struct {
 	Messages  int64   // substrate messages delivered during the run
 }
 
-// ScaleCellRun executes one cell of the sweep on a network built from
-// cfg: Shards 0 is the single-heap engine the X15 table runs on, Shards
-// >= 1 the sharded engine of the huge tiers. Sharded results are identical
-// at every (Shards, Workers) setting but differ from the single-heap
-// engine's (substrate draws come from per-node streams there — see
-// simnet/shard.go), so cells of the two engines are never compared.
+// ScaleCellRun executes one cell of the sweep on a network env builds: a
+// Layout with Shards 0 is the single-heap engine the X15 table runs on,
+// Shards >= 1 the sharded engine of the huge tiers. Sharded results are
+// identical at every (Shards, Workers) setting but differ from the
+// single-heap engine's (substrate draws come from per-node streams there —
+// see simnet/shard.go), so cells of the two engines are never compared.
 // Exported so the scale tests drive exactly the experiment's workloads.
-func ScaleCellRun(subsystem string, n int, cfg simnet.NetworkConfig) ScaleCell {
+func ScaleCellRun(env Env, subsystem string, n int) ScaleCell {
 	var run func(*simnet.Network, int) (float64, int64)
 	switch subsystem {
 	case "simnet":
@@ -57,7 +57,7 @@ func ScaleCellRun(subsystem string, n int, cfg simnet.NetworkConfig) ScaleCell {
 		panic("x15: unknown subsystem " + subsystem)
 	}
 	cell := ScaleCell{N: n}
-	cell.Converged, cell.Messages = run(simnet.NewWithConfig(cfg), n)
+	cell.Converged, cell.Messages = run(env.Net(), n)
 	return cell
 }
 
@@ -197,7 +197,7 @@ func delivered(nw *simnet.Network) int64 { return nw.Trace().Delivered }
 // scaleMatrix is the numeric core of X15: rows are subsystems, columns
 // alternate "N=<tier> conv%" and "N=<tier> msg/node" so one Matrix carries
 // both measures through AggregateSeeds.
-func scaleMatrix(seed int64, ns []int) Matrix {
+func scaleMatrix(env Env, ns []int) Matrix {
 	var m Matrix
 	for _, n := range ns {
 		m.Cols = append(m.Cols, fmt.Sprintf("N=%d conv%%", n), fmt.Sprintf("N=%d msg/node", n))
@@ -205,7 +205,7 @@ func scaleMatrix(seed int64, ns []int) Matrix {
 	for _, sub := range ScaleSubsystems() {
 		var row []float64
 		for _, n := range ns {
-			cell := ScaleCellRun(sub, n, simnet.NetworkConfig{Seed: seed})
+			cell := ScaleCellRun(env, sub, n)
 			row = append(row, cell.Converged*100, float64(cell.Messages)/float64(n))
 		}
 		m.add(sub, row...)

@@ -72,7 +72,7 @@ func resilSpec(tiny bool, fullNodes, tinyNodes int) faultSpec {
 var resilWorlds = []struct {
 	name        string
 	nodes, tiny int
-	world       func(seed int64, sp faultSpec, rcfg resil.Config) faultWorld
+	world       func(env Env, sp faultSpec, rcfg resil.Config) faultWorld
 }{
 	{"dht", 1000, 30, dhtResilWorld},
 	{"storage", 16, 6, storageResilWorld},
@@ -88,8 +88,8 @@ var resilWorlds = []struct {
 // the probe peer carries the mode's resilience config, so the two rows
 // differ in nothing but the client transport under test. The SLA is
 // interactive-grade: a name publish has 2s to land.
-func dhtResilWorld(seed int64, sp faultSpec, rcfg resil.Config) faultWorld {
-	nw := simnet.New(seed)
+func dhtResilWorld(env Env, sp faultSpec, rcfg resil.Config) faultWorld {
+	nw := env.Net()
 	base := dht.Config{K: 8, Alpha: 3, RequestTimeout: 3 * time.Second, RepublishInterval: 5 * time.Minute}
 	readerCfg := base
 	readerCfg.Resilience = rcfg
@@ -128,8 +128,8 @@ func dhtResilWorld(seed int64, sp faultSpec, rcfg resil.Config) faultWorld {
 // downloads during them. Chunk fetches walk the replica list, so a naive
 // client burns its whole fixed timeout on every crashed provider it
 // tries first.
-func storageResilWorld(seed int64, sp faultSpec, rcfg resil.Config) faultWorld {
-	nw := simnet.New(seed)
+func storageResilWorld(env Env, sp faultSpec, rcfg resil.Config) faultWorld {
+	nw := env.Net()
 	fleet := newStorageFleet(nw, sp.nodes, 30*time.Second, rcfg, storage.ProviderConfig{Capacity: 1 << 20})
 	obj := fleet.uploadPattern(nw, 31)
 	if obj.m == nil {
@@ -150,8 +150,8 @@ func storageResilWorld(seed int64, sp faultSpec, rcfg resil.Config) faultWorld {
 // failover client. Every server is fault-eligible — failover is the
 // subsystem's whole answer to a dead homeserver, so the question is how
 // fast the client walks the server list.
-func groupcommResilWorld(seed int64, sp faultSpec, rcfg resil.Config) faultWorld {
-	nw := simnet.New(seed)
+func groupcommResilWorld(env Env, sp faultSpec, rcfg resil.Config) faultWorld {
+	nw := env.Net()
 	servers := make([]*groupcomm.ReplServer, sp.nodes)
 	for i := range servers {
 		servers[i] = groupcomm.NewReplServer(nw.AddNode(), fmt.Sprintf("srv%d", i), nil,
@@ -185,8 +185,8 @@ func groupcommResilWorld(seed int64, sp faultSpec, rcfg resil.Config) faultWorld
 // serve the site from its own blob cache and measure nothing), resolving
 // the manifest via DHT-with-tracker-fallback and fetching blobs from
 // whatever seeders answer.
-func webappResilWorld(seed int64, sp faultSpec, rcfg resil.Config) faultWorld {
-	nw := simnet.New(seed)
+func webappResilWorld(env Env, sp faultSpec, rcfg resil.Config) faultWorld {
+	nw := env.Net()
 	link := simnet.DatacenterProfile()
 	web := newWebSwarm(nw, link, 30*time.Second)
 	owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
@@ -234,7 +234,7 @@ func webappResilWorld(seed int64, sp faultSpec, rcfg resil.Config) faultWorld {
 // resilienceMatrix is the numeric core of X16: rows are subsystem × mode,
 // columns run four measures per scenario, so one Matrix carries the whole
 // grid through AggregateSeeds.
-func resilienceMatrix(seed int64, tiny bool) Matrix {
+func resilienceMatrix(env Env) Matrix {
 	scs := resilScenarios()
 	modes := resilModes()
 	cols := make([]string, 0, 4*len(scs))
@@ -244,11 +244,11 @@ func resilienceMatrix(seed int64, tiny bool) Matrix {
 	}
 	m := Matrix{Cols: cols}
 	for _, w := range resilWorlds {
-		sp := resilSpec(tiny, w.nodes, w.tiny)
+		sp := resilSpec(env.Tiny, w.nodes, w.tiny)
 		for _, mode := range modes {
 			var row []float64
 			for _, sc := range scs {
-				cell := runFaultCell(seed, sc, sp, w.world(seed, sp, mode.cfg))
+				cell := runFaultCell(env.Seed, sc, sp, w.world(env, sp, mode.cfg))
 				row = append(row, cell.avail*100, cell.p95, cell.msgPerNode, cell.rec.Minutes())
 			}
 			m.add(w.name+" "+mode.name, row...)

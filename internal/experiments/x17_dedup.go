@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/resil"
-	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/storage/chunker"
 )
@@ -135,8 +134,8 @@ type dedupResult struct {
 // dedupRun is the numeric core of one X17 cell: build the tiered world,
 // upload the overlapping population, re-download it twice, crash and
 // repair, then release and squeeze until GC collects.
-func dedupRun(seed int64, wl dedupWorkload, cdc bool, sp dedupSpec) dedupResult {
-	nw := simnet.New(seed)
+func dedupRun(env Env, wl dedupWorkload, cdc bool, sp dedupSpec) dedupResult {
+	nw := env.Net()
 	capacity := sp.provCapacity()
 	fleet := newStorageFleet(nw, sp.providers, 10*time.Second, resil.Config{}, storage.ProviderConfig{
 		Capacity:    capacity,
@@ -267,13 +266,13 @@ func dedupRun(seed int64, wl dedupWorkload, cdc bool, sp dedupSpec) dedupResult 
 
 // dedupMatrix is the numeric core of X17: workload × chunking mode rows,
 // four measures per row.
-func dedupMatrix(seed int64, tiny bool) Matrix {
-	sp := dedupSpecFor(tiny)
+func dedupMatrix(env Env) Matrix {
+	sp := dedupSpecFor(env.Tiny)
 	wls := dedupWorkloads()
 	m := Matrix{Cols: []string{"dedup ratio", "mem hit%", "repair KB", "gc KB"}}
 	for _, wl := range wls {
 		for _, mode := range []string{"fixed", "cdc"} {
-			r := dedupRun(seed, wl, mode == "cdc", sp)
+			r := dedupRun(env, wl, mode == "cdc", sp)
 			m.add(wl.name+" "+mode, r.cell.ratio, r.cell.memHit*100, r.cell.repairKB, r.cell.gcKB)
 		}
 	}
@@ -284,7 +283,7 @@ func dedupMatrix(seed int64, tiny bool) Matrix {
 // both workloads at the full-scale spec and one chunking mode. stats
 // appends per-provider tier occupancy rows, where the bytes sit after GC.
 func DedupSim(seed int64, cdc, stats bool) *Table {
-	sp := dedupSpecFor(false)
+	env, sp := Env{Seed: seed}, dedupSpecFor(false)
 	mode := "fixed"
 	if cdc {
 		mode = "cdc"
@@ -295,7 +294,7 @@ func DedupSim(seed int64, cdc, stats bool) *Table {
 	}
 	var results []dedupResult
 	for _, wl := range dedupWorkloads() {
-		r := dedupRun(seed, wl, cdc, sp)
+		r := dedupRun(env, wl, cdc, sp)
 		results = append(results, r)
 		t.Add(wl.name,
 			fmt.Sprintf("%.2f×", r.cell.ratio),

@@ -77,8 +77,8 @@ func x18Stream(seed int64, sp flashSpec, wl string) ([]workload.Request, *worklo
 
 // x18Federated: K full replicas on home links; clients home round-robin
 // and fail over exactly one hop on error.
-func x18Federated(seed int64, sp flashSpec, reqs []workload.Request, rs *workload.RegionSet) flashResult {
-	nw := simnet.New(seed)
+func x18Federated(env Env, sp flashSpec, reqs []workload.Request, rs *workload.RegionSet) flashResult {
+	nw := env.Net()
 	servers := make([]*simnet.RPCNode, sp.servers)
 	served := make([]float64, sp.servers)
 	for i := range servers {
@@ -140,8 +140,8 @@ func x18Federated(seed int64, sp flashSpec, reqs []workload.Request, rs *workloa
 // client keeps seeding what it last fetched, which is exactly how the
 // flash crowd brings its own capacity. An optional fault scenario (the
 // conformance battery) crashes/degrades client nodes mid-run.
-func x18P2P(seed int64, sp flashSpec, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario) flashResult {
-	nw := simnet.New(seed)
+func x18P2P(env Env, sp flashSpec, reqs []workload.Request, rs *workload.RegionSet, sc *fault.Scenario) flashResult {
+	nw := env.Net()
 	web := newWebSwarm(nw, simnet.HomeBroadbandProfile(), sp.timeout)
 	author := web.author
 	clients := web.join(sp.clients, simnet.DatacenterProfile(), dht.Config{}, webapp.PeerConfig{}, 20*time.Millisecond)
@@ -173,7 +173,7 @@ func x18P2P(seed int64, sp flashSpec, reqs []workload.Request, rs *workload.Regi
 
 	base := nw.Now()
 	if sc != nil {
-		sc.Build(seed, ids, sp.horizon).ApplyAt(nw, base)
+		sc.Build(env.Seed, ids, sp.horizon).ApplyAt(nw, base)
 	}
 	meter := newSLAMeter(sp.sla, sp.clients)
 	sent := sentMeter(nw, base)
@@ -220,9 +220,9 @@ func x18P2P(seed int64, sp flashSpec, reqs []workload.Request, rs *workload.Regi
 
 // workloadMatrix is the numeric core of X18: one shared schedule, three
 // architectures, four measures.
-func workloadMatrix(seed int64, wl string, tiny bool) Matrix {
-	sp := flashSpecFor(tiny)
-	reqs, rs := x18Stream(seed, sp, wl)
+func workloadMatrix(env Env, wl string) Matrix {
+	sp := flashSpecFor(env.Tiny)
+	reqs, rs := x18Stream(env.Seed, sp, wl)
 	m := NewMatrix(
 		[]string{"ostatus-1srv", "fed-replicated", "p2p-webapp"},
 		[]string{"avail%", "p95(s)", "origin%", "msg/node"},
@@ -230,9 +230,9 @@ func workloadMatrix(seed int64, wl string, tiny bool) Matrix {
 	// The feudal baseline is the flash world's single origin with nothing
 	// layered on: one RPC per request, no retry.
 	cells := []flashResult{
-		runFlashArm(seed, sp, flashArm{}, reqs, rs),
-		x18Federated(seed, sp, reqs, rs),
-		x18P2P(seed, sp, reqs, rs, nil),
+		runFlashArm(env, sp, flashArm{}, reqs, rs),
+		x18Federated(env, sp, reqs, rs),
+		x18P2P(env, sp, reqs, rs, nil),
 	}
 	for r, c := range cells {
 		m.Vals[r][0] = c.avail * 100
@@ -261,7 +261,7 @@ func x18Exp(wl string) descriptor {
 		cell:       []string{"%.1f%%", "%.2fs", "%.1f%%", "%.0f"},
 		multi:      []string{"%.1f", "%.2f", "%.1f", "%.0f"},
 		tiny:       []string{"%.1f"},
-		matrix:     func(seed int64, tiny bool) Matrix { return workloadMatrix(seed, wl, tiny) },
+		matrix:     func(env Env) Matrix { return workloadMatrix(env, wl) },
 	}
 }
 

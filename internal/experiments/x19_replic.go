@@ -77,13 +77,13 @@ func x19Arms(sp flashSpec) []flashArm {
 
 // replicationMatrix is the numeric core of X19: one shared flash-crowd
 // schedule through every arm.
-func replicationMatrix(seed int64, tiny bool) Matrix {
-	sp := flashSpecFor(tiny)
-	reqs, rs := x18Stream(seed, sp, "flash")
+func replicationMatrix(env Env) Matrix {
+	sp := flashSpecFor(env.Tiny)
+	reqs, rs := x18Stream(env.Seed, sp, "flash")
 	arms := x19Arms(sp)
 	m := Matrix{Cols: []string{"avail%", "p95(s)", "origin%", "repl-peak", "repl-end"}}
 	for _, arm := range arms {
-		res := runFlashArm(seed, sp, arm, reqs, rs)
+		res := runFlashArm(env, sp, arm, reqs, rs)
 		// X19-only observability: the origin-share gauge registers after every
 		// pre-existing experiment's metrics are already fixed, and the replic.*
 		// counters were filled in by the package as the arm ran.

@@ -35,11 +35,11 @@ var namingSizes = [2]int{20, 3}
 // latency (seconds), the throughput (names/min) and how many names
 // confirmed. It quantifies §3.1: "blockchains essentially trade
 // scalability and performance for global consensus and security."
-func namingMatrix(seed int64, nNames int) Matrix {
+func namingMatrix(env Env, nNames int) Matrix {
 	m := Matrix{Cols: []string{"Mean Latency", "Max Latency", "Throughput (names/min)", "Confirmed"}}
-	m.add("centralized-registrar", registrarNamingRun(seed, nNames)...)
+	m.add("centralized-registrar", registrarNamingRun(env, nNames)...)
 	for _, spacing := range []time.Duration{5 * time.Second, 30 * time.Second} {
-		m.add(fmt.Sprintf("blockchain (block every %v)", spacing), blockchainNamingRun(seed+int64(spacing), nNames, spacing)...)
+		m.add(fmt.Sprintf("blockchain (block every %v)", spacing), blockchainNamingRun(env.WithSeed(env.Seed+int64(spacing)), nNames, spacing)...)
 	}
 	return m
 }
@@ -47,8 +47,8 @@ func namingMatrix(seed int64, nNames int) Matrix {
 // namingTable renders X1: the registrar's sub-second latencies to two
 // decimals, the chains' to whole seconds, and a note under a chain that
 // confirmed fewer than all names before its deadline.
-func namingTable(seed int64, nNames int) *Table {
-	m := namingMatrix(seed, nNames)
+func namingTable(env Env, nNames int) *Table {
+	m := namingMatrix(env, nNames)
 	t := &Table{Headers: []string{"Scheme", "Mean Latency", "Max Latency", "Throughput (names/min)", "Censorable by One Party"}}
 	for r, v := range m.Vals {
 		if r == 0 {
@@ -65,8 +65,8 @@ func namingTable(seed int64, nNames int) *Table {
 
 // registrarNamingRun registers names one after another with a
 // centralized registrar and returns namingMatrix's row.
-func registrarNamingRun(seed int64, nNames int) []float64 {
-	nw := simnet.New(seed)
+func registrarNamingRun(env Env, nNames int) []float64 {
+	nw := env.Net()
 	reg := naming.NewCentralizedRegistrar(nw.AddNode())
 	client := naming.NewRegistrarClient(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), reg.Node().ID(), time.Minute)
 	var lat samples
@@ -93,9 +93,9 @@ func registrarNamingRun(seed int64, nNames int) []float64 {
 
 // blockchainNamingRun registers names on a 3-miner chain and returns
 // namingMatrix's row.
-func blockchainNamingRun(seed int64, nNames int, spacing time.Duration) []float64 {
-	nw := simnet.New(seed)
-	key, err := cryptoutil.GenerateKeyPair(rand.New(rand.NewSource(seed)))
+func blockchainNamingRun(env Env, nNames int, spacing time.Duration) []float64 {
+	nw := env.Net()
+	key, err := cryptoutil.GenerateKeyPair(rand.New(rand.NewSource(env.Seed)))
 	if err != nil {
 		panic(err)
 	}
@@ -111,7 +111,7 @@ func blockchainNamingRun(seed int64, nNames int, spacing time.Duration) []float6
 		m.Start()
 	}
 	nameCfg := naming.DefaultConfig()
-	client := naming.NewClient(key, nameCfg, rand.New(rand.NewSource(seed+1)), 0)
+	client := naming.NewClient(key, nameCfg, rand.New(rand.NewSource(env.Seed+1)), 0)
 
 	name := func(i int) string { return fmt.Sprintf("bname-%04d", i) }
 	submitAt := map[string]time.Duration{}

@@ -134,13 +134,13 @@ func x20Arms(sp flashSpec) []flashArm {
 
 // overloadMatrix is the numeric core of X20: one shared flash schedule
 // through every arm.
-func overloadMatrix(seed int64, tiny bool) Matrix {
-	sp := flashSpecFor(tiny)
-	reqs, rs := x18Stream(seed, sp, "flash")
+func overloadMatrix(env Env) Matrix {
+	sp := flashSpecFor(env.Tiny)
+	reqs, rs := x18Stream(env.Seed, sp, "flash")
 	arms := x20Arms(sp)
 	m := Matrix{Cols: []string{"flash-avail%", "avail%", "p95(s)", "ctl-p95(s)", "shed", "repl-peak"}}
 	for _, arm := range arms {
-		res := runFlashArm(seed, sp, arm, reqs, rs)
+		res := runFlashArm(env, sp, arm, reqs, rs)
 		peak := 0.0
 		if res.dir != nil {
 			// The peak the control lane is buying: over the horizon's

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/simnet"
 )
 
 // raceSize sizes a mining-race experiment (X2, X10): races averaged per
@@ -25,25 +24,25 @@ var fiftyOneShares = []float64{0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.75}
 // problems": success probability should collapse for q < 0.5 and approach
 // certainty above it. One seed gives one (win rate %, mean lead) pair per
 // attacker share, each averaging s.trials races.
-func fiftyOneMatrix(seed int64, s raceSize) Matrix {
+func fiftyOneMatrix(env Env, s raceSize) Matrix {
 	mx := Matrix{Cols: []string{"Reorg Success Rate", "Mean Attacker Lead (blocks)"}}
 	for _, share := range fiftyOneShares {
-		win, lead := fiftyOneRow(seed, share, s)
+		win, lead := fiftyOneRow(env, share, s)
 		mx.add(fmt.Sprintf("%.0f%%", share*100), win*100, lead)
 	}
 	return mx
 }
 
-// fiftyOneRow fans the per-share trials over simnet.Trials and reduces to
+// fiftyOneRow fans the per-share trials over runTrials and reduces to
 // (win rate, mean attacker lead). The per-trial seeds reproduce the
 // original serial derivation base + trial·1000.
-func fiftyOneRow(seed int64, share float64, s raceSize) (winRate, meanLead float64) {
+func fiftyOneRow(env Env, share float64, s raceSize) (winRate, meanLead float64) {
 	type outcome struct {
 		won  bool
 		lead int
 	}
-	outs := simnet.Trials(strideSeeds(seed+int64(share*100), 1000, s.trials), 0, func(seed int64) outcome {
-		won, lead := fiftyOneTrial(seed, share, s.horizon)
+	outs := runTrials(env, strideSeeds(env.Seed+int64(share*100), 1000, s.trials), 0, func(env Env) outcome {
+		won, lead := fiftyOneTrial(env, share, s.horizon)
 		return outcome{won, lead}
 	})
 	wins := 0
@@ -59,8 +58,8 @@ func fiftyOneRow(seed int64, share float64, s raceSize) (winRate, meanLead float
 
 // fiftyOneTrial runs one race and reports whether the honest node reorged
 // onto the attacker branch, plus the attacker's block lead at publication.
-func fiftyOneTrial(seed int64, share float64, horizonBlocks int) (bool, int) {
-	nw := simnet.New(seed)
+func fiftyOneTrial(env Env, share float64, horizonBlocks int) (bool, int) {
+	nw := env.Net()
 	spacing := 10 * time.Second
 	cfg := chain.Config{InitialDifficulty: 1 << 10, TargetSpacing: spacing, Subsidy: 50}
 	total := float64(cfg.InitialDifficulty) / spacing.Seconds() // network hashrate for 1 block/spacing

@@ -34,10 +34,10 @@ var commSizes = [2]commSize{{10, []float64{0, 0.1, 0.2, 0.3, 0.5}}, {3, []float6
 //     deliverability ≈ (1-f) (posting still needs the author's home);
 //   - social-p2p: no servers; the peers are the users, so the same f is
 //     applied to them directly → surviving pairs still deliver.
-func commAvailabilityMatrix(seed int64, s commSize) Matrix {
+func commAvailabilityMatrix(env Env, s commSize) Matrix {
 	models := []struct {
 		name string
-		run  func(seed int64, servers int, f float64) float64
+		run  func(env Env, servers int, f float64) float64
 	}{
 		{"centralized", centralizedDeliverability},
 		{"federated-home", fedHomeDeliverability},
@@ -48,7 +48,7 @@ func commAvailabilityMatrix(seed int64, s commSize) Matrix {
 	for _, m := range models {
 		row := make([]float64, len(s.fails))
 		for c, f := range s.fails {
-			row[c] = m.run(seed, s.servers, f)
+			row[c] = m.run(env, s.servers, f)
 		}
 		mx.add(m.name, row...)
 	}
@@ -60,8 +60,8 @@ func killCount(servers int, f float64) int {
 }
 
 // centralizedDeliverability: U users on one platform server.
-func centralizedDeliverability(seed int64, users int, f float64) float64 {
-	nw := simnet.New(seed)
+func centralizedDeliverability(env Env, users int, f float64) float64 {
+	nw := env.Net()
 	srv := groupcomm.NewCentralServer(nw.AddNode(), nil)
 	clients := make([]*groupcomm.CentralClient, users)
 	for i := range clients {
@@ -80,8 +80,8 @@ func centralizedDeliverability(seed int64, users int, f float64) float64 {
 	})
 }
 
-func fedHomeDeliverability(seed int64, servers int, f float64) float64 {
-	nw := simnet.New(seed)
+func fedHomeDeliverability(env Env, servers int, f float64) float64 {
+	nw := env.Net()
 	insts := make([]*groupcomm.FedInstance, servers)
 	for i := range insts {
 		insts[i] = groupcomm.NewFedInstance(nw.AddNode(), fmt.Sprintf("inst%d", i), nil)
@@ -120,8 +120,8 @@ func fedHomeDeliverability(seed int64, servers int, f float64) float64 {
 	})
 }
 
-func fedReplDeliverability(seed int64, servers int, f float64) float64 {
-	nw := simnet.New(seed)
+func fedReplDeliverability(env Env, servers int, f float64) float64 {
+	nw := env.Net()
 	srvs := make([]*groupcomm.ReplServer, servers)
 	for i := range srvs {
 		srvs[i] = groupcomm.NewReplServer(nw.AddNode(), fmt.Sprintf("hs%d", i), nil,
@@ -180,8 +180,8 @@ func readDeliverability(nw *simnet.Network, n int, settle time.Duration, fetch f
 
 // socialP2PDeliverability: the users themselves are the infrastructure, so
 // f is applied to user nodes. All pairs are mutual friends.
-func socialP2PDeliverability(seed int64, users int, f float64) float64 {
-	nw := simnet.New(seed)
+func socialP2PDeliverability(env Env, users int, f float64) float64 {
+	nw := env.Net()
 	peers := make([]*groupcomm.SocialPeer, users)
 	for i := range peers {
 		peers[i] = groupcomm.NewSocialPeer(nw.AddNode(), groupcomm.UserID(fmt.Sprintf("u%d", i)), 15*time.Second)

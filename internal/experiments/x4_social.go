@@ -30,13 +30,13 @@ const socialTrials = 5
 // socially-trusted peers" — availability rises with degree (more sync
 // paths) and with per-node uptime. Each (degree, availability) cell
 // averages `trials` runs at seeds seed + i·7919.
-func socialP2PMatrix(seed int64, s socialSize, trials int) Matrix {
+func socialP2PMatrix(env Env, s socialSize, trials int) Matrix {
 	mx := NewMatrix(labels("%d", 1, s.degree), labels("uptime=%.0f%%", 100, s.uptime))
 	for r, d := range s.degree {
 		for c, a := range s.uptime {
 			sum := 0.0
-			for _, v := range simnet.Trials(strideSeeds(seed, 7919, trials), 0, func(seed int64) float64 {
-				return socialP2PRun(seed, s.users, d, a)
+			for _, v := range runTrials(env, strideSeeds(env.Seed, 7919, trials), 0, func(env Env) float64 {
+				return socialP2PRun(env, s.users, d, a)
 			}) {
 				sum += v
 			}
@@ -46,8 +46,8 @@ func socialP2PMatrix(seed int64, s socialSize, trials int) Matrix {
 	return mx
 }
 
-func socialP2PRun(seed int64, users, degree int, availability float64) float64 {
-	nw := simnet.New(seed + int64(degree*1000) + int64(availability*100))
+func socialP2PRun(env Env, users, degree int, availability float64) float64 {
+	nw := env.WithSeed(env.Seed + int64(degree*1000) + int64(availability*100)).Net()
 	peers := make([]*groupcomm.SocialPeer, users)
 	for i := range peers {
 		peers[i] = groupcomm.NewSocialPeer(nw.AddNode(), groupcomm.UserID(fmt.Sprintf("u%d", i)), 60*time.Second)
@@ -109,7 +109,7 @@ var metadataSizes = [2]int{10, 3}
 
 // metadataExposure renders the §3.2 metadata-exposure comparison for a
 // federation of the given size (X4b); it draws nothing from the seed.
-func metadataExposure(_ int64, servers int) *Table {
+func metadataExposure(_ Env, servers int) *Table {
 	t := &Table{Headers: []string{"Model", "Operator Observers", "Body Visible To Operators", "Note"}}
 	for _, e := range groupcomm.Exposures() {
 		t.Add(e.Model, e.ObserverCount(servers), e.BodyVisible, e.Note)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/resil"
-	"repro/internal/simnet"
 	"repro/internal/storage"
 )
 
@@ -46,8 +45,8 @@ func (sc durabilityScheme) overhead() float64 {
 
 // durabilityTable renders X5 with each scheme's storage overhead beside
 // its survival figures.
-func durabilityTable(seed int64, s durabilitySize) *Table {
-	m := durabilityMatrix(seed, s)
+func durabilityTable(env Env, s durabilitySize) *Table {
+	m := durabilityMatrix(env, s)
 	t := &Table{Headers: []string{"Scheme", "Overhead", "Survival (no repair)", "Survival (repair/30m)", "Repair Traffic (KB)"}}
 	for r, sc := range durabilitySchemes {
 		t.Add(sc.name,
@@ -67,19 +66,19 @@ func durabilityTable(seed int64, s durabilitySize) *Table {
 // trade-offs among durability, availability, consistency, and performance
 // of decentralized storage." One seed gives, per scheme, the survival
 // percentages without and with repair plus the repair traffic (KB).
-func durabilityMatrix(seed int64, s durabilitySize) Matrix {
+func durabilityMatrix(env Env, s durabilitySize) Matrix {
 	mx := Matrix{Cols: []string{"Survival (no repair)", "Survival (repair/30m)", "Repair Traffic (KB)"}}
 	for _, sc := range durabilitySchemes {
-		noRepair, _ := durabilityRun(seed, sc, s, 0)
-		withRepair, traffic := durabilityRun(seed, sc, s, 30*time.Minute)
+		noRepair, _ := durabilityRun(env, sc, s, 0)
+		withRepair, traffic := durabilityRun(env, sc, s, 30*time.Minute)
 		mx.add(sc.name, noRepair*100, withRepair*100, traffic/1024)
 	}
 	return mx
 }
 
-func durabilityRun(seed int64, scheme durabilityScheme, s durabilitySize, repairEvery time.Duration) (survival float64, repairBytes float64) {
+func durabilityRun(env Env, scheme durabilityScheme, s durabilitySize, repairEvery time.Duration) (survival float64, repairBytes float64) {
 	objects, providers, horizon := s.objects, s.providers, s.horizon
-	nw := simnet.New(seed)
+	nw := env.Net()
 	fleet := newStorageFleet(nw, providers, 10*time.Second, resil.Config{}, storage.ProviderConfig{Capacity: 1 << 30})
 	client, provs, pool := fleet.client, fleet.provs, fleet.pool
 

@@ -12,7 +12,7 @@ import (
 // faces each implemented proof mechanism; the table reports which proofs
 // catch which attacks. §3.3: proof-of-replication and friends exist to
 // defeat "Sybil Attacks … Outsourcing Attacks … Generation Attacks".
-func storageAttacks(seed int64) *Table {
+func storageAttacks(env Env) *Table {
 	t := &Table{Headers: []string{"Provider Behaviour", "Proof-of-Storage", "Proof-of-Retrievability", "Proof-of-Replication (3 replicas)"}}
 	behaviours := []struct {
 		name  string
@@ -25,7 +25,7 @@ func storageAttacks(seed int64) *Table {
 		{"dedup sealed replicas", storage.DedupReplicas},
 	}
 	for _, b := range behaviours {
-		pos, ret, rep := storageAttackRun(seed, b.cheat)
+		pos, ret, rep := storageAttackRun(env, b.cheat)
 		t.Add(b.name, verdict(pos, b.cheat == storage.Honest), verdict(ret, b.cheat == storage.Honest), verdict(rep, b.cheat == storage.Honest))
 	}
 	return t
@@ -47,8 +47,8 @@ func verdict(passed bool, honest bool) string {
 
 // storageAttackRun subjects one provider to all three proof mechanisms and
 // reports whether it passed each (replication = all 3 replicas pass).
-func storageAttackRun(seed int64, cheat storage.CheatMode) (posPass, retPass, repPass bool) {
-	nw := simnet.New(seed)
+func storageAttackRun(env Env, cheat storage.CheatMode) (posPass, retPass, repPass bool) {
+	nw := env.Net()
 	// Slow links so the outsourcing round trip is visible to the deadline.
 	nw.SetDefaultProfile(simnet.LinkProfile{Latency: 40 * time.Millisecond, UplinkBps: 20e6, DownlinkBps: 20e6})
 	client := storage.NewClient(nw.AddNode(), 30*time.Second, resil.Config{})

@@ -21,11 +21,11 @@ var hostlessSizes = [2]int{40, 5}
 // this also a §5.2 "quality vs quantity" test: device-grade uplinks can
 // still carry the site because the load spreads. One seed gives the
 // visit-success and load-share percentages of both architectures.
-func hostlessMatrix(seed int64, visitors int) Matrix {
+func hostlessMatrix(env Env, visitors int) Matrix {
 	mx := Matrix{Cols: []string{"Visits OK (publisher alive)", "Visits OK (publisher dead)", "Publisher Share of Bytes Served"}}
-	before, after, share := clientServerRun(seed, visitors)
+	before, after, share := clientServerRun(env, visitors)
 	mx.add("client-server (single origin)", before*100, after*100, share*100)
-	before, after, share = hostlessRun(seed, visitors)
+	before, after, share = hostlessRun(env, visitors)
 	mx.add("hostless (visitor-seeded)", before*100, after*100, share*100)
 	return mx
 }
@@ -33,8 +33,8 @@ func hostlessMatrix(seed int64, visitors int) Matrix {
 const originMethod = "origin.get"
 
 // clientServerRun serves the site from one origin over simnet RPC.
-func clientServerRun(seed int64, visitors int) (before, after, originShare float64) {
-	nw := simnet.New(seed)
+func clientServerRun(env Env, visitors int) (before, after, originShare float64) {
+	nw := env.Net()
 	origin := simnet.NewRPCNode(nw.AddNode()) // datacenter profile
 	site := siteFiles()
 	siteBytes := 0
@@ -68,8 +68,8 @@ func clientServerRun(seed int64, visitors int) (before, after, originShare float
 
 // hostlessRun serves the site as a webapp bundle over DHT + tracker with
 // visitor seeding.
-func hostlessRun(seed int64, visitors int) (before, after, authorShare float64) {
-	nw := simnet.New(seed)
+func hostlessRun(env Env, visitors int) (before, after, authorShare float64) {
+	nw := env.Net()
 	// The author lives on a home-broadband link, like any user.
 	home := simnet.HomeBroadbandProfile()
 	web := newWebSwarm(nw, home, 30*time.Second)

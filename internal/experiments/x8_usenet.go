@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/groupcomm"
-	"repro/internal/simnet"
 )
 
 // usenetSize sizes X8: the network sizes swept, and each author's posts
@@ -26,19 +25,19 @@ var usenetSizes = [2]usenetSize{{[]int{5, 10, 20, 40}, 20, 512}, {[]int{3}, 4, 1
 // per-server cost stays flat as the network grows. The centralized column
 // shows the aggregation extreme: one operator bears everything. One seed
 // gives the mean stored bytes per server, per network size and model.
-func usenetMatrix(seed int64, s usenetSize) Matrix {
+func usenetMatrix(env Env, s usenetSize) Matrix {
 	m := Matrix{Cols: []string{"usenet (full flood)", "federated-home (followed only)", "centralized (one operator)"}}
 	for _, n := range s.servers {
-		usenet := usenetPerServerBytes(seed, n, s.posts, s.bytes)
-		fed := fedHomePerServerBytes(seed, n, s.posts, s.bytes)
+		usenet := usenetPerServerBytes(env, n, s.posts, s.bytes)
+		fed := fedHomePerServerBytes(env, n, s.posts, s.bytes)
 		m.add(fmt.Sprint(n), float64(usenet), float64(fed), float64(n*s.posts*(s.bytes+64))) // one operator stores all
 	}
 	return m
 }
 
 // usenetTable renders X8 with every cell as a byte count.
-func usenetTable(seed int64, s usenetSize) *Table {
-	m := usenetMatrix(seed, s)
+func usenetTable(env Env, s usenetSize) *Table {
+	m := usenetMatrix(env, s)
 	t := &Table{Headers: append([]string{"Servers"}, m.Cols...)}
 	for r, v := range m.Vals {
 		t.Add(m.Rows[r], byteCount(int64(v[0])), byteCount(int64(v[1])), byteCount(int64(v[2])))
@@ -58,8 +57,8 @@ func byteCount(b int64) string {
 
 // usenetPerServerBytes returns the mean per-server stored bytes after all
 // authors post.
-func usenetPerServerBytes(seed int64, servers, posts, postBytes int) int64 {
-	nw := simnet.New(seed)
+func usenetPerServerBytes(env Env, servers, posts, postBytes int) int64 {
+	nw := env.Net()
 	srvs := make([]*groupcomm.UsenetServer, servers)
 	for i := range srvs {
 		srvs[i] = groupcomm.NewUsenetServer(nw.AddNode(), fmt.Sprintf("news%d", i))
@@ -85,8 +84,8 @@ func usenetPerServerBytes(seed int64, servers, posts, postBytes int) int64 {
 
 // fedHomePerServerBytes returns the mean per-instance stored bytes in the
 // federated-home model where each user follows 4 remote authors.
-func fedHomePerServerBytes(seed int64, servers, posts, postBytes int) int64 {
-	nw := simnet.New(seed)
+func fedHomePerServerBytes(env Env, servers, posts, postBytes int) int64 {
+	nw := env.Net()
 	insts := make([]*groupcomm.FedInstance, servers)
 	for i := range insts {
 		insts[i] = groupcomm.NewFedInstance(nw.AddNode(), fmt.Sprintf("inst%d", i), nil)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/groupcomm"
-	"repro/internal/simnet"
 )
 
 // abuseSize sizes X9: readers, and the policy coverages swept.
@@ -34,13 +33,13 @@ var abuseSizes = [2]abuseSize{{20, []float64{0, 0.25, 0.5, 0.75, 1}}, {5, []floa
 // operator applying it or not (centralized, so only 0%/100% differ), and
 // fraction of users who befriended the spammer (social-p2p, where the
 // "enforcement point" is the friendship decision itself).
-func abuseMatrix(seed int64, s abuseSize) Matrix {
+func abuseMatrix(env Env, s abuseSize) Matrix {
 	m := NewMatrix(
 		[]string{"centralized (global filter)", "federated-home (per-instance filter)", "social-p2p (trust graph is the filter)"},
 		labels("coverage=%.0f%%", 100, s.coverages))
 	for c, cov := range s.coverages {
-		for r, run := range []func(seed int64, users int, coverage float64) float64{centralAbuseRun, fedAbuseRun, socialAbuseRun} {
-			m.Vals[r][c] = run(seed, s.users, cov)
+		for r, run := range []func(env Env, users int, coverage float64) float64{centralAbuseRun, fedAbuseRun, socialAbuseRun} {
+			m.Vals[r][c] = run(env, s.users, cov)
 		}
 	}
 	return m
@@ -52,8 +51,8 @@ const spamBody = "buy spam now"
 
 // centralAbuseRun: one platform; coverage ≥ 0.5 means the operator turned
 // the filter on.
-func centralAbuseRun(seed int64, users int, coverage float64) float64 {
-	nw := simnet.New(seed)
+func centralAbuseRun(env Env, users int, coverage float64) float64 {
+	nw := env.Net()
 	var policy *groupcomm.ModerationPolicy
 	if coverage >= 0.5 {
 		policy = spamPolicy
@@ -83,8 +82,8 @@ func centralAbuseRun(seed int64, users int, coverage float64) float64 {
 
 // fedAbuseRun: one instance per user; coverage fraction of instances run
 // the filter. The spammer homes on a filterless instance (worst case).
-func fedAbuseRun(seed int64, users int, coverage float64) float64 {
-	nw := simnet.New(seed)
+func fedAbuseRun(env Env, users int, coverage float64) float64 {
+	nw := env.Net()
 	n := users + 1 // +1 for the spammer's instance (always lax)
 	insts := make([]*groupcomm.FedInstance, n)
 	filtered := int(coverage * float64(users))
@@ -130,8 +129,8 @@ func fedAbuseRun(seed int64, users int, coverage float64) float64 {
 
 // socialAbuseRun: coverage is the fraction of users who befriended the
 // spammer; everyone else's trust check refuses the content unseen.
-func socialAbuseRun(seed int64, users int, coverage float64) float64 {
-	nw := simnet.New(seed)
+func socialAbuseRun(env Env, users int, coverage float64) float64 {
+	nw := env.Net()
 	spammer := groupcomm.NewSocialPeer(nw.AddNode(), "spammer", 0)
 	peers := make([]*groupcomm.SocialPeer, users)
 	befriended := int(coverage * float64(users))

@@ -2,9 +2,12 @@ package obs
 
 import "sync"
 
-// Collector gathers every Registry created while it is installed — one per
-// simnet.Network, including the networks parallel trial workers build —
-// so a harness can export one merged snapshot per experiment.
+// Collector gathers the registries of one experiment's networks — those
+// parallel trial workers build included — so a harness can export one
+// merged snapshot per experiment. The experiments harness attaches them
+// itself (experiments.Env.Net); installed as the process-wide collector
+// (SetCollector), it gathers every registry simnet creates, which only
+// bench/'s layer probes use.
 //
 // Attach order is whatever the scheduler produced, but MergeRegistries
 // sorts by registry label (simnet labels registries "seed:<seed>"), so the
@@ -33,15 +36,18 @@ func (c *Collector) Merged() *Snapshot {
 }
 
 // current is the process-wide collector hook. simnet.New attaches each new
-// network's registry to it when one is installed; the bench harness
-// installs a fresh collector around each experiment.
+// network's registries to it when one is installed. Only bench/ installs
+// one: the experiments harness hands each run its own collector instead,
+// so its entries can run side by side.
 var (
 	currentMu sync.Mutex
 	current   *Collector
 )
 
 // SetCollector installs c as the process-wide collector and returns a
-// function restoring the previous one. Passing nil uninstalls.
+// function restoring the previous one. Passing nil uninstalls. It is for
+// bench/'s layer probes only; scripts/determinism_lint.sh rejects a call
+// anywhere else outside this package.
 func SetCollector(c *Collector) (restore func()) {
 	currentMu.Lock()
 	prev := current
@@ -55,7 +61,8 @@ func SetCollector(c *Collector) (restore func()) {
 }
 
 // AttachCurrent adds r to the installed collector, if any. Called by
-// simnet.New for every network; a no-op outside bench runs.
+// simnet.New for every registry a network owns; a no-op unless bench/ has
+// installed a collector.
 func AttachCurrent(r *Registry) {
 	currentMu.Lock()
 	c := current

@@ -335,6 +335,19 @@ func NewWithConfig(cfg NetworkConfig) *Network {
 // update them live; Snapshot/merge export happens through internal/obs.
 func (nw *Network) Obs() *obs.Registry { return nw.obs }
 
+// Registries returns every observability registry the network owns: its
+// own (Obs) first, then, on the sharded engine, one per shard. A harness
+// exports a run by merging them (obs.MergeRegistries).
+func (nw *Network) Registries() []*obs.Registry {
+	regs := []*obs.Registry{nw.obs}
+	if nw.sharded {
+		for _, sh := range nw.shards {
+			regs = append(regs, sh.obs)
+		}
+	}
+	return regs
+}
+
 // publishObs mirrors the substrate's accumulated state into the registry.
 // Runs on every Registry.Snapshot, so Set (not Add) keeps it idempotent.
 func (nw *Network) publishObs(r *obs.Registry) {

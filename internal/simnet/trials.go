@@ -19,20 +19,27 @@ import (
 // value derived only from that simulation.
 func Trials[T any](seeds []int64, workers int, run func(seed int64) T) []T {
 	results := make([]T, len(seeds))
-	if len(seeds) == 0 {
-		return results
-	}
+	Each(len(seeds), workers, func(i int) { results[i] = run(seeds[i]) })
+	return results
+}
+
+// Each calls run(i) for every i in [0, n), at most workers at a time, and
+// returns when all have returned. workers <= 0 means GOMAXPROCS; with one
+// worker the calls run in index order on the calling goroutine. Workers
+// take indices in increasing order, so a caller that wants its longest
+// jobs started first lists them first.
+func Each(n, workers int, run func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(seeds) {
-		workers = len(seeds)
+	if workers > n {
+		workers = n
 	}
-	if workers == 1 {
-		for i, s := range seeds {
-			results[i] = run(s)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			run(i)
 		}
-		return results
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -42,15 +49,14 @@ func Trials[T any](seeds []int64, workers int, run func(seed int64) T) []T {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(seeds) {
+				if i >= n {
 					return
 				}
-				results[i] = run(seeds[i])
+				run(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }
 
 // Seeds derives n deterministic, well-spread trial seeds from base using

@@ -128,9 +128,9 @@ func TestQuickScaleCellDeterministic(t *testing.T) {
 	prop := func(seed int64, rawN uint8, which uint8) bool {
 		n := clampPop(rawN) + 20 // [36, 84]: big enough for every subsystem
 		sub := subs[int(which)%len(subs)]
-		cfg := simnet.NetworkConfig{Seed: seed % (1 << 30)}
-		a := experiments.ScaleCellRun(sub, n, cfg)
-		b := experiments.ScaleCellRun(sub, n, cfg)
+		env := experiments.Env{Seed: seed % (1 << 30)}
+		a := experiments.ScaleCellRun(env, sub, n)
+		b := experiments.ScaleCellRun(env, sub, n)
 		return a.Converged == b.Converged && a.Messages == b.Messages
 	}
 	if err := quick.Check(prop, quickCfg(3003, 6)); err != nil {

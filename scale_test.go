@@ -66,8 +66,8 @@ func TestScaleMatrix(t *testing.T) {
 					t.Skipf("%s tier: set SCALE=%s", row.tier, row.tier)
 				}
 			}
-			cfg := simnet.NetworkConfig{Seed: row.seed, Shards: row.shards}
-			cell := experiments.ScaleCellRun(row.subsystem, row.n, cfg)
+			env := experiments.Env{Seed: row.seed, Layout: simnet.NetworkConfig{Shards: row.shards}}
+			cell := experiments.ScaleCellRun(env, row.subsystem, row.n)
 			if cell.Converged < row.minConv {
 				t.Errorf("%s at N=%d (shards=%d): converged %.1f%%, floor %.1f%%",
 					row.subsystem, row.n, row.shards, cell.Converged*100, row.minConv*100)

@@ -21,6 +21,19 @@ for f in $(find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/simn
     fi
 done
 
+# One collector path. A bench entry learns about its networks through the
+# collector its Env carries (experiments.Env.Net attaches each network's
+# registries to it), so entries can run side by side. The process-wide
+# collector is left to bench/, whose layer probes install it, and to the
+# hook in internal/simnet/simnet.go that feeds it; a call anywhere else
+# would bind a run's metrics to whichever run installed the global last.
+for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/obs/*' ! -path './internal/simnet/simnet.go' | sort); do
+    if grep -nE '\bobs\.(SetCollector|AttachCurrent)\b' "$f"; then
+        echo "determinism lint: $f uses the process-wide obs collector (build networks with experiments.Env.Net, which attaches them to the run's own collector)" >&2
+        bad=1
+    fi
+done
+
 # --- sharded-engine rules -------------------------------------------------
 # internal/simnet owns event ordering, and the sharded engine runs it on
 # several goroutines at once, so two extra hazards apply inside the package
