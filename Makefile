@@ -4,12 +4,13 @@ GO ?= go
 
 # ci is the gate run before merging: formatting, build, vet, the
 # determinism lint, the race detector over every internal package, the
-# full test suite, the allocation-budget gate on the scale-critical hot
-# paths, the per-package coverage report with its simnet floor, and a
-# short burst over every discovered fuzz target, and one iteration of every
-# per-package benchmark. scripts/ci.sh runs this and then adds the seeded
-# bench regression gate on top.
-ci: fmt build vet lint race test allocs cover fuzz bench
+# full test suite in one pass with its per-package coverage report and
+# floor (that pass runs the allocation-budget gates too), a short burst
+# over every discovered fuzz target, and one iteration of every per-package
+# benchmark. `test` and `allocs` stay for local use; ci runs what they run
+# inside cover. scripts/ci.sh runs this and then adds the seeded bench
+# regression gate on top.
+ci: fmt build vet lint race cover fuzz bench
 
 fmt:
 	@files="$$(gofmt -l .)"; \
@@ -47,7 +48,8 @@ race:
 test:
 	$(GO) test ./...
 
-# cover emits per-package coverage and enforces the floor on the simulation
+# cover runs every test once, with per-package coverage, fails if any test
+# fails, and enforces the floor on the simulation
 # substrate, the resilience layer, the storage engine, the workload engine,
 # the replication layer, the overload layer, the DHT and obs: every package in
 # COVER_TRACKED must stay at >= 80% statement coverage — everything else in
@@ -65,7 +67,7 @@ COVER_TRACKED := repro/internal/simnet repro/internal/simnet/fault \
 	repro/internal/replic repro/internal/overload repro/internal/dht \
 	repro/internal/obs
 cover:
-	@$(GO) test -cover ./internal/... | tee /tmp/feudalism-cover.txt
+	@$(GO) test -cover ./... >/tmp/feudalism-cover.txt 2>&1; status=$$?; cat /tmp/feudalism-cover.txt; exit $$status
 	@awk -v tracked='$(COVER_TRACKED)' 'BEGIN { want = split(tracked, names, " "); for (i in names) track[names[i]] = 1 } \
 		$$1 == "ok" && ($$2 in track) { \
 		seen++; found = 0; \
@@ -114,7 +116,8 @@ bench:
 # (TestAllocReplicGet), and a whole proof-of-work grind, its saved midstate
 # (TestAllocChainHotPaths). Inside pinned budgets: DHT lookups
 # (TestAllocDHTLookup) and gossip rounds. The gates that lean on sync.Pool
-# build only without -race.
+# build only without -race. They hold under -cover too, which is how ci
+# runs them (in cover).
 allocs:
 	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht ./internal/resil ./internal/replic
 

@@ -27,7 +27,6 @@ func namesDemo(w io.Writer, seed int64, name string) {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{alice.Fingerprint(): 10_000},
 	}

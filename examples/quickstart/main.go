@@ -39,7 +39,6 @@ func main() {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{alice.Fingerprint(): 10_000},
 	}

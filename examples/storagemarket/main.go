@@ -33,7 +33,6 @@ func main() {
 	spacing := 10 * time.Second
 	ccfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{clientKey.Fingerprint(): 1_000},
 	}

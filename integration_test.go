@@ -54,7 +54,6 @@ func TestNamingOverLiveChain(t *testing.T) {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{kp.Fingerprint(): 10_000},
 	}
@@ -108,7 +107,6 @@ func TestStorageContractSettlementOverChain(t *testing.T) {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{kp.Fingerprint(): 1000},
 	}
@@ -181,7 +179,6 @@ func TestWebappNamingBridge(t *testing.T) {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{owner.Fingerprint(): 10_000},
 	}

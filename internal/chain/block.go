@@ -121,7 +121,7 @@ func workTarget(d uint64) (target cryptoutil.Hash) {
 
 // sealWork is the most expected hashes a header's seal costs the host.
 // Difficulty is the block's work in virtual time: it sets the discovery
-// delay, retargeting and fork choice, while the seal is checked against
+// delay and fork choice, while the seal is checked against
 // the target of min(Difficulty, sealWork), so a header with an arbitrary
 // nonce still fails about fifteen times in sixteen.
 const sealWork = 16

@@ -16,12 +16,10 @@ type Config struct {
 	// costs virtual time only: a block's seal takes at most 16 expected
 	// hashes on the host whatever the difficulty.
 	InitialDifficulty uint64
-	// TargetSpacing is the desired inter-block time; retargeting steers the
-	// difficulty toward it.
+	// TargetSpacing is read by nothing: difficulty never retargets, and a
+	// caller sets the block rate through its miners' hashrate. It stays
+	// only because the benchmark module sets it.
 	TargetSpacing time.Duration
-	// RetargetInterval is how many blocks between difficulty adjustments.
-	// Zero disables retargeting.
-	RetargetInterval int
 	// Subsidy is the coinbase block reward.
 	Subsidy uint64
 	// MaxTxsPerBlock caps non-coinbase transactions per block (the paper's
@@ -39,9 +37,6 @@ const maxPayloadBytes = 4096
 func (c Config) withDefaults() Config {
 	if c.InitialDifficulty == 0 {
 		c.InitialDifficulty = 1 << 12
-	}
-	if c.TargetSpacing == 0 {
-		c.TargetSpacing = 10 * time.Second
 	}
 	if c.MaxTxsPerBlock == 0 {
 		c.MaxTxsPerBlock = 1000
@@ -162,42 +157,15 @@ func (c *Chain) NumBlocks() int { return len(c.blocks) }
 // OnHead registers an observer invoked after every head change.
 func (c *Chain) OnHead(f func(*Block)) { c.onHead = append(c.onHead, f) }
 
-// NextDifficulty computes the difficulty for a block extending parent,
-// applying Bitcoin-style proportional retargeting clamped to [¼, 4]×.
+// NextDifficulty returns the difficulty of a block extending parent: the
+// configured InitialDifficulty on genesis (or an unknown parent), else the
+// parent's, so difficulty stays fixed for the chain's life.
 func (c *Chain) NextDifficulty(parentHash cryptoutil.Hash) uint64 {
 	parent := c.Block(parentHash)
-	if parent == nil {
+	if parent == nil || parent.Header.Height == 0 {
 		return c.cfg.InitialDifficulty
 	}
-	if parent.Header.Height == 0 {
-		return c.cfg.InitialDifficulty
-	}
-	interval := c.cfg.RetargetInterval
-	if interval <= 0 || parent.Header.Height%uint64(interval) != 0 {
-		return parent.Header.Difficulty
-	}
-	// Walk back interval blocks to find the window start.
-	start := parent
-	for i := 0; i < interval && start.Header.Height > 0; i++ {
-		start = c.Block(start.Header.Prev)
-	}
-	actual := time.Duration(parent.Header.Time - start.Header.Time)
-	expected := c.cfg.TargetSpacing * time.Duration(interval)
-	if actual <= 0 {
-		actual = time.Nanosecond
-	}
-	ratio := float64(expected) / float64(actual)
-	if ratio > 4 {
-		ratio = 4
-	}
-	if ratio < 0.25 {
-		ratio = 0.25
-	}
-	next := uint64(float64(parent.Header.Difficulty) * ratio)
-	if next == 0 {
-		next = 1
-	}
-	return next
+	return parent.Header.Difficulty
 }
 
 // validate fully checks a block against its (known) parent; ids are its

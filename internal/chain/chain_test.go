@@ -23,8 +23,6 @@ func testChain(t testing.TB, alloc map[Address]uint64) *Chain {
 	t.Helper()
 	return NewChain(Config{
 		InitialDifficulty: 16,
-		TargetSpacing:     10 * time.Second,
-		RetargetInterval:  10,
 		Subsidy:           50,
 		GenesisAlloc:      alloc,
 	})
@@ -33,7 +31,7 @@ func testChain(t testing.TB, alloc map[Address]uint64) *Chain {
 // extend mines a block of txs on the chain's current head.
 func extend(t testing.TB, c *Chain, txs []*Tx, miner Address) *Block {
 	t.Helper()
-	ts := time.Duration(c.Head().Header.Time) + c.Config().TargetSpacing
+	ts := time.Duration(c.Head().Header.Time) + 10*time.Second
 	b, err := c.NewBlock(c.HeadHash(), txs, ts, miner)
 	if err != nil {
 		t.Fatal(err)
@@ -351,47 +349,6 @@ func TestReorgRevertsState(t *testing.T) {
 	}
 	if c.State().Balance(addr) != 100 {
 		t.Errorf("balance after reorg = %d, want 100 (double-spend window)", c.State().Balance(addr))
-	}
-}
-
-func TestDifficultyRetarget(t *testing.T) {
-	c := NewChain(Config{
-		InitialDifficulty: 1000,
-		TargetSpacing:     10 * time.Second,
-		RetargetInterval:  5,
-	})
-	// Mine 5 blocks spaced 1s apart (10× too fast): difficulty should rise
-	// by the clamp factor 4.
-	ts := time.Second
-	for i := 0; i < 5; i++ {
-		b, err := c.NewBlock(c.HeadHash(), nil, ts, Address{1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.AddBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		ts += time.Second
-	}
-	next := c.NextDifficulty(c.HeadHash())
-	if next != 4000 {
-		t.Errorf("retargeted difficulty = %d, want 4000 (clamped 4x)", next)
-	}
-	// And slow blocks bring it back down (clamped at ¼).
-	c2 := NewChain(Config{InitialDifficulty: 1000, TargetSpacing: time.Second, RetargetInterval: 5})
-	ts = 0
-	for i := 0; i < 5; i++ {
-		ts += 100 * time.Second
-		b, err := c2.NewBlock(c2.HeadHash(), nil, ts, Address{1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c2.AddBlock(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if next := c2.NextDifficulty(c2.HeadHash()); next != 250 {
-		t.Errorf("retargeted difficulty = %d, want 250 (clamped ¼)", next)
 	}
 }
 

@@ -37,8 +37,6 @@ func buildMiners(t testing.TB, nw *simnet.Network, n int, hashrate float64, cfg 
 func minerCfg() Config {
 	return Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     10 * time.Second,
-		RetargetInterval:  0, // fixed difficulty keeps the test arithmetic simple
 		Subsidy:           50,
 	}
 }

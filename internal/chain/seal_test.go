@@ -10,7 +10,7 @@ import (
 
 // TestSealTarget pins the split between a block's work and its seal: the
 // host seals every header against min(Difficulty, sealWork), while the full
-// Difficulty still sets fork choice, retargeting and discovery delay.
+// Difficulty still sets fork choice and discovery delay.
 func TestSealTarget(t *testing.T) {
 	for _, d := range []uint64{1, 2, 16, 1 << 10, 1 << 30} {
 		cfg := Config{InitialDifficulty: d, Subsidy: 50}
@@ -64,12 +64,12 @@ func TestSealTarget(t *testing.T) {
 		}
 	}
 
-	// Work and retargeting read the full difficulty: four blocks at twice
-	// the target spacing halve 2³⁰.
+	// Work reads the full difficulty, and every block after genesis carries
+	// it on: four blocks later the next one is still at 2³⁰.
 	if got := Work(1 << 30).Uint64(); got != 1<<30 {
 		t.Errorf("Work(2^30) = %d", got)
 	}
-	c := NewChain(Config{InitialDifficulty: 1 << 30, TargetSpacing: 10 * time.Second, RetargetInterval: 4})
+	c := NewChain(Config{InitialDifficulty: 1 << 30})
 	for i := 1; i <= 4; i++ {
 		b, err := c.NewBlock(c.HeadHash(), nil, time.Duration(i)*20*time.Second, Address{1})
 		if err != nil {
@@ -79,8 +79,8 @@ func TestSealTarget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.NextDifficulty(c.HeadHash()); got != 1<<29 {
-		t.Errorf("retarget after blocks at twice the spacing: difficulty %d, want 2^29", got)
+	if got := c.NextDifficulty(c.HeadHash()); got != 1<<30 {
+		t.Errorf("difficulty after four blocks %d, want 2^30", got)
 	}
 
 	// A lone miner finds blocks every d/hashrate seconds of virtual time on

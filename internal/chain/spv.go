@@ -45,10 +45,10 @@ var (
 	ErrHeaderBadPoW        = errors.New("chain: header fails proof of work")
 )
 
-// AddHeader validates and connects one header. Difficulty-retarget
-// correctness is not re-derived (a light client cannot compute it without
-// timestamps of every branch — it has them, but we keep the SPV trust
-// model honest and verify PoW, linkage, and monotonic time only).
+// AddHeader validates and connects one header. It does not check a
+// header's difficulty against its parent's, as a full node does: a light
+// client keeps the SPV trust model and verifies PoW, linkage, and monotonic
+// time only.
 func (hc *HeaderChain) AddHeader(h Header) error {
 	hash := h.Hash()
 	if _, ok := hc.headers[hash]; ok {

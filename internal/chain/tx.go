@@ -1,6 +1,6 @@
 // Package chain implements a from-scratch proof-of-work blockchain: signed
-// account-model transactions, Merkle-committed blocks, difficulty
-// retargeting, heaviest-chain fork choice with reorg support, a fee-ordered
+// account-model transactions, Merkle-committed blocks at a fixed
+// difficulty, heaviest-chain fork choice with reorg support, a fee-ordered
 // mempool, and simulated miners that run over internal/simnet.
 //
 // The paper (§3.1, §3.3) treats blockchains as the enabling substrate for
@@ -14,11 +14,11 @@
 //
 // Proof-of-work is charged in virtual time: a miner with hashrate R at
 // difficulty D finds blocks after Exp(D/R) of virtual time, and D is the
-// block's weight in fork choice and retargeting. Blocks still carry a
+// block's weight in fork choice. Blocks still carry a
 // nonce whose header hash validators check, but against a seal target of
 // min(D, 16) expected hashes, so sealing a block costs the host about 16
-// SHA-256 evaluations at any difficulty while fork choice, retargeting,
-// and attacks behave as they would at that difficulty.
+// SHA-256 evaluations at any difficulty while fork choice and attacks
+// behave as they would at that difficulty.
 package chain
 
 import (

@@ -224,49 +224,6 @@ func TestValueSurvivesOriginatorCrash(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	nw, peers := buildNetwork(t, 25, 15, Config{TTL: time.Minute})
-	k := key("ephemeral")
-	peers[1].Put(k, []byte("v"), nil)
-	nw.Run(nw.Now() + 10*time.Second)
-
-	found := false
-	peers[4].Get(k, func(v []byte, ok bool) { found = ok })
-	nw.Run(nw.Now() + 10*time.Second)
-	if !found {
-		t.Fatal("value should be fresh before TTL")
-	}
-
-	nw.Run(nw.Now() + 2*time.Minute) // let it expire
-	found = false
-	peers[4].Get(k, func(v []byte, ok bool) { found = ok })
-	nw.Run(nw.Now() + 10*time.Second)
-	if found {
-		t.Error("value served after TTL expiry")
-	}
-}
-
-func TestRepublishKeepsValueAliveUnderChurn(t *testing.T) {
-	cfg := Config{TTL: 2 * time.Minute, RepublishInterval: time.Minute}
-	nw, peers := buildNetwork(t, 26, 30, cfg)
-	k := key("churn survivor")
-	peers[0].Put(k, []byte("v"), nil)
-	nw.Run(nw.Now() + 5*time.Second)
-
-	// Churn everyone except the publisher and one reader.
-	for _, p := range peers[2:] {
-		simnet.Churn{MTTF: 3 * time.Minute, MTTR: time.Minute}.Apply(p.Node())
-	}
-	nw.Run(nw.Now() + 20*time.Minute)
-
-	found := false
-	peers[1].Get(k, func(v []byte, ok bool) { found = ok })
-	nw.Run(nw.Now() + 30*time.Second)
-	if !found {
-		t.Error("republished value lost under churn")
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	nw, peers := buildNetwork(t, 27, 20, Config{})
 	lookups, stores := nw.Obs().Counter("dht.lookup.started"), nw.Obs().Counter("dht.store.sent")

@@ -18,7 +18,6 @@ type Config struct {
 	K              int           // bucket size and lookup result width
 	Alpha          int           // lookup parallelism
 	RequestTimeout time.Duration // per-RPC timeout
-	TTL            time.Duration // stored value lifetime; 0 = no expiry
 	// RepublishInterval re-stores locally published values; 0 disables.
 	RepublishInterval time.Duration
 	// Resilience tunes the adaptive retry/hedging layer on every client
@@ -96,11 +95,6 @@ type storeReq struct {
 	Value []byte
 }
 
-type storedValue struct {
-	data      []byte
-	expiresAt time.Duration // zero means never
-}
-
 // Peer is one DHT participant bound to a simnet node.
 type Peer struct {
 	cfg Config
@@ -110,7 +104,7 @@ type Peer struct {
 	// ping is this peer's Contact, boxed once: the payload of every
 	// liveness ping it sends.
 	ping  any
-	store map[Key]storedValue
+	store map[Key][]byte
 	// published tracks keys this peer originated, for republishing.
 	published map[Key][]byte
 
@@ -166,7 +160,7 @@ func NewPeer(node *simnet.Node, id Key, cfg Config) *Peer {
 		cfg:       cfg,
 		rpc:       resil.Wrap(rpc, cfg.Resilience),
 		id:        id,
-		store:     map[Key]storedValue{},
+		store:     map[Key][]byte{},
 		published: map[Key][]byte{},
 		m:         metricsFor(node.Obs()),
 	}
@@ -258,11 +252,11 @@ func (p *Peer) onFindValue(from simnet.NodeID, req any) (any, int) {
 		return nil, 8
 	}
 	p.observe(r.From)
-	if sv, ok := p.store[r.Target]; ok && p.fresh(sv) {
+	if v, ok := p.store[r.Target]; ok {
 		p.m.served.Inc()
 		resp := takeReply()
-		resp.Value, resp.Found = sv.data, true
-		return resp, 8 + len(sv.data)
+		resp.Value, resp.Found = v, true
+		return resp, 8 + len(v)
 	}
 	resp := p.closestReply(r.Target)
 	return resp, 8 + len(resp.Contacts)*40
@@ -274,16 +268,8 @@ func (p *Peer) onStore(from simnet.NodeID, req any) (any, int) {
 		return false, 8
 	}
 	p.observe(r.From)
-	var exp time.Duration
-	if p.cfg.TTL > 0 {
-		exp = p.Node().Now() + p.cfg.TTL
-	}
-	p.store[r.Key] = storedValue{data: r.Value, expiresAt: exp}
+	p.store[r.Key] = r.Value
 	return true, 8
-}
-
-func (p *Peer) fresh(sv storedValue) bool {
-	return sv.expiresAt == 0 || p.Node().Now() < sv.expiresAt
 }
 
 // Bootstrap joins the network through a seed contact: it inserts the seed
@@ -310,7 +296,7 @@ func (p *Peer) putOnce(key Key, value []byte, done func(stored int)) {
 		// Store locally if we are among the closest (or the network is tiny).
 		acked := 0
 		pending := len(closest)
-		p.storeLocal(key, value)
+		p.store[key] = value
 		if pending == 0 {
 			if done != nil {
 				done(0)
@@ -335,19 +321,11 @@ func (p *Peer) putOnce(key Key, value []byte, done func(stored int)) {
 	})
 }
 
-func (p *Peer) storeLocal(key Key, value []byte) {
-	var exp time.Duration
-	if p.cfg.TTL > 0 {
-		exp = p.Node().Now() + p.cfg.TTL
-	}
-	p.store[key] = storedValue{data: value, expiresAt: exp}
-}
-
 // Get retrieves the value for key, first locally then via an iterative
 // FIND_VALUE lookup.
 func (p *Peer) Get(key Key, done func(value []byte, ok bool)) {
-	if sv, ok := p.store[key]; ok && p.fresh(sv) {
-		done(sv.data, true)
+	if v, ok := p.store[key]; ok {
+		done(v, true)
 		return
 	}
 	p.lookup(key, true, func(_ []Contact, value []byte, found bool) {

@@ -100,7 +100,6 @@ func doubleSpend(seed int64) (before, after uint64) {
 	}
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{kp.Fingerprint(): 1000},
 	}

@@ -41,7 +41,6 @@ func ledgerMatrix(env Env, s ledgerSize) Matrix {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{kp.Fingerprint(): 1 << 50},
 	}

@@ -83,7 +83,7 @@ func recoveryMatrix(env Env) Matrix {
 // invariant accepts a height spread of one block for in-flight propagation.
 func chainRecoveryWorld(env Env, sp faultSpec) faultWorld {
 	nw := env.Net()
-	cfg := chain.Config{InitialDifficulty: 1 << 10, TargetSpacing: 10 * time.Second, Subsidy: 50}
+	cfg := chain.Config{InitialDifficulty: 1 << 10, Subsidy: 50}
 	miners := newMinerNet(nw, sp.nodes, 100, cfg)
 	return faultWorld{
 		nw: nw, eligible: nodeIDs(miners),

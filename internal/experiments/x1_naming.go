@@ -101,7 +101,6 @@ func blockchainNamingRun(env Env, nNames int, spacing time.Duration) []float64 {
 	}
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		TargetSpacing:     spacing,
 		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{key.Fingerprint(): 1 << 40},
 	}

@@ -140,19 +140,6 @@ func (idx *Index) applyOp(op *Op, tx *chain.Tx, height uint64) bool {
 		rec.Owner = op.NewOwner
 		rec.History = append(rec.History, Event{Height: height, Op: OpTransfer, Owner: op.NewOwner, Value: rec.Value})
 		return true
-
-	case OpRenew:
-		rec := idx.ownedBy(op.Name, tx.From, height)
-		if rec == nil {
-			return false
-		}
-		fee, period, ok := idx.effectiveRules(op.Name)
-		if !ok || tx.Fee < fee {
-			return false
-		}
-		rec.ExpiresAt = height + period
-		rec.History = append(rec.History, Event{Height: height, Op: OpRenew, Owner: tx.From, Value: rec.Value})
-		return true
 	}
 	return false
 }

@@ -219,7 +219,7 @@ func TestInsufficientFeeRejected(t *testing.T) {
 	}
 }
 
-func TestUpdateTransferRenew(t *testing.T) {
+func TestUpdateTransfer(t *testing.T) {
 	a, b := key(t, 1), key(t, 2)
 	w := newWorld(t, map[chain.Address]uint64{a.Fingerprint(): 10_000, b.Fingerprint(): 10_000})
 	acl := NewClient(a, w.cfg, rand.New(rand.NewSource(3)), 0)
@@ -257,13 +257,6 @@ func TestUpdateTransferRenew(t *testing.T) {
 		t.Fatal("old owner still controls name after transfer")
 	}
 
-	// Renew extends expiry.
-	before := rec.ExpiresAt
-	w.mine(bcl.Renew("mutable"))
-	rec, _ = w.index().Resolve("mutable")
-	if rec.ExpiresAt <= before {
-		t.Error("renew did not extend expiry")
-	}
 	if len(rec.History) < 4 {
 		t.Errorf("history has %d events", len(rec.History))
 	}
@@ -467,7 +460,7 @@ func TestIndexInvariantsProperty(t *testing.T) {
 				}
 				cl := clients[a]
 				name := names[rng.Intn(len(names))]
-				switch rng.Intn(5) {
+				switch rng.Intn(4) {
 				case 0:
 					if tx, err := cl.Preorder(name); err == nil {
 						txs = append(txs, tx)
@@ -478,8 +471,6 @@ func TestIndexInvariantsProperty(t *testing.T) {
 					txs = append(txs, cl.Update(name, []byte{byte(round), 1}))
 				case 3:
 					txs = append(txs, cl.Transfer(name, actors[rng.Intn(3)].Fingerprint()))
-				case 4:
-					txs = append(txs, cl.Renew(name))
 				}
 			}
 			if !mine(txs) {
@@ -527,11 +518,6 @@ func TestIndexInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-}
-
-// Renew builds a renewal transaction, paying the fee again.
-func (cl *Client) Renew(name string) *chain.Tx {
-	return cl.sign(&Op{Op: OpRenew, Name: name}, cl.cfg.RequiredFee(name))
 }
 
 // Names returns all currently resolvable names.

@@ -1,7 +1,7 @@
 // Package naming implements blockchain-based name registration in the
 // style the paper surveys in §3.1 (Namecoin, Emercoin, Blockstack): a
 // preorder/register commitment scheme against front-running, updates,
-// transfers, renewals with expiry, and length-based registration fees.
+// transfers, expiry, and length-based registration fees.
 //
 // Architecturally it follows Blockstack's "virtualchain" design: the
 // blockchain (internal/chain) stores opaque, signed name operations; this
@@ -29,7 +29,6 @@ const (
 	OpRegister = "register"
 	OpUpdate   = "update"
 	OpTransfer = "transfer"
-	OpRenew    = "renew"
 )
 
 // Op is one name operation, carried as the payload of a chain.Tx with
@@ -40,7 +39,7 @@ type Op struct {
 	// Commitment is H(name | salt | sender) for preorders.
 	Commitment cryptoutil.Hash `json:"commitment,omitempty"`
 	// Name/Salt reveal the preorder on register; Name alone identifies the
-	// target for update/transfer/renew.
+	// target for update/transfer.
 	Name string `json:"name,omitempty"`
 	Salt []byte `json:"salt,omitempty"`
 	// Value is the name's bound data: conventionally the hash of a zone
@@ -104,8 +103,8 @@ type Config struct {
 	MinPreorderAge uint64
 	// PreorderTTL is how many blocks a preorder stays claimable.
 	PreorderTTL uint64
-	// RegistrationPeriod is the name lifetime in blocks; renewals extend
-	// by the same amount.
+	// RegistrationPeriod is the name lifetime in blocks: once it lapses
+	// the name is free to register again.
 	RegistrationPeriod uint64
 	// BaseFee is the registration fee for long names; shorter names cost
 	// exponentially more (squatting deterrent, as deployed systems do).
@@ -122,7 +121,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// RequiredFee returns the registration/renewal fee for a name: BaseFee for
+// RequiredFee returns the registration fee for a name: BaseFee for
 // names of 8+ characters, doubling for each character shorter.
 func (c Config) RequiredFee(name string) uint64 {
 	n := len(name)

@@ -7,13 +7,20 @@ import (
 	"testing"
 )
 
+func benchOf(s *Snapshot) *BenchFile {
+	return &BenchFile{Schema: BenchSchema, Experiments: []BenchExperiment{{ID: "x", Metrics: s}}}
+}
+
 func benchWith(counter string, v int64) *BenchFile {
-	return &BenchFile{
-		Schema: BenchSchema,
-		Experiments: []BenchExperiment{
-			{ID: "x", Metrics: &Snapshot{Counters: map[string]int64{counter: v}}},
-		},
-	}
+	return benchOf(&Snapshot{Counters: map[string]int64{counter: v}})
+}
+
+func counterSnap(v int64) *Snapshot { return &Snapshot{Counters: map[string]int64{"m": v}} }
+
+func gaugeSnap(v float64) *Snapshot { return &Snapshot{Gauges: map[string]float64{"g": v}} }
+
+func histSnap(p99 float64) *Snapshot {
+	return &Snapshot{Histograms: map[string]HistStat{"h": {Count: 10, Sum: 50, Mean: 5, Min: 1, Max: 9, P50: 5, P90: 8, P99: p99}}}
 }
 
 func TestWithinTolEdges(t *testing.T) {
@@ -40,19 +47,22 @@ func TestWithinTolEdges(t *testing.T) {
 }
 
 func TestCompareToleranceEdges(t *testing.T) {
-	old := benchWith("m", 100)
 	for _, c := range []struct {
-		name  string
-		new   int64
-		tol   float64
-		wantN int
+		name     string
+		old, new *Snapshot
+		tol      float64
+		wantN    int
 	}{
-		{"exact equal at zero tol", 100, 0, 0},
-		{"drift at zero tol", 101, 0, 1},
-		{"just inside", 110, 0.1, 0},
-		{"just outside", 111, 0.1, 1},
+		{"exact equal at zero tol", counterSnap(100), counterSnap(100), 0, 0},
+		{"drift at zero tol", counterSnap(100), counterSnap(101), 0, 1},
+		{"just inside", counterSnap(100), counterSnap(110), 0.1, 0},
+		{"just outside", counterSnap(100), counterSnap(111), 0.1, 1},
+		{"gauge equal at zero tol", gaugeSnap(0.5), gaugeSnap(0.5), 0, 0},
+		{"gauge drift at zero tol", gaugeSnap(0.5), gaugeSnap(0.51), 0, 1},
+		{"histogram equal at zero tol", histSnap(9), histSnap(9), 0, 0},
+		{"histogram p99 drift at zero tol", histSnap(9), histSnap(9.5), 0, 1},
 	} {
-		probs := Compare(old, benchWith("m", c.new), c.tol)
+		probs := Compare(benchOf(c.old), benchOf(c.new), c.tol)
 		if len(probs) != c.wantN {
 			t.Errorf("%s: got %d problems (%v), want %d", c.name, len(probs), probs, c.wantN)
 		}
@@ -62,15 +72,18 @@ func TestCompareToleranceEdges(t *testing.T) {
 func TestCompareMissingAndExtra(t *testing.T) {
 	old := benchWith("m", 1)
 
-	// A metric missing from the new file is a regression; the unrelated
-	// "other" counter is an addition and does not count.
-	probs := Compare(old, benchWith("other", 1), 0)
-	if len(probs) != 1 || !strings.Contains(probs[0].Detail, "missing") {
-		t.Fatalf("missing metric: got %v, want one missing-metric problem", probs)
+	// A counter, gauge or histogram missing from the new file is a
+	// regression; the unrelated "other" counter is an addition and does not
+	// count.
+	for _, o := range []*BenchFile{old, benchOf(gaugeSnap(0.5)), benchOf(histSnap(9))} {
+		probs := Compare(o, benchWith("other", 1), 0)
+		if len(probs) != 1 || !strings.Contains(probs[0].Detail, "missing") {
+			t.Fatalf("missing metric: got %v, want one missing-metric problem", probs)
+		}
 	}
 
 	// A whole experiment missing from the new file is a regression.
-	probs = Compare(old, &BenchFile{Schema: BenchSchema}, 0)
+	probs := Compare(old, &BenchFile{Schema: BenchSchema}, 0)
 	if len(probs) != 1 || !strings.Contains(probs[0].Detail, "missing") {
 		t.Fatalf("missing experiment: got %v", probs)
 	}
