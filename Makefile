@@ -109,17 +109,19 @@ bench:
 # RPC round trip (TestAllocRPCCall), a resilient call with a hedge armed
 # (TestAllocResilCall), a DHT peer serving a find_value miss
 # (TestAllocDHTServeMiss) and a ping-before-evict round trip into a full
-# bucket (TestAllocDHTPingEvict), and the ledger's hashing paths
+# bucket (TestAllocDHTPingEvict), the ledger's hashing paths
 # (TestAllocChainHotPaths: a transaction's ID, CheckSig on a payment Sign
-# memoised, a Merkle root over 200 hashes). At 1: a replicated Get with
-# resil, overload and replic enabled, its boxed object key
-# (TestAllocReplicGet), and a whole proof-of-work grind, its saved midstate
-# (TestAllocChainHotPaths). Inside pinned budgets: DHT lookups
-# (TestAllocDHTLookup) and gossip rounds. The gates that lean on sync.Pool
+# memoised, a Merkle root over 200 hashes) and a Merkle leaf of up to 256
+# bytes (TestAllocLeafHash). At 1: a replicated Get with resil, overload
+# and replic enabled, its boxed object key (TestAllocReplicGet), a DHT Get,
+# its lookup state (TestAllocDHTLookup), and a whole proof-of-work grind,
+# its saved midstate (TestAllocChainHotPaths). At 2: a DHT Put, its lookup
+# state and its putOp (TestAllocDHTPut). Inside pinned budgets: gossip
+# rounds. The gates that lean on sync.Pool
 # build only without -race. They hold under -cover too, which is how ci
 # runs them (in cover).
 allocs:
-	$(GO) test -run 'TestAlloc' -count=1 . ./internal/dht ./internal/resil ./internal/replic
+	$(GO) test -run 'TestAlloc' -count=1 . ./internal/cryptoutil ./internal/dht ./internal/resil ./internal/replic
 
 # scale is the nightly-style 10k-node tier: the scale matrix with its big
 # rows (SCALE=big) on top of the merge gate's, plus the race detector over

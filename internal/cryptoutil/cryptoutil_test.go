@@ -395,6 +395,34 @@ func TestMerkleHashEncodings(t *testing.T) {
 	}
 }
 
+// LeafHash's digests are pinned, as SHA-256(0x00‖data) computed with the
+// heap-concatenating construction it replaced, on both sides of the hash
+// size and of stackLeafMax, so the stack scratch's size cannot change a
+// leaf's hash.
+func TestLeafHashKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want string
+	}{
+		{0, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"},
+		{1, "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7"},
+		{32, "699cacdb4c39d8e0bb1223352765a7f7acdc51dec6694f7b54c3d0a47f0cc409"},
+		{33, "a2a19b40493637080444790d237c978720fe8f78e3720606310357c5d4987765"},
+		{255, "da57f695271786dd41d89a7d8e33c559b4157d1e3c1ddb1b32f489dab164f226"},
+		{stackLeafMax, "3576028bb31315f248581add6fd2653a08557c71a7f5a1c2c5f62159cb5962ca"},
+		{257, "2ffb24f810789631e5ade76508a736d105b000adb7cd0077efac69428ed96500"},
+		{1024, "5ebe8c44eeb4a630185f0514cf91fdb89521bfdbdc35b0e1ebf1f49afd46f460"},
+	} {
+		data := make([]byte, c.n)
+		for i := range data {
+			data[i] = byte(i % 251)
+		}
+		if got := LeafHash(data).String(); got != c.want {
+			t.Errorf("LeafHash of %d bytes = %s, want %s", c.n, got, c.want)
+		}
+	}
+}
+
 func TestMerkleRootOfMatchesTree(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(9))
 	for n := 0; n <= 300; n++ {

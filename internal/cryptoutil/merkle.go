@@ -20,11 +20,13 @@ type MerkleTree struct {
 	levels [][]Hash // levels[0] = leaf hashes, last level has one root
 }
 
-// LeafHash computes the domain-separated hash of a leaf's content. A leaf
-// up to a hash long is encoded on the stack; a longer one spills to the
-// heap through append.
+// stackLeafMax is the longest leaf LeafHash encodes on the stack: storage's
+// 256-byte proof leaves. A longer leaf spills to the heap through append.
+const stackLeafMax = 256
+
+// LeafHash computes the domain-separated hash of a leaf's content.
 func LeafHash(data []byte) Hash {
-	var scratch [1 + sha256.Size]byte
+	var scratch [1 + stackLeafMax]byte
 	return SumHash(append(append(scratch[:0], leafPrefix), data...))
 }
 

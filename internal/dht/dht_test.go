@@ -14,9 +14,12 @@ import (
 func key(s string) Key { return cryptoutil.SumHash([]byte(s)) }
 
 // LookupNode runs an iterative FIND_NODE and returns the K closest
-// contacts to target.
+// contacts to target. The lookup lends its result for the callback only,
+// so done gets a copy.
 func (p *Peer) LookupNode(target Key, done func([]Contact)) {
-	p.lookup(target, false, func(cs []Contact, _ []byte, _ bool) { done(cs) })
+	p.lookup(target, false, lookupFunc(func(cs []Contact, _ []byte, _ bool) {
+		done(append([]Contact(nil), cs...))
+	}))
 }
 
 func TestDistanceLess(t *testing.T) {

@@ -6,6 +6,7 @@ package dht
 // FIND_VALUE mode). Runs entirely on simnet callbacks — no goroutines.
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -23,12 +24,30 @@ type candidate struct {
 	state uint8
 }
 
-type lookupState struct {
-	p *Peer
-	// req is built once and sent by pointer with every query; servers only
-	// read it.
-	req    findNodeReq
-	method string
+// lookupDone receives a lookup's outcome. closest, the K closest live
+// contacts, is borrowed for the call only: it lives in the lookup's pooled
+// buffers, so a receiver that keeps it must copy it.
+type lookupDone interface {
+	lookupDone(closest []Contact, value []byte, found bool)
+}
+
+// lookupFunc adapts a callback to lookupDone. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type lookupFunc func(closest []Contact, value []byte, found bool)
+
+func (f lookupFunc) lookupDone(closest []Contact, value []byte, found bool) {
+	f(closest, value, found)
+}
+
+// getFunc is Get's callback, handed to the lookup as it is.
+type getFunc func(value []byte, ok bool)
+
+func (f getFunc) lookupDone(_ []Contact, value []byte, found bool) { f(value, found) }
+
+// lookupBuf holds a lookup's working buffers. It comes from lookupPool and
+// goes back once the lookup has finished and its last query has completed,
+// so in steady state a lookup allocates only its lookupState.
+type lookupBuf struct {
 	// shortlist holds the 2K closest contacts seen so far, sorted by
 	// distance to the target. Contacts are inserted in place; one pushed
 	// off the end can never come back, because the 2K-th distance only
@@ -36,11 +55,27 @@ type lookupState struct {
 	shortlist []candidate
 	// queries are the Completions of the queries in flight, at most α;
 	// a query takes a free one and frees it as it completes.
-	queries  []lookupQuery
+	queries []lookupQuery
+	// out is the result handed to lookupDone.
+	out []Contact
+}
+
+var lookupPool = sync.Pool{New: func() any { return new(lookupBuf) }}
+
+// lookupState is one lookup. It is never pooled: req is sent by pointer
+// with every query, and a timed-out query's request can still reach its
+// server after the lookup has finished.
+type lookupState struct {
+	p *Peer
+	*lookupBuf
+	// req is built once and sent by pointer with every query; servers only
+	// read it.
+	req      findNodeReq
+	method   string
 	inflight int
 	finished bool
 	span     obs.Span
-	done     func(closest []Contact, value []byte, found bool)
+	done     lookupDone
 }
 
 // lookupQuery is one query of a lookup: the contact asked.
@@ -50,14 +85,24 @@ type lookupQuery struct {
 	busy bool
 }
 
-func (p *Peer) lookup(target Key, wantValue bool, done func([]Contact, []byte, bool)) {
+func (p *Peer) lookup(target Key, wantValue bool, done lookupDone) {
 	p.m.lookups.Inc()
+	b := lookupPool.Get().(*lookupBuf)
+	if cap(b.shortlist) < 2*p.cfg.K {
+		b.shortlist = make([]candidate, 0, 2*p.cfg.K)
+	}
+	if cap(b.queries) < p.cfg.Alpha {
+		b.queries = make([]lookupQuery, p.cfg.Alpha)
+	}
+	if cap(b.out) < p.cfg.K {
+		b.out = make([]Contact, 0, p.cfg.K)
+	}
+	b.queries = b.queries[:p.cfg.Alpha]
 	ls := &lookupState{
 		p:         p,
+		lookupBuf: b,
 		req:       findNodeReq{From: p.Contact(), Target: target},
 		method:    methodFindNode,
-		shortlist: make([]candidate, 0, 2*p.cfg.K),
-		queries:   make([]lookupQuery, p.cfg.Alpha),
 		span:      p.Node().Obs().StartSpan("dht.lookup.duration_s", p.Node().Now()),
 		done:      done,
 	}
@@ -69,6 +114,16 @@ func (p *Peer) lookup(target Key, wantValue bool, done func([]Contact, []byte, b
 	ls.merge(seed.Contacts)
 	seed.release()
 	ls.step()
+}
+
+// release returns the lookup's buffers to the pool. The lookup must have
+// finished with no query in flight.
+func (ls *lookupState) release() {
+	b := ls.lookupBuf
+	ls.lookupBuf = nil
+	clear(b.queries) // drop the pointers to this lookup
+	b.shortlist = b.shortlist[:0]
+	lookupPool.Put(b)
 }
 
 // search returns the shortlist position of the first entry not closer to
@@ -150,6 +205,9 @@ func (q *lookupQuery) CallDone(resp any, _ time.Duration, err error) {
 	r, _ := resp.(*findResp)
 	if ls.finished {
 		r.release()
+		if ls.inflight == 0 {
+			ls.release()
+		}
 		return
 	}
 	if err != nil {
@@ -202,18 +260,18 @@ func (ls *lookupState) finish(value []byte, found bool) {
 	ls.finished = true
 	ls.span.End(ls.p.Node().Now())
 	// Result: the K closest live contacts.
-	var out []Contact
+	out := ls.out[:0]
 	for _, e := range ls.shortlist {
 		if e.state&failed != 0 {
 			continue
-		}
-		if out == nil {
-			out = make([]Contact, 0, min(ls.p.cfg.K, len(ls.shortlist)))
 		}
 		out = append(out, e.Contact)
 		if len(out) == ls.p.cfg.K {
 			break
 		}
 	}
-	ls.done(out, value, found)
+	ls.done.lookupDone(out, value, found)
+	if ls.inflight == 0 {
+		ls.release()
+	}
 }

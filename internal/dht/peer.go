@@ -263,7 +263,7 @@ func (p *Peer) onFindValue(from simnet.NodeID, req any) (any, int) {
 }
 
 func (p *Peer) onStore(from simnet.NodeID, req any) (any, int) {
-	r, ok := req.(storeReq)
+	r, ok := req.(*storeReq)
 	if !ok {
 		return false, 8
 	}
@@ -277,11 +277,11 @@ func (p *Peer) onStore(from simnet.NodeID, req any) (any, int) {
 // finished.
 func (p *Peer) Bootstrap(seed Contact, done func()) {
 	p.observe(seed)
-	p.lookup(p.id, false, func(_ []Contact, _ []byte, _ bool) {
+	p.lookup(p.id, false, lookupFunc(func(_ []Contact, _ []byte, _ bool) {
 		if done != nil {
 			done()
 		}
-	})
+	}))
 }
 
 // Put stores value under key on the K closest peers. done (optional)
@@ -292,33 +292,47 @@ func (p *Peer) Put(key Key, value []byte, done func(stored int)) {
 }
 
 func (p *Peer) putOnce(key Key, value []byte, done func(stored int)) {
-	p.lookup(key, false, func(closest []Contact, _ []byte, _ bool) {
-		// Store locally if we are among the closest (or the network is tiny).
-		acked := 0
-		pending := len(closest)
-		p.store[key] = value
-		if pending == 0 {
-			if done != nil {
-				done(0)
-			}
-			return
+	p.lookup(key, false, &putOp{p: p, req: storeReq{From: p.Contact(), Key: key, Value: value}, done: done})
+}
+
+// putOp is one Put: the continuation of its lookup and the Completion of
+// every store it fans out to the K closest contacts. The stores share one
+// request, req, sent by pointer; servers only read it.
+type putOp struct {
+	p              *Peer
+	req            storeReq
+	pending, acked int
+	done           func(stored int)
+}
+
+func (op *putOp) lookupDone(closest []Contact, _ []byte, _ bool) {
+	p := op.p
+	// Store locally if we are among the closest (or the network is tiny).
+	p.store[op.req.Key] = op.req.Value
+	op.pending = len(closest)
+	if op.pending == 0 {
+		if op.done != nil {
+			op.done(0)
 		}
-		for _, c := range closest {
-			req := storeReq{From: p.Contact(), Key: key, Value: value}
-			p.m.stores.Inc()
-			p.rpc.Call(c.Addr, methodStore, req, 48+len(value), p.cfg.RequestTimeout, func(resp any, err error) {
-				pending--
-				if err == nil {
-					if okResp, ok := resp.(bool); ok && okResp {
-						acked++
-					}
-				}
-				if pending == 0 && done != nil {
-					done(acked)
-				}
-			})
+		return
+	}
+	for _, c := range closest {
+		p.m.stores.Inc()
+		p.rpc.CallTo(c.Addr, methodStore, &op.req, 48+len(op.req.Value), p.cfg.RequestTimeout, op)
+	}
+}
+
+// CallDone counts one store's acknowledgement.
+func (op *putOp) CallDone(resp any, _ time.Duration, err error) {
+	op.pending--
+	if err == nil {
+		if ok, _ := resp.(bool); ok {
+			op.acked++
 		}
-	})
+	}
+	if op.pending == 0 && op.done != nil {
+		op.done(op.acked)
+	}
 }
 
 // Get retrieves the value for key, first locally then via an iterative
@@ -328,9 +342,7 @@ func (p *Peer) Get(key Key, done func(value []byte, ok bool)) {
 		done(v, true)
 		return
 	}
-	p.lookup(key, true, func(_ []Contact, value []byte, found bool) {
-		done(value, found)
-	})
+	p.lookup(key, true, getFunc(done))
 }
 
 func (p *Peer) scheduleRepublish() {

@@ -328,6 +328,42 @@ func TestHintLadderScalesWithPressure(t *testing.T) {
 }
 
 // TestRingQueue pins the ring's FIFO and bound behaviour directly.
+// TestMultiplicativeCut holds dequeue waits above the SLO and follows the
+// AIMD decrease in observeWait: the first slow wait halves the limit, further
+// ones inside the same SLO window leave it alone, each later window halves
+// it once more, and it stops at MinLimit. A wait of exactly the SLO is
+// within it and raises the limit instead.
+func TestMultiplicativeCut(t *testing.T) {
+	_, srv, _ := world(1, 0)
+	cfg := enabledCfg()
+	cfg.MinLimit, cfg.MaxLimit = 4, 32
+	s := New(srv, cfg)
+	s.limit = 24
+	slow := cfg.SLO + time.Millisecond
+	check := func(step string, want float64) {
+		t.Helper()
+		if s.limit != want || s.Limit() != want || s.m.limit.Value() != want {
+			t.Fatalf("%s: limit %v (Limit %v, gauge %v), want %v",
+				step, s.limit, s.Limit(), s.m.limit.Value(), want)
+		}
+	}
+	t0 := 10 * time.Second
+	s.observeWait(slow, t0)
+	check("first slow wait", 12)
+	for _, at := range []time.Duration{t0, t0 + time.Millisecond, t0 + cfg.SLO - 1} {
+		s.observeWait(slow, at)
+	}
+	check("slow waits inside the same SLO window", 12)
+	s.observeWait(slow, t0+cfg.SLO)
+	check("one SLO window later", 6)
+	s.observeWait(slow, t0+2*cfg.SLO)
+	check("a cut to below MinLimit", 4)
+	s.observeWait(slow, t0+3*cfg.SLO)
+	check("a cut at MinLimit", 4)
+	s.observeWait(cfg.SLO, t0+3*cfg.SLO)
+	check("a wait of exactly the SLO", 4.25)
+}
+
 func TestRingQueue(t *testing.T) {
 	q := newRing(3)
 	if !q.empty() || q.full() || q.depth() != 0 {
