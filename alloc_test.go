@@ -465,7 +465,8 @@ func TestAllocAdmitZero(t *testing.T) {
 	prot := simnet.NewRPCNode(nw.AddNode())
 	echo := func(from simnet.NodeID, req any) (any, int) { return req, 8 }
 	plain.Serve("alloc.echo", echo)
-	ov := overload.New(prot, overload.Config{Enabled: true})
+	ov := overload.New(prot, overload.Config{Enabled: true, QueueLen: 64, Target: 100 * time.Millisecond,
+		SLO: 500 * time.Millisecond, MinLimit: 1, MaxLimit: 32, RetryAfterBase: 500 * time.Millisecond})
 	ov.Protect("alloc.echo", echo)
 	var payload any = struct{}{}
 	done := func(any, error) {}

@@ -135,6 +135,38 @@ func TestExitCodes(t *testing.T) {
 	missing := write("missing.json", file(exp("a", 1000, 0)))
 	timed := write("timed.json", file(exp("a", 1000, time.Second), exp("b", 2000, time.Second)))
 	wrongSchema := write("schema.json", &obs.BenchFile{Schema: "feudalism-bench/v0"})
+	// Copies of the committed baseline, each with one change to the first
+	// experiment that has histograms, reach the gauge and histogram
+	// comparisons the counter-only files above do not.
+	baseline := filepath.Join("..", "..", "BENCH_baseline.json")
+	perturbed := func(name string, change func(*obs.Snapshot)) string {
+		t.Helper()
+		f, err := obs.LoadBenchFile(baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range f.Experiments {
+			if e.Metrics != nil && len(e.Metrics.Histograms) > 0 {
+				change(e.Metrics)
+				return write(name, f)
+			}
+		}
+		t.Fatal("no experiment in the baseline has histograms")
+		return ""
+	}
+	baseCopy := perturbed("baseline.json", func(*obs.Snapshot) {})
+	gauge := perturbed("gauge.json", func(s *obs.Snapshot) {
+		for name := range s.Gauges {
+			s.Gauges[name]++
+		}
+	})
+	histField := perturbed("histfield.json", func(s *obs.Snapshot) {
+		for name, h := range s.Histograms {
+			h.P99++
+			s.Histograms[name] = h
+		}
+	})
+	noHist := perturbed("nohist.json", func(s *obs.Snapshot) { s.Histograms = nil })
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -143,6 +175,10 @@ func TestExitCodes(t *testing.T) {
 		{"identical files", []string{base, same}, 0},
 		{"drifted counter", []string{base, drifted}, 1},
 		{"missing experiment", []string{base, missing}, 1},
+		{"baseline against a copy", []string{baseline, baseCopy}, 0},
+		{"drifted gauge", []string{baseline, gauge}, 1},
+		{"drifted histogram field", []string{baseline, histField}, 1},
+		{"missing histogram", []string{baseline, noHist}, 1},
 		{"history against a file with no timing", []string{"-history", timed, base}, 1},
 		{"wrong argument count", []string{base}, 2},
 		{"bad flag", []string{"-nope", base, same}, 2},

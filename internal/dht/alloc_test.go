@@ -23,7 +23,7 @@ func TestAllocDHTServeMiss(t *testing.T) {
 		if r.Found || len(r.Contacts) != 8 {
 			t.Fatalf("miss served found=%v with %d contacts", r.Found, len(r.Contacts))
 		}
-		r.release()
+		replyPool.Put(r)
 	}
 	for i := 0; i < 10; i++ {
 		serve()

@@ -28,7 +28,7 @@ func BenchmarkClosest(b *testing.B) {
 			for i := range targets {
 				rng.Read(targets[i][:])
 			}
-			r := takeReply()
+			r := replyPool.Get()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

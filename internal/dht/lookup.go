@@ -6,10 +6,10 @@ package dht
 // FIND_VALUE mode). Runs entirely on simnet callbacks — no goroutines.
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // Shortlist entry state bits.
@@ -58,9 +58,14 @@ type lookupBuf struct {
 	queries []lookupQuery
 	// out is the result handed to lookupDone.
 	out []Contact
+	pool.Mark
 }
 
-var lookupPool = sync.Pool{New: func() any { return new(lookupBuf) }}
+// lookupPool's reset keeps the buffers, and the query records their lookup:
+// a query out when its buffer went back early releases it again, and Put panics.
+var lookupPool = pool.New[lookupBuf]("dht.lookup", func(b *lookupBuf) {
+	b.shortlist = b.shortlist[:0]
+})
 
 // lookupState is one lookup. It is never pooled: req is sent by pointer
 // with every query, and a timed-out query's request can still reach its
@@ -87,7 +92,7 @@ type lookupQuery struct {
 
 func (p *Peer) lookup(target Key, wantValue bool, done lookupDone) {
 	p.m.lookups.Inc()
-	b := lookupPool.Get().(*lookupBuf)
+	b := lookupPool.Get()
 	if cap(b.shortlist) < 2*p.cfg.K {
 		b.shortlist = make([]candidate, 0, 2*p.cfg.K)
 	}
@@ -112,18 +117,8 @@ func (p *Peer) lookup(target Key, wantValue bool, done lookupDone) {
 	// Start from the answer this peer would give itself.
 	seed := p.closestReply(target)
 	ls.merge(seed.Contacts)
-	seed.release()
+	replyPool.Put(seed)
 	ls.step()
-}
-
-// release returns the lookup's buffers to the pool. The lookup must have
-// finished with no query in flight.
-func (ls *lookupState) release() {
-	b := ls.lookupBuf
-	ls.lookupBuf = nil
-	clear(b.queries) // drop the pointers to this lookup
-	b.shortlist = b.shortlist[:0]
-	lookupPool.Put(b)
 }
 
 // search returns the shortlist position of the first entry not closer to
@@ -204,9 +199,11 @@ func (q *lookupQuery) CallDone(resp any, _ time.Duration, err error) {
 	ls.inflight--
 	r, _ := resp.(*findResp)
 	if ls.finished {
-		r.release()
+		if r != nil {
+			replyPool.Put(r)
+		}
 		if ls.inflight == 0 {
-			ls.release()
+			lookupPool.Put(ls.lookupBuf)
 		}
 		return
 	}
@@ -222,12 +219,12 @@ func (q *lookupQuery) CallDone(resp any, _ time.Duration, err error) {
 	if r != nil {
 		if r.Found {
 			value := r.Value
-			r.release()
+			replyPool.Put(r)
 			ls.finish(value, true)
 			return
 		}
 		ls.merge(r.Contacts)
-		r.release()
+		replyPool.Put(r)
 	}
 	if ls.converged() {
 		ls.finish(nil, false)
@@ -272,6 +269,6 @@ func (ls *lookupState) finish(value []byte, found bool) {
 	}
 	ls.done.lookupDone(out, value, found)
 	if ls.inflight == 0 {
-		ls.release()
+		lookupPool.Put(ls.lookupBuf)
 	}
 }

@@ -3,11 +3,11 @@ package dht
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 )
@@ -57,37 +57,15 @@ type findNodeReq struct {
 // releases it once merged. A reply the RPC layer drops as late — after a
 // timeout, a cancelled hedge or a duplicate delivery — is left to the GC.
 type findResp struct {
-	Value    []byte // find_value hit; nil otherwise
-	Found    bool
+	Value []byte // find_value hit; nil otherwise
+	Found bool
+	pool.Mark
 	Contacts []Contact
 }
 
-var replyPool = sync.Pool{New: func() any { return new(findResp) }}
-
-// replyHook, when non-nil, observes every reply taken from the pool
-// (taken) and every reply released to it (!taken). Tests use it to pin
-// the exactly-once release; it is nil in production.
-var replyHook func(r *findResp, taken bool)
-
-func takeReply() *findResp {
-	r := replyPool.Get().(*findResp)
-	if replyHook != nil {
-		replyHook(r, true)
-	}
-	return r
-}
-
-// release returns r to the pool; a nil reply is a no-op.
-func (r *findResp) release() {
-	if r == nil {
-		return
-	}
-	if replyHook != nil {
-		replyHook(r, false)
-	}
+var replyPool = pool.New[findResp]("dht.reply", func(r *findResp) {
 	r.Value, r.Found, r.Contacts = nil, false, r.Contacts[:0]
-	replyPool.Put(r)
-}
+})
 
 type storeReq struct {
 	From  Contact
@@ -195,7 +173,7 @@ func (p *Peer) observe(c Contact) {
 	if !full {
 		return
 	}
-	pe := pingPool.Get().(*pingEvict)
+	pe := pingPool.Get()
 	pe.p, pe.old, pe.new = p, old, c
 	p.rpc.CallTo(old.Addr, methodPing, p.ping, 40, p.cfg.RequestTimeout, pe)
 }
@@ -207,13 +185,13 @@ func (p *Peer) observe(c Contact) {
 type pingEvict struct {
 	p        *Peer
 	old, new Contact
+	pool.Mark
 }
 
-var pingPool = sync.Pool{New: func() any { return new(pingEvict) }}
+var pingPool = pool.New[pingEvict]("dht.ping", nil)
 
 func (pe *pingEvict) CallDone(_ any, _ time.Duration, err error) {
 	p, old, c := pe.p, pe.old, pe.new
-	*pe = pingEvict{}
 	pingPool.Put(pe)
 	if err != nil {
 		p.rt.evict(old, c) // stale occupant: newcomer takes the slot
@@ -231,7 +209,7 @@ func (p *Peer) onPing(from simnet.NodeID, req any) (any, int) {
 
 // closestReply returns a pooled reply holding the K contacts nearest target.
 func (p *Peer) closestReply(target Key) *findResp {
-	r := takeReply()
+	r := replyPool.Get()
 	r.Contacts = p.rt.appendClosest(r.Contacts, target, p.cfg.K)
 	return r
 }
@@ -254,7 +232,7 @@ func (p *Peer) onFindValue(from simnet.NodeID, req any) (any, int) {
 	p.observe(r.From)
 	if v, ok := p.store[r.Target]; ok {
 		p.m.served.Inc()
-		resp := takeReply()
+		resp := replyPool.Get()
 		resp.Value, resp.Found = v, true
 		return resp, 8 + len(v)
 	}

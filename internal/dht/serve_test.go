@@ -4,39 +4,11 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/resil"
 	"repro/internal/simnet"
 )
-
-// replyLedger follows every pooled reply through replyHook: a reply must
-// not be taken while it is out, nor released unless it is out.
-type replyLedger struct {
-	out             map[*findResp]bool
-	taken, released int
-}
-
-func watchReplies(t *testing.T) *replyLedger {
-	t.Helper()
-	l := &replyLedger{out: map[*findResp]bool{}}
-	replyHook = func(r *findResp, taken bool) {
-		if taken {
-			if l.out[r] {
-				t.Errorf("reply %p taken from the pool while still out", r)
-			}
-			l.out[r] = true
-			l.taken++
-			return
-		}
-		if !l.out[r] {
-			t.Errorf("reply %p released twice, or released without being taken", r)
-		}
-		delete(l.out, r)
-		l.released++
-	}
-	t.Cleanup(func() { replyHook = nil })
-	return l
-}
 
 // runReplyWorld bootstraps n peers on nw and then runs Gets, Puts and
 // LookupNodes from rotating peers, returning how many of them succeeded.
@@ -86,7 +58,7 @@ func runReplyWorld(t *testing.T, nw *simnet.Network, n int, cfg Config) (ok, tot
 // layer drops it and the reply it carries is left to the GC; the first is
 // released by its lookup exactly once.
 func TestReplyReleasedOnceUnderDuplicates(t *testing.T) {
-	l := watchReplies(t)
+	taken0, released0 := replyPool.Counts()
 	nw := simnet.New(41)
 	nw.SetLinkFault(simnet.LinkFault{Duplicate: 0.2})
 	ok, total := runReplyWorld(t, nw, 40, Config{K: 6})
@@ -96,12 +68,11 @@ func TestReplyReleasedOnceUnderDuplicates(t *testing.T) {
 	if ok < total*9/10 {
 		t.Errorf("%d of %d operations succeeded under duplication", ok, total)
 	}
-	if l.released == 0 || len(l.out) == 0 {
-		t.Errorf("taken %d, released %d, left to the GC %d: want both paths exercised", l.taken, l.released, len(l.out))
-	}
-	t.Logf("%d replies taken, %d released, %d left to the GC; %d messages duplicated", l.taken, l.released, len(l.out), nw.Trace().Duplicated)
-	if l.taken != l.released+len(l.out) {
-		t.Errorf("taken %d != released %d + out %d", l.taken, l.released, len(l.out))
+	taken, released := replyPool.Counts()
+	taken, released = taken-taken0, released-released0
+	t.Logf("%d replies taken, %d released, %d left to the GC; %d messages duplicated", taken, released, taken-released, nw.Trace().Duplicated)
+	if released == 0 || taken == released {
+		t.Errorf("taken %d, released %d: want both paths exercised", taken, released)
 	}
 }
 
@@ -110,7 +81,7 @@ func TestReplyReleasedOnceUnderDuplicates(t *testing.T) {
 // cancelled, its reply dropped as late and left to the GC, and the
 // winner's reply is released exactly once.
 func TestReplyReleasedOnceUnderHedging(t *testing.T) {
-	l := watchReplies(t)
+	taken0, released0 := replyPool.Counts()
 	nw := simnet.New(42)
 	nw.SetDefaultProfile(simnet.LinkProfile{Latency: 10 * time.Millisecond, Jitter: 80 * time.Millisecond})
 	ok, total := runReplyWorld(t, nw, 30, Config{K: 4, Resilience: resil.Defaults()})
@@ -119,11 +90,23 @@ func TestReplyReleasedOnceUnderHedging(t *testing.T) {
 	if fired == 0 || won == 0 {
 		t.Fatalf("hedges fired %d, won %d: want both", fired, won)
 	}
-	t.Logf("%d replies taken, %d released, %d left to the GC; hedges fired %d, won %d", l.taken, l.released, len(l.out), fired, won)
+	taken, released := replyPool.Counts()
+	taken, released = taken-taken0, released-released0
+	t.Logf("%d replies taken, %d released, %d left to the GC; hedges fired %d, won %d", taken, released, taken-released, fired, won)
 	if ok < total*9/10 {
 		t.Errorf("%d of %d operations succeeded with hedging", ok, total)
 	}
-	if l.released == 0 || len(l.out) == 0 {
-		t.Errorf("taken %d, released %d, left to the GC %d: want both paths exercised", l.taken, l.released, len(l.out))
+	if released == 0 || taken == released {
+		t.Errorf("taken %d, released %d: want both paths exercised", taken, released)
 	}
 }
+
+// Each pooled record stays in the malloc size class it had before it
+// carried a pool mark, so the mark costs no heap: a record that outgrows
+// its class makes one of these array lengths negative, and the test build
+// fails.
+var (
+	_ [64 - unsafe.Sizeof(findResp{})]byte
+	_ [96 - unsafe.Sizeof(pingEvict{})]byte
+	_ [80 - unsafe.Sizeof(lookupBuf{})]byte
+)

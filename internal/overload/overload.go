@@ -63,67 +63,26 @@ import (
 // byte-identical to a server without the package — the guarantee the
 // pre-X20 experiment goldens rely on.
 type Config struct {
-	// Enabled switches overload control on. All other fields are ignored
-	// (and need not be set) when false.
+	// Enabled switches overload control on. The other fields are ignored
+	// when false and must be positive when true (New panics otherwise).
 	Enabled bool
-	// QueueLen bounds the service queue. A request arriving to a full
-	// queue is shed immediately. Default 64.
+	// QueueLen bounds the service queue; a request arriving to a full
+	// queue is shed immediately.
 	QueueLen int
 	// Target is the CoDel-style sojourn target: a request whose queue wait
 	// already exceeds Target when a service slot frees is shed from the
-	// front instead of served stale. Default 100ms.
+	// front instead of served stale.
 	Target time.Duration
 	// SLO is the queue-wait objective the AIMD limit tracks: dequeue waits
 	// within the SLO raise the limit additively, waits beyond it cut the
-	// limit multiplicatively. Admission also sheds early when the
-	// estimated wait (queue depth × smoothed service time) exceeds the
-	// SLO. Default 500ms.
+	// limit multiplicatively. Admission also sheds early when the estimated
+	// wait (queue depth × smoothed service time) exceeds the SLO.
 	SLO time.Duration
-	// MinLimit and MaxLimit bound the AIMD concurrency limit (simultaneous
-	// in-service replies). Defaults 1 and 32.
+	// MinLimit and MaxLimit bound the AIMD concurrency limit.
 	MinLimit, MaxLimit int
 	// RetryAfterBase is the smallest shed hint. Hints grow with queue
 	// pressure in powers of two: RetryAfterBase << level, level in [0, 5].
-	// Default 500ms.
 	RetryAfterBase time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.QueueLen == 0 {
-		c.QueueLen = 64
-	}
-	if c.Target == 0 {
-		c.Target = 100 * time.Millisecond
-	}
-	if c.SLO == 0 {
-		c.SLO = 500 * time.Millisecond
-	}
-	if c.MinLimit == 0 {
-		c.MinLimit = 1
-	}
-	if c.MaxLimit == 0 {
-		c.MaxLimit = 32
-	}
-	if c.RetryAfterBase == 0 {
-		c.RetryAfterBase = 500 * time.Millisecond
-	}
-	c.validate()
-	return c
-}
-
-func (c Config) validate() {
-	if c.QueueLen < 0 {
-		panic(fmt.Sprintf("overload: QueueLen %d < 0", c.QueueLen))
-	}
-	if c.Target < 0 || c.SLO < 0 || c.RetryAfterBase < 0 {
-		panic("overload: negative duration in Config")
-	}
-	if c.MinLimit < 1 {
-		panic(fmt.Sprintf("overload: MinLimit %d < 1", c.MinLimit))
-	}
-	if c.MaxLimit < c.MinLimit {
-		panic(fmt.Sprintf("overload: MaxLimit %d < MinLimit %d", c.MaxLimit, c.MinLimit))
-	}
 }
 
 // Shed is the response payload of a rejected request: the server is alive

@@ -22,7 +22,7 @@ func world(seed int64, nc int) (*simnet.Network, *simnet.RPCNode, []*simnet.RPCN
 
 func enabledCfg() Config {
 	return Config{Enabled: true, QueueLen: 16, Target: 200 * time.Millisecond,
-		SLO: 500 * time.Millisecond, MinLimit: 1, MaxLimit: 8}
+		SLO: 500 * time.Millisecond, MinLimit: 1, MaxLimit: 8, RetryAfterBase: 500 * time.Millisecond}
 }
 
 func TestPassthroughIsPlainServe(t *testing.T) {
@@ -56,27 +56,28 @@ func TestPassthroughIsPlainServe(t *testing.T) {
 	}
 }
 
-func TestDefaultsAndValidation(t *testing.T) {
-	c := Config{Enabled: true}.withDefaults()
-	if c.QueueLen != 64 || c.MinLimit != 1 || c.MaxLimit != 32 {
-		t.Fatalf("defaults wrong: %+v", c)
-	}
-	if c.Target != 100*time.Millisecond || c.SLO != 500*time.Millisecond || c.RetryAfterBase != 500*time.Millisecond {
-		t.Fatalf("duration defaults wrong: %+v", c)
-	}
-	for _, bad := range []Config{
-		{Enabled: true, QueueLen: -1},
-		{Enabled: true, MinLimit: -2},
-		{Enabled: true, MinLimit: 8, MaxLimit: 2},
-		{Enabled: true, Target: -time.Second},
+func TestValidation(t *testing.T) {
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.QueueLen = -1 },
+		func(c *Config) { c.QueueLen = 0 },
+		func(c *Config) { c.Target = -time.Second },
+		func(c *Config) { c.Target = 0 },
+		func(c *Config) { c.SLO = 0 },
+		func(c *Config) { c.RetryAfterBase = 0 },
+		func(c *Config) { c.MinLimit = -2 },
+		func(c *Config) { c.MinLimit = 0 },
+		func(c *Config) { c.MaxLimit = 0 },
+		func(c *Config) { c.MinLimit, c.MaxLimit = 8, 2 },
 	} {
+		c := enabledCfg()
+		bad(&c)
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Config %+v did not panic", bad)
+					t.Errorf("Config %+v did not panic", c)
 				}
 			}()
-			bad.withDefaults()
+			New(simnet.NewRPCNode(simnet.New(1).AddNode()), c)
 		}()
 	}
 }
@@ -202,7 +203,7 @@ func TestPerSenderFIFOSurvives(t *testing.T) {
 func TestControlLaneStaysFast(t *testing.T) {
 	nw, srv, clients := world(13, 20)
 	s := New(srv, Config{Enabled: true, QueueLen: 64, Target: 5 * time.Second,
-		SLO: 10 * time.Second, MinLimit: 4, MaxLimit: 64})
+		SLO: 10 * time.Second, MinLimit: 4, MaxLimit: 64, RetryAfterBase: 500 * time.Millisecond})
 	blob := make([]byte, 64<<10)
 	s.Protect("blob.get", func(from simnet.NodeID, req any) (any, int) { return blob, len(blob) })
 	s.Control("ctl.ping", func(from simnet.NodeID, req any) (any, int) { return "pong", 8 })

@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/simnet"
@@ -51,7 +52,11 @@ func New(r *simnet.RPCNode, cfg Config) *Server {
 	if !cfg.Enabled {
 		return s
 	}
-	s.cfg = cfg.withDefaults()
+	if cfg.QueueLen < 1 || cfg.Target <= 0 || cfg.SLO <= 0 || cfg.RetryAfterBase <= 0 ||
+		cfg.MinLimit < 1 || cfg.MaxLimit < cfg.MinLimit {
+		panic(fmt.Sprintf("overload: an enabled Config needs every field positive and MaxLimit >= MinLimit, got %+v", cfg))
+	}
+	s.cfg = cfg
 	s.m = metricsFor(s.n.Obs())
 	s.q = newRing(s.cfg.QueueLen)
 	s.limit = float64(s.cfg.MinLimit)

@@ -24,7 +24,8 @@ func TestAllocReplicGet(t *testing.T) {
 	cfg := testCfg()
 	cfg.Resilience.Enabled = true
 	cfg.Resilience.Classify = overload.Classify
-	cfg.Overload = overload.Config{Enabled: true}
+	cfg.Overload = overload.Config{Enabled: true, QueueLen: 64, Target: 100 * time.Millisecond,
+		SLO: 500 * time.Millisecond, MinLimit: 1, MaxLimit: 32, RetryAfterBase: 500 * time.Millisecond}
 	nw := simnet.New(3)
 	dirNode := nw.AddNode()
 	dir := NewDirectoryWith(dirNode, cfg.FloorK, cfg.Overload)

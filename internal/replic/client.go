@@ -2,10 +2,10 @@ package replic
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/pool"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 )
@@ -62,11 +62,8 @@ func (c *Client) Node() *simnet.Node { return c.rpc.Node() }
 // the whole budget per attempt, not for the operation — failover makes
 // more attempts). done receives the payload or a terminal error.
 func (c *Client) Get(obj cryptoutil.Hash, timeout time.Duration, done func(data []byte, err error)) {
-	f := fetchPool.Get().(*fetch)
-	if poolHook != nil {
-		poolHook(f, true)
-	}
-	*f = fetch{c: c, req: obj, timeout: timeout, done: done, inflight: 1} // in flight: the directory call
+	f := fetchPool.Get()
+	f.c, f.req, f.timeout, f.done, f.inflight = c, obj, timeout, done, 1 // in flight: the directory call
 	c.rpc.CallTo(c.dir, methodHolders, f.req, 40, timeout, f)
 }
 
@@ -93,10 +90,11 @@ type fetch struct {
 	// out.
 	legs [2]fetchLeg
 
-	next       int // index of the next holder to try
-	inflight   int // the directory call and holder attempts yet to return
-	finished   bool
-	hedged     bool
+	next     int // index of the next holder to try
+	inflight int // the directory call and holder attempts yet to return
+	finished bool
+	hedged   bool
+	pool.Mark
 	hedgeTimer simnet.Timer
 	lastErr    error
 }
@@ -104,18 +102,14 @@ type fetch struct {
 // fetchPool recycles fetches. A fetch goes back once it is finished and
 // its directory call and every leg have returned (inflight == 0): a leg
 // that loses to the winner still lands on the fetch when it answers.
-var fetchPool = sync.Pool{New: func() any { return new(fetch) }}
+var fetchPool = pool.New[fetch]("replic.fetch", nil)
 
 // release returns a spent fetch, and the directory's answer it holds, to
 // their pools.
 func (f *fetch) release() {
-	if poolHook != nil {
-		poolHook(f, false)
-	}
 	if f.hr != nil {
-		f.hr.release()
+		holdersPool.Put(f.hr)
 	}
-	*f = fetch{}
 	fetchPool.Put(f)
 }
 
@@ -142,7 +136,7 @@ func (f *fetch) CallDone(resp any, _ time.Duration, err error) {
 	// The directory's answer is this fetch's until it is recycled, so
 	// ranking permutes the list in place.
 	c := f.c
-	f.hr, f.holders = hr, hr.Holders
+	f.hr, f.holders = hr, hr.Holders()
 	if len(f.holders) == 0 {
 		f.finish(0, nil, ErrNoReplica)
 		return

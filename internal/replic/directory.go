@@ -1,10 +1,11 @@
 package replic
 
 import (
-	"sync"
+	"unsafe"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/overload"
+	"repro/internal/pool"
 	"repro/internal/simnet"
 )
 
@@ -44,21 +45,22 @@ type releaseReq struct {
 // pooled: the receiver owns one until it releases it — a fetch when it is
 // recycled, a provider's holders lookup once it has acted on the list. An
 // answer that arrives after its call ended is dropped unread and left to
-// the GC.
+// the GC. The list is held as a pointer and 32-bit length and capacity, so
+// that with its pool mark the answer still fits the 24-byte size class.
 type holdersResp struct {
-	Holders []simnet.NodeID
+	ids  *simnet.NodeID
+	n, c uint32
+	pool.Mark
 }
 
-var holdersPool = sync.Pool{New: func() any { return new(holdersResp) }}
+// Holders returns the answer's list, reused once the answer is released.
+func (r *holdersResp) Holders() []simnet.NodeID { return unsafe.Slice(r.ids, r.c)[:r.n] }
 
-// release returns a holders answer to its pool.
-func (r *holdersResp) release() {
-	if poolHook != nil {
-		poolHook(r, false)
-	}
-	r.Holders = r.Holders[:0]
-	holdersPool.Put(r)
+func (r *holdersResp) set(s []simnet.NodeID) {
+	r.ids, r.n, r.c = unsafe.SliceData(s), uint32(len(s)), uint32(cap(s))
 }
+
+var holdersPool = pool.New[holdersResp]("replic.holders", func(r *holdersResp) { r.n = 0 })
 
 type advertReq struct {
 	Object cryptoutil.Hash
@@ -81,12 +83,6 @@ type getResp struct {
 }
 
 var notFound = &getResp{}
-
-// poolHook, when non-nil, observes every pooled record (a *fetch, a
-// *holdersResp or a *ctrlCall) as it is taken from its pool (taken) and as
-// it is returned (before the zeroing). Tests use it to pin that each record
-// returns exactly once; it is nil in production.
-var poolHook func(rec any, taken bool)
 
 // holderEntry is one replica registration. seq is the holder's own
 // announce stamp — the fence against stale control messages.
@@ -224,18 +220,17 @@ func (d *Directory) tombstone(obj cryptoutil.Hash, holder simnet.NodeID, seq uin
 }
 
 func (d *Directory) onHolders(from simnet.NodeID, req any) (any, int) {
-	hr := holdersPool.Get().(*holdersResp)
-	if poolHook != nil {
-		poolHook(hr, true)
-	}
+	hr := holdersPool.Get()
 	obj, ok := req.(cryptoutil.Hash)
 	if !ok {
 		return hr, 8
 	}
+	s := hr.Holders()
 	for _, h := range d.holders[obj] {
-		hr.Holders = append(hr.Holders, h.id)
+		s = append(s, h.id)
 	}
-	return hr, 16 + 8*len(hr.Holders)
+	hr.set(s)
+	return hr, 16 + 8*len(s)
 }
 
 // NumHolders returns the registered holder count for an object

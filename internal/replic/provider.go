@@ -2,11 +2,11 @@ package replic
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/overload"
+	"repro/internal/pool"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 )
@@ -284,16 +284,14 @@ type ctrlCall struct {
 	p    *Provider
 	obj  cryptoutil.Hash
 	step ctrlStep
+	pool.Mark
 }
 
-var ctrlPool = sync.Pool{New: func() any { return new(ctrlCall) }}
+var ctrlPool = pool.New[ctrlCall]("replic.ctrl", nil)
 
 // ctrl issues one control call to the directory, completing with step.
 func (p *Provider) ctrl(method string, obj cryptoutil.Hash, req any, reqSize int, step ctrlStep) {
-	c := ctrlPool.Get().(*ctrlCall)
-	if poolHook != nil {
-		poolHook(c, true)
-	}
+	c := ctrlPool.Get()
 	c.p, c.obj, c.step = p, obj, step
 	p.rpc.CallTo(p.dir, method, req, reqSize, ctrlTimeout, c)
 }
@@ -301,10 +299,6 @@ func (p *Provider) ctrl(method string, obj cryptoutil.Hash, req any, reqSize int
 // CallDone acts on the call's answer.
 func (c *ctrlCall) CallDone(resp any, _ time.Duration, err error) {
 	p, obj, step := c.p, c.obj, c.step
-	if poolHook != nil {
-		poolHook(c, false)
-	}
-	*c = ctrlCall{}
 	ctrlPool.Put(c)
 	if step == ctrlRelease {
 		delete(p.releasing, obj)
@@ -321,13 +315,13 @@ func (c *ctrlCall) CallDone(resp any, _ time.Duration, err error) {
 	}
 	if p.Node().Up() {
 		if step == ctrlAdvert {
-			p.advertise(obj, hr.Holders)
+			p.advertise(obj, hr.Holders())
 		}
 		if step == ctrlPush || p.pinned[obj] {
-			p.maybePush(obj, hr.Holders)
+			p.maybePush(obj, hr.Holders())
 		}
 	}
-	hr.release()
+	holdersPool.Put(hr)
 }
 
 // advertise sends this provider's local demand snapshot for obj to every

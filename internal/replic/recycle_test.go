@@ -1,43 +1,23 @@
 package replic
 
 import (
-	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/overload"
+	"repro/internal/pool"
 	"repro/internal/simnet"
 )
 
-// poolLedger follows every pooled record through poolHook: a record may be
-// taken only while it is in its pool and returned only while it is out, so
-// a double take or a double return fails the test at the moment it
-// happens.
-type poolLedger struct {
-	out map[any]bool
-}
-
-func trackPools(t *testing.T) *poolLedger {
-	l := &poolLedger{out: map[any]bool{}}
-	poolHook = func(rec any, taken bool) {
-		if l.out[rec] == taken {
-			t.Errorf("%T %p taken=%v twice in a row", rec, rec, taken)
-		}
-		l.out[rec] = taken
+// outSince reports how many of p's records were taken since it was made
+// and are not back yet. The pool itself panics on a second release.
+func outSince[T any, P pool.Record[T]](p *pool.Pool[T, P]) func() int64 {
+	t0, r0 := p.Counts()
+	return func() int64 {
+		t, r := p.Counts()
+		return (t - t0) - (r - r0)
 	}
-	t.Cleanup(func() { poolHook = nil })
-	return l
-}
-
-// outstanding counts the records of rec's type taken and not yet returned.
-func (l *poolLedger) outstanding(rec any) int {
-	n := 0
-	for r, out := range l.out { // determinism:ok count
-		if out && reflect.TypeOf(r) == reflect.TypeOf(rec) {
-			n++
-		}
-	}
-	return n
 }
 
 // TestFetchRecycledAfterLosingLeg: the hedge leg wins and the primary
@@ -48,7 +28,7 @@ func (l *poolLedger) outstanding(rec any) int {
 // and nothing may change.
 func TestFetchRecycledAfterLosingLeg(t *testing.T) {
 	for _, dup := range []bool{false, true} {
-		ledger := trackPools(t)
+		fetches, answers := outSince(fetchPool), outSince(holdersPool)
 		nw := simnet.New(5)
 		dirNode := nw.AddNode()
 		dir := NewDirectoryWith(dirNode, 1, overload.Config{})
@@ -68,7 +48,7 @@ func TestFetchRecycledAfterLosingLeg(t *testing.T) {
 		if dup {
 			nw.SetLinkFault(simnet.LinkFault{Duplicate: 1, HoldBack: time.Millisecond})
 		}
-		calls, outAtDone := 0, 0
+		calls, outAtDone := 0, int64(0)
 		var got []byte
 		client.Get(obj, 5*time.Second, func(data []byte, err error) {
 			calls++
@@ -76,7 +56,7 @@ func TestFetchRecycledAfterLosingLeg(t *testing.T) {
 				t.Errorf("dup=%v: Get: %v", dup, err)
 			}
 			got = data
-			outAtDone = ledger.outstanding(&fetch{})
+			outAtDone = fetches()
 		})
 		nw.RunAll()
 		if calls != 1 || string(got) != "b" {
@@ -85,7 +65,7 @@ func TestFetchRecycledAfterLosingLeg(t *testing.T) {
 		if outAtDone != 1 {
 			t.Fatalf("dup=%v: %d fetches out when done ran, want 1 held by the losing leg", dup, outAtDone)
 		}
-		if n := ledger.outstanding(&fetch{}); n != 0 {
+		if n := fetches(); n != 0 {
 			t.Fatalf("dup=%v: the fetch never returned to its pool", dup)
 		}
 		// The answer the fetch used went back with it; under duplication the
@@ -95,7 +75,7 @@ func TestFetchRecycledAfterLosingLeg(t *testing.T) {
 		if dup {
 			want = 1
 		}
-		if n := ledger.outstanding(&holdersResp{}); n != want {
+		if n := answers(); n != int64(want) {
 			t.Fatalf("dup=%v: %d holders answers out, want %d", dup, n, want)
 		}
 	}
@@ -106,7 +86,7 @@ func TestFetchRecycledAfterLosingLeg(t *testing.T) {
 // control record to its pool exactly once. A crash ends every call still
 // out, so after one no record may be left.
 func TestCtrlCallsRecycled(t *testing.T) {
-	ledger := trackPools(t)
+	calls := outSince(ctrlPool)
 	w := newWorld(t, testCfg(), 4, 2)
 	obj := h(12)
 	w.provs[0].Put(obj, make([]byte, 512), true)
@@ -120,7 +100,17 @@ func TestCtrlCallsRecycled(t *testing.T) {
 	for _, p := range w.provs {
 		p.Node().Crash()
 	}
-	if n := ledger.outstanding(&ctrlCall{}); n != 0 {
+	if n := calls(); n != 0 {
 		t.Fatalf("%d control records out after every provider crashed", n)
 	}
 }
+
+// Each pooled record stays in the malloc size class it had before it
+// carried a pool mark, so the mark costs no heap: a record that outgrows
+// its class makes one of these array lengths negative, and the test build
+// fails.
+var (
+	_ [176 - unsafe.Sizeof(fetch{})]byte
+	_ [24 - unsafe.Sizeof(holdersResp{})]byte
+	_ [48 - unsafe.Sizeof(ctrlCall{})]byte
+)

@@ -123,7 +123,7 @@ func TestDirectoryFloorAndOrigin(t *testing.T) {
 	if ok, _ := d.onRelease(0, 42); ok != false {
 		t.Fatal("bad release accepted")
 	}
-	if resp, _ := d.onHolders(0, "junk"); len(resp.(*holdersResp).Holders) != 0 {
+	if resp, _ := d.onHolders(0, "junk"); len(resp.(*holdersResp).Holders()) != 0 {
 		t.Fatal("bad holders query returned holders")
 	}
 	if d.TotalReplicas() != 3 {
@@ -504,11 +504,11 @@ func TestReplicHedgeFailsBeforePrimary(t *testing.T) {
 	holders := []*simnet.Node{nw.AddNode(), nw.AddNode(), nw.AddNode()}
 	client := NewClient(nw.AddNode(), testCfg(), dirNode.ID(), 0, nil, nil)
 	simnet.NewRPCNode(dirNode).Serve(methodHolders, func(simnet.NodeID, any) (any, int) {
-		ids := make([]simnet.NodeID, len(holders))
-		for i, n := range holders {
-			ids[i] = n.ID()
+		hr := holdersPool.Get() // the fetch releases it to the pool
+		for _, n := range holders {
+			hr.set(append(hr.Holders(), n.ID()))
 		}
-		return &holdersResp{Holders: ids}, 40
+		return hr, 40
 	})
 	// Rank 0 answers after the hedge point, rank 1 (the hedge) misses at
 	// once, and rank 2 (the hedge's failover) answers long after rank 0.

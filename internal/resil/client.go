@@ -3,10 +3,10 @@ package resil
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/simnet"
 )
 
@@ -168,11 +168,9 @@ func (c *Client) CallTo(to simnet.NodeID, method string, req any, reqSize int, f
 		return simnet.CallRef{}
 	}
 	c.seq++
-	o := opPool.Get().(*op)
-	if opHook != nil {
-		opHook(o, true)
-	}
-	*o = op{c: c, ps: ps, to: to, method: method, req: req, reqSize: reqSize, done: done, id: c.seq}
+	o := opPool.Get()
+	o.c, o.ps, o.to, o.id = c, ps, to, c.seq
+	o.method, o.req, o.reqSize, o.done = method, req, reqSize, done
 	o.launch(false)
 	return simnet.CallRef{}
 }
@@ -183,21 +181,7 @@ func (c *Client) CallTo(to simnet.NodeID, method string, req any, reqSize int, f
 // takes an attempt out of flight. An attempt finish cannot cancel — an old
 // primary whose CallRef a retry overwrote — keeps the op out of the pool
 // until it completes.
-var opPool = sync.Pool{New: func() any { return new(op) }}
-
-// opHook, when non-nil, observes every op taken from the pool (taken) and
-// every op returned to it (before the zeroing). Tests use it to pin that an
-// op returns exactly once, after its last attempt; it is nil in production.
-var opHook func(o *op, taken bool)
-
-// release returns a finished op with no attempt in flight to the pool.
-func (o *op) release() {
-	if opHook != nil {
-		opHook(o, false)
-	}
-	*o = op{}
-	opPool.Put(o)
-}
+var opPool = pool.New[op]("resil.op", nil)
 
 // op is one resilient operation: up to maxAttempts timeout-driven
 // attempts plus at most one hedge, sharing a single Completion. The op is
@@ -219,12 +203,13 @@ type op struct {
 	retrans      bool // Karn: some attempt was retransmitted
 	retryPending bool // a backoff timer is armed
 	finished     bool
-	inflight     int            // attempts whose Completion has yet to fire
-	primary      simnet.CallRef // newest timeout-driven attempt
-	hedge        simnet.CallRef
-	hedgeTimer   simnet.Timer
-	retryTimer   simnet.Timer
-	lastErr      error
+	pool.Mark
+	inflight   int            // attempts whose Completion has yet to fire
+	primary    simnet.CallRef // newest timeout-driven attempt
+	hedge      simnet.CallRef
+	hedgeTimer simnet.Timer
+	retryTimer simnet.Timer
+	lastErr    error
 }
 
 // hedgeLeg is an op seen as the Completion of its hedge attempt.
@@ -289,7 +274,7 @@ func (o *op) complete(isHedge bool, resp any, rtt time.Duration, err error) {
 	if o.finished {
 		// A straggler the finish could not cancel; the last one frees the op.
 		if o.inflight == 0 {
-			o.release()
+			opPool.Put(o)
 		}
 		return
 	}
@@ -403,7 +388,7 @@ func (o *op) finish(resp any, rtt time.Duration, err error) {
 	}
 	done := o.done
 	if o.inflight == 0 {
-		o.release()
+		opPool.Put(o)
 	}
 	done.CallDone(resp, rtt, err)
 }

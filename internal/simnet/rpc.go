@@ -3,8 +3,9 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
+
+	"repro/internal/pool"
 )
 
 // RPC layers a request/response discipline over raw messages. A node that
@@ -24,8 +25,8 @@ import (
 // generation check, as a Timer's (event, gen) is. Call ids come from a
 // per-shard counter and finished records go on a per-shard free list, so a
 // record is only ever written by its own shard's worker. Envelopes recycle
-// through a sync.Pool (alongside the engine's event pool), since they are
-// built on one shard and consumed on another. The per-call timeout is
+// through one pool.Pool shared by every shard, since they are built on one
+// shard and consumed on another. The per-call timeout is
 // scheduled through the closure-free AfterCall path with the pending record
 // itself as the argument, and the completion is a value the caller already
 // owns — a Completion, usually a pointer to the caller's own operation
@@ -52,15 +53,10 @@ type rpcEnvelope struct {
 	// LinkFault duplicates traffic may be delivered twice sharing one
 	// envelope pointer, so such envelopes are left to the GC instead.
 	recycle bool
+	pool.Mark
 }
 
-var envPool = sync.Pool{New: func() any { return new(rpcEnvelope) }}
-
-// envReleaseHook, when non-nil, observes every envelope actually returned
-// to the pool (it still sees the envelope's fields — it runs before the
-// zeroing). Tests use it to pin the exactly-once recycle invariant across
-// the reply, late-reply, and cancellation paths; it is nil in production.
-var envReleaseHook func(*rpcEnvelope)
+var envPool = pool.New[rpcEnvelope]("simnet.envelope", nil)
 
 // Sentinel RPC failure causes, matchable with errors.Is. The resilience
 // layer (internal/resil) keys retry decisions off them: a timeout may be a
@@ -140,21 +136,16 @@ var _ Caller = (*RPCNode)(nil)
 // decided per message at send time, so an envelope sent while Duplicate is
 // zero can never be delivered twice, no matter what faults appear later.
 func newEnvelope(nw *Network) *rpcEnvelope {
-	env := envPool.Get().(*rpcEnvelope)
+	env := envPool.Get()
 	env.recycle = nw.fault.Duplicate <= 0
 	return env
 }
 
 // releaseEnvelope recycles a consumed envelope when it is safe to do so.
 func releaseEnvelope(env *rpcEnvelope) {
-	if !env.recycle {
-		return
+	if env.recycle {
+		envPool.Put(env)
 	}
-	if envReleaseHook != nil {
-		envReleaseHook(env)
-	}
-	*env = rpcEnvelope{}
-	envPool.Put(env)
 }
 
 const rpcKind = "simnet.rpc"

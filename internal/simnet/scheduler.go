@@ -1,8 +1,9 @@
 package simnet
 
 import (
-	"sync"
 	"time"
+
+	"repro/internal/pool"
 )
 
 // This file is the *engine* half of simnet's engine/substrate split: a
@@ -19,9 +20,9 @@ import (
 //   - Events live in an indexed binary heap: each event records its heap
 //     position, so cancellation is O(log n) instead of
 //     requiring lazy tombstones that bloat the queue.
-//   - Events are recycled through a sync.Pool and carry a handler+argument
-//     pair (EventFunc + arg) instead of a captured closure, so the message
-//     hot path allocates nothing in steady state.
+//   - Events are recycled through the queue's own pool.Pool and carry a
+//     handler+argument pair (EventFunc + arg) instead of a captured
+//     closure, so the message hot path allocates nothing in steady state.
 //   - Timer handles are generation-checked: a Timer that already fired or
 //     was cancelled becomes an inert no-op even after its event struct has
 //     been recycled for an unrelated schedule.
@@ -46,24 +47,23 @@ type event struct {
 	at     time.Duration
 	origin uint64
 	oseq   uint64
-	gen    uint64  // bumped every time the event fires or is cancelled
-	pos    int     // index in the heap, -1 when not queued
-	q      *engine // owning queue
-	fn     func()  // closure path (convenience API)
-	h      EventFunc
-	arg    any
+	gen    uint64 // bumped every time the event fires or is cancelled
+	pos    int32  // index in the heap, -1 when not queued
+	pool.Mark
+	q   *engine // owning queue
+	fn  func()  // closure path (convenience API)
+	h   EventFunc
+	arg any
 }
 
-// free recycles a dequeued event into its queue's pool. The generation bump
-// invalidates every outstanding Timer handle pointing at it.
-func (e *event) free() {
+// recycle is the event pool's reset. It keeps q and pos (-1 once dequeued)
+// and bumps gen, which makes every outstanding Timer on the event inert.
+func (e *event) recycle() {
 	e.gen++
 	e.fn, e.h, e.arg = nil, nil, nil
-	e.q.pool.Put(e)
 }
 
 // engine is the concrete scheduler: virtual clock plus indexed event heap.
-// The zero value is a usable stand-alone queue.
 type engine struct {
 	now  time.Duration
 	seq  uint64 // origin 0's sequence counter
@@ -73,7 +73,12 @@ type engine struct {
 	// are only ever written by that queue's own goroutine; a pool shared
 	// between queues would let another shard's worker, or another trial's
 	// network, bump gen under the reader.
-	pool sync.Pool
+	pool *pool.Pool[event, *event]
+}
+
+// newEngine returns an empty queue with its own event pool.
+func newEngine() engine {
+	return engine{pool: pool.New[event]("simnet.event", (*event).recycle)}
 }
 
 // Timer is a handle on a scheduled event. The zero Timer is inert. Timers
@@ -101,10 +106,9 @@ func (en *engine) draw() uint64 {
 // alloc returns a pooled event owned by queue en. Safe to call from another
 // queue's goroutine (a sender staging a message).
 func (en *engine) alloc() *event {
-	if e, ok := en.pool.Get().(*event); ok {
-		return e
-	}
-	return &event{q: en}
+	e := en.pool.Get()
+	e.q = en
+	return e
 }
 
 // schedule queues an event under the key (at, origin, oseq), with at
@@ -147,7 +151,7 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	t.e.q.remove(t.e)
-	t.e.free()
+	t.e.q.pool.Put(t.e)
 	return true
 }
 
@@ -160,7 +164,7 @@ func (en *engine) step() bool {
 	e := en.pop()
 	en.now = e.at
 	fn, h, arg := e.fn, e.h, e.arg
-	e.free() // recycle before invoking: the handler may schedule again
+	en.pool.Put(e) // recycle before invoking: the handler may schedule again
 	if h != nil {
 		h(arg)
 	} else if fn != nil {
@@ -196,13 +200,13 @@ func (en *engine) less(i, j int) bool {
 func (en *engine) swap(i, j int) {
 	h := en.heap
 	h[i], h[j] = h[j], h[i]
-	h[i].pos, h[j].pos = i, j
+	h[i].pos, h[j].pos = int32(i), int32(j)
 }
 
 func (en *engine) push(e *event) {
-	e.pos = len(en.heap)
+	e.pos = int32(len(en.heap))
 	en.heap = append(en.heap, e)
-	en.up(e.pos)
+	en.up(int(e.pos))
 }
 
 func (en *engine) pop() *event {
@@ -220,7 +224,7 @@ func (en *engine) pop() *event {
 
 // remove unlinks an arbitrary queued event (timer cancellation).
 func (en *engine) remove(e *event) {
-	i := e.pos
+	i := int(e.pos)
 	last := len(en.heap) - 1
 	if i != last {
 		en.swap(i, last)

@@ -58,13 +58,13 @@ func timerAs(en *engine, origin uint64, d time.Duration, fn func()) Timer {
 // (time, origin, schedule order) produces.
 func TestSchedulerMatchesReferenceOrder(t *testing.T) {
 	prop := func(delays []uint16, origins []uint8) bool {
-		en := &engine{}
+		en := newEngine()
 		var got []int
 		ref := make([]refEvent, len(delays))
 		for i, d := range delays {
 			at := time.Duration(d) * time.Millisecond
 			i := i
-			timerAs(en, originOf(origins, i), at, func() { got = append(got, i) })
+			timerAs(&en, originOf(origins, i), at, func() { got = append(got, i) })
 			ref[i] = refEvent{at: at, origin: originOf(origins, i), seq: i, id: i}
 		}
 		for en.step() {
@@ -90,12 +90,12 @@ func TestSchedulerMatchesReferenceOrder(t *testing.T) {
 // survivors must all fire exactly once, still in (time, seq) order.
 func TestSchedulerCancelProperty(t *testing.T) {
 	prop := func(delays []uint16, cancelMask []bool, origins []uint8) bool {
-		en := &engine{}
+		en := newEngine()
 		fired := make([]int, len(delays))
 		timers := make([]Timer, len(delays))
 		for i, d := range delays {
 			i := i
-			timers[i] = timerAs(en, originOf(origins, i), time.Duration(d)*time.Millisecond, func() { fired[i]++ })
+			timers[i] = timerAs(&en, originOf(origins, i), time.Duration(d)*time.Millisecond, func() { fired[i]++ })
 		}
 		cancelled := make([]bool, len(delays))
 		for i := range timers {
@@ -130,7 +130,7 @@ func TestSchedulerCancelProperty(t *testing.T) {
 // TestTimerStaleAfterFire: once a timer fires, its handle is inert even
 // though the pooled event struct is recycled for later schedules.
 func TestTimerStaleAfterFire(t *testing.T) {
-	var en engine
+	en := newEngine()
 	ran := 0
 	tm := en.AfterCall(time.Millisecond, func(any) { ran++ }, nil)
 	for en.step() {
@@ -172,7 +172,7 @@ func TestTimerZeroValueInert(t *testing.T) {
 // every firing against the reference list implementation.
 func TestSchedulerStressRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	en := &engine{}
+	en := newEngine()
 	type live struct {
 		tm Timer
 		id int
@@ -195,7 +195,7 @@ func TestSchedulerStressRandomOps(t *testing.T) {
 			id := nextID
 			nextID++
 			origin := uint64(rng.Intn(testOrigins))
-			tm := timerAs(en, origin, d, fire(id))
+			tm := timerAs(&en, origin, d, fire(id))
 			handles = append(handles, live{tm: tm, id: id})
 			pendingRef = append(pendingRef, refEvent{at: en.now + d, origin: origin, seq: refSeq, id: id})
 			refSeq++

@@ -169,9 +169,9 @@ func (nw *Network) routeStaged() bool {
 // delivery is rescheduled under the receiver's key.
 func shardArriveEvent(arg any) {
 	f := arg.(*flight)
-	dst := f.nw.nodes[f.msg.To]
+	dst := f.nw.nodes[f.to]
 	now := dst.sh.now
-	if at := dst.downlink(now, f.msg.Size); at > now {
+	if at := dst.downlink(now, f.size); at > now {
 		dst.schedule(at, nil, deliverEvent, f)
 		return
 	}

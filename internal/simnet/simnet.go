@@ -9,7 +9,7 @@
 //   - The engine (scheduler.go) is one event queue type: an indexed heap
 //     ordered by (at, origin, oseq), with cancellable Timer
 //     handles and a pooled, closure-free hot path (events carry an
-//     EventFunc handler plus argument, recycled through a sync.Pool, so
+//     EventFunc handler plus argument, recycled through a pool.Pool, so
 //     steady-state message traffic allocates nothing). Protocols schedule
 //     through their own Node (Now, After, AfterCall).
 //   - The substrate (this file, node.go, rpc.go) models the network the
@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // NodeID identifies a node within one Network.
@@ -300,6 +301,7 @@ func NewWithConfig(cfg NetworkConfig) *Network {
 		workers:   1,
 	}
 	nw.shard.nw = nw
+	nw.engine = newEngine()
 	nw.ledger = newLedger(fmt.Sprintf("seed:%d", cfg.Seed))
 	// The publish hook keeps the per-message hot path free of registry work
 	// by copying Trace totals and latency quantiles in only when a snapshot
@@ -320,6 +322,7 @@ func NewWithConfig(cfg NetworkConfig) *Network {
 			// Shard labels sort after the root "seed:N" label, keeping
 			// merged exports stable regardless of shard count.
 			nw.shards[i] = &shard{
+				engine: newEngine(),
 				nw:     nw,
 				ledger: newLedger(fmt.Sprintf("seed:%d/shard:%03d", cfg.Seed, i)),
 				idx:    i,
@@ -596,22 +599,27 @@ func (nw *Network) samePartition(a, b NodeID) bool {
 	return nw.partition[a] == nw.partition[b]
 }
 
-// flight carries an in-flight message through the pooled, closure-free
-// event path: built on the sender's shard, consumed on the receiver's.
+// flight carries a message in flight: built on the sender's shard, consumed
+// on the receiver's, with Message's fields flat so its pool mark fits in padding.
 type flight struct {
-	nw     *Network
-	msg    Message
-	sentAt time.Duration
+	nw       *Network
+	sentAt   time.Duration
+	from, to NodeID
+	kind     string
+	payload  any
+	size     int
+	lane     Lane
+	pool.Mark
 }
 
-var flightPool = sync.Pool{New: func() any { return new(flight) }}
+var flightPool = pool.New[flight]("simnet.flight", nil)
 
 // deliverEvent is the EventFunc for final message delivery; arg is a pooled
 // *flight. It runs on the receiver's shard.
 func deliverEvent(arg any) {
 	f := arg.(*flight)
-	nw, msg, sentAt := f.nw, f.msg, f.sentAt
-	*f = flight{}
+	nw, sentAt := f.nw, f.sentAt
+	msg := Message{From: f.from, To: f.to, Kind: f.kind, Payload: f.payload, Size: f.size, Lane: f.lane}
 	flightPool.Put(f)
 
 	dst := nw.nodes[msg.To]
@@ -736,8 +744,9 @@ func (nw *Network) Send(msg Message) bool {
 // that runs hop at time at, keyed by the sender so equal-time arrivals
 // order deterministically.
 func (nw *Network) launch(src, dst *Node, msg Message, at time.Duration, hop EventFunc) {
-	f := flightPool.Get().(*flight)
-	f.nw, f.msg, f.sentAt = nw, msg, src.sh.now
+	f := flightPool.Get()
+	f.nw, f.sentAt = nw, src.sh.now
+	f.from, f.to, f.kind, f.payload, f.size, f.lane = msg.From, msg.To, msg.Kind, msg.Payload, msg.Size, msg.Lane
 	ssh, dsh := src.sh, dst.sh
 	e := dsh.alloc()
 	e.at, e.h, e.arg = at, hop, f

@@ -413,13 +413,7 @@ func TestRPCSecondReplyDroppedAsLate(t *testing.T) {
 		tok.Reply(1, 8)
 		tok.Reply(2, 8)
 	})
-	type release struct {
-		isReply bool
-		payload any
-	}
-	released := map[release]int{}
-	envReleaseHook = func(env *rpcEnvelope) { released[release{env.isReply, env.payload}]++ }
-	t.Cleanup(func() { envReleaseHook = nil })
+	taken0, released0 := envPool.Counts()
 
 	var got []any
 	client.Call(server.Node().ID(), "twice", "req", 8, time.Minute, func(resp any, err error) {
@@ -432,14 +426,8 @@ func TestRPCSecondReplyDroppedAsLate(t *testing.T) {
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("completion saw %v, want exactly the first reply", got)
 	}
-	want := map[release]int{{false, "req"}: 1, {true, 1}: 1, {true, 2}: 1}
-	if len(released) != len(want) {
-		t.Fatalf("released envelopes %v, want %v", released, want)
-	}
-	for k, n := range want {
-		if released[k] != n {
-			t.Errorf("envelope %+v released %d times, want %d", k, released[k], n)
-		}
+	if taken, released := envPool.Counts(); taken-taken0 != 3 || released-released0 != 3 {
+		t.Fatalf("envelopes taken %d, released %d; want 3 and 3", taken-taken0, released-released0)
 	}
 }
 

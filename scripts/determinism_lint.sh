@@ -34,6 +34,16 @@ for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '
     fi
 done
 
+# One pool type. Every recycled record goes through internal/pool, whose Put
+# checks in every run that the record goes back exactly once; a bare
+# sync.Pool would recycle without that check.
+for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/pool/*' | sort); do
+    if grep -nE '\bsync\.Pool\b' "$f"; then
+        echo "determinism lint: $f uses sync.Pool (recycle records through internal/pool, which checks each release)" >&2
+        bad=1
+    fi
+done
+
 # --- sharded-engine rules -------------------------------------------------
 # internal/simnet owns event ordering, and the sharded engine runs it on
 # several goroutines at once, so two extra hazards apply inside the package
