@@ -246,8 +246,8 @@ func TestAllocGossipAntiEntropyInSync(t *testing.T) {
 	const budget = 2.0
 	const period = 10 * time.Second
 	nw := simnet.New(11)
-	a := gossip.NewMember(nw.AddNode(), gossip.Config{AntiEntropyInterval: period})
-	b := gossip.NewMember(nw.AddNode(), gossip.Config{AntiEntropyInterval: period})
+	a := gossip.NewMember(nw.AddNode(), gossip.Config{Fanout: 3, AntiEntropyInterval: period})
+	b := gossip.NewMember(nw.AddNode(), gossip.Config{Fanout: 3, AntiEntropyInterval: period})
 	a.SetPeers([]simnet.NodeID{b.Node().ID()})
 	b.SetPeers([]simnet.NodeID{a.Node().ID()})
 	for i := 0; i < 16; i++ {
@@ -529,7 +529,7 @@ func TestAllocChainHotPaths(t *testing.T) {
 		sink ^= byte(hdr.Nonce)
 	}
 	nw := simnet.New(11)
-	m := chain.NewMiner(nw.AddNode(), chain.NewChain(chain.Config{}), chain.Address{3}, 1000)
+	m := chain.NewMiner(nw.AddNode(), chain.NewChain(chain.Config{InitialDifficulty: 1 << 12}), chain.Address{3}, 1000)
 	m.Start()
 	zero["Miner reschedule"] = func() { m.SetHashrate(1000) }
 	for name, f := range zero {

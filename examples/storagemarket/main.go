@@ -33,7 +33,6 @@ func main() {
 	spacing := 10 * time.Second
 	ccfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{clientKey.Fingerprint(): 1_000},
 	}
 	miner := chain.NewMiner(nw.AddNode(), chain.NewChain(ccfg), cryptoutil.SumHash([]byte("miner")),

@@ -54,7 +54,6 @@ func TestNamingOverLiveChain(t *testing.T) {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{kp.Fingerprint(): 10_000},
 	}
 	miners := minerNet(t, nw, 3, cfg, float64(cfg.InitialDifficulty)/spacing.Seconds()/3)
@@ -107,7 +106,6 @@ func TestStorageContractSettlementOverChain(t *testing.T) {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{kp.Fingerprint(): 1000},
 	}
 	miners := minerNet(t, nw, 2, cfg, float64(cfg.InitialDifficulty)/spacing.Seconds()/2)
@@ -179,7 +177,6 @@ func TestWebappNamingBridge(t *testing.T) {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{owner.Fingerprint(): 10_000},
 	}
 	miners := minerNet(t, nw, 2, cfg, float64(cfg.InitialDifficulty)/spacing.Seconds()/2)

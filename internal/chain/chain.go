@@ -12,16 +12,15 @@ import (
 
 // Config sets the consensus parameters of a chain.
 type Config struct {
-	// InitialDifficulty is the genesis difficulty in expected hashes. It
-	// costs virtual time only: a block's seal takes at most 16 expected
-	// hashes on the host whatever the difficulty.
+	// InitialDifficulty is the genesis difficulty in expected hashes; it
+	// must be positive (NewChain panics otherwise). It costs virtual time
+	// only: a block's seal takes at most 16 expected hashes on the host
+	// whatever the difficulty.
 	InitialDifficulty uint64
 	// TargetSpacing is read by nothing: difficulty never retargets, and a
 	// caller sets the block rate through its miners' hashrate. It stays
 	// only because the benchmark module sets it.
 	TargetSpacing time.Duration
-	// Subsidy is the coinbase block reward.
-	Subsidy uint64
 	// MaxTxsPerBlock caps non-coinbase transactions per block (the paper's
 	// "limits on data storage" weakness). Zero means 1000.
 	MaxTxsPerBlock int
@@ -34,15 +33,15 @@ type Config struct {
 // anchored hash, and keeps a full 1000-transaction block near 4 MB.
 const maxPayloadBytes = 4096
 
+// subsidy is the coinbase block reward.
+const subsidy = 50
+
 func (c Config) withDefaults() Config {
 	if c.InitialDifficulty == 0 {
-		c.InitialDifficulty = 1 << 12
+		panic("chain: Config.InitialDifficulty must be positive")
 	}
 	if c.MaxTxsPerBlock == 0 {
 		c.MaxTxsPerBlock = 1000
-	}
-	if c.Subsidy == 0 {
-		c.Subsidy = 50
 	}
 	return c
 }
@@ -243,7 +242,7 @@ func (c *Chain) AddBlock(b *Block) error {
 		}
 		fees += tx.Fee
 	}
-	if want := c.cfg.Subsidy + fees; b.Txs[0].Amount != want {
+	if want := subsidy + fees; b.Txs[0].Amount != want {
 		return fmt.Errorf("chain: block %s: coinbase amount %d, want %d", h.Short(), b.Txs[0].Amount, want)
 	}
 	st.applyCoinbase(b.Txs[0])
@@ -377,7 +376,7 @@ func (c *Chain) NewBlock(parentHash cryptoutil.Hash, txs []*Tx, timestamp time.D
 		fees += tx.Fee
 	}
 	height := parent.Header.Height + 1
-	all := append([]*Tx{NewCoinbase(miner, c.cfg.Subsidy+fees, height)}, txs...)
+	all := append([]*Tx{NewCoinbase(miner, subsidy+fees, height)}, txs...)
 	b := &Block{
 		Header: Header{
 			Prev:       parentHash,

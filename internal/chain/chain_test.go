@@ -23,7 +23,6 @@ func testChain(t testing.TB, alloc map[Address]uint64) *Chain {
 	t.Helper()
 	return NewChain(Config{
 		InitialDifficulty: 16,
-		Subsidy:           50,
 		GenesisAlloc:      alloc,
 	})
 }
@@ -456,7 +455,7 @@ func TestSupplyConservationProperty(t *testing.T) {
 			keys[i] = kp
 			alloc[kp.Fingerprint()] = 1000
 		}
-		c := NewChain(Config{InitialDifficulty: 4, Subsidy: 50, GenesisAlloc: alloc})
+		c := NewChain(Config{InitialDifficulty: 4, GenesisAlloc: alloc})
 		minerAddr := Address{0x77}
 		nonces := map[Address]uint64{}
 		blocks := 1 + rng.Intn(4)

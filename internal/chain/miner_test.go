@@ -37,7 +37,6 @@ func buildMiners(t testing.TB, nw *simnet.Network, n int, hashrate float64, cfg 
 func minerCfg() Config {
 	return Config{
 		InitialDifficulty: 1 << 10,
-		Subsidy:           50,
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // Difficulty still sets fork choice and discovery delay.
 func TestSealTarget(t *testing.T) {
 	for _, d := range []uint64{1, 2, 16, 1 << 10, 1 << 30} {
-		cfg := Config{InitialDifficulty: d, Subsidy: 50}
+		cfg := Config{InitialDifficulty: d}
 		c, hc := NewChain(cfg), NewHeaderChain(cfg)
 		b, err := c.NewBlock(c.HeadHash(), nil, time.Second, Address{1})
 		if err != nil {

@@ -13,7 +13,6 @@ func buildFundedChain(t *testing.T) (*Chain, Config) {
 	kp := testKey(t, 1)
 	cfg := Config{
 		InitialDifficulty: 16,
-		Subsidy:           50,
 		GenesisAlloc:      map[Address]uint64{kp.Fingerprint(): 1000},
 	}
 	c := NewChain(cfg)

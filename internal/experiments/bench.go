@@ -22,7 +22,8 @@ type BenchOptions struct {
 	// at any worker count.
 	Workers int
 	// Scale selects "full" (the Run/Multi sizes) or "tiny" (the test-suite
-	// sizes). Tiny keeps the CI gate and the determinism tests fast.
+	// sizes); it must be set (RunBench panics on ""). Tiny keeps the CI
+	// gate and the determinism tests fast.
 	Scale string
 	// WallClock, when non-nil, supplies monotonic wall-clock nanoseconds
 	// and enables the timing section (wall time + allocations) of each
@@ -39,7 +40,7 @@ func (o BenchOptions) withDefaults() BenchOptions {
 		o.Trials = 1
 	}
 	if o.Scale == "" {
-		o.Scale = "full"
+		panic(`experiments: BenchOptions.Scale must be "full" or "tiny"`)
 	}
 	return o
 }
@@ -57,12 +58,12 @@ func RunBench(opts BenchOptions) *obs.BenchFile {
 }
 
 // longestFirst names the entries that dominate a full-scale sweep, longest
-// first: under `feudalism bench -timing` on two cores, x15 5.9 s,
-// usenet-load 5.2 s, ledger-growth 3.8 s and x16 2.6 s, every other entry
-// under 1.3 s. benchRuns starts them before the rest, so a sweep does not
-// end waiting on one of them. The order moves only the wall time, never
-// the output.
-var longestFirst = []string{"x15", "usenet-load", "ledger-growth", "x16"}
+// first: `feudalism bench -scale full -seed 42 -trials 1 -timing` on two
+// cores (entries one at a time) measured usenet-load 3.72 s, ledger-growth
+// 3.65 s, x15 3.58 s and x16 1.91 s, every other entry under 0.7 s.
+// benchRuns starts them before the rest, so a sweep does not end waiting
+// on one of them. The order moves only the wall time, never the output.
+var longestFirst = []string{"usenet-load", "ledger-growth", "x15", "x16"}
 
 // benchRuns runs every entry of ds as RunBench does and returns their
 // bench entries and rendered tables in ds's order. Entries run side by

@@ -60,7 +60,7 @@ func averageRevenue(env Env, share float64, s raceSize, selfish bool) float64 {
 func selfishTrial(env Env, share float64, horizonBlocks int, selfish bool) float64 {
 	nw := env.Net()
 	spacing := 10 * time.Second
-	cfg := chain.Config{InitialDifficulty: 1 << 10, Subsidy: 50}
+	cfg := chain.Config{InitialDifficulty: 1 << 10}
 	total := float64(cfg.InitialDifficulty) / spacing.Seconds()
 	miners := newMinerNet(nw, 2, 0, cfg)
 	honest, attacker := miners[0], miners[1]

@@ -140,8 +140,6 @@ func dedupRun(env Env, wl dedupWorkload, cdc bool, sp dedupSpec) dedupResult {
 	fleet := newStorageFleet(nw, sp.providers, 10*time.Second, resil.Config{}, storage.ProviderConfig{
 		Capacity:    capacity,
 		MemCapacity: capacity / 8,
-		GC:          true,
-		Metrics:     true,
 	})
 	client, provs, pool := fleet.client, fleet.provs, fleet.pool
 	client.EnableRepairPinning()

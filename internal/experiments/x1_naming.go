@@ -101,7 +101,6 @@ func blockchainNamingRun(env Env, nNames int, spacing time.Duration) []float64 {
 	}
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 10,
-		Subsidy:           50,
 		GenesisAlloc:      map[chain.Address]uint64{key.Fingerprint(): 1 << 40},
 	}
 	// Aggregate hashrate targets the requested spacing.

@@ -61,7 +61,7 @@ func fiftyOneRow(env Env, share float64, s raceSize) (winRate, meanLead float64)
 func fiftyOneTrial(env Env, share float64, horizonBlocks int) (bool, int) {
 	nw := env.Net()
 	spacing := 10 * time.Second
-	cfg := chain.Config{InitialDifficulty: 1 << 10, Subsidy: 50}
+	cfg := chain.Config{InitialDifficulty: 1 << 10}
 	total := float64(cfg.InitialDifficulty) / spacing.Seconds() // network hashrate for 1 block/spacing
 
 	miners := newMinerNet(nw, 2, 0, cfg)

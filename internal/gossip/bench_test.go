@@ -21,7 +21,7 @@ func BenchmarkFlood50(b *testing.B) {
 // members: two members holding the same 16 items, one digest sent, diffed
 // and found to need no reply.
 func BenchmarkAntiEntropyInSync(b *testing.B) {
-	nw, members := buildGroup(b, 10, 2, Config{})
+	nw, members := buildGroup(b, 10, 2, Config{Fanout: 3})
 	items := numbered("held", 16)
 	hold(members[0], items)
 	hold(members[1], items)
@@ -42,7 +42,7 @@ func BenchmarkAntiEntropyInSync(b *testing.B) {
 func BenchmarkSyncDiff(b *testing.B) {
 	for _, n := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			nw, members := buildGroup(b, 10, 2, Config{})
+			nw, members := buildGroup(b, 10, 2, Config{Fanout: 3})
 			members[0].node.Handle(msgDelta, func(simnet.Message) {})
 			miss := (n + 99) / 100
 			items := numbered("held", n+miss)

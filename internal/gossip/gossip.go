@@ -27,21 +27,14 @@ type Item struct {
 	Size int
 }
 
-// Config tunes a gossip member. Zero values select: fanout 3, anti-entropy
-// every 30 s.
+// Config tunes a gossip member.
 type Config struct {
-	// Fanout is how many random peers each new item is pushed to.
+	// Fanout is how many random peers each new item is pushed to; it must
+	// be positive (NewMember panics otherwise).
 	Fanout int
 	// AntiEntropyInterval is the period of digest exchanges with a random
 	// peer. Zero disables anti-entropy (push-only gossip).
 	AntiEntropyInterval time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Fanout == 0 {
-		c.Fanout = 3
-	}
-	return c
 }
 
 // Wire kinds.
@@ -111,9 +104,12 @@ func metricsFor(r *obs.Registry) *gossipMetrics {
 // NewMember attaches a gossip member to a node. Anti-entropy (if enabled)
 // starts immediately and pauses automatically while the node is down.
 func NewMember(node *simnet.Node, cfg Config) *Member {
+	if cfg.Fanout <= 0 {
+		panic("gossip: Config.Fanout must be positive")
+	}
 	m := &Member{
 		node:  node,
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		index: map[cryptoutil.Hash]int32{},
 		m:     metricsFor(node.Obs()),
 	}

@@ -70,7 +70,7 @@ func TestDeliverFiresOncePerItem(t *testing.T) {
 }
 
 func TestPublisherReceivesOwnDelivery(t *testing.T) {
-	nw, members := buildGroup(t, 3, 3, Config{})
+	nw, members := buildGroup(t, 3, 3, Config{Fanout: 3})
 	got := false
 	members[0].OnDeliver(func(it Item) { got = true })
 	members[0].Publish(item("self"))
@@ -114,9 +114,8 @@ func TestPushOnlyDoesNotRepair(t *testing.T) {
 func TestAntiEntropyBidirectional(t *testing.T) {
 	// Two members each hold a unique item; one sync round should leave both
 	// with both items.
-	nw, members := buildGroup(t, 6, 2, Config{Fanout: 0, AntiEntropyInterval: 5 * time.Second})
-	// Fanout 0 defaults to 3; publish while the peer is partitioned away so
-	// pushes fail, then heal.
+	nw, members := buildGroup(t, 6, 2, Config{Fanout: 3, AntiEntropyInterval: 5 * time.Second})
+	// Publish while the peer is partitioned away so pushes fail, then heal.
 	a, b := members[0], members[1]
 	nw.Partition([]simnet.NodeID{a.Node().ID()}, []simnet.NodeID{b.Node().ID()})
 	a.Publish(item("from-a"))
@@ -167,7 +166,7 @@ func deliveries(m *Member) *[]cryptoutil.Hash {
 }
 
 func TestIDsPreserveDeliveryOrder(t *testing.T) {
-	nw, members := buildGroup(t, 8, 2, Config{})
+	nw, members := buildGroup(t, 8, 2, Config{Fanout: 3})
 	a := members[0]
 	delivered := deliveries(a)
 	i1, i2 := item("first"), item("second")
@@ -186,7 +185,7 @@ func TestIDsPreserveDeliveryOrder(t *testing.T) {
 
 func TestNoPeersPublishIsLocal(t *testing.T) {
 	nw := simnet.New(9)
-	m := NewMember(nw.AddNode(), Config{})
+	m := NewMember(nw.AddNode(), Config{Fanout: 3})
 	m.Publish(item("solo"))
 	nw.Run(time.Second)
 	if m.Len() != 1 {
@@ -231,7 +230,7 @@ func TestDigestIsThePrefixSent(t *testing.T) {
 	regrew := map[bool]bool{}
 	for _, tc := range []struct{ prefix, late int }{{16, 20}, {17, 10}, {64, 1}, {65, 30}} {
 		prefix := tc.prefix
-		nw, members := buildGroup(t, 11, 2, Config{})
+		nw, members := buildGroup(t, 11, 2, Config{Fanout: 3})
 		a, b := members[0], members[1]
 		shared, late := numbered("shared", prefix), numbered("late", tc.late)
 		hold(a, shared)
@@ -309,7 +308,7 @@ func TestSyncDeltaMatchesReference(t *testing.T) {
 	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nw, members := buildGroup(t, seed, 2, Config{})
+		nw, members := buildGroup(t, seed, 2, Config{Fanout: 3})
 		a, b := members[0], members[1]
 		holdA := draw(rng)
 		holdB := draw(rng)
@@ -353,7 +352,7 @@ func TestSyncDeltaMatchesReference(t *testing.T) {
 // after a repair: what anti-entropy delivered reads back, through Get,
 // OnDeliver and Len, as what was published.
 func TestRepairedItemsReadBack(t *testing.T) {
-	nw, members := buildGroup(t, 12, 2, Config{AntiEntropyInterval: 5 * time.Second})
+	nw, members := buildGroup(t, 12, 2, Config{Fanout: 3, AntiEntropyInterval: 5 * time.Second})
 	a, b := members[0], members[1]
 	delivered := deliveries(b)
 	nw.Partition([]simnet.NodeID{a.Node().ID()}, []simnet.NodeID{b.Node().ID()})

@@ -9,12 +9,8 @@ package pool
 import (
 	"sync"
 	"sync/atomic"
-	"testing"
 	"unsafe"
 )
-
-// counting is true only in a go test binary: Pools then count for tests.
-var counting = testing.Testing()
 
 // Mark is a pooled record's in/out state; embed it in a spare padding byte.
 type Mark struct{ out bool }
@@ -29,10 +25,13 @@ type Record[T any] interface {
 
 // Pool recycles *T records; build one with New.
 type Pool[T any, P Record[T]] struct {
-	name            string
-	off             uintptr // of the Mark in a T
-	reset           func(P)
-	p               sync.Pool
+	name  string
+	off   uintptr // of the Mark in a T
+	reset func(P)
+	p     sync.Pool
+	// counting turns on at the first Counts call: only recycle tests read
+	// the counts, so no other run pays for them.
+	counting        atomic.Bool
 	taken, returned atomic.Int64
 }
 
@@ -56,7 +55,7 @@ func (p *Pool[T, P]) Get() P {
 		x = new(T)
 	}
 	p.mark(x).out = true
-	if counting {
+	if p.counting.Load() {
 		p.taken.Add(1)
 	}
 	return x
@@ -75,15 +74,18 @@ func (p *Pool[T, P]) Put(x P) {
 		*x = zero
 	}
 	m.out = false
-	if counting {
+	if p.counting.Load() {
 		p.returned.Add(1)
 	}
 	p.p.Put(x)
 }
 
-// Counts returns the Gets and Puts so far in a test binary, else zeros.
+// Counts returns the Gets and Puts since the pool's first Counts call:
+// that call turns counting on and returns zeros, so a recycle test reads
+// the counts once before it acts and once after.
 //
 //reach:the recycle tests of simnet, dht, replic and resil read it
 func (p *Pool[T, P]) Counts() (taken, returned int64) {
+	p.counting.Store(true)
 	return p.taken.Load(), p.returned.Load()
 }

@@ -31,6 +31,7 @@ func TestPutPanicsNamingThePool(t *testing.T) {
 func TestResetAndCounts(t *testing.T) {
 	keep := New[rec]("test.keep", func(r *rec) { r.n, r.buf = 0, r.buf[:0] })
 	for _, p := range []*Pool[rec, *rec]{keep, New[rec]("test.zero", nil)} {
+		p.Counts() // the first read turns counting on
 		r := p.Get()
 		r.n, r.buf = 7, append(r.buf, 1, 2, 3)
 		p.Put(r)

@@ -67,65 +67,27 @@ func (c *Client) RepairBytes() int64 { return c.obsRepairBytes.Value() }
 // Upload stores data with replication: every chunk goes to `replicas`
 // distinct providers drawn from the given pool. done receives the manifest
 // and placement, or an error if any chunk could not reach the target
-// redundancy.
+// redundancy. chunkSize <= 0 selects DefaultChunkSize.
 func (c *Client) Upload(data []byte, chunkSize int, providers []ProviderRef, replicas int, done func(*Manifest, *Placement, error)) {
-	if replicas <= 0 || len(providers) < replicas {
-		done(nil, nil, fmt.Errorf("storage: need ≥%d providers for %d replicas, have %d", replicas, replicas, len(providers)))
-		return
-	}
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	chunks := SplitChunks(data, chunkSize)
-	m := &Manifest{
-		FileID:    cryptoutil.SumHash(data),
-		Size:      len(data),
-		ChunkSize: chunkSize,
-		Mode:      ModeReplicate,
-		Replicas:  replicas,
-	}
-	for _, ch := range chunks {
-		m.Chunks = append(m.Chunks, ch.ID)
-		m.ChunkRoots = append(m.ChunkRoots, chunkProofRoot(ch.Data))
-	}
-	c.placeChunks(chunks, providers, replicas, func(pl *Placement, err error) {
-		done(m, pl, err)
-	})
+	c.upload(data, splitFixed(data, chunkSize), &Manifest{Mode: ModeReplicate, Replicas: replicas}, providers, done)
 }
 
 // UploadCDC stores data with replication like Upload, but cuts it with
-// the given content-defined chunker instead of at fixed offsets. The
-// manifest records the variable-length chunk table (ChunkLens) alongside
-// the content addresses and per-chunk proof roots, so downloads, audits
-// and repairs work unchanged. Two uploaders splitting overlapping data
-// with the same chunker configuration produce identical chunks for the
-// shared content — that is what lets providers deduplicate them.
+// the given content-defined chunker instead of at fixed offsets. Two
+// uploaders splitting overlapping data with the same chunker configuration
+// produce identical chunks for the shared content — that is what lets
+// providers deduplicate them.
 func (c *Client) UploadCDC(data []byte, ck *chunker.Chunker, providers []ProviderRef, replicas int, done func(*Manifest, *Placement, error)) {
 	if ck == nil {
 		done(nil, nil, errors.New("storage: UploadCDC needs a chunker"))
 		return
 	}
-	if replicas <= 0 || len(providers) < replicas {
-		done(nil, nil, fmt.Errorf("storage: need ≥%d providers for %d replicas, have %d", replicas, replicas, len(providers)))
-		return
-	}
-	m := &Manifest{
-		FileID:   cryptoutil.SumHash(data),
-		Size:     len(data),
-		Mode:     ModeReplicate,
-		Replicas: replicas,
-	}
-	var chunks []Chunk
-	ck.Split(data, func(part []byte) {
-		ch := NewChunk(part)
-		chunks = append(chunks, ch)
-		m.Chunks = append(m.Chunks, ch.ID)
-		m.ChunkLens = append(m.ChunkLens, len(part))
-		m.ChunkRoots = append(m.ChunkRoots, chunkProofRoot(part))
-	})
-	c.placeChunks(chunks, providers, replicas, func(pl *Placement, err error) {
-		done(m, pl, err)
-	})
+	var parts [][]byte
+	ck.Split(data, func(part []byte) { parts = append(parts, part) })
+	c.upload(data, parts, &Manifest{Mode: ModeReplicate, Replicas: replicas}, providers, done)
 }
 
 // UploadErasure stores data as a (k, k+m) Reed–Solomon shard set, one shard
@@ -145,147 +107,138 @@ func (c *Client) UploadErasure(data []byte, k, parity int, providers []ProviderR
 		done(nil, nil, err)
 		return
 	}
-	m := &Manifest{
-		FileID:       cryptoutil.SumHash(data),
-		Size:         len(data),
-		Mode:         ModeErasure,
-		DataShards:   k,
-		ParityShards: parity,
-		Replicas:     1,
+	c.upload(data, shards, &Manifest{Mode: ModeErasure, DataShards: k, ParityShards: parity, Replicas: 1}, providers, done)
+}
+
+// upload completes m for data cut into parts — the file ID and size, then
+// each part's address, length and proof root, in order — and places every
+// chunk on m.Replicas providers.
+func (c *Client) upload(data []byte, parts [][]byte, m *Manifest, providers []ProviderRef, done func(*Manifest, *Placement, error)) {
+	if m.Replicas <= 0 || len(providers) < m.Replicas {
+		done(nil, nil, fmt.Errorf("storage: need ≥%d providers for %d replicas, have %d", m.Replicas, m.Replicas, len(providers)))
+		return
 	}
-	var chunks []Chunk
-	for _, s := range shards {
-		ch := NewChunk(s)
-		chunks = append(chunks, ch)
-		m.Chunks = append(m.Chunks, ch.ID)
-		m.ChunkRoots = append(m.ChunkRoots, chunkProofRoot(s))
+	m.FileID, m.Size = cryptoutil.SumHash(data), len(data)
+	chunks := make([]Chunk, len(parts))
+	for i, part := range parts {
+		chunks[i] = NewChunk(part)
+		m.Chunks = append(m.Chunks, chunks[i].ID)
+		m.ChunkLens = append(m.ChunkLens, len(part))
+		m.ChunkRoots = append(m.ChunkRoots, chunkProofRoot(part))
 	}
-	c.placeChunks(chunks, providers, 1, func(pl *Placement, err error) {
+	c.placeChunks(chunks, providers, m.Replicas, func(pl *Placement, err error) {
 		done(m, pl, err)
 	})
+}
+
+// join is the fan-in every multi-RPC operation completes through. It
+// starts holding one count, the issuer's: add one before issuing each
+// item, release once as each item completes, and release the issuer's
+// count after the last item is issued. done runs once, at the release that
+// brings the count to zero — after every item, even ones that complete
+// synchronously, and at once when there were none.
+type join struct {
+	n    int
+	done func()
+}
+
+func newJoin(done func()) *join { return &join{n: 1, done: done} }
+
+func (j *join) add() { j.n++ }
+
+func (j *join) release() {
+	if j.n--; j.n == 0 {
+		j.done()
+	}
 }
 
 // placeChunks distributes each chunk to `replicas` distinct providers,
 // spreading chunks across the pool round-robin from a random offset.
 func (c *Client) placeChunks(chunks []Chunk, providers []ProviderRef, replicas int, done func(*Placement, error)) {
 	pl := NewPlacement()
-	pending := 0
 	failed := 0
-	finished := false
-	rng := c.rpc.Node().Rand()
-	offset := rng.Intn(len(providers))
-	check := func() {
-		if pending == 0 && !finished {
-			finished = true
-			if failed > 0 {
-				done(pl, fmt.Errorf("storage: %d chunk placements failed", failed))
-				return
-			}
-			done(pl, nil)
+	j := newJoin(func() {
+		var err error
+		if failed > 0 {
+			err = fmt.Errorf("storage: %d chunk placements failed", failed)
 		}
-	}
+		done(pl, err)
+	})
+	offset := c.rpc.Node().Rand().Intn(len(providers))
 	// A put travels lossy links; transport-level retries are the
 	// resilience layer's job (NewClient's rcfg), which also knows that a
 	// refusal is the provider's deterministic answer and final.
-	put := func(ch Chunk, target ProviderRef) {
-		c.xfer.Call(target.Node, methodPut, putReq{Chunk: ch}, len(ch.Data)+48, c.timeout, func(resp any, err error) {
-			pending--
-			ok, _ := resp.(bool)
-			if err != nil || !ok {
-				failed++
-			} else {
-				pl.Add(ch.ID, target)
-			}
-			check()
-		})
-	}
 	for ci, ch := range chunks {
 		for r := 0; r < replicas; r++ {
 			target := providers[(offset+ci*replicas+r)%len(providers)]
-			pending++
-			put(ch, target)
+			j.add()
+			c.xfer.Call(target.Node, methodPut, putReq{Chunk: ch}, len(ch.Data)+48, c.timeout, func(resp any, err error) {
+				if ok, _ := resp.(bool); err == nil && ok {
+					pl.Add(ch.ID, target)
+				} else {
+					failed++
+				}
+				j.release()
+			})
 		}
 	}
-	if pending == 0 {
-		check()
-	}
+	j.release()
 }
 
 // Download retrieves and reassembles an object, verifying every chunk
 // against its content address and failing over across holders. In erasure
 // mode any k healthy shards suffice.
 func (c *Client) Download(m *Manifest, pl *Placement, done func(data []byte, err error)) {
-	n := len(m.Chunks)
-	results := make([][]byte, n)
-	remaining := n
-	finished := false
-	finish := func() {
-		if finished {
-			return
-		}
-		finished = true
-		switch m.Mode {
-		case ModeReplicate:
-			var out []byte
-			for i, d := range results {
-				if d == nil {
-					done(nil, fmt.Errorf("storage: chunk %d unrecoverable", i))
-					return
-				}
-				out = append(out, d...)
-			}
-			if cryptoutil.SumHash(out) != m.FileID {
-				done(nil, errors.New("storage: reassembled file hash mismatch"))
-				return
-			}
-			done(out, nil)
-		case ModeErasure:
-			code, err := erasure.New(m.DataShards, m.ParityShards)
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			have := 0
-			for _, d := range results {
-				if d != nil {
-					have++
-				}
-			}
-			if have < m.DataShards {
-				done(nil, fmt.Errorf("storage: only %d/%d shards available, need %d", have, len(results), m.DataShards))
-				return
-			}
-			if err := code.Reconstruct(results); err != nil {
-				done(nil, err)
-				return
-			}
-			out, err := code.Join(results, m.Size)
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			if cryptoutil.SumHash(out) != m.FileID {
-				done(nil, errors.New("storage: reconstructed file hash mismatch"))
-				return
-			}
-			done(out, nil)
-		}
-	}
-	for i := range m.Chunks {
-		i := i
-		c.fetchChunk(m.Chunks[i], pl.Holders[m.Chunks[i]], 0, func(data []byte, ok bool) {
+	parts := make([][]byte, len(m.Chunks))
+	j := newJoin(func() { done(assemble(m, parts)) })
+	for i, id := range m.Chunks {
+		j.add()
+		c.fetchChunk(id, pl.Holders[id], 0, func(data []byte, ok bool) {
 			if ok {
-				results[i] = data
+				parts[i] = data
 			}
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
+			j.release()
 		})
 	}
-	if n == 0 {
-		finish()
+	j.release()
+}
+
+// assemble rebuilds an object from its fetched chunks (nil where no holder
+// answered) and checks the result against the file ID.
+func assemble(m *Manifest, parts [][]byte) ([]byte, error) {
+	var out []byte
+	if m.Mode == ModeErasure {
+		code, err := erasure.New(m.DataShards, m.ParityShards)
+		if err != nil {
+			return nil, err
+		}
+		have := 0
+		for _, d := range parts {
+			if d != nil {
+				have++
+			}
+		}
+		if have < m.DataShards {
+			return nil, fmt.Errorf("storage: only %d/%d shards available, need %d", have, len(parts), m.DataShards)
+		}
+		if err := code.Reconstruct(parts); err != nil {
+			return nil, err
+		}
+		if out, err = code.Join(parts, m.Size); err != nil {
+			return nil, err
+		}
+	} else {
+		for i, d := range parts {
+			if d == nil {
+				return nil, fmt.Errorf("storage: chunk %d unrecoverable", i)
+			}
+			out = append(out, d...)
+		}
 	}
+	if cryptoutil.SumHash(out) != m.FileID {
+		return nil, errors.New("storage: reassembled file hash mismatch")
+	}
+	return out, nil
 }
 
 // fetchChunk tries holders in order until one returns data matching the
@@ -339,28 +292,17 @@ func (r *AuditReport) Failed() int { return len(r.Results) - r.Passed() }
 // outsourcing attacks by timing).
 func (c *Client) Audit(m *Manifest, pl *Placement, deadline time.Duration, done func(*AuditReport)) {
 	report := &AuditReport{}
-	pending := 0
-	finished := false
-	check := func() {
-		if pending == 0 && !finished {
-			finished = true
-			done(report)
-		}
-	}
+	j := newJoin(func() { done(report) })
 	rng := c.rpc.Node().Rand()
 	for ci, id := range m.Chunks {
 		root := m.ChunkRoots[ci]
-		// Chunk sizes vary; challenge a random leaf within the smallest
-		// plausible bound. Providers reject out-of-range leaves, so derive
-		// the leaf bound from manifest size per chunk.
-		leafCount := numProofLeaves(chunkDataLen(m, ci))
+		// Providers reject out-of-range leaves, so the leaf is drawn from
+		// the chunk's own length in the manifest's chunk table.
+		leafCount := numProofLeaves(m.ChunkLens[ci])
 		for _, holder := range pl.Holders[id] {
-			pending++
-			ci, holder := ci, holder
-			leaf := rng.Intn(leafCount)
-			req := challengeReq{ChunkID: id, Leaf: leaf}
+			req := challengeReq{ChunkID: id, Leaf: rng.Intn(leafCount)}
+			j.add()
 			c.rpc.Call(holder.Node, methodChallenge, req, 48, deadline, func(resp any, err error) {
-				pending--
 				res := AuditResult{ChunkIndex: ci, Holder: holder}
 				if err != nil {
 					res.Err = err.Error()
@@ -372,77 +314,37 @@ func (c *Client) Audit(m *Manifest, pl *Placement, deadline time.Duration, done 
 					res.OK = true
 				}
 				report.Results = append(report.Results, res)
-				check()
+				j.release()
 			})
 		}
 	}
-	if pending == 0 {
-		check()
-	}
+	j.release()
 }
 
-// chunkDataLen returns the byte length of chunk ci per the manifest.
-func chunkDataLen(m *Manifest, ci int) int {
-	if ci < len(m.ChunkLens) {
-		return m.ChunkLens[ci] // content-defined: explicit chunk table
-	}
-	switch m.Mode {
-	case ModeErasure:
-		if m.DataShards == 0 {
-			return 0
-		}
-		shardLen := (m.Size + m.DataShards - 1) / m.DataShards
-		if shardLen == 0 {
-			shardLen = 1
-		}
-		return shardLen
-	default:
-		n := len(m.Chunks)
-		if n == 0 || m.ChunkSize <= 0 {
-			return 0
-		}
-		if ci == n-1 {
-			last := m.Size - m.ChunkSize*(n-1)
-			if last >= 0 {
-				return last
+// callHolders sends method(id) to every holder under j, counting the
+// acknowledgements into *acked.
+func (c *Client) callHolders(j *join, method string, id cryptoutil.Hash, holders []ProviderRef, acked *int) {
+	for _, h := range holders {
+		j.add()
+		c.xfer.Call(h.Node, method, id, 40, c.timeout, func(resp any, err error) {
+			if ok, _ := resp.(bool); err == nil && ok {
+				*acked++
 			}
-		}
-		return m.ChunkSize
+			j.release()
+		})
 	}
 }
 
-// forEachChunkHolder runs op once per (chunk, holder) pair of the
-// manifest's current placement, then calls done with how many ops were
-// acknowledged. The chunk/holder RPC fan-out shared by the object
-// lifecycle helpers below.
+// forEachChunkHolder sends method to every (chunk, holder) pair of the
+// manifest's current placement, then calls done with how many were
+// acknowledged.
 func (c *Client) forEachChunkHolder(m *Manifest, pl *Placement, method string, done func(acked int)) {
-	pending := 0
 	acked := 0
-	finished := false
-	check := func() {
-		if pending == 0 && !finished {
-			finished = true
-			if done != nil {
-				done(acked)
-			}
-		}
-	}
+	j := newJoin(func() { done(acked) })
 	for _, id := range m.Chunks {
-		for _, h := range pl.Holders[id] {
-			pending++
-			id, h := id, h
-			c.xfer.Call(h.Node, method, id, 40, c.timeout, func(resp any, err error) {
-				pending--
-				if ok, _ := resp.(bool); err == nil && ok {
-					acked++
-				}
-				check()
-			})
-		}
+		c.callHolders(j, method, id, pl.Holders[id], &acked)
 	}
-	if pending == 0 {
-		check()
-	}
+	j.release()
 }
 
 // PinObject pins every chunk of the object at every holder — the wiring
@@ -461,21 +363,14 @@ func (c *Client) ReleaseObject(m *Manifest, pl *Placement, done func(acked int))
 }
 
 // pinHolders pins chunk id at each holder and calls done once every pin
-// RPC resolves. A no-op (immediate done) unless repair pinning is on.
+// RPC resolves; with repair pinning off it sends nothing and calls done at
+// once.
 func (c *Client) pinHolders(id cryptoutil.Hash, holders []ProviderRef, done func()) {
-	if !c.pinRepairs || len(holders) == 0 {
-		done()
-		return
+	j := newJoin(done)
+	if c.pinRepairs {
+		c.callHolders(j, methodPin, id, holders, new(int))
 	}
-	pending := len(holders)
-	for _, h := range holders {
-		c.xfer.Call(h.Node, methodPin, id, 40, c.timeout, func(any, error) {
-			pending--
-			if pending == 0 {
-				done()
-			}
-		})
-	}
+	j.release()
 }
 
 // unpinHolders releases repair pins, fire-and-forget.
@@ -491,7 +386,9 @@ func (c *Client) unpinHolders(id cryptoutil.Hash, holders []ProviderRef) {
 // Repair restores target redundancy after provider failures. In replicate
 // mode it copies surviving replicas onto fresh providers from the pool; in
 // erasure mode it reconstructs lost shards from any k survivors and
-// re-places them. done receives how many chunk copies were restored.
+// re-places them. Either way the restore sources are pinned at their
+// holders first (see EnableRepairPinning). done receives how many chunk
+// copies were restored.
 func (c *Client) Repair(m *Manifest, pl *Placement, pool []ProviderRef, done func(restored int, err error)) {
 	node := c.rpc.Node()
 	span := node.Obs().StartSpan("storage.repair.duration_s", node.Now())
@@ -500,67 +397,47 @@ func (c *Client) Repair(m *Manifest, pl *Placement, pool []ProviderRef, done fun
 		span.End(node.Now())
 		inner(restored, err)
 	}
-	switch m.Mode {
-	case ModeReplicate:
-		c.repairReplicate(m, pl, pool, done)
-	case ModeErasure:
+	if m.Mode == ModeErasure {
 		c.repairErasure(m, pl, pool, done)
-	default:
-		done(0, errors.New("storage: unknown placement mode"))
+	} else {
+		c.repairReplicate(m, pl, pool, done)
 	}
 }
 
 func (c *Client) repairReplicate(m *Manifest, pl *Placement, pool []ProviderRef, done func(int, error)) {
-	type job struct {
-		id      cryptoutil.Hash
-		missing int
-	}
-	var jobs []job
-	for _, id := range m.Chunks {
-		if n := pl.Count(id); n < m.Replicas {
-			jobs = append(jobs, job{id: id, missing: m.Replicas - n})
-		}
-	}
-	if len(jobs) == 0 {
-		done(0, nil)
-		return
-	}
 	restored := 0
-	pending := len(jobs)
 	var anyErr error
-	for _, j := range jobs {
-		j := j
+	j := newJoin(func() { done(restored, anyErr) })
+	for _, id := range m.Chunks {
+		missing := m.Replicas - pl.Count(id)
+		if missing <= 0 {
+			continue
+		}
+		j.add()
 		// Pin the restore sources first (when enabled): between here and
 		// the fetch, a GC on the holder must not evict what may be the
 		// last surviving copy.
-		src := append([]ProviderRef(nil), pl.Holders[j.id]...)
-		c.pinHolders(j.id, src, func() {
-			c.fetchChunk(j.id, pl.Holders[j.id], 0, func(data []byte, ok bool) {
+		src := append([]ProviderRef(nil), pl.Holders[id]...)
+		c.pinHolders(id, src, func() {
+			c.fetchChunk(id, pl.Holders[id], 0, func(data []byte, ok bool) {
 				if !ok {
-					c.unpinHolders(j.id, src)
-					anyErr = fmt.Errorf("storage: chunk %s has no surviving replica", j.id.Short())
-					pending--
-					if pending == 0 {
-						done(restored, anyErr)
-					}
+					c.unpinHolders(id, src)
+					anyErr = fmt.Errorf("storage: chunk %s has no surviving replica", id.Short())
+					j.release()
 					return
 				}
-				c.placeOnFresh(NewChunk(data), pl, pool, nil, j.missing, func(placed int) {
-					c.unpinHolders(j.id, src)
+				c.placeOnFresh(NewChunk(data), pl, pool, nil, missing, func(placed int) {
+					c.unpinHolders(id, src)
 					restored += placed
-					c.obsRepairChunks.Add(int64(placed))
-					c.obsRepairBytes.Add(int64(placed * len(data)))
-					if placed < j.missing && anyErr == nil {
-						anyErr = fmt.Errorf("storage: chunk %s restored %d/%d copies", j.id.Short(), placed, j.missing)
+					if placed < missing && anyErr == nil {
+						anyErr = fmt.Errorf("storage: chunk %s restored %d/%d copies", id.Short(), placed, missing)
 					}
-					pending--
-					if pending == 0 {
-						done(restored, anyErr)
-					}
+					j.release()
 				})
 			})
 		})
 	}
+	j.release()
 }
 
 func (c *Client) repairErasure(m *Manifest, pl *Placement, pool []ProviderRef, done func(int, error)) {
@@ -575,10 +452,10 @@ func (c *Client) repairErasure(m *Manifest, pl *Placement, pool []ProviderRef, d
 		done(0, nil)
 		return
 	}
-	// Fetch all available shards, reconstruct, re-place the missing ones.
-	// Surviving shard holders are pinned for the whole reconstruct (when
-	// enabled): losing one more shard mid-repair could drop the set below
-	// k and turn a repairable object into a dead one.
+	// Pin every surviving shard holder (when enabled), fetch all available
+	// shards, reconstruct, re-place the missing ones. The pins hold for
+	// the whole reconstruct: losing one more shard mid-repair could drop
+	// the set below k and turn a repairable object into a dead one.
 	type pinned struct {
 		id      cryptoutil.Hash
 		holders []ProviderRef
@@ -589,102 +466,84 @@ func (c *Client) repairErasure(m *Manifest, pl *Placement, pool []ProviderRef, d
 			pins = append(pins, pinned{id: id, holders: append([]ProviderRef(nil), hs...)})
 		}
 	}
-	unpinAll := func() {
+	inner := done
+	done = func(restored int, err error) {
 		for _, p := range pins {
 			c.unpinHolders(p.id, p.holders)
 		}
-	}
-	inner := done
-	done = func(restored int, err error) {
-		unpinAll()
 		inner(restored, err)
 	}
-	pinsLeft := len(pins)
-	n := len(m.Chunks)
-	shards := make([][]byte, n)
-	fetchAll := func() {
-		remaining := n
-		for i := range m.Chunks {
-			i := i
-			c.fetchChunk(m.Chunks[i], pl.Holders[m.Chunks[i]], 0, func(data []byte, ok bool) {
+	shards := make([][]byte, len(m.Chunks))
+	fetched := newJoin(func() { c.replaceShards(m, pl, pool, shards, lost, done) })
+	allPinned := newJoin(func() {
+		for i, id := range m.Chunks {
+			fetched.add()
+			c.fetchChunk(id, pl.Holders[id], 0, func(data []byte, ok bool) {
 				if ok {
 					shards[i] = data
 				}
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				code, err := erasure.New(m.DataShards, m.ParityShards)
-				if err != nil {
-					done(0, err)
-					return
-				}
-				if err := code.Reconstruct(shards); err != nil {
-					done(0, err)
-					return
-				}
-				restored := 0
-				pending := 0
-				finished := false
-				check := func() {
-					if pending == 0 && !finished {
-						finished = true
-						var err error
-						if restored < lost {
-							err = fmt.Errorf("storage: restored %d/%d lost shards", restored, lost)
-						}
-						done(restored, err)
-					}
-				}
-				// Shards of one object must sit on distinct providers:
-				// co-locating them would let one death erase several shards.
-				occupied := map[simnet.NodeID]bool{}
-				for _, id := range m.Chunks {
-					for _, h := range pl.Holders[id] {
-						occupied[h.Node] = true
-					}
-				}
-				for si, id := range m.Chunks {
-					if pl.Count(id) > 0 {
-						continue
-					}
-					pending++
-					ch := NewChunk(shards[si])
-					c.placeOnFresh(ch, pl, pool, occupied, 1, func(placed int) {
-						restored += placed
-						c.obsRepairChunks.Add(int64(placed))
-						c.obsRepairBytes.Add(int64(placed * len(ch.Data)))
-						for _, h := range pl.Holders[ch.ID] {
-							occupied[h.Node] = true
-						}
-						pending--
-						check()
-					})
-				}
-				check()
+				fetched.release()
 			})
 		}
+		fetched.release()
+	})
+	for _, p := range pins {
+		allPinned.add()
+		c.pinHolders(p.id, p.holders, allPinned.release)
 	}
-	// Kick off: pin every surviving shard holder, then fetch.
-	if !c.pinRepairs || len(pins) == 0 {
-		fetchAll()
+	allPinned.release()
+}
+
+// replaceShards reconstructs an erasure-coded object's lost shards from
+// the fetched ones (nil where lost) and places each on a provider that
+// holds no other shard of the object.
+func (c *Client) replaceShards(m *Manifest, pl *Placement, pool []ProviderRef, shards [][]byte, lost int, done func(int, error)) {
+	code, err := erasure.New(m.DataShards, m.ParityShards)
+	if err != nil {
+		done(0, err)
 		return
 	}
-	for _, p := range pins {
-		p := p
-		c.pinHolders(p.id, p.holders, func() {
-			pinsLeft--
-			if pinsLeft == 0 {
-				fetchAll()
+	if err := code.Reconstruct(shards); err != nil {
+		done(0, err)
+		return
+	}
+	restored := 0
+	j := newJoin(func() {
+		var err error
+		if restored < lost {
+			err = fmt.Errorf("storage: restored %d/%d lost shards", restored, lost)
+		}
+		done(restored, err)
+	})
+	// Shards of one object must sit on distinct providers: co-locating
+	// them would let one death erase several shards.
+	occupied := map[simnet.NodeID]bool{}
+	for _, id := range m.Chunks {
+		for _, h := range pl.Holders[id] {
+			occupied[h.Node] = true
+		}
+	}
+	for si, id := range m.Chunks {
+		if pl.Count(id) > 0 {
+			continue
+		}
+		ch := NewChunk(shards[si])
+		j.add()
+		c.placeOnFresh(ch, pl, pool, occupied, 1, func(placed int) {
+			restored += placed
+			for _, h := range pl.Holders[ch.ID] {
+				occupied[h.Node] = true
 			}
+			j.release()
 		})
 	}
+	j.release()
 }
 
 // placeOnFresh puts a chunk on up to want providers that do not already
 // hold it (nor appear in exclude), trying pool members in a random order so
 // repeated repairs spread load instead of piling every restored chunk onto
-// the first live pool member.
+// the first live pool member. Every copy placed counts as repair volume.
 func (c *Client) placeOnFresh(ch Chunk, pl *Placement, pool []ProviderRef, exclude map[simnet.NodeID]bool, want int, done func(placed int)) {
 	holders := map[simnet.NodeID]bool{}
 	for _, h := range pl.Holders[ch.ID] {
@@ -702,6 +561,8 @@ func (c *Client) placeOnFresh(ch Chunk, pl *Placement, pool []ProviderRef, exclu
 	var try func(i int)
 	try = func(i int) {
 		if placed >= want || i >= len(candidates) {
+			c.obsRepairChunks.Add(int64(placed))
+			c.obsRepairBytes.Add(int64(placed * len(ch.Data)))
 			done(placed)
 			return
 		}

@@ -179,8 +179,6 @@ func storageTieredCDCRun(t testing.TB, seed int64, sc fault.Scenario) (float64, 
 		providers[i] = NewProvider(nw.AddNode(), ProviderConfig{
 			Capacity:    1 << 20,
 			MemCapacity: 4 << 10,
-			GC:          true,
-			Metrics:     true,
 		})
 
 		refs[i] = providers[i].Ref()
@@ -265,7 +263,7 @@ func TestGCNeverEvictsRepairSource(t *testing.T) {
 	client := NewClient(nw.AddNode(), 30*time.Second, resil.Config{})
 	client.EnableRepairPinning()
 	mk := func() *Provider {
-		return NewProvider(nw.AddNode(), ProviderConfig{Capacity: 16 << 10, GC: true})
+		return NewProvider(nw.AddNode(), ProviderConfig{Capacity: 16 << 10, MemCapacity: 4 << 10})
 	}
 	src, dead, fresh := mk(), mk(), mk()
 

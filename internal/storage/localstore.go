@@ -50,13 +50,12 @@ type LocalStore struct {
 type LocalStoreConfig struct {
 	// Capacity bounds the disk tier in bytes.
 	Capacity int64
-	// MemCapacity bounds the memory tier in bytes; 0 disables it (every
-	// read is a disk-tier read, as in the flat store this replaces).
+	// MemCapacity bounds the memory tier in bytes. A memory tier makes
+	// the store tiered, and a tiered store garbage-collects its disk tier
+	// under capacity pressure. 0 is the flat store this replaces: every
+	// read is a disk-tier read, and a Put that would exceed Capacity is
+	// refused outright — the historical provider behaviour.
 	MemCapacity int64
-	// GC enables capacity-triggered disk-tier garbage collection. When
-	// false, a Put that would exceed Capacity is refused outright — the
-	// historical provider behaviour.
-	GC bool
 }
 
 // gcLowWater is the occupancy fraction GC reclaims down to once
@@ -118,7 +117,7 @@ func (ls *LocalStore) Put(id cryptoutil.Hash, data []byte) bool {
 		return true
 	}
 	if ls.physUsed+n > ls.cfg.Capacity {
-		if !ls.cfg.GC || !ls.gc(n) {
+		if ls.cfg.MemCapacity <= 0 || !ls.gc(n) {
 			return false
 		}
 	}

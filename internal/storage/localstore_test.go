@@ -145,7 +145,7 @@ func TestLocalStorePeek(t *testing.T) {
 func TestLocalStoreGCReleasedFirst(t *testing.T) {
 	// Disk holds 10 × 100B. GC must evict released chunks before
 	// still-referenced ones, LRU order within each pass.
-	ls := NewLocalStore(LocalStoreConfig{Capacity: 1000, GC: true})
+	ls := NewLocalStore(LocalStoreConfig{Capacity: 1000, MemCapacity: 100})
 	ids := make([]cryptoutil.Hash, 10)
 	for i := range ids {
 		id, data := lsChunk(i, 100)
@@ -181,7 +181,7 @@ func TestLocalStoreGCReleasedFirst(t *testing.T) {
 func TestLocalStoreGCSecondPass(t *testing.T) {
 	// No released chunks: GC's second pass must evict referenced (but
 	// unpinned) chunks, coldest first, and spare pinned ones.
-	ls := NewLocalStore(LocalStoreConfig{Capacity: 400, GC: true})
+	ls := NewLocalStore(LocalStoreConfig{Capacity: 400, MemCapacity: 100})
 	ids := make([]cryptoutil.Hash, 4)
 	for i := range ids {
 		id, data := lsChunk(i, 100)
@@ -213,7 +213,7 @@ func TestLocalStoreGCSecondPass(t *testing.T) {
 
 func TestLocalStoreGCOversizedPut(t *testing.T) {
 	// A chunk that can never fit must be refused without wiping the store.
-	ls := NewLocalStore(LocalStoreConfig{Capacity: 100, GC: true})
+	ls := NewLocalStore(LocalStoreConfig{Capacity: 100, MemCapacity: 100})
 	id, data := lsChunk(0, 60)
 	ls.Put(id, data)
 	big, bigData := lsChunk(1, 200)
@@ -239,7 +239,7 @@ func TestLocalStoreReleaseUnderflow(t *testing.T) {
 
 func TestLocalStoreMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	ls := NewLocalStore(LocalStoreConfig{Capacity: 300, MemCapacity: 100, GC: true})
+	ls := NewLocalStore(LocalStoreConfig{Capacity: 300, MemCapacity: 100})
 	ls.AttachMetrics(reg)
 	ids := make([]cryptoutil.Hash, 3)
 	for i := range ids {
@@ -271,7 +271,7 @@ func TestLocalStoreLRUOrderAcrossOps(t *testing.T) {
 	// Sanity sweep: interleaved puts/gets/peeks keep both LRU lists
 	// consistent with the entry map (every eviction still finds its
 	// elements). Exercised by evicting everything via GC pressure.
-	ls := NewLocalStore(LocalStoreConfig{Capacity: 500, MemCapacity: 200, GC: true})
+	ls := NewLocalStore(LocalStoreConfig{Capacity: 500, MemCapacity: 200})
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 5; i++ {
 			id, data := lsChunk(round*5+i, 100)
@@ -323,7 +323,11 @@ func TestLocalStoreManyUniqueFill(t *testing.T) {
 	// Fill to exactly capacity with unique chunks, then verify the next
 	// put is refused without GC and accepted with it.
 	for _, gc := range []bool{false, true} {
-		ls := NewLocalStore(LocalStoreConfig{Capacity: 1000, GC: gc})
+		var mem int64
+		if gc {
+			mem = 100
+		}
+		ls := NewLocalStore(LocalStoreConfig{Capacity: 1000, MemCapacity: mem})
 		for i := 0; i < 10; i++ {
 			id, data := lsChunk(i, 100)
 			if !ls.Put(id, data) {
@@ -354,7 +358,7 @@ func TestLocalStoreStress(t *testing.T) {
 	// Deterministic mixed workload against a small store; invariants
 	// checked throughout: capacity respected, dedup ratio >= 1, tier
 	// accounting non-negative.
-	ls := NewLocalStore(LocalStoreConfig{Capacity: 2000, MemCapacity: 500, GC: true})
+	ls := NewLocalStore(LocalStoreConfig{Capacity: 2000, MemCapacity: 500})
 	for i := 0; i < 500; i++ {
 		id, data := lsChunk(i%40, 50+(i%3)*25)
 		ls.Put(id, data)

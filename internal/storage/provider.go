@@ -91,8 +91,8 @@ type repChallengeReq struct {
 
 // Provider is one storage node. Capacity is in bytes; Price is the posted
 // price per byte-epoch used by the contract market. Chunk bytes live in a
-// tiered LocalStore: content-address dedup, a bounded memory tier over
-// the simulated disk, and (when enabled) capacity-triggered GC.
+// LocalStore: content-address dedup over the simulated disk and, when
+// the config gives it a memory tier, capacity-triggered GC.
 type Provider struct {
 	rpc      *simnet.RPCNode
 	capacity int64
@@ -107,40 +107,33 @@ type Provider struct {
 	sealedUsed int64
 }
 
-// ProviderConfig selects a provider's storage tiering and accounting.
+// ProviderConfig selects a provider's storage tiering and honesty.
 type ProviderConfig struct {
 	// Capacity bounds the disk tier in bytes.
 	Capacity int64
-	// MemCapacity bounds the memory cache tier; 0 disables it.
+	// MemCapacity bounds the memory cache tier; 0 disables it. A memory
+	// tier makes the provider tiered: capacity-triggered disk GC and the
+	// storage.tier.*, storage.dedup.ratio and storage.gc.reclaimed_bytes
+	// metrics in the node's obs registry come with it (LocalStoreConfig).
 	MemCapacity int64
-	// GC enables capacity-triggered disk GC (see LocalStoreConfig.GC).
-	GC bool
 	// Cheat selects the provider's honesty model.
 	Cheat CheatMode
-	// Metrics wires storage.tier.*, storage.dedup.ratio and
-	// storage.gc.reclaimed_bytes into the node's obs registry. Off by
-	// default so historical worlds keep their exact metric sets.
-	Metrics bool
 }
 
-// NewProvider starts a provider on node. A config carrying only Capacity
-// (and Cheat) is the historical provider: no memory tier, no GC, no tier
-// metrics — byte-identical behaviour to the flat store, plus
-// content-address dedup (identical behaviour on the wire: a duplicate put
-// is acknowledged either way, it just no longer doubles the bytes).
+// NewProvider starts a provider on node. A config without MemCapacity is
+// the historical provider: no memory tier, no GC, no tier metrics —
+// byte-identical behaviour to the flat store, plus content-address dedup
+// (identical behaviour on the wire: a duplicate put is acknowledged either
+// way, it just no longer doubles the bytes).
 func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 	p := &Provider{
 		rpc:      simnet.NewRPCNode(node),
 		capacity: cfg.Capacity,
 		cheat:    cfg.Cheat,
-		store: NewLocalStore(LocalStoreConfig{
-			Capacity:    cfg.Capacity,
-			MemCapacity: cfg.MemCapacity,
-			GC:          cfg.GC,
-		}),
-		sealed: map[cryptoutil.Hash]map[int][]byte{},
+		store:    NewLocalStore(LocalStoreConfig{Capacity: cfg.Capacity, MemCapacity: cfg.MemCapacity}),
+		sealed:   map[cryptoutil.Hash]map[int][]byte{},
 	}
-	if cfg.Metrics {
+	if cfg.MemCapacity > 0 {
 		p.store.AttachMetrics(node.Obs())
 	}
 	cheat := cfg.Cheat
@@ -154,25 +147,11 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 	p.rpc.Serve(methodRetChallenge, p.onRetChallenge)
 	p.rpc.Serve(methodRepChallenge, p.onRepChallenge)
 	if cheat == OutsourceFetch {
-		// The outsourcing attacker answers data requests and proofs by
-		// first fetching the chunk from an accomplice — correct answers,
-		// but one network round-trip late. Verifiers with a tight deadline
-		// catch the added latency (§3.3 "Outsourcing Attacks"). Registered
-		// last, these replace the honest handlers above.
-		p.rpc.ServeDeferred(methodGet, func(from simnet.NodeID, req any, tok simnet.ReplyToken) {
-			id, ok := req.(cryptoutil.Hash)
-			if !ok {
-				tok.Reply(getResp{}, 8)
-				return
-			}
-			p.fetchFromAccomplice(id, func(data []byte, ok bool) {
-				if !ok {
-					tok.Reply(getResp{}, 8)
-					return
-				}
-				tok.Reply(getResp{Data: data, OK: true}, 16+len(data))
-			})
-		})
+		// The outsourcing attacker answers proofs by first fetching the
+		// chunk from an accomplice — correct answers, but one network
+		// round-trip late. Verifiers with a tight deadline catch the added
+		// latency (§3.3 "Outsourcing Attacks"). Registered last, these
+		// replace the honest handlers above.
 		p.rpc.ServeDeferred(methodChallenge, func(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 			r, ok := req.(challengeReq)
 			if !ok {

@@ -17,8 +17,8 @@ import (
 	"repro/internal/cryptoutil"
 )
 
-// DefaultChunkSize is the chunk granularity used when a caller does not
-// specify one. Tests and simulations usually use smaller chunks.
+// DefaultChunkSize is Upload's chunk size when the caller passes none.
+// Tests and simulations usually use smaller chunks.
 const DefaultChunkSize = 64 << 10
 
 // proofLeafSize is the Merkle leaf granularity inside a chunk for
@@ -39,25 +39,15 @@ func NewChunk(data []byte) Chunk {
 // Verify reports whether the data still matches the content address.
 func (c Chunk) Verify() bool { return cryptoutil.SumHash(c.Data) == c.ID }
 
-// SplitChunks cuts data into content-addressed chunks of at most chunkSize
-// bytes (the final chunk may be shorter). chunkSize <= 0 selects
-// DefaultChunkSize.
-func SplitChunks(data []byte, chunkSize int) []Chunk {
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
+// splitFixed cuts data into parts of size bytes; the last part holds the
+// remainder, so it may be shorter, and empty data is one empty part.
+func splitFixed(data []byte, size int) [][]byte {
+	var parts [][]byte
+	for len(data) > size {
+		parts = append(parts, data[:size])
+		data = data[size:]
 	}
-	var chunks []Chunk
-	for start := 0; start < len(data); start += chunkSize {
-		end := start + chunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		chunks = append(chunks, NewChunk(data[start:end]))
-	}
-	if len(chunks) == 0 {
-		chunks = append(chunks, NewChunk(nil))
-	}
-	return chunks
+	return append(parts, data)
 }
 
 // PlacementMode selects the redundancy mechanism.
@@ -92,17 +82,15 @@ type Manifest struct {
 	FileID cryptoutil.Hash
 	// Size is the original length in bytes.
 	Size int
-	// ChunkSize is the split granularity used at upload (replicate mode,
-	// fixed-size chunking). Zero for content-defined chunking.
-	ChunkSize int
-	Mode      PlacementMode
+	Mode PlacementMode
 	// Chunks lists the content addresses in order. In erasure mode these
 	// are the shard addresses (data shards first, systematic order).
 	Chunks []cryptoutil.Hash
-	// ChunkLens is the variable-length chunk table of a content-defined
-	// upload: the byte length of each chunk, parallel to Chunks. Empty
-	// for fixed-size and erasure manifests, whose chunk lengths are
-	// derivable from ChunkSize/Size.
+	// ChunkLens is the chunk table: the byte length of each chunk,
+	// parallel to Chunks. Fixed-size chunks are the upload's chunk size
+	// but for a shorter last one, content-defined chunks are whatever the
+	// chunker cut, and every erasure shard is ceil(Size/k) bytes, at
+	// least 1; an empty object is one chunk of length 0.
 	ChunkLens []int
 	// ChunkRoots holds the per-chunk proof-of-storage Merkle root.
 	ChunkRoots []cryptoutil.Hash

@@ -94,7 +94,6 @@ func scaleChain(t *testing.T, seed int64, n int, horizon time.Duration) {
 	spacing := 10 * time.Second
 	cfg := chain.Config{
 		InitialDifficulty: 1 << 9,
-		Subsidy:           50,
 	}
 	miners := make([]*chain.Miner, n)
 	ids := make([]simnet.NodeID, n)

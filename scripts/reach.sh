@@ -25,7 +25,9 @@
 # enclosing function and the statement's source. A block is a guard when
 # it holds at most 2 statements and its last statement is a return, a
 # panic, a continue or a break (`if err != nil { return err }`); every
-# other block is a branch. The script exits 1 on:
+# other block is a branch. After the listing come the unreached branch
+# statements per file, largest first — the order to work through them in —
+# and the guard and branch totals. The script exits 1 on:
 #
 #   - a whole file at 0 % that is not on the allowlist below;
 #   - a function at 0 % outside the allowlisted files whose `func` line
@@ -55,7 +57,7 @@ allow='identity/pki.go the zooko ca-pki row cites it, pending a computed CA-comp
 core/core.go the §2 taxonomy Profiles(), which no command prints yet'
 
 # Unreached branch statements outside the allowlisted files, at most.
-ceiling=130
+ceiling=111
 
 # Unreached branches a run outside the merge gate takes, printed beside
 # their listing line; they still count under the ceiling. One line each:
@@ -204,8 +206,14 @@ LC_ALL=C awk -v ceiling="$ceiling" '
 		}
 		printf "internal/%s:%d\t%s\t%d\t%s: %s%s\n", f, k ? at[1] : sl, kind, n, fn, k ? txt[1] : "", why
 		stmts[kind] += n; blocks[kind]++
+		if (kind == "branch" && n > 0) byfile[f] += n
 	}
 	END {
+		print "reach: unreached branch statements by file, largest first"
+		fflush()
+		bysize = "sort -k1,1nr -k2,2"
+		for (f in byfile) printf "%d\tinternal/%s\n", byfile[f], f | bysize
+		close(bysize)
 		printf "reach: %d guard statements in %d blocks, %d branch statements in %d blocks\n", stmts["guard"], blocks["guard"], stmts["branch"], blocks["branch"]
 		fflush()
 		for (k in note) if (!(k in noted)) {
