@@ -116,10 +116,11 @@ bench:
 # and replic enabled, its boxed object key (TestAllocReplicGet), a DHT Get,
 # its lookup state (TestAllocDHTLookup), and a whole proof-of-work grind,
 # its saved midstate (TestAllocChainHotPaths). At 2: a DHT Put, its lookup
-# state and its putOp (TestAllocDHTPut). Inside pinned budgets: gossip
-# rounds. The gates that lean on sync.Pool
-# build only without -race. They hold under -cover too, which is how ci
-# runs them (in cover).
+# state and its putOp (TestAllocDHTPut). Inside pinned budgets: a gossip
+# publish round, an in-sync anti-entropy round (≈ 0, the latency
+# histogram's rare growth) and a gossip member's bytes at 16 items. The
+# gates that lean on sync.Pool build only without -race. They hold under
+# -cover too, which is how ci runs them (in cover).
 allocs:
 	$(GO) test -run 'TestAlloc' -count=1 . ./internal/cryptoutil ./internal/dht ./internal/resil ./internal/replic
 

@@ -50,7 +50,7 @@ func BenchmarkSyncDiff(b *testing.B) {
 			hold(members[1], items[miss:])
 			msg := simnet.Message{
 				From: members[0].node.ID(), To: members[1].node.ID(), Kind: msgSync,
-				Payload: syncDigest{held: members[0].log},
+				Payload: &syncDigest{held: members[0].log},
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -9,6 +9,7 @@
 package gossip
 
 import (
+	"encoding/binary"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -40,12 +41,13 @@ type Config struct {
 // Wire kinds.
 const (
 	msgPush  = "gossip.push"  // payload *Item
-	msgSync  = "gossip.sync"  // payload syncDigest
+	msgSync  = "gossip.sync"  // payload *syncDigest
 	msgDelta = "gossip.delta" // payload syncDelta
 )
 
 // syncDigest is everything the sender held when it sent the digest: a
-// capacity-clipped prefix of its log, not a copy (see sendDigest).
+// capacity-clipped prefix of its log, not a copy (see sendDigest). It is
+// never written after it is built.
 type syncDigest struct {
 	held []*Item
 }
@@ -67,11 +69,16 @@ type Member struct {
 	sample []int32
 	// log is every held item in delivery order. It is append-only: a
 	// position, once written, never changes, which is what lets a digest
-	// be a view of it. index maps an item's ID to its log position; with no
-	// pointer in key or value the GC never scans it, and at 100k members
-	// that is most of what it would otherwise mark.
-	log   []*Item
-	index map[cryptoutil.Hash]int32
+	// be a view of it.
+	log []*Item
+	// slots finds an item's log position by ID: an open-addressing table
+	// whose slots hold a position + 1 (0 is empty), probed linearly and
+	// kept at a load of at most ¼ (see lookup). It holds no pointer, so the
+	// GC never scans it, and at 100k members that is most of what it would
+	// otherwise mark.
+	slots []int32
+	// digest is the last digest sent, reused while the log has not grown.
+	digest *syncDigest
 	// onDeliver observers fire once per item on first receipt.
 	onDeliver []func(Item)
 
@@ -110,7 +117,7 @@ func NewMember(node *simnet.Node, cfg Config) *Member {
 	m := &Member{
 		node:  node,
 		cfg:   cfg,
-		index: map[cryptoutil.Hash]int32{},
+		slots: make([]int32, minSlots),
 		m:     metricsFor(node.Obs()),
 	}
 	node.Handle(msgPush, m.onPush)
@@ -142,7 +149,7 @@ func (m *Member) SetPeers(peers []simnet.NodeID) {
 func (m *Member) OnDeliver(f func(Item)) { m.onDeliver = append(m.onDeliver, f) }
 
 // Has reports whether the member holds the item.
-func (m *Member) Has(id cryptoutil.Hash) bool { _, ok := m.index[id]; return ok }
+func (m *Member) Has(id cryptoutil.Hash) bool { _, p := m.lookup(&id); return p != 0 }
 
 // Len returns how many items the member holds.
 //
@@ -160,16 +167,60 @@ func (m *Member) Publish(it Item) {
 // accept stores a new item and fires delivery observers; returns false for
 // duplicates.
 func (m *Member) accept(it *Item) bool {
-	if _, ok := m.index[it.ID]; ok {
+	slot, p := m.lookup(&it.ID)
+	if p != 0 {
 		return false
 	}
-	m.index[it.ID] = int32(len(m.log))
+	if 4*(len(m.log)+1) > len(m.slots) {
+		m.grow()
+		slot, _ = m.lookup(&it.ID)
+	}
 	m.log = append(m.log, it)
+	m.slots[slot] = int32(len(m.log))
 	m.m.delivered.Inc()
 	for _, f := range m.onDeliver {
 		f(*it)
 	}
 	return true
+}
+
+// minSlots is the slot table's size at construction: it holds 4 items
+// before its first doubling.
+const minSlots = 16
+
+// lookup returns the slot that holds id, or the empty slot where it would
+// go, and the log position + 1 stored there (0: id is not held). The probe
+// starts from slotHash, a fold of all four words of the ID, so IDs that are
+// not hashes (ones that differ only in their last byte, say) still spread
+// over the table; a hit is confirmed against the full ID in the log.
+func (m *Member) lookup(id *cryptoutil.Hash) (slot int, p int32) {
+	mask := len(m.slots) - 1
+	for slot = int(slotHash(id)) & mask; ; slot = (slot + 1) & mask {
+		p = m.slots[slot]
+		if p == 0 || m.log[p-1].ID == *id {
+			return slot, p
+		}
+	}
+}
+
+// slotHash folds the four 64-bit words of id into one and mixes it, so
+// that every bit of the ID reaches the low bits a slot index is taken from.
+func slotHash(id *cryptoutil.Hash) uint64 {
+	h := binary.LittleEndian.Uint64(id[0:]) ^ binary.LittleEndian.Uint64(id[8:]) ^
+		binary.LittleEndian.Uint64(id[16:]) ^ binary.LittleEndian.Uint64(id[24:])
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// grow doubles the slot table and refills it from the log, in log order.
+// IDs in the log are distinct, so each lookup ends at an empty slot.
+func (m *Member) grow() {
+	m.slots = make([]int32, 2*len(m.slots))
+	for pos, it := range m.log {
+		slot, _ := m.lookup(&it.ID)
+		m.slots[slot] = int32(pos + 1)
+	}
 }
 
 // push forwards an item to up to Fanout random peers, skipping exclude. It
@@ -234,7 +285,9 @@ func antiEntropyEvent(arg any) {
 // the receiver reads only elements below n, which are never written again,
 // and the capacity clip means it cannot reach further; an append here
 // writes at or above n, or copies the prefix — a read — into a new array
-// and leaves the old one to the digest.
+// and leaves the old one to the digest. While the log is still n long the
+// last digest built is that same view, and it is sent again: a digest is
+// never written after it is built, and a longer log gets a new one.
 func (m *Member) sendDigest() {
 	if !m.node.Up() || len(m.peers) == 0 {
 		return
@@ -245,14 +298,18 @@ func (m *Member) sendDigest() {
 	}
 	m.m.rounds.Inc()
 	n := len(m.log)
-	m.node.Send(peer, msgSync, syncDigest{held: m.log[:n:n]}, 16+32*n)
+	if m.digest == nil || len(m.digest.held) != n {
+		m.digest = &syncDigest{held: m.log[:n:n]}
+	}
+	m.node.Send(peer, msgSync, m.digest, 16+32*n)
 }
 
-// onSync diffs the sender's digest against the log: one index probe per
-// digest entry, a bitset over log positions for the entries found. When both
-// sides agree — nearly every round — it allocates nothing and sends nothing.
+// onSync diffs the sender's digest against the log: one slot-table probe
+// per digest entry, a bitset over log positions for the entries found. When
+// both sides agree — nearly every round — it allocates nothing and sends
+// nothing.
 func (m *Member) onSync(msg simnet.Message) {
-	d, ok := msg.Payload.(syncDigest)
+	d, ok := msg.Payload.(*syncDigest)
 	if !ok {
 		return
 	}
@@ -266,7 +323,8 @@ func (m *Member) onSync(msg simnet.Message) {
 	var delta syncDelta
 	size := 16
 	for _, it := range d.held { // digest order: deterministic
-		if pos, ok := m.index[it.ID]; ok {
+		if _, p := m.lookup(&it.ID); p != 0 {
+			pos := p - 1
 			theirs[pos>>6] |= 1 << (uint(pos) & 63)
 		} else {
 			delta.want = append(delta.want, it.ID)
@@ -299,8 +357,8 @@ func (m *Member) onDelta(msg simnet.Message) {
 		var back syncDelta
 		size := 16
 		for _, id := range d.want {
-			if pos, ok := m.index[id]; ok {
-				it := m.log[pos]
+			if _, p := m.lookup(&id); p != 0 {
+				it := m.log[p-1]
 				back.items = append(back.items, it)
 				size += it.Size + 40
 			}

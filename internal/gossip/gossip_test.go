@@ -319,7 +319,7 @@ func TestSyncDeltaMatchesReference(t *testing.T) {
 		hold(a, holdA)
 		hold(b, holdB)
 		reply := captureDelta(a)
-		a.node.Send(b.node.ID(), msgSync, syncDigest{held: a.log}, 16+32*len(a.log))
+		a.node.Send(b.node.ID(), msgSync, &syncDigest{held: a.log}, 16+32*len(a.log))
 		nw.Run(time.Second)
 
 		items, want, size := referenceDelta(holdA, holdB)
@@ -348,7 +348,123 @@ func TestSyncDeltaMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRepairedItemsReadBack checks the inspection API over the log and index
+// TestSlotTableMatchesMap checks the slot table against a map on random
+// holdings of up to 600 items, half of them at 600, so every doubling up
+// to 4,096 slots is crossed. The IDs are random SumHash IDs, and IDs that
+// share a random base and differ only in their last byte, the shape that
+// would form probe chains if the probe start did not mix every word of
+// the ID. After each accept the load is at most ¼ and a second accept of
+// a held item is refused; at each doubling and at the end every held ID
+// reads back through Has and Get, absent IDs miss, and no probe runs far
+// from its ID's home slot.
+func TestSlotTableMatchesMap(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var base cryptoutil.Hash
+		rng.Read(base[:])
+		ids := make([]cryptoutil.Hash, 0, 856)
+		for b := 0; b < 256; b++ {
+			id := base
+			id[len(id)-1] = byte(b)
+			ids = append(ids, id)
+		}
+		for i := 0; i < 600; i++ {
+			ids = append(ids, cryptoutil.SumHash([]byte(fmt.Sprintf("slot-%d-%d", seed, i))))
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		n := 600 // half the cases cross every doubling
+		if rng.Intn(2) == 0 {
+			n = rng.Intn(601)
+		}
+		held, absent := ids[:n], ids[600:]
+
+		m := NewMember(simnet.New(seed).AddNode(), Config{Fanout: 3})
+		ref := map[cryptoutil.Hash]int{}
+		ok := true
+		fail := func(format string, args ...any) {
+			t.Logf("seed %d, %d held: "+format, append([]any{seed, len(ref)}, args...)...)
+			ok = false
+		}
+		check := func() {
+			longest := 0
+			for id, i := range ref {
+				got, found := m.Get(id)
+				if !m.Has(id) || !found || got.ID != id || got.Data != i {
+					fail("held ID %d reads back as %+v, %v", i, got, found)
+				}
+				slot, _ := m.lookup(&id)
+				longest = max(longest, (slot-int(slotHash(&id)))&(len(m.slots)-1))
+			}
+			for _, id := range absent {
+				if _, found := m.Get(id); m.Has(id) || found {
+					fail("absent ID found")
+				}
+			}
+			if longest > 16 {
+				fail("a probe runs %d slots past its home in a table of %d", longest, len(m.slots))
+			}
+		}
+		for i, id := range held {
+			if !m.accept(&Item{ID: id, Data: i}) {
+				fail("new ID %d refused", i)
+			}
+			ref[id] = i
+			dup := held[rng.Intn(i+1)]
+			if m.accept(&Item{ID: dup, Data: -1}) {
+				fail("held ID accepted twice")
+			}
+			if 4*len(m.log) > len(m.slots) {
+				fail("load %d/%d is above 1/4", len(m.log), len(m.slots))
+			}
+			if n := len(m.log); n&(n-1) == 0 {
+				check()
+			}
+		}
+		check()
+		return ok
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDigestReusedWhileLogUnchanged checks that a member sends one digest
+// for as long as its log keeps its length, and a new view, one item longer
+// and leaving the old digest as it was, once it accepts an item.
+func TestDigestReusedWhileLogUnchanged(t *testing.T) {
+	nw, members := buildGroup(t, 14, 2, Config{Fanout: 3})
+	a, b := members[0], members[1]
+	var got []*syncDigest
+	b.node.Handle(msgSync, func(msg simnet.Message) { got = append(got, msg.Payload.(*syncDigest)) })
+	items := numbered("digest", 9)
+	hold(a, items[:8])
+	a.sendDigest()
+	a.sendDigest()
+	nw.Run(time.Second)
+	hold(a, items[8:])
+	a.sendDigest()
+	nw.Run(2 * time.Second)
+
+	if len(got) != 3 {
+		t.Fatalf("%d digests arrived, want 3", len(got))
+	}
+	if got[0] != got[1] {
+		t.Error("two digests with no accept between them are different values")
+	}
+	if got[2] == got[0] {
+		t.Fatal("the digest after an accept is the one before it")
+	}
+	if len(got[0].held) != 8 || len(got[2].held) != 9 {
+		t.Errorf("digests hold %d and %d items, want 8 and 9", len(got[0].held), len(got[2].held))
+	}
+	for i, it := range got[2].held {
+		if it.ID != items[i].ID {
+			t.Errorf("digest entry %d is not item %d", i, i)
+		}
+	}
+}
+
+// TestRepairedItemsReadBack checks the inspection API over the log and slots
 // after a repair: what anti-entropy delivered reads back, through Get,
 // OnDeliver and Len, as what was published.
 func TestRepairedItemsReadBack(t *testing.T) {
@@ -427,9 +543,9 @@ func TestDigestReadWhileSenderAppends(t *testing.T) {
 
 // Get returns a held item.
 func (m *Member) Get(id cryptoutil.Hash) (Item, bool) {
-	pos, ok := m.index[id]
-	if !ok {
+	_, p := m.lookup(&id)
+	if p == 0 {
 		return Item{}, false
 	}
-	return *m.log[pos], true
+	return *m.log[p-1], true
 }

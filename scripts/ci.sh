@@ -5,7 +5,9 @@
 # reach check (scripts/reach.sh: no internal function that no shipped run
 # reaches, unless marked //reach: or on its file allowlist, and no more
 # unreached branch statements than its ceiling; its bench profile runs the
-# benchmark module's tests), the benchmark module's own vet, then
+# benchmark module's tests), the fused multiply-add audit
+# (scripts/fma_audit.sh: no more fused instructions in the arm64 build's
+# repro/ code than its ceiling), the benchmark module's own vet, then
 # the seeded bench regression gate: a fresh deterministic `feudalism bench`
 # run must match the checked-in BENCH_baseline.json exactly (tolerance 0 —
 # the simulation is seed-deterministic, so any metric drift is a real
@@ -36,6 +38,12 @@ make ci
 # fails this step.
 echo "reach gate: code no shipped run reaches"
 ./scripts/reach.sh
+
+# FMA: an arm64 build may fuse x*y + z where amd64 rounds twice. The
+# audit lists every fused instruction in repro/ code and holds their count
+# to a ratchet.
+echo "fma gate: fused multiply-adds in the arm64 build"
+./scripts/fma_audit.sh
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
