@@ -33,6 +33,7 @@ func TestShardedLayoutsAgree(t *testing.T) {
 		id   string
 		arms []flashArm
 	}{
+		{"x18", x18Arms()},
 		{"x19", x19Arms(sp)},
 		{"x20", x20Arms(sp)},
 	} {

@@ -72,7 +72,9 @@ func TestX18P2PWorkloadUnderFaults(t *testing.T) {
 	for _, sc := range fault.Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := x18P2P(Env{Seed: seed}, sp, reqs, rs, &sc)
+			arm := armNamed(t, x18Arms(), "p2p-webapp")
+			arm.scenario = &sc
+			res := runFlashArm(Env{Seed: seed}, sp, arm, reqs, rs)
 			outcomes := res.outcomes
 			if len(outcomes) == 0 {
 				t.Fatal("arm setup failed")

@@ -1,14 +1,17 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/dht"
 	"repro/internal/overload"
 	"repro/internal/replic"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
+	"repro/internal/webapp"
 	"repro/internal/workload"
 )
 
@@ -16,18 +19,23 @@ import (
 // Zipf-popular content, a diurnal cycle, and a spike that makes the
 // catalog's most obscure object ~10³× hotter — against serving
 // architectures built on identical hardware budgets: every serving machine
-// is a home-broadband link (≈1 Mbit/s up). Two world shapes cover X18's
-// feudal arm and all of X19 and X20:
+// is a home-broadband link (≈1 Mbit/s up). Four world shapes cover every
+// arm of the three batteries:
 //
-//	feudal  one origin box on a home uplink answers every content.get
-//	swarm   a replica directory, home-uplink providers holding K static
-//	        replicas per object (internal/replic decides whether the set
-//	        then grows with demand), and clients that resolve holders
-//	        through the directory
+//	feudal     one origin box on a home uplink answers every content.get
+//	swarm      a replica directory, home-uplink providers holding K static
+//	           replicas per object (internal/replic decides whether the
+//	           set then grows with demand), and clients that resolve
+//	           holders through the directory
+//	federated  sp.servers full replicas on home uplinks; clients home
+//	           round-robin and fail over exactly one hop on error
+//	p2p        the hostless webapp: a tracker, one home-link author that
+//	           publishes each object as a site, and visitor peers that
+//	           seed what they last fetched
 //
 // A flashArm picks the shape and everything layered on it; runFlashArm
 // builds the world, replays the schedule through one SLA meter and returns
-// the scoreboard. The batteries of X19 and X20 are lists of arms.
+// the scoreboard. Each battery is a list of arms.
 
 // flashSpec sizes one flash-crowd world.
 type flashSpec struct {
@@ -88,22 +96,34 @@ const (
 	ctlPingTimeout = 10 * time.Second
 )
 
+// flashShape is the serving architecture of an arm's world.
+type flashShape int
+
+const (
+	shapeFeudal flashShape = iota
+	shapeSwarm
+	shapeFederated
+	shapeP2P
+)
+
 // flashArm is one row of a flash-crowd battery.
 type flashArm struct {
-	name string
-	// replic selects the swarm world and its replication policy (the zero
-	// Config is static-K: every object keeps its initial replicas forever).
-	// nil selects the feudal single-origin world.
-	replic *replic.Config
+	name  string
+	shape flashShape
+	// replic is the swarm's replication policy (the zero Config is
+	// static-K: every object keeps its initial replicas forever). Only the
+	// swarm reads it.
+	replic replic.Config
 	// resil is the client transport; overload, when enabled, puts every
 	// server (origin, or directory and providers) behind overload control.
 	// In the swarm they replace the replic config's own two fields.
 	resil    resil.Config
 	overload overload.Config
 	// scenario, when non-nil, is the fault plan applied from measurement
-	// start. Clients and providers are fault-eligible; the origin or
-	// directory and the probe monitor are anchors (the tracker convention
-	// X18 set: crashing the only rendezvous measures the crash, not the
+	// start. Clients and the swarm's providers are fault-eligible; the
+	// origin, the federation's replicas, the directory, the tracker and
+	// author, and the probe monitor are anchors (the tracker convention X18
+	// set: crashing the only rendezvous measures the crash, not the
 	// architecture).
 	scenario *fault.Scenario
 	// probe adds X20's control-plane instrumentation: substrate queue
@@ -140,7 +160,7 @@ type flashResult struct {
 	// entry is the garbage-collected steady state.
 	timeline []int
 	// The finished world, for per-experiment gauges and the conformance
-	// suite's anchor checks. dir and provs are nil in the feudal world.
+	// suite's anchor checks. dir and provs are nil outside the swarm.
 	nw    *simnet.Network
 	dir   *replic.Directory
 	provs []*replic.Provider
@@ -153,24 +173,27 @@ func runFlashArm(env Env, sp flashSpec, arm flashArm, reqs []workload.Request, r
 }
 
 // flashWorld is an arm's machines on their network before anything runs
-// on them: the anchor (the origin, or the swarm's directory), the clients,
-// the swarm's providers and the probe arm's monitor.
+// on them: the swarm's directory, the servers (the feudal origin, the
+// federation's replicas or the swarm's providers), the clients, the p2p
+// shape's author and the probe arm's monitor.
 type flashWorld struct {
 	seed    int64
 	sp      flashSpec
 	arm     flashArm
 	rs      *workload.RegionSet
 	nw      *simnet.Network
-	anchor  *simnet.Node
+	dir     *simnet.Node
+	servers []*simnet.Node
 	clients []*simnet.Node
-	provs   []*simnet.Node
 	ids     []simnet.NodeID // clients, then providers: the fault-eligible nodes
+	author  *webapp.Peer    // the p2p sites' publisher
+	peers   []*webapp.Peer  // the p2p clients
 	monitor *simnet.RPCNode
 }
 
 // buildFlashWorld adds the arm's machines to a network env builds, each
-// on its region's link. No protocol is installed and nothing has been
-// sent, so their links can still be changed before replay.
+// client and provider on its region's link. Nothing has been sent, so
+// their links can still be changed before replay.
 func buildFlashWorld(env Env, sp flashSpec, arm flashArm, rs *workload.RegionSet) *flashWorld {
 	nw := env.Net()
 	if arm.probe {
@@ -178,25 +201,43 @@ func buildFlashWorld(env Env, sp flashSpec, arm flashArm, rs *workload.RegionSet
 	}
 	w := &flashWorld{seed: env.Seed, sp: sp, arm: arm, rs: rs, nw: nw}
 
-	// The anchor first, then clients, then providers: client i keeps the
-	// region the schedule generator gave it and providers follow in the
-	// same round-robin.
-	if arm.replic == nil {
-		w.anchor = nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
-	} else {
-		w.anchor = nw.AddNode()
+	// The serving side first, then clients, then the swarm's providers:
+	// client i keeps the region the schedule generator gave it and
+	// providers follow in the same round-robin.
+	switch arm.shape {
+	case shapeFeudal, shapeFederated:
+		n := 1
+		if arm.shape == shapeFederated {
+			n = sp.servers
+		}
+		w.servers = make([]*simnet.Node, n)
+		for i := range w.servers {
+			w.servers[i] = nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
+		}
+	case shapeSwarm:
+		w.dir = nw.AddNode()
+	case shapeP2P:
+		// The tracker, the home-link author, then one peer per client whose
+		// DHT half bootstraps through the author 20 ms after the last.
+		web := newWebSwarm(nw, simnet.HomeBroadbandProfile(), sp.timeout)
+		w.author = web.author
+		w.peers = web.join(sp.clients, simnet.DatacenterProfile(), dht.Config{}, webapp.PeerConfig{}, 20*time.Millisecond)
 	}
 	w.clients = make([]*simnet.Node, sp.clients)
 	w.ids = make([]simnet.NodeID, 0, sp.clients+sp.providers)
 	for i := range w.clients {
-		w.clients[i] = nw.AddNode()
+		if w.peers != nil {
+			w.clients[i] = w.peers[i].Node()
+		} else {
+			w.clients[i] = nw.AddNode()
+		}
 		w.ids = append(w.ids, w.clients[i].ID())
 	}
-	if arm.replic != nil {
-		w.provs = make([]*simnet.Node, sp.providers)
-		for i := range w.provs {
-			w.provs[i] = nw.AddNode()
-			w.ids = append(w.ids, w.provs[i].ID())
+	if arm.shape == shapeSwarm {
+		w.servers = make([]*simnet.Node, sp.providers)
+		for i := range w.servers {
+			w.servers[i] = nw.AddNode()
+			w.ids = append(w.ids, w.servers[i].ID())
 		}
 	}
 	rs.Apply(nw, w.ids)
@@ -206,56 +247,88 @@ func buildFlashWorld(env Env, sp flashSpec, arm flashArm, rs *workload.RegionSet
 	return w
 }
 
+// flashPayload is object o's content: n bytes that differ per object.
+func flashPayload(o, n int) []byte {
+	payload := make([]byte, n)
+	for i := range payload {
+		payload[i] = byte(o*31 + i)
+	}
+	return payload
+}
+
 // replay installs the arm's serving stack on the world, replays the
 // schedule through one SLA meter and scores the arm.
 func (w *flashWorld) replay(reqs []workload.Request) flashResult {
 	nw, sp, arm, rs := w.nw, w.sp, w.arm, w.rs
-	anchor, clientNodes, provNodes, ids, monitor := w.anchor, w.clients, w.provs, w.ids, w.monitor
 	res := flashResult{nw: nw}
 
-	// get issues one request; hot is the server the flash concentrates on.
+	// Each shape sets get, which issues one request; hot, the server the
+	// flash concentrates on; and served, the payload bytes answered by the
+	// origin (the busiest server in a federation) and by every server.
 	var get func(r workload.Request, done func(bool))
 	var hot *simnet.RPCNode
-	if arm.replic == nil {
-		hot = simnet.NewRPCNode(anchor)
-		overload.New(hot, arm.overload).Protect("content.get", func(from simnet.NodeID, req any) (any, int) {
-			return req, 32 + sp.objBytes
-		})
+	var served func() (origin, total int64)
+	switch arm.shape {
+	case shapeFeudal, shapeFederated:
+		// The feudal origin is a federation of one. Client i homes on server
+		// i%servers and, in a federation, fails over exactly one hop on
+		// error.
+		bytes := make([]int64, len(w.servers))
+		for i, n := range w.servers {
+			overload.New(simnet.NewRPCNode(n), arm.overload).Protect("content.get", func(from simnet.NodeID, req any) (any, int) {
+				bytes[i] += int64(32 + sp.objBytes)
+				return req, 32 + sp.objBytes
+			})
+		}
 		clients := make([]simnet.Caller, sp.clients)
-		for i, n := range clientNodes {
+		for i, n := range w.clients {
 			clients[i] = resil.Wrap(simnet.NewRPCNode(n), arm.resil)
 		}
 		get = func(r workload.Request, done func(bool)) {
-			clients[r.Client].Call(anchor.ID(), "content.get", r.Object, 200, sp.timeout,
-				func(resp any, err error) { done(err == nil) })
+			home := r.Client % len(w.servers)
+			clients[r.Client].Call(w.servers[home].ID(), "content.get", r.Object, 200, sp.timeout,
+				func(resp any, err error) {
+					if err == nil || len(w.servers) == 1 {
+						done(err == nil)
+						return
+					}
+					next := w.servers[(home+1)%len(w.servers)].ID()
+					clients[r.Client].Call(next, "content.get", r.Object, 200, sp.timeout,
+						func(resp any, err error) { done(err == nil) })
+				})
 		}
-		res.originShare = 1
-	} else {
-		cfg := *arm.replic
+		// A federation's clients spread over every replica, so no one is
+		// hotter than the first.
+		hot = simnet.NewRPCNode(w.servers[0])
+		served = func() (origin, total int64) {
+			for _, b := range bytes {
+				origin, total = max(origin, b), total+b
+			}
+			return origin, total
+		}
+	case shapeSwarm:
+		cfg := arm.replic
 		cfg.Resilience, cfg.Overload = arm.resil, arm.overload
-		res.dir = replic.NewDirectoryWith(anchor, sp.k, cfg.Overload)
-		regionOf := make(map[simnet.NodeID]int, len(ids))
-		for i, id := range ids {
+		res.dir = replic.NewDirectoryWith(w.dir, sp.k, cfg.Overload)
+		regionOf := make(map[simnet.NodeID]int, len(w.ids))
+		for i, id := range w.ids {
 			regionOf[id] = rs.Assign(i)
 		}
-		provIDs := ids[sp.clients:]
+		provIDs := w.ids[sp.clients:]
 		res.provs = make([]*replic.Provider, sp.providers)
-		for i, n := range provNodes {
-			res.provs[i] = replic.NewProvider(n, cfg, anchor.ID(), sp.regions, regionOf)
+		for i, n := range w.servers {
+			res.provs[i] = replic.NewProvider(n, cfg, w.dir.ID(), sp.regions, regionOf)
 			res.provs[i].SetPeers(provIDs)
 		}
 		clients := make([]*replic.Client, sp.clients)
-		for i, n := range clientNodes {
-			clients[i] = replic.NewClient(n, cfg, anchor.ID(), regionOf[n.ID()], regionOf, rs.Extra)
+		for i, n := range w.clients {
+			clients[i] = replic.NewClient(n, cfg, w.dir.ID(), regionOf[n.ID()], regionOf, rs.Extra)
 		}
 		// Seed the catalog: object o's origin is provider o%P (pinned), plus
 		// k-1 static replicas on the following providers.
 		objs := make([]cryptoutil.Hash, sp.objects)
 		for o := range objs {
-			payload := make([]byte, sp.objBytes)
-			for i := range payload {
-				payload[i] = byte(o*31 + i)
-			}
+			payload := flashPayload(o, sp.objBytes)
 			objs[o] = cryptoutil.SumHash(payload)
 			origin := o % sp.providers
 			res.provs[origin].Put(objs[o], payload, true)
@@ -272,21 +345,64 @@ func (w *flashWorld) replay(reqs []workload.Request) flashResult {
 			})
 		}
 		hot = res.provs[sp.flash.Object%sp.providers].RPC()
+		served = func() (origin, total int64) {
+			for _, p := range res.provs {
+				origin += p.OriginBytes
+				total += p.BytesServed
+			}
+			return origin, total
+		}
 		nw.Run(nw.Now() + time.Minute) // announces settle
+	case shapeP2P:
+		nw.Run(nw.Now() + time.Minute)
+		// One site per object, each under its own deterministic keypair.
+		sites := make([]cryptoutil.Hash, sp.objects)
+		for o := range sites {
+			owner, err := cryptoutil.GenerateKeyPair(nw.Rand())
+			if err != nil {
+				return res
+			}
+			w.author.Publish(owner, 1, map[string][]byte{"blob.bin": flashPayload(o, sp.objBytes)}, cryptoutil.Hash{},
+				func(m *webapp.Manifest) { sites[o] = m.Site })
+		}
+		nw.Run(nw.Now() + time.Minute)
+		if slices.Contains(sites, cryptoutil.Hash{}) {
+			return res
+		}
+		// A request Forgets any local copy first — each hit models a fresh
+		// user on that device — then Visits, so the blobs always cross the
+		// network; between its own requests a client keeps seeding what it
+		// last fetched, which is how the flash crowd brings its own
+		// capacity.
+		get = func(r workload.Request, done func(bool)) {
+			p := w.peers[r.Client]
+			p.Forget(sites[r.Object])
+			p.Visit(sites[r.Object], func(fs map[string][]byte, err error) {
+				done(err == nil && len(fs) == 1)
+			})
+		}
+		hot = simnet.NewRPCNode(w.author.Node())
+		served = func() (origin, total int64) {
+			origin, total = w.author.BlobBytesServed, w.author.BlobBytesServed
+			for _, p := range w.peers {
+				total += p.BlobBytesServed
+			}
+			return origin, total
+		}
 	}
 
 	base := nw.Now()
 	sent := nw.Trace().Sent
 	if arm.scenario != nil {
-		arm.scenario.Build(w.seed, ids, sp.horizon).ApplyAt(nw, base)
+		arm.scenario.Build(w.seed, w.ids, sp.horizon).ApplyAt(nw, base)
 	}
 	var ctl *slaMeter
 	if arm.probe {
 		hot.Serve("ctl.ping", func(from simnet.NodeID, req any) (any, int) { return req, 16 })
 		hot.SetMethodLane("ctl.ping", simnet.LaneCtrl)
 		ctl = newSLAMeter(ctlPingTimeout, 1)
-		ctl.every(nw, base, ctlPingEvery, sp.horizon, ctlPingEvery, monitor.Node().Now, func(done func(bool)) {
-			monitor.Call(hot.Node().ID(), "ctl.ping", nil, 32, ctlPingTimeout,
+		ctl.every(nw, base, ctlPingEvery, sp.horizon, ctlPingEvery, w.monitor.Node().Now, func(done func(bool)) {
+			w.monitor.Call(hot.Node().ID(), "ctl.ping", nil, 32, ctlPingTimeout,
 				func(resp any, err error) { done(err == nil) })
 		})
 	}
@@ -296,28 +412,34 @@ func (w *flashWorld) replay(reqs []workload.Request) flashResult {
 			nw.Schedule(at, func() { res.timeline = append(res.timeline, res.dir.TotalReplicas()) })
 		}
 	}
+	// The arrival cursor: only the first request is queued up front, and
+	// each request queues the next as it fires, before it sends anything.
+	// Every request is timed on its client's clock.
 	meter := newSLAMeter(sp.sla, sp.clients)
-	for _, r := range reqs {
+	var arrive func(i int)
+	arrive = func(i int) {
+		r := reqs[i]
 		launch := base + r.At
 		nw.Schedule(launch, func() {
-			get(r, meter.launch(r.Client, r.At, launch, clientNodes[r.Client].Now))
+			if i+1 < len(reqs) {
+				arrive(i + 1)
+			}
+			get(r, meter.launch(r.Client, r.At, launch, w.clients[r.Client].Now))
 		})
+	}
+	if len(reqs) > 0 {
+		arrive(0)
 	}
 	nw.Run(base + sp.horizon + flashGrace)
 
 	score := meter.score()
 	res.avail, res.p95, res.outcomes = score.avail, score.p95, score.outcomes
 	res.msgPerNode = float64(nw.Trace().Sent-sent) / float64(nw.NumNodes())
+	if origin, total := served(); total > 0 {
+		res.originShare = float64(origin) / float64(total)
+	}
 	if res.dir != nil {
 		res.timeline = append(res.timeline, res.dir.TotalReplicas())
-		var total, origin int64
-		for _, p := range res.provs {
-			total += p.BytesServed
-			origin += p.OriginBytes
-		}
-		if total > 0 {
-			res.originShare = float64(origin) / float64(total)
-		}
 	}
 	if arm.probe {
 		res.ctlP95 = ctl.score().p95

@@ -132,7 +132,7 @@ func dhtQualityRun(env Env, peerCount, lookups int, profile simnet.LinkProfile, 
 		var doneAt time.Duration
 		reader.Get(keys[rng.Intn(len(keys))], func(v []byte, f bool) {
 			found = f
-			doneAt = nw.Now()
+			doneAt = reader.Node().Now()
 		})
 		nw.Run(nw.Now() + time.Minute)
 		if found {

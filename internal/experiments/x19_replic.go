@@ -68,10 +68,10 @@ func x19Arms(sp flashSpec) []flashArm {
 	static, adaptive := replic.Config{}, x19Cfg(sp)
 	churn := fault.RollingChurn()
 	return []flashArm{
-		{name: "static-clean", replic: &static},
-		{name: "static-churn", replic: &static, scenario: &churn},
-		{name: "adaptive-clean", replic: &adaptive, resil: resil.Defaults()},
-		{name: "adaptive-churn", replic: &adaptive, resil: resil.Defaults(), scenario: &churn},
+		{name: "static-clean", shape: shapeSwarm, replic: static},
+		{name: "static-churn", shape: shapeSwarm, replic: static, scenario: &churn},
+		{name: "adaptive-clean", shape: shapeSwarm, replic: adaptive, resil: resil.Defaults()},
+		{name: "adaptive-churn", shape: shapeSwarm, replic: adaptive, resil: resil.Defaults(), scenario: &churn},
 	}
 }
 

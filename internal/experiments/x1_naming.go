@@ -68,7 +68,8 @@ func namingTable(env Env, nNames int) *Table {
 func registrarNamingRun(env Env, nNames int) []float64 {
 	nw := env.Net()
 	reg := naming.NewCentralizedRegistrar(nw.AddNode())
-	client := naming.NewRegistrarClient(nw.AddNodeWithProfile(simnet.HomeBroadbandProfile()), reg.Node().ID(), time.Minute)
+	clientNode := nw.AddNodeWithProfile(simnet.HomeBroadbandProfile())
+	client := naming.NewRegistrarClient(clientNode, reg.Node().ID(), time.Minute)
 	var lat samples
 	start := nw.Now()
 	var lastDone time.Duration
@@ -77,11 +78,11 @@ func registrarNamingRun(env Env, nNames int) []float64 {
 		if i >= nNames {
 			return
 		}
-		t0 := nw.Now()
+		t0 := clientNode.Now()
 		client.Register(fmt.Sprintf("name-%04d", i), chain.Address{byte(i)}, nil, func(ok bool) {
 			if ok {
-				lat.add(float64(nw.Now()-t0) / float64(time.Second))
-				lastDone = nw.Now()
+				lat.add(float64(clientNode.Now()-t0) / float64(time.Second))
+				lastDone = clientNode.Now()
 			}
 			registerNext(i + 1)
 		})

@@ -121,10 +121,10 @@ func x20Arms(sp flashSpec) []flashArm {
 		{name: "feudal-naive-churn", scenario: &churn},
 		{name: "feudal-ovld-clean", overload: ovld},
 		{name: "feudal-ovld-churn", overload: ovld, scenario: &churn},
-		{name: "replic-naive-clean", replic: &swarm},
-		{name: "replic-naive-churn", replic: &swarm, scenario: &churn},
-		{name: "replic-ovld-clean", replic: &swarm, overload: ovld},
-		{name: "replic-ovld-churn", replic: &swarm, overload: ovld, scenario: &churn},
+		{name: "replic-naive-clean", shape: shapeSwarm, replic: swarm},
+		{name: "replic-naive-churn", shape: shapeSwarm, replic: swarm, scenario: &churn},
+		{name: "replic-ovld-clean", shape: shapeSwarm, replic: swarm, overload: ovld},
+		{name: "replic-ovld-churn", shape: shapeSwarm, replic: swarm, overload: ovld, scenario: &churn},
 	}
 	for i := range arms {
 		arms[i].resil, arms[i].probe = x20Resil(), true
