@@ -111,12 +111,15 @@ bench:
 # (TestAllocDHTServeMiss) and a ping-before-evict round trip into a full
 # bucket (TestAllocDHTPingEvict), the ledger's hashing paths
 # (TestAllocChainHotPaths: a transaction's ID, CheckSig on a payment Sign
-# memoised, a Merkle root over 200 hashes) and a Merkle leaf of up to 256
-# bytes (TestAllocLeafHash). At 1: a replicated Get with resil, overload
-# and replic enabled, its boxed object key (TestAllocReplicGet), a DHT Get,
-# its lookup state (TestAllocDHTLookup), and a whole proof-of-work grind,
-# its saved midstate (TestAllocChainHotPaths). At 2: a DHT Put, its lookup
-# state and its putOp (TestAllocDHTPut). Inside pinned budgets: a gossip
+# memoised, a Merkle root over 200 hashes, a whole proof-of-work grind) and
+# a Merkle leaf of up to 256 bytes (TestAllocLeafHash). At 1: a replicated
+# Get with resil, overload and replic enabled, its boxed object key
+# (TestAllocReplicGet), a DHT Get, its lookup state (TestAllocDHTLookup),
+# and a mempool round of five payments, Select's result
+# (TestAllocChainBlockPath). At 2: a DHT Put, its lookup state and its
+# putOp (TestAllocDHTPut), and AddBlock of five payments, the block's
+# record and its account slice (TestAllocChainBlockPath). Inside pinned
+# budgets: a gossip
 # publish round, an in-sync anti-entropy round (≈ 0, the latency
 # histogram's rare growth) and a gossip member's bytes at 16 items. The
 # gates that lean on sync.Pool build only without -race. They hold under

@@ -588,3 +588,82 @@ func TestAllocChainHotPaths(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestAllocChainBlockPath pins what a replica pays per block beyond the
+// hashing above. AddBlock of a five-payment block on a known parent, whose
+// recipients and miner all hold accounts, allocates the block's record and
+// the record's account slice: cumulative work is a value, and the record
+// holds its state. One mempool round (five Adds, a Select, RemoveMined of
+// what it picked, and a Select that drops the emptied queues) allocates
+// the first Select's result: the next round's senders take the dropped
+// queues, and Select keeps its working state.
+func TestAllocChainBlockPath(t *testing.T) {
+	const runs = 100
+	wallets := make([]*chain.Wallet, 5)
+	coinbase := chain.Address{0x4D}
+	alloc := map[chain.Address]uint64{coinbase: 1}
+	for i := range wallets {
+		kp, err := cryptoutil.GenerateKeyPair(workload.Rand(12, uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wallets[i] = chain.NewWallet(kp, 0)
+		alloc[kp.Fingerprint()] = 1 << 40
+	}
+	txs := make([]*chain.Tx, len(wallets))
+	for i, w := range wallets {
+		txs[i] = w.Pay(wallets[(i+1)%len(wallets)].Address(), 1, uint64(1+i))
+	}
+
+	c := chain.NewChain(chain.Config{InitialDifficulty: 1, GenesisAlloc: alloc})
+	blk, err := c.NewBlock(c.HeadHash(), txs, time.Second, coinbase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Siblings on genesis, one per run: the same payments under another
+	// timestamp, each sealed at difficulty 1.
+	sibs := make([]chain.Block, runs+1)
+	for i := range sibs {
+		sibs[i] = *blk
+		sibs[i].Header.Time += int64(i)
+	}
+	next, failed := 0, false
+	addBlock := func() {
+		if c.AddBlock(&sibs[next]) != nil {
+			failed = true
+		}
+		next++
+	}
+
+	pool, st := chain.NewMempool(), chain.NewState(alloc)
+	mined := &chain.Block{Txs: txs}
+	round := func() {
+		for _, tx := range txs {
+			pool.Add(tx)
+		}
+		if len(pool.Select(st, 10)) != len(txs) {
+			failed = true
+		}
+		pool.RemoveMined(mined)
+		if len(pool.Select(st, 10)) != 0 {
+			failed = true
+		}
+	}
+	round() // the pool has dropped queues for the measured rounds to take
+
+	for _, tc := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"AddBlock of five payments", 2, addBlock},
+		{"mempool round of five payments", 1, round},
+	} {
+		if avg := testing.AllocsPerRun(runs, tc.f); avg != tc.want {
+			t.Errorf("%s allocates %.2f/op, want %.0f", tc.name, avg, tc.want)
+		}
+		if failed {
+			t.Fatalf("%s: a block or a selection went wrong", tc.name)
+		}
+	}
+}

@@ -152,6 +152,24 @@ func (h *Header) Grind() {
 	}
 }
 
-// Work returns the expected-hash contribution of a block at difficulty d,
-// used for heaviest-chain fork choice.
-func Work(d uint64) *big.Int { return new(big.Int).SetUint64(d) }
+// work is cumulative expected hash evaluations, the quantity fork choice
+// compares: a 128-bit value, so a sum stays exact for 2⁶⁴ blocks at the
+// largest difficulty.
+type work struct{ hi, lo uint64 }
+
+// plus returns w with a block of difficulty d added.
+func (w work) plus(d uint64) work {
+	lo, carry := bits.Add64(w.lo, d, 0)
+	return work{hi: w.hi + carry, lo: lo}
+}
+
+// exceeds reports whether w is strictly more work than o.
+func (w work) exceeds(o work) bool {
+	return w.hi > o.hi || (w.hi == o.hi && w.lo > o.lo)
+}
+
+// big returns w as a fresh big.Int.
+func (w work) big() *big.Int {
+	b := new(big.Int).SetUint64(w.hi)
+	return b.Lsh(b, 64).Or(b, new(big.Int).SetUint64(w.lo))
+}

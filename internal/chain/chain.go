@@ -67,11 +67,23 @@ type Chain struct {
 	obsHeight     *obs.Gauge
 }
 
-// record is everything the tree keeps per block.
+// record is everything the tree keeps per block. It holds the block's
+// account state itself, so a block accepted costs the record and the
+// state's account slice.
 type record struct {
 	block *Block
-	state *State   // account state after the block; nil once Compact discarded it
-	work  *big.Int // cumulative work including the block itself
+	state *State // account state after the block: &own, nil once Compact discarded it
+	own   State
+	work  work // cumulative work including the block itself
+}
+
+// newRecord returns the record of b, with a copy of st as its state for
+// the block's transactions to be applied to.
+func newRecord(b *Block, st *State, w work) *record {
+	r := &record{block: b, work: w}
+	r.own.copyFrom(st)
+	r.state = &r.own
+	return r
 }
 
 // ErrUnknownParent is returned by AddBlock when the parent block has not
@@ -88,7 +100,7 @@ func NewChain(cfg Config) *Chain {
 	c := &Chain{cfg: cfg, blocks: map[cryptoutil.Hash]*record{}}
 	genesis := &Block{Header: Header{Difficulty: 1}}
 	gh := genesis.Hash()
-	c.blocks[gh] = &record{block: genesis, state: NewState(cfg.GenesisAlloc), work: big.NewInt(0)}
+	c.blocks[gh] = newRecord(genesis, NewState(cfg.GenesisAlloc), work{})
 	c.head = gh
 	c.genesis = gh
 	c.bytes += int64(genesis.WireSize())
@@ -130,7 +142,8 @@ func (c *Chain) Block(h cryptoutil.Hash) *Block {
 // State returns the account state at the head.
 func (c *Chain) State() *State { return c.blocks[c.head].state }
 
-// StateAt returns the state at an arbitrary known block, or nil.
+// StateAt returns the state at an arbitrary known block, or nil. A state
+// read here is emptied when Compact discards it.
 func (c *Chain) StateAt(h cryptoutil.Hash) *State {
 	if r := c.blocks[h]; r != nil {
 		return r.state
@@ -145,7 +158,7 @@ func (c *Chain) TotalBytes() int64 { return c.bytes }
 
 // WorkExpended returns the cumulative expected hash evaluations along the
 // best chain — the paper's "wasteful mining computation" metric.
-func (c *Chain) WorkExpended() *big.Int { return new(big.Int).Set(c.blocks[c.head].work) }
+func (c *Chain) WorkExpended() *big.Int { return c.blocks[c.head].work.big() }
 
 // Reorgs returns how many times the head has switched branches.
 func (c *Chain) Reorgs() int { return c.reorgs }
@@ -228,13 +241,15 @@ func (c *Chain) AddBlock(b *Block) error {
 	if err := c.validate(b, ids); err != nil {
 		return err
 	}
-	// Apply transactions on a copy of the parent state. A missing parent
-	// state means Compact discarded it: the branch forks too deep.
+	// Apply transactions on the new record's copy of the parent state. A
+	// missing parent state means Compact discarded it: the branch forks
+	// too deep.
 	parent := c.blocks[b.Header.Prev]
 	if parent.state == nil {
 		return ErrTooDeepFork
 	}
-	st := parent.state.Clone()
+	r := newRecord(b, parent.state, parent.work.plus(b.Header.Difficulty))
+	st := r.state
 	var fees uint64
 	for i, tx := range b.Txs[1:] {
 		if err := st.applyTx(tx, ids[1+i]); err != nil {
@@ -247,15 +262,14 @@ func (c *Chain) AddBlock(b *Block) error {
 	}
 	st.applyCoinbase(b.Txs[0])
 
-	work := new(big.Int).Add(parent.work, Work(b.Header.Difficulty))
-	c.blocks[h] = &record{block: b, state: st, work: work}
+	c.blocks[h] = r
 	c.bytes += int64(b.WireSize())
 
 	if c.obsAccepted != nil {
 		c.obsAccepted.Inc()
 	}
 	// Heaviest chain wins; ties break toward the incumbent (first seen).
-	if work.Cmp(c.blocks[c.head].work) > 0 {
+	if r.work.exceeds(c.blocks[c.head].work) {
 		oldHead := c.head
 		c.head = h
 		if b.Header.Prev != oldHead {
@@ -376,7 +390,9 @@ func (c *Chain) NewBlock(parentHash cryptoutil.Hash, txs []*Tx, timestamp time.D
 		fees += tx.Fee
 	}
 	height := parent.Header.Height + 1
-	all := append([]*Tx{NewCoinbase(miner, subsidy+fees, height)}, txs...)
+	all := make([]*Tx, 1, 1+len(txs))
+	all[0] = NewCoinbase(miner, subsidy+fees, height)
+	all = append(all, txs...)
 	b := &Block{
 		Header: Header{
 			Prev:       parentHash,
@@ -413,7 +429,7 @@ func (c *Chain) Compact(keepStates uint64) int {
 	freed := 0
 	for _, r := range c.blocks { //determinism:ok only sets and counts
 		if r.block.Header.Height < cutoff && r.state != nil {
-			r.state = nil
+			r.state, r.own = nil, State{}
 			freed++
 		}
 	}

@@ -128,10 +128,22 @@ func TestStateApplyAndErrors(t *testing.T) {
 
 func TestStateCloneIsolated(t *testing.T) {
 	st := NewState(map[Address]uint64{{1}: 5})
-	cl := st.Clone()
+	cl := st.clone()
 	cl.touch(Address{1}).balance = 99
 	if st.Balance(Address{1}) != 5 {
 		t.Error("clone shares storage with original")
+	}
+	// A copy into a state that has the room reuses its slice, and is no
+	// less a copy.
+	cl.touch(Address{2})
+	room := &cl.accounts[0]
+	cl.copyFrom(st)
+	if &cl.accounts[0] != room || cl.Balance(Address{1}) != 5 || cl.Balance(Address{2}) != 0 {
+		t.Error("copyFrom did not copy into the slice it had")
+	}
+	cl.touch(Address{1}).balance = 7
+	if st.Balance(Address{1}) != 5 {
+		t.Error("a reused copy shares storage with original")
 	}
 }
 
@@ -475,7 +487,7 @@ func TestSupplyConservationProperty(t *testing.T) {
 				nonces[addr]++
 			}
 			// Filter to a sequence that actually applies.
-			st := c.State().Clone()
+			st := c.State().clone()
 			var ok []*Tx
 			for _, tx := range txs {
 				if st.applyTx(tx, tx.ID()) == nil {
@@ -570,4 +582,11 @@ func totalSupply(st *State) uint64 {
 		total += st.accounts[i].balance
 	}
 	return total
+}
+
+// clone returns a copy of s in a slice of its own.
+func (s *State) clone() *State {
+	c := &State{}
+	c.copyFrom(s)
+	return c
 }

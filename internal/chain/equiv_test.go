@@ -222,6 +222,93 @@ func TestWorkTargetMatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestWorkSumMatchesBigInt holds the 128-bit cumulative work to the
+// math/big sums it replaced: every partial sum of random difficulties,
+// large ones included so that the low word carries, every comparison
+// between two of them, the head a random header tree settles on, and the
+// digits WorkExpended prints.
+func TestWorkSumMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draw := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 1<<63 + rng.Uint64()>>1 // at least 2⁶³: two of them carry
+		case 1:
+			return 1<<64 - 1 - uint64(rng.Intn(3))
+		case 2:
+			return uint64(rng.Intn(1 << 20))
+		default:
+			return rng.Uint64()
+		}
+	}
+	for seq := 0; seq < 200; seq++ {
+		var w work
+		ref := new(big.Int)
+		var sums []work
+		var refs []*big.Int
+		for i := rng.Intn(40); i >= 0; i-- {
+			d := draw()
+			w = w.plus(d)
+			ref.Add(ref, new(big.Int).SetUint64(d))
+			if w.big().Cmp(ref) != 0 {
+				t.Fatalf("sequence %d: sum %s, big.Int %s", seq, w.big(), ref)
+			}
+			sums, refs = append(sums, w), append(refs, new(big.Int).Set(ref))
+		}
+		for i := range sums {
+			j := rng.Intn(len(sums))
+			if got, want := sums[i].exceeds(sums[j]), refs[i].Cmp(refs[j]) > 0; got != want {
+				t.Fatalf("sequence %d: %s exceeds %s is %v, big.Int says %v", seq, refs[i], refs[j], got, want)
+			}
+		}
+	}
+	if (work{hi: 1}).exceeds(work{lo: 1<<64 - 1}) != true || (work{lo: 5}).exceeds(work{lo: 5}) {
+		t.Error("exceeds: a carry word or a tie decides wrongly")
+	}
+
+	// A light client's head against the big.Int fork choice, on a random
+	// tree of headers whose difficulties (which AddHeader does not tie to
+	// the parent's) overflow 64 bits within a few blocks. Ties go to the
+	// head first seen.
+	hc := NewHeaderChain(Config{})
+	refWork := map[cryptoutil.Hash]*big.Int{hc.head: new(big.Int)}
+	refHead := hc.head
+	hashes := []cryptoutil.Hash{hc.head}
+	for i := 0; i < 400; i++ {
+		prev := hashes[rng.Intn(len(hashes))]
+		d := draw()
+		if rng.Intn(3) == 0 {
+			d = 1 << 63 // exact ties between branches
+		}
+		h := Header{Prev: prev, Height: hc.headers[prev].Height + 1, Time: int64(i), Difficulty: d}
+		h.Grind()
+		if err := hc.AddHeader(h); err != nil {
+			t.Fatal(err)
+		}
+		hash := h.Hash()
+		hashes = append(hashes, hash)
+		refWork[hash] = new(big.Int).Add(refWork[prev], new(big.Int).SetUint64(d))
+		if refWork[hash].Cmp(refWork[refHead]) > 0 {
+			refHead = hash
+		}
+		if hc.head != refHead {
+			t.Fatalf("header %d: head %s, big.Int fork choice %s", i, hc.head.Short(), refHead.Short())
+		}
+	}
+
+	// A full node at the largest difficulty carries into the high word at
+	// its second block; WorkExpended prints the big.Int sum's digits.
+	c := NewChain(Config{InitialDifficulty: 1<<64 - 1})
+	ref := new(big.Int)
+	for i := 1; i <= 5; i++ {
+		extend(t, c, nil, Address{1})
+		ref.Add(ref, new(big.Int).SetUint64(1<<64-1))
+		if got := c.WorkExpended(); got.String() != ref.String() {
+			t.Fatalf("block %d: WorkExpended %s, want %s", i, got, ref)
+		}
+	}
+}
+
 // referenceSelect is Select as it was before the pool was indexed: regroup
 // the whole pool by sender and sort each group on every call, then pick the
 // best applicable head until none is left. pool is keyed by transaction ID
@@ -248,7 +335,7 @@ func referenceSelect(pool map[cryptoutil.Hash]*Tx, st *State, max int) []*Tx {
 			return lessHash(seq[i].ID(), seq[j].ID())
 		})
 	}
-	work := st.Clone()
+	work := st.clone()
 	var out []*Tx
 	idx := map[Address]int{}
 	for len(out) < max {
@@ -280,7 +367,8 @@ func referenceSelect(pool map[cryptoutil.Hash]*Tx, st *State, max int) []*Tx {
 	return out
 }
 
-// randomPool draws a pool over the given keys: per sender a run of nonces
+// randomPool draws a pool over the given keys: per sender (the senders
+// among the keys) a run of nonces
 // from the state's next one with random gaps, small fees (so that ties are
 // common), amounts that sometimes exceed the balance, signatures that are
 // sometimes broken, payments between the senders (so that a pick can make a
@@ -288,7 +376,7 @@ func referenceSelect(pool map[cryptoutil.Hash]*Tx, st *State, max int) []*Tx {
 // a sender's last nonce only: with a later nonce queued behind the loser
 // the indexed Select goes on where the reference parks the sender, which is
 // TestSelectSkipsWhatCannotBeMined's subject.
-func randomPool(rng *rand.Rand, keys []*cryptoutil.KeyPair, st *State) []*Tx {
+func randomPool(rng *rand.Rand, keys, senders []*cryptoutil.KeyPair, st *State) []*Tx {
 	var txs []*Tx
 	draw := func(kp *cryptoutil.KeyPair, nonce uint64) {
 		tx := &Tx{
@@ -308,7 +396,7 @@ func randomPool(rng *rand.Rand, keys []*cryptoutil.KeyPair, st *State) []*Tx {
 		}
 		txs = append(txs, tx)
 	}
-	for _, kp := range keys {
+	for _, kp := range senders {
 		nonce := st.Nonce(kp.Fingerprint())
 		n := rng.Intn(7)
 		for i := 0; i < n; i++ {
@@ -341,7 +429,7 @@ func TestSelectMatchesReference(t *testing.T) {
 		}
 		st := NewState(alloc)
 		pool, ref := NewMempool(), map[cryptoutil.Hash]*Tx{}
-		for _, tx := range randomPool(rng, keys, st) {
+		for _, tx := range randomPool(rng, keys, keys, st) {
 			if _, dup := ref[tx.ID()]; pool.Add(tx) == dup {
 				t.Fatalf("seed %d: Add reported %v for a transaction the reference %v", seed, !dup, dup)
 			}
@@ -351,32 +439,83 @@ func TestSelectMatchesReference(t *testing.T) {
 		// on the new state — the later rounds meet what the earlier ones
 		// left in the queues.
 		for round := 0; round < 3; round++ {
-			max := rng.Intn(12)
-			got, want := pool.Select(st, max), referenceSelect(ref, st, max)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d round %d: selected %d, reference %d", seed, round, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d round %d: pick %d is %s, reference %s", seed, round, i, got[i].ID().Short(), want[i].ID().Short())
+			st = mineRound(t, fmt.Sprintf("seed %d round %d", seed, round), pool, ref, st, rng.Intn(12))
+		}
+	}
+}
+
+// mineRound selects up to max transactions from pool and from the
+// reference's ref against st, fails the test unless the two agree, mines
+// the selection, and returns the state after it.
+func mineRound(t *testing.T, at string, pool *Mempool, ref map[cryptoutil.Hash]*Tx, st *State, max int) *State {
+	t.Helper()
+	got, want := pool.Select(st, max), referenceSelect(ref, st, max)
+	if len(got) != len(want) {
+		t.Fatalf("%s: selected %d, reference %d", at, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: pick %d is %s, reference %s", at, i, got[i].ID().Short(), want[i].ID().Short())
+		}
+	}
+	st = st.clone()
+	for _, tx := range got {
+		if err := st.applyTx(tx, tx.ID()); err != nil {
+			t.Fatalf("%s: selection does not apply: %v", at, err)
+		}
+		delete(ref, tx.ID())
+	}
+	pool.RemoveMined(&Block{Txs: got})
+	// What the state has now spent the indexed pool would evict and the
+	// reference would park behind: take it out of both.
+	for id, tx := range ref {
+		if tx.Nonce < st.Nonce(tx.From) {
+			delete(ref, id)
+		}
+	}
+	return st
+}
+
+// TestSelectMatchesReferenceRefilled runs the pool the way a miner's runs:
+// senders drain through Select and RemoveMined and are refilled, so a
+// later sender's queue is often one an earlier sender emptied and Select
+// dropped. Every round must still match the reference.
+func TestSelectMatchesReferenceRefilled(t *testing.T) {
+	keys := make([]*cryptoutil.KeyPair, 5)
+	for i := range keys {
+		keys[i] = testKey(t, int64(40+i))
+	}
+	reused := 0
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		alloc := map[Address]uint64{}
+		for _, kp := range keys {
+			alloc[kp.Fingerprint()] = uint64(50 + rng.Intn(150))
+		}
+		st := NewState(alloc)
+		pool, ref := NewMempool(), map[cryptoutil.Hash]*Tx{}
+		senders := keys
+		for round := 0; round < 12; round++ {
+			// Refill some of the senders the pool holds nothing of; a sender
+			// whose queue Select has dropped gets a spare one.
+			spare := len(pool.spare)
+			for _, tx := range randomPool(rng, keys, senders, st) {
+				if pool.Add(tx) {
+					ref[tx.ID()] = tx
 				}
 			}
-			st = st.Clone()
-			for _, tx := range got {
-				if err := st.applyTx(tx, tx.ID()); err != nil {
-					t.Fatalf("seed %d round %d: selection does not apply: %v", seed, round, err)
-				}
-				delete(ref, tx.ID())
-			}
-			pool.RemoveMined(&Block{Txs: got})
-			// What the state has now spent the indexed pool would evict and
-			// the reference would park behind: take it out of both.
-			for id, tx := range ref {
-				if tx.Nonce < st.Nonce(tx.From) {
-					delete(ref, id)
+			reused += spare - len(pool.spare)
+			st = mineRound(t, fmt.Sprintf("seed %d round %d", seed, round), pool, ref, st, 1+rng.Intn(12))
+			senders = nil
+			for _, kp := range keys {
+				if q := pool.bySender[kp.Fingerprint()]; (q == nil || len(q.txs) == 0) && rng.Intn(2) == 0 {
+					senders = append(senders, kp)
 				}
 			}
 		}
+	}
+	if reused == 0 {
+		t.Error("no refilled sender was given a spare queue")
 	}
 }
 
@@ -538,7 +677,7 @@ func TestStateMatchesMapModel(t *testing.T) {
 				st.applyCoinbase(NewCoinbase(to, amt, uint64(op)))
 				model.balances[to] += amt
 			case 1: // clone, write to the clone, the original must not move
-				cl, clModel := st.Clone(), model.clone()
+				cl, clModel := st.clone(), model.clone()
 				to := addrs[rng.Intn(len(addrs))]
 				cl.applyCoinbase(NewCoinbase(to, 7, 0))
 				clModel.balances[to] += 7

@@ -20,8 +20,13 @@ type Mempool struct {
 	ids      map[cryptoutil.Hash]struct{}
 	bySender map[Address]*senderQueue
 	// queues is the slice Select walks. A queue emptied between two Selects
-	// stays until the next one drops it.
+	// stays until the next one drops it onto spare, where Add takes a new
+	// sender's queue from before it allocates one.
 	queues []*senderQueue
+	spare  []*senderQueue
+	// work is Select's working copy of the state it was given, kept so
+	// that its slice serves the next call.
+	work State
 	// tip, when set, returns the state admission is checked against: a
 	// miner's pool refuses what its chain's head has already spent. A pool
 	// on its own admits everything.
@@ -84,7 +89,7 @@ func (m *Mempool) Add(tx *Tx) bool {
 	}
 	q := m.bySender[tx.From]
 	if q == nil {
-		q = &senderQueue{from: tx.From}
+		q = m.newQueue(tx.From)
 		m.bySender[tx.From] = q
 		m.queues = append(m.queues, q)
 	}
@@ -94,6 +99,21 @@ func (m *Mempool) Add(tx *Tx) bool {
 	q.txs[i] = p
 	m.ids[p.id] = struct{}{}
 	return true
+}
+
+// newQueue returns an empty queue for sender from: a spare one, reset,
+// when there is one. A spare queue's transactions were all evicted, which
+// cleared their entries.
+func (m *Mempool) newQueue(from Address) *senderQueue {
+	n := len(m.spare)
+	if n == 0 {
+		return &senderQueue{from: from}
+	}
+	q := m.spare[n-1]
+	m.spare[n-1] = nil
+	m.spare = m.spare[:n-1]
+	*q = senderQueue{from: from, txs: q.txs}
+	return q
 }
 
 // RemoveMined deletes every transaction included in block b.
@@ -138,6 +158,7 @@ func (m *Mempool) Select(st *State, max int) []*Tx {
 		m.evict(q, 0, spent)
 		if len(q.txs) == 0 {
 			delete(m.bySender, q.from)
+			m.spare = append(m.spare, q)
 			continue
 		}
 		q.cur, q.stale = 0, true
@@ -151,8 +172,9 @@ func (m *Mempool) Select(st *State, max int) []*Tx {
 	// Pick the best ready head, apply it, and settle again only the queues
 	// the pick can have changed: its sender's, and its recipient's, whose
 	// balance grew.
-	work := st.Clone()
-	var out []*Tx
+	work := &m.work
+	work.copyFrom(st)
+	out := make([]*Tx, 0, min(max, len(m.ids)))
 	for len(out) < max {
 		var best *senderQueue
 		for _, q := range m.queues {

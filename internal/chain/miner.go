@@ -290,7 +290,6 @@ func (m *Miner) onBlock(msg simnet.Message) {
 }
 
 func (m *Miner) acceptBlock(b *Block, from simnet.NodeID) {
-	h := b.Hash()
 	switch err := m.chain.AddBlock(b); err {
 	case nil:
 		// Relay to peers other than the sender, then connect any orphans
@@ -301,6 +300,7 @@ func (m *Miner) acceptBlock(b *Block, from simnet.NodeID) {
 			}
 		}
 		m.notifyAccepted(b, false)
+		h := b.Hash()
 		if kids, ok := m.orphans[h]; ok {
 			delete(m.orphans, h)
 			for _, kid := range kids {

@@ -64,11 +64,8 @@ func TestSealTarget(t *testing.T) {
 		}
 	}
 
-	// Work reads the full difficulty, and every block after genesis carries
+	// Work counts the full difficulty, and every block after genesis carries
 	// it on: four blocks later the next one is still at 2³⁰.
-	if got := Work(1 << 30).Uint64(); got != 1<<30 {
-		t.Errorf("Work(2^30) = %d", got)
-	}
 	c := NewChain(Config{InitialDifficulty: 1 << 30})
 	for i := 1; i <= 4; i++ {
 		b, err := c.NewBlock(c.HeadHash(), nil, time.Duration(i)*20*time.Second, Address{1})
@@ -81,6 +78,9 @@ func TestSealTarget(t *testing.T) {
 	}
 	if got := c.NextDifficulty(c.HeadHash()); got != 1<<30 {
 		t.Errorf("difficulty after four blocks %d, want 2^30", got)
+	}
+	if got := c.WorkExpended().Uint64(); got != 4<<30 {
+		t.Errorf("work after four blocks %d, want 4·2^30", got)
 	}
 
 	// A lone miner finds blocks every d/hashrate seconds of virtual time on

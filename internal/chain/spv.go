@@ -3,7 +3,6 @@ package chain
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"repro/internal/cryptoutil"
 )
@@ -22,7 +21,7 @@ import (
 // *resolvers* (miners still bear the full ledger).
 type HeaderChain struct {
 	headers map[cryptoutil.Hash]Header
-	work    map[cryptoutil.Hash]*big.Int
+	work    map[cryptoutil.Hash]work
 	head    cryptoutil.Hash
 }
 
@@ -33,7 +32,7 @@ func NewHeaderChain(cfg Config) *HeaderChain {
 	gh := genesis.Hash()
 	hc := &HeaderChain{
 		headers: map[cryptoutil.Hash]Header{gh: genesis.Header},
-		work:    map[cryptoutil.Hash]*big.Int{gh: big.NewInt(0)},
+		work:    map[cryptoutil.Hash]work{gh: {}},
 		head:    gh,
 	}
 	return hc
@@ -65,8 +64,9 @@ func (hc *HeaderChain) AddHeader(h Header) error {
 		return ErrHeaderBadPoW
 	}
 	hc.headers[hash] = h
-	hc.work[hash] = new(big.Int).Add(hc.work[h.Prev], Work(h.Difficulty))
-	if hc.work[hash].Cmp(hc.work[hc.head]) > 0 {
+	w := hc.work[h.Prev].plus(h.Difficulty)
+	hc.work[hash] = w
+	if w.exceeds(hc.work[hc.head]) {
 		hc.head = hash
 	}
 	return nil

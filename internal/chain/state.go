@@ -17,8 +17,8 @@ type account struct {
 
 // State is the account state at some block: balances and per-account
 // transaction nonces, held as one slice sorted by address so that a lookup
-// is a binary search and Clone is one copy. States are immutable once
-// attached to a block; Clone before applying new transactions.
+// is a binary search and a copy is one append. States are immutable once
+// attached to a block; transactions are applied to a copy.
 type State struct {
 	accounts []account
 }
@@ -36,9 +36,9 @@ func NewState(alloc map[Address]uint64) *State {
 	return s
 }
 
-// Clone deep-copies the state.
-func (s *State) Clone() *State {
-	return &State{accounts: append([]account(nil), s.accounts...)}
+// copyFrom makes s a copy of o, in s's own slice when it has the room.
+func (s *State) copyFrom(o *State) {
+	s.accounts = append(s.accounts[:0], o.accounts...)
 }
 
 // find returns the position of addr in the sorted slice, or the position it
