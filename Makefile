@@ -105,11 +105,12 @@ bench:
 	$(GO) test -count=1 -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
 # allocs enforces the allocation budgets on the hot paths the X15 scale
-# sweep depends on. At 0 allocs/op: substrate Send (TestAllocSendZero), an
-# RPC round trip (TestAllocRPCCall), a resilient call with a hedge armed
-# (TestAllocResilCall), a DHT peer serving a find_value miss
-# (TestAllocDHTServeMiss) and a ping-before-evict round trip into a full
-# bucket (TestAllocDHTPingEvict), the ledger's hashing paths
+# sweep depends on. At 0 allocs/op: substrate Send (TestAllocSendZero), a
+# prebuilt closure run through Network.After and Node.After
+# (TestAllocClosureTimerZero), an RPC round trip (TestAllocRPCCall), a
+# resilient call with a hedge armed (TestAllocResilCall), a DHT peer
+# serving a find_value miss (TestAllocDHTServeMiss) and a ping-before-evict
+# round trip into a full bucket (TestAllocDHTPingEvict), the ledger's hashing paths
 # (TestAllocChainHotPaths: a transaction's ID, CheckSig on a payment Sign
 # memoised, a Merkle root over 200 hashes, a whole proof-of-work grind) and
 # a Merkle leaf of up to 256 bytes (TestAllocLeafHash). At 1: a replicated

@@ -93,6 +93,32 @@ func TestAllocSendZero(t *testing.T) {
 	}
 }
 
+// TestAllocClosureTimerZero pins a closure event at zero allocations on
+// both engines: Network.After and Node.After box the func into the event's
+// argument, and a func value is pointer-shaped, so the box is free.
+func TestAllocClosureTimerZero(t *testing.T) {
+	for _, cfg := range []simnet.NetworkConfig{{Seed: 7}, {Seed: 7, Shards: 2, Workers: 1}} {
+		nw := simnet.NewWithConfig(cfg)
+		n := nw.AddNode()
+		fired := 0
+		fire := func() { fired++ } // built once, outside the measured op
+		timer := func() {
+			nw.After(time.Millisecond, fire)
+			n.After(time.Millisecond, fire)
+			nw.RunAll()
+		}
+		for i := 0; i < 100; i++ {
+			timer() // warm the event pools
+		}
+		if avg := testing.AllocsPerRun(200, timer); avg != 0 {
+			t.Errorf("%+v: two closure timers allocate %.2f/op, want 0", cfg, avg)
+		}
+		if fired != 2*(100+201) {
+			t.Errorf("%+v: %d closure timers fired, want %d", cfg, fired, 2*(100+201))
+		}
+	}
+}
+
 // TestAllocRPCCall pins the full RPC round trip (call, request, reply,
 // timeout timer) at zero allocations: envelopes come from a pool and
 // pending-call records from their shard's free list, the timeout is a

@@ -106,9 +106,9 @@ func (n *Node) Now() time.Duration { return n.sh.now }
 
 // schedule queues an event for this node at absolute time at on the node's
 // shard.
-func (n *Node) schedule(at time.Duration, fn func(), h EventFunc, arg any) *event {
+func (n *Node) schedule(at time.Duration, h EventFunc, arg any) *event {
 	origin, oseq := n.key()
-	return n.sh.schedule(at, origin, oseq, fn, h, arg)
+	return n.sh.schedule(at, origin, oseq, h, arg)
 }
 
 // Profile returns the node's link profile.
@@ -148,14 +148,14 @@ func (n *Node) skewed(d time.Duration) time.Duration {
 // d/rate under clock skew. Protocol timers (republish intervals, gossip
 // rounds, audit epochs, RPC timeouts) must be scheduled through the node,
 // not the network, so fault plans can skew them.
-func (n *Node) After(d time.Duration, fn func()) { n.schedule(n.Now()+n.skewed(d), fn, nil, nil) }
+func (n *Node) After(d time.Duration, fn func()) { n.schedule(n.Now()+n.skewed(d), runFunc, fn) }
 
 // AfterCall is the closure-free variant of After: h runs with arg after d
 // of the node's local clock time. Per-message and per-call paths (RPC
 // timeouts, periodic protocol rounds) should prefer this over After so
 // steady-state traffic does not allocate a capture per event.
 func (n *Node) AfterCall(d time.Duration, h EventFunc, arg any) Timer {
-	e := n.schedule(n.Now()+n.skewed(d), nil, h, arg)
+	e := n.schedule(n.Now()+n.skewed(d), h, arg)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -373,23 +373,23 @@ func (c Churn) Apply(n *Node) {
 		// Scheduled through the node, not the network, so the renewal
 		// process runs on the node's shard in sharded mode (the draws
 		// already come from the node's own stream either way).
-		n.schedule(n.Now()+d, func() {
+		n.schedule(n.Now()+d, runFunc, func() {
 			if !n.up {
 				return // already down (e.g. manual crash); wait for restart path
 			}
 			n.Crash()
 			scheduleRepair()
-		}, nil, nil)
+		})
 	}
 	scheduleRepair = func() {
 		d := expDraw(n, c.MTTR)
-		n.schedule(n.Now()+d, func() {
+		n.schedule(n.Now()+d, runFunc, func() {
 			if n.up {
 				return
 			}
 			n.Restart()
 			scheduleFail()
-		}, nil, nil)
+		})
 	}
 	scheduleFail()
 }

@@ -20,9 +20,11 @@ import (
 //   - Events live in an indexed binary heap: each event records its heap
 //     position, so cancellation is O(log n) instead of
 //     requiring lazy tombstones that bloat the queue.
-//   - Events are recycled through the queue's own pool.Pool and carry a
-//     handler+argument pair (EventFunc + arg) instead of a captured
-//     closure, so the message hot path allocates nothing in steady state.
+//   - Events are recycled through the queue's own pool.Pool and carry one
+//     callback, a handler+argument pair (EventFunc + arg). A closure
+//     scheduled through Schedule or After rides arg too, run by runFunc; a
+//     func value is pointer-shaped, so boxing it allocates nothing, and the
+//     message hot path allocates nothing in steady state.
 //   - Timer handles are generation-checked: a Timer that already fired or
 //     was cancelled becomes an inert no-op even after its event struct has
 //     been recycled for an unrelated schedule.
@@ -51,7 +53,6 @@ type event struct {
 	pos    int32  // index in the heap, -1 when not queued
 	pool.Mark
 	q   *engine // owning queue
-	fn  func()  // closure path (convenience API)
 	h   EventFunc
 	arg any
 }
@@ -60,8 +61,12 @@ type event struct {
 // and bumps gen, which makes every outstanding Timer on the event inert.
 func (e *event) recycle() {
 	e.gen++
-	e.fn, e.h, e.arg = nil, nil, nil
+	e.h, e.arg = nil, nil
 }
+
+// runFunc is the EventFunc of every closure event: arg is the func() that
+// Schedule, After or their Node counterparts were given.
+func runFunc(arg any) { arg.(func())() }
 
 // engine is the concrete scheduler: virtual clock plus indexed event heap.
 type engine struct {
@@ -114,19 +119,19 @@ func (en *engine) alloc() *event {
 // schedule queues an event under the key (at, origin, oseq), with at
 // clamped to Now. Callers must be the queue's own execution context or the
 // single-threaded harness/control context.
-func (en *engine) schedule(at time.Duration, origin, oseq uint64, fn func(), h EventFunc, arg any) *event {
+func (en *engine) schedule(at time.Duration, origin, oseq uint64, h EventFunc, arg any) *event {
 	if at < en.now {
 		at = en.now
 	}
 	e := en.alloc()
 	e.at, e.origin, e.oseq = at, origin, oseq
-	e.fn, e.h, e.arg = fn, h, arg
+	e.h, e.arg = h, arg
 	en.push(e)
 	return e
 }
 
 // Schedule runs fn at absolute virtual time at (clamped to Now).
-func (en *engine) Schedule(at time.Duration, fn func()) { en.schedule(at, 0, en.draw(), fn, nil, nil) }
+func (en *engine) Schedule(at time.Duration, fn func()) { en.schedule(at, 0, en.draw(), runFunc, fn) }
 
 // After runs fn after d of virtual time.
 func (en *engine) After(d time.Duration, fn func()) { en.Schedule(en.now+d, fn) }
@@ -134,7 +139,7 @@ func (en *engine) After(d time.Duration, fn func()) { en.Schedule(en.now+d, fn) 
 // ScheduleCall is the closure-free variant of Schedule; it returns a
 // Timer that can cancel the event before it fires.
 func (en *engine) ScheduleCall(at time.Duration, h EventFunc, arg any) Timer {
-	e := en.schedule(at, 0, en.draw(), nil, h, arg)
+	e := en.schedule(at, 0, en.draw(), h, arg)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -163,13 +168,9 @@ func (en *engine) step() bool {
 	}
 	e := en.pop()
 	en.now = e.at
-	fn, h, arg := e.fn, e.h, e.arg
+	h, arg := e.h, e.arg
 	en.pool.Put(e) // recycle before invoking: the handler may schedule again
-	if h != nil {
-		h(arg)
-	} else if fn != nil {
-		fn()
-	}
+	h(arg)
 	return true
 }
 

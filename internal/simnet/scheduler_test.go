@@ -48,7 +48,7 @@ func originOf(origins []uint8, i int) uint64 {
 // comes from the queue's one counter, so it grows within every origin, as
 // a node's own counter does.
 func timerAs(en *engine, origin uint64, d time.Duration, fn func()) Timer {
-	e := en.schedule(en.now+d, origin, en.draw(), fn, nil, nil)
+	e := en.schedule(en.now+d, origin, en.draw(), runFunc, fn)
 	return Timer{e: e, gen: e.gen}
 }
 

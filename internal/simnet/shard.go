@@ -12,7 +12,7 @@ import (
 // per-shard queues and runs independent shards on parallel workers inside a
 // conservative virtual-time window, while keeping the merged execution
 // bit-for-bit reproducible across every (Shards, Workers) setting. The
-// single-heap mode remains the default.
+// single-heap mode remains the default, and runs through the same loop.
 //
 // # Why the merged execution is deterministic
 //
@@ -77,14 +77,20 @@ import (
 //	                                arrival order at the destination
 //	                                (shardArriveEvent, the only hop one mode
 //	                                has and the other lacks)
-//	run loop (Run, RunAll)          pop until done vs runSharded's windows
+//	run loop (run,                  one loop: a single heap, whose only
+//	shardLookahead)                 queue is its control queue, runs it
+//	                                straight through to until, vs control
+//	                                events alternating with windows; a
+//	                                zero-latency link is legal on a single
+//	                                heap and panics at Run on shards (no
+//	                                lookahead, so no window, exists)
 
 // shard is one single-threaded execution context: an event queue with its
 // clock, and the accounting home of the nodes whose events run on it. A
-// sharded network assigns node id to shard id mod NumShards and runs all of
-// a node's events — its timers and the messages addressed to it — there;
-// the Network's own embedded shard runs the control events. A single-heap
-// network is that embedded shard alone, hosting every node.
+// sharded network assigns node id to shard id mod the shard count and runs
+// all of a node's events — its timers and the messages addressed to it —
+// there; the Network's own embedded shard runs the control events. A
+// single-heap network is that embedded shard alone, hosting every node.
 type shard struct {
 	engine
 	ledger
@@ -121,10 +127,12 @@ func (sh *shard) stage(dst *shard, e *event) {
 	sh.outbox[dst.idx] = append(box, e)
 }
 
-// runWindow executes every queued event with at < w in key order,
-// advancing the shard clock. New same-shard events landing inside the
-// window (zero-delay timers and the like) are picked up by the same loop.
-func (sh *shard) runWindow(w time.Duration) {
+// runWindow executes every queued event before the window end in key
+// order, advancing the shard clock. New same-shard events landing inside
+// the window (zero-delay timers and the like) are picked up by the same
+// loop.
+func (sh *shard) runWindow() {
+	w := sh.nw.winEnd
 	for len(sh.heap) > 0 && sh.heap[0].at < w {
 		sh.step()
 	}
@@ -172,30 +180,28 @@ func shardArriveEvent(arg any) {
 	dst := f.nw.nodes[f.to]
 	now := dst.sh.now
 	if at := dst.downlink(now, f.size); at > now {
-		dst.schedule(at, nil, deliverEvent, f)
+		dst.schedule(at, deliverEvent, f)
 		return
 	}
 	deliverEvent(f)
 }
 
-// --- conservative window runner ------------------------------------------
+// --- the run loop ---------------------------------------------------------
 
-// Job modes for the worker pool. The mode is written by the coordinator
-// before dispatch and read by workers after the channel receive, so the
-// channel's happens-before edge publishes it.
-const (
-	jobWindow = iota
-	jobMerge
-)
-
-// runAllHorizon is the "no time bound" sentinel for RunAll in sharded
-// mode: ~73 years of virtual nanoseconds, far beyond any workload.
+// runAllHorizon is RunAll's "no time bound": ~73 years of virtual
+// nanoseconds, far beyond any workload.
 const runAllHorizon = time.Duration(1) << 61
 
-// runSharded is the sharded Run/RunAll loop: alternate barrier-synced
-// control events with parallel conservative windows until the queues empty
-// or virtual time passes until.
-func (nw *Network) runSharded(until time.Duration, runAll bool) time.Duration {
+// maxRunAllEvents bounds the control events one RunAll runs — every event
+// of a single heap — so a runaway schedule panics instead of spinning.
+const maxRunAllEvents = 50_000_000
+
+// run is the one Run/RunAll loop: alternate barrier-synced control events
+// with parallel conservative windows until the queues empty or virtual time
+// passes until. A single heap is a network whose only queue is its control
+// queue: every event it holds is a control event, so no window ever opens
+// (its shard list holds that same queue, so shardMin never beats ctrlT).
+func (nw *Network) run(until time.Duration, runAll bool) time.Duration {
 	if nw.running {
 		panic("simnet: re-entrant Run")
 	}
@@ -205,6 +211,15 @@ func (nw *Network) runSharded(until time.Duration, runAll bool) time.Duration {
 	stop := nw.startWorkers()
 	defer stop()
 
+	// through is how far one trip of the control branch runs past its first
+	// event. Shards run one instant per trip, so windows can run the node
+	// events in between; a single heap has no other queue to wait for, so it
+	// runs straight through to until.
+	var through time.Duration
+	if !nw.sharded {
+		through = until
+	}
+	count := 0
 	for {
 		shardMin, haveNode := nw.earliestShardEvent()
 		ctrlT, haveCtrl := nw.peekTime()
@@ -224,12 +239,16 @@ func (nw *Network) runSharded(until time.Duration, runAll bool) time.Duration {
 			// node event at the same instant — the global-state mutation
 			// point the window protocol relies on.
 			nw.syncClocks(ctrlT)
+			last := max(ctrlT, through)
 			for {
 				t, ok := nw.peekTime()
-				if !ok || t > ctrlT {
+				if !ok || t > last {
 					break
 				}
 				nw.step()
+				if count++; runAll && count > maxRunAllEvents {
+					panic("simnet: RunAll exceeded event safety bound; runaway schedule?")
+				}
 			}
 			continue
 		}
@@ -242,27 +261,21 @@ func (nw *Network) runSharded(until time.Duration, runAll bool) time.Duration {
 		}
 		nw.winEnd = w
 		nw.inWindow = true
-		nw.jobMode = jobWindow
-		nw.dispatch()
+		nw.dispatch((*shard).runWindow)
 		if nw.routeStaged() {
-			nw.jobMode = jobMerge
-			nw.dispatch()
+			nw.dispatch((*shard).drainInboxes)
 		}
 		nw.inWindow = false
 	}
 	if runAll {
-		// Settle on the furthest shard clock (not the horizon sentinel), so
-		// RunAll leaves Now at the last executed event, like the legacy path.
-		var last time.Duration
+		// Settle on the furthest shard clock (not the horizon), so RunAll
+		// leaves Now at the last executed event.
+		until = 0
 		for _, sh := range nw.shards {
-			if sh.now > last {
-				last = sh.now
-			}
+			until = max(until, sh.now)
 		}
-		nw.syncClocks(last)
-	} else {
-		nw.syncClocks(until)
 	}
+	nw.syncClocks(until)
 	return nw.now
 }
 
@@ -273,9 +286,10 @@ func (nw *Network) runSharded(until time.Duration, runAll bool) time.Duration {
 // reorder hold-back, downlink queueing) only adds — so no event executed
 // inside a window can require delivery within that same window.
 func (nw *Network) shardLookahead() time.Duration {
-	if !nw.minLatSet {
-		// No nodes yet: only control events can exist, and those run at
-		// barriers; any positive lookahead is correct.
+	if !nw.sharded || !nw.minLatSet {
+		// A single heap opens no window, and a sharded network with no
+		// nodes yet holds only control events, which run at barriers: any
+		// positive lookahead is correct, and zero latency is legal.
 		return time.Second
 	}
 	if nw.minLat <= 0 {
@@ -322,15 +336,15 @@ func (nw *Network) startWorkers() func() {
 	if k <= 1 {
 		return func() {}
 	}
-	jobs := make(chan int, len(nw.shards))
+	jobs := make(chan *shard, len(nw.shards))
 	nw.jobs = jobs
 	var exit sync.WaitGroup
 	for i := 0; i < k; i++ {
 		exit.Add(1)
 		go func() {
 			defer exit.Done()
-			for idx := range jobs {
-				nw.runJob(idx)
+			for sh := range jobs {
+				nw.job(sh)
 				nw.jobsWG.Done()
 			}
 		}()
@@ -342,28 +356,21 @@ func (nw *Network) startWorkers() func() {
 	}
 }
 
-// dispatch fans the current job mode across every shard and waits for the
-// batch — the barrier between window execution and outbox merging.
-func (nw *Network) dispatch() {
+// dispatch runs one phase, (*shard).runWindow or (*shard).drainInboxes, on
+// every shard and waits for the batch — the barrier between window
+// execution and outbox merging. The coordinator writes job before the
+// channel sends, so each worker's receive publishes it.
+func (nw *Network) dispatch(job func(*shard)) {
 	if nw.jobs == nil {
-		for i := range nw.shards {
-			nw.runJob(i)
+		for _, sh := range nw.shards {
+			job(sh)
 		}
 		return
 	}
+	nw.job = job
 	nw.jobsWG.Add(len(nw.shards))
-	for i := range nw.shards {
-		nw.jobs <- i
+	for _, sh := range nw.shards {
+		nw.jobs <- sh
 	}
 	nw.jobsWG.Wait()
-}
-
-func (nw *Network) runJob(idx int) {
-	sh := nw.shards[idx]
-	switch nw.jobMode {
-	case jobWindow:
-		sh.runWindow(nw.winEnd)
-	case jobMerge:
-		sh.drainInboxes()
-	}
 }

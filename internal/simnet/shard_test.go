@@ -311,6 +311,50 @@ func TestShardedRunUntilAndRunAll(t *testing.T) {
 	}
 }
 
+// loopLayouts are the two shapes of the one run loop: a single heap, whose
+// control queue holds every event, and shards that open windows.
+var loopLayouts = []NetworkConfig{{Seed: 1}, {Seed: 1, Shards: 2, Workers: 1}}
+
+// TestRunNeverRewindsClock: a Run whose deadline lies behind the clock runs
+// nothing and leaves the clock where it was, on either layout.
+func TestRunNeverRewindsClock(t *testing.T) {
+	for _, cfg := range loopLayouts {
+		nw := NewWithConfig(cfg)
+		n := nw.AddNode()
+		fired := 0
+		nw.After(20*time.Second, func() { fired++ })
+		n.After(20*time.Second, func() { fired++ })
+		nw.Run(10 * time.Second)
+		if end := nw.Run(5 * time.Second); end != 10*time.Second || nw.Now() != 10*time.Second {
+			t.Errorf("%+v: Run(5s) after Run(10s) returned %v with Now %v, want 10s and 10s", cfg, end, nw.Now())
+		}
+		if fired != 0 {
+			t.Errorf("%+v: %d events due at 20s ran", cfg, fired)
+		}
+	}
+}
+
+// TestRunReentrantPanics: an event that calls Run panics, on either layout,
+// and the network runs again once the panic is recovered.
+func TestRunReentrantPanics(t *testing.T) {
+	for _, cfg := range loopLayouts {
+		nw := NewWithConfig(cfg)
+		nw.AddNode()
+		nw.After(time.Second, func() { nw.Run(2 * time.Second) })
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, "re-entrant Run") {
+					t.Errorf("%+v: Run inside an event recovered %q, want a re-entrant Run panic", cfg, r)
+				}
+			}()
+			nw.RunAll()
+		}()
+		if end := nw.Run(3 * time.Second); end != 3*time.Second {
+			t.Errorf("%+v: Run after the recovered panic stopped at %v, want 3s", cfg, end)
+		}
+	}
+}
+
 func TestShardedTimerSemantics(t *testing.T) {
 	nw := NewWithConfig(NetworkConfig{Seed: 3, Shards: 2, Workers: 1})
 	nw.SetDefaultProfile(LinkProfile{Latency: time.Millisecond})

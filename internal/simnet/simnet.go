@@ -25,8 +25,9 @@
 // Workers} spreads nodes over per-shard queues run by parallel workers and
 // keys each event by the node that scheduled it, which makes results
 // byte-identical at every shard and worker count. shard.go holds what only
-// the sharded mode needs (outboxes, the arrival hop, the window runner) and
-// the short table of where the modes differ.
+// the sharded mode needs (outboxes, the arrival hop), the one run loop both
+// modes share (a single heap never opens a window in it) and the short
+// table of where the modes differ.
 //
 // Determinism and randomness. Given the same seed and workload a simulation
 // is reproducible bit for bit. Randomness is split into per-node streams:
@@ -41,8 +42,8 @@
 // (trials.go): each trial owns its whole Network, so parallelism is
 // trial-level and per-seed results are identical at any worker count.
 // Traffic is counted once, in each event queue's ledger, and read as
-// network-wide totals (Network.Trace), with per-kind delivery-latency
-// histograms available via Network.LatencyHistogram.
+// network-wide totals (Network.Trace); per-kind delivery latencies are
+// exported as the net.latency.<kind>.* metrics that publishObs sets.
 package simnet
 
 import (
@@ -256,12 +257,12 @@ type Network struct {
 	// it bounds the conservative lookahead (2·minLat) in sharded mode.
 	minLat    time.Duration
 	minLatSet bool
-	// winEnd/inWindow/jobMode are the window coordinator's state: written
+	// winEnd/inWindow/job are the window coordinator's state: written
 	// only between worker barriers, read by workers during a phase.
 	winEnd   time.Duration
 	inWindow bool
-	jobMode  int
-	jobs     chan int
+	job      func(*shard)
+	jobs     chan *shard
 	jobsWG   sync.WaitGroup
 }
 
@@ -352,7 +353,8 @@ func (nw *Network) Registries() []*obs.Registry {
 }
 
 // publishObs mirrors the substrate's accumulated state into the registry.
-// Runs on every Registry.Snapshot, so Set (not Add) keeps it idempotent.
+// Runs on every export (obs.MergeRegistries runs the publish hooks), so Set
+// (not Add) keeps it idempotent.
 func (nw *Network) publishObs(r *obs.Registry) {
 	t := nw.Trace()
 	r.Counter("net.msg.sent").Set(t.Sent)
@@ -483,47 +485,11 @@ func (nw *Network) Nodes() []*Node { return nw.nodes }
 
 // Run executes events until the queue empties or virtual time reaches
 // until. It returns the virtual time at which it stopped.
-func (nw *Network) Run(until time.Duration) time.Duration {
-	if nw.sharded {
-		return nw.runSharded(until, false)
-	}
-	if nw.running {
-		panic("simnet: re-entrant Run")
-	}
-	nw.running = true
-	defer func() { nw.running = false }()
-	for {
-		at, ok := nw.peekTime()
-		if !ok {
-			break
-		}
-		if at > until {
-			nw.now = until
-			return nw.now
-		}
-		nw.step()
-	}
-	if nw.now < until {
-		nw.now = until
-	}
-	return nw.now
-}
+func (nw *Network) Run(until time.Duration) time.Duration { return nw.run(until, false) }
 
 // RunAll executes every queued event regardless of time. Useful for tests;
 // panics if the queue keeps growing beyond a large safety bound.
-func (nw *Network) RunAll() {
-	if nw.sharded {
-		nw.runSharded(runAllHorizon, true)
-		return
-	}
-	const maxEvents = 50_000_000
-	count := 0
-	for nw.step() {
-		if count++; count > maxEvents {
-			panic("simnet: RunAll exceeded event safety bound; runaway schedule?")
-		}
-	}
-}
+func (nw *Network) RunAll() { nw.run(runAllHorizon, true) }
 
 // Partition splits the network into groups; messages only flow within a
 // group. Nodes not listed fall into group 0 alongside the first group.
