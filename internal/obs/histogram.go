@@ -11,11 +11,12 @@ import "math"
 // exactly. Zeros have their own count.
 //
 // Counts live in dense slices covering only the bucket range observed so
-// far, so memory follows the dynamic range (~7.6 kB for 1 ms–30 s), never
-// the sample count. Count, Min and Max are exact and Sum is fixed-point, so
-// Merge is integer addition and a merged histogram does not depend on
-// merge order or on how the samples were split. The zero value is ready to
-// use; NaN observations are ignored.
+// far, plus a bounded margin on the side that grew, so memory follows the
+// dynamic range (~7.7 kB for 1 ms–30 s), never the sample count. Count,
+// Min and Max are exact and Sum is fixed-point, so Merge is integer
+// addition and a merged histogram does not depend on merge order or on
+// how the samples were split. The zero value is ready to use; NaN
+// observations are ignored.
 type Histogram struct {
 	n, zeros int64
 	sum      int64 // fixed point, in units of 1/sumScale
@@ -44,13 +45,31 @@ type buckets struct {
 	counts []int64
 }
 
+// growPad bounds the spare buckets cover adds on the side that grows: up
+// to the run's current length, at most growPad. A range widening one key
+// at a time (latencies creeping up) then reallocates once per growPad new
+// keys instead of on every key, and a finished histogram holds at most
+// growPad buckets it never used; the spare buckets count zero, which
+// every reader skips.
+const growPad = 32
+
 // cover widens b to hold every key in [lo, hi].
 func (b *buckets) cover(lo, hi int) {
-	if len(b.counts) > 0 {
-		if lo >= b.lo && hi < b.lo+len(b.counts) {
+	if n := len(b.counts); n > 0 {
+		if lo >= b.lo && hi < b.lo+n {
 			return
 		}
-		lo, hi = min(lo, b.lo), max(hi, b.lo+len(b.counts)-1)
+		pad := min(n, growPad)
+		if lo < b.lo {
+			lo -= pad
+		} else {
+			lo = b.lo
+		}
+		if top := b.lo + n - 1; hi > top {
+			hi += pad
+		} else {
+			hi = top
+		}
 	}
 	counts := make([]int64, hi-lo+1)
 	if len(b.counts) > 0 {

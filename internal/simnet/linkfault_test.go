@@ -122,12 +122,12 @@ func TestClockSkewResets(t *testing.T) {
 	nw := New(32)
 	n := nw.AddNode()
 	n.SetClockSkew(1.5)
-	if n.clockRate != 1.5 {
-		t.Fatalf("skew = %v, want 1.5", n.clockRate)
+	if n.cold.clockRate != 1.5 {
+		t.Fatalf("skew = %v, want 1.5", n.cold.clockRate)
 	}
 	n.SetClockSkew(0)
-	if n.clockRate != 1 {
-		t.Fatalf("skew after reset = %v, want 1", n.clockRate)
+	if n.cold.clockRate != 1 {
+		t.Fatalf("skew after reset = %v, want 1", n.cold.clockRate)
 	}
 }
 

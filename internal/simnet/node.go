@@ -10,28 +10,26 @@ import (
 // Node is one simulated host. All methods must be called from within the
 // simulation goroutine (i.e. from handlers or scheduled functions, or
 // before Run starts).
+//
+// The record holds inline only what the send, deliver and schedule paths
+// read, and fits the 128 B malloc size class; what only fault plans, queue
+// metrics and a few protocol layers touch lives in a nodeCold record
+// behind one pointer, allocated on first write.
 type Node struct {
-	id      NodeID
-	nw      *Network
-	profile LinkProfile
-	rng     *rand.Rand
-	up      bool
-	// clockRate skews the node's local timers: rate r means the node's
-	// clock runs r× virtual time, so a local timer of d fires after d/r of
-	// network time. Zero means 1 (no skew).
-	clockRate float64
+	id NodeID
+	nw *Network
+	// profile is never written through: AddNodeWithProfile shares one
+	// record between consecutive nodes with equal profiles, and SetProfile
+	// installs a fresh copy.
+	profile *LinkProfile
+	// rng is the node's private stream, built on the first Rand call.
+	rng *rand.Rand
+	// srng serves the substrate draws (loss, jitter, faults) for messages
+	// the node sends; see AddNodeWithProfile.
+	srng *SplitMix64
 
 	uplinkFree   time.Duration
 	downlinkFree time.Duration
-	// uplinkCtrlFree is the control lane's serialization cursor, consulted
-	// only when prioUplink is set (SetPriorityUplink).
-	uplinkCtrlFree time.Duration
-	prioUplink     bool
-	// qDeparts/qHead approximate the uplink queue occupancy when the
-	// network's queue metrics are on: departure times of recent sends,
-	// drained from the front as virtual time passes them.
-	qDeparts []time.Duration
-	qHead    int
 
 	// handlers holds one entry per registered message kind, in
 	// registration order. A node registers one to four kinds, so a scan
@@ -40,6 +38,35 @@ type Node struct {
 	// rpc is the node's shared request/response layer, created lazily by
 	// NewRPCNode.
 	rpc *RPCNode
+
+	// sh is the shard that executes this node's events and holds its
+	// accounting: the Network's own in single-heap mode. oseq is the node's
+	// private event counter, the last component of the sharded ordering key
+	// (at, id+1, oseq).
+	sh   *shard
+	oseq uint64
+
+	// cold is nil until something writes cold state; its readers treat
+	// nil as the zero record.
+	cold *nodeCold
+	up   bool
+}
+
+// nodeCold is the part of a node that only fault plans, queue metrics and
+// a few protocol layers use.
+type nodeCold struct {
+	// clockRate skews the node's local timers: rate r means the node's
+	// clock runs r× virtual time, so a local timer of d fires after d/r of
+	// network time. Zero means 1 (no skew).
+	clockRate float64
+	// uplinkCtrlFree is the control lane's serialization cursor, consulted
+	// only when prioUplink is set (SetPriorityUplink).
+	uplinkCtrlFree time.Duration
+	// qDeparts/qHead approximate the uplink queue occupancy when the
+	// network's queue metrics are on: departure times of recent sends,
+	// drained from the front as virtual time passes them.
+	qDeparts []time.Duration
+	qHead    int
 
 	// onUp/onDown observers, used by protocol layers to re-join or
 	// re-announce after a restart.
@@ -50,14 +77,15 @@ type Node struct {
 	downtime time.Duration
 	downAt   time.Duration
 
-	// sh is the shard that executes this node's events and holds its
-	// accounting: the Network's own in single-heap mode. oseq is the node's
-	// private event counter, the last component of the sharded ordering key
-	// (at, id+1, oseq). srng serves the substrate draws (loss, jitter,
-	// faults) for messages the node sends; see AddNodeWithProfile.
-	sh   *shard
-	oseq uint64
-	srng *rand.Rand
+	prioUplink bool
+}
+
+// coldState returns the node's cold record, allocating it on first write.
+func (n *Node) coldState() *nodeCold {
+	if n.cold == nil {
+		n.cold = &nodeCold{}
+	}
+	return n.cold
 }
 
 // nextOseq returns the node's next event sequence number.
@@ -85,11 +113,17 @@ func (n *Node) ID() NodeID { return n.id }
 func (n *Node) Network() *Network { return n.nw }
 
 // Rand returns the node's private deterministic RNG stream, seeded from
-// (network seed, node id) via SplitMix64. Protocol code on a node must
-// draw from this stream — never from Network.Rand — so the node's
-// stochastic behaviour is a function of the seed and its own actions, not
-// of how unrelated nodes' events interleave.
-func (n *Node) Rand() *rand.Rand { return n.rng }
+// (network seed, node id) via SplitMix64 and built on the first call (no
+// draw precedes it, so building it late draws the same numbers). Protocol
+// code on a node must draw from this stream — never from Network.Rand — so
+// the node's stochastic behaviour is a function of the seed and its own
+// actions, not of how unrelated nodes' events interleave.
+func (n *Node) Rand() *rand.Rand {
+	if n.rng == nil {
+		n.rng = nodeRand(n.nw.seed, n.id)
+	}
+	return n.rng
+}
 
 // Obs returns the observability registry protocol layers on this node
 // should annotate: its shard's. On the single-heap engine that is the
@@ -112,12 +146,13 @@ func (n *Node) schedule(at time.Duration, h EventFunc, arg any) *event {
 }
 
 // Profile returns the node's link profile.
-func (n *Node) Profile() LinkProfile { return n.profile }
+func (n *Node) Profile() LinkProfile { return *n.profile }
 
 // SetProfile replaces the node's link profile (takes effect for messages
-// sent or received after the call).
+// sent or received after the call). It installs a fresh record, so nodes
+// that shared the old one keep it.
 func (n *Node) SetProfile(p LinkProfile) {
-	n.profile = p
+	n.profile = &p
 	n.nw.noteLatency(p.Latency)
 }
 
@@ -133,13 +168,13 @@ func (n *Node) SetClockSkew(rate float64) {
 	if rate <= 0 {
 		rate = 1
 	}
-	n.clockRate = rate
+	n.coldState().clockRate = rate
 }
 
 // skewed converts a duration on the node's local clock into network time.
 func (n *Node) skewed(d time.Duration) time.Duration {
-	if r := n.clockRate; r != 0 && r != 1 {
-		return time.Duration(float64(d) / r)
+	if c := n.cold; c != nil && c.clockRate != 0 && c.clockRate != 1 {
+		return time.Duration(float64(d) / c.clockRate)
 	}
 	return d
 }
@@ -204,7 +239,11 @@ func (n *Node) SendLane(to NodeID, kind string, payload any, size int, lane Lane
 // ahead of it — the approximation of a priority queue expressible with
 // per-lane cursors. With the flag off the ctrl cursor is never consulted
 // and the send path is byte-identical to history.
-func (n *Node) SetPriorityUplink(on bool) { n.prioUplink = on }
+func (n *Node) SetPriorityUplink(on bool) { n.coldState().prioUplink = on }
+
+// prioUplink reports whether the node's uplink runs the two-lane
+// discipline.
+func (n *Node) prioUplink() bool { return n.cold != nil && n.cold.prioUplink }
 
 // downlink charges a size-byte message reaching the node's link at arrive
 // to the downlink cursor and returns when its last byte lands.
@@ -225,27 +264,20 @@ func (n *Node) downlink(arrive time.Duration, size int) time.Duration {
 // both cursors (a control frame in flight occupies the physical link);
 // control frames wait only for earlier control frames.
 func (n *Node) serialize(lane Lane, now, ser time.Duration) time.Duration {
-	if n.prioUplink && lane == LaneCtrl {
-		start := now
-		if n.uplinkCtrlFree > start {
-			start = n.uplinkCtrlFree
+	start := max(now, n.uplinkFree)
+	if c := n.cold; c != nil && c.prioUplink {
+		if lane == LaneCtrl {
+			depart := max(now, c.uplinkCtrlFree) + ser
+			c.uplinkCtrlFree = depart
+			// Control preempts: queued bulk bytes lose the link for ser.
+			if n.uplinkFree > now {
+				n.uplinkFree += ser
+			} else if n.uplinkFree < depart {
+				n.uplinkFree = depart
+			}
+			return depart
 		}
-		depart := start + ser
-		n.uplinkCtrlFree = depart
-		// Control preempts: queued bulk bytes lose the link for ser.
-		if n.uplinkFree > now {
-			n.uplinkFree += ser
-		} else if n.uplinkFree < depart {
-			n.uplinkFree = depart
-		}
-		return depart
-	}
-	start := now
-	if n.uplinkFree > start {
-		start = n.uplinkFree
-	}
-	if n.prioUplink && n.uplinkCtrlFree > start {
-		start = n.uplinkCtrlFree
+		start = max(start, c.uplinkCtrlFree)
 	}
 	depart := start + ser
 	n.uplinkFree = depart
@@ -270,17 +302,18 @@ func (n *Node) UplinkBacklog() time.Duration {
 // message, and this message's sojourn until departure). Only called when
 // Network.EnableQueueMetrics is set, so default runs never touch it.
 func (n *Node) noteQueue(now, depart time.Duration) {
-	for n.qHead < len(n.qDeparts) && n.qDeparts[n.qHead] <= now {
-		n.qHead++
+	c := n.coldState()
+	for c.qHead < len(c.qDeparts) && c.qDeparts[c.qHead] <= now {
+		c.qHead++
 	}
-	if n.qHead == len(n.qDeparts) {
-		n.qDeparts, n.qHead = n.qDeparts[:0], 0
-	} else if n.qHead > 1024 {
-		n.qDeparts = append(n.qDeparts[:0], n.qDeparts[n.qHead:]...)
-		n.qHead = 0
+	if c.qHead == len(c.qDeparts) {
+		c.qDeparts, c.qHead = c.qDeparts[:0], 0
+	} else if c.qHead > 1024 {
+		c.qDeparts = append(c.qDeparts[:0], c.qDeparts[c.qHead:]...)
+		c.qHead = 0
 	}
-	n.qDeparts = append(n.qDeparts, depart)
-	depth := float64(len(n.qDeparts) - n.qHead)
+	c.qDeparts = append(c.qDeparts, depart)
+	depth := float64(len(c.qDeparts) - c.qHead)
 	m := queueMetricsFor(n.Obs())
 	m.depth.Observe(depth)
 	m.sojourn.Observe((depart - now).Seconds())
@@ -303,49 +336,78 @@ func queueMetricsFor(r *obs.Registry) *netQueueMetrics {
 }
 
 // Crash takes the node down: in-flight messages to it will be dropped at
-// delivery time and new sends to or from it fail until Restart.
+// delivery time and new sends to or from it fail until Restart. The node's
+// outstanding RPC calls fail first, with ErrCallerCrashed (see NewRPCNode),
+// then the OnDown observers run in registration order.
 func (n *Node) Crash() {
 	if !n.up {
 		return
 	}
 	n.up = false
-	n.crashes++
-	n.downAt = n.Now()
-	for _, f := range n.onDown {
+	c := n.coldState()
+	c.crashes++
+	c.downAt = n.Now()
+	if n.rpc != nil {
+		n.rpc.failOutstanding()
+	}
+	for _, f := range c.onDown {
 		f()
 	}
 }
 
 // Restart brings a crashed node back up and fires the registered OnUp
-// observers (protocol layers use these to rejoin rings, re-announce
-// content, etc.).
+// observers in registration order (protocol layers use these to rejoin
+// rings, re-announce content, etc.).
 func (n *Node) Restart() {
 	if n.up {
 		return
 	}
 	n.up = true
-	n.downtime += n.Now() - n.downAt
-	for _, f := range n.onUp {
+	c := n.coldState()
+	c.downtime += n.Now() - c.downAt
+	for _, f := range c.onUp {
 		f()
 	}
 }
 
 // OnUp registers an observer called every time the node restarts.
-func (n *Node) OnUp(f func()) { n.onUp = append(n.onUp, f) }
+func (n *Node) OnUp(f func()) {
+	c := n.coldState()
+	c.onUp = append(c.onUp, f)
+}
 
-// OnDown registers an observer called every time the node crashes.
-func (n *Node) OnDown(f func()) { n.onDown = append(n.onDown, f) }
+// OnDown registers an observer called every time the node crashes, after
+// the node's outstanding RPC calls have failed.
+func (n *Node) OnDown(f func()) {
+	c := n.coldState()
+	c.onDown = append(c.onDown, f)
+}
 
 // Crashes returns how many times the node has crashed.
 //
 //reach:experiments' conformance tests read it to check fault plans spare anchors
-func (n *Node) Crashes() int { return n.crashes }
+func (n *Node) Crashes() int {
+	crashes, _ := n.crashStats()
+	return crashes
+}
 
 // Downtime returns the cumulative time the node has spent down (not
 // counting an in-progress outage).
 //
 //reach:experiments' conformance tests read it to check fault plans spare anchors
-func (n *Node) Downtime() time.Duration { return n.downtime }
+func (n *Node) Downtime() time.Duration {
+	_, downtime := n.crashStats()
+	return downtime
+}
+
+// crashStats returns the node's crash count and cumulative downtime; a
+// node that never crashed has no cold record and reads zero.
+func (n *Node) crashStats() (int, time.Duration) {
+	if n.cold == nil {
+		return 0, 0
+	}
+	return n.cold.crashes, n.cold.downtime
+}
 
 // Churn drives a node through an alternating up/down renewal process with
 // exponentially distributed time-to-failure and time-to-repair. It models
@@ -398,7 +460,7 @@ func expDraw(n *Node, mean time.Duration) time.Duration {
 	if mean <= 0 {
 		return 0
 	}
-	d := time.Duration(n.rng.ExpFloat64() * float64(mean))
+	d := time.Duration(n.Rand().ExpFloat64() * float64(mean))
 	if d <= 0 {
 		d = time.Nanosecond
 	}

@@ -295,7 +295,9 @@ type RPCHandler func(from NodeID, req any) (resp any, respSize int)
 // NewRPCNode wires RPC handling onto n. Multiple protocol layers on the
 // same node share one RPCNode: repeated calls return the existing
 // instance, so each layer can register its own methods without clobbering
-// the others' transport.
+// the others' transport. When n crashes, its outstanding calls fail with
+// ErrCallerCrashed before any of n's OnDown observers run, whether those
+// were registered before or after this call (see failOutstanding).
 func NewRPCNode(n *Node) *RPCNode {
 	if n.rpc != nil {
 		return n.rpc
@@ -303,22 +305,25 @@ func NewRPCNode(n *Node) *RPCNode {
 	r := &RPCNode{n: n}
 	n.rpc = r
 	n.Handle(rpcKind, r.onMessage)
-	// A crash fails the calls outstanding when it began, in issue order:
-	// the caller's state is lost. Ids grow in issue order, so the drain
-	// stops at the last one issued before the crash; a call a failure
-	// callback issues stays pending until its own timeout, and a call a
-	// failure callback cancels has already left the list.
-	n.OnDown(func() {
-		if r.tail == nil {
-			return
-		}
-		last := r.tail.id
-		for pc := r.head; pc != nil && pc.id <= last; pc = r.head {
-			done, err := pc.end(ErrCallerCrashed)
-			done.CallDone(nil, 0, err)
-		}
-	})
 	return r
+}
+
+// failOutstanding fails the calls outstanding when the node crashed, in
+// issue order: the caller's state is lost. Node.Crash calls it before any
+// OnDown observer runs, so every observer, whenever it was registered, sees
+// those calls already failed with ErrCallerCrashed. Ids grow in issue
+// order, so the drain stops at the last one issued before the crash; a call
+// a failure callback issues stays pending until its own timeout, and a call
+// a failure callback cancels has already left the list.
+func (r *RPCNode) failOutstanding() {
+	if r.tail == nil {
+		return
+	}
+	last := r.tail.id
+	for pc := r.head; pc != nil && pc.id <= last; pc = r.head {
+		done, err := pc.end(ErrCallerCrashed)
+		done.CallDone(nil, 0, err)
+	}
 }
 
 // Node returns the underlying simulated node.
@@ -392,7 +397,7 @@ func (r *RPCNode) SetMethodLane(method string, lane Lane) {
 // up.
 func (r *RPCNode) sendEnvelope(to NodeID, env *rpcEnvelope, size int) {
 	lane := LaneBulk
-	if r.n.prioUplink {
+	if r.n.prioUplink() {
 		if m := r.lookup(env.method); m != nil {
 			lane = m.lane
 		}

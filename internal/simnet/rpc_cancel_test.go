@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 	"unsafe"
@@ -233,6 +234,55 @@ func TestRPCCrashSparesCallsIssuedInDrain(t *testing.T) {
 	}
 }
 
+// TestCrashFailsCallsBeforeObservers pins a crash's order: the node's
+// outstanding calls fail first, then its OnDown observers run in
+// registration order. An observer registered before NewRPCNode, and one
+// after, both find the call already failed with ErrCallerCrashed.
+func TestCrashFailsCallsBeforeObservers(t *testing.T) {
+	nw := New(16)
+	caller, server := nw.AddNode(), nw.AddNode()
+	NewRPCNode(server).ServeDeferred("hang", func(NodeID, any, ReplyToken) {})
+	call := &leg{}
+	var order []string
+	observe := func(name string) func() {
+		return func() {
+			if call.fired != 1 || !errors.Is(call.err, ErrCallerCrashed) {
+				t.Errorf("observer %s ran before the outstanding call failed (fired %d, err %v)", name, call.fired, call.err)
+			}
+			order = append(order, name)
+		}
+	}
+	caller.OnDown(observe("before"))
+	rpc := NewRPCNode(caller)
+	caller.OnDown(observe("after"))
+	call.then = func() { order = append(order, "call") }
+	rpc.CallTo(server.ID(), "hang", nil, 16, time.Second, call)
+	nw.After(100*time.Millisecond, caller.Crash)
+	nw.RunAll()
+
+	if got := fmt.Sprint(order); got != "[call before after]" {
+		t.Errorf("crash ran %s, want [call before after]", got)
+	}
+}
+
+// TestRestartObserversInOrder: a restart runs the OnUp observers in
+// registration order, each once per restart.
+func TestRestartObserversInOrder(t *testing.T) {
+	nw := New(17)
+	n := nw.AddNode()
+	var order []int
+	for i := 0; i < 3; i++ {
+		n.OnUp(func() { order = append(order, i) })
+	}
+	for round := 0; round < 2; round++ {
+		n.Crash()
+		n.Restart()
+	}
+	if got := fmt.Sprint(order); got != "[0 1 2 0 1 2]" {
+		t.Errorf("restarts ran observers %s, want [0 1 2 0 1 2]", got)
+	}
+}
+
 // TestRPCLateReplyAfterRecordReuse: a call's record goes back to its
 // shard's free list when the call ends, and the next call on that shard
 // takes it. The reply for call k, landing after k timed out and its record
@@ -341,11 +391,14 @@ func TestRPCShardedRecordReuse(t *testing.T) {
 }
 
 // Each pooled record stays in the malloc size class it had before it
-// carried a pool mark, so the mark costs no heap: a record that outgrows
-// its class makes one of these array lengths negative, and the test build
-// fails.
+// carried a pool mark, so the mark costs no heap, and a Node stays in the
+// 128 B class with its cold fields behind one pointer: a record that
+// outgrows its class makes one of these array lengths negative, and the
+// test build fails.
 var (
 	_ [80 - unsafe.Sizeof(event{})]byte
 	_ [80 - unsafe.Sizeof(flight{})]byte
 	_ [64 - unsafe.Sizeof(rpcEnvelope{})]byte
+	_ [128 - unsafe.Sizeof(Node{})]byte
+	_ [128 - unsafe.Sizeof(nodeCold{})]byte
 )

@@ -226,8 +226,11 @@ type Network struct {
 	// and its registry is the one Obs returns. In single-heap mode it is
 	// also the only shard — every node's events and accounting live here.
 	shard
-	seed    int64
+	seed int64
+	// rng is Network.Rand; src is its source, which single-heap nodes
+	// draw their substrate randomness from directly.
 	rng     *rand.Rand
+	src     *SplitMix64
 	nodes   []*Node
 	defProf LinkProfile
 	// partition maps node -> group id; nodes in different groups cannot
@@ -294,9 +297,11 @@ type NetworkConfig struct {
 // NewWithConfig creates a network with an explicit engine layout; see
 // NetworkConfig.
 func NewWithConfig(cfg NetworkConfig) *Network {
+	src := networkRand(cfg.Seed)
 	nw := &Network{
 		seed:      cfg.Seed,
-		rng:       networkRand(cfg.Seed),
+		rng:       rand.New(src),
+		src:       src,
 		defProf:   DatacenterProfile(),
 		partition: map[NodeID]int{},
 		workers:   1,
@@ -370,8 +375,9 @@ func (nw *Network) publishObs(r *obs.Registry) {
 	var crashes int64
 	var downtime time.Duration
 	for _, n := range nw.nodes {
-		crashes += int64(n.crashes)
-		downtime += n.downtime
+		c, d := n.crashStats()
+		crashes += int64(c)
+		downtime += d
 	}
 	r.Counter("net.node.crashes").Set(crashes)
 	r.Gauge("net.node.downtime_s").Set(downtime.Seconds())
@@ -434,14 +440,22 @@ func (nw *Network) AddNode() *Node {
 
 // AddNodeWithProfile creates a node with an explicit link profile. The
 // node receives its own deterministic RNG stream derived from (network
-// seed, node id); see Node.Rand.
+// seed, node id); see Node.Rand. Populations are built in runs of one
+// profile, so a node whose profile equals its predecessor's shares that
+// record instead of holding a copy.
 func (nw *Network) AddNodeWithProfile(p LinkProfile) *Node {
 	id := NodeID(len(nw.nodes))
+	var prof *LinkProfile
+	if k := len(nw.nodes); k > 0 && *nw.nodes[k-1].profile == p {
+		prof = nw.nodes[k-1].profile
+	} else {
+		prof = new(LinkProfile)
+		*prof = p
+	}
 	n := &Node{
 		id:      id,
 		nw:      nw,
-		profile: p,
-		rng:     nodeRand(nw.seed, id),
+		profile: prof,
 		up:      true,
 	}
 	nw.noteLatency(p.Latency)
@@ -449,7 +463,7 @@ func (nw *Network) AddNodeWithProfile(p LinkProfile) *Node {
 	// Substrate draws for messages the node sends: the shared network stream
 	// in global send order on a single heap; under parallel shards there is
 	// no global order, so each node gets its own stream (see substrateRand).
-	n.srng = nw.rng
+	n.srng = nw.src
 	if nw.sharded {
 		n.srng = substrateRand(nw.seed, id)
 	}
@@ -646,8 +660,9 @@ func (nw *Network) Send(msg Message) bool {
 	// rate (and can exceed 1). The draw happens before the uplink is
 	// charged: a lost message never occupies the sender's uplink, so it
 	// cannot delay later traffic.
-	if pa, pb := src.profile.Loss, dst.profile.Loss; pa > 0 || pb > 0 {
-		if p := 1 - (1-pa)*(1-pb); src.srng.Float64() < p {
+	sp, dp := src.profile, dst.profile
+	if pa, pb := sp.Loss, dp.Loss; pa > 0 || pb > 0 {
+		if p := 1 - (1-pa)*(1-pb); src.srng.float64() < p {
 			ssh.trace.Dropped++
 			return false
 		}
@@ -658,8 +673,8 @@ func (nw *Network) Send(msg Message) bool {
 	// that enabled the priority uplink; plain FIFO otherwise.
 	now := ssh.now
 	depart := now
-	if src.profile.UplinkBps > 0 {
-		ser := secondsToDuration(float64(msg.Size*8) / src.profile.UplinkBps)
+	if sp.UplinkBps > 0 {
+		ser := secondsToDuration(float64(msg.Size*8) / sp.UplinkBps)
 		depart = src.serialize(msg.Lane, now, ser)
 		if nw.queueMetrics {
 			src.noteQueue(now, depart)
@@ -667,12 +682,12 @@ func (nw *Network) Send(msg Message) bool {
 	}
 	// Propagation + jitter. An installed region matrix (opt-in; see
 	// SetRegionMatrix) adds its pairwise inter-region delay.
-	delay := src.profile.Latency + dst.profile.Latency
+	delay := sp.Latency + dp.Latency
 	if nw.regionOf != nil {
 		delay += nw.regionExtra[nw.regionOf[msg.From]][nw.regionOf[msg.To]]
 	}
-	if j := src.profile.Jitter + dst.profile.Jitter; j > 0 {
-		delay += time.Duration(src.srng.Int63n(int64(j)))
+	if j := sp.Jitter + dp.Jitter; j > 0 {
+		delay += time.Duration(src.srng.int63n(int64(j)))
 	}
 	arrive := depart + delay
 	// Mode difference 2: a single heap charges the receiver's downlink now,
@@ -687,18 +702,18 @@ func (nw *Network) Send(msg Message) bool {
 	// In-flight fault injection. All draws are guarded by their probability,
 	// so a zero LinkFault consumes no randomness and perturbs nothing.
 	if f := nw.fault; f.active() {
-		if f.Corrupt > 0 && src.srng.Float64() < f.Corrupt {
+		if f.Corrupt > 0 && src.srng.float64() < f.Corrupt {
 			msg.Payload = Corrupted{Original: msg.Payload}
 		}
-		if f.Reorder > 0 && src.srng.Float64() < f.Reorder {
-			arrive += time.Duration(src.srng.Int63n(int64(f.holdBack())))
+		if f.Reorder > 0 && src.srng.float64() < f.Reorder {
+			arrive += time.Duration(src.srng.int63n(int64(f.holdBack())))
 			ssh.trace.Reordered++
 		}
-		if f.Duplicate > 0 && src.srng.Float64() < f.Duplicate {
+		if f.Duplicate > 0 && src.srng.float64() < f.Duplicate {
 			// The duplicate is a fault artifact, not a retransmission: it
 			// skips link accounting and lands an extra hold-back later.
 			ssh.trace.Duplicated++
-			extra := time.Duration(src.srng.Int63n(int64(f.holdBack())))
+			extra := time.Duration(src.srng.int63n(int64(f.holdBack())))
 			nw.launch(src, dst, msg, arrive+extra, hop)
 		}
 	}

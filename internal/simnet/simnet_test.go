@@ -209,9 +209,9 @@ func TestChurnProcess(t *testing.T) {
 		t.Fatal("churn never crashed the node")
 	}
 	// With MTTF == MTTR the long-run availability should hover near 0.5.
-	down := n.downtime
+	down := n.Downtime()
 	if !n.up {
-		down += n.Now() - n.downAt
+		down += n.Now() - n.cold.downAt
 	}
 	if av := 1 - float64(down)/float64(n.Now()); av < 0.3 || av > 0.7 {
 		t.Errorf("availability = %v, want ≈0.5", av)

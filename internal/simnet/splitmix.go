@@ -46,6 +46,35 @@ func (s *SplitMix64) Uint64() uint64 {
 // Int63 implements rand.Source.
 func (s *SplitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
+// float64 returns a value in [0, 1), the one math/rand's Rand.Float64
+// draws from the same source: a node's substrate stream is a bare
+// SplitMix64, without the 48 B Rand wrapper, and must draw the numbers
+// the wrapper drew.
+func (s *SplitMix64) float64() float64 {
+	for {
+		// The division rounds up to 1 for Int63 values within 2⁹ of 2⁶³;
+		// like math/rand, draw again.
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// int63n returns a value in [0, n) for n > 0, the one math/rand's
+// Rand.Int63n draws from the same source: a mask for a power of two,
+// otherwise rejection of the raw draws above the largest multiple of n.
+func (s *SplitMix64) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return s.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	for {
+		if v := s.Int63(); v <= max {
+			return v % n
+		}
+	}
+}
+
 // Seed implements rand.Source.
 //
 //reach:rand.Source requires it; streams are seeded at construction
@@ -66,10 +95,11 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// networkRand returns the network-level stream (stream 0): substrate draws
-// such as loss and jitter, plus harness-level workload generation.
-func networkRand(seed int64) *rand.Rand {
-	return rand.New(NewSplitMix64(mix64(uint64(seed))))
+// networkRand returns the source of the network-level stream (stream 0):
+// substrate draws such as loss and jitter on a single heap, plus
+// harness-level workload generation through Network.Rand.
+func networkRand(seed int64) *SplitMix64 {
+	return NewSplitMix64(mix64(uint64(seed)))
 }
 
 // nodeRand returns node id's private stream for the given network seed.
@@ -85,7 +115,7 @@ func nodeRand(seed int64, id NodeID) *rand.Rand {
 // node's own deterministic event order. The salt (a second whitening pass
 // XORed with an arbitrary constant) keeps the stream disjoint from both
 // nodeRand and networkRand for the same seed and id.
-func substrateRand(seed int64, id NodeID) *rand.Rand {
+func substrateRand(seed int64, id NodeID) *SplitMix64 {
 	base := mix64(mix64(uint64(seed))^0x5EEDFACE0FCAFE01) + (uint64(id)+1)*golden64
-	return rand.New(NewSplitMix64(mix64(base)))
+	return NewSplitMix64(mix64(base))
 }

@@ -14,7 +14,8 @@
 # behaviour change that requires regenerating the baseline on purpose), and
 # the committed BENCH_baseline.json / BENCH_PR3.json pair must agree. The same bench
 # built with GOAMD64=v3 must match the baseline too, and the tree must vet
-# for arm64 and 386.
+# for arm64 and 386, and the random streams' known-answer vectors must
+# pass on a 386 build.
 # .github/workflows/ci.yml runs exactly this script; run it locally before
 # pushing to see what CI will see.
 #
@@ -87,6 +88,15 @@ echo "isa gate: GOARCH=arm64 go vet ./... (compile check)"
 GOARCH=arm64 go vet ./...
 echo "isa gate: GOARCH=386 go vet ./... (32-bit compile check: constants that overflow int)"
 GOARCH=386 go vet ./...
+# The known-answer vectors of the simulator's random streams, run as
+# 32-bit code: a draw that depends on word size fails here first. A host
+# that cannot run 386 code skips the step and says why (seconds).
+if [ "$(go env GOARCH)" = amd64 ] || [ "$(go env GOARCH)" = 386 ]; then
+	echo "isa gate: GOARCH=386 stream known-answer vectors"
+	GOARCH=386 go test -count=1 -run KnownAnswer ./internal/simnet
+else
+	echo "isa gate: 386 known-answer vectors skipped, a $(go env GOARCH) host cannot run 386 code"
+fi
 
 # The 10k-node tier (make scale) is nightly-style work: run it only when
 # asked, so the merge gate stays fast.

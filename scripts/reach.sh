@@ -57,7 +57,7 @@ allow='identity/pki.go the zooko ca-pki row cites it, pending a computed CA-comp
 core/core.go the §2 taxonomy Profiles(), which no command prints yet'
 
 # Unreached branch statements outside the allowlisted files, at most.
-ceiling=110
+ceiling=109
 
 # Unreached branches a run outside the merge gate takes, printed beside
 # their listing line; they still count under the ceiling. One line each:
