@@ -429,7 +429,7 @@ func TestAllocTieredStore(t *testing.T) {
 // a million-user schedule cannot afford per-draw garbage.
 func TestAllocZipfDrawZero(t *testing.T) {
 	z := workload.NewZipf(1024, 1.1)
-	rng := workload.Rand(9, 0xA110C)
+	rng := simnet.SaltedRand(9, 0xA110C)
 	sink := 0
 	if avg := testing.AllocsPerRun(1000, func() { sink += z.Draw(rng) }); avg != 0 {
 		t.Errorf("Zipf.Draw allocates %.2f/op, want 0", avg)
@@ -444,7 +444,7 @@ func TestAllocFlashTickZero(t *testing.T) {
 	z := workload.NewZipf(256, 1.1)
 	f := workload.Flash{Object: 255, Start: time.Minute, Ramp: time.Minute, Peak: 1000, Decay: time.Minute}
 	h := workload.NewHotZipf(z, f)
-	rng := workload.Rand(10, 0xF1A54)
+	rng := simnet.SaltedRand(10, 0xF1A54)
 	at := time.Duration(0)
 	sink := 0.0
 	tick := func() {
@@ -576,7 +576,7 @@ func TestAllocAdmitZero(t *testing.T) {
 // block, the root and the grind once per block, and a reschedule on every
 // head change.
 func TestAllocChainHotPaths(t *testing.T) {
-	kp, err := cryptoutil.GenerateKeyPair(workload.Rand(11, 0xC4A1))
+	kp, err := cryptoutil.GenerateKeyPair(simnet.SaltedRand(11, 0xC4A1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +634,7 @@ func TestAllocChainBlockPath(t *testing.T) {
 	coinbase := chain.Address{0x4D}
 	alloc := map[chain.Address]uint64{coinbase: 1}
 	for i := range wallets {
-		kp, err := cryptoutil.GenerateKeyPair(workload.Rand(12, uint64(i)))
+		kp, err := cryptoutil.GenerateKeyPair(simnet.SaltedRand(12, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,8 +92,7 @@ func main() {
 	repl := make([]*groupcomm.ReplServer, 3)
 	rids := make([]simnet.NodeID, 3)
 	for i := range repl {
-		repl[i] = groupcomm.NewReplServer(nw.AddNode(), fmt.Sprintf("hs%d", i), nil,
-			gossip.Config{Fanout: 2, AntiEntropyInterval: 10 * time.Second})
+		repl[i] = groupcomm.NewReplServer(nw.AddNode(), nil, gossip.Config{Fanout: 2, AntiEntropyInterval: 10 * time.Second})
 		rids[i] = repl[i].Node().ID()
 	}
 	for i, s := range repl {

@@ -134,7 +134,7 @@ func Profiles() []SystemProfile {
 				Performance: Good, Security: Good, Financing: Good,
 				Connectedness: Good, AbusePrevention: Good, Privacy: Poor,
 			},
-			Implementation: "groupcomm.CentralServer, naming.CentralizedRegistrar",
+			Implementation: "groupcomm.ReplServer, naming.CentralizedRegistrar",
 		},
 		{
 			Name:         "hyperscale-cloud",

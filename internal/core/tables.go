@@ -28,7 +28,7 @@ func Table1() []Table1Row {
 				"Matrix", "Riot", "Ring", "Nextcloud", "GNU social",
 				"Mastodon", "Friendica", "Identi.ca",
 			},
-			Implementation: "groupcomm.{CentralServer,FedInstance,ReplServer,SocialPeer} + double ratchet",
+			Implementation: "groupcomm.{FedInstance,ReplServer,SocialPeer} + double ratchet",
 		},
 		{
 			Problem: "Data storage",

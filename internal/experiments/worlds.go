@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
+	"repro/internal/gossip"
+	"repro/internal/groupcomm"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/storage"
@@ -13,10 +15,11 @@ import (
 )
 
 // The world builders: every experiment that stands up a DHT population, a
-// storage fleet or a hostless-web swarm builds it here (newMinerNet in
-// x1_naming.go is the chain's). They fix only construction order — which
-// decides node IDs and with them every per-node random stream — while
-// sizes, configs, key names and settle times stay with the caller.
+// storage fleet, a hostless-web swarm or a group-communication federation
+// or friend mesh builds it here (newMinerNet in x1_naming.go is the
+// chain's). They fix only construction order — which decides node IDs and
+// with them every per-node random stream — while sizes, configs, key names
+// and settle times stay with the caller.
 
 // noder is anything that sits on one simnet node.
 type noder interface{ Node() *simnet.Node }
@@ -67,6 +70,60 @@ func putKeys(p *dht.Peer, n int, format string) []dht.Key {
 		p.Put(keys[i], []byte{byte(i)}, nil)
 	}
 	return keys
+}
+
+// fedHome adds n federated-home instances named inst0..inst<n-1>, instance
+// i moderating with policy(i) (no policy when policy is nil), and peers
+// every instance with every other.
+func fedHome(nw *simnet.Network, n int, policy func(i int) *groupcomm.ModerationPolicy) []*groupcomm.FedInstance {
+	insts := make([]*groupcomm.FedInstance, n)
+	for i := range insts {
+		var p *groupcomm.ModerationPolicy
+		if policy != nil {
+			p = policy(i)
+		}
+		insts[i] = groupcomm.NewFedInstance(nw.AddNode(), fmt.Sprintf("inst%d", i), p)
+	}
+	for i, a := range insts {
+		for j, b := range insts {
+			if i != j {
+				a.AddPeer(b.Name(), b.Node().ID())
+			}
+		}
+	}
+	return insts
+}
+
+// replFederation adds n Matrix-style homeservers replicating through
+// gossip with gcfg, each peered with all the others, and returns them with
+// their node IDs.
+func replFederation(nw *simnet.Network, n int, gcfg gossip.Config) ([]*groupcomm.ReplServer, []simnet.NodeID) {
+	srvs := make([]*groupcomm.ReplServer, n)
+	for i := range srvs {
+		srvs[i] = groupcomm.NewReplServer(nw.AddNode(), nil, gcfg)
+	}
+	ids := nodeIDs(srvs)
+	for i, s := range srvs {
+		s.SetPeers(othersOf(ids, i))
+	}
+	return srvs, ids
+}
+
+// friendMesh adds n socially-aware peers u0..u<n-1>, each syncing with a
+// random friend every syncEvery, and befriends every pair.
+func friendMesh(nw *simnet.Network, n int, syncEvery time.Duration) []*groupcomm.SocialPeer {
+	peers := make([]*groupcomm.SocialPeer, n)
+	for i := range peers {
+		peers[i] = groupcomm.NewSocialPeer(nw.AddNode(), groupcomm.UserID(fmt.Sprintf("u%d", i)), syncEvery)
+	}
+	for i, a := range peers {
+		for j, b := range peers {
+			if i != j {
+				a.Befriend(b.User(), b.Node().ID())
+			}
+		}
+	}
+	return peers
 }
 
 // storageFleet is one client and the providers it places chunks on.

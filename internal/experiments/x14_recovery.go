@@ -9,7 +9,6 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/dht"
 	"repro/internal/gossip"
-	"repro/internal/groupcomm"
 	"repro/internal/resil"
 	"repro/internal/simnet"
 	"repro/internal/simnet/fault"
@@ -207,17 +206,7 @@ func gossipRecoveryWorld(env Env, sp faultSpec) faultWorld {
 func socialRecoveryWorld(env Env, sp faultSpec) faultWorld {
 	nPosts := 5
 	nw := env.Net()
-	peers := make([]*groupcomm.SocialPeer, sp.nodes)
-	for i := range peers {
-		peers[i] = groupcomm.NewSocialPeer(nw.AddNode(), groupcomm.UserID(fmt.Sprintf("u%d", i)), 30*time.Second)
-	}
-	for i, p := range peers {
-		for j, q := range peers {
-			if i != j {
-				p.Befriend(q.User(), q.Node().ID())
-			}
-		}
-	}
+	peers := friendMesh(nw, sp.nodes, 30*time.Second)
 	author, friends := peers[0], peers[1:]
 	published := 0
 	return faultWorld{

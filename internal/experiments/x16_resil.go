@@ -152,15 +152,7 @@ func storageResilWorld(env Env, sp faultSpec, rcfg resil.Config) faultWorld {
 // fast the client walks the server list.
 func groupcommResilWorld(env Env, sp faultSpec, rcfg resil.Config) faultWorld {
 	nw := env.Net()
-	servers := make([]*groupcomm.ReplServer, sp.nodes)
-	for i := range servers {
-		servers[i] = groupcomm.NewReplServer(nw.AddNode(), fmt.Sprintf("srv%d", i), nil,
-			gossip.Config{Fanout: 3, AntiEntropyInterval: 30 * time.Second})
-	}
-	ids := nodeIDs(servers)
-	for i, s := range servers {
-		s.SetPeers(othersOf(ids, i))
-	}
+	_, ids := replFederation(nw, sp.nodes, gossip.Config{Fanout: 3, AntiEntropyInterval: 30 * time.Second})
 	client := groupcomm.NewReplClient(nw.AddNode(), ids[0], ids[1:], "alice", 10*time.Second, rcfg)
 	for i := 0; i < 4; i++ {
 		nw.After(time.Duration(i+1)*10*time.Second, func() {

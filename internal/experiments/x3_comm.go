@@ -59,20 +59,21 @@ func killCount(servers int, f float64) int {
 	return int(math.Round(f * float64(servers)))
 }
 
-// centralizedDeliverability: U users on one platform server.
+// centralizedDeliverability: U users on one platform server — a
+// standalone ReplServer, read through clients with no failover servers.
 func centralizedDeliverability(env Env, users int, f float64) float64 {
 	nw := env.Net()
-	srv := groupcomm.NewCentralServer(nw.AddNode(), nil)
-	clients := make([]*groupcomm.CentralClient, users)
+	srv := groupcomm.NewReplServer(nw.AddNode(), nil, gossip.Config{})
+	clients := make([]*groupcomm.ReplClient, users)
 	for i := range clients {
-		clients[i] = groupcomm.NewCentralClient(nw.AddNode(), srv.Node().ID(),
-			groupcomm.UserID(fmt.Sprintf("u%d", i)), 5*time.Second)
+		clients[i] = groupcomm.NewReplClient(nw.AddNode(), srv.Node().ID(), nil,
+			groupcomm.UserID(fmt.Sprintf("u%d", i)), 5*time.Second, resil.Config{})
 	}
 	if f > 0 { // any failure fraction kills the single platform
 		srv.Node().Crash()
 	}
-	for _, c := range clients {
-		c.Post("room", []byte("post by "+string(c.User())), func(bool) {})
+	for i, c := range clients {
+		c.Post("room", []byte(fmt.Sprintf("post by u%d", i)), func(bool) {})
 	}
 	nw.Run(nw.Now() + time.Minute)
 	return readDeliverability(nw, users, time.Minute, func(i int, done func([]groupcomm.Post, bool)) {
@@ -82,17 +83,7 @@ func centralizedDeliverability(env Env, users int, f float64) float64 {
 
 func fedHomeDeliverability(env Env, servers int, f float64) float64 {
 	nw := env.Net()
-	insts := make([]*groupcomm.FedInstance, servers)
-	for i := range insts {
-		insts[i] = groupcomm.NewFedInstance(nw.AddNode(), fmt.Sprintf("inst%d", i), nil)
-	}
-	for i, a := range insts {
-		for j, b := range insts {
-			if i != j {
-				a.AddPeer(b.Name(), b.Node().ID())
-			}
-		}
-	}
+	insts := fedHome(nw, servers, nil)
 	clients := make([]*groupcomm.FedClient, servers)
 	users := make([]groupcomm.UserID, servers)
 	for i := range clients {
@@ -122,15 +113,7 @@ func fedHomeDeliverability(env Env, servers int, f float64) float64 {
 
 func fedReplDeliverability(env Env, servers int, f float64) float64 {
 	nw := env.Net()
-	srvs := make([]*groupcomm.ReplServer, servers)
-	for i := range srvs {
-		srvs[i] = groupcomm.NewReplServer(nw.AddNode(), fmt.Sprintf("hs%d", i), nil,
-			gossip.Config{Fanout: 3, AntiEntropyInterval: 15 * time.Second})
-	}
-	ids := nodeIDs(srvs)
-	for i, s := range srvs {
-		s.SetPeers(othersOf(ids, i))
-	}
+	srvs, ids := replFederation(nw, servers, gossip.Config{Fanout: 3, AntiEntropyInterval: 15 * time.Second})
 	clients := make([]*groupcomm.ReplClient, servers)
 	for i := range clients {
 		clients[i] = groupcomm.NewReplClient(nw.AddNode(), ids[i], ids, groupcomm.UserID(fmt.Sprintf("u%d", i)), 5*time.Second, resil.Config{})
@@ -182,17 +165,7 @@ func readDeliverability(nw *simnet.Network, n int, settle time.Duration, fetch f
 // f is applied to user nodes. All pairs are mutual friends.
 func socialP2PDeliverability(env Env, users int, f float64) float64 {
 	nw := env.Net()
-	peers := make([]*groupcomm.SocialPeer, users)
-	for i := range peers {
-		peers[i] = groupcomm.NewSocialPeer(nw.AddNode(), groupcomm.UserID(fmt.Sprintf("u%d", i)), 15*time.Second)
-	}
-	for i, a := range peers {
-		for j, b := range peers {
-			if i != j {
-				a.Befriend(b.User(), b.Node().ID())
-			}
-		}
-	}
+	peers := friendMesh(nw, users, 15*time.Second)
 	for k := 0; k < killCount(users, f); k++ {
 		peers[k].Node().Crash()
 	}

@@ -61,7 +61,7 @@ func usenetPerServerBytes(env Env, servers, posts, postBytes int) int64 {
 	nw := env.Net()
 	srvs := make([]*groupcomm.UsenetServer, servers)
 	for i := range srvs {
-		srvs[i] = groupcomm.NewUsenetServer(nw.AddNode(), fmt.Sprintf("news%d", i))
+		srvs[i] = groupcomm.NewUsenetServer(nw.AddNode())
 	}
 	ids := nodeIDs(srvs)
 	for i, s := range srvs {
@@ -86,17 +86,7 @@ func usenetPerServerBytes(env Env, servers, posts, postBytes int) int64 {
 // federated-home model where each user follows 4 remote authors.
 func fedHomePerServerBytes(env Env, servers, posts, postBytes int) int64 {
 	nw := env.Net()
-	insts := make([]*groupcomm.FedInstance, servers)
-	for i := range insts {
-		insts[i] = groupcomm.NewFedInstance(nw.AddNode(), fmt.Sprintf("inst%d", i), nil)
-	}
-	for i, a := range insts {
-		for j, b := range insts {
-			if i != j {
-				a.AddPeer(b.Name(), b.Node().ID())
-			}
-		}
-	}
+	insts := fedHome(nw, servers, nil)
 	clients := make([]*groupcomm.FedClient, servers)
 	for i := range insts {
 		u := groupcomm.UserID(fmt.Sprintf("u%d", i))

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/gossip"
 	"repro/internal/groupcomm"
+	"repro/internal/resil"
 )
 
 // abuseSize sizes X9: readers, and the policy coverages swept.
@@ -49,20 +51,22 @@ var spamPolicy = &groupcomm.ModerationPolicy{BannedWords: []string{"spam"}}
 
 const spamBody = "buy spam now"
 
-// centralAbuseRun: one platform; coverage ≥ 0.5 means the operator turned
-// the filter on.
+// centralAbuseRun: one platform (a standalone ReplServer); coverage ≥ 0.5
+// means the operator turned the filter on.
 func centralAbuseRun(env Env, users int, coverage float64) float64 {
 	nw := env.Net()
 	var policy *groupcomm.ModerationPolicy
 	if coverage >= 0.5 {
 		policy = spamPolicy
 	}
-	srv := groupcomm.NewCentralServer(nw.AddNode(), policy)
-	spammer := groupcomm.NewCentralClient(nw.AddNode(), srv.Node().ID(), "spammer", time.Minute)
-	readers := make([]*groupcomm.CentralClient, users)
+	srv := groupcomm.NewReplServer(nw.AddNode(), policy, gossip.Config{})
+	client := func(u groupcomm.UserID) *groupcomm.ReplClient {
+		return groupcomm.NewReplClient(nw.AddNode(), srv.Node().ID(), nil, u, time.Minute, resil.Config{})
+	}
+	spammer := client("spammer")
+	readers := make([]*groupcomm.ReplClient, users)
 	for i := range readers {
-		readers[i] = groupcomm.NewCentralClient(nw.AddNode(), srv.Node().ID(),
-			groupcomm.UserID(fmt.Sprintf("u%d", i)), time.Minute)
+		readers[i] = client(groupcomm.UserID(fmt.Sprintf("u%d", i)))
 	}
 	spammer.Post("town", []byte(spamBody), func(bool) {})
 	nw.RunAll()
@@ -85,22 +89,13 @@ func centralAbuseRun(env Env, users int, coverage float64) float64 {
 func fedAbuseRun(env Env, users int, coverage float64) float64 {
 	nw := env.Net()
 	n := users + 1 // +1 for the spammer's instance (always lax)
-	insts := make([]*groupcomm.FedInstance, n)
 	filtered := int(coverage * float64(users))
-	for i := range insts {
-		var policy *groupcomm.ModerationPolicy
+	insts := fedHome(nw, n, func(i int) *groupcomm.ModerationPolicy {
 		if i > 0 && i <= filtered {
-			policy = spamPolicy
+			return spamPolicy
 		}
-		insts[i] = groupcomm.NewFedInstance(nw.AddNode(), fmt.Sprintf("inst%d", i), policy)
-	}
-	for i, a := range insts {
-		for j, b := range insts {
-			if i != j {
-				a.AddPeer(b.Name(), b.Node().ID())
-			}
-		}
-	}
+		return nil
+	})
 	insts[0].AddUser("spammer")
 	spammer := groupcomm.NewFedClient(nw.AddNode(), insts[0].Node().ID(), "spammer", time.Minute)
 	readers := make([]*groupcomm.FedClient, users)

@@ -99,7 +99,7 @@ func replMidFaultRun(t testing.TB, seed int64, sc fault.Scenario, rcfg resil.Con
 	servers := make([]*ReplServer, nServers)
 	ids := make([]simnet.NodeID, nServers)
 	for i := range servers {
-		servers[i] = NewReplServer(nw.AddNode(), fmt.Sprintf("srv%d", i), nil,
+		servers[i] = NewReplServer(nw.AddNode(), nil,
 			gossip.Config{Fanout: 3, AntiEntropyInterval: 30 * time.Second})
 		ids[i] = servers[i].Node().ID()
 	}

@@ -147,7 +147,7 @@ func (fi *FedInstance) onPost(from simnet.NodeID, req any) (any, int) {
 	// instance that is down right now simply misses the post — the OStatus
 	// weakness.
 	names := make([]string, 0, len(fi.followers[r.Post.Author]))
-	for n := range fi.followers[r.Post.Author] {
+	for n := range fi.followers[r.Post.Author] { //determinism:ok sorted straight after
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -188,7 +188,7 @@ func (fi *FedInstance) onRead(from simnet.NodeID, req any) (any, int) {
 	var posts []Post
 	size := 16
 	authors := make([]UserID, 0, len(fi.follows[u]))
-	for a := range fi.follows[u] {
+	for a := range fi.follows[u] { //determinism:ok sorted straight after
 		authors = append(authors, a)
 	}
 	sort.Slice(authors, func(i, j int) bool { return authors[i] < authors[j] })
@@ -242,7 +242,7 @@ func (c *FedClient) Read(done func(posts []Post, ok bool)) {
 // compares against Usenet's full flooding.
 func (fi *FedInstance) StoredBytes() int64 {
 	var total int64
-	for _, posts := range fi.received {
+	for _, posts := range fi.received { //determinism:ok integer sum, order-independent
 		for _, p := range posts {
 			total += int64(p.WireSize())
 		}

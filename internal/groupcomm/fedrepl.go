@@ -13,13 +13,14 @@ import (
 // room survives any minority of server failures. Users still home on one
 // server for writes, but reads can fail over to any surviving server.
 // Each server applies its own moderation policy to what it accepts and
-// relays (application-level moderation, as Matrix allows).
+// relays (application-level moderation, as Matrix allows). A federation
+// of one such server is the centralized platform.
 
-// ReplServer is one Matrix-style homeserver.
+// ReplServer is one Matrix-style homeserver, or, standalone, the
+// centralized platform.
 type ReplServer struct {
 	rpc    *simnet.RPCNode
-	name   string
-	member *gossip.Member
+	member *gossip.Member // nil on a standalone server
 	rooms  map[string][]Post
 	policy *ModerationPolicy
 }
@@ -31,20 +32,21 @@ const (
 )
 
 // NewReplServer starts a homeserver. The gossip config controls
-// replication fan-out and anti-entropy repair.
-func NewReplServer(node *simnet.Node, name string, policy *ModerationPolicy, gcfg gossip.Config) *ReplServer {
-	s := &ReplServer{
-		rpc:    simnet.NewRPCNode(node),
-		name:   name,
-		member: gossip.NewMember(node, gcfg),
-		rooms:  map[string][]Post{},
-		policy: policy,
+// replication fan-out and anti-entropy repair. Built with the zero
+// gossip.Config (no fan-out), the server has no gossip member and no
+// peers: it stores each post it accepts itself, and is the centralized
+// platform — one operator, one moderation policy, and no service at all
+// while it is down.
+func NewReplServer(node *simnet.Node, policy *ModerationPolicy, gcfg gossip.Config) *ReplServer {
+	s := &ReplServer{rpc: simnet.NewRPCNode(node), rooms: map[string][]Post{}, policy: policy}
+	if gcfg != (gossip.Config{}) {
+		s.member = gossip.NewMember(node, gcfg)
+		s.member.OnDeliver(func(it gossip.Item) {
+			if p, ok := it.Data.(Post); ok {
+				s.store(p)
+			}
+		})
 	}
-	s.member.OnDeliver(func(it gossip.Item) {
-		if p, ok := it.Data.(Post); ok {
-			s.rooms[p.Room] = append(s.rooms[p.Room], p)
-		}
-	})
 	s.rpc.Serve(methodReplPost, s.onPost)
 	s.rpc.Serve(methodReplFetch, s.onFetch)
 	return s
@@ -53,8 +55,11 @@ func NewReplServer(node *simnet.Node, name string, policy *ModerationPolicy, gcf
 // Node returns the server's simnet node.
 func (s *ReplServer) Node() *simnet.Node { return s.rpc.Node() }
 
-// SetPeers wires the replication mesh (other servers in the federation).
+// SetPeers wires the replication mesh (other servers in the federation);
+// a standalone server has none.
 func (s *ReplServer) SetPeers(peers []simnet.NodeID) { s.member.SetPeers(peers) }
+
+func (s *ReplServer) store(p Post) { s.rooms[p.Room] = append(s.rooms[p.Room], p) }
 
 func (s *ReplServer) onPost(from simnet.NodeID, req any) (any, int) {
 	p, ok := req.(Post)
@@ -64,7 +69,11 @@ func (s *ReplServer) onPost(from simnet.NodeID, req any) (any, int) {
 	if !s.policy.Allows(p) {
 		return false, 8
 	}
-	s.member.Publish(gossip.Item{ID: p.ID, Data: p, Size: p.WireSize()})
+	if s.member == nil {
+		s.store(p)
+	} else {
+		s.member.Publish(gossip.Item{ID: p.ID, Data: p, Size: p.WireSize()})
+	}
 	return true, 8
 }
 
@@ -83,7 +92,8 @@ func (s *ReplServer) onFetch(from simnet.NodeID, req any) (any, int) {
 
 // ReplClient is a user of the replicated federation. Writes go to the home
 // server; reads try the home server first and fail over through the known
-// server list.
+// server list. A client with an empty list is the centralized platform's:
+// when its one server is down, it can neither post nor read.
 type ReplClient struct {
 	rpc     simnet.Caller // resil.Wrap'd
 	home    simnet.NodeID

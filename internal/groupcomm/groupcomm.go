@@ -4,7 +4,9 @@
 //
 //   - Centralized: one platform server (the feudal baseline: Twitter,
 //     Reddit). Highest convenience and global moderation; total outage and
-//     total metadata exposure when the operator fails or misbehaves.
+//     total metadata exposure when the operator fails or misbehaves. It is
+//     the degenerate federation of one: a ReplServer built with the zero
+//     gossip.Config, read through a ReplClient with no failover servers.
 //   - FederatedHome: OStatus/Mastodon/GNU-social style. Each user homes on
 //     an instance; posts push to followers' instances. "OStatus-based
 //     applications are bottlenecked by single servers that can cause
@@ -20,9 +22,10 @@
 //     availability limited by friends' uptime. The double ratchet
 //     (ratchet.go) encrypts the socialnet example's direct message.
 //
-// All four expose posting and reading so experiment X3/X4 can measure
-// deliverability under failure, and each reports its per-message metadata
-// exposure (which third parties learn who talked to whom).
+// Every model posts and reads, so experiments X3, X4 and X9 can measure
+// deliverability under failure and exposure to abuse, and Exposures
+// reports each model's per-message metadata exposure (which third parties
+// learn who talked to whom).
 package groupcomm
 
 import (
@@ -63,6 +66,11 @@ func NewPost(room string, author UserID, body []byte, now time.Duration) Post {
 
 // WireSize returns the simulated size of the post in bytes.
 func (p Post) WireSize() int { return 64 + len(p.Room) + len(p.Author) + len(p.Body) }
+
+// fetchResp carries a room's history or a user's timeline to a client.
+type fetchResp struct {
+	Posts []Post
+}
 
 // ModerationPolicy is the abuse-prevention hook (§3.2 "Abuse Prevention").
 // Centralized platforms apply one policy globally; federated instances each

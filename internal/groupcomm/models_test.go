@@ -70,11 +70,21 @@ func TestExposuresOrdering(t *testing.T) {
 	}
 }
 
+// platform starts the centralized platform: one standalone ReplServer
+// (the zero gossip.Config) and a client per user with no failover list.
+func platform(nw *simnet.Network, policy *ModerationPolicy, timeout time.Duration, users ...UserID) (*ReplServer, []*ReplClient) {
+	srv := NewReplServer(nw.AddNode(), policy, gossip.Config{})
+	clients := make([]*ReplClient, len(users))
+	for i, u := range users {
+		clients[i] = NewReplClient(nw.AddNode(), srv.Node().ID(), nil, u, timeout, resil.Config{})
+	}
+	return srv, clients
+}
+
 func TestCentralizedPostFetchModeration(t *testing.T) {
 	nw := simnet.New(1)
-	srv := NewCentralServer(nw.AddNode(), &ModerationPolicy{BannedWords: []string{"forbidden"}})
-	alice := NewCentralClient(nw.AddNode(), srv.Node().ID(), "alice", time.Minute)
-	bob := NewCentralClient(nw.AddNode(), srv.Node().ID(), "bob", time.Minute)
+	srv, c := platform(nw, &ModerationPolicy{BannedWords: []string{"forbidden"}}, time.Minute, "alice", "bob")
+	alice, bob := c[0], c[1]
 
 	var ok1, ok2 bool
 	alice.Post("town-square", []byte("hello world"), func(ok bool) { ok1 = ok })
@@ -86,14 +96,11 @@ func TestCentralizedPostFetchModeration(t *testing.T) {
 	if ok2 {
 		t.Fatal("moderated post accepted")
 	}
-	if srv.Moderated != 1 {
-		t.Errorf("moderated = %d", srv.Moderated)
-	}
 	var posts []Post
 	bob.Fetch("town-square", func(ps []Post, ok bool) { posts = ps })
 	nw.RunAll()
-	if len(posts) != 1 || posts[0].Author != "alice" {
-		t.Fatalf("fetch got %d posts", len(posts))
+	if len(posts) != 1 || posts[0].Author != "alice" || string(posts[0].Body) != "hello world" {
+		t.Fatalf("fetch got %d posts, want alice's benign one only", len(posts))
 	}
 	if len(srv.rooms["town-square"]) != 1 {
 		t.Error("server room length")
@@ -102,12 +109,11 @@ func TestCentralizedPostFetchModeration(t *testing.T) {
 
 func TestCentralizedTotalOutage(t *testing.T) {
 	nw := simnet.New(2)
-	srv := NewCentralServer(nw.AddNode(), nil)
-	alice := NewCentralClient(nw.AddNode(), srv.Node().ID(), "alice", 5*time.Second)
+	srv, c := platform(nw, nil, 5*time.Second, "alice")
 	srv.Node().Crash()
 	posted, fetched := true, true
-	alice.Post("r", []byte("x"), func(ok bool) { posted = ok })
-	alice.Fetch("r", func(ps []Post, ok bool) { fetched = ok })
+	c[0].Post("r", []byte("x"), func(ok bool) { posted = ok })
+	c[0].Fetch("r", func(ps []Post, ok bool) { fetched = ok })
 	nw.RunAll()
 	if posted || fetched {
 		t.Error("centralized platform should be completely unavailable when down")
@@ -265,7 +271,7 @@ func replWorld(t testing.TB, seed int64, n int) (*simnet.Network, []*ReplServer,
 	servers := make([]*ReplServer, n)
 	ids := make([]simnet.NodeID, n)
 	for i := range servers {
-		servers[i] = NewReplServer(nw.AddNode(), "hs"+string(rune('A'+i)), nil,
+		servers[i] = NewReplServer(nw.AddNode(), nil,
 			gossip.Config{Fanout: 3, AntiEntropyInterval: 30 * time.Second})
 		ids[i] = servers[i].Node().ID()
 	}

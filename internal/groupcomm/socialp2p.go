@@ -114,7 +114,7 @@ func (p *SocialPeer) Publish(room string, body []byte) Post {
 // sortedFriends returns friend IDs in stable order.
 func (p *SocialPeer) sortedFriends() []UserID {
 	out := make([]UserID, 0, len(p.addrs))
-	for u := range p.addrs {
+	for u := range p.addrs { //determinism:ok sorted straight after
 		out = append(out, u)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -166,7 +166,7 @@ func (p *SocialPeer) scheduleSync() {
 			keys := p.sortedFriends()
 			friend := keys[p.node.Rand().Intn(len(keys))]
 			ids := make([]cryptoutil.Hash, 0, len(p.seen))
-			for id := range p.seen {
+			for id := range p.seen { //determinism:ok the receiver reads the digest only as a set
 				ids = append(ids, id)
 			}
 			p.node.Send(p.addrs[friend], msgSocialSync, socialSyncMsg{From: p.user, IDs: ids}, 32+32*len(ids))
@@ -190,7 +190,7 @@ func (p *SocialPeer) onSync(msg simnet.Message) {
 	var missing []Post
 	size := 32
 	authors := make([]UserID, 0, len(p.posts))
-	for a := range p.posts {
+	for a := range p.posts { //determinism:ok sorted straight after
 		authors = append(authors, a)
 	}
 	sort.Slice(authors, func(i, j int) bool { return authors[i] < authors[j] })

@@ -15,7 +15,6 @@ import (
 // against the follower-scoped federated-home model.
 type UsenetServer struct {
 	node     *simnet.Node
-	name     string
 	peers    []simnet.NodeID
 	articles map[cryptoutil.Hash]Post
 	// BytesStored accumulates the payload bytes this server retains.
@@ -27,12 +26,8 @@ type UsenetServer struct {
 const msgUsenetArticle = "gc.usenet.article"
 
 // NewUsenetServer starts a news server on node.
-func NewUsenetServer(node *simnet.Node, name string) *UsenetServer {
-	s := &UsenetServer{
-		node:     node,
-		name:     name,
-		articles: map[cryptoutil.Hash]Post{},
-	}
+func NewUsenetServer(node *simnet.Node) *UsenetServer {
+	s := &UsenetServer{node: node, articles: map[cryptoutil.Hash]Post{}}
 	node.Handle(msgUsenetArticle, s.onArticle)
 	return s
 }

@@ -14,7 +14,7 @@ func usenetMesh(t *testing.T, seed int64, n int) (*simnet.Network, []*UsenetServ
 	srvs := make([]*UsenetServer, n)
 	ids := make([]simnet.NodeID, n)
 	for i := range srvs {
-		srvs[i] = NewUsenetServer(nw.AddNode(), fmt.Sprintf("news%d", i))
+		srvs[i] = NewUsenetServer(nw.AddNode())
 		ids[i] = srvs[i].Node().ID()
 	}
 	for i, s := range srvs {

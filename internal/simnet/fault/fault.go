@@ -19,7 +19,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -206,12 +205,4 @@ func (p *Plan) String() string {
 // over the already-insertion-ordered slice).
 func sortSteps(steps []Step) {
 	sort.SliceStable(steps, func(i, j int) bool { return steps[i].At < steps[j].At })
-}
-
-// Rand returns a deterministic RNG stream for fault-plan construction,
-// derived from (seed, salt) by SplitMix64 whitening. The stream is
-// independent of the network's own substrate and node streams, so the
-// choice of victims never perturbs protocol randomness.
-func Rand(seed int64, salt uint64) *rand.Rand {
-	return rand.New(simnet.NewSplitMix64(simnet.Mix64(simnet.Mix64(uint64(seed)) ^ salt)))
 }

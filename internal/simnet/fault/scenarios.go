@@ -10,8 +10,8 @@ import (
 // A Scenario is a named, parameterized adversity: given a seed, the set of
 // fault-eligible nodes, and the run horizon, Build derives the concrete
 // Plan. All randomness (which nodes are victims, when exactly they fail)
-// comes from the seed through Rand, so the same (seed, nodes, horizon)
-// always yields the same plan — and therefore the same run.
+// comes from the seed through simnet.SaltedRand, so the same (seed, nodes,
+// horizon) always yields the same plan — and therefore the same run.
 //
 // Scenario contracts, relied on by the conformance suite and X14:
 //
@@ -35,7 +35,7 @@ type Scenario struct {
 //reach:experiments' conformance tests assert recovery invariants from it
 func RecoveryPoint(horizon time.Duration) time.Duration { return horizon * 4 / 5 }
 
-// Per-scenario salts for Rand, so scenarios sharing a seed draw
+// Per-scenario salts for simnet.SaltedRand, so scenarios sharing a seed draw
 // independent victim sets.
 const (
 	saltLossyEdge      = 0x10551
@@ -70,7 +70,7 @@ func LossyEdge() Scenario {
 		Name: "lossy-edge",
 		Desc: "half the nodes on flaky, clock-skewed home links for the middle of the run",
 		Build: func(seed int64, nodes []simnet.NodeID, horizon time.Duration) *Plan {
-			rng := Rand(seed, saltLossyEdge)
+			rng := simnet.SaltedRand(seed, saltLossyEdge)
 			victims := pick(rng, nodes, (len(nodes)+1)/2)
 			p := NewPlan()
 			start, stop := frac(horizon, 1, 10), frac(horizon, 3, 4)
@@ -94,7 +94,7 @@ func FlashPartition() Scenario {
 		Name: "flash-partition",
 		Desc: "half the nodes partitioned away mid-run, then healed",
 		Build: func(seed int64, nodes []simnet.NodeID, horizon time.Duration) *Plan {
-			rng := Rand(seed, saltFlashPartition)
+			rng := simnet.SaltedRand(seed, saltFlashPartition)
 			island := pick(rng, nodes, len(nodes)/2)
 			// The island must be a non-zero group: unlisted nodes default
 			// into group 0 alongside the first group passed.
@@ -113,7 +113,7 @@ func RollingChurn() Scenario {
 		Name: "rolling-churn",
 		Desc: "every node crashes once in a staggered wave and restarts",
 		Build: func(seed int64, nodes []simnet.NodeID, horizon time.Duration) *Plan {
-			rng := Rand(seed, saltRollingChurn)
+			rng := simnet.SaltedRand(seed, saltRollingChurn)
 			p := NewPlan()
 			if len(nodes) == 0 {
 				return p
@@ -163,7 +163,7 @@ func SustainedChurn() Scenario {
 		Name: "sustained-churn",
 		Desc: "repeated staggered crash/restart waves with no healed tail",
 		Build: func(seed int64, nodes []simnet.NodeID, horizon time.Duration) *Plan {
-			rng := Rand(seed, saltSustained)
+			rng := simnet.SaltedRand(seed, saltSustained)
 			p := NewPlan()
 			if len(nodes) == 0 {
 				return p

@@ -36,9 +36,9 @@ import (
 // sweep (X15).
 
 // rpcEnvelope wraps a request or response on the wire. Envelopes are
-// pooled: the consuming side releases them back after extracting the
-// payload, except when the network's duplicate-fault model may deliver the
-// same envelope again (see newEnvelope).
+// pooled: the consuming side releases each one back after extracting the
+// payload. A copy made by the duplicate fault carries its own envelope
+// (see Network.Send), so every envelope is delivered at most once.
 type rpcEnvelope struct {
 	// pc and id name the caller's pending call. The server never
 	// dereferences pc; it only copies both into the reply.
@@ -48,11 +48,6 @@ type rpcEnvelope struct {
 	payload any
 	isReply bool
 	ok      bool // server found a handler and produced a reply
-	// recycle records, at send time, whether this envelope is safe to
-	// return to the pool once consumed. A message sent while the network's
-	// LinkFault duplicates traffic may be delivered twice sharing one
-	// envelope pointer, so such envelopes are left to the GC instead.
-	recycle bool
 	pool.Mark
 }
 
@@ -130,23 +125,6 @@ type Caller interface {
 }
 
 var _ Caller = (*RPCNode)(nil)
-
-// newEnvelope returns a pooled envelope stamped with its recycling
-// eligibility under the network's current fault model. Duplication is
-// decided per message at send time, so an envelope sent while Duplicate is
-// zero can never be delivered twice, no matter what faults appear later.
-func newEnvelope(nw *Network) *rpcEnvelope {
-	env := envPool.Get()
-	env.recycle = nw.fault.Duplicate <= 0
-	return env
-}
-
-// releaseEnvelope recycles a consumed envelope when it is safe to do so.
-func releaseEnvelope(env *rpcEnvelope) {
-	if env.recycle {
-		envPool.Put(env)
-	}
-}
 
 const rpcKind = "simnet.rpc"
 
@@ -372,7 +350,7 @@ func (t ReplyToken) Reply(resp any, respSize int) {
 // the refusal of a method without a handler. Every reply leaves through
 // here.
 func (t ReplyToken) send(resp any, respSize int, served bool) {
-	reply := newEnvelope(t.r.n.nw)
+	reply := envPool.Get()
 	reply.pc, reply.id, reply.method, reply.isReply = t.pc, t.id, t.method, true
 	reply.payload, reply.ok = resp, served
 	t.r.sendEnvelope(t.from, reply, respSize+64)
@@ -445,7 +423,7 @@ func (r *RPCNode) CallTo(to NodeID, method string, req any, reqSize int, timeout
 	pc.done = done
 	pc.sentAt = r.n.Now()
 	r.issue(pc)
-	env := newEnvelope(r.n.nw)
+	env := envPool.Get()
 	env.pc, env.id, env.method, env.payload = pc, pc.id, method, req
 	r.sendEnvelope(to, env, reqSize+64)
 	// The timeout runs on the caller's local clock: a fast-skewed node
@@ -461,7 +439,7 @@ func (r *RPCNode) onMessage(msg Message) {
 	}
 	if env.isReply {
 		pc, id, payload, served := env.pc, env.id, env.payload, env.ok
-		releaseEnvelope(env)
+		envPool.Put(env)
 		if !pc.live(id) {
 			return // late reply after timeout or cancellation; drop
 		}
@@ -479,7 +457,7 @@ func (r *RPCNode) onMessage(msg Message) {
 	// envelope.
 	tok := ReplyToken{r: r, pc: env.pc, id: env.id, from: msg.From, method: env.method}
 	req := env.payload
-	releaseEnvelope(env)
+	envPool.Put(env)
 	if m := r.lookup(tok.method); m != nil && m.handler != nil {
 		m.handler(tok.from, req, tok)
 		return

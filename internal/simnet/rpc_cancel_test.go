@@ -147,11 +147,11 @@ func TestRPCCompletionLedger(t *testing.T) {
 	}
 }
 
-// TestRPCDuplicateFaultSkipsRecycling is the counterpart: while a
-// duplicate fault is in force a delivered envelope may be delivered again
-// off the same pointer, so none of the involved envelopes may go back to
-// the pool — a recycled duplicate would alias a zeroed struct.
-func TestRPCDuplicateFaultSkipsRecycling(t *testing.T) {
+// TestRPCDuplicateFaultRecyclesEachCopy is the counterpart: a duplicated
+// message carries its own envelope, so each delivered copy goes back to
+// the pool exactly once — the duplicate request's reply and the late
+// copy of each reply included.
+func TestRPCDuplicateFaultRecyclesEachCopy(t *testing.T) {
 	nw := New(12)
 	caller, server := nw.AddNode(), nw.AddNode()
 	srv := NewRPCNode(server)
@@ -172,9 +172,13 @@ func TestRPCDuplicateFaultSkipsRecycling(t *testing.T) {
 	if done != 1 {
 		t.Fatalf("done ran %d times, want once despite duplicated delivery", done)
 	}
-	// The request, and a reply to each of its two copies.
-	if taken, released := envPool.Counts(); taken-taken0 != 3 || released-released0 != 0 {
-		t.Fatalf("envelopes taken %d, released %d under duplicate fault; want 3 and 0", taken-taken0, released-released0)
+	if d := nw.Trace().Duplicated; d != 3 {
+		t.Fatalf("%d messages duplicated, want 3: the request and both replies", d)
+	}
+	// The request and its copy, and a reply and its copy for each of the
+	// two requests the server received.
+	if taken, released := envPool.Counts(); taken-taken0 != 6 || released-released0 != 6 {
+		t.Fatalf("envelopes taken %d, released %d under duplicate fault; want 6 and 6", taken-taken0, released-released0)
 	}
 }
 

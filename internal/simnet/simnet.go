@@ -712,9 +712,17 @@ func (nw *Network) Send(msg Message) bool {
 		if f.Duplicate > 0 && src.srng.float64() < f.Duplicate {
 			// The duplicate is a fault artifact, not a retransmission: it
 			// skips link accounting and lands an extra hold-back later.
+			// An RPC copy gets its own envelope, since the receiver
+			// releases each envelope it consumes.
 			ssh.trace.Duplicated++
 			extra := time.Duration(src.srng.int63n(int64(f.holdBack())))
-			nw.launch(src, dst, msg, arrive+extra, hop)
+			dup := msg
+			if env, ok := msg.Payload.(*rpcEnvelope); ok {
+				c := envPool.Get()
+				*c = *env // both are out of the pool, so the marks agree
+				dup.Payload = c
+			}
+			nw.launch(src, dst, dup, arrive+extra, hop)
 		}
 	}
 	nw.launch(src, dst, msg, arrive, hop)

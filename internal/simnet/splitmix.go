@@ -81,10 +81,18 @@ func (s *SplitMix64) int63n(n int64) int64 {
 func (s *SplitMix64) Seed(seed int64) { s.state = uint64(seed) }
 
 // Mix64 is one stateless SplitMix64 output step, used to whiten raw seeds
-// before they pick a stream. Derived packages (e.g. simnet/fault) use it to
-// split one user-facing seed into independent sub-streams without landing
-// on SplitMix64's golden-ratio lattice.
+// before they pick a stream.
 func Mix64(x uint64) uint64 { return mix64(x) }
+
+// SaltedRand returns the stream SplitMix64(Mix64(Mix64(seed) ^ salt)): one
+// user-facing seed split into independent sub-streams, one per salt, off
+// SplitMix64's golden-ratio lattice. Fault plans (simnet/fault) and
+// workload schedules (internal/workload) draw from it, each under its own
+// salts, so their draws never perturb the network's substrate and node
+// streams, and protocol changes never shift a plan or the offered load.
+func SaltedRand(seed int64, salt uint64) *rand.Rand {
+	return rand.New(NewSplitMix64(mix64(mix64(uint64(seed)) ^ salt)))
+}
 
 // mix64 is one stateless SplitMix64 output step, used to whiten raw seeds
 // before they pick a stream.

@@ -68,6 +68,23 @@ func TestStreamKnownAnswer(t *testing.T) {
 		check(fmt.Sprint("substrate ", i), draws{s.float64(), s.float64(), s.int63n(1 << 20), s.int63n(1000), s.int63n(katBig), s.int63n(katBig)}, want)
 	}
 
+	// The salted streams, under the lossy-edge fault scenario's salt and
+	// the workload schedule's.
+	for _, want := range []struct {
+		salt uint64
+		i    int64
+		f    float64
+		dec  int64
+	}{
+		{0x10551, 8128822563430733034, 0.5496243009655337, 939},
+		{0x301AD, 5287841038494604, 0.8260775409554214, 535},
+	} {
+		r := SaltedRand(42, want.salt)
+		if i, f, dec := r.Int63(), r.Float64(), r.Int63n(1000); i != want.i || f != want.f || dec != want.dec {
+			t.Errorf("salted %#x: got %d %v %d, want %d %v %d", want.salt, i, f, dec, want.i, want.f, want.dec)
+		}
+	}
+
 	// On a single heap a node's substrate draws come from the network
 	// stream itself, interleaved with harness draws in call order.
 	single := New(42)

@@ -136,63 +136,31 @@ func NewProvider(node *simnet.Node, cfg ProviderConfig) *Provider {
 	if cfg.MemCapacity > 0 {
 		p.store.AttachMetrics(node.Obs())
 	}
-	cheat := cfg.Cheat
 	p.rpc.Serve(methodPut, p.onPut)
 	p.rpc.Serve(methodPutSealed, p.onPutSealed)
 	p.rpc.Serve(methodGet, p.onGet)
 	p.rpc.Serve(methodPin, p.onPin)
 	p.rpc.Serve(methodUnpin, p.onUnpin)
 	p.rpc.Serve(methodRelease, p.onRelease)
-	p.rpc.Serve(methodChallenge, p.onChallenge)
-	p.rpc.Serve(methodRetChallenge, p.onRetChallenge)
+	p.rpc.ServeDeferred(methodChallenge, p.onChallenge)
+	p.rpc.ServeDeferred(methodRetChallenge, p.onRetChallenge)
 	p.rpc.Serve(methodRepChallenge, p.onRepChallenge)
-	if cheat == OutsourceFetch {
-		// The outsourcing attacker answers proofs by first fetching the
-		// chunk from an accomplice — correct answers, but one network
-		// round-trip late. Verifiers with a tight deadline catch the added
-		// latency (§3.3 "Outsourcing Attacks"). Registered last, these
-		// replace the honest handlers above.
-		p.rpc.ServeDeferred(methodChallenge, func(from simnet.NodeID, req any, tok simnet.ReplyToken) {
-			r, ok := req.(challengeReq)
-			if !ok {
-				tok.Reply(challengeResp{}, 8)
-				return
-			}
-			p.fetchFromAccomplice(r.ChunkID, func(data []byte, ok bool) {
-				if !ok {
-					tok.Reply(challengeResp{}, 8)
-					return
-				}
-				tok.Reply(buildStorageProof(data, r.Leaf))
-			})
-		})
-		p.rpc.ServeDeferred(methodRetChallenge, func(from simnet.NodeID, req any, tok simnet.ReplyToken) {
-			r, ok := req.(retChallengeReq)
-			if !ok {
-				tok.Reply(retChallengeResp{}, 8)
-				return
-			}
-			p.fetchFromAccomplice(r.ChunkID, func(data []byte, ok bool) {
-				if !ok {
-					tok.Reply(retChallengeResp{}, 8)
-					return
-				}
-				tok.Reply(retChallengeResp{MAC: cryptoutil.HMAC256(r.Salt, data), OK: true}, 48)
-			})
-		})
-	}
 	return p
 }
 
-// fetchFromAccomplice pulls a chunk from the attacker's accomplice node.
-func (p *Provider) fetchFromAccomplice(id cryptoutil.Hash, done func(data []byte, ok bool)) {
+// proofData hands done the chunk bytes a proof is computed over. An honest
+// provider reads its own store and answers at once. The outsourcing
+// attacker stores nothing and first fetches the chunk from an accomplice —
+// correct answers, but one network round trip late, which verifiers with a
+// tight deadline catch (§3.3 "Outsourcing Attacks").
+func (p *Provider) proofData(id cryptoutil.Hash, done func(data []byte, ok bool)) {
+	if p.cheat != OutsourceFetch {
+		done(p.store.Peek(id))
+		return
+	}
 	p.rpc.Call(p.accomplice, methodGet, id, 40, 30*time.Second, func(resp any, err error) {
-		if err != nil {
-			done(nil, false)
-			return
-		}
 		gr, ok := resp.(getResp)
-		if !ok || !gr.OK {
+		if err != nil || !ok || !gr.OK {
 			done(nil, false)
 			return
 		}
@@ -305,30 +273,36 @@ func (p *Provider) onRelease(from simnet.NodeID, req any) (any, int) {
 }
 
 // onChallenge answers a proof-of-storage Merkle challenge.
-func (p *Provider) onChallenge(from simnet.NodeID, req any) (any, int) {
+func (p *Provider) onChallenge(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 	r, ok := req.(challengeReq)
 	if !ok {
-		return challengeResp{}, 8
+		tok.Reply(challengeResp{}, 8)
+		return
 	}
-	data, have := p.store.Peek(r.ChunkID)
-	if !have {
-		return challengeResp{}, 8
-	}
-	return buildStorageProof(data, r.Leaf)
+	p.proofData(r.ChunkID, func(data []byte, ok bool) {
+		if !ok {
+			tok.Reply(challengeResp{}, 8)
+			return
+		}
+		tok.Reply(buildStorageProof(data, r.Leaf))
+	})
 }
 
 // onRetChallenge answers a proof-of-retrievability sentinel challenge:
 // HMAC(salt, chunk).
-func (p *Provider) onRetChallenge(from simnet.NodeID, req any) (any, int) {
+func (p *Provider) onRetChallenge(from simnet.NodeID, req any, tok simnet.ReplyToken) {
 	r, ok := req.(retChallengeReq)
 	if !ok {
-		return retChallengeResp{}, 8
+		tok.Reply(retChallengeResp{}, 8)
+		return
 	}
-	data, have := p.store.Peek(r.ChunkID)
-	if !have {
-		return retChallengeResp{}, 8
-	}
-	return retChallengeResp{MAC: cryptoutil.HMAC256(r.Salt, data), OK: true}, 48
+	p.proofData(r.ChunkID, func(data []byte, ok bool) {
+		if !ok {
+			tok.Reply(retChallengeResp{}, 8)
+			return
+		}
+		tok.Reply(retChallengeResp{MAC: cryptoutil.HMAC256(r.Salt, data), OK: true}, 48)
+	})
 }
 
 func (p *Provider) onPutSealed(from simnet.NodeID, req any) (any, int) {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/simnet"
 )
 
 func defaultFlash() Flash {
@@ -84,7 +86,7 @@ func TestHotZipfRatePreservation(t *testing.T) {
 	if h.MaxWeightFactor() != w {
 		t.Errorf("MaxWeightFactor %g, want peak factor %g", h.MaxWeightFactor(), w)
 	}
-	rng := Rand(11, 0x77)
+	rng := simnet.SaltedRand(11, 0x77)
 	const n = 400000
 	hotCount := 0
 	coldCount := 0 // object 0, the most popular cold object
@@ -114,7 +116,7 @@ func TestHotZipfRatePreservation(t *testing.T) {
 func TestHotZipfInertMatchesBase(t *testing.T) {
 	z := NewZipf(32, 1.0)
 	h := NewHotZipf(z, Flash{})
-	a, b := Rand(5, 9), Rand(5, 9)
+	a, b := simnet.SaltedRand(5, 9), simnet.SaltedRand(5, 9)
 	for i := 0; i < 5000; i++ {
 		if x, y := h.DrawAt(time.Duration(i)*time.Second, a), z.Draw(b); x != y {
 			t.Fatalf("inert composite diverged from base at draw %d: %d vs %d", i, x, y)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/simnet"
 )
 
 // Request is one generated request: client Client asks for object Object
@@ -88,7 +90,7 @@ func Generate(cfg StreamConfig) []Request {
 		}
 		// One independent sub-stream per region: adding a region never
 		// shifts another region's draws.
-		rng := Rand(cfg.Seed, salt^(uint64(r+1)*0x9E3779B97F4A7C15))
+		rng := simnet.SaltedRand(cfg.Seed, salt^(uint64(r+1)*0x9E3779B97F4A7C15))
 		var t time.Duration
 		for {
 			t += time.Duration(rng.ExpFloat64() / lamMax * float64(time.Second))

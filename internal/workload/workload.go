@@ -11,8 +11,8 @@
 // architectures under test.
 //
 // Determinism. Generators draw only from dedicated SplitMix64 streams
-// derived from (seed, salt) via Rand — the same discipline as
-// simnet/fault.Rand — never from the shared network stream and never from
+// derived from (seed, salt) via simnet.SaltedRand — the streams fault
+// plans draw from too — never from the shared network stream and never from
 // the global math/rand source (scripts/determinism_lint.sh enforces the
 // latter). Given the same (seed, config), Generate replays its request
 // schedule byte for byte, at any trial-worker count, which is what lets
@@ -24,25 +24,10 @@
 // alloc_test.go pins both budgets.
 package workload
 
-import (
-	"math/rand"
-
-	"repro/internal/simnet"
-)
-
-// Canonical salts for Rand, so the package's sub-streams are independent
-// of each other and of the fault package's scenario streams.
+// Canonical salts for simnet.SaltedRand, so the package's sub-streams are
+// independent of each other and of the fault package's scenario streams.
 const (
 	// SaltStream seeds request-schedule generation (arrival thinning,
 	// object draws, client choice). Generate splits it further per region.
 	SaltStream = 0x301AD
 )
-
-// Rand returns a deterministic RNG stream for workload generation, derived
-// from (seed, salt) by SplitMix64 whitening — the same scheme as
-// simnet/fault.Rand. The stream is independent of the network's substrate
-// and node streams, so workload draws never perturb protocol randomness
-// (and vice versa: protocol changes never shift the offered load).
-func Rand(seed int64, salt uint64) *rand.Rand {
-	return rand.New(simnet.NewSplitMix64(simnet.Mix64(simnet.Mix64(uint64(seed)) ^ salt)))
-}

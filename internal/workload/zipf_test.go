@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"testing"
+
+	"repro/internal/simnet"
 )
 
 // TestZipfPMF: probabilities are a proper, monotone-decreasing
@@ -42,7 +44,7 @@ func TestZipfUniform(t *testing.T) {
 // this; here a coarse per-object check suffices).
 func TestZipfDrawMatchesPMF(t *testing.T) {
 	z := NewZipf(16, 1.0)
-	rng := Rand(7, 0x21F)
+	rng := simnet.SaltedRand(7, 0x21F)
 	const n = 200000
 	counts := make([]int, z.N())
 	for i := 0; i < n; i++ {
@@ -65,7 +67,7 @@ func TestZipfDrawMatchesPMF(t *testing.T) {
 // same draw sequence — the generator-replay contract `make race` runs.
 func TestZipfDeterministicReplay(t *testing.T) {
 	z := NewZipf(64, 1.2)
-	a, b := Rand(42, 0xABC), Rand(42, 0xABC)
+	a, b := simnet.SaltedRand(42, 0xABC), simnet.SaltedRand(42, 0xABC)
 	for i := 0; i < 10000; i++ {
 		if x, y := z.Draw(a), z.Draw(b); x != y {
 			t.Fatalf("draw %d diverged: %d vs %d", i, x, y)
@@ -76,7 +78,7 @@ func TestZipfDeterministicReplay(t *testing.T) {
 // TestZipfSingleton: n = 1 always draws object 0.
 func TestZipfSingleton(t *testing.T) {
 	z := NewZipf(1, 1.1)
-	rng := Rand(1, 1)
+	rng := simnet.SaltedRand(1, 1)
 	for i := 0; i < 100; i++ {
 		if z.Draw(rng) != 0 {
 			t.Fatal("singleton drew nonzero")

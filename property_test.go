@@ -267,7 +267,7 @@ func TestQuickZipfChiSquare(t *testing.T) {
 		n := 8 + int(rawN)%25      // catalog size in [8, 32]
 		s := float64(rawS%16) / 10 // skew in [0, 1.5]
 		z := workload.NewZipf(n, s)
-		rng := workload.Rand(seed%(1<<30), 0xC41)
+		rng := simnet.SaltedRand(seed%(1<<30), 0xC41)
 		const draws = 50000
 		counts := make([]float64, n)
 		for i := 0; i < draws; i++ {
