@@ -16,8 +16,9 @@ import (
 //   - Reconvergence: after the recovery window every miner reports the same
 //     head hash — partitions fork the chain, heals must reorg it back.
 //   - Liveness: the chain keeps growing despite the faults.
-//   - No panics on garbage: corrupt-10pct delivers unparseable payloads to
-//     every handler.
+//   - Garbled links are losses: corrupt-10pct's garbled messages are
+//     discarded at delivery, before any handler, and the chain recovers
+//     from them as from any other lost message.
 func TestChainRecoveryConformance(t *testing.T) {
 	const (
 		seed    = 401

@@ -267,10 +267,7 @@ func (m *Miner) SubmitTx(tx *Tx) {
 }
 
 func (m *Miner) onTx(msg simnet.Message) {
-	tx, ok := msg.Payload.(*Tx)
-	if !ok {
-		return
-	}
+	tx := msg.Payload.(*Tx)
 	if !m.pool.Add(tx) {
 		return // already known: stop the flood
 	}
@@ -282,11 +279,7 @@ func (m *Miner) onTx(msg simnet.Message) {
 }
 
 func (m *Miner) onBlock(msg simnet.Message) {
-	b, ok := msg.Payload.(*Block)
-	if !ok {
-		return
-	}
-	m.acceptBlock(b, msg.From)
+	m.acceptBlock(msg.Payload.(*Block), msg.From)
 }
 
 func (m *Miner) acceptBlock(b *Block, from simnet.NodeID) {
@@ -316,11 +309,7 @@ func (m *Miner) acceptBlock(b *Block, from simnet.NodeID) {
 }
 
 func (m *Miner) onGetBlock(msg simnet.Message) {
-	h, ok := msg.Payload.(cryptoutil.Hash)
-	if !ok {
-		return
-	}
-	if b := m.chain.Block(h); b != nil {
+	if b := m.chain.Block(msg.Payload.(cryptoutil.Hash)); b != nil {
 		m.node.Send(msg.From, MsgBlock, b, b.WireSize())
 	}
 }

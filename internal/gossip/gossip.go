@@ -249,10 +249,7 @@ func (m *Member) push(it *Item, exclude simnet.NodeID) {
 }
 
 func (m *Member) onPush(msg simnet.Message) {
-	it, ok := msg.Payload.(*Item)
-	if !ok {
-		return
-	}
+	it := msg.Payload.(*Item)
 	if m.accept(it) {
 		m.push(it, msg.From) // continue the epidemic
 	}
@@ -309,10 +306,7 @@ func (m *Member) sendDigest() {
 // both sides agree — nearly every round — it allocates nothing and sends
 // nothing.
 func (m *Member) onSync(msg simnet.Message) {
-	d, ok := msg.Payload.(*syncDigest)
-	if !ok {
-		return
-	}
+	d := msg.Payload.(*syncDigest)
 	// theirs marks the log positions the sender already holds; it lives on
 	// the stack up to 256 held items.
 	var small [4]uint64
@@ -344,10 +338,7 @@ func (m *Member) onSync(msg simnet.Message) {
 }
 
 func (m *Member) onDelta(msg simnet.Message) {
-	d, ok := msg.Payload.(syncDelta)
-	if !ok {
-		return
-	}
+	d := msg.Payload.(syncDelta)
 	for _, it := range d.items {
 		if m.accept(it) {
 			m.m.repaired.Inc()

@@ -60,8 +60,9 @@ func socialConformanceRun(t testing.TB, seed int64, sc fault.Scenario) float64 {
 }
 
 // TestSocialRecoveryConformance: posts published while friends were down,
-// partitioned, or on garbage links must all be delivered by the end of the
-// run — eventual delivery via sync is the invariant.
+// partitioned, or on links that garble messages (which the network discards
+// at delivery) must all be delivered by the end of the run — eventual
+// delivery via sync is the invariant.
 func TestSocialRecoveryConformance(t *testing.T) {
 	for _, sc := range fault.Scenarios() {
 		sc := sc

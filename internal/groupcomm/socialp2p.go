@@ -142,10 +142,7 @@ func (p *SocialPeer) accept(post Post) bool {
 }
 
 func (p *SocialPeer) onPost(msg simnet.Message) {
-	m, ok := msg.Payload.(socialPostMsg)
-	if !ok {
-		return
-	}
+	m := msg.Payload.(socialPostMsg)
 	// Admission control: the *sender* must be a friend, and accept()
 	// re-checks the author.
 	if !p.friends[m.From] {
@@ -176,8 +173,8 @@ func (p *SocialPeer) scheduleSync() {
 }
 
 func (p *SocialPeer) onSync(msg simnet.Message) {
-	m, ok := msg.Payload.(socialSyncMsg)
-	if !ok || !p.friends[m.From] {
+	m := msg.Payload.(socialSyncMsg)
+	if !p.friends[m.From] {
 		return
 	}
 	theirs := make(map[cryptoutil.Hash]bool, len(m.IDs))
@@ -208,8 +205,8 @@ func (p *SocialPeer) onSync(msg simnet.Message) {
 }
 
 func (p *SocialPeer) onWant(msg simnet.Message) {
-	m, ok := msg.Payload.(socialWantMsg)
-	if !ok || !p.friends[m.From] {
+	m := msg.Payload.(socialWantMsg)
+	if !p.friends[m.From] {
 		return
 	}
 	for _, post := range m.Posts {

@@ -70,9 +70,5 @@ func (s *UsenetServer) accept(p Post, from simnet.NodeID) bool {
 }
 
 func (s *UsenetServer) onArticle(msg simnet.Message) {
-	p, ok := msg.Payload.(Post)
-	if !ok {
-		return
-	}
-	s.accept(p, msg.From)
+	s.accept(msg.Payload.(Post), msg.From)
 }

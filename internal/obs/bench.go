@@ -170,7 +170,7 @@ func compareSnapshots(id string, old, new *Snapshot, tol float64) []Problem {
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
-	for k := range m {
+	for k := range m { //determinism:ok sorted straight after
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

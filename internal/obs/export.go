@@ -66,7 +66,7 @@ func MergeRegistries(regs []*Registry) *Snapshot {
 	pooled := map[string]*Histogram{}
 	for _, r := range ordered {
 		r.runPublish()
-		for name, c := range r.counters {
+		for name, c := range r.counters { //determinism:ok integer sums keyed by name
 			counters[name] += c.Value()
 		}
 		for name, g := range r.gauges {
@@ -89,10 +89,10 @@ func MergeRegistries(regs []*Registry) *Snapshot {
 		Gauges:     make(map[string]float64, len(gaugeSum)),
 		Histograms: make(map[string]HistStat, len(pooled)),
 	}
-	for name, sum := range gaugeSum {
+	for name, sum := range gaugeSum { //determinism:ok one keyed write per name
 		s.Gauges[name] = sum / float64(gaugeN[name])
 	}
-	for name, h := range pooled {
+	for name, h := range pooled { //determinism:ok one keyed write per name
 		s.Histograms[name] = histStat(h)
 	}
 	return s

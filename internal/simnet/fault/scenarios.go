@@ -132,8 +132,8 @@ func RollingChurn() Scenario {
 }
 
 // CorruptTenPct turns on in-flight message mangling from 15% to 75% of the
-// run: 10% of messages arrive as unparseable garbage, 5% are duplicated,
-// and 25% are held back out of order.
+// run: 10% of messages arrive garbled and are discarded at delivery, 5% are
+// duplicated, and 25% are held back out of order.
 func CorruptTenPct() Scenario {
 	return Scenario{
 		Name: "corrupt-10pct",

@@ -5,26 +5,22 @@ import (
 	"time"
 )
 
-// TestLinkFaultCorruptWrapsPayload: corrupted messages arrive with the
-// payload wrapped in Corrupted, so the receiver's type assertion fails the
-// way an unparseable frame would.
-func TestLinkFaultCorruptWrapsPayload(t *testing.T) {
+// TestLinkFaultCorruptDropsAtDelivery: a corrupted message is counted as
+// delivered and as Corrupted, then discarded before any handler runs, the
+// way a frame whose checksum fails never reaches the protocol.
+func TestLinkFaultCorruptDropsAtDelivery(t *testing.T) {
 	nw := New(21)
 	a, b := nw.AddNode(), nw.AddNode()
 	nw.SetLinkFault(LinkFault{Corrupt: 1})
-	var got Message
-	b.Handle("m", func(m Message) { got = m })
+	ran := 0
+	b.Handle("m", func(Message) { ran++ })
 	a.Send(b.ID(), "m", "hello", 8)
 	nw.RunAll()
-	c, ok := got.Payload.(Corrupted)
-	if !ok {
-		t.Fatalf("payload = %#v, want Corrupted wrapper", got.Payload)
+	if ran != 0 {
+		t.Fatalf("handler ran %d times on a corrupted message, want 0", ran)
 	}
-	if c.Original != "hello" {
-		t.Fatalf("Corrupted.Original = %v, want original payload", c.Original)
-	}
-	if nw.Trace().Corrupted != 1 {
-		t.Fatalf("Corrupted = %d, want 1", nw.Trace().Corrupted)
+	if tr := nw.Trace(); tr.Corrupted != 1 || tr.Delivered != 1 || tr.Unhandled != 0 {
+		t.Fatalf("trace = %+v, want Corrupted=1 Delivered=1 Unhandled=0", tr)
 	}
 }
 

@@ -36,9 +36,11 @@ import (
 // sweep (X15).
 
 // rpcEnvelope wraps a request or response on the wire. Envelopes are
-// pooled: the consuming side releases each one back after extracting the
-// payload. A copy made by the duplicate fault carries its own envelope
-// (see Network.Send), so every envelope is delivered at most once.
+// pooled and go back exactly once: onMessage releases each one it consumes
+// after extracting the payload, and the network releases each one whose
+// message is lost (dropped, garbled, or of a kind the receiver does not
+// handle; see release). A copy made by the duplicate fault carries its own
+// envelope (see Network.Send), so every envelope is delivered at most once.
 type rpcEnvelope struct {
 	// pc and id name the caller's pending call. The server never
 	// dereferences pc; it only copies both into the reply.
@@ -433,10 +435,7 @@ func (r *RPCNode) CallTo(to NodeID, method string, req any, reqSize int, timeout
 }
 
 func (r *RPCNode) onMessage(msg Message) {
-	env, ok := msg.Payload.(*rpcEnvelope)
-	if !ok {
-		return
-	}
+	env := msg.Payload.(*rpcEnvelope) // only sendEnvelope sends rpcKind
 	if env.isReply {
 		pc, id, payload, served := env.pc, env.id, env.payload, env.ok
 		envPool.Put(env)

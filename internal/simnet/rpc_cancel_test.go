@@ -147,38 +147,93 @@ func TestRPCCompletionLedger(t *testing.T) {
 	}
 }
 
-// TestRPCDuplicateFaultRecyclesEachCopy is the counterpart: a duplicated
-// message carries its own envelope, so each delivered copy goes back to
-// the pool exactly once — the duplicate request's reply and the late
-// copy of each reply included.
-func TestRPCDuplicateFaultRecyclesEachCopy(t *testing.T) {
-	nw := New(12)
-	caller, server := nw.AddNode(), nw.AddNode()
-	srv := NewRPCNode(server)
-	srv.Serve("echo", func(from NodeID, req any) (any, int) { return req, 16 })
-	nw.SetLinkFault(LinkFault{Duplicate: 1})
-	taken0, released0 := envPool.Counts()
-	rpc := NewRPCNode(caller)
-
-	done := 0
-	rpc.Call(server.ID(), "echo", "x", 16, time.Second, func(resp any, err error) {
-		if err != nil {
-			t.Errorf("call under duplicate fault failed: %v", err)
-		}
-		done++
-	})
-	nw.RunAll()
-
-	if done != 1 {
-		t.Fatalf("done ran %d times, want once despite duplicated delivery", done)
+// TestRPCLostMessageReleasesEnvelope: each way an RPC message can be lost
+// hands its envelope back to the pool exactly once, as a consumed one does,
+// so once a run drains envelopes taken equal envelopes returned. A
+// duplicated message carries its own envelope, so each delivered copy goes
+// back too — the duplicate request's reply and the late copy of each reply
+// included. Every call still completes exactly once.
+func TestRPCLostMessageReleasesEnvelope(t *testing.T) {
+	lossy := DatacenterProfile()
+	lossy.Loss = 0.3
+	cases := []struct {
+		name    string
+		cfg     NetworkConfig
+		profile LinkProfile
+		fault   LinkFault
+		calls   int
+		// setup runs before the calls are issued; nil leaves the server up.
+		setup func(nw *Network, server *Node)
+		// noRPC leaves the server without an RPC handler.
+		noRPC bool
+		// taken is the exact count of envelopes taken, or 0 for any.
+		taken int64
+		// lost reports whether the run lost a message the row's way.
+		lost func(tr *Trace) bool
+	}{
+		{name: "duplicate", fault: LinkFault{Duplicate: 1}, calls: 1, taken: 6,
+			// The request and its copy, and a reply and its copy for each
+			// of the two requests the server received.
+			lost: func(tr *Trace) bool { return tr.Duplicated == 3 }},
+		{name: "loss", profile: lossy, calls: 40,
+			lost: func(tr *Trace) bool { return tr.Dropped > 0 }},
+		{name: "down destination", calls: 4, setup: func(_ *Network, s *Node) { s.Crash() },
+			lost: func(tr *Trace) bool { return tr.Dropped == 4 }},
+		{name: "down destination, sharded", cfg: NetworkConfig{Shards: 2}, calls: 4,
+			setup: func(_ *Network, s *Node) { s.Crash() },
+			lost:  func(tr *Trace) bool { return tr.Dropped == 4 }},
+		{name: "partition in flight", calls: 4,
+			setup: func(nw *Network, s *Node) {
+				nw.After(500*time.Microsecond, func() { nw.Partition(nil, []NodeID{s.ID()}) })
+			},
+			lost: func(tr *Trace) bool { return tr.Dropped == 4 && tr.Delivered == 0 }},
+		{name: "corrupt", fault: LinkFault{Corrupt: 1}, calls: 4, taken: 4,
+			lost: func(tr *Trace) bool { return tr.Corrupted == 4 }},
+		{name: "corrupt and duplicate", fault: LinkFault{Corrupt: 1, Duplicate: 1}, calls: 4, taken: 8,
+			lost: func(tr *Trace) bool { return tr.Corrupted == 8 && tr.Duplicated == 4 }},
+		{name: "no RPC handler", noRPC: true, calls: 4, taken: 4,
+			lost: func(tr *Trace) bool { return tr.Unhandled == 4 }},
+		{name: "combined faults", cfg: NetworkConfig{Seed: 9}, profile: HomeBroadbandProfile(),
+			fault: LinkFault{Corrupt: 0.1, Duplicate: 0.1, Reorder: 0.1}, calls: 200,
+			lost: func(tr *Trace) bool { return tr.Dropped > 0 && tr.Corrupted > 0 && tr.Duplicated > 0 }},
 	}
-	if d := nw.Trace().Duplicated; d != 3 {
-		t.Fatalf("%d messages duplicated, want 3: the request and both replies", d)
-	}
-	// The request and its copy, and a reply and its copy for each of the
-	// two requests the server received.
-	if taken, released := envPool.Counts(); taken-taken0 != 6 || released-released0 != 6 {
-		t.Fatalf("envelopes taken %d, released %d under duplicate fault; want 6 and 6", taken-taken0, released-released0)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nw := NewWithConfig(c.cfg)
+			if c.profile != (LinkProfile{}) {
+				nw.SetDefaultProfile(c.profile)
+			}
+			caller, server := nw.AddNode(), nw.AddNode()
+			if !c.noRPC {
+				NewRPCNode(server).Serve("echo", func(from NodeID, req any) (any, int) { return req, 16 })
+			}
+			nw.SetLinkFault(c.fault)
+			if c.setup != nil {
+				c.setup(nw, server)
+			}
+			taken0, released0 := envPool.Counts()
+			rpc := NewRPCNode(caller)
+			done := 0
+			for i := 0; i < c.calls; i++ {
+				rpc.Call(server.ID(), "echo", i, 16, time.Second, func(any, error) { done++ })
+			}
+			nw.RunAll()
+
+			if done != c.calls {
+				t.Fatalf("%d completions for %d calls, want one each", done, c.calls)
+			}
+			if tr := nw.Trace(); !c.lost(tr) {
+				t.Fatalf("trace %+v: the run did not lose messages the %s way", *tr, c.name)
+			}
+			taken, released := envPool.Counts()
+			taken, released = taken-taken0, released-released0
+			if taken != released {
+				t.Fatalf("envelopes taken %d, released %d; want them equal", taken, released)
+			}
+			if c.taken != 0 && taken != c.taken {
+				t.Fatalf("envelopes taken %d, want %d", taken, c.taken)
+			}
+		})
 	}
 }
 

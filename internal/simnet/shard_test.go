@@ -57,9 +57,10 @@ func shardSnapshot(nw *Network, end time.Duration, tallies []tally) string {
 // runShardWorkload drives a deliberately messy mixed workload — periodic
 // sends, RPC request/response, churn, fault injection, a mid-run partition
 // and heal scheduled as control events, plus timer cancellation — and
-// returns its snapshot. Every source of nondeterminism the sharded engine
-// must tame is in here.
-func runShardWorkload(cfg NetworkConfig, n int) string {
+// returns its snapshot and the RPC envelopes it took and returned. Every
+// source of nondeterminism the sharded engine must tame is in here.
+func runShardWorkload(cfg NetworkConfig, n int) (snap string, taken, returned int64) {
+	taken0, returned0 := envPool.Counts()
 	nw := NewWithConfig(cfg)
 	nw.SetDefaultProfile(HomeBroadbandProfile())
 	nw.SetLinkFault(LinkFault{Corrupt: 0.01, Duplicate: 0.02, Reorder: 0.05})
@@ -72,9 +73,6 @@ func runShardWorkload(cfg NetworkConfig, n int) string {
 		node, t := node, &tallies[i]
 		node.Handle("ping", func(m Message) {
 			t.note(node.Now(), "ping", m.Payload)
-			if _, bad := m.Payload.(Corrupted); bad {
-				return
-			}
 			t.sent(node.Send(m.From, "pong", nil, 120))
 		})
 		node.Handle("pong", func(m Message) { t.note(node.Now(), "pong", m.Payload) })
@@ -155,7 +153,8 @@ func runShardWorkload(cfg NetworkConfig, n int) string {
 	nw.Schedule(500*time.Millisecond, func() { nw.Partition(half, rest) })
 	nw.Schedule(1100*time.Millisecond, func() { nw.Heal() })
 	end := nw.Run(3 * time.Second)
-	return shardSnapshot(nw, end, tallies)
+	taken, returned = envPool.Counts()
+	return shardSnapshot(nw, end, tallies), taken - taken0, returned - returned0
 }
 
 // TestShardLayoutInvariance is the core determinism claim: the same seed
@@ -169,11 +168,21 @@ func TestShardLayoutInvariance(t *testing.T) {
 		{Seed: 7, Shards: 8, Workers: 3},
 		{Seed: 7, Shards: 16, Workers: 8},
 	}
-	want := runShardWorkload(layouts[0], 48)
-	for _, cfg := range layouts[1:] {
-		if got := runShardWorkload(cfg, 48); got != want {
+	var want string
+	for i, cfg := range layouts {
+		got, taken, returned := runShardWorkload(cfg, 48)
+		if i == 0 {
+			want = got
+		} else if got != want {
 			t.Errorf("snapshot diverged at shards=%d workers=%d:\nbaseline:\n%s\ngot:\n%s",
 				cfg.Shards, cfg.Workers, want, got)
+		}
+		// Every RPC message was consumed or lost (to loss, churn, the
+		// partition or the Corrupt fault) by the end, and each handed its
+		// envelope back.
+		if taken == 0 || taken != returned {
+			t.Errorf("shards=%d workers=%d: envelopes taken %d, returned %d; want them equal",
+				cfg.Shards, cfg.Workers, taken, returned)
 		}
 	}
 }

@@ -137,10 +137,10 @@ func MobileProfile() LinkProfile {
 // Faults are decided per message at send time from the network-level RNG
 // stream:
 //
-//   - Corrupt: with this probability the payload arrives wrapped in
-//     Corrupted, so receivers' type assertions fail the way a
-//     checksum-mangled frame would fail to parse. Handlers must tolerate
-//     (not panic on) such garbage; the conformance suite asserts they do.
+//   - Corrupt: with this probability the message arrives garbled, as a
+//     frame whose checksum fails. It is counted as delivered (and as
+//     Corrupted) and then discarded before any handler runs, so handlers
+//     only ever see payloads their senders built.
 //   - Duplicate: with this probability a second copy of the message is
 //     delivered HoldBack-uniform later, exercising at-most-once and
 //     idempotency handling.
@@ -164,16 +164,6 @@ func (f LinkFault) holdBack() time.Duration {
 		return 50 * time.Millisecond
 	}
 	return f.HoldBack
-}
-
-// Corrupted wraps the payload of a message garbled in flight by a LinkFault.
-// Receivers that type-assert their expected payload type see the assertion
-// fail and should discard the message; protocol code must never assume
-// payloads are well-formed once faults are in play.
-type Corrupted struct {
-	// Original is the payload the sender transmitted, kept for debugging
-	// and tests; handlers should treat the message as unparseable garbage.
-	Original any
 }
 
 // ledger is the accounting home of the nodes that share an event queue:
@@ -580,7 +570,8 @@ func (nw *Network) samePartition(a, b NodeID) bool {
 }
 
 // flight carries a message in flight: built on the sender's shard, consumed
-// on the receiver's, with Message's fields flat so its pool mark fits in padding.
+// on the receiver's, with Message's fields flat so its pool mark and the
+// corrupt flag fit in padding.
 type flight struct {
 	nw       *Network
 	sentAt   time.Duration
@@ -589,6 +580,7 @@ type flight struct {
 	payload  any
 	size     int
 	lane     Lane
+	corrupt  bool // garbled by the LinkFault: counted at delivery, then lost
 	pool.Mark
 }
 
@@ -598,7 +590,7 @@ var flightPool = pool.New[flight]("simnet.flight", nil)
 // *flight. It runs on the receiver's shard.
 func deliverEvent(arg any) {
 	f := arg.(*flight)
-	nw, sentAt := f.nw, f.sentAt
+	nw, sentAt, corrupt := f.nw, f.sentAt, f.corrupt
 	msg := Message{From: f.from, To: f.to, Kind: f.kind, Payload: f.payload, Size: f.size, Lane: f.lane}
 	flightPool.Put(f)
 
@@ -610,18 +602,34 @@ func deliverEvent(arg any) {
 	// drop (see Send).
 	if !dst.up || !nw.samePartition(msg.From, msg.To) {
 		sh.trace.Dropped++
+		release(msg.Payload)
 		return
-	}
-	if _, garbled := msg.Payload.(Corrupted); garbled {
-		sh.trace.Corrupted++
 	}
 	sh.trace.Delivered++
 	sh.trace.BytesDelivered += int64(msg.Size)
 	sh.observeLatency(msg.Kind, sh.now-sentAt)
-	if e := dst.lookup(msg.Kind); e != nil {
-		e.h(msg)
-	} else {
+	e := dst.lookup(msg.Kind)
+	if e == nil {
 		sh.trace.Unhandled++
+	}
+	if corrupt {
+		sh.trace.Corrupted++
+	}
+	if e == nil || corrupt {
+		release(msg.Payload)
+		return
+	}
+	e.h(msg)
+}
+
+// release hands back what a lost message carries: an RPC envelope returns
+// to its pool, since no receiver will consume it. It is the one end of
+// every loss: Send's drops (sender down, destination down on a single heap,
+// partition, link loss) and deliverEvent's (receiver down or partitioned
+// away, message garbled, kind unhandled).
+func release(payload any) {
+	if env, ok := payload.(*rpcEnvelope); ok {
+		envPool.Put(env)
 	}
 }
 
@@ -653,6 +661,7 @@ func (nw *Network) Send(msg Message) bool {
 	// destination here; shards leave it to the delivery-time re-check.
 	if !src.up || (!nw.sharded && !dst.up) || !nw.samePartition(msg.From, msg.To) {
 		ssh.trace.Dropped++
+		release(msg.Payload)
 		return false
 	}
 	// Loss at either endpoint is an independent drop, so the combined
@@ -664,6 +673,7 @@ func (nw *Network) Send(msg Message) bool {
 	if pa, pb := sp.Loss, dp.Loss; pa > 0 || pb > 0 {
 		if p := 1 - (1-pa)*(1-pb); src.srng.float64() < p {
 			ssh.trace.Dropped++
+			release(msg.Payload)
 			return false
 		}
 	}
@@ -701,19 +711,19 @@ func (nw *Network) Send(msg Message) bool {
 
 	// In-flight fault injection. All draws are guarded by their probability,
 	// so a zero LinkFault consumes no randomness and perturbs nothing.
+	corrupt := false
 	if f := nw.fault; f.active() {
-		if f.Corrupt > 0 && src.srng.float64() < f.Corrupt {
-			msg.Payload = Corrupted{Original: msg.Payload}
-		}
+		corrupt = f.Corrupt > 0 && src.srng.float64() < f.Corrupt
 		if f.Reorder > 0 && src.srng.float64() < f.Reorder {
 			arrive += time.Duration(src.srng.int63n(int64(f.holdBack())))
 			ssh.trace.Reordered++
 		}
 		if f.Duplicate > 0 && src.srng.float64() < f.Duplicate {
 			// The duplicate is a fault artifact, not a retransmission: it
-			// skips link accounting and lands an extra hold-back later.
-			// An RPC copy gets its own envelope, since the receiver
-			// releases each envelope it consumes.
+			// skips link accounting and lands an extra hold-back later,
+			// garbled if the original is. An RPC copy gets its own
+			// envelope, since each delivery or loss releases the one it
+			// carries.
 			ssh.trace.Duplicated++
 			extra := time.Duration(src.srng.int63n(int64(f.holdBack())))
 			dup := msg
@@ -722,19 +732,19 @@ func (nw *Network) Send(msg Message) bool {
 				*c = *env // both are out of the pool, so the marks agree
 				dup.Payload = c
 			}
-			nw.launch(src, dst, dup, arrive+extra, hop)
+			nw.launch(src, dst, dup, arrive+extra, hop, corrupt)
 		}
 	}
-	nw.launch(src, dst, msg, arrive, hop)
+	nw.launch(src, dst, msg, arrive, hop, corrupt)
 	return true
 }
 
 // launch puts msg in flight: a pooled event on the destination's queue
 // that runs hop at time at, keyed by the sender so equal-time arrivals
-// order deterministically.
-func (nw *Network) launch(src, dst *Node, msg Message, at time.Duration, hop EventFunc) {
+// order deterministically. A corrupt message is discarded at delivery.
+func (nw *Network) launch(src, dst *Node, msg Message, at time.Duration, hop EventFunc, corrupt bool) {
 	f := flightPool.Get()
-	f.nw, f.sentAt = nw, src.sh.now
+	f.nw, f.sentAt, f.corrupt = nw, src.sh.now, corrupt
 	f.from, f.to, f.kind, f.payload, f.size, f.lane = msg.From, msg.To, msg.Kind, msg.Payload, msg.Size, msg.Lane
 	ssh, dsh := src.sh, dst.sh
 	e := dsh.alloc()
@@ -764,8 +774,9 @@ type Trace struct {
 	BytesSent      int64
 	BytesDelivered int64
 	// Fault-injection counters (see LinkFault). Corrupted and Duplicated
-	// deliveries are also counted in Delivered; Reordered counts messages
-	// held back, which still deliver exactly once.
+	// deliveries are also counted in Delivered (a corrupted one is then
+	// discarded); Reordered counts messages held back, which still deliver
+	// exactly once.
 	Corrupted  int64
 	Duplicated int64
 	Reordered  int64

@@ -38,10 +38,7 @@ type appDatagram struct {
 func NewAppRuntime(node *simnet.Node, d *dht.Peer) *AppRuntime {
 	rt := &AppRuntime{node: node, dht: d}
 	node.Handle(msgAppTransport, func(msg simnet.Message) {
-		dg, ok := msg.Payload.(appDatagram)
-		if !ok {
-			return
-		}
+		dg := msg.Payload.(appDatagram)
 		rt.MessagesReceived++
 		for _, f := range rt.onMsg {
 			f(msg.From, dg.Payload)

@@ -79,7 +79,8 @@ done
 #    declares a map of that name whose values are maps.
 simnet_files=$(find internal/simnet -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
 mapranged_files=$(find internal/simnet internal/webapp internal/storage internal/dht internal/chain \
-    internal/replic internal/resil internal/overload internal/groupcomm -maxdepth 1 \
+    internal/replic internal/resil internal/overload internal/groupcomm internal/gossip \
+    internal/naming internal/workload internal/core internal/obs internal/identity -maxdepth 1 \
     -name '*.go' ! -name '*_test.go' | sort)
 # extract_mapnames FILES... names the maps declared file-wide: fields,
 # parameters, vars and plain assignments (:= locals are scoped per function
@@ -162,7 +163,12 @@ done
 # admissions and sheds each send a message, so a walk over a map that fed
 # one would reorder sends. internal/groupcomm is what X3, X4, X8, X9, X14
 # and X16 post through: an instance pushes to its followers and a social
-# peer to its friends, one send per map entry. Names are scoped per file.
+# peer to its friends, one send per map entry. internal/gossip,
+# internal/naming and internal/workload send or schedule per entry too,
+# internal/core prints the paper's tables, internal/obs merges and exports
+# every run's metrics (a float sum walked in map order would move the
+# bytes), and internal/identity signs and checks certificates for X12.
+# Names are scoped per file.
 for f in $mapranged_files; do
     case "$f" in internal/simnet/*) continue ;; esac
     check_map_ranges "$f" $(extract_mapnames "$f")
